@@ -68,21 +68,18 @@ from .measures import (
     MeasureValidation,
     MixtureMeasure,
     ShiftMeasure,
+    Windows,
     measure_from_spec,
     stationary_distribution,
     validate_measure,
 )
 from .sampling import (
-    StreamingEvaluator,
     Trajectory,
-    WindowLogProb,
     kingman_series,
     log_prefixes,
     make_rng,
     sample_trajectory,
     shifted_kingman_series,
-    streaming_evaluator,
-    window_logprob,
 )
 from .schedules import (
     ConvergenceSeries,

@@ -23,7 +23,8 @@ import numpy as np
 from .errors import CapExceededError, ConfigError, DecouplingFailure, ValidationError
 from .logspace import log_sum_exp
 from .measures import IIDMeasure, MarkovMeasure, ShiftMeasure
-from .sampling import Trajectory, log_prefixes, window_logprob
+# log_prefixes is re-exported: the benchmark's tracer wraps it here by name
+from .sampling import Trajectory, log_prefixes  # noqa: F401
 from .schedules import ErrorSchedule, GapSchedule
 
 
@@ -351,15 +352,13 @@ def check_trajectory_subadditivity(
     sigma: GapSchedule,
     N: int | None = None,
     tol: float = 1e-10,
-    slow_cap: int = 500,
     max_report: int = 200,
 ) -> TrajectoryCheck:
     """Test f_{n+sigma_n+m}(x) <= f_n(x) + rho_n + f_m(shifted x) pairwise.
 
     f_n = log Q_n along the given path; the second block is evaluated
     after shifting by n + sigma_n.  All pairs with n + sigma_n + m <= N
-    are covered.  iid and Markov run on prefix sums (O(N^2) arithmetic);
-    other families recompute windows and are capped at slow_cap symbols.
+    are covered, each block through Q.windows, in O(N^2) arithmetic.
 
     tol is an absolute slack for float cancellation: exact ties like a
     deterministic transition evaluate to excess 0 up to rounding.
@@ -369,18 +368,11 @@ def check_trajectory_subadditivity(
         N = symbols.size
     if N > symbols.size:
         raise ConfigError(f"horizon {N} exceeds trajectory length {symbols.size}")
-    wl = window_logprob(Q, symbols[:N])
-    if wl is None and N > slow_cap:
-        raise CapExceededError(
-            f"family {Q.family!r} has no fast window path; cap is {slow_cap} symbols"
-        )
+    wl = Q.windows(symbols[:N])
     ns = np.arange(1, N + 1, dtype=np.int64)
     sig = sigma.values(ns)
     rh = rho.values(ns)
-    if wl is not None:
-        pre = wl.suffix(0, N)
-    else:
-        pre = log_prefixes(Q, symbols[:N])
+    pre = wl.suffix(0, N)
     found: list[TrajectoryViolation] = []
     total = 0
     max_excess = -np.inf
@@ -389,10 +381,7 @@ def check_trajectory_subadditivity(
         m_max = N - j
         if m_max < 1:
             continue
-        if wl is not None:
-            shifted = wl.suffix(j, m_max)
-        else:
-            shifted = log_prefixes(Q, symbols[j : j + m_max])
+        shifted = wl.suffix(j, m_max)
         lhs = pre[j : j + m_max]
         with np.errstate(invalid="ignore"):
             excess = lhs - (pre[n - 1] + rh[n - 1]) - shifted

@@ -7,10 +7,14 @@ chains (optionally with a non-invariant start, for negative tests),
 hidden-Markov observation processes, and finite mixtures of any of
 these.
 
-Log-marginal evaluation order is pinned: iid and Markov accumulate
-per-symbol increments with a running sum (np.cumsum, which matches a
-sequential left-to-right sum bit for bit), so streaming evaluators can
-reproduce the same floats exactly.
+Every family evaluates along a path through one interface:
+prefix_logprobs(x) gives log Q_n(x_1..x_n) for every n, and windows(x)
+gives f_m at offset j, log Q_m(x_{j+1}..x_{j+m}), for any j and m.  iid
+and Markov prefixes are running sums of exact per-symbol increments
+(np.cumsum, which matches a sequential left-to-right sum bit for bit)
+and their windows are differences of prefix sums.  Hidden-Markov
+prefixes and windows run one forward recursion with a row per offset,
+and mixtures take the log-sum-exp of their component values.
 """
 from __future__ import annotations
 
@@ -53,38 +57,26 @@ class Alphabet:
         return self.size**n
 
 
-def _check_rows(mat: np.ndarray, name: str, tol: float = _STOCH_TOL) -> np.ndarray:
-    if mat is None:
+def _check_stochastic(arr, name: str, ndim: int, tol: float = _STOCH_TOL) -> np.ndarray:
+    """arr as a probability vector (ndim 1) or a row-stochastic matrix (ndim 2)."""
+    if arr is None:
         raise ValidationError(f"{name} is missing")
     try:
-        m = np.asarray(mat, dtype=np.float64)
+        a = np.asarray(arr, dtype=np.float64)
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"{name} is not numeric: {exc}") from exc
-    if m.ndim != 2 or m.shape[0] < 1 or m.shape[1] < 1:
-        raise ValidationError(f"{name} must be a 2-d matrix")
-    if (m < 0).any():
+    if a.ndim != ndim or 0 in a.shape:
+        shape = "1-d probability vector" if ndim == 1 else "2-d matrix"
+        raise ValidationError(f"{name} must be a {shape}")
+    if not np.isfinite(a).all():
+        raise ValidationError(f"{name} has non-finite entries")
+    if (a < 0).any():
         raise ValidationError(f"{name} has negative entries")
-    err = np.abs(m.sum(axis=1) - 1.0).max()
+    err = float(np.abs(a.sum(axis=-1) - 1.0).max())
     if err > tol:
-        raise ValidationError(f"{name} rows must sum to 1 (off by {err:.3g})")
-    return m
-
-
-def _check_prob_vector(vec, name: str, tol: float = _STOCH_TOL) -> np.ndarray:
-    if vec is None:
-        raise ValidationError(f"{name} is missing")
-    try:
-        v = np.asarray(vec, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"{name} is not numeric: {exc}") from exc
-    if v.ndim != 1 or v.size < 1:
-        raise ValidationError(f"{name} must be a 1-d probability vector")
-    if (v < 0).any():
-        raise ValidationError(f"{name} has negative entries")
-    err = abs(float(v.sum()) - 1.0)
-    if err > tol:
-        raise ValidationError(f"{name} must sum to 1 (off by {err:.3g})")
-    return v
+        what = "rows must" if ndim == 2 else "must"
+        raise ValidationError(f"{name} {what} sum to 1 (off by {err:.3g})")
+    return a
 
 
 def stationary_distribution(P: np.ndarray, tol: float = 1e-10) -> np.ndarray:
@@ -96,7 +88,7 @@ def stationary_distribution(P: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     chain (P + I)/2 covers the rare case where the nullspace vector is
     numerically unusable.
     """
-    P = _check_rows(P, "transition matrix")
+    P = _check_stochastic(P, "transition matrix", 2)
     k = P.shape[0]
     if P.shape[1] != k:
         raise ValidationError("transition matrix must be square")
@@ -140,9 +132,9 @@ def stationary_distribution(P: np.ndarray, tol: float = 1e-10) -> np.ndarray:
 class ShiftMeasure(abc.ABC):
     """Common contract for measure families.
 
-    Subclasses provide exact log-marginals at every word length, a level
-    enumerator for audits, and forward sampling.  log_marginal must
-    return values in [-inf, inf).
+    Subclasses provide exact log-prefixes and windows along a path, a
+    level enumerator for audits, and forward sampling.  Log-marginals
+    take values in [-inf, inf).
     """
 
     alphabet: Alphabet
@@ -156,8 +148,25 @@ class ShiftMeasure(abc.ABC):
     def label(self) -> str: ...
 
     @abc.abstractmethod
+    def prefix_logprobs(self, x) -> np.ndarray:
+        """[log Q_1(x_1), log Q_2(x_1 x_2), ..., log Q_n(x_1..x_n)]."""
+
+    @abc.abstractmethod
+    def windows(self, x) -> "Windows":
+        """Window log-marginals along the path x."""
+
+    def log_increments(self, x) -> np.ndarray:
+        """Per-symbol increments of prefix_logprobs(x).
+
+        The first -inf marks the first prefix of probability zero;
+        entries after it carry no information.
+        """
+        with np.errstate(invalid="ignore"):
+            return np.diff(self.prefix_logprobs(x), prepend=0.0)
+
     def log_marginal(self, word) -> float:
         """log Q_n(word) for a length-n symbol array."""
+        return float(self.prefix_logprobs(word)[-1])
 
     @abc.abstractmethod
     def to_spec(self) -> dict: ...
@@ -186,6 +195,131 @@ class ShiftMeasure(abc.ABC):
             )
 
 
+class Windows(abc.ABC):
+    """f_m at offset j, log Q_m(x_{j+1} .. x_{j+m}), along one path x.
+
+    many evaluates one length at many offsets, suffix every length up to
+    m_max at one offset, single one window.  All three check that the
+    windows lie inside the path.
+    """
+
+    def __init__(self, size: int):
+        self.size = size
+
+    @abc.abstractmethod
+    def _many(self, js: np.ndarray, m: int) -> np.ndarray: ...
+
+    @abc.abstractmethod
+    def _suffix(self, j: int, m_max: int) -> np.ndarray: ...
+
+    def many(self, js, m: int) -> np.ndarray:
+        """f_m at each offset in js; requires j + m <= size for all j."""
+        js = np.asarray(js, dtype=np.int64)
+        if m < 1:
+            raise ConfigError("window length must be >= 1")
+        if js.size and (js.min() < 0 or int(js.max()) + m > self.size):
+            raise ConfigError("window exceeds the trajectory")
+        return self._many(js, m)
+
+    def single(self, j: int, m: int) -> float:
+        return float(self.many(np.asarray([j], dtype=np.int64), m)[0])
+
+    def suffix(self, j: int, m_max: int) -> np.ndarray:
+        """Array [f_1, ..., f_{m_max}] at offset j; needs j + m_max <= size."""
+        if m_max < 1 or j < 0 or j + m_max > self.size:
+            raise ConfigError("suffix window exceeds the trajectory")
+        return self._suffix(j, m_max)
+
+
+class _PrefixSumWindows(Windows):
+    """O(1) windows from prefix sums of per-symbol terms (iid and Markov).
+
+    body[i] is the term of symbol i + 1.  A Markov window pays head[j],
+    the start term of its first symbol, in place of body[j], the step
+    into it.  Zero-probability terms are counted apart: a window holding
+    one is -inf, windows that avoid it stay exact.
+    """
+
+    def __init__(self, body: np.ndarray, head: np.ndarray | None = None):
+        super().__init__(body.size)
+        self._markov = head is not None
+        if self._markov:
+            self._head_bad = (~np.isfinite(head)).astype(np.int64)
+            self._head = np.where(np.isfinite(head), head, 0.0)
+        bad = ~np.isfinite(body)
+        # cum[i] = sum of the first i body terms; bad_cum counts -inf terms
+        self._cum = np.concatenate(([0.0], np.cumsum(np.where(bad, 0.0, body))))
+        self._bad_cum = np.concatenate(([0], np.cumsum(bad.astype(np.int64))))
+
+    def _many(self, js: np.ndarray, m: int) -> np.ndarray:
+        if self._markov:
+            # steps j+2 .. j+m in 1-indexed terms; body[0] is 0 padding
+            vals = self._head[js] + (self._cum[js + m] - self._cum[js + 1])
+            nbad = self._head_bad[js] + self._bad_cum[js + m] - self._bad_cum[js + 1]
+        else:
+            vals = self._cum[js + m] - self._cum[js]
+            nbad = self._bad_cum[js + m] - self._bad_cum[js]
+        return np.where(nbad > 0, -np.inf, vals)
+
+    def _suffix(self, j: int, m_max: int) -> np.ndarray:
+        cum = self._cum[j + 1 : j + m_max + 1]
+        bad_cum = self._bad_cum[j + 1 : j + m_max + 1]
+        if self._markov:
+            vals = self._head[j] + cum - self._cum[j + 1]
+            nbad = self._head_bad[j] + bad_cum - self._bad_cum[j + 1]
+        else:
+            vals = cum - self._cum[j]
+            nbad = bad_cum - self._bad_cum[j]
+        return np.where(nbad > 0, -np.inf, vals)
+
+
+# largest forward table one HMM suffix block may hold, in floats
+_TABLE_ENTRIES = 2**22
+
+
+class _ForwardWindows(Windows):
+    """HMM windows: one forward row per offset, all advanced together.
+
+    suffix fills the prefix table of a block of consecutive offsets at
+    once and serves later offsets in the block from it.
+    """
+
+    def __init__(self, Q: "HiddenMarkovMeasure", x: np.ndarray):
+        super().__init__(x.size)
+        self._Q = Q
+        self._x = x
+        self._lo = 0
+        self._table = np.empty((0, 0))
+
+    def _many(self, js: np.ndarray, m: int) -> np.ndarray:
+        return self._Q._forward(self._x, js, m)
+
+    def _suffix(self, j: int, m_max: int) -> np.ndarray:
+        if not self._lo <= j < self._lo + self._table.shape[0]:
+            width = self.size - j
+            rows = max(1, min(width, _TABLE_ENTRIES // width))
+            self._lo = j
+            self._table = self._Q._forward(
+                self._x, np.arange(j, j + rows, dtype=np.int64), width, table=True
+            )
+        return self._table[j - self._lo, :m_max]
+
+
+class _MixtureWindows(Windows):
+    """Log-sum-exp of the weighted component windows."""
+
+    def __init__(self, Q: "MixtureMeasure", x: np.ndarray):
+        super().__init__(x.size)
+        self._Q = Q
+        self._parts = [c.windows(x) for c in Q.components]
+
+    def _many(self, js: np.ndarray, m: int) -> np.ndarray:
+        return self._Q._mix([w._many(js, m) for w in self._parts])
+
+    def _suffix(self, j: int, m_max: int) -> np.ndarray:
+        return self._Q._mix([w._suffix(j, m_max) for w in self._parts])
+
+
 def _draw_from_cum(cum: np.ndarray, u) -> np.ndarray | int:
     """Index of the bucket containing u: #{j : cum_j <= u}, clipped.
 
@@ -200,7 +334,7 @@ class IIDMeasure(ShiftMeasure):
     """Product measure with a fixed symbol law p."""
 
     def __init__(self, p):
-        self.p = _check_prob_vector(p, "symbol law")
+        self.p = _check_stochastic(p, "symbol law", 1)
         self.alphabet = Alphabet(self.p.size)
         self.log_p = safe_log(self.p)
         self._cum = np.cumsum(self.p)
@@ -213,9 +347,14 @@ class IIDMeasure(ShiftMeasure):
     def label(self) -> str:
         return f"iid(k={self.alphabet.size})"
 
-    def log_marginal(self, word) -> float:
-        w = self.alphabet.validate_word(word)
-        return float(np.cumsum(self.log_p[w])[-1])
+    def log_increments(self, x) -> np.ndarray:
+        return self.log_p[self.alphabet.validate_word(x)]
+
+    def prefix_logprobs(self, x) -> np.ndarray:
+        return np.cumsum(self.log_increments(x))
+
+    def windows(self, x) -> Windows:
+        return _PrefixSumWindows(self.log_increments(x))
 
     def log_marginals_level(self, n: int, cap: int = 10**7) -> np.ndarray:
         self._guard_level(n, cap)
@@ -241,7 +380,7 @@ class MarkovMeasure(ShiftMeasure):
     """
 
     def __init__(self, P, start=None):
-        self.P = _check_rows(P, "transition matrix")
+        self.P = _check_stochastic(P, "transition matrix", 2)
         if self.P.shape[0] != self.P.shape[1]:
             raise ValidationError("transition matrix must be square")
         self.alphabet = Alphabet(self.P.shape[0])
@@ -249,7 +388,7 @@ class MarkovMeasure(ShiftMeasure):
             self.start = stationary_distribution(self.P)
             self.stationary_start = True
         else:
-            self.start = _check_prob_vector(start, "start law")
+            self.start = _check_stochastic(start, "start law", 1)
             if self.start.size != self.P.shape[0]:
                 raise ValidationError("start law size must match the matrix")
             self.stationary_start = bool(
@@ -269,17 +408,22 @@ class MarkovMeasure(ShiftMeasure):
         tag = "" if self.stationary_start else ", non-invariant start"
         return f"markov(k={self.alphabet.size}{tag})"
 
-    def increments(self, word: np.ndarray) -> np.ndarray:
-        """Per-symbol log increments; their running sum is log Q_n."""
-        w = self.alphabet.validate_word(word)
+    def log_increments(self, x) -> np.ndarray:
+        """Start term, then one transition term per step."""
+        w = self.alphabet.validate_word(x)
         out = np.empty(w.size, dtype=np.float64)
         out[0] = self.log_start[w[0]]
         if w.size > 1:
             out[1:] = self.log_P[w[:-1], w[1:]]
         return out
 
-    def log_marginal(self, word) -> float:
-        return float(np.cumsum(self.increments(word))[-1])
+    def prefix_logprobs(self, x) -> np.ndarray:
+        return np.cumsum(self.log_increments(x))
+
+    def windows(self, x) -> Windows:
+        w = self.alphabet.validate_word(x)
+        steps = np.concatenate(([0.0], self.log_P[w[:-1], w[1:]]))
+        return _PrefixSumWindows(steps, head=self.log_start[w])
 
     def log_marginals_level(self, n: int, cap: int = 10**7) -> np.ndarray:
         self._guard_level(n, cap)
@@ -318,20 +462,25 @@ class HiddenMarkovMeasure(ShiftMeasure):
     """
 
     def __init__(self, A, E, start=None):
-        self.A = _check_rows(A, "hidden transition matrix")
+        self.A = _check_stochastic(A, "hidden transition matrix", 2)
         if self.A.shape[0] != self.A.shape[1]:
             raise ValidationError("hidden transition matrix must be square")
-        self.E = _check_rows(E, "emission matrix")
+        self.E = _check_stochastic(E, "emission matrix", 2)
         if self.E.shape[0] != self.A.shape[0]:
             raise ValidationError("emission rows must match hidden states")
         self.alphabet = Alphabet(self.E.shape[1])
         self.hidden_size = self.A.shape[0]
+        self._start_given = start is not None
         if start is None:
             self.start = stationary_distribution(self.A)
+            self.stationary_start = True
         else:
-            self.start = _check_prob_vector(start, "hidden start law")
+            self.start = _check_stochastic(start, "hidden start law", 1)
             if self.start.size != self.hidden_size:
                 raise ValidationError("hidden start size must match the matrix")
+            self.stationary_start = bool(
+                np.abs(self.start @ self.A - self.start).max() <= 1e-12
+            )
         self.log_A = safe_log(self.A)
         self.log_E = safe_log(self.E)
         self.log_start = safe_log(self.start)
@@ -345,18 +494,46 @@ class HiddenMarkovMeasure(ShiftMeasure):
 
     @property
     def label(self) -> str:
-        return f"hmm(hidden={self.hidden_size}, k={self.alphabet.size})"
+        tag = "" if self.stationary_start else ", non-invariant start"
+        return f"hmm(hidden={self.hidden_size}, k={self.alphabet.size}{tag})"
 
-    def forward_state(self, word: np.ndarray) -> np.ndarray:
-        """Log forward vector alpha_n over hidden states after the word."""
-        w = self.alphabet.validate_word(word)
-        alpha = self.log_start + self.log_E[:, w[0]]
-        for s in w[1:]:
-            alpha = log_sum_exp(alpha[:, None] + self.log_A, axis=0) + self.log_E[:, s]
-        return alpha
+    def _forward(
+        self, x: np.ndarray, js: np.ndarray, m: int, table: bool = False
+    ) -> np.ndarray:
+        """Forward recursion over the windows x[j : j + m], one row per j.
 
-    def log_marginal(self, word) -> float:
-        return float(log_sum_exp(self.forward_state(word)))
+        The rows, log forward vectors over hidden states, advance
+        together.  Returns log Q_m of each window.  With table=True it
+        returns the (rows, m) array of the log-probabilities of all the
+        prefixes instead; js must then ascend, and a row stops at the end
+        of x, leaving nan in its later entries.
+
+        alpha is kept hidden-major, (hidden, rows), so each step reduces
+        over its leading axis, and each total over hidden states runs on a
+        row-major copy.  Either way every row sums in the same order as a
+        batch of one, so a window's value does not depend on its batch.
+        """
+
+        def total(alpha: np.ndarray) -> np.ndarray:
+            return log_sum_exp(np.ascontiguousarray(alpha.T), axis=1)
+
+        alpha = self.log_start[:, None] + self.log_E[:, x[js]]
+        out = np.full((js.size, m), np.nan) if table else None
+        for t in range(m):
+            live = int(np.searchsorted(js, x.size - t)) if table else js.size
+            if t:
+                moved = log_sum_exp(alpha[:, None, :live] + self.log_A[:, :, None], axis=0)
+                alpha = moved + self.log_E[:, x[js[:live] + t]]
+            if table:
+                out[:live, t] = total(alpha)
+        return out if table else total(alpha)
+
+    def prefix_logprobs(self, x) -> np.ndarray:
+        w = self.alphabet.validate_word(x)
+        return self._forward(w, np.zeros(1, dtype=np.int64), w.size, table=True)[0]
+
+    def windows(self, x) -> Windows:
+        return _ForwardWindows(self, self.alphabet.validate_word(x))
 
     def log_marginals_level(self, n: int, cap: int = 10**7) -> np.ndarray:
         if self.alphabet.word_count(n) * self.hidden_size > cap:
@@ -375,7 +552,10 @@ class HiddenMarkovMeasure(ShiftMeasure):
         return log_sum_exp(alpha, axis=1)
 
     def to_spec(self) -> dict:
-        return {"family": "hmm", "A": self.A.tolist(), "E": self.E.tolist()}
+        spec = {"family": "hmm", "A": self.A.tolist(), "E": self.E.tolist()}
+        if self._start_given:
+            spec["start"] = self.start.tolist()
+        return spec
 
     def _sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         u_hidden = rng.random(n)
@@ -407,7 +587,7 @@ class MixtureMeasure(ShiftMeasure):
         if len(sizes) != 1:
             raise ValidationError("mixture components must share one alphabet")
         self.components = comps
-        self.weights = _check_prob_vector(weights, "mixture weights")
+        self.weights = _check_stochastic(weights, "mixture weights", 1)
         if self.weights.size != len(comps):
             raise ValidationError("one weight per component required")
         if (self.weights <= 0).any():
@@ -425,22 +605,22 @@ class MixtureMeasure(ShiftMeasure):
         inner = ", ".join(c.label for c in self.components)
         return f"mixture({inner})"
 
-    def log_marginal(self, word) -> float:
-        w = self.alphabet.validate_word(word)
-        vals = np.asarray(
-            [lw + c.log_marginal(w) for lw, c in zip(self.log_weights, self.components)]
+    def _mix(self, values: list[np.ndarray]) -> np.ndarray:
+        """log sum_i w_i exp(values[i]), from one log array per component."""
+        return log_sum_exp(
+            np.stack([lw + v for lw, v in zip(self.log_weights, values)]), axis=0
         )
-        return float(log_sum_exp(vals))
+
+    def prefix_logprobs(self, x) -> np.ndarray:
+        w = self.alphabet.validate_word(x)
+        return self._mix([c.prefix_logprobs(w) for c in self.components])
+
+    def windows(self, x) -> Windows:
+        return _MixtureWindows(self, self.alphabet.validate_word(x))
 
     def log_marginals_level(self, n: int, cap: int = 10**7) -> np.ndarray:
         self._guard_level(n, cap)
-        stack = np.stack(
-            [
-                lw + c.log_marginals_level(n, cap=cap)
-                for lw, c in zip(self.log_weights, self.components)
-            ]
-        )
-        return log_sum_exp(stack, axis=0)
+        return self._mix([c.log_marginals_level(n, cap=cap) for c in self.components])
 
     def to_spec(self) -> dict:
         return {

@@ -1,4 +1,4 @@
-"""Seeded trajectory sampling and per-window log-marginal evaluation.
+"""Seeded trajectory sampling and normalized log-marginal series.
 
 Sampling runs on a counter-based generator (Philox) keyed by the pair
 (seed, stream), so trials and workers draw from disjoint streams without
@@ -15,20 +15,12 @@ series instead of one that wobbles in the last ulp.
 """
 from __future__ import annotations
 
-import abc
 import dataclasses
 
 import numpy as np
 
 from .errors import ConfigError, ValidationError
-from .logspace import log_sum_exp
-from .measures import (
-    HiddenMarkovMeasure,
-    IIDMeasure,
-    MarkovMeasure,
-    MixtureMeasure,
-    ShiftMeasure,
-)
+from .measures import ShiftMeasure
 from .schedules import ConvergenceSeries, geometric_grid
 
 
@@ -91,193 +83,24 @@ def sample_trajectory(
     )
 
 
-class StreamingEvaluator(abc.ABC):
-    """Consumes one symbol at a time, maintaining value = log Q_n(x_1..x_n).
-
-    consume returns the increment value_n - value_{n-1}.  For iid and
-    Markov measures the running value reproduces log_marginal bit for
-    bit; the forward-recursion families agree to within accumulation
-    rounding (well inside 1e-10 at 1e5 steps).
-    """
-
-    def __init__(self):
-        self.n = 0
-        self.value = 0.0
-
-    @abc.abstractmethod
-    def _step(self, symbol: int) -> float: ...
-
-    def consume(self, symbol: int) -> float:
-        inc = self._step(int(symbol))
-        self.n += 1
-        self.value = self.value + inc if self.n > 1 else inc
-        return inc
-
-    def consume_all(self, symbols) -> float:
-        for s in np.asarray(symbols, dtype=np.int64):
-            self.consume(int(s))
-        return self.value
-
-    def reset(self) -> None:
-        self.n = 0
-        self.value = 0.0
-
-
-class _IIDEvaluator(StreamingEvaluator):
-    def __init__(self, Q: IIDMeasure):
-        super().__init__()
-        self._logp = Q.log_p
-
-    def _step(self, symbol: int) -> float:
-        return float(self._logp[symbol])
-
-
-class _MarkovEvaluator(StreamingEvaluator):
-    def __init__(self, Q: MarkovMeasure):
-        super().__init__()
-        self._Q = Q
-        self._prev = -1
-
-    def _step(self, symbol: int) -> float:
-        if self.n == 0:
-            inc = float(self._Q.log_start[symbol])
-        else:
-            inc = float(self._Q.log_P[self._prev, symbol])
-        self._prev = symbol
-        return inc
-
-    def reset(self) -> None:
-        super().reset()
-        self._prev = -1
-
-
-class _HMMEvaluator(StreamingEvaluator):
-    def __init__(self, Q: HiddenMarkovMeasure):
-        super().__init__()
-        self._Q = Q
-        self._alpha = None
-
-    def _step(self, symbol: int) -> float:
-        Q = self._Q
-        if self.n == 0:
-            self._alpha = Q.log_start + Q.log_E[:, symbol]
-            return float(log_sum_exp(self._alpha))
-        old = float(log_sum_exp(self._alpha))
-        self._alpha = (
-            log_sum_exp(self._alpha[:, None] + Q.log_A, axis=0) + Q.log_E[:, symbol]
-        )
-        return float(log_sum_exp(self._alpha)) - old
-
-    def consume(self, symbol: int) -> float:
-        inc = self._step(int(symbol))
-        self.n += 1
-        # value recomputed from the forward vector, not accumulated, so
-        # streaming cannot drift away from log_marginal
-        self.value = float(log_sum_exp(self._alpha))
-        return inc
-
-    def reset(self) -> None:
-        super().reset()
-        self._alpha = None
-
-
-class _MixtureEvaluator(StreamingEvaluator):
-    def __init__(self, Q: MixtureMeasure):
-        super().__init__()
-        self._logw = Q.log_weights
-        self._subs = [streaming_evaluator(c) for c in Q.components]
-
-    def _mix_value(self) -> float:
-        vals = np.asarray([e.value for e in self._subs]) + self._logw
-        return float(log_sum_exp(vals))
-
-    def _step(self, symbol: int) -> float:
-        for e in self._subs:
-            e.consume(symbol)
-        return 0.0
-
-    def consume(self, symbol: int) -> float:
-        old = self._mix_value() if self.n > 0 else 0.0
-        self._step(int(symbol))
-        self.n += 1
-        self.value = self._mix_value()
-        return self.value - old if self.n > 1 else self.value
-
-    def reset(self) -> None:
-        super().reset()
-        for e in self._subs:
-            e.reset()
-
-
-def streaming_evaluator(Q: ShiftMeasure) -> StreamingEvaluator:
-    """Evaluator for Q's family; raises for unknown families."""
-    if isinstance(Q, IIDMeasure):
-        return _IIDEvaluator(Q)
-    if isinstance(Q, MarkovMeasure):
-        return _MarkovEvaluator(Q)
-    if isinstance(Q, HiddenMarkovMeasure):
-        return _HMMEvaluator(Q)
-    if isinstance(Q, MixtureMeasure):
-        return _MixtureEvaluator(Q)
-    raise ConfigError(f"no streaming evaluator for family {Q.family!r}")
-
-
 def log_prefixes(Q: ShiftMeasure, symbols: np.ndarray) -> np.ndarray:
-    """Array [log Q_1(x_1), log Q_2(x_1 x_2), ..., log Q_m(x_1..x_m)].
-
-    iid and Markov use exact per-symbol increments (running sum matches
-    the sequential order bit for bit).  Hidden-Markov walks the forward
-    recursion; mixtures combine component prefixes columnwise.
-    """
-    x = Q.alphabet.validate_word(symbols)
-    if isinstance(Q, IIDMeasure):
-        return np.cumsum(Q.log_p[x])
-    if isinstance(Q, MarkovMeasure):
-        return np.cumsum(Q.increments(x))
-    if isinstance(Q, MixtureMeasure):
-        stack = np.stack(
-            [lw + log_prefixes(c, x) for lw, c in zip(Q.log_weights, Q.components)]
-        )
-        return log_sum_exp(stack, axis=0)
-    if isinstance(Q, HiddenMarkovMeasure):
-        out = np.empty(x.size, dtype=np.float64)
-        alpha = Q.log_start + Q.log_E[:, x[0]]
-        out[0] = log_sum_exp(alpha)
-        for i in range(1, x.size):
-            alpha = log_sum_exp(alpha[:, None] + Q.log_A, axis=0) + Q.log_E[:, x[i]]
-            out[i] = log_sum_exp(alpha)
-        return out
-    # generic fallback: one full evaluation per prefix, quadratic
-    return np.asarray([Q.log_marginal(x[: i + 1]) for i in range(x.size)])
+    """Array [log Q_1(x_1), log Q_2(x_1 x_2), ..., log Q_m(x_1..x_m)]."""
+    return Q.prefix_logprobs(symbols)
 
 
-def _exact_increments(Q: ShiftMeasure, x: np.ndarray) -> np.ndarray | None:
-    if isinstance(Q, IIDMeasure):
-        return Q.log_p[x]
-    if isinstance(Q, MarkovMeasure):
-        return Q.increments(x)
-    return None
+def _normalized_on_grid(incs: np.ndarray, grid: np.ndarray) -> np.ndarray:
+    """Centered-pivot evaluation of (1/n) sum_{i <= n} incs_i on the grid.
 
-
-def _normalized_on_grid(
-    prefixes: np.ndarray, incs: np.ndarray | None, grid: np.ndarray
-) -> np.ndarray:
-    """Centered-pivot evaluation of prefixes[n-1] / n on the grid.
-
-    Once a prefix hits -inf every later normalized value is -inf (log
+    Once an increment is -inf every later normalized value is -inf (log
     marginals only decrease), so the centered sum runs on the finite
     head only.
     """
-    m = prefixes.size
-    neg = ~np.isfinite(prefixes)
-    finite_len = int(np.argmax(neg)) if neg.any() else m
+    neg = ~np.isfinite(incs)
+    finite_len = int(np.argmax(neg)) if neg.any() else incs.size
     out = np.full(grid.size, -np.inf)
     if finite_len == 0:
         return out
-    if incs is None:
-        incs = np.diff(prefixes[:finite_len], prepend=0.0)
-    else:
-        incs = incs[:finite_len]
+    incs = incs[:finite_len]
     pivot = float(incs[0])
     centered = np.cumsum(incs - pivot)
     head = grid <= finite_len
@@ -319,9 +142,7 @@ def kingman_series(
         raise ConfigError(
             f"grid needs {offset + horizon} symbols, trajectory has {symbols.size}"
         )
-    window = symbols[offset : offset + horizon]
-    prefixes = log_prefixes(Q, window)
-    values = _normalized_on_grid(prefixes, _exact_increments(Q, window), grid)
+    values = _normalized_on_grid(Q.log_increments(symbols[offset : offset + horizon]), grid)
     meta = {"measure": Q.label, "offset": int(offset)}
     if seed is not None:
         meta["seed"] = int(seed)
@@ -336,82 +157,3 @@ def shifted_kingman_series(
 ) -> ConvergenceSeries:
     """kingman_series along the shifted path, dropping the first offset symbols."""
     return kingman_series(x, Q, grid=grid, offset=offset, label="shifted-normalized-log-marginal")
-
-
-class WindowLogProb:
-    """O(1) evaluation of f_m at offset j: log Q_m(x_{j+1} .. x_{j+m}).
-
-    Backed by prefix sums of per-symbol increments, so it exists only
-    for the exactly-additive families (iid, Markov).  Zero-probability
-    steps are tracked separately: a window containing one evaluates to
-    -inf, windows that avoid it stay exact.
-    """
-
-    def __init__(self, Q: ShiftMeasure, symbols: np.ndarray):
-        x = Q.alphabet.validate_word(symbols)
-        self.size = x.size
-        if isinstance(Q, IIDMeasure):
-            steps = Q.log_p[x]
-            self._head = np.zeros(x.size)  # no extra start term
-            self._head_bad = np.zeros(x.size, dtype=np.int64)
-            body = steps
-        elif isinstance(Q, MarkovMeasure):
-            self._head = Q.log_start[x]
-            self._head_bad = (~np.isfinite(self._head)).astype(np.int64)
-            self._head = np.where(np.isfinite(self._head), self._head, 0.0)
-            body = np.concatenate(([0.0], Q.log_P[x[:-1], x[1:]]))
-        else:
-            raise ConfigError(f"no O(1) window evaluation for family {Q.family!r}")
-        self._markov = isinstance(Q, MarkovMeasure)
-        bad = ~np.isfinite(body)
-        safe = np.where(bad, 0.0, body)
-        # cum[i] = sum of the first i step terms; bad_cum counts -inf steps
-        self._cum = np.concatenate(([0.0], np.cumsum(safe)))
-        self._bad_cum = np.concatenate(([0], np.cumsum(bad.astype(np.int64))))
-
-    def many(self, js: np.ndarray, m: int) -> np.ndarray:
-        """f_m at each offset in js; requires j + m <= size for all j."""
-        js = np.asarray(js, dtype=np.int64)
-        if m < 1:
-            raise ConfigError("window length must be >= 1")
-        if js.size and (js.min() < 0 or int(js.max()) + m > self.size):
-            raise ConfigError("window exceeds the trajectory")
-        if self._markov:
-            # steps j+2 .. j+m in 1-indexed terms; body index i holds the
-            # step into symbol i+1, with body[0] = 0 padding
-            vals = self._head[js] + (self._cum[js + m] - self._cum[js + 1])
-            nbad = (
-                self._head_bad[js]
-                + self._bad_cum[js + m]
-                - self._bad_cum[js + 1]
-            )
-        else:
-            vals = self._cum[js + m] - self._cum[js]
-            nbad = self._bad_cum[js + m] - self._bad_cum[js]
-        return np.where(nbad > 0, -np.inf, vals)
-
-    def single(self, j: int, m: int) -> float:
-        return float(self.many(np.asarray([j], dtype=np.int64), m)[0])
-
-    def suffix(self, j: int, m_max: int) -> np.ndarray:
-        """Array [f_1, ..., f_{m_max}] at offset j; needs j + m_max <= size."""
-        if m_max < 1 or j < 0 or j + m_max > self.size:
-            raise ConfigError("suffix window exceeds the trajectory")
-        if self._markov:
-            vals = self._head[j] + self._cum[j + 1 : j + m_max + 1] - self._cum[j + 1]
-            nbad = (
-                self._head_bad[j]
-                + self._bad_cum[j + 1 : j + m_max + 1]
-                - self._bad_cum[j + 1]
-            )
-        else:
-            vals = self._cum[j + 1 : j + m_max + 1] - self._cum[j]
-            nbad = self._bad_cum[j + 1 : j + m_max + 1] - self._bad_cum[j]
-        return np.where(nbad > 0, -np.inf, vals)
-
-
-def window_logprob(Q: ShiftMeasure, symbols: np.ndarray) -> WindowLogProb | None:
-    """WindowLogProb when the family supports it, else None."""
-    if isinstance(Q, (IIDMeasure, MarkovMeasure)):
-        return WindowLogProb(Q, symbols)
-    return None

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import ConfigError, ValidationError
 from .measures import ShiftMeasure
-from .sampling import Trajectory, window_logprob
+from .sampling import Trajectory
 from .schedules import ErrorSchedule, GapSchedule
 
 
@@ -445,22 +445,12 @@ def trajectory_context(
 ) -> ProofContext:
     """ProofContext for f = per-window log-marginals of Q along x.
 
-    iid and Markov paths get O(1) window evaluation and vector hooks;
-    other families fall back to direct (quadratic) evaluation, which is
-    only sensible at small horizons.  Log-marginals decrease under
-    extension, so the sigma_1 = 0 requirement is waived.
+    Windows come from Q.windows, with its batch evaluation as the vector
+    hook.  Log-marginals decrease under extension, so the sigma_1 = 0
+    requirement is waived.
     """
     symbols = x.symbols if isinstance(x, Trajectory) else np.asarray(x, dtype=np.int64)
-    wl = window_logprob(Q, symbols)
-    if wl is not None:
-        f = wl.single
-        f_batch = wl.many
-    else:
-
-        def f(j: int, n: int) -> float:
-            return Q.log_marginal(symbols[j : j + n])
-
-        f_batch = None
+    wl = Q.windows(symbols)
     if rho.position_dependent:
 
         def rho_fn(j: int, n: int) -> float:
@@ -475,7 +465,7 @@ def trajectory_context(
         def rho_batch(js: np.ndarray, n: int) -> np.ndarray:
             return np.full(js.shape, rho.value(n))
     return ProofContext(
-        f=f,
+        f=wl.single,
         limit_value=float(limit_value),
         sigma=sigma,
         r=int(r),
@@ -483,7 +473,7 @@ def trajectory_context(
         eps=float(eps),
         horizon=int(symbols.size),
         rho=rho_fn,
-        f_batch=f_batch,
+        f_batch=wl.many,
         rho_batch=rho_batch,
         assume_shift_monotone=True,
     )

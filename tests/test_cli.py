@@ -295,6 +295,24 @@ def test_exit_code_schema_error(tmp_path, capsys):
     assert "schema: /P/0:" in err
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        {"family": "iid", "p": [math.nan, 0.5]},
+        {"family": "markov", "P": [[0.5, 0.5], [math.nan, 0.5]]},
+    ],
+    ids=["iid-nan", "markov-nan"],
+)
+def test_non_finite_measure_exits_cleanly(tmp_path, capsys, spec):
+    m = write_json(tmp_path, "m.json", spec)
+    out = tmp_path / "o"
+    rc = main(["sample", "--measure", m, "--N", "5", "--seed", "1", "--outdir", str(out)])
+    assert rc in (2, 3)
+    err = capsys.readouterr().err
+    assert "non-finite" in err and "Traceback" not in err
+    assert not (out / "trajectory.txt").exists()
+
+
 def test_exit_code_config_error_unknown_grid(tmp_path, capsys):
     m = write_json(tmp_path, "m.json", COIN_SPEC)
     rc = main(["series", "--measure", m, "--N", "50", "--seed", "1",

@@ -11,6 +11,7 @@ from gapsub import (
     DecouplingFailure,
     ErrorSchedule,
     GapSchedule,
+    HiddenMarkovMeasure,
     IIDMeasure,
     MarkovMeasure,
     MixtureMeasure,
@@ -22,6 +23,7 @@ from gapsub import (
     markov_decoupling_bound,
     minimal_decoupling_constants,
     sample_trajectory,
+    stationary_distribution,
 )
 
 from conftest import WORKED_P, WORKED_PI
@@ -175,6 +177,12 @@ class _BrokenMeasure(ShiftMeasure):
     def log_marginal(self, word) -> float:
         raise NotImplementedError
 
+    def prefix_logprobs(self, x):
+        raise NotImplementedError
+
+    def windows(self, x):
+        raise NotImplementedError
+
     def to_spec(self) -> dict:
         raise NotImplementedError
 
@@ -262,21 +270,29 @@ def test_trajectory_check_with_gap_schedule(worked_chain):
 
 
 def test_trajectory_check_slow_family_cap(half_half_mixture):
+    """A family without prefix-sum windows is checked on the whole path:
+    no symbol cap applies."""
+    # log 2 = -log(min weight) is a true decoupling constant for a
+    # two-component equal mixture
     x = sample_trajectory(half_half_mixture, 650, seed=107)
-    with pytest.raises(CapExceededError):
-        check_trajectory_subadditivity(
-            x, half_half_mixture, ErrorSchedule.constant(math.log(2.0)), GapSchedule.zero()
-        )
-    # under the cap the generic path runs; log 2 = -log(min weight) is a
-    # true decoupling constant for a two-component equal mixture
     chk = check_trajectory_subadditivity(
-        x,
-        half_half_mixture,
-        ErrorSchedule.constant(math.log(2.0)),
-        GapSchedule.zero(),
-        N=120,
+        x, half_half_mixture, ErrorSchedule.constant(math.log(2.0)), GapSchedule.zero()
     )
-    assert chk.ok
+    assert chk.ok and chk.horizon == 650
+
+
+def test_trajectory_check_hmm_with_the_hidden_kernel_bound():
+    A = np.asarray([[0.7, 0.3], [0.4, 0.6]])
+    H = HiddenMarkovMeasure(A, [[0.8, 0.2], [0.3, 0.7]])
+    # conditioning on the hidden state entering the second block:
+    # Q(ab) <= max_ij A(i, j) / pi(j) Q(a) Q(b)
+    c = float(np.max(np.log(A) - np.log(stationary_distribution(A))[None, :]))
+    x = sample_trajectory(H, 2000, seed=131)
+    chk = check_trajectory_subadditivity(
+        x, H, ErrorSchedule.constant(c), GapSchedule.zero()
+    )
+    assert chk.ok and chk.horizon == 2000
+    assert chk.max_excess <= 1e-10
 
 
 def test_trajectory_check_horizon_validation(worked_chain):

@@ -132,7 +132,7 @@ def test_markov_log_marginal_by_hand(worked_chain):
         + math.log(0.2)
     )
     assert abs(worked_chain.log_marginal(w) - expected) < 1e-12
-    incs = worked_chain.increments(np.asarray(w))
+    incs = worked_chain.log_increments(np.asarray(w))
     assert abs(incs.sum() - expected) < 1e-12
     assert worked_chain.stationary_start
 
@@ -309,6 +309,35 @@ def test_spec_round_trip(build):
     assert R.label == Q.label
     for w in ([0], [1, 0], [0, 1, 1]):
         assert abs(R.log_marginal(w) - Q.log_marginal(w)) < 1e-14
+
+
+def test_hmm_explicit_start_survives_the_spec_round_trip():
+    H = HiddenMarkovMeasure(
+        [[0.9, 0.1], [0.2, 0.8]], [[0.8, 0.2], [0.3, 0.7]], start=[1.0, 0.0]
+    )
+    R = measure_from_spec(H.to_spec())
+    assert R.to_spec() == H.to_spec()
+    assert H.label == R.label == "hmm(hidden=2, k=2, non-invariant start)"
+    for Q in (H, R):
+        assert round(Q.log_marginal([1, 1, 0]), 4) == -3.4234
+    assert "start" not in HiddenMarkovMeasure(H.A, H.E).to_spec()
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda bad: IIDMeasure([bad, 0.5]),
+        lambda bad: MarkovMeasure([[0.5, 0.5], [bad, 0.5]]),
+        lambda bad: MarkovMeasure(WORKED_P, start=[bad, 0.5]),
+        lambda bad: HiddenMarkovMeasure([[1.0, 0.0], [0.0, 1.0]], [[bad, 0.5], [0.5, 0.5]]),
+        lambda bad: MixtureMeasure([IIDMeasure([0.5, 0.5])] * 2, [bad, 0.5]),
+    ],
+    ids=["iid-p", "markov-P", "markov-start", "hmm-E", "mixture-weights"],
+)
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_entries_rejected(build, bad):
+    with pytest.raises(ValidationError, match="non-finite"):
+        build(bad)
 
 
 def test_measure_from_spec_errors():

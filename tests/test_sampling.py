@@ -13,14 +13,12 @@ from gapsub import (
     MixtureMeasure,
     Trajectory,
     ValidationError,
-    WindowLogProb,
     kingman_series,
     log_prefixes,
+    log_sum_exp,
     make_rng,
     sample_trajectory,
     shifted_kingman_series,
-    streaming_evaluator,
-    window_logprob,
 )
 
 from conftest import WORKED_P
@@ -95,40 +93,7 @@ def test_trajectory_validation():
         sample_trajectory(IIDMeasure([0.5, 0.5]), 0, seed=1)
 
 
-# ------------------------------------------------------ streaming evaluators
-
-
-@pytest.mark.parametrize("family", list(FAMILIES))
-def test_streaming_value_matches_log_marginal(family):
-    Q = FAMILIES[family]()
-    x = sample_trajectory(Q, 60, seed=17).symbols
-    ev = streaming_evaluator(Q)
-    val = ev.consume_all(x)
-    direct = Q.log_marginal(x)
-    if family in ("iid", "markov"):
-        assert val == direct  # same accumulation order, bit for bit
-    else:
-        assert abs(val - direct) < 1e-12
-    assert ev.n == 60
-
-
-@pytest.mark.parametrize("family", list(FAMILIES))
-def test_streaming_reset(family):
-    Q = FAMILIES[family]()
-    x = sample_trajectory(Q, 30, seed=23).symbols
-    ev = streaming_evaluator(Q)
-    first = ev.consume_all(x)
-    ev.reset()
-    assert ev.n == 0
-    assert ev.consume_all(x) == first
-
-
-def test_streaming_increments_sum_to_value():
-    Q = MarkovMeasure(WORKED_P)
-    x = sample_trajectory(Q, 40, seed=29).symbols
-    ev = streaming_evaluator(Q)
-    incs = [ev.consume(int(s)) for s in x]
-    assert abs(sum(incs) - Q.log_marginal(x)) < 1e-12
+# ------------------------------------------------------------ log prefixes
 
 
 @pytest.mark.parametrize("family", list(FAMILIES))
@@ -208,20 +173,74 @@ def test_kingman_neg_inf_is_sticky():
 # ------------------------------------------------------------ window probs
 
 
-@pytest.mark.parametrize("family", ["iid", "markov"])
+WINDOW_FAMILIES = {
+    **FAMILIES,
+    # non-invariant start, and a forbidden step 0 -> 1 that sampled
+    # paths (drawn from the uniform chain) cross
+    "markov-start-zero-step": lambda: MarkovMeasure(
+        [[1.0, 0.0], [0.5, 0.5]], start=[0.2, 0.8]
+    ),
+}
+
+
+@pytest.mark.parametrize("family", list(WINDOW_FAMILIES))
 def test_window_matches_marginal_of_the_window(family):
-    Q = FAMILIES[family]()
-    x = sample_trajectory(Q, 50, seed=59).symbols
-    wl = window_logprob(Q, x)
-    assert wl is not None
+    Q = WINDOW_FAMILIES[family]()
+    P = MarkovMeasure([[0.5, 0.5], [0.5, 0.5]]) if family.endswith("zero-step") else Q
+    x = sample_trajectory(P, 50, seed=59).symbols
+    wl = Q.windows(x)
     for j in range(0, 45, 7):
-        for m in (1, 2, 5, x.size - j):
-            assert abs(wl.single(j, m) - Q.log_marginal(x[j : j + m])) < 1e-10
+        ms = (1, 2, 5, x.size - j)
+        suf = wl.suffix(j, x.size - j)
+        for m in ms:
+            direct = Q.log_marginal(x[j : j + m])
+            for got in (wl.single(j, m), wl.many([j], m)[0], suf[m - 1]):
+                assert got == direct or abs(got - direct) < 1e-10
+    if family.endswith("zero-step"):
+        assert (wl.suffix(0, x.size) == -np.inf).any()
+
+
+def _forward_loop(H, x):
+    """Reference: the log-space forward recursion, one symbol at a time."""
+    out = np.empty(x.size)
+    alpha = H.log_start + H.log_E[:, x[0]]
+    out[0] = log_sum_exp(alpha)
+    for i in range(1, x.size):
+        alpha = log_sum_exp(alpha[:, None] + H.log_A, axis=0) + H.log_E[:, x[i]]
+        out[i] = log_sum_exp(alpha)
+    return out
+
+
+@pytest.mark.parametrize("hidden", [1, 2, 3, 9])
+def test_hmm_batched_forward_matches_the_loop_bitwise(hidden):
+    rng = np.random.default_rng(hidden)
+    A = rng.dirichlet(np.ones(hidden), size=hidden)
+    E = rng.dirichlet(np.ones(3), size=hidden)
+    E[:, 2] = 0.0  # symbol 2 is impossible: prefixes through it are -inf
+    E /= E.sum(axis=1, keepdims=True)
+    H = HiddenMarkovMeasure(A, E, start=rng.dirichlet(np.ones(hidden)))
+    x = sample_trajectory(IIDMeasure([0.45, 0.45, 0.1]), 90, seed=hidden).symbols
+    assert (H.prefix_logprobs(x) == _forward_loop(H, x)).all()
+    wl = H.windows(x)
+    for j in (0, 13, 89):
+        assert (wl.suffix(j, x.size - j) == _forward_loop(H, x[j:])).all()
+    js = np.arange(0, 60, 7)
+    assert wl.many(js, 30).tolist() == [_forward_loop(H, x[j : j + 30])[-1] for j in js]
+
+
+def test_hmm_suffix_is_bitwise_the_prefixes_of_the_suffix():
+    H = FAMILIES["hmm"]()
+    x = sample_trajectory(H, 120, seed=71).symbols
+    wl = H.windows(x)
+    for j in (0, 1, 37, 119):
+        assert (wl.suffix(j, x.size - j) == H.prefix_logprobs(x[j:])).all()
+    js = np.asarray([0, 5, 60])
+    assert wl.many(js, 40).tolist() == [H.prefix_logprobs(x[j : j + 40])[-1] for j in js]
 
 
 def test_window_many_and_suffix_agree_with_single(worked_chain):
     x = sample_trajectory(worked_chain, 80, seed=61).symbols
-    wl = WindowLogProb(worked_chain, x)
+    wl = worked_chain.windows(x)
     js = np.asarray([0, 3, 11, 40])
     got = wl.many(js, 7)
     assert got.tolist() == [wl.single(int(j), 7) for j in js]
@@ -233,7 +252,7 @@ def test_window_many_and_suffix_agree_with_single(worked_chain):
 def test_window_zero_probability_step():
     Q = MarkovMeasure([[1.0, 0.0], [0.5, 0.5]], start=[0.5, 0.5])
     x = np.asarray([0, 1, 0, 0], dtype=np.int64)  # 0 -> 1 is forbidden
-    wl = WindowLogProb(Q, x)
+    wl = Q.windows(x)
     assert wl.single(0, 2) == -np.inf
     assert wl.single(0, 4) == -np.inf
     assert np.isfinite(wl.single(1, 3))  # window [1, 0, 0] avoids the bad step
@@ -247,16 +266,10 @@ def test_window_zero_probability_step():
 
 def test_window_bounds_checked(worked_chain):
     x = sample_trajectory(worked_chain, 20, seed=67).symbols
-    wl = WindowLogProb(worked_chain, x)
+    wl = worked_chain.windows(x)
     with pytest.raises(ConfigError):
         wl.single(15, 6)
     with pytest.raises(ConfigError):
         wl.many(np.asarray([-1]), 2)
     with pytest.raises(ConfigError):
         wl.suffix(18, 5)
-
-
-def test_window_logprob_none_for_forward_families():
-    H = FAMILIES["hmm"]()
-    x = sample_trajectory(H, 10, seed=71).symbols
-    assert window_logprob(H, x) is None

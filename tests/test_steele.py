@@ -10,8 +10,11 @@ from gapsub import (
     ConfigError,
     ErrorSchedule,
     GapSchedule,
+    HiddenMarkovMeasure,
     ValidationError,
+    marginal_entropy,
     sample_trajectory,
+    stationary_distribution,
 )
 from gapsub.steele import (
     Interval,
@@ -441,7 +444,28 @@ def test_trajectory_context_generic_family_fallback(half_half_mixture):
         K=3,
         eps=0.1,
     )
-    assert ctx.f_batch is None
+    # mixtures evaluate through their windows too, batch and single alike
+    js = np.arange(0, 140, 13, dtype=np.int64)
+    assert ctx.f_batch(js, 20).tolist() == [ctx.eval_f(int(j), 20) for j in js]
     d = steele_decompose(ctx, 120)
+    assert verify_ub_rep(d, ctx).ok
+    assert verify_depths(d, ctx).ok
+
+
+def test_trajectory_decomposition_on_an_hmm_path_verifies():
+    A = np.asarray([[0.7, 0.3], [0.4, 0.6]])
+    H = HiddenMarkovMeasure(A, [[0.8, 0.2], [0.3, 0.7]])
+    # hidden-kernel decoupling bound max_ij log A(i, j) - log pi(j), and
+    # the conditional entropy H(Q_11) - H(Q_10) as the candidate limit
+    rho = float(np.max(np.log(A) - np.log(stationary_distribution(A))[None, :]))
+    limit = marginal_entropy(H, 10) - marginal_entropy(H, 11)
+    n, r, K = 2000, 50, 20
+    x = sample_trajectory(H, n + K * r, seed=227)
+    ctx = trajectory_context(
+        x, H, ErrorSchedule.constant(rho), GapSchedule.zero(), limit, r, K, eps=0.05
+    )
+    d = steele_decompose(ctx, n)
+    assert d.good_intervals
+    assert verify_cover_bounds(d, ctx).ok
     assert verify_ub_rep(d, ctx).ok
     assert verify_depths(d, ctx).ok
