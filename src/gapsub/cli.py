@@ -6,6 +6,10 @@ and sequence specs, not just their file names), so `gapsub rerun
 --manifest <path>` reproduces the artifacts byte for byte with no other
 inputs.  Nothing written here contains timestamps or machine state.
 
+The constructors validate every input: a spec read from a file or a
+manifest is checked by building it, and a rejection names the JSON
+pointer of the offending field.
+
 Exit codes: 0 success, 2 bad configuration or schema, 3 failed numeric
 validation, 4 enumeration cap exceeded, 5 decoupling failure, 1 other
 errors.
@@ -38,6 +42,7 @@ from .errors import (
     SchemaError,
     ScheduleRangeError,
     ValidationError,
+    param,
 )
 from .estimators import (
     as_markov,
@@ -54,7 +59,7 @@ from .fekete import (
     sequence_from_spec,
 )
 from .measures import IIDMeasure, MarkovMeasure, ShiftMeasure, measure_from_spec, validate_measure
-from .sampling import Trajectory, sample_trajectory
+from .sampling import sample_trajectory
 from .schedules import ErrorSchedule, GapSchedule, geometric_grid, linear_grid
 from .steele import (
     birkhoff_bad_average,
@@ -78,165 +83,47 @@ class RunConfig:
 
     @classmethod
     def from_json(cls, obj: dict) -> "RunConfig":
-        if not isinstance(obj, dict) or "subcommand" not in obj or "params" not in obj:
-            raise ConfigError("run config needs 'subcommand' and 'params'")
+        if not (
+            isinstance(obj, dict)
+            and isinstance(obj.get("subcommand"), str)
+            and isinstance(obj.get("params"), dict)
+        ):
+            raise ConfigError("run config needs a 'subcommand' string and a 'params' object")
         return cls(subcommand=obj["subcommand"], params=obj["params"])
 
 
 # ---------------------------------------------------------------------------
-# schema validation with JSON-pointer paths
-
-
-def _ptr(*parts) -> str:
-    return "/" + "/".join(str(p) for p in parts) if parts else ""
-
-
-def _check_matrix(obj, base: str, name: str, problems: list, square: bool):
-    mat = obj.get(name)
-    here = _ptr(name) if not base else base + _ptr(name)
-    if mat is None:
-        problems.append((here, "missing"))
-        return
-    if not isinstance(mat, list) or not mat or not all(isinstance(r, list) for r in mat):
-        problems.append((here, "must be a list of rows"))
-        return
-    width = len(mat[0])
-    for i, row in enumerate(mat):
-        rp = here + _ptr(i)
-        if len(row) != width:
-            problems.append((rp, "ragged row"))
-            continue
-        if not all(isinstance(v, (int, float)) for v in row):
-            problems.append((rp, "non-numeric entry"))
-            continue
-        if any(v < 0 for v in row):
-            problems.append((rp, "negative entry"))
-            continue
-        s = float(sum(row))
-        if abs(s - 1.0) > 1e-9:
-            problems.append((rp, f"row sums to {s!r}, expected 1"))
-    if square and len(mat) != width:
-        problems.append((here, "must be square"))
-
-
-def _check_vector(obj, base: str, name: str, problems: list, required: bool):
-    vec = obj.get(name)
-    here = _ptr(name) if not base else base + _ptr(name)
-    if vec is None:
-        if required:
-            problems.append((here, "missing"))
-        return
-    if not isinstance(vec, list) or not vec:
-        problems.append((here, "must be a nonempty list"))
-        return
-    if not all(isinstance(v, (int, float)) for v in vec):
-        problems.append((here, "non-numeric entry"))
-        return
-    if any(v < 0 for v in vec):
-        problems.append((here, "negative entry"))
-        return
-    s = float(sum(vec))
-    if abs(s - 1.0) > 1e-9:
-        problems.append((here, f"sums to {s!r}, expected 1"))
-
-
-def _schema_measure(obj, base: str, problems: list):
-    if not isinstance(obj, dict):
-        problems.append((base or "/", "must be an object"))
-        return
-    family = obj.get("family")
-    if family not in ("iid", "markov", "hmm", "mixture"):
-        problems.append(
-            ((base + _ptr("family")) if base else _ptr("family"), f"unknown family {family!r}")
-        )
-        return
-    if family == "iid":
-        _check_vector(obj, base, "p", problems, required=True)
-    elif family == "markov":
-        _check_matrix(obj, base, "P", problems, square=True)
-        _check_vector(obj, base, "start", problems, required=False)
-    elif family == "hmm":
-        _check_matrix(obj, base, "A", problems, square=True)
-        _check_matrix(obj, base, "E", problems, square=False)
-        _check_vector(obj, base, "start", problems, required=False)
-    else:
-        _check_vector(obj, base, "weights", problems, required=True)
-        comps = obj.get("components")
-        here = (base + _ptr("components")) if base else _ptr("components")
-        if not isinstance(comps, list) or len(comps) < 2:
-            problems.append((here, "needs a list of at least two components"))
-            return
-        for i, c in enumerate(comps):
-            _schema_measure(c, here + _ptr(i), problems)
-
-
-def _schema_schedule(obj, base: str, problems: list):
-    # gap and error schedules share the layout; integer-ness of gap
-    # values is enforced at construction, not here
-    if not isinstance(obj, dict) or "rule" not in obj:
-        problems.append((base or "/", "needs a 'rule' field"))
-        return
-    rule = obj["rule"]
-    params = obj.get("params", {})
-    known = ("constant", "ceil_power", "ceil_log", "scaled_power", "table")
-    if rule not in known:
-        problems.append((base + _ptr("rule"), f"unknown rule {rule!r}"))
-        return
-    if rule == "constant":
-        v = params.get("value")
-        if not isinstance(v, (int, float)) or v < 0:
-            problems.append((base + _ptr("params", "value"), "needs a nonnegative value"))
-    if rule == "table":
-        vals = params.get("values")
-        if not isinstance(vals, list) or not vals:
-            problems.append((base + _ptr("params", "values"), "needs nonempty values"))
-        elif any(not isinstance(v, (int, float)) or v < 0 for v in vals):
-            problems.append((base + _ptr("params", "values"), "entries must be numbers >= 0"))
-
-
-def _schema_sequence(obj, base: str, problems: list):
-    if not isinstance(obj, dict) or "name" not in obj:
-        problems.append((base or "/", "needs a 'name' field"))
-        return
-    known = ("linear", "affine_sqrt", "sqrt", "neg_nlogn", "square", "log", "neg_inf_from", "table")
-    if obj["name"] not in known:
-        problems.append((base + _ptr("name"), f"unknown sequence {obj['name']!r}"))
-        return
-    if obj["name"] == "table":
-        vals = obj.get("params", {}).get("values")
-        here = base + _ptr("params", "values")
-        if not isinstance(vals, list) or not vals:
-            problems.append((here, "needs nonempty values"))
-        elif any(not isinstance(v, (int, float)) for v in vals):
-            problems.append((here, "non-numeric entry"))
+# schema validation: the constructors are the schema
 
 
 def schema_validate(obj, kind: str = "auto") -> list[tuple[str, str]]:
-    """Structural check of a JSON document; returns (pointer, message) pairs.
+    """(pointer, message) of the first problem of a JSON document, or [].
 
     kind "auto" sniffs: 'family' means measure, 'name' sequence, 'rule'
-    schedule.  Row-sum and normalization checks run here too, so a bad
-    stochastic matrix is caught before any construction starts.
+    schedule.  A document is valid when it builds; a schedule when it
+    builds as an error schedule or as a gap schedule.
     """
-    problems: list[tuple[str, str]] = []
     if kind == "auto":
-        if isinstance(obj, dict) and "family" in obj:
-            kind = "measure"
-        elif isinstance(obj, dict) and "name" in obj:
-            kind = "sequence"
-        elif isinstance(obj, dict) and "rule" in obj:
-            kind = "schedule"
-        else:
+        fields = {"family": "measure", "name": "sequence", "rule": "schedule"}
+        kind = next((k for f, k in fields.items() if isinstance(obj, dict) and f in obj), None)
+        if kind is None:
             return [("", "cannot infer document kind (no family/name/rule field)")]
-    if kind == "measure":
-        _schema_measure(obj, "", problems)
-    elif kind == "sequence":
-        _schema_sequence(obj, "", problems)
-    elif kind == "schedule":
-        _schema_schedule(obj, "", problems)
-    else:
+    builders = {
+        "measure": [measure_from_spec],
+        "sequence": [sequence_from_spec],
+        "schedule": [ErrorSchedule.from_json, GapSchedule.from_json],
+    }
+    if kind not in builders:
         raise ConfigError(f"unknown schema kind {kind!r}")
-    return problems
+    problems: list[tuple[str, str]] = []
+    for build in builders[kind]:
+        try:
+            build(obj)
+            return []
+        except SchemaError as exc:
+            problems += exc.problems
+    # a rule that only the other kind knows is not the document's problem
+    return sorted(problems, key=lambda problem: problem[0] == "/rule")[:1]
 
 
 # ---------------------------------------------------------------------------
@@ -259,13 +146,6 @@ def _json_bytes(obj) -> bytes:
     return (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode("utf-8")
 
 
-def _series_bytes(series) -> bytes:
-    lines = ["n,value"]
-    for n, v in zip(series.ns.tolist(), series.values.tolist()):
-        lines.append(f"{n},{v!r}")
-    return ("\n".join(lines) + "\n").encode("utf-8")
-
-
 def _load_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -276,62 +156,66 @@ def _load_json(path: str):
         raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
 
 
-def _load_measure_spec(path: str) -> dict:
-    obj = _load_json(path)
-    problems = schema_validate(obj, "measure")
-    if problems:
-        raise SchemaError(problems)
-    return obj
-
-
 def _grid_from_spec(spec: str, N: int) -> np.ndarray:
     if spec == "geometric":
         return geometric_grid(N)
-    if spec.startswith("geometric:"):
-        return geometric_grid(N, ratio=float(spec.split(":", 1)[1]))
-    if spec.startswith("linear:"):
-        return linear_grid(N, step=int(spec.split(":", 1)[1]))
+    kind, _, arg = spec.partition(":")
+    try:
+        if kind == "geometric" and arg:
+            return geometric_grid(N, ratio=float(arg))
+        if kind == "linear" and arg:
+            return linear_grid(N, step=int(arg))
+    except ValueError as exc:  # from float(arg) or int(arg)
+        raise ConfigError(f"bad grid spec {spec!r}: {exc}") from exc
     raise ConfigError(f"unknown grid spec {spec!r}")
 
 
-def _schedule_pair(params: dict) -> tuple[GapSchedule, ErrorSchedule]:
-    sigma = GapSchedule.from_json(params["sigma"]) if params.get("sigma") else GapSchedule.zero()
-    rho = ErrorSchedule.from_json(params["rho"]) if params.get("rho") else ErrorSchedule.zero()
+def _schedule_pair(p: dict) -> tuple[GapSchedule, ErrorSchedule]:
+    sigma = GapSchedule.zero() if p.get("sigma") is None else GapSchedule.from_json(p["sigma"], "/sigma")
+    rho = ErrorSchedule.zero() if p.get("rho") is None else ErrorSchedule.from_json(p["rho"], "/rho")
     return sigma, rho
 
 
+def _rho_const(p: dict, Q: ShiftMeasure, tau: int) -> float:
+    """--rho-const if given, else the closed-form Markov constant clipped at 0."""
+    rho_c = param(p, "rho_const", float, None)
+    if rho_c is not None:
+        return rho_c
+    if isinstance(Q, (MarkovMeasure, IIDMeasure)):
+        return max(markov_decoupling_bound(as_markov(Q), tau), 0.0)
+    raise ConfigError("pass --rho-const for families without a closed-form bound")
+
+
 # ---------------------------------------------------------------------------
-# runners: each takes resolved params, returns {filename: artifact}
-# where artifact is ("json", obj), ("csv", series) or ("text", str)
+# runners: each takes resolved params, returns {filename: artifact}, where
+# an artifact is a JSON object or the text of the file; params are read
+# through param, so a missing or mistyped one is a SchemaError at its key
 
 
 def _run_fekete_check(p: dict) -> dict:
-    F = sequence_from_spec(p["sequence"])
+    F = sequence_from_spec(p.get("sequence"), "/sequence")
     sigma, rho = _schedule_pair(p)
     check = check_gapped_subadditivity(
-        F, sigma, rho, int(p["N"]), tol=float(p.get("tol", 1e-12)),
-        cap=int(p.get("cap", 5000)),
+        F, sigma, rho, param(p, "N", int), tol=param(p, "tol", float, 1e-12),
+        cap=param(p, "cap", int, 5000),
     )
-    return {"check.json": ("json", check.to_json())}
+    return {"check.json": check.to_json()}
 
 
 def _run_fekete_limit(p: dict) -> dict:
-    F = sequence_from_spec(p["sequence"])
+    F = sequence_from_spec(p.get("sequence"), "/sequence")
     sigma, rho = _schedule_pair(p)
     est = fekete_limit_estimate(
-        F, sigma, rho, int(p["N"]), stride=p.get("stride")
+        F, sigma, rho, param(p, "N", int), stride=param(p, "stride", int, None)
     )
-    return {
-        "report.json": ("json", est.report.to_json()),
-        "series.csv": ("csv", est.series),
-    }
+    return {"report.json": est.report.to_json(), "series.csv": est.series.csv_text()}
 
 
 def _run_fekete_lift(p: dict) -> dict:
-    F = sequence_from_spec(p["sequence"])
-    sigma = GapSchedule.from_json(p["sigma"])
-    probe_N = int(p.get("probe_N", 200))
-    table_N = int(p.get("table_N", 256))
+    F = sequence_from_spec(p.get("sequence"), "/sequence")
+    sigma = GapSchedule.from_json(p.get("sigma"), "/sigma")
+    probe_N = param(p, "probe_N", int, 200)
+    table_N = param(p, "table_N", int, 256)
     lifted = gap_lift(F, sigma, probe_N=probe_N)
     ns = np.arange(1, table_N + 1, dtype=np.int64)
     table = lifted.rho.values(ns)
@@ -343,42 +227,35 @@ def _run_fekete_lift(p: dict) -> dict:
         "plainly_subadditive_up_to": probe_N,
         "rho_table_length": table_N,
     }
-    return {
-        "rho.json": ("json", rho_json),
-        "lift.json": ("json", summary),
-    }
+    return {"rho.json": rho_json, "lift.json": summary}
 
 
 def _run_sample(p: dict) -> dict:
-    Q = measure_from_spec(p["measure"])
-    x = sample_trajectory(Q, int(p["N"]), int(p["seed"]), stream=int(p.get("stream", 0)))
-    text = " ".join(map(str, x.symbols.tolist())) + "\n"
+    Q = measure_from_spec(p.get("measure"), "/measure")
+    N, seed, stream = param(p, "N", int), param(p, "seed", int), param(p, "stream", int, 0)
+    x = sample_trajectory(Q, N, seed, stream=stream)
     summary = {
         "measure": Q.label,
-        "N": int(p["N"]),
-        "seed": int(p["seed"]),
-        "stream": int(p.get("stream", 0)),
+        "N": N,
+        "seed": seed,
+        "stream": stream,
         "alphabet": Q.alphabet.size,
     }
-    return {"trajectory.txt": ("text", text), "sample.json": ("json", summary)}
-
-
-def _resolve_flags(p: dict) -> dict:
-    return {"assume_decoupled": bool(p.get("assume_decoupled", False))}
+    return {"trajectory.txt": x.text(), "sample.json": summary}
 
 
 def _run_series(p: dict) -> dict:
-    Q = measure_from_spec(p["measure"])
-    P = measure_from_spec(p["sample_from"]) if p.get("sample_from") else Q
-    N = int(p["N"])
-    offset = int(p.get("offset", 0))
-    grid = _grid_from_spec(p.get("grid", "geometric"), N)
+    Q = measure_from_spec(p.get("measure"), "/measure")
+    P = Q if p.get("sample_from") is None else measure_from_spec(p["sample_from"], "/sample_from")
+    N = param(p, "N", int)
+    grid = _grid_from_spec(param(p, "grid", str, "geometric"), N)
     est = cross_entropy_estimate(
-        P, Q, N, int(p["seed"]), grid=grid, offset=offset, **_resolve_flags(p)
+        P, Q, N, param(p, "seed", int), grid=grid, offset=param(p, "offset", int, 0),
+        assume_decoupled=param(p, "assume_decoupled", bool, False),
     )
     summary = est.to_json()
     summary["tail_oscillation"] = est.series.tail_oscillation()
-    return {"series.csv": ("csv", est.series), "summary.json": ("json", summary)}
+    return {"series.csv": est.series.csv_text(), "summary.json": summary}
 
 
 def _oracle_rates(P: ShiftMeasure, Q: ShiftMeasure) -> dict:
@@ -396,101 +273,87 @@ def _oracle_rates(P: ShiftMeasure, Q: ShiftMeasure) -> dict:
 
 
 def _run_estimate(p: dict, mode: str) -> dict:
-    P = measure_from_spec(p["p"])
-    Q = measure_from_spec(p["q"])
-    N = int(p["N"])
-    grid = _grid_from_spec(p.get("grid", "geometric"), N)
-    seed = int(p["seed"])
-    flags = _resolve_flags(p)
-    if mode == "cross":
-        est = cross_entropy_estimate(
-            P, Q, N, seed, grid=grid, offset=int(p.get("offset", 0)), **flags
-        )
-    else:
-        est = relative_entropy_estimate(
-            P, Q, N, seed, grid=grid, offset=int(p.get("offset", 0)), **flags
-        )
+    P = measure_from_spec(p.get("p"), "/p")
+    Q = measure_from_spec(p.get("q"), "/q")
+    N = param(p, "N", int)
+    grid = _grid_from_spec(param(p, "grid", str, "geometric"), N)
+    estimate = cross_entropy_estimate if mode == "cross" else relative_entropy_estimate
+    est = estimate(
+        P, Q, N, param(p, "seed", int), grid=grid, offset=param(p, "offset", int, 0),
+        assume_decoupled=param(p, "assume_decoupled", bool, False),
+    )
     summary = est.to_json()
     oracles = _oracle_rates(P, Q)
     if oracles:
         summary["oracles"] = oracles
         if mode == "relent" and np.isfinite(est.rate) and np.isfinite(oracles["kl_rate"]):
             summary["rate_minus_oracle"] = est.rate - oracles["kl_rate"]
-    return {"series.csv": ("csv", est.series), "summary.json": ("json", summary)}
+    return {"series.csv": est.series.csv_text(), "summary.json": summary}
 
 
 def _run_estimate_mean(p: dict) -> dict:
-    P = measure_from_spec(p["p"])
-    Q = measure_from_spec(p["q"])
-    N = int(p["N"])
-    grid = _grid_from_spec(p.get("grid", "geometric"), N)
+    P = measure_from_spec(p.get("p"), "/p")
+    Q = measure_from_spec(p.get("q"), "/q")
+    N = param(p, "N", int)
+    grid = _grid_from_spec(param(p, "grid", str, "geometric"), N)
     res = mean_convergence_series(
-        P, Q, N, int(p["trials"]), int(p["seed"]), grid=grid, **_resolve_flags(p)
+        P, Q, N, param(p, "trials", int), param(p, "seed", int), grid=grid,
+        assume_decoupled=param(p, "assume_decoupled", bool, False),
     )
     lines = ["trial,terminal"]
     for t, v in enumerate(res.trial_terminals.tolist()):
         lines.append(f"{t},{v!r}")
-    terminals = "\n".join(lines) + "\n"
     summary = res.to_json()
     summary["oracles"] = _oracle_rates(P, Q)
     return {
-        "series.csv": ("csv", res.series),
-        "terminals.csv": ("text", terminals),
-        "summary.json": ("json", summary),
+        "series.csv": res.series.csv_text(),
+        "terminals.csv": "\n".join(lines) + "\n",
+        "summary.json": summary,
     }
 
 
 def _run_decouple_audit(p: dict) -> dict:
-    Q = measure_from_spec(p["measure"])
-    tau = GapSchedule.from_json(p["tau"]) if isinstance(p.get("tau"), dict) else GapSchedule.constant(int(p.get("tau", 0)))
+    Q = measure_from_spec(p.get("measure"), "/measure")
+    if isinstance(p.get("tau"), dict):
+        tau = GapSchedule.from_json(p["tau"], "/tau")
+    else:
+        tau = GapSchedule.constant(param(p, "tau", int, 0))
     report = minimal_decoupling_constants(
-        Q, int(p["n_max"]), int(p["m_max"]), tau, cap=int(p.get("cap", 10**7))
+        Q, param(p, "n_max", int), param(p, "m_max", int), tau, cap=param(p, "cap", int, 10**7)
     )
-    return {"report.json": ("json", report.to_json())}
+    return {"report.json": report.to_json()}
 
 
 def _run_decouple_bound(p: dict) -> dict:
-    Q = measure_from_spec(p["measure"])
+    Q = measure_from_spec(p.get("measure"), "/measure")
     if not isinstance(Q, (MarkovMeasure, IIDMeasure)):
         raise ConfigError("the closed-form bound needs an iid or Markov measure")
-    tau = int(p.get("tau", 0))
+    tau = param(p, "tau", int, 0)
     c = markov_decoupling_bound(as_markov(Q), tau)
     data = decoupling_to_theorem_data(c, tau)
     return {
-        "bound.json": (
-            "json",
-            {
-                "measure": Q.label,
-                "tau": tau,
-                "constant": c,
-                "rho": data.rho.to_json(),
-                "sigma": data.sigma.to_json(),
-            },
-        )
+        "bound.json": {
+            "measure": Q.label,
+            "tau": tau,
+            "constant": c,
+            "rho": data.rho.to_json(),
+            "sigma": data.sigma.to_json(),
+        }
     }
 
 
 def _run_steele(p: dict) -> dict:
-    Q = measure_from_spec(p["measure"])
-    n = int(p["n"])
-    r = int(p["r"])
-    K = int(p["K"])
-    eps = float(p["eps"])
-    tau = int(p.get("tau", 0))
-    horizon = n + K * r
-    x = sample_trajectory(Q, horizon, int(p["seed"]), stream=int(p.get("stream", 0)))
-    if "rho_const" in p and p["rho_const"] is not None:
-        rho_c = float(p["rho_const"])
-    elif isinstance(Q, (MarkovMeasure, IIDMeasure)):
-        rho_c = max(markov_decoupling_bound(as_markov(Q), tau), 0.0)
-    else:
-        raise ConfigError("pass --rho-const for families without a closed-form bound")
-    if p.get("limit") is not None:
-        limit_value = float(p["limit"])
-    elif isinstance(Q, (MarkovMeasure, IIDMeasure)):
+    Q = measure_from_spec(p.get("measure"), "/measure")
+    n, r, K = param(p, "n", int), param(p, "r", int), param(p, "K", int)
+    eps = param(p, "eps", float)
+    tau = param(p, "tau", int, 0)
+    x = sample_trajectory(Q, n + K * r, param(p, "seed", int), stream=param(p, "stream", int, 0))
+    rho_c = _rho_const(p, Q, tau)
+    limit_value = param(p, "limit", float, None)
+    if limit_value is None:
+        if not isinstance(Q, (MarkovMeasure, IIDMeasure)):
+            raise ConfigError("pass --limit for families without a closed-form rate")
         limit_value = -closed_form_entropy_rate(as_markov(Q))
-    else:
-        raise ConfigError("pass --limit for families without a closed-form rate")
     ctx = trajectory_context(
         x, Q, ErrorSchedule.constant(rho_c), GapSchedule.constant(tau),
         limit_value, r, K, eps,
@@ -509,43 +372,36 @@ def _run_steele(p: dict) -> dict:
         "rho_const": rho_c,
         "tau": tau,
     }
-    return {
-        "decomposition.json": ("json", d.to_json()),
-        "verification.json": ("json", verification),
-    }
+    return {"decomposition.json": d.to_json(), "verification.json": verification}
 
 
 def _run_traj_check(p: dict) -> dict:
-    Q = measure_from_spec(p["measure"])
-    tau = int(p.get("tau", 0))
-    if "rho_const" in p and p["rho_const"] is not None:
-        rho_c = float(p["rho_const"])
-    elif isinstance(Q, (MarkovMeasure, IIDMeasure)):
-        rho_c = max(markov_decoupling_bound(as_markov(Q), tau), 0.0)
-    else:
-        raise ConfigError("pass --rho-const for families without a closed-form bound")
-    x = sample_trajectory(Q, int(p["N"]), int(p["seed"]), stream=int(p.get("stream", 0)))
+    Q = measure_from_spec(p.get("measure"), "/measure")
+    tau = param(p, "tau", int, 0)
+    rho_c = _rho_const(p, Q, tau)
+    x = sample_trajectory(Q, param(p, "N", int), param(p, "seed", int),
+                          stream=param(p, "stream", int, 0))
     check = check_trajectory_subadditivity(
         x, Q, ErrorSchedule.constant(rho_c), GapSchedule.constant(tau),
-        tol=float(p.get("tol", 1e-10)),
+        tol=param(p, "tol", float, 1e-10),
     )
     out = check.to_json()
     out["rho_const"] = rho_c
     out["tau"] = tau
-    return {"check.json": ("json", out)}
+    return {"check.json": out}
 
 
 def _run_validate_measure(p: dict) -> dict:
-    Q = measure_from_spec(p["measure"])
+    Q = measure_from_spec(p.get("measure"), "/measure")
     report = validate_measure(
-        Q, n_max=int(p.get("n_max", 4)), tol=float(p.get("tol", 1e-9)),
-        cap=int(p.get("cap", 10**7)),
+        Q, n_max=param(p, "n_max", int, 4), tol=param(p, "tol", float, 1e-9),
+        cap=param(p, "cap", int, 10**7),
     )
     out = report.to_json()
     out["measure"] = Q.label
     if not report.ok:
         raise _ValidationWithArtifacts(out)
-    return {"validation.json": ("json", out)}
+    return {"validation.json": out}
 
 
 class _ValidationWithArtifacts(ValidationError):
@@ -580,19 +436,13 @@ def run(config: RunConfig, outdir: str | Path = ".") -> dict:
     """
     if config.subcommand not in _RUNNERS:
         raise ConfigError(f"unknown subcommand {config.subcommand!r}")
+    artifacts = _RUNNERS[config.subcommand](config.params)
     out = Path(outdir)
     out.mkdir(parents=True, exist_ok=True)
-    artifacts = _RUNNERS[config.subcommand](config.params)
     written = []
-    for name, (kind, payload) in sorted(artifacts.items()):
-        path = out / name
-        if kind == "json":
-            data = _json_bytes(payload)
-        elif kind == "csv":
-            data = _series_bytes(payload)
-        else:
-            data = payload.encode("utf-8") if isinstance(payload, str) else payload
-        _atomic_bytes(path, data)
+    for name, payload in sorted(artifacts.items()):
+        data = payload.encode("utf-8") if isinstance(payload, str) else _json_bytes(payload)
+        _atomic_bytes(out / name, data)
         written.append(name)
     manifest = {
         "tool": "gapsub",
@@ -726,114 +576,19 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    cmd = args.command
-    if cmd == "fekete":
+    """The run that an invocation asks for.
+
+    Its params are the parsed options, with the measure files read in and
+    checked; fekete takes its params from its spec file, and validate
+    checks a document and may run the semantic audit.
+    """
+    subcommand = ".".join(filter(None, [args.command, getattr(args, "subcommand", None)]))
+    if args.command == "fekete":
         spec = _load_json(args.spec)
-        if not isinstance(spec, dict) or "sequence" not in spec:
-            raise ConfigError("fekete spec needs a 'sequence' field")
-        seq_problems = schema_validate(spec["sequence"], "sequence")
-        if seq_problems:
-            raise SchemaError([(_ptr("sequence") + p, m) for p, m in seq_problems])
-        params = dict(spec)
-        if args.subcommand in ("check", "limit") and "N" not in params:
-            raise ConfigError("fekete spec needs 'N'")
-        if args.subcommand == "lift" and "sigma" not in params:
-            raise ConfigError("fekete lift spec needs 'sigma'")
-        return RunConfig(f"fekete.{args.subcommand}", params)
-    if cmd == "sample":
-        return RunConfig(
-            "sample",
-            {
-                "measure": _load_measure_spec(args.measure),
-                "N": args.N,
-                "seed": args.seed,
-                "stream": args.stream,
-            },
-        )
-    if cmd == "series":
-        params = {
-            "measure": _load_measure_spec(args.measure),
-            "N": args.N,
-            "seed": args.seed,
-            "offset": args.offset,
-            "grid": args.grid,
-            "assume_decoupled": args.assume_decoupled,
-        }
-        if args.sample_from:
-            params["sample_from"] = _load_measure_spec(args.sample_from)
-        return RunConfig("series", params)
-    if cmd == "decouple":
-        if args.subcommand == "audit":
-            return RunConfig(
-                "decouple.audit",
-                {
-                    "measure": _load_measure_spec(args.measure),
-                    "n_max": args.n_max,
-                    "m_max": args.m_max,
-                    "tau": args.tau,
-                    "cap": args.cap,
-                },
-            )
-        if args.subcommand == "bound":
-            return RunConfig(
-                "decouple.bound",
-                {"measure": _load_measure_spec(args.measure), "tau": args.tau},
-            )
-        return RunConfig(
-            "decouple.check",
-            {
-                "measure": _load_measure_spec(args.measure),
-                "N": args.N,
-                "seed": args.seed,
-                "stream": args.stream,
-                "tau": args.tau,
-                "rho_const": args.rho_const,
-                "tol": args.tol,
-            },
-        )
-    if cmd == "estimate":
-        if args.subcommand == "mean":
-            return RunConfig(
-                "estimate.mean",
-                {
-                    "p": _load_measure_spec(args.p),
-                    "q": _load_measure_spec(args.q),
-                    "N": args.N,
-                    "trials": args.trials,
-                    "seed": args.seed,
-                    "grid": args.grid,
-                    "assume_decoupled": args.assume_decoupled,
-                },
-            )
-        return RunConfig(
-            f"estimate.{args.subcommand}",
-            {
-                "p": _load_measure_spec(args.p),
-                "q": _load_measure_spec(args.q),
-                "N": args.N,
-                "seed": args.seed,
-                "offset": args.offset,
-                "grid": args.grid,
-                "assume_decoupled": args.assume_decoupled,
-            },
-        )
-    if cmd == "steele":
-        return RunConfig(
-            "steele.run",
-            {
-                "measure": _load_measure_spec(args.measure),
-                "n": args.n,
-                "r": args.r,
-                "K": args.K,
-                "eps": args.eps,
-                "seed": args.seed,
-                "stream": args.stream,
-                "tau": args.tau,
-                "rho_const": args.rho_const,
-                "limit": args.limit,
-            },
-        )
-    if cmd == "validate":
+        if not isinstance(spec, dict):
+            raise SchemaError([("", "a fekete spec must be an object")])
+        return RunConfig(subcommand, spec)
+    if args.command == "validate":
         obj = _load_json(args.file)
         problems = schema_validate(obj, args.kind)
         if problems:
@@ -841,7 +596,13 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         if isinstance(obj, dict) and "family" in obj and args.semantic:
             return RunConfig("validate.measure", {"measure": obj, "n_max": args.n_max})
         return RunConfig("noop", {})
-    raise ConfigError(f"unknown command {cmd!r}")
+    params = {k: v for k, v in vars(args).items() if k not in ("command", "subcommand", "outdir")}
+    for key in ("measure", "p", "q", "sample_from"):
+        path = params.pop(key, None)
+        if path is not None:
+            params[key] = _load_json(path)
+            measure_from_spec(params[key])  # checked by building it
+    return RunConfig(subcommand, params)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -863,8 +624,10 @@ def main(argv: list[str] | None = None) -> int:
         print(json.dumps(exc.report, indent=2, sort_keys=True), file=sys.stderr)
         return 3
     except SchemaError as exc:
+        # a manifest's params sit under /config/params
+        base = "/config/params" if args.command == "rerun" else ""
         for ptr, msg in exc.problems:
-            print(f"schema: {ptr or '/'}: {msg}", file=sys.stderr)
+            print(f"schema: {base + ptr or '/'}: {msg}", file=sys.stderr)
         return 2
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -16,7 +16,14 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import CapExceededError, ConfigError, GapLiftError, ValidationError
+from .errors import (
+    CapExceededError,
+    ConfigError,
+    GapLiftError,
+    ValidationError,
+    param,
+    schema_errors,
+)
 from .schedules import ConvergenceSeries, ErrorSchedule, GapSchedule
 
 
@@ -60,53 +67,68 @@ class RealSequence:
 
 
 def _builtin(name: str, params: dict) -> Callable[[np.ndarray], np.ndarray]:
+    def coeff(key: str, default: float = 1.0) -> float:
+        return param(params, key, float, default, "/params")
+
     if name == "linear":
-        a = float(params.get("slope", 1.0))
+        a = coeff("slope")
         return lambda ns: a * ns.astype(np.float64)
     if name == "affine_sqrt":
-        a = float(params.get("slope", 1.0))
-        b = float(params.get("sqrt_coeff", 1.0))
+        a = coeff("slope")
+        b = coeff("sqrt_coeff")
         return lambda ns: a * ns + b * np.sqrt(ns.astype(np.float64))
     if name == "sqrt":
-        s = float(params.get("scale", 1.0))
+        s = coeff("scale")
         return lambda ns: s * np.sqrt(ns.astype(np.float64))
     if name == "neg_nlogn":
-        s = float(params.get("scale", 1.0))
+        s = coeff("scale")
         return lambda ns: -s * ns * np.log(ns.astype(np.float64))
     if name == "square":
-        s = float(params.get("scale", 1.0))
+        s = coeff("scale")
         return lambda ns: s * ns.astype(np.float64) ** 2
     if name == "log":
-        s = float(params.get("scale", 1.0))
+        s = coeff("scale")
         return lambda ns: s * np.log1p(ns.astype(np.float64))
     if name == "neg_inf_from":
-        start = int(params.get("start", 2))
-        a = float(params.get("slope", 0.0))
+        start = param(params, "start", int, 2, "/params")
+        a = coeff("slope", 0.0)
         return lambda ns: np.where(ns >= start, -np.inf, a * ns.astype(np.float64))
-    raise ConfigError(f"unknown sequence family {name!r}")
+    raise ConfigError(f"unknown sequence {name!r}", "/name")
 
 
-def sequence_from_spec(obj: dict) -> RealSequence:
+def _table(params: dict) -> Callable[[np.ndarray], np.ndarray]:
+    vals = params.get("values")
+    if not isinstance(vals, list) or not vals:
+        raise ConfigError("needs a nonempty list", "/params/values")
+    for i, v in enumerate(vals):
+        if v != -np.inf:  # F takes values in [-inf, inf)
+            param(vals, i, float, pointer="/params/values")
+    vals = np.asarray(vals, dtype=np.float64)
+
+    def fn(ns: np.ndarray) -> np.ndarray:
+        if ns.max() > vals.size:
+            raise ConfigError(f"table sequence covers n <= {vals.size}")
+        return vals[ns - 1]
+
+    return fn
+
+
+def sequence_from_spec(obj: dict, pointer: str = "") -> RealSequence:
     """Build a RealSequence from {"name": ..., "params": {...}} JSON.
 
     "table" takes explicit values; every other name is a closed form.
+    Every rejection is a SchemaError whose pointer starts with pointer,
+    the spec's place in its document.
     """
-    if not isinstance(obj, dict) or "name" not in obj:
-        raise ConfigError("sequence spec needs a 'name' field")
-    name = obj["name"]
-    params = dict(obj.get("params", {}))
-    if name == "table":
-        vals = np.asarray(params.get("values", []), dtype=np.float64)
-        if vals.size == 0:
-            raise ConfigError("table sequence needs nonempty 'values'")
-
-        def fn(ns: np.ndarray) -> np.ndarray:
-            if ns.max() > vals.size:
-                raise ConfigError(f"table sequence covers n <= {vals.size}")
-            return vals[ns - 1]
-
-        return RealSequence(fn, name="table")
-    return RealSequence(_builtin(name, params), name=name)
+    with schema_errors(pointer):
+        if not isinstance(obj, dict) or "name" not in obj:
+            raise ConfigError("needs a 'name' field")
+        params = obj.get("params", {})
+        if not isinstance(params, dict):
+            raise ConfigError("must be an object", "/params")
+        name = obj["name"]
+        fn = _table(params) if name == "table" else _builtin(name, params)
+        return RealSequence(fn, name=name)
 
 
 @dataclasses.dataclass(frozen=True)

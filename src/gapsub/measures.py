@@ -21,14 +21,17 @@ from __future__ import annotations
 import abc
 import dataclasses
 import itertools
+import numbers
+import sys
 from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import CapExceededError, ConfigError, ValidationError
+from .errors import CapExceededError, ConfigError, ValidationError, schema_errors
 from .logspace import log_sum_exp, safe_log
 
 _STOCH_TOL = 1e-9
+_LISTS = (list, tuple, np.ndarray)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -57,41 +60,64 @@ class Alphabet:
         return self.size**n
 
 
-def _check_stochastic(arr, name: str, ndim: int, tol: float = _STOCH_TOL) -> np.ndarray:
-    """arr as a probability vector (ndim 1) or a row-stochastic matrix (ndim 2)."""
-    if arr is None:
-        raise ValidationError(f"{name} is missing")
-    try:
-        a = np.asarray(arr, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"{name} is not numeric: {exc}") from exc
-    if a.ndim != ndim or 0 in a.shape:
-        shape = "1-d probability vector" if ndim == 1 else "2-d matrix"
-        raise ValidationError(f"{name} must be a {shape}")
-    if not np.isfinite(a).all():
-        raise ValidationError(f"{name} has non-finite entries")
-    if (a < 0).any():
-        raise ValidationError(f"{name} has negative entries")
-    err = float(np.abs(a.sum(axis=-1) - 1.0).max())
-    if err > tol:
-        what = "rows must" if ndim == 2 else "must"
-        raise ValidationError(f"{name} {what} sum to 1 (off by {err:.3g})")
-    return a
+def _check_stochastic(raw, field: str, ndim: int, square: bool = False) -> np.ndarray:
+    """raw as a probability vector (ndim 1) or a row-stochastic matrix (ndim 2).
+
+    field is the argument's JSON pointer, such as "/P"; a rejection points
+    at it, or at the offending row of a matrix.  Entries are checked as
+    given, since np.asarray would turn a boolean into 1.0.
+    """
+    if raw is None:
+        raise ValidationError("missing", field)
+    rows = [raw] if ndim == 1 else raw
+    if not isinstance(rows, _LISTS) or len(rows) == 0:
+        raise ValidationError("must be a nonempty list of rows", field)
+    for i, row in enumerate(rows):
+        here = field if ndim == 1 else f"{field}/{i}"
+        if not isinstance(row, _LISTS) or len(row) == 0:
+            raise ValidationError("must be a nonempty list", here)
+        if len(row) != len(rows[0]):
+            raise ValidationError("ragged row", here)
+        if not all(isinstance(v, numbers.Real) and not isinstance(v, bool) for v in row):
+            raise ValidationError("non-numeric entry", here)
+        if not all(abs(v) <= sys.float_info.max for v in row):
+            raise ValidationError("non-finite entry", here)
+        vals = np.asarray(row, dtype=np.float64)
+        if (vals < 0).any():
+            raise ValidationError("negative entry", here)
+        total = float(vals.sum())
+        if abs(total - 1.0) > _STOCH_TOL:
+            what = "row sums" if ndim == 2 else "sums"
+            raise ValidationError(f"{what} to {total!r}, expected 1", here)
+    if square and len(rows) != len(rows[0]):
+        raise ValidationError("must be square", field)
+    return np.asarray(raw, dtype=np.float64)
 
 
-def stationary_distribution(P: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+def _start_law(start, M: np.ndarray, field: str) -> tuple[np.ndarray, bool]:
+    """(start law, whether it is invariant) of the chain with matrix M at field.
+
+    With start None it is the unique stationary law of M.
+    """
+    if start is None:
+        return stationary_distribution(M, field=field), True
+    law = _check_stochastic(start, "/start", 1)
+    if law.size != M.shape[0]:
+        raise ValidationError("size must match the matrix", "/start")
+    return law, bool(np.abs(law @ M - law).max() <= 1e-12)
+
+
+def stationary_distribution(P: np.ndarray, tol: float = 1e-10, field: str = "/P") -> np.ndarray:
     """Unique stationary law of a row-stochastic matrix.
 
     Solved through the SVD nullspace of (P^T - I).  A second vanishing
     singular value means the chain is reducible with several invariant
     laws, which is rejected.  A power-iteration fallback on the lazy
     chain (P + I)/2 covers the rare case where the nullspace vector is
-    numerically unusable.
+    numerically unusable.  A rejection points at field.
     """
-    P = _check_stochastic(P, "transition matrix", 2)
+    P = _check_stochastic(P, field, 2, square=True)
     k = P.shape[0]
-    if P.shape[1] != k:
-        raise ValidationError("transition matrix must be square")
     if (P == P[0]).all():
         # identical rows: the row itself is stationary, bit for bit, and
         # downstream exactness arguments (iid decoupling constant 0) rely
@@ -100,7 +126,7 @@ def stationary_distribution(P: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     A = P.T - np.eye(k)
     _, s, vh = np.linalg.svd(A)
     if k >= 2 and s[-2] < 1e-8:
-        raise ValidationError("chain has no unique stationary law (reducible)")
+        raise ValidationError("chain has no unique stationary law (reducible)", field)
     v = vh[-1]
     total = v.sum()
     pi = None
@@ -123,7 +149,7 @@ def stationary_distribution(P: np.ndarray, tol: float = 1e-10) -> np.ndarray:
         resid = float(np.abs(cand @ P - cand).sum())
         if resid > tol:
             raise ValidationError(
-                f"stationary distribution did not converge (residual {resid:.3g})"
+                f"stationary distribution did not converge (residual {resid:.3g})", field
             )
         pi = cand
     return pi
@@ -334,7 +360,7 @@ class IIDMeasure(ShiftMeasure):
     """Product measure with a fixed symbol law p."""
 
     def __init__(self, p):
-        self.p = _check_stochastic(p, "symbol law", 1)
+        self.p = _check_stochastic(p, "/p", 1)
         self.alphabet = Alphabet(self.p.size)
         self.log_p = safe_log(self.p)
         self._cum = np.cumsum(self.p)
@@ -380,20 +406,9 @@ class MarkovMeasure(ShiftMeasure):
     """
 
     def __init__(self, P, start=None):
-        self.P = _check_stochastic(P, "transition matrix", 2)
-        if self.P.shape[0] != self.P.shape[1]:
-            raise ValidationError("transition matrix must be square")
+        self.P = _check_stochastic(P, "/P", 2, square=True)
         self.alphabet = Alphabet(self.P.shape[0])
-        if start is None:
-            self.start = stationary_distribution(self.P)
-            self.stationary_start = True
-        else:
-            self.start = _check_stochastic(start, "start law", 1)
-            if self.start.size != self.P.shape[0]:
-                raise ValidationError("start law size must match the matrix")
-            self.stationary_start = bool(
-                np.abs(self.start @ self.P - self.start).max() <= 1e-12
-            )
+        self.start, self.stationary_start = _start_law(start, self.P, "/P")
         self.log_P = safe_log(self.P)
         self.log_start = safe_log(self.start)
         self._cum_rows = np.cumsum(self.P, axis=1)
@@ -462,25 +477,14 @@ class HiddenMarkovMeasure(ShiftMeasure):
     """
 
     def __init__(self, A, E, start=None):
-        self.A = _check_stochastic(A, "hidden transition matrix", 2)
-        if self.A.shape[0] != self.A.shape[1]:
-            raise ValidationError("hidden transition matrix must be square")
-        self.E = _check_stochastic(E, "emission matrix", 2)
+        self.A = _check_stochastic(A, "/A", 2, square=True)
+        self.E = _check_stochastic(E, "/E", 2)
         if self.E.shape[0] != self.A.shape[0]:
-            raise ValidationError("emission rows must match hidden states")
+            raise ValidationError("needs one row per hidden state", "/E")
         self.alphabet = Alphabet(self.E.shape[1])
         self.hidden_size = self.A.shape[0]
         self._start_given = start is not None
-        if start is None:
-            self.start = stationary_distribution(self.A)
-            self.stationary_start = True
-        else:
-            self.start = _check_stochastic(start, "hidden start law", 1)
-            if self.start.size != self.hidden_size:
-                raise ValidationError("hidden start size must match the matrix")
-            self.stationary_start = bool(
-                np.abs(self.start @ self.A - self.start).max() <= 1e-12
-            )
+        self.start, self.stationary_start = _start_law(start, self.A, "/A")
         self.log_A = safe_log(self.A)
         self.log_E = safe_log(self.E)
         self.log_start = safe_log(self.start)
@@ -582,16 +586,16 @@ class MixtureMeasure(ShiftMeasure):
     def __init__(self, components: Sequence[ShiftMeasure], weights):
         comps = list(components)
         if len(comps) < 2:
-            raise ConfigError("a mixture needs at least two components")
+            raise ConfigError("needs a list of at least two components", "/components")
         sizes = {c.alphabet.size for c in comps}
         if len(sizes) != 1:
-            raise ValidationError("mixture components must share one alphabet")
+            raise ValidationError("components must share one alphabet", "/components")
         self.components = comps
-        self.weights = _check_stochastic(weights, "mixture weights", 1)
+        self.weights = _check_stochastic(weights, "/weights", 1)
         if self.weights.size != len(comps):
-            raise ValidationError("one weight per component required")
+            raise ValidationError("needs one weight per component", "/weights")
         if (self.weights <= 0).any():
-            raise ValidationError("mixture weights must be strictly positive")
+            raise ValidationError("must be strictly positive", "/weights")
         self.alphabet = comps[0].alphabet
         self.log_weights = safe_log(self.weights)
         self._cum_w = np.cumsum(self.weights)
@@ -696,22 +700,28 @@ def validate_measure(
     )
 
 
-def measure_from_spec(obj: dict) -> ShiftMeasure:
-    """Build a measure from its JSON spec; inverse of to_spec."""
-    if not isinstance(obj, dict) or "family" not in obj:
-        raise ConfigError("measure spec needs a 'family' field")
-    family = obj["family"]
-    if family == "iid":
-        return IIDMeasure(obj.get("p"))
-    if family == "markov":
-        return MarkovMeasure(obj.get("P"), start=obj.get("start"))
-    if family == "hmm":
-        return HiddenMarkovMeasure(obj.get("A"), obj.get("E"), start=obj.get("start"))
-    if family == "mixture":
-        comps = obj.get("components")
-        if not isinstance(comps, list):
-            raise ConfigError("mixture spec needs a 'components' list")
-        return MixtureMeasure(
-            [measure_from_spec(c) for c in comps], obj.get("weights")
-        )
-    raise ConfigError(f"unknown measure family {family!r}")
+def measure_from_spec(obj: dict, pointer: str = "") -> ShiftMeasure:
+    """Build a measure from its JSON spec; inverse of to_spec.
+
+    Every rejection is a SchemaError whose pointer starts with pointer,
+    the spec's place in its document.
+    """
+    with schema_errors(pointer):
+        if not isinstance(obj, dict):
+            raise ConfigError("a measure spec must be an object")
+        family = obj.get("family")
+        if family == "iid":
+            return IIDMeasure(obj.get("p"))
+        if family == "markov":
+            return MarkovMeasure(obj.get("P"), start=obj.get("start"))
+        if family == "hmm":
+            return HiddenMarkovMeasure(obj.get("A"), obj.get("E"), start=obj.get("start"))
+        if family == "mixture":
+            comps = obj.get("components")
+            if not isinstance(comps, list):
+                raise ConfigError("needs a list of components", "/components")
+            return MixtureMeasure(
+                [measure_from_spec(c, f"/components/{i}") for i, c in enumerate(comps)],
+                obj.get("weights"),
+            )
+        raise ConfigError(f"unknown family {family!r}", "/family")

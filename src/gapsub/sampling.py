@@ -26,6 +26,8 @@ from .schedules import ConvergenceSeries, geometric_grid
 
 def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
     """Generator keyed by (seed, stream); distinct pairs are independent."""
+    if seed < 0 or stream < 0:
+        raise ConfigError("seed and stream must be >= 0")
     return np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, stream))))
 
 
@@ -50,10 +52,13 @@ class Trajectory:
     def __len__(self) -> int:
         return int(self.symbols.size)
 
+    def text(self) -> str:
+        """The symbols on one line, separated by spaces."""
+        return " ".join(map(str, self.symbols.tolist())) + "\n"
+
     def to_text(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(" ".join(map(str, self.symbols.tolist())))
-            fh.write("\n")
+            fh.write(self.text())
 
     @classmethod
     def from_text(cls, path, alphabet_size: int, label: str = "") -> "Trajectory":

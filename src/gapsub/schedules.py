@@ -14,10 +14,31 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, ScheduleRangeError, ValidationError
+from .errors import ConfigError, ScheduleRangeError, ValidationError, param, schema_errors
 
 _GAP_RULES = ("constant", "ceil_power", "ceil_log", "table")
 _ERROR_RULES = ("constant", "scaled_power", "table")
+
+
+def _check_table(params: dict, kind: type) -> None:
+    """A table rule's values: a nonempty list of nonnegative entries of kind."""
+    vals = params.get("values")
+    if not isinstance(vals, (list, tuple)) or not vals:
+        raise ConfigError("needs a nonempty list", "/params/values")
+    for i in range(len(vals)):
+        if param(vals, i, kind, pointer="/params/values") < 0:
+            raise ConfigError("must be nonnegative", f"/params/values/{i}")
+
+
+def _from_json(cls, obj: dict, pointer: str = ""):
+    """Schedule from its JSON, inverse of to_json; a rejection is a SchemaError under pointer."""
+    with schema_errors(pointer):
+        if not isinstance(obj, dict) or "rule" not in obj:
+            raise ConfigError("needs a 'rule' field")
+        params = obj.get("params", {})
+        if not isinstance(params, dict):
+            raise ConfigError("must be an object", "/params")
+        return cls(obj["rule"], dict(params))
 
 
 def _as_index_array(ns) -> np.ndarray:
@@ -40,22 +61,17 @@ class GapSchedule:
 
     def __post_init__(self):
         if self.rule not in _GAP_RULES:
-            raise ConfigError(f"unknown gap rule {self.rule!r}")
+            raise ConfigError(f"unknown gap rule {self.rule!r}", "/rule")
         if self.rule == "constant":
-            v = self.params.get("value")
-            if not isinstance(v, int) or v < 0:
-                raise ConfigError("constant gap needs a nonnegative integer 'value'")
+            if param(self.params, "value", int, pointer="/params") < 0:
+                raise ConfigError("must be a nonnegative integer", "/params/value")
         elif self.rule == "ceil_power":
-            alpha = self.params.get("alpha")
-            if not isinstance(alpha, (int, float)) or not 0.0 < alpha < 1.0:
-                raise ConfigError("ceil_power needs 0 < alpha < 1")
-            scale = self.params.get("scale", 1.0)
-            if scale <= 0:
-                raise ConfigError("ceil_power scale must be positive")
+            if not 0.0 < param(self.params, "alpha", float, pointer="/params") < 1.0:
+                raise ConfigError("ceil_power needs 0 < alpha < 1", "/params/alpha")
+            if param(self.params, "scale", float, 1.0, "/params") <= 0:
+                raise ConfigError("ceil_power scale must be positive", "/params/scale")
         elif self.rule == "table":
-            vals = self.params.get("values")
-            if not vals or any((not isinstance(v, int)) or v < 0 for v in vals):
-                raise ConfigError("table gap needs nonnegative integer 'values'")
+            _check_table(self.params, int)
 
     @classmethod
     def zero(cls) -> "GapSchedule":
@@ -98,11 +114,7 @@ class GapSchedule:
     def to_json(self) -> dict:
         return {"rule": self.rule, "params": dict(self.params)}
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "GapSchedule":
-        if not isinstance(obj, dict) or "rule" not in obj:
-            raise ConfigError("gap schedule JSON needs a 'rule' field")
-        return cls(obj["rule"], dict(obj.get("params", {})))
+    from_json = classmethod(_from_json)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -129,21 +141,17 @@ class ErrorSchedule:
         if self.fn is not None or self.hook is not None:
             return
         if self.rule not in _ERROR_RULES:
-            raise ConfigError(f"unknown error rule {self.rule!r}")
+            raise ConfigError(f"unknown error rule {self.rule!r}", "/rule")
         if self.rule == "constant":
-            v = self.params.get("value")
-            if not isinstance(v, (int, float)) or v < 0:
-                raise ConfigError("constant error needs a nonnegative 'value'")
+            if param(self.params, "value", float, pointer="/params") < 0:
+                raise ConfigError("must be nonnegative", "/params/value")
         elif self.rule == "scaled_power":
-            alpha = self.params.get("alpha")
-            if not isinstance(alpha, (int, float)) or alpha >= 1.0:
-                raise ConfigError("scaled_power needs alpha < 1")
-            if self.params.get("scale", 1.0) < 0:
-                raise ConfigError("scaled_power scale must be nonnegative")
+            if param(self.params, "alpha", float, pointer="/params") >= 1.0:
+                raise ConfigError("scaled_power needs alpha < 1", "/params/alpha")
+            if param(self.params, "scale", float, 1.0, "/params") < 0:
+                raise ConfigError("scaled_power scale must be nonnegative", "/params/scale")
         elif self.rule == "table":
-            vals = self.params.get("values")
-            if vals is None or any(v < 0 for v in vals):
-                raise ConfigError("table error needs nonnegative 'values'")
+            _check_table(self.params, float)
 
     @classmethod
     def zero(cls) -> "ErrorSchedule":
@@ -198,11 +206,7 @@ class ErrorSchedule:
             raise ConfigError("function-backed error schedule is not serializable")
         return {"rule": self.rule, "params": dict(self.params)}
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "ErrorSchedule":
-        if not isinstance(obj, dict) or "rule" not in obj:
-            raise ConfigError("error schedule JSON needs a 'rule' field")
-        return cls(obj["rule"], dict(obj.get("params", {})))
+    from_json = classmethod(_from_json)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -285,11 +289,14 @@ class ConvergenceSeries:
             return 0.0
         return hi - lo
 
+    def csv_text(self) -> str:
+        """The series as CSV under an "n,value" header; repr keeps from_csv exact."""
+        rows = (f"{n},{v!r}" for n, v in zip(self.ns.tolist(), self.values.tolist()))
+        return "\n".join(["n,value", *rows]) + "\n"
+
     def to_csv(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write("n,value\n")
-            for n, v in zip(self.ns.tolist(), self.values.tolist()):
-                fh.write(f"{n},{v!r}\n")
+            fh.write(self.csv_text())
 
     @classmethod
     def from_csv(cls, path, label: str = "") -> "ConvergenceSeries":
@@ -313,22 +320,25 @@ def geometric_grid(N: int, ratio: float = 1.2, start: int = 1) -> np.ndarray:
     """Distinct integer grid ceil(start * ratio**j), clipped and capped at N.
 
     N itself is always the last entry so that series built on the grid
-    terminate at the full horizon.
+    terminate at the full horizon.  Below 1/(ratio - 1) a step grows the
+    point by less than 1, so consecutive ceilings differ by at most 1 and
+    every integer there is on the grid; the multiplicative walk starts
+    past them, at start * ratio**j0, and costs one step per grid point.
     """
-    if N < 1:
-        raise ConfigError("grid horizon must be >= 1")
-    if ratio <= 1.0:
-        raise ConfigError("geometric grid ratio must exceed 1")
+    if N < 1 or start < 1:
+        raise ConfigError("grid horizon and start must be >= 1")
+    if not 1.0 < ratio < math.inf:
+        raise ConfigError("geometric grid ratio must be finite and exceed 1")
+    # one step short of 1/(ratio - 1), so every earlier step is below 1
+    j0 = max(0, math.floor(math.log(1.0 / ((ratio - 1.0) * start)) / math.log(ratio)) - 1)
+    x = start * ratio**j0
+    head = np.arange(math.ceil(start), min(math.ceil(x), N), dtype=np.int64)
     points = []
-    x = float(start)
-    while True:
-        n = math.ceil(x)
-        if n >= N:
-            break
+    while (n := math.ceil(x)) < N:
         points.append(n)
         x *= ratio
     points.append(N)
-    return np.unique(np.asarray(points, dtype=np.int64))
+    return np.unique(np.concatenate([head, np.asarray(points, dtype=np.int64)]))
 
 
 def linear_grid(N: int, step: int) -> np.ndarray:

@@ -2,9 +2,12 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gapsub import (
     ConfigError,
@@ -425,3 +428,306 @@ def test_fekete_lift_cli(tmp_path):
     assert rho["rule"] == "table" and len(rho["params"]["values"]) == 64
     # sigma_5 = ceil(log2(6)) = 3, so rho_5 = 3*3 + 2*sqrt(3)
     assert rho["params"]["values"][4] == pytest.approx(9.0 + 2.0 * math.sqrt(3.0))
+
+
+# ----------------------------------------------------- constructors as schema
+
+
+def _replace(spec, path, value):
+    """A deep copy of spec with the entry at path (keys and indices) set to value."""
+    out = json.loads(json.dumps(spec))
+    node = out
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return out
+
+
+FEKETE_SPEC = {
+    "sequence": {"name": "affine_sqrt", "params": {"slope": 3.0, "sqrt_coeff": 2.0}},
+    "sigma": {"rule": "constant", "params": {"value": 1}},
+    "rho": {"rule": "constant", "params": {"value": 50.0}},
+    "N": 64,
+}
+TABLES = {
+    **FEKETE_SPEC,
+    "sigma": {"rule": "table", "params": {"values": [1] * 64}},
+    "rho": {"rule": "table", "params": {"values": [50.0] * 64}},
+}
+
+
+def test_schema_schedule_builds_as_either_kind():
+    assert schema_validate({"rule": "ceil_log"}) == []
+    assert schema_validate({"rule": "scaled_power", "params": {"alpha": 0.5}}) == []
+    assert schema_validate({"rule": "ceil_power", "params": {"alpha": 2.0}})[0][0] == "/params/alpha"
+    assert schema_validate({"rule": "constant", "params": {"value": -1.5}})[0][0] == "/params/value"
+
+
+def test_nan_rho_no_longer_certifies_vacuously(tmp_path, capsys):
+    out = tmp_path / "o"
+    assert main(["fekete", "check", "--spec", write_json(tmp_path, "ok.json", FEKETE_SPEC),
+                 "--outdir", str(out)]) == 0
+    nan_rho = _replace(FEKETE_SPEC, ("rho", "params", "value"), math.nan)
+    bad_out = tmp_path / "bad"
+    rc = main(["fekete", "check", "--spec", write_json(tmp_path, "s.json", nan_rho),
+               "--outdir", str(bad_out)])
+    assert rc == 2
+    assert "schema: /rho/params/value:" in capsys.readouterr().err
+    assert not bad_out.exists()
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, True], ids=["nan", "inf", "true"])
+@pytest.mark.parametrize(
+    "spec, path, pointer",
+    [
+        (COIN_SPEC, ("p", 0), "/p"),
+        (WORKED_SPEC, ("P", 1, 0), "/P/1"),
+        ({**WORKED_SPEC, "start": [0.5, 0.5]}, ("start", 0), "/start"),
+        (HMM_SPEC, ("A", 0, 1), "/A/0"),
+        (HMM_SPEC, ("E", 1, 1), "/E/1"),
+        ({**HMM_SPEC, "start": [0.5, 0.5]}, ("start", 1), "/start"),
+        (MIXTURE_SPEC, ("weights", 0), "/weights"),
+        (MIXTURE_SPEC, ("components", 1, "p", 0), "/components/1/p"),
+    ],
+    ids=["iid-p", "markov-P", "markov-start", "hmm-A", "hmm-E", "hmm-start", "weights",
+         "component"],
+)
+def test_bad_measure_entry_exits_2_with_pointer(tmp_path, capsys, spec, path, pointer, bad):
+    m = write_json(tmp_path, "m.json", _replace(spec, path, bad))
+    out = tmp_path / "o"
+    rc = main(["sample", "--measure", m, "--N", "5", "--seed", "1", "--outdir", str(out)])
+    assert rc == 2
+    assert f"schema: {pointer}:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, True], ids=["nan", "inf", "true"])
+@pytest.mark.parametrize(
+    "spec, path",
+    [
+        (FEKETE_SPEC, ("sigma", "params", "value")),
+        (FEKETE_SPEC, ("rho", "params", "value")),
+        (TABLES, ("sigma", "params", "values", 3)),
+        (TABLES, ("rho", "params", "values", 3)),
+        (FEKETE_SPEC, ("N",)),
+    ],
+    ids=["sigma-value", "rho-value", "sigma-values", "rho-values", "N"],
+)
+def test_bad_fekete_number_exits_2_with_pointer(tmp_path, capsys, spec, path, bad):
+    s = write_json(tmp_path, "s.json", _replace(spec, path, bad))
+    out = tmp_path / "o"
+    assert main(["fekete", "check", "--spec", s, "--outdir", str(out)]) == 2
+    pointer = "/" + "/".join(map(str, path))
+    assert f"schema: {pointer}:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "path, value, pointer",
+    [
+        (("N",), "abc", "/N"),
+        (("sequence", "params", "slope"), "x", "/sequence/params/slope"),
+        (("sequence", "params"), [1], "/sequence/params"),
+        (("rho",), {"rule": "table", "params": {"values": ["a"]}}, "/rho/params/values/0"),
+        (("sigma",), {"rule": "ceil_power", "params": {"alpha": 0.5, "scale": "x"}},
+         "/sigma/params/scale"),
+    ],
+)
+def test_mistyped_fekete_params_exit_2_with_pointer(tmp_path, capsys, path, value, pointer):
+    s = write_json(tmp_path, "s.json", _replace(FEKETE_SPEC, path, value))
+    assert main(["fekete", "check", "--spec", s, "--outdir", str(tmp_path / "o")]) == 2
+    assert f"schema: {pointer}:" in capsys.readouterr().err
+
+
+def test_manifest_without_seed_exits_2_with_pointer(tmp_path, capsys):
+    m = write_json(tmp_path, "m.json", COIN_SPEC)
+    first = tmp_path / "first"
+    assert main(["sample", "--measure", m, "--N", "5", "--seed", "1", "--outdir", str(first)]) == 0
+    manifest = json.loads((first / "manifest.json").read_text())
+    del manifest["config"]["params"]["seed"]
+    stub = write_json(tmp_path, "manifest.json", manifest)
+    assert main(["rerun", "--manifest", stub, "--outdir", str(tmp_path / "again")]) == 2
+    assert "schema: /config/params/seed: missing" in capsys.readouterr().err
+
+
+def test_reducible_chain_exits_2(tmp_path, capsys):
+    m = write_json(tmp_path, "m.json", {"family": "markov", "P": [[1.0, 0.0], [0.0, 1.0]]})
+    rc = main(["sample", "--measure", m, "--N", "5", "--seed", "1",
+               "--outdir", str(tmp_path / "o")])
+    assert rc == 2
+    assert "schema: /P: chain has no unique stationary law" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("grid", ["geometric:nan", "geometric:inf", "geometric:abc",
+                                  "linear:abc", "geometric:"])
+def test_bad_grid_exits_2(tmp_path, capsys, grid):
+    m = write_json(tmp_path, "m.json", COIN_SPEC)
+    rc = main(["series", "--measure", m, "--N", "50", "--seed", "1", "--grid", grid,
+               "--outdir", str(tmp_path / "o")])
+    assert rc == 2
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "extra", [["--seed", "-1"], ["--seed", "1", "--stream", "-1"]], ids=["seed", "stream"]
+)
+def test_negative_seed_exits_2(tmp_path, extra):
+    m = write_json(tmp_path, "m.json", COIN_SPEC)
+    assert main(["sample", "--measure", m, "--N", "5", *extra,
+                 "--outdir", str(tmp_path / "o")]) == 2
+
+
+def test_non_finite_cli_numbers_exit_2(tmp_path, capsys):
+    m = write_json(tmp_path, "m.json", WORKED_SPEC)
+    rc = main(["decouple", "check", "--measure", m, "--N", "50", "--seed", "5",
+               "--rho-const", "inf", "--outdir", str(tmp_path / "o")])
+    assert rc == 2
+    assert "schema: /rho_const:" in capsys.readouterr().err
+
+
+# manifest params of each subcommand, written out by hand: the config is
+# the parsed options (fekete: the spec file), so a new option shows here
+def _param_keys_cases(tmp_path):
+    c = write_json(tmp_path, "c.json", COIN_SPEC)
+    w = write_json(tmp_path, "w.json", WORKED_SPEC)
+    fk = write_json(tmp_path, "fk.json", {**FEKETE_SPEC, "stride": 8})
+    lift = write_json(tmp_path, "lift.json", {"sequence": FEKETE_SPEC["sequence"],
+                                              "sigma": {"rule": "ceil_log"}, "table_N": 8})
+    est = {"p", "q", "N", "seed", "offset", "grid", "assume_decoupled"}
+    series = {"measure", "N", "seed", "offset", "grid", "assume_decoupled"}
+    return [
+        (["fekete", "check", "--spec", fk], {"sequence", "sigma", "rho", "N", "stride"}),
+        (["fekete", "limit", "--spec", fk], {"sequence", "sigma", "rho", "N", "stride"}),
+        (["fekete", "lift", "--spec", lift], {"sequence", "sigma", "table_N"}),
+        (["sample", "--measure", c, "--N", "9", "--seed", "1"], {"measure", "N", "seed", "stream"}),
+        (["series", "--measure", c, "--N", "9", "--seed", "1"], series),
+        (["series", "--measure", c, "--sample-from", w, "--N", "9", "--seed", "1"],
+         series | {"sample_from"}),
+        (["decouple", "audit", "--measure", w, "--n-max", "2", "--m-max", "2"],
+         {"measure", "n_max", "m_max", "tau", "cap"}),
+        (["decouple", "bound", "--measure", w], {"measure", "tau"}),
+        (["decouple", "check", "--measure", w, "--N", "9", "--seed", "1"],
+         {"measure", "N", "seed", "stream", "tau", "rho_const", "tol"}),
+        (["estimate", "cross", "--p", c, "--q", c, "--N", "9", "--seed", "1"], est),
+        (["estimate", "relent", "--p", c, "--q", c, "--N", "9", "--seed", "1"], est),
+        (["estimate", "mean", "--p", c, "--q", c, "--N", "9", "--trials", "2", "--seed", "1"],
+         {"p", "q", "N", "trials", "seed", "grid", "assume_decoupled"}),
+        (["steele", "run", "--measure", w, "--n", "40", "--r", "4", "--K", "2", "--eps", "0.1",
+          "--seed", "1"],
+         {"measure", "n", "r", "K", "eps", "seed", "stream", "tau", "rho_const", "limit"}),
+        (["validate", "--file", w, "--semantic"], {"measure", "n_max"}),
+    ]
+
+
+def test_manifest_param_keys_per_subcommand(tmp_path):
+    seen = set()
+    for i, (argv, keys) in enumerate(_param_keys_cases(tmp_path)):
+        out = tmp_path / f"o{i}"
+        assert main([*argv, "--outdir", str(out)]) == 0, argv
+        config = json.loads((out / "manifest.json").read_text())["config"]
+        assert set(config["params"]) == keys, argv
+        seen.add(config["subcommand"])
+    assert len(seen) == 13
+
+
+# ------------------------------------------- malformed input never escapes
+
+JUNK = st.sampled_from(
+    [math.nan, math.inf, -math.inf, True, False, None, "x", -1, 0, 0.5, 1, 2, 1.5, [], [1], {}]
+)
+ROWS = st.sampled_from([[0.5, 0.5], [0.2, 0.8], [1.0, 0.0], [0.3, 0.3, 0.4]])
+VECTORS = JUNK | ROWS | st.lists(JUNK | st.sampled_from([0.25, 0.5, 0.75]), max_size=3)
+MATRICES = JUNK | st.lists(VECTORS, max_size=3) | st.sampled_from(
+    [WORKED_P, [[0.5, 0.5], [0.5, 0.5]], [[1.0, 0.0], [0.0, 1.0]], [[0.0, 1.0], [1.0, 0.0]]]
+)
+
+
+def _paths(obj, prefix=()):
+    """Every key path into a JSON value, below the root."""
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
+    for key, value in items:
+        yield prefix + (key,)
+        yield from _paths(value, prefix + (key,))
+
+
+def _mutants(valid: list, values):
+    """One of the valid specs, as it is or with the value at one path replaced."""
+    return st.sampled_from(valid).flatmap(lambda spec: st.just(spec) | st.tuples(
+        st.sampled_from(list(_paths(spec))), values
+    ).map(lambda change: _replace(spec, *change)))
+
+
+MEASURES = JUNK | _mutants(
+    [COIN_SPEC, WORKED_SPEC, {**WORKED_SPEC, "start": [0.5, 0.5]}, HMM_SPEC,
+     {**HMM_SPEC, "start": [0.5, 0.5]}, MIXTURE_SPEC],
+    VECTORS | MATRICES,
+) | st.recursive(
+    st.fixed_dictionaries(
+        {"family": st.sampled_from(["iid", "markov", "hmm", "gauss"])},
+        optional={"p": VECTORS, "P": MATRICES, "A": MATRICES, "E": MATRICES, "start": VECTORS},
+    ),
+    lambda inner: st.fixed_dictionaries(
+        {"family": st.just("mixture")},
+        optional={"weights": VECTORS, "components": JUNK | st.lists(inner, max_size=3)},
+    ),
+    max_leaves=4,
+)
+PARAMS = JUNK | st.fixed_dictionaries(
+    {},
+    optional={k: JUNK for k in ("slope", "sqrt_coeff", "scale", "start", "value", "alpha")}
+    | {"values": JUNK | st.lists(JUNK, max_size=70)},
+)
+SEQUENCES = JUNK | st.fixed_dictionaries(
+    {"name": st.sampled_from(["linear", "affine_sqrt", "sqrt", "neg_nlogn", "square", "log",
+                              "neg_inf_from", "table", "cube"])},
+    optional={"params": PARAMS},
+)
+SCHEDULES = JUNK | st.fixed_dictionaries(
+    {"rule": st.sampled_from(["constant", "ceil_power", "ceil_log", "scaled_power", "table",
+                              "fancy"])},
+    optional={"params": PARAMS},
+)
+# sizes stay small: a huge but well-typed N is a resource question, not malformed input
+SIZES = JUNK | st.integers(min_value=-2, max_value=60)
+FEKETE_SPECS = JUNK | _mutants(
+    [
+        FEKETE_SPEC,
+        TABLES,
+        {"sequence": {"name": "table", "params": {"values": [1.0] * 40}}, "N": 40, "stride": 8},
+        {"sequence": {"name": "neg_inf_from", "params": {"start": 30, "slope": 1.0}},
+         "sigma": {"rule": "ceil_power", "params": {"alpha": 0.5, "scale": 2.0}},
+         "rho": {"rule": "scaled_power", "params": {"alpha": 0.5, "scale": 1.0}},
+         "N": 40, "probe_N": 30, "table_N": 16},
+        {"sequence": {"name": "sqrt"}, "sigma": {"rule": "ceil_log"}, "N": 40, "tol": 1e-12},
+    ],
+    SIZES | SEQUENCES | SCHEDULES,
+) | st.fixed_dictionaries(
+    {},
+    optional={"sequence": SEQUENCES, "sigma": SCHEDULES, "rho": SCHEDULES, "N": SIZES,
+              "tol": JUNK, "stride": SIZES, "probe_N": SIZES, "table_N": SIZES},
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(MEASURES)
+def test_arbitrary_measure_json_exits_0_2_or_3(spec):
+    with tempfile.TemporaryDirectory() as tmp:
+        m = os.path.join(tmp, "m.json")
+        with open(m, "w") as fh:
+            json.dump(spec, fh)
+        out = os.path.join(tmp, "o")
+        rc = main(["sample", "--measure", m, "--N", "5", "--seed", "1", "--outdir", out])
+        assert rc in (0, 2)
+        assert os.path.exists(os.path.join(out, "trajectory.txt")) == (rc == 0)
+        rc = main(["validate", "--file", m, "--semantic", "--outdir", out])
+        assert rc in (0, 2, 3)
+
+
+@settings(max_examples=150, deadline=None)
+@given(FEKETE_SPECS, st.sampled_from(["check", "limit", "lift"]))
+def test_arbitrary_fekete_spec_exits_0_2_or_3(spec, sub):
+    with tempfile.TemporaryDirectory() as tmp:
+        s = os.path.join(tmp, "s.json")
+        with open(s, "w") as fh:
+            json.dump(spec, fh)
+        assert main(["fekete", sub, "--spec", s, "--outdir", os.path.join(tmp, "o")]) in (0, 2, 3)

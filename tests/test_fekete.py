@@ -14,6 +14,7 @@ from gapsub import (
     GapLiftError,
     GapSchedule,
     RealSequence,
+    SchemaError,
     ValidationError,
     check_gapped_subadditivity,
     fekete_infimum,
@@ -72,6 +73,31 @@ def test_builtin_families():
         sequence_from_spec({"name": "cubic"})
     with pytest.raises(ConfigError):
         sequence_from_spec({"params": {}})
+
+
+@pytest.mark.parametrize(
+    "spec, pointer",
+    [
+        ({"name": "linear", "params": {"slope": "x"}}, "/params/slope"),
+        ({"name": "sqrt", "params": {"scale": math.nan}}, "/params/scale"),
+        ({"name": "neg_inf_from", "params": {"start": True}}, "/params/start"),
+        ({"name": "linear", "params": [1]}, "/params"),
+        ({"name": "table", "params": {"values": ["a"]}}, "/params/values/0"),
+        ({"name": "table", "params": {"values": [1.0, math.nan]}}, "/params/values/1"),
+        ({"name": "table", "params": {"values": []}}, "/params/values"),
+        ({"name": "cube"}, "/name"),
+        ([1], ""),
+    ],
+)
+def test_sequence_spec_rejections_point_at_the_field(spec, pointer):
+    with pytest.raises(SchemaError) as exc:
+        sequence_from_spec(spec, "/sequence")
+    assert [ptr for ptr, _ in exc.value.problems] == ["/sequence" + pointer]
+
+
+def test_table_sequence_keeps_neg_inf():
+    F = sequence_from_spec({"name": "table", "params": {"values": [1.0, -math.inf]}})
+    assert F.values(2).tolist() == [1.0, -math.inf]
 
 
 # ------------------------------------------------------- subadditivity check

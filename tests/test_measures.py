@@ -15,6 +15,7 @@ from gapsub import (
     IIDMeasure,
     MarkovMeasure,
     MixtureMeasure,
+    SchemaError,
     ValidationError,
     log_sum_exp,
     measure_from_spec,
@@ -323,7 +324,7 @@ def test_hmm_explicit_start_survives_the_spec_round_trip():
     assert "start" not in HiddenMarkovMeasure(H.A, H.E).to_spec()
 
 
-@pytest.mark.parametrize(
+BAD_ENTRY_BUILDS = pytest.mark.parametrize(
     "build",
     [
         lambda bad: IIDMeasure([bad, 0.5]),
@@ -334,10 +335,43 @@ def test_hmm_explicit_start_survives_the_spec_round_trip():
     ],
     ids=["iid-p", "markov-P", "markov-start", "hmm-E", "mixture-weights"],
 )
+
+
+@BAD_ENTRY_BUILDS
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_non_finite_entries_rejected(build, bad):
     with pytest.raises(ValidationError, match="non-finite"):
         build(bad)
+
+
+@BAD_ENTRY_BUILDS
+@pytest.mark.parametrize("bad", [True, "0.5"])
+def test_boolean_and_string_entries_rejected(build, bad):
+    # np.asarray would read True as 1.0, so the check looks at the raw entry
+    with pytest.raises(ValidationError, match="non-numeric"):
+        build(bad)
+
+
+@pytest.mark.parametrize(
+    "spec, pointer",
+    [
+        ({"family": "markov", "P": [[0.5, 0.5], [0.4, 0.5]]}, "/P/1"),
+        ({"family": "markov", "P": [[1.0, 0.0], [0.0, 1.0]]}, "/P"),
+        ({"family": "hmm", "A": [[1.0]], "E": [[0.5, 0.5], [0.5, 0.5]]}, "/E"),
+        ({"family": "hmm", "A": [[1.0]], "E": [[0.5, 0.5]], "start": [0.5, 0.5]}, "/start"),
+        ({"family": "mixture", "weights": [0.5, 0.5], "components": [
+            {"family": "iid", "p": [0.5, 0.5]},
+            {"family": "mixture", "weights": [1.0, 0.0], "components": [
+                {"family": "iid", "p": [0.5, 0.5]}, {"family": "iid", "p": [0.5, 0.5]}]},
+        ]}, "/components/1/weights"),
+        ({"family": "mixture", "weights": [0.5, 0.5], "components": "x"}, "/components"),
+    ],
+    ids=["row", "reducible", "emission-rows", "hmm-start", "nested-mixture", "components"],
+)
+def test_measure_from_spec_points_at_the_field(spec, pointer):
+    with pytest.raises(SchemaError) as exc:
+        measure_from_spec(spec, "/measure")
+    assert exc.value.problems[0][0] == "/measure" + pointer
 
 
 def test_measure_from_spec_errors():

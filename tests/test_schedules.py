@@ -13,6 +13,7 @@ from gapsub import (
     ErrorSchedule,
     GapSchedule,
     ScheduleRangeError,
+    SchemaError,
     ValidationError,
     geometric_grid,
     linear_grid,
@@ -249,3 +250,62 @@ def test_geometric_grid_properties(N, ratio):
     assert g[-1] == N
     assert g[0] >= 1
     assert (np.diff(g) > 0).all()
+
+
+def _loop_grid(N, ratio):
+    """The grid as one multiplicative step per point from 1: the oracle."""
+    points = []
+    x = 1.0
+    while math.ceil(x) < N:
+        points.append(math.ceil(x))
+        x *= ratio
+    points.append(N)
+    return np.unique(np.asarray(points, dtype=np.int64))
+
+
+def test_geometric_grid_matches_the_loop():
+    rng = np.random.default_rng(0)
+    cases = list(zip(rng.integers(1, 10**6 + 1, 20000).tolist(),
+                     rng.uniform(1.01, 3.0, 20000).tolist()))
+    cases += [(N, r) for r in (1.2, 1.5, 2.0, 1.01, 1.001, 1.0001)
+              for N in (1, 2, 7, 1000, 99999, 10**6)]
+    bad = [(N, r) for N, r in cases if not np.array_equal(geometric_grid(N, r), _loop_grid(N, r))]
+    assert not bad
+
+
+def test_geometric_grid_near_one_ratio_is_every_integer():
+    # about 1e10 loop steps at this ratio; below 1/(r - 1) every integer is a point
+    assert geometric_grid(10**5, ratio=1.000000001).tolist() == list(range(1, 10**5 + 1))
+
+
+@pytest.mark.parametrize("ratio", [1.0, math.nan, math.inf])
+def test_geometric_grid_rejects_bad_ratios(ratio):
+    with pytest.raises(ConfigError):
+        geometric_grid(100, ratio=ratio)
+
+
+@pytest.mark.parametrize(
+    "cls, spec, pointer",
+    [
+        (ErrorSchedule, {"rule": "constant", "params": {"value": math.nan}}, "/params/value"),
+        (ErrorSchedule, {"rule": "constant", "params": {"value": math.inf}}, "/params/value"),
+        (ErrorSchedule, {"rule": "constant", "params": {"value": True}}, "/params/value"),
+        (ErrorSchedule, {"rule": "scaled_power", "params": {"alpha": math.nan}}, "/params/alpha"),
+        (ErrorSchedule, {"rule": "scaled_power", "params": {"alpha": 0.5, "scale": math.inf}},
+         "/params/scale"),
+        (ErrorSchedule, {"rule": "table", "params": {"values": []}}, "/params/values"),
+        (ErrorSchedule, {"rule": "table", "params": {"values": [0.5, math.nan]}},
+         "/params/values/1"),
+        (ErrorSchedule, {"rule": "table", "params": {"values": ["a"]}}, "/params/values/0"),
+        (ErrorSchedule, {"rule": "constant", "params": [1]}, "/params"),
+        (GapSchedule, {"rule": "constant", "params": {"value": True}}, "/params/value"),
+        (GapSchedule, {"rule": "ceil_power", "params": {"alpha": 0.5, "scale": "x"}},
+         "/params/scale"),
+        (GapSchedule, {"rule": "table", "params": {"values": [1, 2.5]}}, "/params/values/1"),
+        (GapSchedule, {"rule": "fancy"}, "/rule"),
+    ],
+)
+def test_schedule_rejections_point_at_the_field(cls, spec, pointer):
+    with pytest.raises(SchemaError) as exc:
+        cls.from_json(spec, "/rho")
+    assert [ptr for ptr, _ in exc.value.problems] == ["/rho" + pointer]
