@@ -45,8 +45,6 @@ from .estimators import (
 )
 from .logspace import (
     NEG_INF,
-    log_add,
-    log_matvec,
     log_sum_exp,
     safe_log,
 )
@@ -79,7 +77,6 @@ from .sampling import (
     log_prefixes,
     make_rng,
     sample_trajectory,
-    shifted_kingman_series,
 )
 from .schedules import (
     ConvergenceSeries,

@@ -176,9 +176,17 @@ def _schedule_pair(p: dict) -> tuple[GapSchedule, ErrorSchedule]:
     return sigma, rho
 
 
+def _nonnegative(p: dict, key: str, kind: type, default):
+    """param(p, key, kind, default), rejected at /key when it is negative."""
+    value = param(p, key, kind, default)
+    if value is not None and value < 0:
+        raise SchemaError([(f"/{key}", "must be nonnegative")])
+    return value
+
+
 def _rho_const(p: dict, Q: ShiftMeasure, tau: int) -> float:
     """--rho-const if given, else the closed-form Markov constant clipped at 0."""
-    rho_c = param(p, "rho_const", float, None)
+    rho_c = _nonnegative(p, "rho_const", float, None)
     if rho_c is not None:
         return rho_c
     if isinstance(Q, (MarkovMeasure, IIDMeasure)):
@@ -205,9 +213,10 @@ def _run_fekete_check(p: dict) -> dict:
 def _run_fekete_limit(p: dict) -> dict:
     F = sequence_from_spec(p.get("sequence"), "/sequence")
     sigma, rho = _schedule_pair(p)
-    est = fekete_limit_estimate(
-        F, sigma, rho, param(p, "N", int), stride=param(p, "stride", int, None)
-    )
+    N, cap = param(p, "N", int), param(p, "cap", int, 10**7)
+    if N > cap:
+        raise CapExceededError(f"horizon {N} exceeds cap {cap}; pass cap >= N to allow", "/N")
+    est = fekete_limit_estimate(F, sigma, rho, N, stride=param(p, "stride", int, None))
     return {"report.json": est.report.to_json(), "series.csv": est.series.csv_text()}
 
 
@@ -317,7 +326,7 @@ def _run_decouple_audit(p: dict) -> dict:
     if isinstance(p.get("tau"), dict):
         tau = GapSchedule.from_json(p["tau"], "/tau")
     else:
-        tau = GapSchedule.constant(param(p, "tau", int, 0))
+        tau = GapSchedule.constant(_nonnegative(p, "tau", int, 0))
     report = minimal_decoupling_constants(
         Q, param(p, "n_max", int), param(p, "m_max", int), tau, cap=param(p, "cap", int, 10**7)
     )
@@ -328,7 +337,7 @@ def _run_decouple_bound(p: dict) -> dict:
     Q = measure_from_spec(p.get("measure"), "/measure")
     if not isinstance(Q, (MarkovMeasure, IIDMeasure)):
         raise ConfigError("the closed-form bound needs an iid or Markov measure")
-    tau = param(p, "tau", int, 0)
+    tau = _nonnegative(p, "tau", int, 0)
     c = markov_decoupling_bound(as_markov(Q), tau)
     data = decoupling_to_theorem_data(c, tau)
     return {
@@ -346,9 +355,9 @@ def _run_steele(p: dict) -> dict:
     Q = measure_from_spec(p.get("measure"), "/measure")
     n, r, K = param(p, "n", int), param(p, "r", int), param(p, "K", int)
     eps = param(p, "eps", float)
-    tau = param(p, "tau", int, 0)
-    x = sample_trajectory(Q, n + K * r, param(p, "seed", int), stream=param(p, "stream", int, 0))
+    tau = _nonnegative(p, "tau", int, 0)
     rho_c = _rho_const(p, Q, tau)
+    x = sample_trajectory(Q, n + K * r, param(p, "seed", int), stream=param(p, "stream", int, 0))
     limit_value = param(p, "limit", float, None)
     if limit_value is None:
         if not isinstance(Q, (MarkovMeasure, IIDMeasure)):
@@ -377,7 +386,7 @@ def _run_steele(p: dict) -> dict:
 
 def _run_traj_check(p: dict) -> dict:
     Q = measure_from_spec(p.get("measure"), "/measure")
-    tau = param(p, "tau", int, 0)
+    tau = _nonnegative(p, "tau", int, 0)
     rho_c = _rho_const(p, Q, tau)
     x = sample_trajectory(Q, param(p, "N", int), param(p, "seed", int),
                           stream=param(p, "stream", int, 0))

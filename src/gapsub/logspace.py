@@ -33,18 +33,3 @@ def log_sum_exp(a: np.ndarray, axis: int | None = None) -> np.ndarray | float:
     if axis is None:
         return float(out)
     return out
-
-
-def log_add(x: float, y: float) -> float:
-    """log(e^x + e^y) for two scalars."""
-    if x == NEG_INF:
-        return y
-    if y == NEG_INF:
-        return x
-    hi = max(x, y)
-    return hi + float(np.log(np.exp(x - hi) + np.exp(y - hi)))
-
-
-def log_matvec(log_mat: np.ndarray, log_vec: np.ndarray) -> np.ndarray:
-    """log of (exp(log_mat) @ exp(log_vec)), computed stably row by row."""
-    return log_sum_exp(log_mat + log_vec[np.newaxis, :], axis=1)

@@ -21,6 +21,7 @@ from __future__ import annotations
 import abc
 import dataclasses
 import itertools
+import math
 import numbers
 import sys
 from typing import Iterator, Sequence
@@ -356,6 +357,46 @@ def _draw_from_cum(cum: np.ndarray, u) -> np.ndarray | int:
     return np.minimum(idx, cum.size - 1)
 
 
+def _chain_path(cum_start: np.ndarray, cum_rows: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """x_0 = bucket of u_0 in cum_start, x_{i+1} = bucket of u_{i+1} in cum_rows[x_i].
+
+    Each bucket is _draw_from_cum's, so the path is bit for bit the one
+    drawn symbol by symbol.  Step i is the random map T_i (Propp & Wilson
+    1996): in sorted order of the uniforms, row s of its table is a run of
+    0s, then of 1s and so on, cut at the edges of cum_rows[s].  The maps
+    compose in blocks of L ~ sqrt(n) steps, a two-level scan (Blelloch 1990).
+    """
+    x = np.empty(u.size, dtype=np.int64)
+    x[0] = _draw_from_cum(cum_start, u[0])
+    steps, k = u[1:], cum_rows.shape[0]
+    W = steps.size
+    if W == 0:
+        return x
+    L = math.isqrt(W)
+    B = -(-W // L)
+    width = np.intp(B * L)
+    states = np.arange(k, dtype=np.min_scalar_type(k - 1))
+    order = np.argsort(steps)
+    edges = np.searchsorted(steps[order], cum_rows[:, :-1], side="left")
+    T = np.zeros((k, width), dtype=states.dtype)  # columns past W pad the last block
+    for s in range(k):
+        T[s, order] = np.repeat(states, np.diff(edges[s], prepend=0, append=W))
+    flat, base = T.ravel(), np.arange(0, width, L)  # base: first step of each block
+    maps = np.broadcast_to(np.arange(k)[:, None], (k, B))  # maps[s, b]: block b from s
+    for t in range(L):  # every block's map at once
+        maps = flat[maps * width + (base + t)]
+    starts = [int(x[0])]  # then the block starts one by one
+    for b in range(B - 1):
+        starts.append(int(maps[starts[-1], b]))
+    path = np.empty((L, B), dtype=states.dtype)
+    at = np.asarray(starts) * width + base
+    for t in range(L):  # then every block from its start
+        path[t] = flat[at + t]
+        at = path[t] * width + base
+    x[1:] = path.T.ravel()[:W]
+    return x
+
+
 class IIDMeasure(ShiftMeasure):
     """Product measure with a fixed symbol law p."""
 
@@ -457,15 +498,7 @@ class MarkovMeasure(ShiftMeasure):
         return spec
 
     def _sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        u = rng.random(n)
-        x = np.empty(n, dtype=np.int64)
-        x[0] = _draw_from_cum(self._cum_start, u[0])
-        rows = self._cum_rows
-        prev = int(x[0])
-        for i in range(1, n):
-            prev = int(_draw_from_cum(rows[prev], u[i]))
-            x[i] = prev
-        return x
+        return _chain_path(self._cum_start, self._cum_rows, rng.random(n))
 
 
 class HiddenMarkovMeasure(ShiftMeasure):
@@ -562,16 +595,9 @@ class HiddenMarkovMeasure(ShiftMeasure):
         return spec
 
     def _sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        u_hidden = rng.random(n)
-        z = np.empty(n, dtype=np.int64)
-        z[0] = _draw_from_cum(self._cum_start, u_hidden[0])
-        prev = int(z[0])
-        for i in range(1, n):
-            prev = int(_draw_from_cum(self._cum_A[prev], u_hidden[i]))
-            z[i] = prev
+        z = _chain_path(self._cum_start, self._cum_A, rng.random(n))
         u_emit = rng.random(n)
-        cum = self._cum_E[z]
-        idx = (cum <= u_emit[:, None]).sum(axis=1)
+        idx = (self._cum_E[z] <= u_emit[:, None]).sum(axis=1)
         return np.minimum(idx, self.alphabet.size - 1).astype(np.int64)
 
 

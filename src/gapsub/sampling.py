@@ -152,13 +152,3 @@ def kingman_series(
     if seed is not None:
         meta["seed"] = int(seed)
     return ConvergenceSeries(grid, values, label=label or "normalized-log-marginal", meta=meta)
-
-
-def shifted_kingman_series(
-    x: Trajectory | np.ndarray,
-    Q: ShiftMeasure,
-    offset: int,
-    grid: np.ndarray | None = None,
-) -> ConvergenceSeries:
-    """kingman_series along the shifted path, dropping the first offset symbols."""
-    return kingman_series(x, Q, grid=grid, offset=offset, label="shifted-normalized-log-marginal")

@@ -47,11 +47,6 @@ class ProofContext:
     the functional is known to decrease under extension-by-one (log
     marginals do), that requirement can be waived with
     assume_shift_monotone=True.
-
-    Only the convention where the gap trails the first block is
-    implemented; gap_convention exists so the unsupported trailing-
-    second-block variant fails loudly instead of silently computing
-    something else.
     """
 
     f: Callable[[int, int], float]
@@ -65,7 +60,6 @@ class ProofContext:
     f_batch: Callable[[np.ndarray, int], np.ndarray] | None = None
     rho_batch: Callable[[np.ndarray, int], np.ndarray] | None = None
     assume_shift_monotone: bool = False
-    gap_convention: str = "first_block"
 
     def __post_init__(self):
         if self.r < 1 or self.K < 1:
@@ -74,11 +68,6 @@ class ProofContext:
             raise ConfigError("eps must be positive")
         if self.limit_value == np.inf or np.isnan(self.limit_value):
             raise ConfigError("limit value must lie in [-inf, inf)")
-        if self.gap_convention != "first_block":
-            raise ConfigError(
-                f"gap convention {self.gap_convention!r} is not supported; only "
-                "'first_block' (gap after the leading block) is implemented"
-            )
         if self.sigma.value(1) != 0 and not self.assume_shift_monotone:
             raise ValidationError(
                 "sigma_1 must be 0 unless the functional is extension-monotone "

@@ -585,6 +585,41 @@ def test_non_finite_cli_numbers_exit_2(tmp_path, capsys):
     assert "schema: /rho_const:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, pointer",
+    [
+        (["decouple", "check", "--N", "50", "--seed", "5", "--rho-const", "-1"], "/rho_const"),
+        (["decouple", "check", "--N", "50", "--seed", "5", "--tau", "-1"], "/tau"),
+        (["decouple", "bound", "--tau", "-1"], "/tau"),
+        (["decouple", "audit", "--n-max", "2", "--m-max", "2", "--tau", "-2"], "/tau"),
+        (["steele", "run", "--n", "40", "--r", "2", "--K", "2", "--eps", "0.1", "--seed", "1",
+          "--rho-const", "-1"], "/rho_const"),
+        (["steele", "run", "--n", "40", "--r", "2", "--K", "2", "--eps", "0.1", "--seed", "1",
+          "--tau", "-1"], "/tau"),
+    ],
+    ids=["check-rho", "check-tau", "bound-tau", "audit-tau", "steele-rho", "steele-tau"],
+)
+def test_negative_rho_const_and_tau_exit_2_with_pointer(tmp_path, capsys, argv, pointer):
+    m = write_json(tmp_path, "m.json", WORKED_SPEC)
+    out = tmp_path / "o"
+    assert main([*argv[:2], "--measure", m, *argv[2:], "--outdir", str(out)]) == 2
+    assert f"schema: {pointer}: must be nonnegative" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "extra, rc",
+    [({"N": 4611686018427387904}, 4), ({"cap": 63}, 4), ({"cap": 64}, 0), ({}, 0)],
+    ids=["huge-N", "over-cap", "at-cap", "default-cap"],
+)
+def test_fekete_limit_horizon_cap(tmp_path, capsys, extra, rc):
+    s = write_json(tmp_path, "s.json", {**FEKETE_SPEC, **extra})
+    out = tmp_path / "o"
+    assert main(["fekete", "limit", "--spec", s, "--outdir", str(out)]) == rc
+    assert ("cap: /N: horizon" in capsys.readouterr().err) == (rc == 4)
+    assert out.exists() == (rc == 0)
+
+
 # manifest params of each subcommand, written out by hand: the config is
 # the parsed options (fekete: the spec file), so a new option shows here
 def _param_keys_cases(tmp_path):

@@ -6,7 +6,7 @@ import warnings
 
 from hypothesis import given, strategies as st
 
-from gapsub.logspace import NEG_INF, log_add, log_matvec, log_sum_exp, safe_log
+from gapsub.logspace import NEG_INF, log_sum_exp, safe_log
 
 
 def test_safe_log_zero_is_neg_inf_without_warning():
@@ -64,18 +64,3 @@ def test_log_sum_exp_dominates_max(vals):
     out = log_sum_exp(a)
     assert out >= a.max() - 1e-12
     assert out <= a.max() + np.log(a.size) + 1e-12
-
-
-def test_log_add_scalar():
-    assert log_add(NEG_INF, 0.5) == 0.5
-    assert log_add(0.5, NEG_INF) == 0.5
-    assert log_add(NEG_INF, NEG_INF) == NEG_INF
-    assert abs(log_add(np.log(0.3), np.log(0.2)) - np.log(0.5)) < 1e-12
-
-
-def test_log_matvec_matches_dense():
-    rng = np.random.default_rng(2)
-    M = rng.uniform(0.01, 1.0, size=(4, 4))
-    v = rng.uniform(0.01, 1.0, size=4)
-    out = log_matvec(np.log(M), np.log(v))
-    assert np.allclose(np.exp(out), M @ v, rtol=1e-12)

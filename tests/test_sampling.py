@@ -18,7 +18,6 @@ from gapsub import (
     log_sum_exp,
     make_rng,
     sample_trajectory,
-    shifted_kingman_series,
 )
 
 from conftest import WORKED_P
@@ -139,8 +138,6 @@ def test_kingman_offset_equals_sliced_path(worked_chain):
     a = kingman_series(x, worked_chain, grid=grid, offset=100)
     b = kingman_series(x.symbols[100:], worked_chain, grid=grid)
     assert (a.values == b.values).all()
-    c = shifted_kingman_series(x, worked_chain, offset=100, grid=grid)
-    assert (c.values == a.values).all()
 
 
 def test_kingman_grid_validation(worked_chain):

@@ -92,8 +92,6 @@ def test_context_parameter_validation():
         ProofContext(r=3, K=2, **{**ok, "limit_value": np.inf})
     with pytest.raises(ConfigError):
         ProofContext(r=3, K=2, **{**ok, "limit_value": np.nan})
-    with pytest.raises(ConfigError, match="not supported"):
-        ProofContext(r=3, K=2, gap_convention="second_block", **ok)
 
 
 def test_nonzero_sigma1_needs_waiver():
