@@ -74,6 +74,28 @@ def test_chain_path_matches_the_loop(k, n, zero):
     assert np.array_equal(_chain_path(cum_start, cum_rows, u), _loop_path(cum_start, cum_rows, u))
 
 
+@pytest.mark.parametrize("k", [1, 2, 3, 5])
+def test_chain_path_carries_the_state_across_chunks(k):
+    """With the smallest chunks (4k steps), each chunk starts where the last one ended."""
+    rng = np.random.default_rng([k, 4])
+    cum_rows = np.cumsum(_kernel(rng, k, zero=True), axis=1)
+    cum_start = np.cumsum(rng.dirichlet(np.ones(k)))
+    for n in (2, 4 * k, 4 * k + 1, 4 * k + 2, 8 * k + 1, 1000):
+        u = _edge_uniforms(rng, cum_rows, n)
+        got = _chain_path(cum_start, cum_rows, u, entries=1)
+        assert np.array_equal(got, _loop_path(cum_start, cum_rows, u))
+
+
+@pytest.mark.parametrize("k,n", [(32, 50_000), (300, 20_000)])
+def test_chain_path_flat_indices_pass_the_table_dtype(k, n):
+    """state * width + step exceeds what the 8- or 16-bit table entries hold."""
+    rng = np.random.default_rng([k, n])
+    cum_rows = np.cumsum(_kernel(rng, k, zero=False), axis=1)
+    u = rng.random(n)
+    assert (k - 1) * (n - 1) > np.iinfo(np.min_scalar_type(k - 1)).max
+    assert np.array_equal(_chain_path(cum_rows[0], cum_rows, u), _loop_path(cum_rows[0], cum_rows, u))
+
+
 def test_chain_path_clips_a_row_that_sums_under_one():
     # the last edge lands a hair under 1; a uniform above it takes the last symbol
     cum_rows = np.asarray([[0.5, 1.0 - 2**-53], [0.25, 1.0 - 2**-52]])
