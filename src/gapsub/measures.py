@@ -33,6 +33,7 @@ from .logspace import log_sum_exp, safe_log
 
 _STOCH_TOL = 1e-9
 _LISTS = (list, tuple, np.ndarray)
+_MAP_TABLE_ENTRIES = 1 << 22  # chain-path map entries built at a time: 4-8 MB
 
 
 @dataclasses.dataclass(frozen=True)
@@ -357,63 +358,46 @@ def _draw_from_cum(cum: np.ndarray, u) -> np.ndarray | int:
     return np.minimum(idx, cum.size - 1)
 
 
-_MAP_TABLE_ENTRIES = 1 << 22  # map-table entries built at a time, 4-8 MB
-
-
-def _chain_path(
-    cum_start: np.ndarray, cum_rows: np.ndarray, u: np.ndarray, entries: int = _MAP_TABLE_ENTRIES
-) -> np.ndarray:
+def _chain_path(cum_start: np.ndarray, cum_rows: np.ndarray, u: np.ndarray) -> np.ndarray:
     """x_0 = bucket of u_0 in cum_start, x_{i+1} = bucket of u_{i+1} in cum_rows[x_i].
 
-    Each bucket is _draw_from_cum's, so the path is bit for bit the one
-    drawn symbol by symbol.  Step i is the random map T_i (Propp & Wilson
-    1996).  The steps go in chunks of about entries / k, so that the k maps
-    tabulated per step stay a few MB; each chunk starts from the last
-    symbol of the one before.  A chunk holds at least 4k steps, so the k^2
-    edge lookups of its build stay small against the table.
+    Each bucket is _draw_from_cum's, so the path is bit for bit the one drawn
+    symbol by symbol.  Step i is the random map T_i (Propp & Wilson 1996): in
+    sorted order of the uniforms, row s of its table is a run of 0s, then of 1s
+    and so on, cut at the edges of cum_rows[s].  Chunks of at least 4k steps,
+    each from the last symbol of the one before, bound the table; in each the
+    maps compose in blocks of L ~ sqrt(W) steps, a two-level scan (Blelloch 1990).
     """
     x = np.empty(u.size, dtype=np.int64)
     x[0] = _draw_from_cum(cum_start, u[0])
     k = cum_rows.shape[0]
-    chunk = max(entries // k, 4 * k)
-    for lo in range(1, u.size, chunk):
-        hi = min(lo + chunk, u.size)
-        x[lo:hi] = _compose_maps(int(x[lo - 1]), cum_rows, u[lo:hi])
-    return x
-
-
-def _compose_maps(start: int, cum_rows: np.ndarray, steps: np.ndarray) -> np.ndarray:
-    """The path T_W(...T_1(start)) through the maps of W step uniforms, each symbol kept.
-
-    In sorted order of the uniforms, row s of the map table is a run of 0s,
-    then of 1s and so on, cut at the edges of cum_rows[s].  The maps compose
-    in blocks of L ~ sqrt(W) steps, a two-level scan (Blelloch 1990).
-    Table entries are 8- or 16-bit, so they are widened to intp before
-    they become flat indices.
-    """
-    k, W = cum_rows.shape[0], steps.size
-    L = math.isqrt(W)
-    B = -(-W // L)
-    width = B * L
     states = np.arange(k, dtype=np.min_scalar_type(k - 1))
-    order = np.argsort(steps)
-    edges = np.searchsorted(steps[order], cum_rows[:, :-1], side="left")
-    T = np.zeros((k, width), dtype=states.dtype)  # columns past W pad the last block
-    for s in range(k):
-        T[s, order] = np.repeat(states, np.diff(edges[s], prepend=0, append=W))
-    flat, base = T.ravel(), np.arange(0, width, L)  # base: first step of each block
-    maps = np.broadcast_to(np.arange(k)[:, None], (k, B))  # maps[s, b]: block b from s
-    for t in range(L):  # every block's map at once
-        maps = flat[maps.astype(np.intp) * width + (base + t)]
-    starts = [start]  # then the block starts one by one
-    for b in range(B - 1):
-        starts.append(int(maps[starts[-1], b]))
-    path = np.empty((L, B), dtype=states.dtype)
-    at = np.asarray(starts, dtype=np.intp) * width + base
-    for t in range(L):  # then every block from its start
-        path[t] = flat[at + t]
-        at = path[t].astype(np.intp) * width + base
-    return path.T.ravel()[:W]
+    chunk = max(_MAP_TABLE_ENTRIES // k, 4 * k)
+    for lo in range(1, u.size, chunk):
+        steps = u[lo:lo + chunk]
+        W = steps.size
+        L = math.isqrt(W)
+        B = -(-W // L)
+        width = B * L
+        order = np.argsort(steps)
+        edges = np.searchsorted(steps[order], cum_rows[:, :-1], side="left")
+        T = np.zeros((k, width), dtype=states.dtype)  # columns past W pad the last block
+        for s in range(k):
+            T[s, order] = np.repeat(states, np.diff(edges[s], prepend=0, append=W))
+        flat, base = T.ravel(), np.arange(0, width, L)  # base: first step of each block
+        maps = np.broadcast_to(np.arange(k)[:, None], (k, B))  # maps[s, b]: block b from s
+        for t in range(L):  # every block's map at once
+            maps = flat[maps.astype(np.intp) * width + (base + t)]  # widen 8/16-bit entries
+        starts = [int(x[lo - 1])]  # then the block starts one by one
+        for b in range(B - 1):
+            starts.append(int(maps[starts[-1], b]))
+        path = np.empty((L, B), dtype=states.dtype)
+        at = np.asarray(starts, dtype=np.intp) * width + base
+        for t in range(L):  # then every block from its start
+            path[t] = flat[at + t]
+            at = path[t].astype(np.intp) * width + base
+        x[lo:lo + W] = path.T.ravel()[:W]
+    return x
 
 
 class IIDMeasure(ShiftMeasure):

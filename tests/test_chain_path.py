@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from gapsub import HiddenMarkovMeasure, MarkovMeasure, MixtureMeasure, make_rng, sample_trajectory
+from gapsub import measures
 from gapsub.measures import _chain_path
 
 KS = [1, 2, 3, 5, 16, 32, 130, 300]  # 300 needs 16-bit map tables
@@ -75,14 +76,15 @@ def test_chain_path_matches_the_loop(k, n, zero):
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 5])
-def test_chain_path_carries_the_state_across_chunks(k):
+def test_chain_path_carries_the_state_across_chunks(k, monkeypatch):
     """With the smallest chunks (4k steps), each chunk starts where the last one ended."""
+    monkeypatch.setattr(measures, "_MAP_TABLE_ENTRIES", 1)
     rng = np.random.default_rng([k, 4])
     cum_rows = np.cumsum(_kernel(rng, k, zero=True), axis=1)
     cum_start = np.cumsum(rng.dirichlet(np.ones(k)))
     for n in (2, 4 * k, 4 * k + 1, 4 * k + 2, 8 * k + 1, 1000):
         u = _edge_uniforms(rng, cum_rows, n)
-        got = _chain_path(cum_start, cum_rows, u, entries=1)
+        got = _chain_path(cum_start, cum_rows, u)
         assert np.array_equal(got, _loop_path(cum_start, cum_rows, u))
 
 
