@@ -205,7 +205,7 @@ def _run_fekete_check(p: dict) -> dict:
     sigma, rho = _schedule_pair(p)
     check = check_gapped_subadditivity(
         F, sigma, rho, param(p, "N", int), tol=param(p, "tol", float, 1e-12),
-        cap=param(p, "cap", int, 5000),
+        cap=_nonnegative(p, "cap", int, 5000),
     )
     return {"check.json": check.to_json()}
 
@@ -213,7 +213,7 @@ def _run_fekete_check(p: dict) -> dict:
 def _run_fekete_limit(p: dict) -> dict:
     F = sequence_from_spec(p.get("sequence"), "/sequence")
     sigma, rho = _schedule_pair(p)
-    N, cap = param(p, "N", int), param(p, "cap", int, 10**7)
+    N, cap = param(p, "N", int), _nonnegative(p, "cap", int, 10**7)
     if N > cap:
         raise CapExceededError(f"horizon {N} exceeds cap {cap}; pass cap >= N to allow", "/N")
     est = fekete_limit_estimate(F, sigma, rho, N, stride=param(p, "stride", int, None))
@@ -328,7 +328,8 @@ def _run_decouple_audit(p: dict) -> dict:
     else:
         tau = GapSchedule.constant(_nonnegative(p, "tau", int, 0))
     report = minimal_decoupling_constants(
-        Q, param(p, "n_max", int), param(p, "m_max", int), tau, cap=param(p, "cap", int, 10**7)
+        Q, param(p, "n_max", int), param(p, "m_max", int), tau,
+        cap=_nonnegative(p, "cap", int, 10**7),
     )
     return {"report.json": report.to_json()}
 
@@ -404,7 +405,7 @@ def _run_validate_measure(p: dict) -> dict:
     Q = measure_from_spec(p.get("measure"), "/measure")
     report = validate_measure(
         Q, n_max=param(p, "n_max", int, 4), tol=param(p, "tol", float, 1e-9),
-        cap=param(p, "cap", int, 10**7),
+        cap=_nonnegative(p, "cap", int, 10**7),
     )
     out = report.to_json()
     out["measure"] = Q.label

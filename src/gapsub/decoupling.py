@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import CapExceededError, ConfigError, DecouplingFailure, ValidationError
 from .logspace import log_sum_exp
-from .measures import IIDMeasure, MarkovMeasure, ShiftMeasure
+from .measures import IIDMeasure, MarkovMeasure, ShiftMeasure, _level_rows
 # log_prefixes is re-exported: the benchmark's tracer wraps it here by name
 from .sampling import Trajectory, log_prefixes  # noqa: F401
 from .schedules import ErrorSchedule, GapSchedule
@@ -95,25 +95,31 @@ class DecouplingReport:
         }
 
 
-class _LevelCache:
-    def __init__(self, Q: ShiftMeasure, cap: int):
-        self.Q = Q
-        self.cap = cap
-        self._levels: dict[int, np.ndarray] = {}
-
-    def get(self, n: int) -> np.ndarray:
-        if n not in self._levels:
-            self._levels[n] = self.Q.log_marginals_level(n, cap=self.cap)
-        return self._levels[n]
+# joint words held at a time per m: first-block rows per chunk are
+# max(1, _JOINT_WORDS // k**(tau + m_max))
+_JOINT_WORDS = 1 << 16
+_FAILURES_KEPT = 20  # positivity failures a report lists
 
 
-def _joint_table(cache: _LevelCache, k: int, n: int, tau: int, m: int) -> np.ndarray:
-    """log Q(a * b) over all (a, b), gap of tau symbols summed out."""
-    full = cache.get(n + tau + m)
-    if tau == 0:
-        return full.reshape(k**n, k**m)
-    cube = full.reshape(k**n, k**tau, k**m)
-    return log_sum_exp(cube, axis=1)
+def _joint_chunks(Q: ShiftMeasure, state, words: int, tau: int, m_max: int):
+    """(lo, m, J): J[i, b] = log Q(a * b) for the first-block word a = lo + i.
+
+    state is the level-n state of all `words` first blocks.  Each chunk of
+    rows extends by tau symbols, then by one more for each m, so the joint
+    level n + tau + m is never built whole; the gap block is summed out.
+    """
+    k = Q.alphabet.size
+    rows = max(1, _JOINT_WORDS // k ** (tau + m_max))
+    for lo in range(0, words, rows):
+        hi = min(lo + rows, words)
+        ext = Q._level_extend(_level_rows(state, lo, hi), tau)
+        for m in range(1, m_max + 1):
+            ext = Q._level_extend(ext, 1)
+            full = Q._level_totals(ext)
+            if tau == 0:
+                yield lo, m, full.reshape(hi - lo, k**m)
+            else:
+                yield lo, m, log_sum_exp(full.reshape(hi - lo, k**tau, k**m), axis=1)
 
 
 def minimal_decoupling_constants(
@@ -130,6 +136,10 @@ def minimal_decoupling_constants(
     log Q(a * b) - log Q(a) - log Q(b), skipping pairs where both sides
     vanish.  A pair with Q(a * b) > 0 but Q(a) Q(b) = 0 admits no finite
     constant; it is recorded and the report flags failure.
+
+    The joint levels stream from the level-n state in chunks of first-block
+    words; the worst pair is the first in (m, a, b) order, and the first 20
+    positivity failures in (n, m, a, b) order are listed.
 
     For a product measure Q(a * b) = Q(a) Q(b) is an identity, so the
     minimal constant is 0 with no float association noise; the shortcut
@@ -157,52 +167,64 @@ def minimal_decoupling_constants(
         raise CapExceededError(
             f"audit needs {k**worst_len} words at length {worst_len}, cap is {cap}"
         )
-    cache = _LevelCache(Q, cap)
+    # every level the audit touches passes the family's level cap before
+    # any is computed; a refusal names the first one over it in the order
+    # n, then m and n + tau + m for each m
+    for n, t in zip(range(1, n_max + 1), taus):
+        Q._guard_level(n, cap)
+        for m in range(1, m_max + 1):
+            Q._guard_level(m, cap)
+            Q._guard_level(n + t + m, cap)
+    B = [None] + [Q.log_marginals_level(m, cap=cap) for m in range(1, m_max + 1)]
     constants: list[float] = []
     worst: list[WorstPair] = []
     failures: list[PositivityFailure] = []
-    for n in range(1, n_max + 1):
-        t = taus[n - 1]
-        A = cache.get(n)
-        best = -np.inf
-        best_at: tuple[int, int, int] | None = None
+    for n, t in zip(range(1, n_max + 1), taus):
+        state = Q._level_state(n)
+        A = Q._level_totals(state)
+        # per m: the largest defect, its first (a, b), the first failures
+        best = [-np.inf] * (m_max + 1)
+        best_at: list[tuple[int, int] | None] = [None] * (m_max + 1)
+        failed: list[list[tuple[int, int]]] = [[] for _ in range(m_max + 1)]
         had_positivity_failure = False
-        for m in range(1, m_max + 1):
-            B = cache.get(m)
-            J = _joint_table(cache, k, n, t, m)
+        for lo, m, J in _joint_chunks(Q, state, A.size, t, m_max):
+            a = A[lo:lo + J.shape[0], None]
             with np.errstate(invalid="ignore"):
-                D = J - A[:, None] - B[None, :]
-            pos_fail = np.isfinite(J) & ~np.isfinite(A[:, None] + B[None, :])
+                D = J - a - B[m][None, :]
+            pos_fail = np.isfinite(J) & ~np.isfinite(a + B[m][None, :])
             if pos_fail.any():
                 had_positivity_failure = True
-                for ai, bi in zip(*np.nonzero(pos_fail)):
-                    if len(failures) < 20:
-                        failures.append(
-                            PositivityFailure(
-                                n=n,
-                                m=m,
-                                a=_word_of_index(int(ai), k, n),
-                                b=_word_of_index(int(bi), k, m),
-                            )
-                        )
+                ai, bi = np.nonzero(pos_fail)
+                room = _FAILURES_KEPT - len(failed[m])
+                failed[m] += [(lo + int(i), int(j)) for i, j in zip(ai[:room], bi[:room])]
             finite = np.isfinite(D)
             if finite.any():
                 flat = np.where(finite, D, -np.inf)
                 ai, bi = np.unravel_index(int(np.argmax(flat)), D.shape)
                 cand = float(flat[ai, bi])
-                if cand > best:
-                    best = cand
-                    best_at = (int(ai), int(bi), m)
-        constants.append(float("inf") if had_positivity_failure else float(best))
-        if best_at is not None:
-            ai, bi, m = best_at
+                if cand > best[m]:
+                    best[m] = cand
+                    best_at[m] = (lo + int(ai), int(bi))
+        top, top_at = -np.inf, None
+        for m in range(1, m_max + 1):
+            for ai, bi in failed[m][: _FAILURES_KEPT - len(failures)]:
+                failures.append(
+                    PositivityFailure(
+                        n=n, m=m, a=_word_of_index(ai, k, n), b=_word_of_index(bi, k, m)
+                    )
+                )
+            if best_at[m] is not None and best[m] > top:
+                top, top_at = best[m], (*best_at[m], m)
+        constants.append(float("inf") if had_positivity_failure else float(top))
+        if top_at is not None:
+            ai, bi, m = top_at
             worst.append(
                 WorstPair(
                     n=n,
                     m=m,
                     a=_word_of_index(ai, k, n),
                     b=_word_of_index(bi, k, m),
-                    defect=float(best),
+                    defect=float(top),
                 )
             )
     return DecouplingReport(

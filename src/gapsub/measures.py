@@ -160,9 +160,9 @@ def stationary_distribution(P: np.ndarray, tol: float = 1e-10, field: str = "/P"
 class ShiftMeasure(abc.ABC):
     """Common contract for measure families.
 
-    Subclasses provide exact log-prefixes and windows along a path, a
-    level enumerator for audits, and forward sampling.  Log-marginals
-    take values in [-inf, inf).
+    Subclasses provide exact log-prefixes and windows along a path, level
+    states that enumerate every word of a length, and forward sampling.
+    Log-marginals take values in [-inf, inf).
     """
 
     alphabet: Alphabet
@@ -202,25 +202,47 @@ class ShiftMeasure(abc.ABC):
     @abc.abstractmethod
     def _sample(self, n: int, rng: np.random.Generator) -> np.ndarray: ...
 
-    def log_marginals_level(self, n: int, cap: int = 10**7) -> np.ndarray:
-        """log Q_n over all k^n words, indexed base-k, most significant first.
+    # A level state holds one row per word of a level, indexed base-k, most
+    # significant symbol first: an array, a tuple of arrays or a tuple of
+    # component states, each with the words on its leading axis.  Extending
+    # a state appends every symbol to every word, so the rows of a level's
+    # state extend to a contiguous block of the longer level.
 
-        The default walks the words one by one; subclasses override with
-        a vectorized dynamic program.
-        """
+    @abc.abstractmethod
+    def _level_start(self):
+        """The level-1 state."""
+
+    @abc.abstractmethod
+    def _level_extend(self, state, steps: int):
+        """The state of the words of state, each followed by every word of length steps."""
+
+    @abc.abstractmethod
+    def _level_totals(self, state) -> np.ndarray:
+        """log Q of every word of state."""
+
+    def _level_state(self, n: int):
+        return self._level_extend(self._level_start(), n - 1)
+
+    def log_marginals_level(self, n: int, cap: int = 10**7) -> np.ndarray:
+        """log Q_n over all k^n words, indexed base-k, most significant first."""
         self._guard_level(n, cap)
-        out = np.empty(self.alphabet.word_count(n), dtype=np.float64)
-        for i, w in enumerate(self.alphabet.words(n)):
-            out[i] = self.log_marginal(np.asarray(w, dtype=np.int64))
-        return out
+        return self._level_totals(self._level_state(n))
 
     def _guard_level(self, n: int, cap: int) -> None:
+        """Refuse a level of more than cap words; families add their own limits."""
         if n < 1:
             raise ConfigError("level must be >= 1")
         if self.alphabet.word_count(n) > cap:
             raise CapExceededError(
                 f"level {n} needs {self.alphabet.word_count(n)} words, cap is {cap}"
             )
+
+
+def _level_rows(state, lo: int, hi: int):
+    """Rows lo..hi-1 of a level state: the state of those words."""
+    if isinstance(state, np.ndarray):
+        return state[lo:hi]
+    return tuple(_level_rows(s, lo, hi) for s in state)
 
 
 class Windows(abc.ABC):
@@ -426,11 +448,15 @@ class IIDMeasure(ShiftMeasure):
     def windows(self, x) -> Windows:
         return _PrefixSumWindows(self.log_increments(x))
 
-    def log_marginals_level(self, n: int, cap: int = 10**7) -> np.ndarray:
-        self._guard_level(n, cap)
-        lv = self.log_p.copy()
-        for _ in range(n - 1):
+    def _level_start(self) -> np.ndarray:
+        return self.log_p.copy()
+
+    def _level_extend(self, lv: np.ndarray, steps: int) -> np.ndarray:
+        for _ in range(steps):
             lv = (lv[:, None] + self.log_p[None, :]).ravel()
+        return lv
+
+    def _level_totals(self, lv: np.ndarray) -> np.ndarray:
         return lv
 
     def to_spec(self) -> dict:
@@ -484,15 +510,19 @@ class MarkovMeasure(ShiftMeasure):
         steps = np.concatenate(([0.0], self.log_P[w[:-1], w[1:]]))
         return _PrefixSumWindows(steps, head=self.log_start[w])
 
-    def log_marginals_level(self, n: int, cap: int = 10**7) -> np.ndarray:
-        self._guard_level(n, cap)
-        k = self.alphabet.size
-        lv = self.log_start.copy()
-        last = np.arange(k, dtype=np.int64)
-        for _ in range(n - 1):
+    def _level_start(self) -> tuple[np.ndarray, np.ndarray]:
+        """(log Q of every word, its last symbol)."""
+        return self.log_start.copy(), np.arange(self.alphabet.size, dtype=np.int64)
+
+    def _level_extend(self, state, steps: int):
+        lv, last = state
+        for _ in range(steps):
             lv = (lv[:, None] + self.log_P[last, :]).ravel()
-            last = np.tile(np.arange(k, dtype=np.int64), last.size)
-        return lv
+            last = np.tile(np.arange(self.alphabet.size, dtype=np.int64), last.size)
+        return lv, last
+
+    def _level_totals(self, state) -> np.ndarray:
+        return state[0]
 
     def to_spec(self) -> dict:
         spec = {"family": "markov", "P": self.P.tolist()}
@@ -575,20 +605,26 @@ class HiddenMarkovMeasure(ShiftMeasure):
     def windows(self, x) -> Windows:
         return _ForwardWindows(self, self.alphabet.validate_word(x))
 
-    def log_marginals_level(self, n: int, cap: int = 10**7) -> np.ndarray:
+    def _guard_level(self, n: int, cap: int) -> None:
         if self.alphabet.word_count(n) * self.hidden_size > cap:
             raise CapExceededError(
                 f"level {n} forward table exceeds cap {cap}"
             )
-        self._guard_level(n, cap)
-        k = self.alphabet.size
-        # ALPHA[w, i]: forward value of word w in hidden state i
-        alpha = self.log_start[None, :] + self.log_E.T
-        for _ in range(n - 1):
+        super()._guard_level(n, cap)
+
+    def _level_start(self) -> np.ndarray:
+        # alpha[w, i]: forward value of word w in hidden state i
+        return self.log_start[None, :] + self.log_E.T
+
+    def _level_extend(self, alpha: np.ndarray, steps: int) -> np.ndarray:
+        for _ in range(steps):
             moved = log_sum_exp(alpha[:, :, None] + self.log_A[None, :, :], axis=1)
             alpha = (moved[:, None, :] + self.log_E.T[None, :, :]).reshape(
                 -1, self.hidden_size
             )
+        return alpha
+
+    def _level_totals(self, alpha: np.ndarray) -> np.ndarray:
         return log_sum_exp(alpha, axis=1)
 
     def to_spec(self) -> dict:
@@ -651,9 +687,19 @@ class MixtureMeasure(ShiftMeasure):
     def windows(self, x) -> Windows:
         return _MixtureWindows(self, self.alphabet.validate_word(x))
 
-    def log_marginals_level(self, n: int, cap: int = 10**7) -> np.ndarray:
-        self._guard_level(n, cap)
-        return self._mix([c.log_marginals_level(n, cap=cap) for c in self.components])
+    def _guard_level(self, n: int, cap: int) -> None:
+        super()._guard_level(n, cap)
+        for c in self.components:
+            c._guard_level(n, cap)
+
+    def _level_start(self) -> tuple:
+        return tuple(c._level_start() for c in self.components)
+
+    def _level_extend(self, state: tuple, steps: int) -> tuple:
+        return tuple(c._level_extend(s, steps) for c, s in zip(self.components, state))
+
+    def _level_totals(self, state: tuple) -> np.ndarray:
+        return self._mix([c._level_totals(s) for c, s in zip(self.components, state)])
 
     def to_spec(self) -> dict:
         return {

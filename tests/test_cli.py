@@ -620,6 +620,32 @@ def test_fekete_limit_horizon_cap(tmp_path, capsys, extra, rc):
     assert out.exists() == (rc == 0)
 
 
+def _cap_argv(tmp_path, sub: str, cap: int) -> list[str]:
+    """An invocation of sub whose enumeration cap is cap."""
+    if sub in ("check", "limit"):
+        s = write_json(tmp_path, "s.json", {**FEKETE_SPEC, "cap": cap})
+        return ["fekete", sub, "--spec", s]
+    m = write_json(tmp_path, "m.json", WORKED_SPEC)
+    if sub == "audit":
+        return ["decouple", "audit", "--measure", m, "--n-max", "2", "--m-max", "2",
+                "--cap", str(cap)]
+    # validate reads no --cap flag, so the cap comes in through a manifest
+    manifest = {"config": {"subcommand": "validate.measure",
+                           "params": {"measure": WORKED_SPEC, "n_max": 2, "cap": cap}}}
+    return ["rerun", "--manifest", write_json(tmp_path, "manifest.json", manifest)]
+
+
+@pytest.mark.parametrize("cap, rc", [(-5, 2), (-1, 2), (0, 4)], ids=["minus-5", "minus-1", "zero"])
+@pytest.mark.parametrize("sub", ["audit", "validate", "check", "limit"])
+def test_negative_cap_is_a_schema_error(tmp_path, capsys, sub, cap, rc):
+    out = tmp_path / "o"
+    assert main([*_cap_argv(tmp_path, sub, cap), "--outdir", str(out)]) == rc
+    err = capsys.readouterr().err
+    assert ("/cap: must be nonnegative" in err) == (rc == 2)
+    assert err.startswith("schema:" if rc == 2 else "cap:")
+    assert not out.exists()
+
+
 # manifest params of each subcommand, written out by hand: the config is
 # the parsed options (fekete: the spec file), so a new option shows here
 def _param_keys_cases(tmp_path):

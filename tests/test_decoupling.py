@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -26,6 +27,9 @@ from gapsub import (
     stationary_distribution,
 )
 
+from gapsub import decoupling
+
+from audit_oracle import whole_level_audit
 from conftest import WORKED_P, WORKED_PI
 
 
@@ -159,7 +163,8 @@ def test_defect_needs_positive_halves():
 class _BrokenMeasure(ShiftMeasure):
     """Deliberately inconsistent tables: mass at level 2 sits on words
     whose level-1 halves have none.  Only the audit entry points are
-    implemented."""
+    implemented: level 1 is [0, -inf], every level n >= 2 is uniform.
+    A level state is (values, word lengths)."""
 
     def __init__(self):
         from gapsub import Alphabet
@@ -189,10 +194,17 @@ class _BrokenMeasure(ShiftMeasure):
     def _sample(self, n, rng):
         raise NotImplementedError
 
-    def log_marginals_level(self, n: int, cap: int = 10**7) -> np.ndarray:
-        if n == 1:
-            return np.asarray([0.0, -np.inf])
-        return np.full(2**n, -n * math.log(2.0))
+    def _level_start(self):
+        return np.asarray([0.0, -np.inf]), np.ones(2, dtype=np.int64)
+
+    def _level_extend(self, state, steps: int):
+        if steps == 0:
+            return state
+        lengths = np.repeat(state[1], 2**steps) + steps
+        return -lengths * math.log(2.0), lengths
+
+    def _level_totals(self, state) -> np.ndarray:
+        return state[0]
 
 
 def test_positivity_failure_is_recorded_and_refused():
@@ -204,6 +216,24 @@ def test_positivity_failure_is_recorded_and_refused():
     assert pf.a == (0,) and pf.b == (1,)
     with pytest.raises(DecouplingFailure):
         decoupling_to_theorem_data(rep)
+
+
+@pytest.mark.parametrize("budget", [None, 1, 16], ids=["default", "one", "sixteen"])
+@pytest.mark.parametrize("tau", [0, 1])
+def test_positivity_failures_keep_their_order_and_cap(monkeypatch, tau, budget):
+    """27 failures over n, m <= 3 (15 at n = 1, spread over m = 1..3, then
+    4 and 8 where b = (1,)): the first 20 are kept, in (n, m, a, b) order,
+    however the first blocks are chunked."""
+    if budget is not None:
+        monkeypatch.setattr(decoupling, "_JOINT_WORDS", budget)
+    Q, gap = _BrokenMeasure(), GapSchedule.constant(tau)
+    rep = minimal_decoupling_constants(Q, 3, 3, gap)
+    assert len(rep.positivity_failures) == 20
+    assert [(p.n, p.m) for p in rep.positivity_failures] == (
+        [(1, 1)] * 3 + [(1, 2)] * 4 + [(1, 3)] * 8 + [(2, 1)] * 4 + [(3, 1)]
+    )
+    assert rep.constants == (np.inf,) * 3
+    assert json.dumps(rep.to_json()) == json.dumps(whole_level_audit(Q, 3, 3, gap).to_json())
 
 
 # ------------------------------------------------------------ theorem data
