@@ -9,7 +9,7 @@ underlies the almost-sure convergence argument.
 """
 from __future__ import annotations
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .decoupling import (
     DecouplingReport,
@@ -17,7 +17,6 @@ from .decoupling import (
     check_trajectory_subadditivity,
     decoupling_defect,
     decoupling_to_theorem_data,
-    markov_decoupling_bound,
     minimal_decoupling_constants,
 )
 from .errors import (

@@ -30,7 +30,6 @@ from . import __version__
 from .decoupling import (
     check_trajectory_subadditivity,
     decoupling_to_theorem_data,
-    markov_decoupling_bound,
     minimal_decoupling_constants,
 )
 from .errors import (
@@ -185,13 +184,9 @@ def _nonnegative(p: dict, key: str, kind: type, default):
 
 
 def _rho_const(p: dict, Q: ShiftMeasure, tau: int) -> float:
-    """--rho-const if given, else the closed-form Markov constant clipped at 0."""
+    """--rho-const if given, else the kernel bound of Q clipped at 0."""
     rho_c = _nonnegative(p, "rho_const", float, None)
-    if rho_c is not None:
-        return rho_c
-    if isinstance(Q, (MarkovMeasure, IIDMeasure)):
-        return max(markov_decoupling_bound(as_markov(Q), tau), 0.0)
-    raise ConfigError("pass --rho-const for families without a closed-form bound")
+    return max(Q.kernel_bound(tau), 0.0) if rho_c is None else rho_c
 
 
 # ---------------------------------------------------------------------------
@@ -270,9 +265,7 @@ def _run_series(p: dict) -> dict:
 def _oracle_rates(P: ShiftMeasure, Q: ShiftMeasure) -> dict:
     """Closed-form rates when both measures admit them."""
     out: dict = {}
-    closed = isinstance(P, (IIDMeasure, MarkovMeasure)) and isinstance(
-        Q, (IIDMeasure, MarkovMeasure)
-    )
+    closed = all(isinstance(M, (IIDMeasure, MarkovMeasure)) for M in (P, Q))
     if closed and as_markov(P).stationary_start:
         out["entropy_rate_p"] = closed_form_entropy_rate(P)
         out["kl_rate"] = closed_form_kl_rate(P, Q)
@@ -336,10 +329,8 @@ def _run_decouple_audit(p: dict) -> dict:
 
 def _run_decouple_bound(p: dict) -> dict:
     Q = measure_from_spec(p.get("measure"), "/measure")
-    if not isinstance(Q, (MarkovMeasure, IIDMeasure)):
-        raise ConfigError("the closed-form bound needs an iid or Markov measure")
     tau = _nonnegative(p, "tau", int, 0)
-    c = markov_decoupling_bound(as_markov(Q), tau)
+    c = Q.kernel_bound(tau)
     data = decoupling_to_theorem_data(c, tau)
     return {
         "bound.json": {
@@ -517,7 +508,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--tau", type=int, default=0)
     sp.add_argument("--cap", type=int, default=10**7)
     _add_outdir(sp)
-    sp = dcs.add_parser("bound", help="closed-form Markov constant")
+    sp = dcs.add_parser("bound", help="kernel bound of the hidden chain")
     sp.add_argument("--measure", required=True)
     sp.add_argument("--tau", type=int, default=0)
     _add_outdir(sp)

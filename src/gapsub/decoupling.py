@@ -7,8 +7,8 @@ for all words a (length n) and b (length m),
 
 where a * b ranges over all joints of a and b separated by tau_n free
 symbols (the gap block is summed out).  The audit computes the smallest
-such constants exactly by enumeration; the Markov shortcut bounds them
-in closed form through the (tau+1)-step kernel.
+such constants exactly by enumeration; ShiftMeasure.kernel_bound bounds
+them in closed form through the (tau+1)-step kernel of the hidden chain.
 
 These constants are exactly what the limit theory consumes: along a
 sampled trajectory the functional f_n = log Q_n becomes gapped almost
@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import CapExceededError, ConfigError, DecouplingFailure, ValidationError
 from .logspace import log_sum_exp
-from .measures import IIDMeasure, MarkovMeasure, ShiftMeasure, _level_rows
+from .measures import IIDMeasure, ShiftMeasure, _level_rows
 # log_prefixes is re-exported: the benchmark's tracer wraps it here by name
 from .sampling import Trajectory, log_prefixes  # noqa: F401
 from .schedules import ErrorSchedule, GapSchedule
@@ -268,37 +268,6 @@ def decoupling_defect(
             )
         joint = log_sum_exp(pieces)
     return float(joint - la - lb)
-
-
-def markov_decoupling_bound(Q: MarkovMeasure, tau_n: int) -> float:
-    """Closed-form decoupling constant for a stationary chain.
-
-    Conditioning on the state entering the second block gives
-
-        Q(a * b) = Q(a) P^{tau+1}(a_n, b_1) / pi(b_1) Q(b),
-
-    so c = max_{i,j} [log P^{tau+1}(i, j) - log pi(j)] works for every n
-    and m at gap tau_n.  The difference of logs (never a log of a ratio)
-    keeps the constant exact when the kernel row equals pi, as it does
-    for an iid chain, where the bound is exactly 0.
-    """
-    if not isinstance(Q, MarkovMeasure):
-        raise ConfigError("closed-form bound applies to Markov measures only")
-    if not Q.stationary_start:
-        raise ValidationError("closed-form bound needs the stationary start")
-    if tau_n < 0:
-        raise ConfigError("gap must be >= 0")
-    pi = Q.start
-    if (pi <= 0).any():
-        raise ValidationError("closed-form bound needs pi > 0 everywhere")
-    if tau_n == 0:
-        log_kernel = Q.log_P
-    else:
-        kernel = np.linalg.matrix_power(Q.P, tau_n + 1)
-        with np.errstate(divide="ignore"):
-            log_kernel = np.log(kernel)
-    log_pi = np.log(pi)
-    return float(np.max(log_kernel - log_pi[None, :]))
 
 
 @dataclasses.dataclass(frozen=True)

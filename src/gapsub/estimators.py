@@ -20,7 +20,7 @@ import dataclasses
 import numpy as np
 
 from .decoupling import DecouplingReport, TheoremData
-from .errors import CapExceededError, ConfigError, DecouplingFailure
+from .errors import CapExceededError, ConfigError, DecouplingFailure, ValidationError
 from .measures import IIDMeasure, MarkovMeasure, ShiftMeasure
 from .sampling import kingman_series, sample_trajectory
 from .schedules import ConvergenceSeries, geometric_grid
@@ -38,12 +38,14 @@ class EntropyEstimate:
     p_label: str
     q_label: str
     seed: int | None
+    certificate: dict  # {source, constant, tau}: see _resolve_decoupling
     trials: int = 1
     terminal_se: float | None = None
 
     def to_json(self) -> dict:
         return {
             "kind": self.kind,
+            "certificate": self.certificate,
             "point_estimate": self.point_estimate,
             "rate": self.rate,
             "infinite": self.infinite,
@@ -67,7 +69,8 @@ def as_markov(Q: ShiftMeasure) -> MarkovMeasure:
 
 def _plogp_rows(P: np.ndarray, logP: np.ndarray) -> np.ndarray:
     # 0 log 0 = 0 by continuity
-    return np.where(P > 0, P * logP, 0.0)
+    with np.errstate(invalid="ignore"):
+        return np.where(P > 0, P * logP, 0.0)
 
 
 def closed_form_entropy_rate(Q: MarkovMeasure | IIDMeasure) -> float:
@@ -92,8 +95,7 @@ def closed_form_cross_entropy_rate(
     mass_on_forbidden = P.P[(P.P > 0) & (Q.P == 0)]
     if mass_on_forbidden.size:
         return float("inf")
-    with np.errstate(invalid="ignore"):
-        rows = np.where(P.P > 0, P.P * Q.log_P, 0.0).sum(axis=1)
+    rows = _plogp_rows(P.P, Q.log_P).sum(axis=1)
     return float(-(P.start @ rows))
 
 
@@ -141,31 +143,33 @@ def _resolve_decoupling(
     Q: ShiftMeasure,
     evidence: DecouplingReport | TheoremData | None,
     assume_decoupled: bool,
-) -> str:
-    """Decide whether Q may be treated as upper-decoupling.
+) -> dict:
+    """The certificate that Q is upper-decoupling: {source, constant, tau}.
 
-    Returns a short provenance string; raises DecouplingFailure when no
-    certificate is available and none is assumed.
+    Without evidence or assumption it is Q's kernel bound at gap 0, source
+    "kernel"; raises DecouplingFailure when Q has none.  constant and tau
+    are null for the other sources, which carry no one number.
     """
     if assume_decoupled:
-        return "assumed"
-    if isinstance(evidence, TheoremData):
-        return evidence.source
-    if isinstance(evidence, DecouplingReport):
+        source = "assumed"
+    elif isinstance(evidence, TheoremData):
+        source = evidence.source
+    elif isinstance(evidence, DecouplingReport):
         if evidence.failed:
             raise DecouplingFailure(
                 f"audit of {evidence.measure_label} failed; the series need not converge",
                 witnesses=[dataclasses.astuple(p) for p in evidence.positivity_failures],
             )
-        return "audit"
-    if isinstance(Q, IIDMeasure):
-        return "iid"
-    if isinstance(Q, MarkovMeasure) and Q.stationary_start and (Q.start > 0).all():
-        return "markov-kernel"
-    raise DecouplingFailure(
-        f"no decoupling certificate for {Q.label}; pass an audit report or "
-        "assume_decoupled=True"
-    )
+        source = "audit"
+    else:
+        try:
+            return {"source": "kernel", "constant": Q.kernel_bound(0), "tau": 0}
+        except ValidationError as exc:
+            raise DecouplingFailure(
+                f"no decoupling certificate for {Q.label} ({exc}); pass an audit "
+                "report or assume_decoupled=True"
+            ) from exc
+    return {"source": source, "constant": None, "tau": None}
 
 
 def cross_entropy_estimate(
@@ -190,7 +194,6 @@ def cross_entropy_estimate(
         raise ConfigError("measures must share one alphabet")
     x = sample_trajectory(P, N + offset, seed, stream)
     series = kingman_series(x, Q, grid=grid, offset=offset, label="cross-entropy-raw")
-    series.meta["decoupling"] = certificate
     point = series.terminal
     return EntropyEstimate(
         kind="cross",
@@ -201,6 +204,7 @@ def cross_entropy_estimate(
         p_label=P.label,
         q_label=Q.label,
         seed=int(seed),
+        certificate=certificate,
     )
 
 
@@ -239,7 +243,6 @@ def relative_entropy_estimate(
             "q": Q.label,
             "seed": int(seed),
             "offset": int(offset),
-            "decoupling": certificate,
             "sign": "raw = (1/n)(log Q_n - log P_n); divergence = -raw",
         },
     )
@@ -253,6 +256,7 @@ def relative_entropy_estimate(
         p_label=P.label,
         q_label=Q.label,
         seed=int(seed),
+        certificate=certificate,
     )
 
 
@@ -279,6 +283,7 @@ class MeanSeriesResult:
             "terminal_mean": self.estimate.point_estimate,
             "terminal_se": self.estimate.terminal_se,
             "rate": self.estimate.rate,
+            "certificate": self.estimate.certificate,
         }
 
 
@@ -323,7 +328,6 @@ def mean_convergence_series(
             "q": Q.label,
             "seed": int(seed),
             "trials": int(trials),
-            "decoupling": certificate,
         },
     )
     point = series.terminal
@@ -336,6 +340,7 @@ def mean_convergence_series(
         p_label=P.label,
         q_label=Q.label,
         seed=int(seed),
+        certificate=certificate,
         trials=int(trials),
         terminal_se=float(se[-1]) if np.isfinite(se[-1]) else None,
     )

@@ -157,6 +157,24 @@ def stationary_distribution(P: np.ndarray, tol: float = 1e-10, field: str = "/P"
     return pi
 
 
+def _kernel_bound(pi: np.ndarray, A: np.ndarray, stationary: bool, tau: int) -> float:
+    """c = max_ij [log A^{tau+1}(i, j) - log pi(j)] for a process driven by the chain (pi, A).
+
+    Conditioning on the hidden state entering the second block bounds
+    Q(a * b) = sum_ij Q(a, z_n = i) A^{tau+1}(i, j) Q(b | z_1 = j) by exp(c) Q(a) Q(b)
+    for every n and m.  A difference of logs (never the log of a ratio) keeps
+    c exact when a kernel row equals pi, as for an iid process, where it is 0.
+    """
+    if not stationary:
+        raise ValidationError("kernel bound needs the stationary start")
+    if tau < 0:
+        raise ConfigError("gap must be >= 0")
+    if (pi <= 0).any():
+        raise ValidationError("kernel bound needs pi > 0 everywhere")
+    log_kernel = safe_log(np.linalg.matrix_power(A, tau + 1))
+    return float(np.max(log_kernel - np.log(pi)[None, :]))
+
+
 class ShiftMeasure(abc.ABC):
     """Common contract for measure families.
 
@@ -195,6 +213,10 @@ class ShiftMeasure(abc.ABC):
     def log_marginal(self, word) -> float:
         """log Q_n(word) for a length-n symbol array."""
         return float(self.prefix_logprobs(word)[-1])
+
+    @abc.abstractmethod
+    def kernel_bound(self, tau: int) -> float:
+        """Decoupling constant at gap tau for all n and m, from the hidden chain."""
 
     @abc.abstractmethod
     def to_spec(self) -> dict: ...
@@ -459,6 +481,9 @@ class IIDMeasure(ShiftMeasure):
     def _level_totals(self, lv: np.ndarray) -> np.ndarray:
         return lv
 
+    def kernel_bound(self, tau: int) -> float:
+        return _kernel_bound(np.ones(1), np.ones((1, 1)), True, tau)
+
     def to_spec(self) -> dict:
         return {"family": "iid", "p": self.p.tolist()}
 
@@ -523,6 +548,9 @@ class MarkovMeasure(ShiftMeasure):
 
     def _level_totals(self, state) -> np.ndarray:
         return state[0]
+
+    def kernel_bound(self, tau: int) -> float:
+        return _kernel_bound(self.start, self.P, self.stationary_start, tau)
 
     def to_spec(self) -> dict:
         spec = {"family": "markov", "P": self.P.tolist()}
@@ -627,6 +655,9 @@ class HiddenMarkovMeasure(ShiftMeasure):
     def _level_totals(self, alpha: np.ndarray) -> np.ndarray:
         return log_sum_exp(alpha, axis=1)
 
+    def kernel_bound(self, tau: int) -> float:
+        return _kernel_bound(self.start, self.A, self.stationary_start, tau)
+
     def to_spec(self) -> dict:
         spec = {"family": "hmm", "A": self.A.tolist(), "E": self.E.tolist()}
         if self._start_given:
@@ -700,6 +731,10 @@ class MixtureMeasure(ShiftMeasure):
 
     def _level_totals(self, state: tuple) -> np.ndarray:
         return self._mix([c._level_totals(s) for c, s in zip(self.components, state)])
+
+    def kernel_bound(self, tau: int) -> float:
+        """max_c (c_c - log w_c): the hidden chain is block-diagonal with start w_c pi_c."""
+        return float(max(c.kernel_bound(tau) - lw for c, lw in zip(self.components, self.log_weights)))
 
     def to_spec(self) -> dict:
         return {

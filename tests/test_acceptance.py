@@ -34,7 +34,6 @@ from gapsub import (
     decoupling_to_theorem_data,
     fekete_infimum,
     gap_lift,
-    markov_decoupling_bound,
     mean_convergence_series,
     minimal_decoupling_constants,
     relative_entropy_estimate,
@@ -195,7 +194,7 @@ def test_criterion_05_decoupling_audits(worked_chain, iid_biased, half_half_mixt
 
 
 def test_criterion_06_certified_schedules_hold_on_paths(worked_chain):
-    c = markov_decoupling_bound(worked_chain, 0)
+    c = worked_chain.kernel_bound(0)
     data = decoupling_to_theorem_data(c, 0)
     violations = 0
     worst = 0.0

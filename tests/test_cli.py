@@ -4,15 +4,18 @@ import json
 import math
 import os
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from gapsub import (
+    __version__,
     ConfigError,
     IIDMeasure,
     MarkovMeasure,
+    measure_from_spec,
     sample_trajectory,
 )
 from gapsub.cli import RunConfig, main, run, schema_validate
@@ -28,6 +31,8 @@ HMM_SPEC = {
     "A": [[0.7, 0.3], [0.4, 0.6]],
     "E": [[0.8, 0.2], [0.3, 0.7]],
 }
+# not invariant under A, so no kernel bound certifies it
+UNCERTIFIED_HMM_SPEC = {**HMM_SPEC, "start": [0.5, 0.5]}
 MIXTURE_SPEC = {
     "family": "mixture",
     "weights": [0.5, 0.5],
@@ -116,6 +121,13 @@ def test_run_writes_manifest_and_artifacts(tmp_path):
     assert on_disk == manifest
     check = json.loads((tmp_path / "check.json").read_text())
     assert check["ok"] is True and check["violation_count"] == 0
+
+
+def test_pyproject_version_is_the_package_version():
+    # the manifest's version is the package's; the two must move together
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    assert tomllib.loads(pyproject.read_text())["project"]["version"] == __version__
 
 
 def test_run_twice_is_byte_identical(tmp_path):
@@ -211,6 +223,7 @@ def test_cli_estimate_mean_writes_terminals(tmp_path):
     assert all(float(line.split(",")[1]) == -math.log(2.0) for line in lines[1:])
     summary = json.loads((out / "summary.json").read_text())
     assert summary["trials"] == 6 and summary["terminal_se"] == 0.0
+    assert summary["certificate"] == {"source": "kernel", "constant": 0.0, "tau": 0}
 
 
 def test_cli_decouple_bound_and_audit(tmp_path):
@@ -229,6 +242,59 @@ def test_cli_decouple_bound_and_audit(tmp_path):
     report = json.loads((out2 / "report.json").read_text())
     assert report["method"] == "product-identity"
     assert report["constants"] == [0.0, 0.0, 0.0]
+
+
+@pytest.mark.parametrize(
+    "spec, tau",
+    [(HMM_SPEC, 0), (HMM_SPEC, 2), (MIXTURE_SPEC, 0), (MIXTURE_SPEC, 1)],
+    ids=["hmm", "hmm-gap", "mixture", "mixture-gap"],
+)
+def test_cli_decouple_bound_covers_hmm_and_mixture(tmp_path, spec, tau):
+    m = write_json(tmp_path, "m.json", spec)
+    out = tmp_path / "bound"
+    assert main(["decouple", "bound", "--measure", m, "--tau", str(tau),
+                 "--outdir", str(out)]) == 0
+    bound = json.loads((out / "bound.json").read_text())
+    assert bound["constant"] == measure_from_spec(spec).kernel_bound(tau)
+    assert bound["rho"]["params"]["value"] == bound["constant"] > 0
+
+
+def test_cli_decouple_bound_refuses_a_non_invariant_start(tmp_path, capsys):
+    m = write_json(tmp_path, "m.json", UNCERTIFIED_HMM_SPEC)
+    assert main(["decouple", "bound", "--measure", m, "--outdir", str(tmp_path / "o")]) == 3
+    assert "kernel bound needs the stationary start" in capsys.readouterr().err
+
+
+def test_cli_iid_with_a_zero_symbol_is_certified(tmp_path):
+    m = write_json(tmp_path, "m.json", {"family": "iid", "p": [0.7, 0.3, 0.0]})
+    out = tmp_path / "bound"
+    assert main(["decouple", "bound", "--measure", m, "--tau", "1", "--outdir", str(out)]) == 0
+    assert json.loads((out / "bound.json").read_text())["constant"] == 0.0
+    out = tmp_path / "check"
+    assert main(["decouple", "check", "--measure", m, "--N", "200", "--seed", "5",
+                 "--outdir", str(out)]) == 0
+    check = json.loads((out / "check.json").read_text())
+    assert check["ok"] and check["rho_const"] == 0.0
+
+
+def test_cli_hmm_and_mixture_need_no_rho_const_or_assumption(tmp_path):
+    h = write_json(tmp_path, "h.json", HMM_SPEC)
+    out = tmp_path / "cross"
+    assert main(["estimate", "cross", "--p", h, "--q", h, "--N", "200", "--seed", "3",
+                 "--outdir", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    c = measure_from_spec(HMM_SPEC).kernel_bound(0)
+    assert summary["certificate"] == {"source": "kernel", "constant": c, "tau": 0}
+    out = tmp_path / "steele"
+    assert main(["steele", "run", "--measure", h, "--n", "200", "--r", "5", "--K", "4",
+                 "--eps", "0.1", "--seed", "7", "--limit", "-0.6", "--outdir", str(out)]) == 0
+    assert json.loads((out / "verification.json").read_text())["rho_const"] == c
+    m = write_json(tmp_path, "m.json", MIXTURE_SPEC)
+    out = tmp_path / "check"
+    assert main(["decouple", "check", "--measure", m, "--N", "300", "--seed", "5",
+                 "--outdir", str(out)]) == 0
+    check = json.loads((out / "check.json").read_text())
+    assert check["ok"] and check["rho_const"] == math.log(2.0)
 
 
 def test_cli_decouple_check_reports_violations_without_failing(tmp_path):
@@ -333,7 +399,7 @@ def test_exit_code_cap_exceeded(tmp_path, capsys):
 
 
 def test_exit_code_decoupling_failure(tmp_path, capsys):
-    q = write_json(tmp_path, "q.json", HMM_SPEC)
+    q = write_json(tmp_path, "q.json", UNCERTIFIED_HMM_SPEC)
     p = write_json(tmp_path, "p.json", COIN_SPEC)
     rc = main(["estimate", "cross", "--p", p, "--q", q, "--N", "50", "--seed", "1",
                "--outdir", str(tmp_path / "o")])
@@ -349,7 +415,7 @@ def test_exit_code_missing_seed(tmp_path):
 
 
 def test_assume_decoupled_flag_unblocks_hmm(tmp_path):
-    q = write_json(tmp_path, "q.json", HMM_SPEC)
+    q = write_json(tmp_path, "q.json", UNCERTIFIED_HMM_SPEC)
     p = write_json(tmp_path, "p.json", COIN_SPEC)
     out = tmp_path / "o"
     rc = main(["estimate", "cross", "--p", p, "--q", q, "--N", "50", "--seed", "1",
@@ -357,6 +423,7 @@ def test_assume_decoupled_flag_unblocks_hmm(tmp_path):
     assert rc == 0
     summary = json.loads((out / "summary.json").read_text())
     assert summary["kind"] == "cross"
+    assert summary["certificate"] == {"source": "assumed", "constant": None, "tau": None}
 
 
 # -------------------------------------------------------------------- rerun

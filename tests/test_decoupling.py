@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from gapsub import (
     CapExceededError,
@@ -21,7 +22,6 @@ from gapsub import (
     check_trajectory_subadditivity,
     decoupling_defect,
     decoupling_to_theorem_data,
-    markov_decoupling_bound,
     minimal_decoupling_constants,
     sample_trajectory,
     stationary_distribution,
@@ -38,35 +38,99 @@ from conftest import WORKED_P, WORKED_PI
 
 def test_markov_bound_worked_chain(worked_chain):
     """Worst ratio P(i,j)/pi(j) for the worked chain is 0.8/(1/3) = 2.4."""
-    c = markov_decoupling_bound(worked_chain, 0)
+    c = worked_chain.kernel_bound(0)
     assert abs(c - math.log(2.4)) < 1e-12
     expected = math.log(0.8) - math.log(WORKED_PI[1])
     assert abs(c - expected) < 1e-14
 
 
 def test_markov_bound_with_gap_uses_the_two_step_kernel(worked_chain):
-    c1 = markov_decoupling_bound(worked_chain, 1)
+    c1 = worked_chain.kernel_bound(1)
     P2 = np.linalg.matrix_power(np.asarray(WORKED_P), 2)
     expected = float(
         np.max(np.log(P2) - np.log(np.asarray(WORKED_PI))[None, :])
     )
     assert abs(c1 - expected) < 1e-14
     # mixing brings the kernel closer to pi, so the constant shrinks
-    assert c1 < markov_decoupling_bound(worked_chain, 0)
+    assert c1 < worked_chain.kernel_bound(0)
 
 
 def test_markov_bound_iid_rows_is_exactly_zero():
     Q = MarkovMeasure(np.tile([0.25, 0.75], (2, 1)))
-    assert markov_decoupling_bound(Q, 0) == 0.0
-    assert markov_decoupling_bound(Q, 3) == 0.0
+    assert Q.kernel_bound(0) == 0.0
+    assert Q.kernel_bound(3) == 0.0
 
 
 def test_markov_bound_requires_stationary_positive_start():
     Q = MarkovMeasure(WORKED_P, start=[0.5, 0.5])
     with pytest.raises(ValidationError):
-        markov_decoupling_bound(Q, 0)
+        Q.kernel_bound(0)
     with pytest.raises(ConfigError):
-        markov_decoupling_bound(MarkovMeasure(WORKED_P), -1)
+        MarkovMeasure(WORKED_P).kernel_bound(-1)
+    # a transient state leaves a zero in pi, for a chain and for a hidden chain
+    transient = [[0.5, 0.5], [0.0, 1.0]]
+    for Q in (MarkovMeasure(transient), HiddenMarkovMeasure(transient, [[0.5, 0.5], [0.1, 0.9]])):
+        with pytest.raises(ValidationError, match="pi > 0"):
+            Q.kernel_bound(0)
+        with pytest.raises(ValidationError):
+            MixtureMeasure([Q, IIDMeasure([0.5, 0.5])], [0.5, 0.5]).kernel_bound(0)
+
+
+def test_kernel_bound_is_exact_for_iid_and_the_half_half_mixture(half_half_mixture):
+    # iid is the one-state hidden chain; the mixture adds -log w = log 2
+    for tau in range(4):
+        assert IIDMeasure([0.7, 0.3, 0.0]).kernel_bound(tau) == 0.0
+        assert half_half_mixture.kernel_bound(tau) == math.log(2.0)
+
+
+def _rows(rng, rows: int, cols: int, zeros: bool) -> list:
+    """Random row-stochastic rows; with zeros, some entries (never a whole row) vanish."""
+    M = rng.dirichlet(np.ones(cols), size=rows)
+    if zeros:
+        M[rng.random((rows, cols)) < 0.3] = 0.0
+        M[np.arange(rows), rng.integers(cols, size=rows)] += 0.5
+        M /= M.sum(axis=1, keepdims=True)
+    return M.tolist()
+
+
+def _random_measure(rng, family: str, h: int, k: int, zeros: bool) -> ShiftMeasure:
+    if family == "iid":
+        return IIDMeasure(_rows(rng, 1, k, zeros)[0])
+    if family == "markov":
+        return MarkovMeasure(_rows(rng, k, k, zeros))
+    return HiddenMarkovMeasure(_rows(rng, h, h, zeros), _rows(rng, h, k, zeros))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    mixture=st.booleans(),
+    h=st.integers(1, 3),
+    k=st.integers(2, 3),
+    tau=st.integers(0, 2),
+    n_max=st.integers(1, 4),
+    m_max=st.integers(1, 4),
+    zeros=st.booleans(),
+)
+def test_audited_constants_never_exceed_the_kernel_bound(
+    seed, mixture, h, k, tau, n_max, m_max, zeros
+):
+    rng = np.random.default_rng(seed)
+    try:
+        if mixture:
+            families = rng.choice(["iid", "markov", "hmm"], size=2)
+            Q = MixtureMeasure(
+                [_random_measure(rng, f, h, k, zeros) for f in families],
+                rng.dirichlet(np.ones(2)).tolist(),
+            )
+        else:
+            Q = _random_measure(rng, "hmm", h, k, zeros)
+        bound = Q.kernel_bound(tau)
+    except ValidationError:
+        assume(False)  # a reducible chain, or pi with a zero: no bound to test
+    rep = minimal_decoupling_constants(Q, n_max, m_max, GapSchedule.constant(tau))
+    assert not rep.failed
+    assert all(c <= bound + 1e-12 for c in rep.constants)
 
 
 # ---------------------------------------------------------------- the audit
@@ -74,7 +138,7 @@ def test_markov_bound_requires_stationary_positive_start():
 
 def test_audit_constants_never_exceed_the_bound(worked_chain):
     rep = minimal_decoupling_constants(worked_chain, 4, 4, GapSchedule.zero())
-    bound = markov_decoupling_bound(worked_chain, 0)
+    bound = worked_chain.kernel_bound(0)
     assert rep.method == "enumeration"
     assert rep.n_values == (1, 2, 3, 4)
     assert all(c <= bound + 1e-12 for c in rep.constants)
@@ -206,6 +270,9 @@ class _BrokenMeasure(ShiftMeasure):
     def _level_totals(self, state) -> np.ndarray:
         return state[0]
 
+    def kernel_bound(self, tau: int) -> float:
+        raise NotImplementedError
+
 
 def test_positivity_failure_is_recorded_and_refused():
     rep = minimal_decoupling_constants(_BrokenMeasure(), 1, 1, GapSchedule.zero())
@@ -266,7 +333,7 @@ def test_theorem_data_from_scalar():
 
 
 def test_trajectory_check_passes_with_the_bound(worked_chain):
-    c = markov_decoupling_bound(worked_chain, 0)
+    c = worked_chain.kernel_bound(0)
     x = sample_trajectory(worked_chain, 400, seed=101)
     chk = check_trajectory_subadditivity(
         x, worked_chain, ErrorSchedule.constant(c), GapSchedule.zero()
@@ -291,7 +358,7 @@ def test_trajectory_check_flags_zero_rho(worked_chain):
 
 
 def test_trajectory_check_with_gap_schedule(worked_chain):
-    c1 = markov_decoupling_bound(worked_chain, 1)
+    c1 = worked_chain.kernel_bound(1)
     x = sample_trajectory(worked_chain, 300, seed=103)
     chk = check_trajectory_subadditivity(
         x, worked_chain, ErrorSchedule.constant(c1), GapSchedule.constant(1)
@@ -317,6 +384,7 @@ def test_trajectory_check_hmm_with_the_hidden_kernel_bound():
     # conditioning on the hidden state entering the second block:
     # Q(ab) <= max_ij A(i, j) / pi(j) Q(a) Q(b)
     c = float(np.max(np.log(A) - np.log(stationary_distribution(A))[None, :]))
+    assert H.kernel_bound(0) == c
     x = sample_trajectory(H, 2000, seed=131)
     chk = check_trajectory_subadditivity(
         x, H, ErrorSchedule.constant(c), GapSchedule.zero()

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -20,7 +21,6 @@ from gapsub import (
     cross_entropy_estimate,
     decoupling_to_theorem_data,
     marginal_entropy,
-    markov_decoupling_bound,
     mean_convergence_series,
     minimal_decoupling_constants,
     relative_entropy_estimate,
@@ -51,6 +51,17 @@ def test_entropy_rate_worked_chain(worked_chain):
 def test_entropy_rate_iid_is_shannon_entropy():
     p = [0.2, 0.3, 0.5]
     assert abs(closed_form_entropy_rate(IIDMeasure(p)) - entropy_of(p)) < 1e-14
+
+
+def test_entropy_rate_with_a_zero_entry_warns_nothing():
+    # 0 log 0 = 0 by continuity, with no nan from 0 * -inf on the way
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        h_iid = closed_form_entropy_rate(IIDMeasure([0.7, 0.3, 0.0]))
+        h_chain = closed_form_entropy_rate(MarkovMeasure([[0.5, 0.5], [1.0, 0.0]]))
+    assert abs(h_iid - entropy_of([0.7, 0.3])) < 1e-14
+    # pi = (2/3, 1/3) and the deterministic row adds no entropy
+    assert abs(h_chain - 2.0 / 3.0 * math.log(2.0)) < 1e-14
 
 
 def test_entropy_rate_needs_stationary_start():
@@ -142,11 +153,14 @@ def test_brute_force_kl_support_mismatch():
 
 
 def test_estimator_refuses_uncertified_measures():
-    H = HiddenMarkovMeasure([[0.7, 0.3], [0.4, 0.6]], [[0.8, 0.2], [0.3, 0.7]])
+    # a stationary HMM is certified by its kernel bound; this start is not invariant
+    H = HiddenMarkovMeasure(
+        [[0.7, 0.3], [0.4, 0.6]], [[0.8, 0.2], [0.3, 0.7]], start=[0.5, 0.5]
+    )
     with pytest.raises(DecouplingFailure):
         cross_entropy_estimate(H, H, N=50, seed=1)
     est = cross_entropy_estimate(H, H, N=50, seed=1, assume_decoupled=True)
-    assert est.series.meta["decoupling"] == "assumed"
+    assert est.certificate == {"source": "assumed", "constant": None, "tau": None}
 
 
 def test_estimator_refuses_non_stationary_markov():
@@ -158,12 +172,15 @@ def test_estimator_refuses_non_stationary_markov():
 def test_estimator_accepts_certificates(worked_chain):
     rep = minimal_decoupling_constants(worked_chain, 3, 3, GapSchedule.zero())
     est = cross_entropy_estimate(worked_chain, worked_chain, N=50, seed=1, decoupling=rep)
-    assert est.series.meta["decoupling"] == "audit"
-    data = decoupling_to_theorem_data(markov_decoupling_bound(worked_chain, 0), 0)
+    assert est.certificate["source"] == "audit"
+    data = decoupling_to_theorem_data(worked_chain.kernel_bound(0), 0)
     est2 = cross_entropy_estimate(worked_chain, worked_chain, N=50, seed=1, decoupling=data)
-    assert est2.series.meta["decoupling"] == "bound"
+    assert est2.certificate["source"] == "bound"
     est3 = cross_entropy_estimate(worked_chain, worked_chain, N=50, seed=1)
-    assert est3.series.meta["decoupling"] == "markov-kernel"
+    assert est3.certificate == {
+        "source": "kernel", "constant": worked_chain.kernel_bound(0), "tau": 0
+    }
+    assert est3.to_json()["certificate"] == est3.certificate
 
 
 # ------------------------------------------------------- trajectory estimates
