@@ -90,8 +90,8 @@ from .steele import (
     ProofContext,
     SteeleDecomposition,
     bad_indicator,
-    bad_set_member,
     birkhoff_bad_average,
+    first_depths,
     steele_decompose,
     trajectory_context,
     verify_cover_bounds,

@@ -21,6 +21,7 @@ import dataclasses
 import numpy as np
 
 from .errors import CapExceededError, ConfigError, DecouplingFailure, ValidationError
+from .fekete import SubadditivityCheck, split_scan
 from .logspace import log_sum_exp
 from .measures import IIDMeasure, ShiftMeasure, _level_rows
 # log_prefixes is re-exported: the benchmark's tracer wraps it here by name
@@ -310,30 +311,15 @@ def decoupling_to_theorem_data(
 
 
 @dataclasses.dataclass(frozen=True)
-class TrajectoryViolation:
-    n: int
-    m: int
-    excess: float
+class TrajectoryCheck(SubadditivityCheck):
+    """A split check along one path, with the largest excess over all pairs."""
 
-
-@dataclasses.dataclass(frozen=True)
-class TrajectoryCheck:
-    ok: bool
-    violations: tuple[TrajectoryViolation, ...]
-    violation_count: int
-    horizon: int
-    tol: float
     max_excess: float
 
     def to_json(self) -> dict:
-        return {
-            "ok": self.ok,
-            "violation_count": self.violation_count,
-            "horizon": self.horizon,
-            "tol": self.tol,
-            "max_excess": self.max_excess,
-            "violations": [dataclasses.asdict(v) for v in self.violations],
-        }
+        out = super().to_json()
+        violations = out.pop("violations")
+        return {**out, "max_excess": self.max_excess, "violations": violations}
 
 
 def check_trajectory_subadditivity(
@@ -349,7 +335,8 @@ def check_trajectory_subadditivity(
 
     f_n = log Q_n along the given path; the second block is evaluated
     after shifting by n + sigma_n.  All pairs with n + sigma_n + m <= N
-    are covered, each block through Q.windows, in O(N^2) arithmetic.
+    are covered by fekete.split_scan, each block through Q.windows, in
+    O(N^2) arithmetic.
 
     tol is an absolute slack for float cancellation: exact ties like a
     deterministic transition evaluate to excess 0 up to rounding.
@@ -361,38 +348,14 @@ def check_trajectory_subadditivity(
         raise ConfigError(f"horizon {N} exceeds trajectory length {symbols.size}")
     wl = Q.windows(symbols[:N])
     ns = np.arange(1, N + 1, dtype=np.int64)
-    sig = sigma.values(ns)
-    rh = rho.values(ns)
-    pre = wl.suffix(0, N)
-    found: list[TrajectoryViolation] = []
-    total = 0
-    max_excess = -np.inf
-    for n in range(1, N + 1):
-        j = n + int(sig[n - 1])
-        m_max = N - j
-        if m_max < 1:
-            continue
-        shifted = wl.suffix(j, m_max)
-        lhs = pre[j : j + m_max]
-        with np.errstate(invalid="ignore"):
-            excess = lhs - (pre[n - 1] + rh[n - 1]) - shifted
-            bad = np.flatnonzero(excess > tol)
-        defined = excess[~np.isnan(excess)]
-        if defined.size:
-            cur = float(defined.max())
-            if cur > max_excess:
-                max_excess = cur
-        total += bad.size
-        for i in bad:
-            if len(found) < max_report:
-                found.append(
-                    TrajectoryViolation(n=n, m=int(i) + 1, excess=float(excess[i]))
-                )
+    found, total, max_excess = split_scan(
+        wl.suffix(0, N), wl.suffix, sigma.values(ns), rho.values(ns), tol, max_report
+    )
     return TrajectoryCheck(
         ok=(total == 0),
-        violations=tuple(found),
+        violations=found,
         violation_count=total,
         horizon=int(N),
         tol=tol,
-        max_excess=float(max_excess),
+        max_excess=max_excess,
     )

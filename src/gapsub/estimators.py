@@ -166,8 +166,8 @@ def _resolve_decoupling(
             return {"source": "kernel", "constant": Q.kernel_bound(0), "tau": 0}
         except ValidationError as exc:
             raise DecouplingFailure(
-                f"no decoupling certificate for {Q.label} ({exc}); pass an audit "
-                "report or assume_decoupled=True"
+                f"no decoupling certificate for {Q.label} ({exc}); pass "
+                "--assume-decoupled (library: assume_decoupled=True or an audit report)"
             ) from exc
     return {"source": source, "constant": None, "tau": None}
 

@@ -30,17 +30,15 @@ from .sampling import Trajectory
 from .schedules import ErrorSchedule, GapSchedule
 
 
-def _zero_rho(j: int, n: int) -> float:
-    return 0.0
-
-
 @dataclasses.dataclass
 class ProofContext:
     """Everything the decomposition needs about one path.
 
-    f(j, n) is the functional on the length-n window at offset j; rho
-    the error allowance for splitting at that offset; limit_value the
-    candidate limit.  horizon bounds j + n over all evaluations.
+    f(js, n) evaluates the functional on the length-n windows at the
+    offsets js, an int64 array, and returns one value per offset; rho(js,
+    n) returns the error allowance for splitting at those offsets, in the
+    same shape.  limit_value is the candidate limit; horizon bounds j + n
+    over all evaluations.
 
     sigma_1 = 0 is required by default: the walk must be free to advance
     one base block without leaving an uncovered gap at depth one.  When
@@ -49,16 +47,14 @@ class ProofContext:
     assume_shift_monotone=True.
     """
 
-    f: Callable[[int, int], float]
+    f: Callable[[np.ndarray, int], np.ndarray]
     limit_value: float
     sigma: GapSchedule
     r: int
     K: int
     eps: float
     horizon: int
-    rho: Callable[[int, int], float] = _zero_rho
-    f_batch: Callable[[np.ndarray, int], np.ndarray] | None = None
-    rho_batch: Callable[[np.ndarray, int], np.ndarray] | None = None
+    rho: Callable[[np.ndarray, int], np.ndarray]
     assume_shift_monotone: bool = False
 
     def __post_init__(self):
@@ -87,65 +83,54 @@ class ProofContext:
     def block_length(self, k: int) -> int:
         return k * self.r + self.sigma.value(k * self.r)
 
-    def _need(self, j: int, n: int) -> None:
-        if j < 0 or n < 1 or j + n > self.horizon:
+    def eval_f(self, js, n: int) -> np.ndarray:
+        """f at the offsets js and length n; every window must lie in the horizon."""
+        js = np.asarray(js, dtype=np.int64)
+        outside = (js < 0) | (js + n > self.horizon) | (n < 1)
+        if outside.any():
             raise ConfigError(
-                f"evaluation f({j}, {n}) exceeds the context horizon {self.horizon}"
+                f"evaluation f({int(js[outside][0])}, {n}) exceeds the context "
+                f"horizon {self.horizon}"
             )
+        return np.asarray(self.f(js, n), dtype=np.float64)
 
-    def eval_f(self, j: int, n: int) -> float:
-        self._need(j, n)
-        return float(self.f(j, n))
-
-    def eval_rho(self, j: int, n: int) -> float:
-        v = float(self.rho(j, n))
-        if v < 0 or not np.isfinite(v):
+    def eval_rho(self, js, n: int) -> np.ndarray:
+        """rho at the offsets js and length n; every value must be finite and >= 0."""
+        v = np.asarray(self.rho(np.asarray(js, dtype=np.int64), n), dtype=np.float64)
+        if not (np.isfinite(v) & (v >= 0)).all():
             raise ValidationError("rho values must be finite and >= 0")
         return v
 
 
-def depth_value(ctx: ProofContext, j: int, k: int) -> float:
-    """Normalized depth-k block value at offset j."""
-    n = k * ctx.r
-    return (ctx.eval_f(j, n) + ctx.eval_rho(j, n)) / (n + ctx.sigma.value(n))
+def first_depths(ctx: ProofContext, js) -> np.ndarray:
+    """Smallest admissible depth at each offset in js, 0 for a bad offset.
 
-
-def bad_set_member(ctx: ProofContext, j: int) -> bool:
-    """True when every depth k <= K overshoots the threshold at offset j."""
+    Depth k admits at offset j when the normalized block value
+    (f + rho)(j, k r) / (k r + sigma_{k r}) is within the threshold; an
+    offset is bad when no depth k <= K admits.  Each depth evaluates only
+    the offsets no smaller depth has admitted.
+    """
+    js = np.asarray(js, dtype=np.int64)
+    depths = np.zeros(js.shape, dtype=np.int64)
+    pending = np.arange(js.size)
     thr = ctx.threshold
     for k in range(1, ctx.K + 1):
-        if depth_value(ctx, j, k) <= thr:
-            return False
-    return True
+        if not pending.size:
+            break
+        n = k * ctx.r
+        at = js[pending]
+        vals = (ctx.eval_f(at, n) + ctx.eval_rho(at, n)) / (n + ctx.sigma.value(n))
+        admits = vals <= thr
+        depths[pending[admits]] = k
+        pending = pending[~admits]
+    return depths
 
 
 def bad_indicator(ctx: ProofContext, count: int) -> np.ndarray:
     """Membership for offsets 0 .. count-1 as a bool array."""
     if count < 1:
         raise ConfigError("need at least one offset")
-    # the batch path cannot apply a rho it has no batch hook for
-    batchable = ctx.f_batch is not None and (
-        ctx.rho_batch is not None or ctx.rho is _zero_rho
-    )
-    if not batchable:
-        return np.fromiter(
-            (bad_set_member(ctx, j) for j in range(count)), dtype=bool, count=count
-        )
-    js = np.arange(count, dtype=np.int64)
-    if count - 1 + ctx.K * ctx.r > ctx.horizon:
-        raise ConfigError("offsets exceed the context horizon at depth K")
-    thr = ctx.threshold
-    member = np.ones(count, dtype=bool)
-    for k in range(1, ctx.K + 1):
-        n = k * ctx.r
-        denom = n + ctx.sigma.value(n)
-        vals = ctx.f_batch(js, n)
-        if ctx.rho_batch is not None:
-            vals = vals + ctx.rho_batch(js, n)
-        member &= (vals / denom) > thr
-        if not member.any():
-            break
-    return member
+    return first_depths(ctx, np.arange(count)) == 0
 
 
 def birkhoff_bad_average(ctx: ProofContext, count: int) -> float:
@@ -155,20 +140,10 @@ def birkhoff_bad_average(ctx: ProofContext, count: int) -> float:
     the upper representation; it shrinks as the depth K grows because
     deeper inspection clears more offsets.
     """
-    member = bad_indicator(ctx, count)
-    if not member.any():
+    js = np.flatnonzero(bad_indicator(ctx, count))
+    if not js.size:
         return 0.0
-    js = np.flatnonzero(member)
-    if ctx.f_batch is not None:
-        f_r = ctx.f_batch(js.astype(np.int64), ctx.r)
-        if ctx.rho_batch is not None:
-            rho_r = ctx.rho_batch(js.astype(np.int64), ctx.r)
-        else:
-            rho_r = np.asarray([ctx.eval_rho(int(j), ctx.r) for j in js])
-    else:
-        f_r = np.asarray([ctx.eval_f(int(j), ctx.r) for j in js])
-        rho_r = np.asarray([ctx.eval_rho(int(j), ctx.r) for j in js])
-    terms = 1.0 + np.maximum(f_r, 0.0) + rho_r
+    terms = 1.0 + np.maximum(ctx.eval_f(js, ctx.r), 0.0) + ctx.eval_rho(js, ctx.r)
     return float(terms.sum() / count)
 
 
@@ -257,18 +232,11 @@ def steele_decompose(ctx: ProofContext, n: int) -> SteeleDecomposition:
         raise ConfigError(
             f"context horizon {ctx.horizon} cannot provision n + K r = {n + ctx.K * ctx.r}"
         )
-    thr = ctx.threshold
     intervals: list[Interval] = []
     m = 0
     while m < n - 1:
-        # smallest admissible depth doubles as the membership test: no
-        # admissible depth up to K is exactly the bad-set condition
-        chosen_k: int | None = None
-        for k in range(1, ctx.K + 1):
-            if depth_value(ctx, m, k) <= thr:
-                chosen_k = k
-                break
-        base = chosen_k * ctx.r if chosen_k is not None else ctx.r
+        k = int(first_depths(ctx, [m])[0])
+        base = (k or 1) * ctx.r
         length = base + ctx.sigma.value(base)
         if m + length > n - 1:
             break
@@ -277,8 +245,8 @@ def steele_decompose(ctx: ProofContext, n: int) -> SteeleDecomposition:
                 index=len(intervals) + 1,
                 lo=m + 1,
                 hi=m + length,
-                kind="bad" if chosen_k is None else "good",
-                k=chosen_k,
+                kind="good" if k else "bad",
+                k=k or None,
             )
         )
         m += length
@@ -368,11 +336,12 @@ def verify_ub_rep(
     rhs = 0.0
     for iv in d.intervals:
         base = (iv.k * ctx.r) if iv.kind == "good" else ctx.r
-        rhs += ctx.eval_f(iv.offset, base) + ctx.eval_rho(iv.offset, base)
+        at = [iv.offset]
+        rhs += float(ctx.eval_f(at, base)[0] + ctx.eval_rho(at, base)[0])
     tail = n - d.covered
     if tail >= 1:
-        rhs += max(ctx.eval_f(d.covered, tail), 0.0)
-    lhs = ctx.eval_f(0, n)
+        rhs += max(float(ctx.eval_f([d.covered], tail)[0]), 0.0)
+    lhs = float(ctx.eval_f([0], n)[0])
     tol = tol_scale * n
     if lhs == -np.inf:
         return UpperRepresentation(ok=True, lhs=lhs, rhs=rhs, residual=np.inf, tol=tol)
@@ -395,30 +364,20 @@ def verify_depths(d: SteeleDecomposition, ctx: ProofContext) -> DepthAudit:
     """Re-derive every tile's classification and depth from scratch.
 
     Good tiles must fail the threshold at all depths below their k and
-    pass at k; bad tiles must fail at every depth up to K.
+    pass at k, so a declared depth outside 1 .. K fails; bad tiles must
+    fail at every depth up to K.
     """
-    thr = ctx.threshold
-    for iv in d.intervals:
+    found = first_depths(ctx, [iv.offset for iv in d.intervals])
+    for iv, k in zip(d.intervals, found.tolist()):
         j = iv.offset
-        if iv.kind == "good":
-            for k in range(1, iv.k):
-                if depth_value(ctx, j, k) <= thr:
-                    return DepthAudit(
-                        ok=False,
-                        first_failure=(iv.index, f"depth {k} already admits at offset {j}"),
-                    )
-            if depth_value(ctx, j, iv.k) > thr:
-                return DepthAudit(
-                    ok=False,
-                    first_failure=(iv.index, f"declared depth {iv.k} fails at offset {j}"),
-                )
+        if iv.kind != "good":
+            failure = f"bad tile admits depth {k} at offset {j}" if k else None
+        elif k and k < iv.k:
+            failure = f"depth {k} already admits at offset {j}"
         else:
-            for k in range(1, ctx.K + 1):
-                if depth_value(ctx, j, k) <= thr:
-                    return DepthAudit(
-                        ok=False,
-                        first_failure=(iv.index, f"bad tile admits depth {k} at offset {j}"),
-                    )
+            failure = f"declared depth {iv.k} fails at offset {j}" if k != iv.k else None
+        if failure:
+            return DepthAudit(ok=False, first_failure=(iv.index, failure))
     return DepthAudit(ok=True, first_failure=None)
 
 
@@ -434,27 +393,23 @@ def trajectory_context(
 ) -> ProofContext:
     """ProofContext for f = per-window log-marginals of Q along x.
 
-    Windows come from Q.windows, with its batch evaluation as the vector
-    hook.  Log-marginals decrease under extension, so the sigma_1 = 0
-    requirement is waived.
+    f is Q.windows(x).many.  A position-dependent rho is asked offset by
+    offset; any other is one value per length.  Log-marginals decrease
+    under extension, so the sigma_1 = 0 requirement is waived.
     """
     symbols = x.symbols if isinstance(x, Trajectory) else np.asarray(x, dtype=np.int64)
-    wl = Q.windows(symbols)
     if rho.position_dependent:
 
-        def rho_fn(j: int, n: int) -> float:
-            return float(rho.hook(symbols, j, n))
+        def rho_fn(js: np.ndarray, n: int) -> np.ndarray:
+            return np.asarray([float(rho.hook(symbols, int(j), n)) for j in js])
 
-        rho_batch = None
     else:
 
-        def rho_fn(j: int, n: int) -> float:
-            return rho.value(n)
-
-        def rho_batch(js: np.ndarray, n: int) -> np.ndarray:
+        def rho_fn(js: np.ndarray, n: int) -> np.ndarray:
             return np.full(js.shape, rho.value(n))
+
     return ProofContext(
-        f=wl.single,
+        f=Q.windows(symbols).many,
         limit_value=float(limit_value),
         sigma=sigma,
         r=int(r),
@@ -462,7 +417,5 @@ def trajectory_context(
         eps=float(eps),
         horizon=int(symbols.size),
         rho=rho_fn,
-        f_batch=wl.many,
-        rho_batch=rho_batch,
         assume_shift_monotone=True,
     )

@@ -404,7 +404,11 @@ def test_exit_code_decoupling_failure(tmp_path, capsys):
     rc = main(["estimate", "cross", "--p", p, "--q", q, "--N", "50", "--seed", "1",
                "--outdir", str(tmp_path / "o")])
     assert rc == 5
-    assert "decoupling:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    # the start [0.5, 0.5] is not invariant, so no kernel bound holds; the
+    # refusal names the flag, and the keyword for library callers
+    assert "decoupling:" in err
+    assert "--assume-decoupled" in err and "assume_decoupled=True" in err
 
 
 def test_exit_code_missing_seed(tmp_path):

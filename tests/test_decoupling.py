@@ -393,6 +393,50 @@ def test_trajectory_check_hmm_with_the_hidden_kernel_bound():
     assert chk.max_excess <= 1e-10
 
 
+def _naive_trajectory_check(x, Q, tau, tol=1e-10):
+    """Every split (n, m) with n + tau + m <= N, one log_marginal per block."""
+    N = x.size
+    found, max_excess = [], -math.inf
+    for n in range(1, N + 1):
+        j = n + tau
+        for m in range(1, N - j + 1):
+            excess = (
+                Q.log_marginal(x[: j + m]) - Q.log_marginal(x[:n]) - Q.log_marginal(x[j : j + m])
+            )
+            max_excess = max(max_excess, excess)
+            if excess > tol:
+                found.append((n, m, excess))
+    return found, max_excess
+
+
+@pytest.mark.parametrize("family, N, tau", [
+    ("markov", 50, 0), ("markov", 50, 1), ("hmm", 36, 0), ("hmm", 36, 1), ("impossible", 40, 0),
+])
+def test_trajectory_check_matches_the_naive_double_loop(family, N, tau, worked_chain):
+    if family == "hmm":
+        # a sticky hidden chain, so that splits fail at gap 1 too
+        Q = HiddenMarkovMeasure([[0.9, 0.1], [0.2, 0.8]], [[0.8, 0.2], [0.3, 0.7]])
+    elif family == "impossible":
+        Q = MarkovMeasure([[0.5, 0.5, 0.0], [0.1, 0.6, 0.3], [0.3, 0.3, 0.4]])
+    else:
+        Q = worked_chain
+    x = sample_trajectory(Q, N, seed=137).symbols
+    if family == "impossible":
+        # the step 0 -> 2 has probability 0, so windows across it are -inf
+        # and some pairs have -inf on both sides
+        x[20:22] = [0, 2]
+    found, max_excess = _naive_trajectory_check(x, Q, tau)
+    chk = check_trajectory_subadditivity(
+        x, Q, ErrorSchedule.zero(), GapSchedule.constant(tau), max_report=40
+    )
+    assert len(found) > 40  # the report is cut, the count is not
+    assert chk.violation_count == len(found)
+    assert [(v.n, v.m) for v in chk.violations] == [(n, m) for n, m, _ in found[:40]]
+    for v, (_, _, excess) in zip(chk.violations, found):
+        assert v.excess == pytest.approx(excess, abs=1e-12)
+    assert chk.max_excess == pytest.approx(max_excess, abs=1e-12)
+
+
 def test_trajectory_check_horizon_validation(worked_chain):
     x = sample_trajectory(worked_chain, 50, seed=109)
     with pytest.raises(ConfigError):

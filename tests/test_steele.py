@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -16,14 +17,14 @@ from gapsub import (
     sample_trajectory,
     stationary_distribution,
 )
+from gapsub import steele
 from gapsub.steele import (
     Interval,
     ProofContext,
     SteeleDecomposition,
     bad_indicator,
-    bad_set_member,
     birkhoff_bad_average,
-    depth_value,
+    first_depths,
     steele_decompose,
     trajectory_context,
     verify_cover_bounds,
@@ -31,40 +32,55 @@ from gapsub.steele import (
     verify_ub_rep,
 )
 
+import steele_oracle as oracle
 from conftest import WORKED_H
+
+
+def zero_rho(js, m):
+    return np.zeros(js.shape)
+
+
+def const_rho(value):
+    return lambda js, m: np.full(js.shape, value)
+
+
+def linear_f(js, m):
+    return np.full(js.shape, -float(m))
 
 
 def linear_ctx(n, r=10, K=3, limit=-1.0, eps=0.1, sigma=None):
     """f(j, m) = -m: every offset admits depth 1."""
     return ProofContext(
-        f=lambda j, m: -float(m),
+        f=linear_f,
         limit_value=limit,
         sigma=sigma or GapSchedule.zero(),
         r=r,
         K=K,
         eps=eps,
         horizon=n + K * r,
+        rho=zero_rho,
     )
 
 
 def flat_ctx(n, r=3, K=2, limit=-10.0, eps=0.25):
     """f = 0 against a far-below limit: every offset is bad."""
     return ProofContext(
-        f=lambda j, m: 0.0,
+        f=lambda js, m: np.zeros(js.shape),
         limit_value=limit,
         sigma=GapSchedule.zero(),
         r=r,
         K=K,
         eps=eps,
         horizon=n + K * r,
+        rho=zero_rho,
     )
 
 
-def parity_f(j, m):
-    return -float(m) if j % 2 == 0 else 0.0
+def parity_f(js, m):
+    return np.where(js % 2 == 0, -float(m), 0.0)
 
 
-def parity_ctx(n, r=3, K=2, eps=0.5, **kw):
+def parity_ctx(n, r=3, K=2, eps=0.5, rho=zero_rho):
     return ProofContext(
         f=parity_f,
         limit_value=-1.0,
@@ -73,7 +89,7 @@ def parity_ctx(n, r=3, K=2, eps=0.5, **kw):
         K=K,
         eps=eps,
         horizon=n + K * r,
-        **kw,
+        rho=rho,
     )
 
 
@@ -81,7 +97,10 @@ def parity_ctx(n, r=3, K=2, eps=0.5, **kw):
 
 
 def test_context_parameter_validation():
-    ok = dict(f=parity_f, limit_value=-1.0, sigma=GapSchedule.zero(), eps=0.5, horizon=100)
+    ok = dict(
+        f=parity_f, limit_value=-1.0, sigma=GapSchedule.zero(), eps=0.5, horizon=100,
+        rho=zero_rho,
+    )
     with pytest.raises(ConfigError):
         ProofContext(r=0, K=2, **ok)
     with pytest.raises(ConfigError):
@@ -103,6 +122,7 @@ def test_nonzero_sigma1_needs_waiver():
         K=1,
         eps=0.2,
         horizon=100,
+        rho=zero_rho,
     )
     with pytest.raises(ValidationError):
         ProofContext(**kw)
@@ -129,6 +149,7 @@ def test_block_length_with_log_gaps():
         K=2,
         eps=0.5,
         horizon=100,
+        rho=zero_rho,
         assume_shift_monotone=True,
     )
     assert ctx.block_length(1) == 3 + 2  # ceil(log2(4)) = 2
@@ -139,22 +160,24 @@ def test_block_length_with_log_gaps():
 def test_eval_guards():
     ctx = linear_ctx(20, r=5, K=2)
     assert ctx.horizon == 30
-    assert ctx.eval_f(25, 5) == -5.0
+    assert ctx.eval_f([25, 0], 5).tolist() == [-5.0, -5.0]
+    with pytest.raises(ConfigError, match=r"f\(26, 5\)"):
+        ctx.eval_f([0, 26], 5)
     with pytest.raises(ConfigError):
-        ctx.eval_f(26, 5)
+        ctx.eval_f([-1], 3)
     with pytest.raises(ConfigError):
-        ctx.eval_f(-1, 3)
-    with pytest.raises(ConfigError):
-        ctx.eval_f(0, 0)
-    bad_rho = dataclasses.replace(ctx, rho=lambda j, n: -0.5)
+        ctx.eval_f([0], 0)
+    bad_rho = dataclasses.replace(ctx, rho=const_rho(-0.5))
     with pytest.raises(ValidationError):
-        bad_rho.eval_rho(0, 5)
+        bad_rho.eval_rho([0], 5)
 
 
 def test_rho_shifts_depth_values():
-    ctx = parity_ctx(30, rho=lambda j, n: 0.3)
-    assert depth_value(ctx, 0, 1) == pytest.approx((-3.0 + 0.3) / 3.0)
-    assert depth_value(ctx, 1, 2) == pytest.approx(0.3 / 6.0)
+    # threshold -0.5; offset 0 has block values -1 at depths 1 and 2
+    assert first_depths(parity_ctx(30), [0, 1]).tolist() == [1, 0]
+    # rho = 2 lifts depth 1 to (-3 + 2) / 3 > -0.5, depth 2 stays below
+    assert first_depths(parity_ctx(30, rho=const_rho(2.0)), [0, 1]).tolist() == [2, 0]
+    assert first_depths(parity_ctx(30), []).tolist() == []
 
 
 # ------------------------------------------------------------- decomposition
@@ -218,11 +241,12 @@ def test_alternating_tiling():
 
 def test_depth_two_admission():
     # depth 1 block value 0 fails the threshold, depth 2 value -1 passes
-    def f(j, m):
-        return 0.0 if m < 6 else -float(m)
+    def f(js, m):
+        return np.full(js.shape, 0.0 if m < 6 else -float(m))
 
     ctx = ProofContext(
-        f=f, limit_value=-1.0, sigma=GapSchedule.zero(), r=3, K=2, eps=0.5, horizon=40
+        f=f, limit_value=-1.0, sigma=GapSchedule.zero(), r=3, K=2, eps=0.5, horizon=40,
+        rho=zero_rho,
     )
     d = steele_decompose(ctx, 30)
     assert d.intervals and all(iv.kind == "good" and iv.k == 2 for iv in d.intervals)
@@ -233,13 +257,14 @@ def test_depth_two_admission():
 def test_gapped_tile_lengths():
     n = 31
     ctx = ProofContext(
-        f=lambda j, m: -float(m),
+        f=linear_f,
         limit_value=-4.0 / 6.0,
         sigma=GapSchedule.constant(2),
         r=4,
         K=1,
         eps=0.2,
         horizon=n + 4,
+        rho=zero_rho,
         assume_shift_monotone=True,
     )
     d = steele_decompose(ctx, n)
@@ -266,38 +291,36 @@ def test_decompose_guards_and_degenerate_cases():
 # ---------------------------------------------------------------- indicators
 
 
+def scalar_parity(n, r=3, K=2, eps=0.5, rho=lambda j, m: 0.0):
+    return oracle.ScalarContext(
+        f=lambda j, m: -float(m) if j % 2 == 0 else 0.0, rho=rho, limit_value=-1.0,
+        sigma=GapSchedule.zero(), r=r, K=K, eps=eps, horizon=n + K * r,
+    )
+
+
 def test_bad_indicator_matches_scalar_loop():
-    ctx = parity_ctx(40)
-    batch = dataclasses.replace(
-        ctx, f_batch=lambda js, m: np.where(js % 2 == 0, -float(m), 0.0)
-    )
-    want = np.fromiter((bad_set_member(ctx, j) for j in range(30)), dtype=bool)
-    assert (bad_indicator(ctx, 30) == want).all()
-    assert (bad_indicator(batch, 30) == want).all()
+    want = oracle.bad_indicator(scalar_parity(40), 30)
+    assert (bad_indicator(parity_ctx(40), 30) == want).all()
     assert want[1] and not want[0]
-
-
-def test_bad_indicator_unbatchable_rho_falls_back():
-    base = parity_ctx(40, rho=lambda j, n: 0.3)
-    fb = lambda js, m: np.where(js % 2 == 0, -float(m), 0.0)
-    no_rho_batch = dataclasses.replace(base, f_batch=fb)
-    with_rho_batch = dataclasses.replace(
-        base, f_batch=fb, rho_batch=lambda js, m: np.full(js.shape, 0.3)
-    )
-    want = np.fromiter((bad_set_member(base, j) for j in range(30)), dtype=bool)
-    assert (bad_indicator(no_rho_batch, 30) == want).all()
-    assert (bad_indicator(with_rho_batch, 30) == want).all()
 
 
 def test_bad_indicator_guards():
     ctx = parity_ctx(20)
     with pytest.raises(ConfigError):
         bad_indicator(ctx, 0)
-    batch = dataclasses.replace(
-        ctx, f_batch=lambda js, m: np.where(js % 2 == 0, -float(m), 0.0)
-    )
     with pytest.raises(ConfigError):
-        bad_indicator(batch, ctx.horizon - ctx.K * ctx.r + 2)
+        bad_indicator(ctx, ctx.horizon - ctx.K * ctx.r + 2)
+
+
+@pytest.mark.parametrize("value", [-0.5, np.nan, np.inf])
+def test_bad_rho_is_rejected_on_every_path(value):
+    ctx = parity_ctx(20, rho=const_rho(value))
+    with pytest.raises(ValidationError):
+        bad_indicator(ctx, 10)
+    with pytest.raises(ValidationError):
+        birkhoff_bad_average(ctx, 10)
+    with pytest.raises(ValidationError):
+        steele_decompose(ctx, 20)
 
 
 # ----------------------------------------------------------- forged evidence
@@ -322,6 +345,22 @@ def test_verify_depths_rejects_tampering():
     assert not audit2.ok and "admits" in audit2.first_failure[1]
 
 
+@pytest.mark.parametrize("tile, k", [(0, 0), (0, -1), (1, 3), (1, 7)])
+def test_verify_depths_reports_a_declared_depth_outside_1_to_K(tile, k):
+    # K = 2; tile 0 is good at depth 1, tile 1 is bad
+    ctx = parity_ctx(20)
+    d = steele_decompose(ctx, 20)
+    iv = dataclasses.replace(d.intervals[tile], kind="good", k=k)
+    forged = dataclasses.replace(
+        d, intervals=d.intervals[:tile] + (iv,) + d.intervals[tile + 1:]
+    )
+    audit = verify_depths(forged, ctx)
+    assert not audit.ok
+    assert audit.first_failure == (
+        tile + 1, f"declared depth {k} fails at offset {iv.offset}"
+    )
+
+
 def test_cover_bounds_reject_dropped_and_inflated_tiles():
     n = 101
     ctx = linear_ctx(n)
@@ -339,7 +378,9 @@ def test_ub_rep_detects_impossible_lhs():
     n = 20
     ctx = flat_ctx(n)
     d = steele_decompose(ctx, n)
-    cheat = dataclasses.replace(ctx, f=lambda j, m: 5.0 * m if j == 0 and m == n else 0.0)
+    cheat = dataclasses.replace(
+        ctx, f=lambda js, m: np.where((js == 0) & (m == n), 5.0 * m, 0.0)
+    )
     ub = verify_ub_rep(d, cheat)
     assert not ub.ok and ub.residual == pytest.approx(-100.0)
 
@@ -348,7 +389,9 @@ def test_ub_rep_neg_inf_lhs_trivially_ok():
     n = 20
     ctx = flat_ctx(n)
     d = steele_decompose(ctx, n)
-    sunk = dataclasses.replace(ctx, f=lambda j, m: -np.inf if (j == 0 and m == n) else 0.0)
+    sunk = dataclasses.replace(
+        ctx, f=lambda js, m: np.where((js == 0) & (m == n), -np.inf, 0.0)
+    )
     ub = verify_ub_rep(d, sunk)
     assert ub.ok and ub.lhs == -np.inf
 
@@ -381,11 +424,11 @@ def test_trajectory_context_evaluates_window_logprobs(worked_path, worked_chain)
     assert ctx.horizon == 2400
     for j, m in ((0, 17), (120, 40), (2300, 100)):
         direct = worked_chain.log_marginal(worked_path.symbols[j : j + m])
-        assert abs(ctx.eval_f(j, m) - direct) < 1e-10
+        assert abs(ctx.eval_f([j], m)[0] - direct) < 1e-10
     js = np.asarray([0, 7, 1009], dtype=np.int64)
-    batch = ctx.f_batch(js, 25)
+    batch = ctx.f(js, 25)
     for i, j in enumerate(js):
-        assert batch[i] == ctx.eval_f(int(j), 25)
+        assert batch[i] == ctx.eval_f([j], 25)[0]
 
 
 def test_trajectory_decomposition_verifies(worked_path, worked_chain):
@@ -419,11 +462,20 @@ def test_trajectory_context_with_position_hook(worked_path, worked_chain):
         K=3,
         eps=0.05,
     )
-    assert ctx.rho_batch is None
-    assert ctx.eval_rho(3, 17) == 0.25
+    assert ctx.eval_rho([3, 5], 17).tolist() == [0.25, 0.25]
     d = steele_decompose(ctx, 300)
     assert verify_depths(d, ctx).ok
     assert verify_cover_bounds(d, ctx).ok
+    # the hook is asked once per offset, with that offset
+    by_offset = dataclasses.replace(
+        ctx,
+        rho=trajectory_context(
+            worked_path, worked_chain,
+            rho=ErrorSchedule.from_hook(lambda symbols, j, n: float(j + n)),
+            sigma=GapSchedule.zero(), limit_value=-WORKED_H, r=20, K=3, eps=0.05,
+        ).rho,
+    )
+    assert by_offset.eval_rho([3, 5], 17).tolist() == [20.0, 22.0]
 
 
 def test_trajectory_context_generic_family_fallback(half_half_mixture):
@@ -444,7 +496,7 @@ def test_trajectory_context_generic_family_fallback(half_half_mixture):
     )
     # mixtures evaluate through their windows too, batch and single alike
     js = np.arange(0, 140, 13, dtype=np.int64)
-    assert ctx.f_batch(js, 20).tolist() == [ctx.eval_f(int(j), 20) for j in js]
+    assert ctx.f(js, 20).tolist() == [ctx.eval_f([j], 20)[0] for j in js]
     d = steele_decompose(ctx, 120)
     assert verify_ub_rep(d, ctx).ok
     assert verify_depths(d, ctx).ok
@@ -467,3 +519,105 @@ def test_trajectory_decomposition_on_an_hmm_path_verifies():
     assert verify_cover_bounds(d, ctx).ok
     assert verify_ub_rep(d, ctx).ok
     assert verify_depths(d, ctx).ok
+
+
+# ------------------------------------------------------- against the oracle
+
+
+def _scalar(f, rho=lambda j, m: 0.0, **kw):
+    return oracle.ScalarContext(f=f, rho=rho, **kw)
+
+
+def _synthetic_cases():
+    """(scalar oracle context, batch context, horizon n) for the fixed contexts."""
+    zero = GapSchedule.zero()
+    return {
+        "parity": (scalar_parity(40), parity_ctx(40), 40),
+        "parity-rho": (
+            scalar_parity(40, rho=lambda j, m: 2.0), parity_ctx(40, rho=const_rho(2.0)), 40
+        ),
+        # a rho with no batch form: the batch context asks it offset by offset
+        "parity-scalar-rho": (
+            scalar_parity(40, rho=lambda j, m: 0.3),
+            scalar_parity(40, rho=lambda j, m: 0.3).batch(),
+            40,
+        ),
+        "linear": (
+            _scalar(lambda j, m: -float(m), limit_value=-1.0, sigma=zero, r=10, K=3,
+                    eps=0.1, horizon=131),
+            linear_ctx(101),
+            101,
+        ),
+        "flat": (
+            _scalar(lambda j, m: 0.0, limit_value=-10.0, sigma=zero, r=3, K=2, eps=0.25,
+                    horizon=26),
+            flat_ctx(20),
+            20,
+        ),
+    }
+
+
+def _path_case(name, worked_chain, half_half_mixture):
+    """(scalar oracle context, trajectory context, horizon n) on a sampled path."""
+    hmm = HiddenMarkovMeasure([[0.7, 0.3], [0.4, 0.6]], [[0.8, 0.2], [0.3, 0.7]])
+    cases = {
+        # (measure, rho, sigma, limit, n, r, K, eps, seed)
+        "markov": (worked_chain, ErrorSchedule.constant(math.log(2.4)), GapSchedule.zero(),
+                   -WORKED_H, 600, 10, 5, 0.05, 211),
+        "markov-hook": (worked_chain, ErrorSchedule.from_hook(lambda s, j, n: 0.1 * (j % 3)),
+                        GapSchedule.zero(), -WORKED_H, 400, 10, 4, 0.05, 212),
+        "hmm": (hmm, ErrorSchedule.constant(hmm.kernel_bound(0)), GapSchedule.zero(),
+                -0.7, 300, 5, 4, 0.05, 227),
+        "mixture": (half_half_mixture, ErrorSchedule.constant(math.log(2.0)),
+                    GapSchedule.zero(), 0.9 * math.log(0.9) + 0.1 * math.log(0.1),
+                    300, 10, 3, 0.1, 223),
+        "markov-tau2": (worked_chain, ErrorSchedule.constant(worked_chain.kernel_bound(2)),
+                        GapSchedule.constant(2), -WORKED_H, 600, 10, 5, 0.02, 229),
+    }
+    Q, rho, sigma, limit, n, r, K, eps, seed = cases[name]
+    x = sample_trajectory(Q, n + K * r, seed=seed).symbols
+    return (
+        oracle.scalar_trajectory_context(x, Q, rho, sigma, limit, r, K, eps),
+        trajectory_context(x, Q, rho, sigma, limit, r, K, eps),
+        n,
+    )
+
+
+def _assert_matches_oracle(scalar, ctx, n):
+    offsets = np.arange(n + 1)
+    want = [oracle.first_depth(scalar, int(j)) for j in offsets]
+    assert first_depths(ctx, offsets).tolist() == want
+    d = steele_decompose(ctx, n)
+    want_d = oracle.steele_decompose(scalar, n)
+    assert json.dumps(d.to_json()) == json.dumps(want_d.to_json())
+    got_v = oracle.verification(d, ctx, steele)
+    want_v = oracle.verification(want_d, scalar, oracle)
+    assert json.dumps(got_v) == json.dumps(want_v)
+    return want, d
+
+
+@pytest.mark.parametrize(
+    "name", ["parity", "parity-rho", "parity-scalar-rho", "linear", "flat"]
+)
+def test_synthetic_contexts_match_the_scalar_oracle(name):
+    _assert_matches_oracle(*_synthetic_cases()[name])
+
+
+@pytest.mark.parametrize("name", ["markov", "markov-hook", "hmm", "mixture", "markov-tau2"])
+def test_trajectory_contexts_match_the_scalar_oracle(name, worked_chain, half_half_mixture):
+    depths, d = _assert_matches_oracle(*_path_case(name, worked_chain, half_half_mixture))
+    # every case has good and bad offsets, and the walk lays both kinds
+    assert 0 in depths and any(depths)
+    assert d.good_intervals and d.bad_intervals
+
+
+def test_forged_depths_match_the_scalar_oracle():
+    scalar, ctx, n = _synthetic_cases()["parity"]
+    d = steele_decompose(ctx, n)
+    for i, iv in enumerate(d.intervals[:4]):
+        for kind, k in (("good", 1), ("good", 2), ("bad", None)):
+            forged = dataclasses.replace(
+                d, intervals=d.intervals[:i] + (dataclasses.replace(iv, kind=kind, k=k),)
+                + d.intervals[i + 1:]
+            )
+            assert verify_depths(forged, ctx) == oracle.verify_depths(forged, scalar)
