@@ -271,8 +271,7 @@ class Windows(abc.ABC):
     """f_m at offset j, log Q_m(x_{j+1} .. x_{j+m}), along one path x.
 
     many evaluates one length at many offsets, suffix every length up to
-    m_max at one offset, single one window.  All three check that the
-    windows lie inside the path.
+    m_max at one offset.  Both check that the windows lie inside the path.
     """
 
     def __init__(self, size: int):
@@ -289,12 +288,11 @@ class Windows(abc.ABC):
         js = np.asarray(js, dtype=np.int64)
         if m < 1:
             raise ConfigError("window length must be >= 1")
-        if js.size and (js.min() < 0 or int(js.max()) + m > self.size):
+        if not js.size:
+            return np.empty(0)
+        if js.min() < 0 or int(js.max()) + m > self.size:
             raise ConfigError("window exceeds the trajectory")
         return self._many(js, m)
-
-    def single(self, j: int, m: int) -> float:
-        return float(self.many(np.asarray([j], dtype=np.int64), m)[0])
 
     def suffix(self, j: int, m_max: int) -> np.ndarray:
         """Array [f_1, ..., f_{m_max}] at offset j; needs j + m_max <= size."""
@@ -347,6 +345,9 @@ class _PrefixSumWindows(Windows):
 
 # largest forward table one HMM suffix block may hold, in floats
 _TABLE_ENTRIES = 2**22
+# forward steps times rows times hidden states run as one chunk
+_FORWARD_ENTRIES = 2**12
+_NEG_MAX = -sys.float_info.max
 
 
 class _ForwardWindows(Windows):
@@ -607,24 +608,55 @@ class HiddenMarkovMeasure(ShiftMeasure):
         of x, leaving nan in its later entries.
 
         alpha is kept hidden-major, (hidden, rows), so each step reduces
-        over its leading axis, and each total over hidden states runs on a
-        row-major copy.  Either way every row sums in the same order as a
-        batch of one, so a window's value does not depend on its batch.
+        over its leading axis.  A step is log_sum_exp written out on
+        buffers, with the max started at -DBL_MAX: where the max is -inf
+        every term is -inf, so the result is -inf as with log_sum_exp's
+        zero shift.  Steps run in chunks of _FORWARD_ENTRIES floats; a
+        chunk gathers its emission terms at once and, in table mode, takes
+        the totals over hidden states at once, from a row-major (steps,
+        rows, hidden) copy of alpha.  Either way every row sums in the
+        same order as a batch of one, so a window's value does not depend
+        on its batch.
         """
-
-        def total(alpha: np.ndarray) -> np.ndarray:
-            return log_sum_exp(np.ascontiguousarray(alpha.T), axis=1)
-
-        alpha = self.log_start[:, None] + self.log_E[:, x[js]]
+        h = self.hidden_size
+        chunk = max(1, _FORWARD_ENTRIES // (js.size * h))
+        # live rows at each step: a table row stops at the end of x
+        lives = (
+            np.searchsorted(js, x.size - np.arange(m)) if table else np.full(m, js.size)
+        ).tolist()
         out = np.full((js.size, m), np.nan) if table else None
-        for t in range(m):
-            live = int(np.searchsorted(js, x.size - t)) if table else js.size
-            if t:
-                moved = log_sum_exp(alpha[:, None, :live] + self.log_A[:, :, None], axis=0)
-                alpha = moved + self.log_E[:, x[js[:live] + t]]
-            if table:
-                out[:live, t] = total(alpha)
-        return out if table else total(alpha)
+        alpha = self.log_start[:, None] + self.log_E[:, x[js]]
+        log_A = self.log_A[:, :, None]
+        live = 0
+        with np.errstate(divide="ignore"):
+            for t0 in range(0, m, chunk):
+                t1 = min(m, t0 + chunk)
+                at = np.arange(t0, t1)[:, None] + js[: lives[t0]]
+                emit = self.log_E[:, x[np.minimum(at, x.size - 1)]]
+                if table:
+                    totals = np.full((t1 - t0, lives[t0], h), np.nan)
+                for t in range(t0, t1):
+                    if lives[t] != live:  # at t = 0, and when a table row stops
+                        live = lives[t]
+                        alpha = np.ascontiguousarray(alpha[:, :live])
+                        terms, hi = np.empty((h, h, live)), np.empty((h, live))
+                        column = alpha[:, None, :]
+                    if t:
+                        np.add(column, log_A, out=terms)
+                        np.maximum.reduce(terms, axis=0, out=hi, initial=_NEG_MAX)
+                        np.subtract(terms, hi, out=terms)
+                        np.exp(terms, out=terms)
+                        np.add.reduce(terms, axis=0, out=alpha)
+                        np.log(alpha, out=alpha)
+                        alpha += hi
+                        alpha += emit[:, t - t0, :live]
+                    if table:
+                        totals[t - t0, :live] = alpha.T
+                if table:
+                    out[: lives[t0], t0:t1] = log_sum_exp(totals, axis=2).T
+        if table:
+            return out
+        return log_sum_exp(np.ascontiguousarray(alpha.T), axis=1)
 
     def prefix_logprobs(self, x) -> np.ndarray:
         w = self.alphabet.validate_word(x)

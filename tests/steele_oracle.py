@@ -71,8 +71,8 @@ def scalar_trajectory_context(
     else:
         rho_fn = lambda j, n: rho.value(n)  # noqa: E731
     return ScalarContext(
-        f=wl.single, rho=rho_fn, limit_value=float(limit_value), sigma=sigma,
-        r=int(r), K=int(K), eps=float(eps), horizon=int(x.size),
+        f=lambda j, n: wl.many([j], n)[0], rho=rho_fn, limit_value=float(limit_value),
+        sigma=sigma, r=int(r), K=int(K), eps=float(eps), horizon=int(x.size),
     )
 
 

@@ -191,7 +191,7 @@ def test_window_matches_marginal_of_the_window(family):
         suf = wl.suffix(j, x.size - j)
         for m in ms:
             direct = Q.log_marginal(x[j : j + m])
-            for got in (wl.single(j, m), wl.many([j], m)[0], suf[m - 1]):
+            for got in (wl.many([j], m)[0], suf[m - 1]):
                 assert got == direct or abs(got - direct) < 1e-10
     if family.endswith("zero-step"):
         assert (wl.suffix(0, x.size) == -np.inf).any()
@@ -240,19 +240,19 @@ def test_window_many_and_suffix_agree_with_single(worked_chain):
     wl = worked_chain.windows(x)
     js = np.asarray([0, 3, 11, 40])
     got = wl.many(js, 7)
-    assert got.tolist() == [wl.single(int(j), 7) for j in js]
+    assert got.tolist() == [wl.many([j], 7)[0] for j in js]
     suf = wl.suffix(5, 20)
     for m in range(1, 21):
-        assert abs(suf[m - 1] - wl.single(5, m)) < 1e-12
+        assert abs(suf[m - 1] - wl.many([5], m)[0]) < 1e-12
 
 
 def test_window_zero_probability_step():
     Q = MarkovMeasure([[1.0, 0.0], [0.5, 0.5]], start=[0.5, 0.5])
     x = np.asarray([0, 1, 0, 0], dtype=np.int64)  # 0 -> 1 is forbidden
     wl = Q.windows(x)
-    assert wl.single(0, 2) == -np.inf
-    assert wl.single(0, 4) == -np.inf
-    assert np.isfinite(wl.single(1, 3))  # window [1, 0, 0] avoids the bad step
+    assert wl.many([0], 2)[0] == -np.inf
+    assert wl.many([0], 4)[0] == -np.inf
+    assert np.isfinite(wl.many([1], 3)[0])  # window [1, 0, 0] avoids the bad step
     assert wl.suffix(0, 4).tolist() == [
         math.log(0.5),
         -np.inf,
@@ -265,7 +265,7 @@ def test_window_bounds_checked(worked_chain):
     x = sample_trajectory(worked_chain, 20, seed=67).symbols
     wl = worked_chain.windows(x)
     with pytest.raises(ConfigError):
-        wl.single(15, 6)
+        wl.many([15], 6)[0]
     with pytest.raises(ConfigError):
         wl.many(np.asarray([-1]), 2)
     with pytest.raises(ConfigError):
