@@ -32,11 +32,7 @@ from .errors import (
 from .estimators import (
     EntropyEstimate,
     MeanSeriesResult,
-    as_markov,
     brute_force_kl_level,
-    closed_form_cross_entropy_rate,
-    closed_form_entropy_rate,
-    closed_form_kl_rate,
     cross_entropy_estimate,
     marginal_entropy,
     mean_convergence_series,

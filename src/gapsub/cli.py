@@ -44,9 +44,6 @@ from .errors import (
     param,
 )
 from .estimators import (
-    as_markov,
-    closed_form_entropy_rate,
-    closed_form_kl_rate,
     cross_entropy_estimate,
     mean_convergence_series,
     relative_entropy_estimate,
@@ -57,7 +54,7 @@ from .fekete import (
     gap_lift,
     sequence_from_spec,
 )
-from .measures import IIDMeasure, MarkovMeasure, ShiftMeasure, measure_from_spec, validate_measure
+from .measures import ShiftMeasure, measure_from_spec, validate_measure
 from .sampling import sample_trajectory
 from .schedules import ErrorSchedule, GapSchedule, geometric_grid, linear_grid
 from .steele import (
@@ -264,13 +261,11 @@ def _run_series(p: dict) -> dict:
 
 def _oracle_rates(P: ShiftMeasure, Q: ShiftMeasure) -> dict:
     """Closed-form rates when both measures admit them."""
-    out: dict = {}
-    closed = all(isinstance(M, (IIDMeasure, MarkovMeasure)) for M in (P, Q))
-    if closed and as_markov(P).stationary_start:
-        out["entropy_rate_p"] = closed_form_entropy_rate(P)
-        out["kl_rate"] = closed_form_kl_rate(P, Q)
-        cross = out["kl_rate"] + out["entropy_rate_p"] if np.isfinite(out["kl_rate"]) else float("inf")
-        out["cross_entropy_rate"] = cross
+    kl = P.kl_rate(Q)
+    if kl is None:
+        return {}
+    out = {"entropy_rate_p": P.entropy_rate(), "kl_rate": kl}
+    out["cross_entropy_rate"] = kl + out["entropy_rate_p"] if np.isfinite(kl) else float("inf")
     return out
 
 
@@ -349,12 +344,13 @@ def _run_steele(p: dict) -> dict:
     eps = param(p, "eps", float)
     tau = _nonnegative(p, "tau", int, 0)
     rho_c = _rho_const(p, Q, tau)
-    x = sample_trajectory(Q, n + K * r, param(p, "seed", int), stream=param(p, "stream", int, 0))
     limit_value = param(p, "limit", float, None)
     if limit_value is None:
-        if not isinstance(Q, (MarkovMeasure, IIDMeasure)):
-            raise ConfigError("pass --limit for families without a closed-form rate")
-        limit_value = -closed_form_entropy_rate(as_markov(Q))
+        h = Q.entropy_rate()
+        if h is None:
+            raise ConfigError(f"pass --limit: {Q.label} has no closed-form entropy rate")
+        limit_value = -h
+    x = sample_trajectory(Q, n + K * r, param(p, "seed", int), stream=param(p, "stream", int, 0))
     ctx = trajectory_context(
         x, Q, ErrorSchedule.constant(rho_c), GapSchedule.constant(tau),
         limit_value, r, K, eps,

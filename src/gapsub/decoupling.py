@@ -164,9 +164,11 @@ def minimal_decoupling_constants(
             method="product-identity",
         )
     worst_len = max(n + t + m_max for n, t in zip(range(1, n_max + 1), taus))
-    if k**worst_len > cap:
+    # k**L > cap once L reaches cap's bit length; a level of 64+ symbols prints as k^L
+    if k ** min(worst_len, cap.bit_length()) > cap:
+        words = k**worst_len if worst_len < 64 else f"{k}^{worst_len}"
         raise CapExceededError(
-            f"audit needs {k**worst_len} words at length {worst_len}, cap is {cap}"
+            f"audit needs {words} words at length {worst_len}, cap is {cap}"
         )
     # every level the audit touches passes the family's level cap before
     # any is computed; a refusal names the first one over it in the order

@@ -1,4 +1,4 @@
-"""Entropy-rate estimation from sampled trajectories and closed forms.
+"""Entropy-rate estimation from sampled trajectories and level enumeration.
 
 Trajectory estimators watch the normalized log-marginal series
 (1/n) log Q_n(x_1..x_n) along x drawn from P.  When Q upper-decouples,
@@ -21,7 +21,7 @@ import numpy as np
 
 from .decoupling import DecouplingReport, TheoremData
 from .errors import CapExceededError, ConfigError, DecouplingFailure, ValidationError
-from .measures import IIDMeasure, MarkovMeasure, ShiftMeasure
+from .measures import ShiftMeasure
 from .sampling import kingman_series, sample_trajectory
 from .schedules import ConvergenceSeries, geometric_grid
 
@@ -55,62 +55,6 @@ class EntropyEstimate:
             "trials": self.trials,
             "terminal_se": self.terminal_se,
         }
-
-
-def as_markov(Q: ShiftMeasure) -> MarkovMeasure:
-    """View an iid measure as the Markov chain with identical rows."""
-    if isinstance(Q, MarkovMeasure):
-        return Q
-    if isinstance(Q, IIDMeasure):
-        k = Q.alphabet.size
-        return MarkovMeasure(np.tile(Q.p, (k, 1)))
-    raise ConfigError(f"no Markov view for family {Q.family!r}")
-
-
-def _plogp_rows(P: np.ndarray, logP: np.ndarray) -> np.ndarray:
-    # 0 log 0 = 0 by continuity
-    with np.errstate(invalid="ignore"):
-        return np.where(P > 0, P * logP, 0.0)
-
-
-def closed_form_entropy_rate(Q: MarkovMeasure | IIDMeasure) -> float:
-    """h = -sum_i pi_i sum_j P_ij log P_ij, in nats."""
-    Q = as_markov(Q)
-    if not Q.stationary_start:
-        raise ConfigError("entropy rate is defined for the stationary chain")
-    rows = _plogp_rows(Q.P, Q.log_P).sum(axis=1)
-    return float(-(Q.start @ rows))
-
-
-def closed_form_cross_entropy_rate(
-    P: MarkovMeasure | IIDMeasure, Q: MarkovMeasure | IIDMeasure
-) -> float:
-    """sum_i pi_P(i) sum_j P_ij (-log Q_ij); +inf when Q forbids a P-step."""
-    P = as_markov(P)
-    Q = as_markov(Q)
-    if not P.stationary_start:
-        raise ConfigError("cross entropy rate is defined for the stationary chain")
-    if P.alphabet.size != Q.alphabet.size:
-        raise ConfigError("measures must share one alphabet")
-    mass_on_forbidden = P.P[(P.P > 0) & (Q.P == 0)]
-    if mass_on_forbidden.size:
-        return float("inf")
-    rows = _plogp_rows(P.P, Q.log_P).sum(axis=1)
-    return float(-(P.start @ rows))
-
-
-def closed_form_kl_rate(
-    P: MarkovMeasure | IIDMeasure, Q: MarkovMeasure | IIDMeasure
-) -> float:
-    """Relative entropy rate sum_i pi_P(i) sum_j P_ij log(P_ij / Q_ij).
-
-    Computed as cross entropy rate minus entropy rate; +inf exactly when
-    some P_ij > 0 sits on Q_ij = 0.
-    """
-    cross = closed_form_cross_entropy_rate(P, Q)
-    if cross == float("inf"):
-        return cross
-    return float(cross - closed_form_entropy_rate(as_markov(P)))
 
 
 def marginal_entropy(Q: ShiftMeasure, n: int, cap: int = 10**7) -> float:

@@ -6,9 +6,12 @@ valid inputs.
 """
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 
 NEG_INF = float("-inf")
+_NEG_MAX = -sys.float_info.max
 
 
 def safe_log(x: np.ndarray | float) -> np.ndarray | float:
@@ -17,19 +20,33 @@ def safe_log(x: np.ndarray | float) -> np.ndarray | float:
         return np.log(x)
 
 
-def log_sum_exp(a: np.ndarray, axis: int | None = None) -> np.ndarray | float:
-    """Stable log(sum(exp(a))) along an axis.
+def log_sum_exp_into(terms: np.ndarray, hi: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out = log(sum(exp(terms))) over axis 0; terms is overwritten.
 
-    All-(-inf) slices return -inf, not nan.  The max shift keeps the
-    exponentials in range for finite inputs.
+    hi and out are separate buffers of shape terms.shape[1:].  The max
+    starts at -DBL_MAX, so an all -inf slice gives -inf and a finite max
+    is the shift exactly.  log(0) warns unless the caller ignores "divide".
     """
-    a = np.asarray(a, dtype=np.float64)
-    hi = np.max(a, axis=axis, keepdims=True)
-    # Freeze the shift at 0 where the whole slice is -inf so the
-    # subtraction below stays nan-free.
-    shift = np.where(np.isfinite(hi), hi, 0.0)
+    np.maximum.reduce(terms, axis=0, out=hi, initial=_NEG_MAX)
+    np.subtract(terms, hi, out=terms)
+    np.exp(terms, out=terms)
+    np.add.reduce(terms, axis=0, out=out)
+    np.log(out, out=out)
+    out += hi
+    return out
+
+
+def log_sum_exp(a: np.ndarray, axis: int | None = None) -> np.ndarray | float:
+    """Stable log(sum(exp(a))) along an axis, for entries in [-inf, inf).
+
+    All-(-inf) and empty slices give -inf quietly; +inf gives nan.  The
+    copy keeps a's memory layout, so a slice sums in numpy's order.
+    """
+    terms = np.array(a, dtype=np.float64)
+    terms = terms.ravel(order="K") if axis is None else np.moveaxis(terms, axis, 0)
+    hi, out = np.empty(terms.shape[1:]), np.empty(terms.shape[1:])
     with np.errstate(divide="ignore"):
-        out = np.log(np.sum(np.exp(a - shift), axis=axis)) + np.squeeze(shift, axis=axis)
+        log_sum_exp_into(terms, hi, out)
     if axis is None:
         return float(out)
     return out

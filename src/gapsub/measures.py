@@ -29,7 +29,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import CapExceededError, ConfigError, ValidationError, schema_errors
-from .logspace import log_sum_exp, safe_log
+from .logspace import log_sum_exp, log_sum_exp_into, safe_log
 
 _STOCH_TOL = 1e-9
 _LISTS = (list, tuple, np.ndarray)
@@ -218,6 +218,38 @@ class ShiftMeasure(abc.ABC):
     def kernel_bound(self, tau: int) -> float:
         """Decoupling constant at gap tau for all n and m, from the hidden chain."""
 
+    def _chain(self) -> "MarkovMeasure | None":
+        """This measure as a Markov chain on its alphabet, or None if it is none."""
+        return None
+
+    def cross_entropy_rate(self, Q: "ShiftMeasure") -> float | None:
+        """sum_i pi(i) sum_j P_ij (-log Q_ij) in nats, for this chain (pi, P) and Q's.
+
+        +inf when Q forbids a step of P.  None (no closed form) unless both
+        measures are chains and this one starts at its stationary law.
+        """
+        P, K = self._chain(), Q._chain()
+        if P is None or K is None or not P.stationary_start:
+            return None
+        if P.alphabet.size != K.alphabet.size:
+            raise ConfigError("measures must share one alphabet")
+        if ((P.P > 0) & (K.P == 0)).any():
+            return float("inf")
+        with np.errstate(invalid="ignore"):  # 0 log 0 = 0 by continuity
+            rows = np.where(P.P > 0, P.P * K.log_P, 0.0).sum(axis=1)
+        return float(-(P.start @ rows))
+
+    def entropy_rate(self) -> float | None:
+        """h = -sum_i pi_i sum_j P_ij log P_ij in nats: cross_entropy_rate(self)."""
+        return self.cross_entropy_rate(self)
+
+    def kl_rate(self, Q: "ShiftMeasure") -> float | None:
+        """sum_i pi(i) sum_j P_ij log(P_ij / Q_ij): cross entropy minus entropy rate."""
+        cross = self.cross_entropy_rate(Q)
+        if cross is None or cross == float("inf"):
+            return cross
+        return float(cross - self.entropy_rate())
+
     @abc.abstractmethod
     def to_spec(self) -> dict: ...
 
@@ -347,7 +379,6 @@ class _PrefixSumWindows(Windows):
 _TABLE_ENTRIES = 2**22
 # forward steps times rows times hidden states run as one chunk
 _FORWARD_ENTRIES = 2**12
-_NEG_MAX = -sys.float_info.max
 
 
 class _ForwardWindows(Windows):
@@ -485,6 +516,9 @@ class IIDMeasure(ShiftMeasure):
     def kernel_bound(self, tau: int) -> float:
         return _kernel_bound(np.ones(1), np.ones((1, 1)), True, tau)
 
+    def _chain(self) -> "MarkovMeasure":
+        return MarkovMeasure(np.tile(self.p, (self.alphabet.size, 1)))
+
     def to_spec(self) -> dict:
         return {"family": "iid", "p": self.p.tolist()}
 
@@ -553,6 +587,9 @@ class MarkovMeasure(ShiftMeasure):
     def kernel_bound(self, tau: int) -> float:
         return _kernel_bound(self.start, self.P, self.stationary_start, tau)
 
+    def _chain(self) -> "MarkovMeasure":
+        return self
+
     def to_spec(self) -> dict:
         spec = {"family": "markov", "P": self.P.tolist()}
         if not self.stationary_start:
@@ -608,15 +645,13 @@ class HiddenMarkovMeasure(ShiftMeasure):
         of x, leaving nan in its later entries.
 
         alpha is kept hidden-major, (hidden, rows), so each step reduces
-        over its leading axis.  A step is log_sum_exp written out on
-        buffers, with the max started at -DBL_MAX: where the max is -inf
-        every term is -inf, so the result is -inf as with log_sum_exp's
-        zero shift.  Steps run in chunks of _FORWARD_ENTRIES floats; a
-        chunk gathers its emission terms at once and, in table mode, takes
-        the totals over hidden states at once, from a row-major (steps,
-        rows, hidden) copy of alpha.  Either way every row sums in the
-        same order as a batch of one, so a window's value does not depend
-        on its batch.
+        over its leading axis with logspace.log_sum_exp_into, on buffers
+        allocated once rather than per step.  Steps run in chunks of
+        _FORWARD_ENTRIES floats; a chunk gathers its emission terms at once
+        and, in table mode, takes the totals over hidden states at once,
+        from a row-major (steps, rows, hidden) copy of alpha.  Either way
+        every row sums in the same order as a batch of one, so a window's
+        value does not depend on its batch.
         """
         h = self.hidden_size
         chunk = max(1, _FORWARD_ENTRIES // (js.size * h))
@@ -643,12 +678,7 @@ class HiddenMarkovMeasure(ShiftMeasure):
                         column = alpha[:, None, :]
                     if t:
                         np.add(column, log_A, out=terms)
-                        np.maximum.reduce(terms, axis=0, out=hi, initial=_NEG_MAX)
-                        np.subtract(terms, hi, out=terms)
-                        np.exp(terms, out=terms)
-                        np.add.reduce(terms, axis=0, out=alpha)
-                        np.log(alpha, out=alpha)
-                        alpha += hi
+                        log_sum_exp_into(terms, hi, alpha)
                         alpha += emit[:, t - t0, :live]
                     if table:
                         totals[t - t0, :live] = alpha.T

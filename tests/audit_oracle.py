@@ -24,7 +24,8 @@ from gapsub.decoupling import (
     WorstPair,
     _word_of_index,
 )
-from gapsub.logspace import log_sum_exp
+
+from lse_oracle import log_sum_exp
 
 
 def old_level(Q: ShiftMeasure, n: int, cap: int = 10**7) -> np.ndarray:
@@ -52,7 +53,8 @@ def old_level(Q: ShiftMeasure, n: int, cap: int = 10**7) -> np.ndarray:
             alpha = (moved[:, None, :] + Q.log_E.T[None, :, :]).reshape(-1, Q.hidden_size)
         return log_sum_exp(alpha, axis=1)
     if isinstance(Q, MixtureMeasure):
-        return Q._mix([old_level(c, n, cap) for c in Q.components])
+        parts = [lw + old_level(c, n, cap) for lw, c in zip(Q.log_weights, Q.components)]
+        return log_sum_exp(np.stack(parts), axis=0)
     return Q.log_marginals_level(n, cap=cap)
 
 

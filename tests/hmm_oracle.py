@@ -1,17 +1,19 @@
 """Test-only oracle: the HMM forward recursion one log_sum_exp per step.
 
 forward is HiddenMarkovMeasure._forward as it stood before the step was
-written out on buffers and run in chunks: every step calls log_sum_exp
-on a fresh (hidden, hidden, rows) array, gathers its emission terms, and
-in table mode takes the totals over hidden states at once.  The chunked
-recursion must reproduce its prefix tables and windows bit for bit.
+written out on buffers and run in chunks: every step calls the old
+log_sum_exp (lse_oracle.py) on a fresh (hidden, hidden, rows) array,
+gathers its emission terms, and in table mode takes the totals over
+hidden states at once.  The chunked recursion must reproduce its prefix
+tables and windows bit for bit.
 """
 from __future__ import annotations
 
 import numpy as np
 
 from gapsub import HiddenMarkovMeasure
-from gapsub.logspace import log_sum_exp
+
+from lse_oracle import log_sum_exp
 
 
 def forward(

@@ -28,7 +28,6 @@ from gapsub import (
     brute_force_kl_level,
     check_gapped_subadditivity,
     check_trajectory_subadditivity,
-    closed_form_kl_rate,
     cross_entropy_estimate,
     decoupling_defect,
     decoupling_to_theorem_data,
@@ -114,7 +113,7 @@ def test_criterion_03_random_chain_pairs_hit_oracle():
         P = MarkovMeasure(A / A.sum(axis=1, keepdims=True))
         B = rng.uniform(0.1, 1.0, (size, size))
         Q = MarkovMeasure(B / B.sum(axis=1, keepdims=True))
-        kl = closed_form_kl_rate(P, Q)
+        kl = P.kl_rate(Q)
         t0 = time.perf_counter()
         hits = 0
         for t in range(20):
@@ -136,7 +135,7 @@ def test_criterion_03_random_chain_pairs_hit_oracle():
 
 
 def test_criterion_04_level_gap_sequence_is_bounded(worked_chain, uniform_chain):
-    rate = closed_form_kl_rate(worked_chain, uniform_chain)
+    rate = worked_chain.kl_rate(uniform_chain)
     expected = WORKED_H - WORKED_H_PI
     dev = 0.0
     for n in range(2, 13):
@@ -155,7 +154,7 @@ def test_criterion_04_level_within_002_at_n12(worked_chain, uniform_chain):
     # D_n = n ln 2 - H(pi) - (n-1) h exactly, so the level sits
     # (H(pi) - h)/n from the rate: 0.02108 at n=12, and the 0.02 accuracy
     # is first reachable at n* = ceil((H(pi) - h)/0.02)
-    rate = closed_form_kl_rate(worked_chain, uniform_chain)
+    rate = worked_chain.kl_rate(uniform_chain)
     gap_constant = WORKED_H_PI - WORKED_H
     n_star = math.ceil(gap_constant / 0.02)
     dist = {

@@ -27,10 +27,10 @@ from gapsub import (
     minimal_decoupling_constants,
 )
 from gapsub import decoupling
-from gapsub.logspace import log_sum_exp
 
 from audit_oracle import old_level, whole_level_audit
 from conftest import WORKED_P
+from lse_oracle import log_sum_exp
 
 
 def _hmm(hidden: int, k: int, seed: int) -> HiddenMarkovMeasure:
@@ -125,6 +125,15 @@ def test_refusals_keep_their_messages(Q, n_max, m_max, tau, cap):
     with pytest.raises(CapExceededError) as got:
         minimal_decoupling_constants(Q, n_max, m_max, gap, cap=cap)
     assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("tau, words", [(60, "9223372036854775808"), (61, "2^64")])
+def test_refusal_names_a_long_level_as_a_power(tau, words):
+    """Below 64 symbols the count is printed whole, from 64 on as k^length."""
+    with pytest.raises(CapExceededError) as got:
+        minimal_decoupling_constants(MarkovMeasure(WORKED_P), 1, 2, GapSchedule.constant(tau))
+    length = tau + 3
+    assert str(got.value) == f"audit needs {words} words at length {length}, cap is 10000000"
 
 
 _AUDIT_HWM = """

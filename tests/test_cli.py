@@ -4,6 +4,7 @@ import json
 import math
 import os
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -325,6 +326,30 @@ def test_cli_steele_run_verifies(tmp_path):
     assert 0.0 <= ver["bad_birkhoff_average"]
     dec = json.loads((out / "decomposition.json").read_text())
     assert dec["n"] == 400 and dec["covered"] <= 399
+
+
+@pytest.mark.parametrize("spec", [HMM_SPEC, MIXTURE_SPEC], ids=["hmm", "mixture"])
+def test_steele_run_without_a_closed_form_needs_limit(tmp_path, capsys, spec):
+    m = write_json(tmp_path, "m.json", spec)
+    argv = ["steele", "run", "--measure", m, "--n", "40", "--r", "2", "--K", "2",
+            "--eps", "0.1", "--seed", "1", "--outdir", str(tmp_path / "o")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"error: pass --limit: {measure_from_spec(spec).label} has no closed-form" in err
+    assert main(argv + ["--limit", "-0.6"]) == 0
+
+
+def test_audit_of_a_huge_gap_is_a_cap_refusal(tmp_path, capsys):
+    """The refusal compares lengths, so it never builds or prints 2**(10**8)."""
+    m = write_json(tmp_path, "m.json", WORKED_SPEC)
+    start = time.perf_counter()
+    rc = main(["decouple", "audit", "--measure", m, "--n-max", "2", "--m-max", "2",
+               "--tau", "100000000", "--outdir", str(tmp_path / "o")])
+    took = time.perf_counter() - start
+    assert rc == 4
+    err = capsys.readouterr().err
+    assert "cap: audit needs 2^100000004 words at length 100000004, cap is 10000000" in err
+    assert took < 1.0
 
 
 def test_cli_validate_schema_only(tmp_path, capsys):

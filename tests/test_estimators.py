@@ -13,11 +13,8 @@ from gapsub import (
     HiddenMarkovMeasure,
     IIDMeasure,
     MarkovMeasure,
-    as_markov,
+    MixtureMeasure,
     brute_force_kl_level,
-    closed_form_cross_entropy_rate,
-    closed_form_entropy_rate,
-    closed_form_kl_rate,
     cross_entropy_estimate,
     decoupling_to_theorem_data,
     marginal_entropy,
@@ -40,7 +37,7 @@ from conftest import (
 
 
 def test_entropy_rate_worked_chain(worked_chain):
-    h = closed_form_entropy_rate(worked_chain)
+    h = worked_chain.entropy_rate()
     by_hand = WORKED_PI[0] * entropy_of([0.9, 0.1]) + WORKED_PI[1] * entropy_of(
         [0.2, 0.8]
     )
@@ -50,56 +47,102 @@ def test_entropy_rate_worked_chain(worked_chain):
 
 def test_entropy_rate_iid_is_shannon_entropy():
     p = [0.2, 0.3, 0.5]
-    assert abs(closed_form_entropy_rate(IIDMeasure(p)) - entropy_of(p)) < 1e-14
+    assert abs(IIDMeasure(p).entropy_rate() - entropy_of(p)) < 1e-14
 
 
 def test_entropy_rate_with_a_zero_entry_warns_nothing():
     # 0 log 0 = 0 by continuity, with no nan from 0 * -inf on the way
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        h_iid = closed_form_entropy_rate(IIDMeasure([0.7, 0.3, 0.0]))
-        h_chain = closed_form_entropy_rate(MarkovMeasure([[0.5, 0.5], [1.0, 0.0]]))
+        h_iid = IIDMeasure([0.7, 0.3, 0.0]).entropy_rate()
+        h_chain = MarkovMeasure([[0.5, 0.5], [1.0, 0.0]]).entropy_rate()
     assert abs(h_iid - entropy_of([0.7, 0.3])) < 1e-14
     # pi = (2/3, 1/3) and the deterministic row adds no entropy
     assert abs(h_chain - 2.0 / 3.0 * math.log(2.0)) < 1e-14
 
 
 def test_entropy_rate_needs_stationary_start():
-    with pytest.raises(ConfigError):
-        closed_form_entropy_rate(MarkovMeasure(WORKED_P, start=[0.5, 0.5]))
+    off = MarkovMeasure(WORKED_P, start=[0.5, 0.5])
+    assert off.entropy_rate() is None
+    assert off.cross_entropy_rate(MarkovMeasure(WORKED_P)) is None
+    assert off.kl_rate(MarkovMeasure(WORKED_P)) is None
+    # only the first measure needs its stationary law: Q gives its kernel
+    assert MarkovMeasure(WORKED_P).kl_rate(off) == 0.0
 
 
-def test_as_markov_tiles_iid_rows():
-    M = as_markov(IIDMeasure([0.25, 0.75]))
-    assert (M.P == np.tile([0.25, 0.75], (2, 1))).all()
-    assert M.stationary_start
-    with pytest.raises(ConfigError):
-        as_markov(HiddenMarkovMeasure([[0.7, 0.3], [0.4, 0.6]], np.eye(2)))
+@pytest.mark.parametrize(
+    "p, q",
+    [
+        ([0.25, 0.75], [0.5, 0.5]),
+        ([0.2, 0.3, 0.5], [0.6, 0.0, 0.4]),
+        ([0.7, 0.3, 0.0], [0.1, 0.1, 0.8]),
+    ],
+)
+def test_iid_rates_are_the_identical_rows_chain_rates(p, q):
+    P, Q = IIDMeasure(p), IIDMeasure(q)
+    chain_P, chain_Q = MarkovMeasure([p] * len(p)), MarkovMeasure([q] * len(q))
+    assert P.entropy_rate() == chain_P.entropy_rate()
+    assert P.cross_entropy_rate(Q) == chain_P.cross_entropy_rate(chain_Q)
+    assert P.kl_rate(Q) == chain_P.kl_rate(chain_Q)
+    # iid against a chain and back reads the same kernels
+    assert P.kl_rate(chain_Q) == chain_P.kl_rate(Q) == P.kl_rate(Q)
+
+
+def test_entropy_rate_is_the_cross_rate_against_itself(worked_chain):
+    for M in (worked_chain, IIDMeasure([0.2, 0.3, 0.5])):
+        assert M.entropy_rate() == M.cross_entropy_rate(M)
+
+
+_HMM = HiddenMarkovMeasure([[0.7, 0.3], [0.4, 0.6]], [[0.9, 0.1], [0.2, 0.8]])
+
+
+@pytest.mark.parametrize(
+    "M, has_kernel",
+    [
+        (_HMM, False),
+        (MixtureMeasure([IIDMeasure([0.5, 0.5]), IIDMeasure([0.9, 0.1])], [0.5, 0.5]), False),
+        (MarkovMeasure(WORKED_P, start=[0.5, 0.5]), True),
+    ],
+    ids=["hmm", "mixture", "non-stationary"],
+)
+def test_no_closed_form_rate_is_none(M, has_kernel, worked_chain):
+    assert M.entropy_rate() is None
+    assert M.cross_entropy_rate(worked_chain) is None
+    assert M.kl_rate(worked_chain) is None
+    # as the second measure, a chain needs only its kernel
+    assert (worked_chain.kl_rate(M) is not None) == has_kernel
+
+
+def test_rate_alphabet_mismatch_is_a_config_error(worked_chain):
+    with pytest.raises(ConfigError, match="share one alphabet"):
+        worked_chain.kl_rate(IIDMeasure([0.2, 0.3, 0.5]))
+    with pytest.raises(ConfigError, match="share one alphabet"):
+        IIDMeasure([0.2, 0.3, 0.5]).cross_entropy_rate(worked_chain)
 
 
 def test_cross_entropy_rate_against_uniform_is_log2(worked_chain, uniform_chain):
-    cross = closed_form_cross_entropy_rate(worked_chain, uniform_chain)
+    cross = worked_chain.cross_entropy_rate(uniform_chain)
     assert abs(cross - math.log(2.0)) < 1e-15
 
 
 def test_kl_rate_worked_vs_uniform(worked_chain, uniform_chain):
-    kl = closed_form_kl_rate(worked_chain, uniform_chain)
+    kl = worked_chain.kl_rate(uniform_chain)
     assert abs(kl - (math.log(2.0) - WORKED_H)) < 1e-14
     assert abs(kl - WORKED_KL_VS_UNIFORM) < 1e-15
-    assert closed_form_kl_rate(worked_chain, worked_chain) == 0.0
+    assert worked_chain.kl_rate(worked_chain) == 0.0
 
 
 def test_kl_rate_iid_pair_by_hand():
     P = IIDMeasure([0.5, 0.5])
     Q = IIDMeasure([0.25, 0.75])
     expected = 0.5 * math.log(0.5 / 0.25) + 0.5 * math.log(0.5 / 0.75)
-    assert abs(closed_form_kl_rate(P, Q) - expected) < 1e-14
+    assert abs(P.kl_rate(Q) - expected) < 1e-14
 
 
 def test_kl_rate_infinite_on_forbidden_step(worked_chain):
     Q = MarkovMeasure([[1.0, 0.0], [0.5, 0.5]], start=stationary_of_absorbing())
-    assert closed_form_cross_entropy_rate(worked_chain, Q) == np.inf
-    assert closed_form_kl_rate(worked_chain, Q) == np.inf
+    assert worked_chain.cross_entropy_rate(Q) == np.inf
+    assert worked_chain.kl_rate(Q) == np.inf
 
 
 def stationary_of_absorbing():
@@ -126,7 +169,7 @@ def test_marginal_entropy_iid_uniform():
 def test_brute_force_kl_iid_is_additive():
     P = IIDMeasure([0.5, 0.5])
     Q = IIDMeasure([0.25, 0.75])
-    kl1 = closed_form_kl_rate(P, Q)
+    kl1 = P.kl_rate(Q)
     for n in (1, 2, 5):
         assert abs(brute_force_kl_level(P, Q, n) - n * kl1) < 1e-12
 
@@ -134,7 +177,7 @@ def test_brute_force_kl_iid_is_additive():
 def test_brute_force_kl_level_gap_is_constant(worked_chain, uniform_chain):
     """D(P_n || U_n) = n ln 2 - H_n(P), so n (D_n/n - rate) equals
     h - H(pi) at every n; the level sequence converges like C/n."""
-    rate = closed_form_kl_rate(worked_chain, uniform_chain)
+    rate = worked_chain.kl_rate(uniform_chain)
     expected_gap = WORKED_H - WORKED_H_PI
     for n in (1, 2, 6, 10):
         level = brute_force_kl_level(worked_chain, uniform_chain, n)

@@ -1,9 +1,10 @@
 """The chunked HMM forward recursion against the per-step oracle, bit for bit.
 
-HiddenMarkovMeasure._forward writes each step's log_sum_exp out on
-buffers and takes the totals over hidden states once per chunk of steps.
-hmm_oracle.forward is the recursion as it stood before: one log_sum_exp
-call per step and one total per step.  The prefix table, windows.many and
+HiddenMarkovMeasure._forward runs each step's log-sum-exp on buffers
+allocated once (logspace.log_sum_exp_into) and takes the totals over
+hidden states once per chunk of steps.  hmm_oracle.forward is the
+recursion as it stood before: one call of the old log_sum_exp per step
+and one total per step.  The prefix table, windows.many and
 the windows.suffix block table must match it bit for bit, for every
 chunk size, including -inf prefixes and rows that stop at the path end.
 """
