@@ -49,6 +49,7 @@ from .estimators import (
     relative_entropy_estimate,
 )
 from .fekete import (
+    PAIRWISE_CAP,
     check_gapped_subadditivity,
     fekete_limit_estimate,
     gap_lift,
@@ -180,6 +181,10 @@ def _nonnegative(p: dict, key: str, kind: type, default):
     return value
 
 
+# default horizon cap of `fekete limit`, and the cap on `fekete lift`'s table
+_HORIZON_CAP = 10**7
+
+
 def _rho_const(p: dict, Q: ShiftMeasure, tau: int) -> float:
     """--rho-const if given, else the kernel bound of Q clipped at 0."""
     rho_c = _nonnegative(p, "rho_const", float, None)
@@ -197,7 +202,7 @@ def _run_fekete_check(p: dict) -> dict:
     sigma, rho = _schedule_pair(p)
     check = check_gapped_subadditivity(
         F, sigma, rho, param(p, "N", int), tol=param(p, "tol", float, 1e-12),
-        cap=_nonnegative(p, "cap", int, 5000),
+        cap=_nonnegative(p, "cap", int, PAIRWISE_CAP),
     )
     return {"check.json": check.to_json()}
 
@@ -205,7 +210,7 @@ def _run_fekete_check(p: dict) -> dict:
 def _run_fekete_limit(p: dict) -> dict:
     F = sequence_from_spec(p.get("sequence"), "/sequence")
     sigma, rho = _schedule_pair(p)
-    N, cap = param(p, "N", int), _nonnegative(p, "cap", int, 10**7)
+    N, cap = param(p, "N", int), _nonnegative(p, "cap", int, _HORIZON_CAP)
     if N > cap:
         raise CapExceededError(f"horizon {N} exceeds cap {cap}; pass cap >= N to allow", "/N")
     est = fekete_limit_estimate(F, sigma, rho, N, stride=param(p, "stride", int, None))
@@ -215,8 +220,12 @@ def _run_fekete_limit(p: dict) -> dict:
 def _run_fekete_lift(p: dict) -> dict:
     F = sequence_from_spec(p.get("sequence"), "/sequence")
     sigma = GapSchedule.from_json(p.get("sigma"), "/sigma")
-    probe_N = param(p, "probe_N", int, 200)
-    table_N = param(p, "table_N", int, 256)
+    probe_N, table_N = param(p, "probe_N", int, 200), param(p, "table_N", int, 256)
+    for key, value in (("probe_N", probe_N), ("table_N", table_N)):
+        if value < 1:
+            raise SchemaError([(f"/{key}", "must be >= 1")])
+    if table_N > _HORIZON_CAP:
+        raise CapExceededError(f"table length {table_N} exceeds cap {_HORIZON_CAP}", "/table_N")
     lifted = gap_lift(F, sigma, probe_N=probe_N)
     ns = np.arange(1, table_N + 1, dtype=np.int64)
     table = lifted.rho.values(ns)
@@ -303,7 +312,7 @@ def _run_estimate_mean(p: dict) -> dict:
     summary = res.to_json()
     summary["oracles"] = _oracle_rates(P, Q)
     return {
-        "series.csv": res.series.csv_text(),
+        "series.csv": res.estimate.series.csv_text(),
         "terminals.csv": "\n".join(lines) + "\n",
         "summary.json": summary,
     }

@@ -21,7 +21,7 @@ import dataclasses
 import numpy as np
 
 from .errors import CapExceededError, ConfigError, DecouplingFailure, ValidationError
-from .fekete import SubadditivityCheck, split_scan
+from .fekete import PAIRWISE_CAP, SubadditivityCheck, split_scan
 from .logspace import log_sum_exp
 from .measures import IIDMeasure, ShiftMeasure, _level_rows
 # log_prefixes is re-exported: the benchmark's tracer wraps it here by name
@@ -338,7 +338,7 @@ def check_trajectory_subadditivity(
     f_n = log Q_n along the given path; the second block is evaluated
     after shifting by n + sigma_n.  All pairs with n + sigma_n + m <= N
     are covered by fekete.split_scan, each block through Q.windows, in
-    O(N^2) arithmetic.
+    O(N^2) arithmetic; a horizon above fekete.PAIRWISE_CAP is refused.
 
     tol is an absolute slack for float cancellation: exact ties like a
     deterministic transition evaluate to excess 0 up to rounding.
@@ -348,6 +348,8 @@ def check_trajectory_subadditivity(
         N = symbols.size
     if N > symbols.size:
         raise ConfigError(f"horizon {N} exceeds trajectory length {symbols.size}")
+    if N > PAIRWISE_CAP:
+        raise CapExceededError(f"pairwise check at N = {N} exceeds cap {PAIRWISE_CAP}")
     wl = Q.windows(symbols[:N])
     ns = np.arange(1, N + 1, dtype=np.int64)
     found, total, max_excess = split_scan(

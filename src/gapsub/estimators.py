@@ -20,7 +20,7 @@ import dataclasses
 import numpy as np
 
 from .decoupling import DecouplingReport, TheoremData
-from .errors import CapExceededError, ConfigError, DecouplingFailure, ValidationError
+from .errors import ConfigError, DecouplingFailure, ValidationError
 from .measures import ShiftMeasure
 from .sampling import kingman_series, sample_trajectory
 from .schedules import ConvergenceSeries, geometric_grid
@@ -31,9 +31,6 @@ class EntropyEstimate:
     """Outcome of a trajectory estimator; see the module docstring for signs."""
 
     kind: str
-    point_estimate: float
-    rate: float
-    infinite: bool
     series: ConvergenceSeries
     p_label: str
     q_label: str
@@ -41,6 +38,18 @@ class EntropyEstimate:
     certificate: dict  # {source, constant, tau}: see _resolve_decoupling
     trials: int = 1
     terminal_se: float | None = None
+
+    @property
+    def point_estimate(self) -> float:
+        return self.series.terminal
+
+    @property
+    def rate(self) -> float:
+        return -self.point_estimate
+
+    @property
+    def infinite(self) -> bool:
+        return self.point_estimate == -np.inf
 
     def to_json(self) -> dict:
         return {
@@ -84,16 +93,17 @@ def brute_force_kl_level(
 
 
 def _resolve_decoupling(
-    Q: ShiftMeasure,
-    evidence: DecouplingReport | TheoremData | None,
+    P: ShiftMeasure, Q: ShiftMeasure, evidence: DecouplingReport | TheoremData | None,
     assume_decoupled: bool,
 ) -> dict:
     """The certificate that Q is upper-decoupling: {source, constant, tau}.
 
     Without evidence or assumption it is Q's kernel bound at gap 0, source
     "kernel"; raises DecouplingFailure when Q has none.  constant and tau
-    are null for the other sources, which carry no one number.
+    are null for the other sources, which carry no one number.  The
+    alphabets of P and Q are compared after the certificate is found.
     """
+    constant = tau = None
     if assume_decoupled:
         source = "assumed"
     elif isinstance(evidence, TheoremData):
@@ -106,14 +116,37 @@ def _resolve_decoupling(
             )
         source = "audit"
     else:
+        source, tau = "kernel", 0
         try:
-            return {"source": "kernel", "constant": Q.kernel_bound(0), "tau": 0}
+            constant = Q.kernel_bound(0)
         except ValidationError as exc:
             raise DecouplingFailure(
                 f"no decoupling certificate for {Q.label} ({exc}); pass "
                 "--assume-decoupled (library: assume_decoupled=True or an audit report)"
             ) from exc
-    return {"source": source, "constant": None, "tau": None}
+    if P.alphabet.size != Q.alphabet.size:
+        raise ConfigError("measures must share one alphabet")
+    return {"source": source, "constant": constant, "tau": tau}
+
+
+def _path_series(P, Q, N, seed, grid, offset, stream, relative=False) -> ConvergenceSeries:
+    """(1/n) log Q_n along x ~ P drawn on stream (seed, stream), less (1/n) log P_n if relative.
+
+    x has N + offset symbols and evaluation starts after the first offset.
+    """
+    x = sample_trajectory(P, N + offset, seed, stream)
+    series = kingman_series(x, Q, grid=grid, offset=offset)
+    if not relative:
+        return series
+    own = kingman_series(x, P, grid=series.ns, offset=offset)
+    return ConvergenceSeries(series.ns, series.values - own.values)
+
+
+def _path_estimate(kind, P, Q, N, seed, grid, offset, stream, decoupling, assume_decoupled):
+    """The one-path estimate of kind "cross" or "relative"; see the public estimators."""
+    certificate = _resolve_decoupling(P, Q, decoupling, assume_decoupled)
+    series = _path_series(P, Q, N, seed, grid, offset, stream, relative=(kind == "relative"))
+    return EntropyEstimate(kind, series, P.label, Q.label, int(seed), certificate)
 
 
 def cross_entropy_estimate(
@@ -133,23 +166,8 @@ def cross_entropy_estimate(
     without a decoupling certificate for Q, since the almost-sure limit
     is only guaranteed under upper decoupling.
     """
-    certificate = _resolve_decoupling(Q, decoupling, assume_decoupled)
-    if P.alphabet.size != Q.alphabet.size:
-        raise ConfigError("measures must share one alphabet")
-    x = sample_trajectory(P, N + offset, seed, stream)
-    series = kingman_series(x, Q, grid=grid, offset=offset, label="cross-entropy-raw")
-    point = series.terminal
-    return EntropyEstimate(
-        kind="cross",
-        point_estimate=point,
-        rate=-point,
-        infinite=(point == -np.inf),
-        series=series,
-        p_label=P.label,
-        q_label=Q.label,
-        seed=int(seed),
-        certificate=certificate,
-    )
+    return _path_estimate("cross", P, Q, N, seed, grid, offset, stream, decoupling,
+                          assume_decoupled)
 
 
 def relative_entropy_estimate(
@@ -171,59 +189,28 @@ def relative_entropy_estimate(
     P-side series is always finite because sampling never leaves the
     support of P.
     """
-    certificate = _resolve_decoupling(Q, decoupling, assume_decoupled)
-    if P.alphabet.size != Q.alphabet.size:
-        raise ConfigError("measures must share one alphabet")
-    x = sample_trajectory(P, N + offset, seed, stream)
-    series_q = kingman_series(x, Q, grid=grid, offset=offset)
-    series_p = kingman_series(x, P, grid=series_q.ns, offset=offset)
-    raw = series_q.values - series_p.values
-    series = ConvergenceSeries(
-        series_q.ns,
-        raw,
-        label="relative-entropy-raw",
-        meta={
-            "p": P.label,
-            "q": Q.label,
-            "seed": int(seed),
-            "offset": int(offset),
-            "sign": "raw = (1/n)(log Q_n - log P_n); divergence = -raw",
-        },
-    )
-    point = series.terminal
-    return EntropyEstimate(
-        kind="relative",
-        point_estimate=point,
-        rate=-point,
-        infinite=(point == -np.inf),
-        series=series,
-        p_label=P.label,
-        q_label=Q.label,
-        seed=int(seed),
-        certificate=certificate,
-    )
+    return _path_estimate("relative", P, Q, N, seed, grid, offset, stream, decoupling,
+                          assume_decoupled)
 
 
 @dataclasses.dataclass(frozen=True)
 class MeanSeriesResult:
     """Monte-Carlo mean of per-trial normalized series.
 
+    estimate holds the mean series, se its standard error at each n.
     trial_terminals keeps every trial's final value: for non-ergodic
     samplers (mixtures) these cluster at per-component limits and the
     mean is the only thing that approaches the weighted average.
     """
 
-    series: ConvergenceSeries
+    estimate: EntropyEstimate
     se: np.ndarray
     trial_terminals: np.ndarray
-    trials: int
-    seed: int
-    estimate: EntropyEstimate
 
     def to_json(self) -> dict:
         return {
-            "trials": self.trials,
-            "seed": self.seed,
+            "trials": self.estimate.trials,
+            "seed": self.estimate.seed,
             "terminal_mean": self.estimate.point_estimate,
             "terminal_se": self.estimate.terminal_se,
             "rate": self.estimate.rate,
@@ -248,51 +235,18 @@ def mean_convergence_series(
     point estimates the expected-value convergence of the functional,
     which for a mixture differs from every single path's limit.
     """
-    certificate = _resolve_decoupling(Q, decoupling, assume_decoupled)
-    if P.alphabet.size != Q.alphabet.size:
-        raise ConfigError("measures must share one alphabet")
+    certificate = _resolve_decoupling(P, Q, decoupling, assume_decoupled)
     if trials < 2:
         raise ConfigError("mean mode needs at least 2 trials")
-    if grid is None:
-        grid = geometric_grid(N)
-    grid = np.asarray(grid, dtype=np.int64)
+    grid = np.asarray(geometric_grid(N) if grid is None else grid, dtype=np.int64)
     rows = np.empty((trials, grid.size), dtype=np.float64)
     for t in range(trials):
-        x = sample_trajectory(P, N, seed, stream=t)
-        rows[t] = kingman_series(x, Q, grid=grid).values
-    means = rows.mean(axis=0)
+        rows[t] = _path_series(P, Q, N, seed, grid, 0, t).values
     with np.errstate(invalid="ignore"):
         se = rows.std(axis=0, ddof=1) / np.sqrt(trials)
-    series = ConvergenceSeries(
-        grid,
-        means,
-        label="mean-normalized-log-marginal",
-        meta={
-            "p": P.label,
-            "q": Q.label,
-            "seed": int(seed),
-            "trials": int(trials),
-        },
-    )
-    point = series.terminal
     estimate = EntropyEstimate(
-        kind="mean-cross",
-        point_estimate=point,
-        rate=-point,
-        infinite=(point == -np.inf),
-        series=series,
-        p_label=P.label,
-        q_label=Q.label,
-        seed=int(seed),
-        certificate=certificate,
-        trials=int(trials),
+        "mean-cross", ConvergenceSeries(grid, rows.mean(axis=0)), P.label, Q.label,
+        int(seed), certificate, trials=int(trials),
         terminal_se=float(se[-1]) if np.isfinite(se[-1]) else None,
     )
-    return MeanSeriesResult(
-        series=series,
-        se=se,
-        trial_terminals=rows[:, -1].copy(),
-        trials=int(trials),
-        seed=int(seed),
-        estimate=estimate,
-    )
+    return MeanSeriesResult(estimate=estimate, se=se, trial_terminals=rows[:, -1].copy())

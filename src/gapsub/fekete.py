@@ -25,21 +25,22 @@ from .errors import (
     param,
     schema_errors,
 )
-from .schedules import ConvergenceSeries, ErrorSchedule, GapSchedule
+from .schedules import ConvergenceSeries, ErrorSchedule, GapSchedule, linear_grid
+
+PAIRWISE_CAP = 5000  # largest horizon of a pairwise check, which compares O(N^2) pairs
 
 
 class RealSequence:
     """Lazy 1-indexed sequence with values in [-inf, inf).
 
-    Wraps a callable evaluated on int64 index arrays.  Values are cached,
-    so repeated checks at growing horizons pay only for the extension.
-    +inf and nan are rejected.
+    Wraps a callable evaluated on int64 index arrays.  The longest prefix
+    evaluated so far is cached: a horizon within it is a slice, and a
+    longer one evaluates F_1 .. F_N afresh.  +inf and nan are rejected.
     """
 
-    def __init__(self, fn: Callable, name: str = "custom", vectorized: bool = True):
+    def __init__(self, fn: Callable, name: str = "custom"):
         self._fn = fn
         self.name = name
-        self._vectorized = vectorized
         self._cache = np.empty(0, dtype=np.float64)
 
     def values(self, N: int) -> np.ndarray:
@@ -48,14 +49,9 @@ class RealSequence:
             raise ConfigError("sequence horizon must be >= 1")
         if self._cache.size < N:
             ns = np.arange(1, N + 1, dtype=np.int64)
-            if self._vectorized:
-                vals = np.asarray(self._fn(ns), dtype=np.float64)
-                if vals.shape != ns.shape:
-                    raise ValidationError(f"sequence {self.name!r} returned a wrong shape")
-            else:
-                vals = np.fromiter(
-                    (float(self._fn(int(n))) for n in ns), dtype=np.float64, count=N
-                )
+            vals = np.asarray(self._fn(ns), dtype=np.float64)
+            if vals.shape != ns.shape:
+                raise ValidationError(f"sequence {self.name!r} returned a wrong shape")
             if np.isnan(vals).any():
                 raise ValidationError(f"sequence {self.name!r} produced nan")
             if (vals == np.inf).any():
@@ -208,7 +204,7 @@ def check_gapped_subadditivity(
     rho: ErrorSchedule,
     N: int,
     tol: float = 1e-12,
-    cap: int = 5000,
+    cap: int = PAIRWISE_CAP,
     max_report: int = 200,
 ) -> SubadditivityCheck:
     """Exhaustively test F_{n+sigma_n+m} <= F_n + rho_n + F_m + tol.
@@ -298,15 +294,8 @@ def fekete_limit_estimate(
     if stride < 1:
         raise ConfigError("stride must be >= 1")
     Fv = F.values(N)
-    grid = np.arange(stride, N + 1, stride, dtype=np.int64)
-    if grid.size == 0 or grid[-1] != N:
-        grid = np.append(grid, np.int64(N))
-    series = ConvergenceSeries(
-        grid,
-        Fv[grid - 1] / grid,
-        label=f"ratio({F.name})",
-        meta={"stride": int(stride), "horizon": int(N)},
-    )
+    grid = linear_grid(N, stride)
+    series = ConvergenceSeries(grid, Fv[grid - 1] / grid)
     return LimitEstimate(report=fekete_infimum(F, sigma, rho, N), series=series)
 
 
@@ -350,5 +339,5 @@ def gap_lift(
             out[mask] = np.maximum(Fv[sv[mask] - 1], 0.0)
         return out
 
-    rho = ErrorSchedule.from_function(rho_fn, label=f"lift({F.name})")
+    rho = ErrorSchedule.from_function(rho_fn)
     return LiftedTriple(sequence=F, sigma=sigma, rho=rho, probe_N=probe_N)

@@ -119,19 +119,13 @@ def kingman_series(
     Q: ShiftMeasure,
     grid: np.ndarray | None = None,
     offset: int = 0,
-    label: str = "",
 ) -> ConvergenceSeries:
     """Series n -> (1/n) log Q_n(x_{offset+1} .. x_{offset+n}) on a grid.
 
     The default grid is geometric with ratio 1.2, ending at the largest
     n the trajectory supports.  Requires offset + max(grid) <= len(x).
     """
-    if isinstance(x, Trajectory):
-        symbols = x.symbols
-        seed = x.seed
-    else:
-        symbols = np.asarray(x, dtype=np.int64)
-        seed = None
+    symbols = x.symbols if isinstance(x, Trajectory) else np.asarray(x, dtype=np.int64)
     if offset < 0:
         raise ConfigError("offset must be >= 0")
     avail = symbols.size - offset
@@ -148,7 +142,4 @@ def kingman_series(
             f"grid needs {offset + horizon} symbols, trajectory has {symbols.size}"
         )
     values = _normalized_on_grid(Q.log_increments(symbols[offset : offset + horizon]), grid)
-    meta = {"measure": Q.label, "offset": int(offset)}
-    if seed is not None:
-        meta["seed"] = int(seed)
-    return ConvergenceSeries(grid, values, label=label or "normalized-log-marginal", meta=meta)
+    return ConvergenceSeries(grid, values)

@@ -135,7 +135,6 @@ class ErrorSchedule:
     params: dict = dataclasses.field(default_factory=dict)
     fn: Callable[[np.ndarray], np.ndarray] | None = None
     hook: Callable[..., float] | None = None
-    label: str = ""
 
     def __post_init__(self):
         if self.fn is not None or self.hook is not None:
@@ -166,12 +165,12 @@ class ErrorSchedule:
         return cls("table", {"values": [float(v) for v in values]})
 
     @classmethod
-    def from_function(cls, fn: Callable[[np.ndarray], np.ndarray], label: str = "") -> "ErrorSchedule":
-        return cls("function", {}, fn=fn, label=label)
+    def from_function(cls, fn: Callable[[np.ndarray], np.ndarray]) -> "ErrorSchedule":
+        return cls("function", {}, fn=fn)
 
     @classmethod
-    def from_hook(cls, hook: Callable[..., float], label: str = "") -> "ErrorSchedule":
-        return cls("hook", {}, hook=hook, label=label)
+    def from_hook(cls, hook: Callable[..., float]) -> "ErrorSchedule":
+        return cls("hook", {}, hook=hook)
 
     @property
     def position_dependent(self) -> bool:
@@ -248,11 +247,9 @@ class ConvergenceSeries:
     Values live in [-inf, inf); +inf and nan are rejected at build time.
     """
 
-    def __init__(self, ns, values, label: str = "", meta: dict | None = None):
+    def __init__(self, ns, values):
         self.ns = np.asarray(ns, dtype=np.int64)
         self.values = np.asarray(values, dtype=np.float64)
-        self.label = label
-        self.meta = dict(meta or {})
         if self.ns.ndim != 1 or self.values.shape != self.ns.shape:
             raise ValidationError("series needs matching 1-d index and value arrays")
         if self.ns.size == 0:
@@ -299,7 +296,7 @@ class ConvergenceSeries:
             fh.write(self.csv_text())
 
     @classmethod
-    def from_csv(cls, path, label: str = "") -> "ConvergenceSeries":
+    def from_csv(cls, path) -> "ConvergenceSeries":
         ns: list[int] = []
         vals: list[float] = []
         with open(path, "r", encoding="utf-8") as fh:
@@ -313,7 +310,7 @@ class ConvergenceSeries:
                 a, b = line.split(",")
                 ns.append(int(a))
                 vals.append(float(b))
-        return cls(ns, vals, label=label)
+        return cls(ns, vals)
 
 
 def geometric_grid(N: int, ratio: float = 1.2, start: int = 1) -> np.ndarray:

@@ -352,6 +352,20 @@ def test_audit_of_a_huge_gap_is_a_cap_refusal(tmp_path, capsys):
     assert took < 1.0
 
 
+def test_decouple_check_of_a_huge_horizon_is_a_cap_refusal(tmp_path, capsys):
+    """The pairwise scan is O(N^2); above the cap it is refused, not started."""
+    m = write_json(tmp_path, "m.json", WORKED_SPEC)
+    out = tmp_path / "o"
+    start = time.perf_counter()
+    rc = main(["decouple", "check", "--measure", m, "--N", "1000000", "--seed", "1",
+               "--outdir", str(out)])
+    took = time.perf_counter() - start
+    assert rc == 4
+    assert "cap: pairwise check at N = 1000000 exceeds cap 5000" in capsys.readouterr().err
+    assert not out.exists()
+    assert took < 1.0
+
+
 def test_cli_validate_schema_only(tmp_path, capsys):
     m = write_json(tmp_path, "m.json", WORKED_SPEC)
     assert main(["validate", "--file", m]) == 0
@@ -524,6 +538,29 @@ def test_fekete_lift_cli(tmp_path):
     assert rho["rule"] == "table" and len(rho["params"]["values"]) == 64
     # sigma_5 = ceil(log2(6)) = 3, so rho_5 = 3*3 + 2*sqrt(3)
     assert rho["params"]["values"][4] == pytest.approx(9.0 + 2.0 * math.sqrt(3.0))
+    assert main(["validate", "--file", str(out / "rho.json"), "--outdir", str(out)]) == 0
+
+
+@pytest.mark.parametrize(
+    "extra, rc, message",
+    [
+        ({"table_N": 0}, 2, "schema: /table_N: must be >= 1"),
+        ({"table_N": -5}, 2, "schema: /table_N: must be >= 1"),
+        ({"table_N": 1e11}, 4, "cap: /table_N: table length 100000000000 exceeds cap 10000000"),
+        ({"probe_N": -3}, 2, "schema: /probe_N: must be >= 1"),
+    ],
+    ids=["table-zero", "table-negative", "table-huge", "probe-negative"],
+)
+def test_fekete_lift_refuses_a_table_or_probe_out_of_range(tmp_path, capsys, extra, rc, message):
+    """Each refusal comes before any table is built, so no rho.json that
+    `validate` rejects is written and 1e11 allocates nothing."""
+    spec = write_json(tmp_path, "lift.json", {
+        "sequence": {"name": "sqrt"}, "sigma": {"rule": "ceil_log"}, **extra,
+    })
+    out = tmp_path / "o"
+    assert main(["fekete", "lift", "--spec", spec, "--outdir", str(out)]) == rc
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 # ----------------------------------------------------- constructors as schema

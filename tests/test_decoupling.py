@@ -445,6 +445,21 @@ def test_trajectory_check_horizon_validation(worked_chain):
         )
 
 
+def test_trajectory_check_refuses_a_horizon_above_the_pairwise_cap():
+    from gapsub.fekete import PAIRWISE_CAP
+
+    assert PAIRWISE_CAP == 5000
+    Q = IIDMeasure([0.5, 0.5])
+    x = sample_trajectory(Q, PAIRWISE_CAP + 1, seed=1)
+    with pytest.raises(CapExceededError, match="exceeds cap 5000"):
+        check_trajectory_subadditivity(x, Q, ErrorSchedule.zero(), GapSchedule.zero())
+    # the cap applies to the horizon checked, not to the path length
+    chk = check_trajectory_subadditivity(
+        x, Q, ErrorSchedule.zero(), GapSchedule.zero(), N=20
+    )
+    assert chk.horizon == 20
+
+
 def test_trajectory_check_json(worked_chain):
     x = sample_trajectory(worked_chain, 100, seed=113)
     chk = check_trajectory_subadditivity(

@@ -22,6 +22,7 @@ from gapsub import (
     minimal_decoupling_constants,
     relative_entropy_estimate,
 )
+from gapsub.sampling import kingman_series, sample_trajectory
 
 from conftest import (
     WORKED_H,
@@ -226,6 +227,22 @@ def test_estimator_accepts_certificates(worked_chain):
     assert est3.to_json()["certificate"] == est3.certificate
 
 
+def test_alphabet_mismatch_on_an_uncertified_q_is_a_decoupling_failure_first():
+    P = IIDMeasure([0.2, 0.3, 0.5])
+    Q = HiddenMarkovMeasure(
+        [[0.7, 0.3], [0.4, 0.6]], [[0.8, 0.2], [0.3, 0.7]], start=[0.5, 0.5]
+    )
+    for estimate in (cross_entropy_estimate, relative_entropy_estimate):
+        with pytest.raises(DecouplingFailure):
+            estimate(P, Q, N=50, seed=1)
+        with pytest.raises(ConfigError, match="share one alphabet"):
+            estimate(P, Q, N=50, seed=1, assume_decoupled=True)
+    with pytest.raises(DecouplingFailure):
+        mean_convergence_series(P, Q, N=50, trials=1, seed=1)
+    with pytest.raises(ConfigError, match="share one alphabet"):
+        mean_convergence_series(P, Q, N=50, trials=1, seed=1, assume_decoupled=True)
+
+
 # ------------------------------------------------------- trajectory estimates
 
 
@@ -253,7 +270,6 @@ def test_relative_estimate_matches_series_difference(worked_chain, uniform_chain
     sp = cross_entropy_estimate(worked_chain, worked_chain, N=1000, seed=17, grid=grid)
     assert (est.series.values == sq.series.values - sp.series.values).all()
     assert est.kind == "relative"
-    assert "divergence = -raw" in est.series.meta["sign"]
 
 
 def test_relative_estimate_near_oracle(worked_chain, uniform_chain):
@@ -273,7 +289,6 @@ def test_infinite_rate_flagged():
 def test_estimate_offset_uses_later_symbols(worked_chain):
     a = cross_entropy_estimate(worked_chain, worked_chain, N=100, seed=29, offset=40)
     # the sampled path has N + offset symbols and evaluation starts at 40
-    assert a.series.meta["offset"] == 40
     assert a.series.ns[-1] == 100
 
 
@@ -283,7 +298,7 @@ def test_estimate_offset_uses_later_symbols(worked_chain):
 def test_mean_series_uniform_iid_has_zero_se():
     Q = IIDMeasure([0.5, 0.5])
     res = mean_convergence_series(Q, Q, N=64, trials=3, seed=31)
-    assert res.trials == 3
+    assert res.estimate.trials == 3
     assert (res.trial_terminals == -math.log(2.0)).all()
     assert res.estimate.point_estimate == -math.log(2.0)
     assert res.estimate.terminal_se == 0.0
@@ -293,8 +308,8 @@ def test_mean_series_uniform_iid_has_zero_se():
 def test_mean_series_trials_vary_and_average(worked_chain):
     res = mean_convergence_series(worked_chain, worked_chain, N=400, trials=8, seed=37)
     assert np.unique(res.trial_terminals).size > 1
-    assert abs(res.series.terminal - res.trial_terminals.mean()) < 1e-15
-    assert res.se.shape == res.series.values.shape
+    assert abs(res.estimate.series.terminal - res.trial_terminals.mean()) < 1e-15
+    assert res.se.shape == res.estimate.series.values.shape
     assert res.estimate.terminal_se > 0
     js = res.to_json()
     assert js["trials"] == 8 and js["seed"] == 37
@@ -317,3 +332,51 @@ def test_mean_series_mixture_splits_into_clusters(half_half_mixture, iid_biased)
     assert upper.size and lower.size
     assert np.abs(upper - c1).max() < 0.1
     assert np.abs(lower - c2).max() < 0.1
+
+
+# ------------------------------------------------------------ summary objects
+
+
+def test_estimate_summaries_are_the_hand_written_dicts(worked_chain, uniform_chain):
+    """to_json keys and values for cross, relent (finite and +inf) and mean.
+
+    Uniform laws give the exact value -log 2 at every n, so each expected
+    number is written out or read off one independent series.
+    """
+    log2 = math.log(2.0)
+    kernel = {"source": "kernel", "constant": 0.0, "tau": 0}
+    coin, never_one = IIDMeasure([0.5, 0.5]), IIDMeasure([1.0, 0.0])
+    base = {"seed": 7, "trials": 1, "terminal_se": None}
+
+    cross = cross_entropy_estimate(coin, coin, N=300, seed=7)
+    assert cross.to_json() == {
+        **base, "kind": "cross", "certificate": kernel, "point_estimate": -log2,
+        "rate": log2, "infinite": False, "p": "iid(k=2)", "q": "iid(k=2)",
+    }
+
+    rel = relative_entropy_estimate(worked_chain, uniform_chain, N=300, seed=7)
+    own = kingman_series(sample_trajectory(worked_chain, 300, 7), worked_chain).terminal
+    assert rel.to_json() == {
+        **base, "kind": "relative",
+        "certificate": {"source": "kernel", "constant": uniform_chain.kernel_bound(0),
+                        "tau": 0},
+        "point_estimate": -log2 - own, "rate": own + log2, "infinite": False,
+        "p": worked_chain.label, "q": uniform_chain.label,
+    }
+
+    inf = relative_entropy_estimate(coin, never_one, N=300, seed=7)
+    assert inf.to_json() == {
+        **base, "kind": "relative", "certificate": kernel, "point_estimate": -np.inf,
+        "rate": np.inf, "infinite": True, "p": "iid(k=2)", "q": "iid(k=2)",
+    }
+
+    mean = mean_convergence_series(coin, coin, N=64, trials=3, seed=31)
+    assert mean.to_json() == {
+        "trials": 3, "seed": 31, "terminal_mean": -log2, "terminal_se": 0.0,
+        "rate": log2, "certificate": kernel,
+    }
+    assert mean.estimate.to_json() == {
+        "kind": "mean-cross", "certificate": kernel, "point_estimate": -log2,
+        "rate": log2, "infinite": False, "p": "iid(k=2)", "q": "iid(k=2)",
+        "seed": 31, "trials": 3, "terminal_se": 0.0,
+    }

@@ -58,7 +58,7 @@ def test_sequence_rejects_nan_and_plus_inf():
 
 
 def test_sequence_non_vectorized_path():
-    F = RealSequence(lambda n: 2.0 * n, vectorized=False)
+    F = RealSequence(lambda ns: 2.0 * ns)
     assert F.values(4).tolist() == [2.0, 4.0, 6.0, 8.0]
 
 

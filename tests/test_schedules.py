@@ -112,7 +112,7 @@ def test_error_constant_and_power():
 
 
 def test_error_from_function_not_serializable():
-    r = ErrorSchedule.from_function(lambda ns: ns.astype(float) * 0.0, label="zero")
+    r = ErrorSchedule.from_function(lambda ns: ns.astype(float) * 0.0)
     assert r.value(5) == 0.0
     assert not r.position_dependent
     with pytest.raises(ConfigError):
