@@ -181,7 +181,8 @@ def _nonnegative(p: dict, key: str, kind: type, default):
     return value
 
 
-# default horizon cap of `fekete limit`, and the cap on `fekete lift`'s table
+# default horizon cap of `fekete limit`, the cap on `fekete lift`'s table
+# and on the trials times grid points of `estimate mean`
 _HORIZON_CAP = 10**7
 
 
@@ -226,9 +227,8 @@ def _run_fekete_lift(p: dict) -> dict:
             raise SchemaError([(f"/{key}", "must be >= 1")])
     if table_N > _HORIZON_CAP:
         raise CapExceededError(f"table length {table_N} exceeds cap {_HORIZON_CAP}", "/table_N")
-    lifted = gap_lift(F, sigma, probe_N=probe_N)
-    ns = np.arange(1, table_N + 1, dtype=np.int64)
-    table = lifted.rho.values(ns)
+    rho = gap_lift(F, sigma, probe_N=probe_N)
+    table = rho.values(np.arange(1, table_N + 1, dtype=np.int64))
     rho_json = {"rule": "table", "params": {"values": table.tolist()}}
     summary = {
         "sequence": p["sequence"],
@@ -302,8 +302,13 @@ def _run_estimate_mean(p: dict) -> dict:
     Q = measure_from_spec(p.get("q"), "/q")
     N = param(p, "N", int)
     grid = _grid_from_spec(param(p, "grid", str, "geometric"), N)
+    trials = param(p, "trials", int)
+    if trials * grid.size > _HORIZON_CAP:
+        raise CapExceededError(
+            f"{trials} trials of {grid.size} grid points exceed cap {_HORIZON_CAP}", "/trials"
+        )
     res = mean_convergence_series(
-        P, Q, N, param(p, "trials", int), param(p, "seed", int), grid=grid,
+        P, Q, N, trials, param(p, "seed", int), grid=grid,
         assume_decoupled=param(p, "assume_decoupled", bool, False),
     )
     lines = ["trial,terminal"]

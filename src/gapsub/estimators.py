@@ -21,8 +21,8 @@ import numpy as np
 
 from .decoupling import DecouplingReport, TheoremData
 from .errors import ConfigError, DecouplingFailure, ValidationError
-from .measures import ShiftMeasure
-from .sampling import kingman_series, sample_trajectory
+from .measures import _TABLE_ENTRIES, ShiftMeasure
+from .sampling import checked_grid, kingman_rows, kingman_series, sample_trajectory
 from .schedules import ConvergenceSeries, geometric_grid
 
 
@@ -129,23 +129,19 @@ def _resolve_decoupling(
     return {"source": source, "constant": constant, "tau": tau}
 
 
-def _path_series(P, Q, N, seed, grid, offset, stream, relative=False) -> ConvergenceSeries:
-    """(1/n) log Q_n along x ~ P drawn on stream (seed, stream), less (1/n) log P_n if relative.
+def _path_estimate(kind, P, Q, N, seed, grid, offset, stream, decoupling, assume_decoupled):
+    """The one-path estimate of kind "cross" or "relative"; see the public estimators.
 
-    x has N + offset symbols and evaluation starts after the first offset.
+    (1/n) log Q_n along x ~ P drawn on stream (seed, stream), less (1/n)
+    log P_n for "relative"; x has N + offset symbols and evaluation
+    starts after the first offset.
     """
+    certificate = _resolve_decoupling(P, Q, decoupling, assume_decoupled)
     x = sample_trajectory(P, N + offset, seed, stream)
     series = kingman_series(x, Q, grid=grid, offset=offset)
-    if not relative:
-        return series
-    own = kingman_series(x, P, grid=series.ns, offset=offset)
-    return ConvergenceSeries(series.ns, series.values - own.values)
-
-
-def _path_estimate(kind, P, Q, N, seed, grid, offset, stream, decoupling, assume_decoupled):
-    """The one-path estimate of kind "cross" or "relative"; see the public estimators."""
-    certificate = _resolve_decoupling(P, Q, decoupling, assume_decoupled)
-    series = _path_series(P, Q, N, seed, grid, offset, stream, relative=(kind == "relative"))
+    if kind == "relative":
+        own = kingman_series(x, P, grid=series.ns, offset=offset)
+        series = ConvergenceSeries(series.ns, series.values - own.values)
     return EntropyEstimate(kind, series, P.label, Q.label, int(seed), certificate)
 
 
@@ -234,14 +230,24 @@ def mean_convergence_series(
     is reproducible from (seed, trials, N) alone.  The mean at each grid
     point estimates the expected-value convergence of the functional,
     which for a mixture differs from every single path's limit.
+
+    Each trial draws all N symbols (an HMM draws its emission uniforms
+    after the hidden ones, so a shorter draw is another path) and keeps
+    the grid[-1] that the grid reads.  The kept paths are evaluated as
+    the rows of kingman_rows, in groups of at most _TABLE_ENTRIES symbols.
     """
     certificate = _resolve_decoupling(P, Q, decoupling, assume_decoupled)
     if trials < 2:
         raise ConfigError("mean mode needs at least 2 trials")
-    grid = np.asarray(geometric_grid(N) if grid is None else grid, dtype=np.int64)
+    grid = checked_grid(geometric_grid(N) if grid is None else grid, 0, N)
+    horizon = int(grid[-1])
+    group = max(1, _TABLE_ENTRIES // horizon)
     rows = np.empty((trials, grid.size), dtype=np.float64)
-    for t in range(trials):
-        rows[t] = _path_series(P, Q, N, seed, grid, 0, t).values
+    for lo in range(0, trials, group):
+        paths = np.empty((min(group, trials - lo), horizon), dtype=np.int64)
+        for i in range(paths.shape[0]):
+            paths[i] = sample_trajectory(P, N, seed, lo + i).symbols[:horizon]
+        rows[lo : lo + paths.shape[0]] = kingman_rows(paths, Q, grid)
     with np.errstate(invalid="ignore"):
         se = rows.std(axis=0, ddof=1) / np.sqrt(trials)
     estimate = EntropyEstimate(

@@ -299,22 +299,12 @@ def fekete_limit_estimate(
     return LimitEstimate(report=fekete_infimum(F, sigma, rho, N), series=series)
 
 
-@dataclasses.dataclass(frozen=True)
-class LiftedTriple:
-    """A plainly subadditive F repackaged with gaps and matching errors."""
-
-    sequence: RealSequence
-    sigma: GapSchedule
-    rho: ErrorSchedule
-    probe_N: int
-
-
 def gap_lift(
     F: RealSequence, sigma: GapSchedule, probe_N: int = 200, tol: float = 1e-12
-) -> LiftedTriple:
-    """Lift a plainly subadditive sequence into the gapped setting.
+) -> ErrorSchedule:
+    """The error schedule that lifts a plainly subadditive F to the gaps sigma.
 
-    Chooses rho_n = max(F_{sigma_n}, 0) (zero when sigma_n = 0), which
+    It is rho_n = max(F_{sigma_n}, 0) (zero when sigma_n = 0), which
     makes the gapped inequality follow from two applications of plain
     subadditivity.  Plain subadditivity itself is only probed up to
     probe_N; a probe violation raises GapLiftError instead of lifting.
@@ -339,5 +329,4 @@ def gap_lift(
             out[mask] = np.maximum(Fv[sv[mask] - 1], 0.0)
         return out
 
-    rho = ErrorSchedule.from_function(rho_fn)
-    return LiftedTriple(sequence=F, sigma=sigma, rho=rho, probe_N=probe_N)
+    return ErrorSchedule.from_function(rho_fn)

@@ -33,13 +33,10 @@ def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
 
 @dataclasses.dataclass(frozen=True)
 class Trajectory:
-    """A finite symbol path together with how it was produced."""
+    """A finite symbol path on the alphabet {0, ..., alphabet_size - 1}."""
 
     symbols: np.ndarray
     alphabet_size: int
-    measure_label: str = ""
-    seed: int | None = None
-    stream: int = 0
 
     def __post_init__(self):
         sym = np.asarray(self.symbols, dtype=np.int64)
@@ -61,14 +58,10 @@ class Trajectory:
             fh.write(self.text())
 
     @classmethod
-    def from_text(cls, path, alphabet_size: int, label: str = "") -> "Trajectory":
+    def from_text(cls, path, alphabet_size: int) -> "Trajectory":
         with open(path, "r", encoding="utf-8") as fh:
             data = fh.read().split()
-        return cls(
-            np.asarray(data, dtype=np.int64),
-            alphabet_size=alphabet_size,
-            measure_label=label,
-        )
+        return cls(np.asarray(data, dtype=np.int64), alphabet_size=alphabet_size)
 
 
 def sample_trajectory(
@@ -78,14 +71,7 @@ def sample_trajectory(
     if N < 1:
         raise ConfigError("trajectory length must be >= 1")
     rng = make_rng(seed, stream)
-    symbols = Q._sample(N, rng)
-    return Trajectory(
-        symbols,
-        alphabet_size=Q.alphabet.size,
-        measure_label=Q.label,
-        seed=int(seed),
-        stream=int(stream),
-    )
+    return Trajectory(Q._sample(N, rng), alphabet_size=Q.alphabet.size)
 
 
 def log_prefixes(Q: ShiftMeasure, symbols: np.ndarray) -> np.ndarray:
@@ -93,25 +79,39 @@ def log_prefixes(Q: ShiftMeasure, symbols: np.ndarray) -> np.ndarray:
     return Q.prefix_logprobs(symbols)
 
 
-def _normalized_on_grid(incs: np.ndarray, grid: np.ndarray) -> np.ndarray:
-    """Centered-pivot evaluation of (1/n) sum_{i <= n} incs_i on the grid.
+def checked_grid(grid, offset: int, size: int) -> np.ndarray:
+    """grid as an int64 array, checked to fit a path of size symbols.
 
-    Once an increment is -inf every later normalized value is -inf (log
-    marginals only decrease), so the centered sum runs on the finite
-    head only.
+    It must ascend strictly from 1, and offset + grid[-1] <= size.
     """
+    grid = np.asarray(grid, dtype=np.int64)
+    if grid.size == 0 or grid[0] < 1 or (np.diff(grid) <= 0).any():
+        raise ConfigError("grid must be strictly increasing and >= 1")
+    if offset + int(grid[-1]) > size:
+        raise ConfigError(f"grid needs {offset + int(grid[-1])} symbols, trajectory has {size}")
+    return grid
+
+
+def kingman_rows(paths: np.ndarray, Q: ShiftMeasure, grid: np.ndarray) -> np.ndarray:
+    """(1/n) log Q_n(x_1..x_n) for each row x of paths at each n of grid.
+
+    Returns a (paths, grid) array.  grid is a checked_grid; each row's
+    first grid[-1] symbols are read.  A row's values are bit for bit its
+    values evaluated alone: the per-symbol increments are exact or sum in
+    one order, and the normalization runs along each row on its own,
+    with the centered pivot of the module docstring.  Once an increment
+    is -inf every later normalized value is -inf (log marginals only
+    decrease), so the centered sum counts on the finite head only.
+    """
+    incs = Q.log_increments(paths[:, : grid[-1]])
     neg = ~np.isfinite(incs)
-    finite_len = int(np.argmax(neg)) if neg.any() else incs.size
-    out = np.full(grid.size, -np.inf)
-    if finite_len == 0:
-        return out
-    incs = incs[:finite_len]
-    pivot = float(incs[0])
-    centered = np.cumsum(incs - pivot)
-    head = grid <= finite_len
-    g = grid[head]
-    out[head] = pivot + centered[g - 1] / g
-    return out
+    finite_len = np.where(neg.any(axis=1), neg.argmax(axis=1), incs.shape[1])
+    pivot = incs[:, :1]
+    with np.errstate(invalid="ignore"):  # -inf - -inf, past a row's finite head
+        centered = incs - pivot
+        np.cumsum(centered, axis=1, out=centered)
+        values = pivot + centered[:, grid - 1] / grid
+    return np.where(grid <= finite_len[:, None], values, -np.inf)
 
 
 def kingman_series(
@@ -124,6 +124,7 @@ def kingman_series(
 
     The default grid is geometric with ratio 1.2, ending at the largest
     n the trajectory supports.  Requires offset + max(grid) <= len(x).
+    It is the one-row case of kingman_rows.
     """
     symbols = x.symbols if isinstance(x, Trajectory) else np.asarray(x, dtype=np.int64)
     if offset < 0:
@@ -131,15 +132,6 @@ def kingman_series(
     avail = symbols.size - offset
     if avail < 1:
         raise ConfigError("offset leaves no symbols to evaluate")
-    if grid is None:
-        grid = geometric_grid(avail)
-    grid = np.asarray(grid, dtype=np.int64)
-    if grid.size == 0 or grid[0] < 1 or (np.diff(grid) <= 0).any():
-        raise ConfigError("grid must be strictly increasing and >= 1")
-    horizon = int(grid[-1])
-    if offset + horizon > symbols.size:
-        raise ConfigError(
-            f"grid needs {offset + horizon} symbols, trajectory has {symbols.size}"
-        )
-    values = _normalized_on_grid(Q.log_increments(symbols[offset : offset + horizon]), grid)
+    grid = checked_grid(geometric_grid(avail) if grid is None else grid, offset, symbols.size)
+    values = kingman_rows(symbols[None, offset:], Q, grid)[0]
     return ConvergenceSeries(grid, values)

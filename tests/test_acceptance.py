@@ -66,10 +66,10 @@ def test_criterion_01_gap_lift_and_finite_infimum():
     sigma = GapSchedule("ceil_log")
     lifted = gap_lift(F, sigma)
     t0 = time.perf_counter()
-    chk = check_gapped_subadditivity(F, sigma, lifted.rho, 2000)
+    chk = check_gapped_subadditivity(F, sigma, lifted, 2000)
     t_check = time.perf_counter() - t0
     t0 = time.perf_counter()
-    rep = fekete_infimum(F, sigma, lifted.rho, 10**6)
+    rep = fekete_infimum(F, sigma, lifted, 10**6)
     t_inf = time.perf_counter() - t0
     gap = abs(rep.limit_proxy - rep.infimum)
     ok = (

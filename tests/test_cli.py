@@ -366,6 +366,21 @@ def test_decouple_check_of_a_huge_horizon_is_a_cap_refusal(tmp_path, capsys):
     assert took < 1.0
 
 
+def test_estimate_mean_of_too_many_trials_is_a_cap_refusal(tmp_path, capsys):
+    """trials x grid points above the cap is refused before any trial is drawn."""
+    c = write_json(tmp_path, "c.json", COIN_SPEC)
+    out = tmp_path / "o"
+    start = time.perf_counter()
+    rc = main(["estimate", "mean", "--p", c, "--q", c, "--N", "100",
+               "--trials", "100000000000", "--seed", "1", "--outdir", str(out)])
+    took = time.perf_counter() - start
+    assert rc == 4
+    assert ("cap: /trials: 100000000000 trials of 23 grid points exceed cap 10000000"
+            in capsys.readouterr().err)
+    assert not out.exists()
+    assert took < 1.0
+
+
 def test_cli_validate_schema_only(tmp_path, capsys):
     m = write_json(tmp_path, "m.json", WORKED_SPEC)
     assert main(["validate", "--file", m]) == 0

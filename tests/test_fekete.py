@@ -231,7 +231,7 @@ def test_infimum_with_gaps_matches_direct_formula():
     sigma = GapSchedule("ceil_log")
     lifted = gap_lift(F, sigma, probe_N=100)
     N = 10**4
-    rep = fekete_infimum(F, sigma, lifted.rho, N)
+    rep = fekete_infimum(F, sigma, lifted, N)
     # independent recomputation of min_n (F_n + rho_n) / (n + sigma_n)
     ns = np.arange(1, N + 1, dtype=float)
     sig = np.ceil(np.log2(1.0 + ns))
@@ -266,15 +266,15 @@ def test_gap_lift_rho_values():
     sigma = GapSchedule("ceil_log")
     lifted = gap_lift(F, sigma, probe_N=64)
     # rho_n = max(F_{sigma_n}, 0); sigma_5 = ceil(log2 6) = 3 -> 2 sqrt(3)
-    assert abs(lifted.rho.value(5) - 2.0 * math.sqrt(3.0)) < 1e-12
-    chk = check_gapped_subadditivity(F, sigma, lifted.rho, 300)
+    assert abs(lifted.value(5) - 2.0 * math.sqrt(3.0)) < 1e-12
+    chk = check_gapped_subadditivity(F, sigma, lifted, 300)
     assert chk.ok
 
 
 def test_gap_lift_zero_gap_gives_zero_rho():
     F = sequence_from_spec({"name": "sqrt"})
     lifted = gap_lift(F, GapSchedule.zero(), probe_N=32)
-    assert lifted.rho.values(np.arange(1, 20)).tolist() == [0.0] * 19
+    assert lifted.values(np.arange(1, 20)).tolist() == [0.0] * 19
 
 
 def test_gap_lift_refuses_superadditive_input():

@@ -54,7 +54,7 @@ def test_sample_trajectory_reproducible(worked_chain):
     z = sample_trajectory(worked_chain, 200, seed=11, stream=1)
     assert (x.symbols == y.symbols).all()
     assert (x.symbols != z.symbols).any()
-    assert x.seed == 11 and x.stream == 0 and len(x) == 200
+    assert len(x) == 200
     assert x.symbols.min() >= 0 and x.symbols.max() < 2
 
 
@@ -81,7 +81,7 @@ def test_trajectory_text_round_trip(tmp_path, worked_chain):
     x = sample_trajectory(worked_chain, 64, seed=1)
     path = tmp_path / "traj.txt"
     x.to_text(path)
-    y = Trajectory.from_text(path, alphabet_size=2, label=x.measure_label)
+    y = Trajectory.from_text(path, alphabet_size=2)
     assert (x.symbols == y.symbols).all()
 
 
