@@ -181,9 +181,15 @@ def _nonnegative(p: dict, key: str, kind: type, default):
     return value
 
 
-# default horizon cap of `fekete limit`, the cap on `fekete lift`'s table
-# and on the trials times grid points of `estimate mean`
+# default horizon cap of `fekete limit`, the cap on `fekete lift`'s table,
+# on the trials times grid points of `estimate mean` and on every drawn path
 _HORIZON_CAP = 10**7
+
+
+def _drawn_length(length: int, pointer: str) -> None:
+    """Refuse, at pointer, a path of more than _HORIZON_CAP symbols before it is drawn."""
+    if length > _HORIZON_CAP:
+        raise CapExceededError(f"a path of {length} symbols exceeds cap {_HORIZON_CAP}", pointer)
 
 
 def _rho_const(p: dict, Q: ShiftMeasure, tau: int) -> float:
@@ -243,6 +249,7 @@ def _run_fekete_lift(p: dict) -> dict:
 def _run_sample(p: dict) -> dict:
     Q = measure_from_spec(p.get("measure"), "/measure")
     N, seed, stream = param(p, "N", int), param(p, "seed", int), param(p, "stream", int, 0)
+    _drawn_length(N, "/N")
     x = sample_trajectory(Q, N, seed, stream=stream)
     summary = {
         "measure": Q.label,
@@ -257,10 +264,11 @@ def _run_sample(p: dict) -> dict:
 def _run_series(p: dict) -> dict:
     Q = measure_from_spec(p.get("measure"), "/measure")
     P = Q if p.get("sample_from") is None else measure_from_spec(p["sample_from"], "/sample_from")
-    N = param(p, "N", int)
+    N, offset = param(p, "N", int), param(p, "offset", int, 0)
+    _drawn_length(N + offset, "/N")
     grid = _grid_from_spec(param(p, "grid", str, "geometric"), N)
     est = cross_entropy_estimate(
-        P, Q, N, param(p, "seed", int), grid=grid, offset=param(p, "offset", int, 0),
+        P, Q, N, param(p, "seed", int), grid=grid, offset=offset,
         assume_decoupled=param(p, "assume_decoupled", bool, False),
     )
     summary = est.to_json()
@@ -281,11 +289,12 @@ def _oracle_rates(P: ShiftMeasure, Q: ShiftMeasure) -> dict:
 def _run_estimate(p: dict, mode: str) -> dict:
     P = measure_from_spec(p.get("p"), "/p")
     Q = measure_from_spec(p.get("q"), "/q")
-    N = param(p, "N", int)
+    N, offset = param(p, "N", int), param(p, "offset", int, 0)
+    _drawn_length(N + offset, "/N")
     grid = _grid_from_spec(param(p, "grid", str, "geometric"), N)
     estimate = cross_entropy_estimate if mode == "cross" else relative_entropy_estimate
     est = estimate(
-        P, Q, N, param(p, "seed", int), grid=grid, offset=param(p, "offset", int, 0),
+        P, Q, N, param(p, "seed", int), grid=grid, offset=offset,
         assume_decoupled=param(p, "assume_decoupled", bool, False),
     )
     summary = est.to_json()
@@ -301,6 +310,7 @@ def _run_estimate_mean(p: dict) -> dict:
     P = measure_from_spec(p.get("p"), "/p")
     Q = measure_from_spec(p.get("q"), "/q")
     N = param(p, "N", int)
+    _drawn_length(N, "/N")
     grid = _grid_from_spec(param(p, "grid", str, "geometric"), N)
     trials = param(p, "trials", int)
     if trials * grid.size > _HORIZON_CAP:
@@ -355,6 +365,7 @@ def _run_decouple_bound(p: dict) -> dict:
 def _run_steele(p: dict) -> dict:
     Q = measure_from_spec(p.get("measure"), "/measure")
     n, r, K = param(p, "n", int), param(p, "r", int), param(p, "K", int)
+    _drawn_length(n + K * r, "/n" if n > _HORIZON_CAP else "/K")
     eps = param(p, "eps", float)
     tau = _nonnegative(p, "tau", int, 0)
     rho_c = _rho_const(p, Q, tau)
@@ -390,8 +401,9 @@ def _run_traj_check(p: dict) -> dict:
     Q = measure_from_spec(p.get("measure"), "/measure")
     tau = _nonnegative(p, "tau", int, 0)
     rho_c = _rho_const(p, Q, tau)
-    x = sample_trajectory(Q, param(p, "N", int), param(p, "seed", int),
-                          stream=param(p, "stream", int, 0))
+    N = param(p, "N", int)
+    _drawn_length(N, "/N")
+    x = sample_trajectory(Q, N, param(p, "seed", int), stream=param(p, "stream", int, 0))
     check = check_trajectory_subadditivity(
         x, Q, ErrorSchedule.constant(rho_c), GapSchedule.constant(tau),
         tol=param(p, "tol", float, 1e-10),

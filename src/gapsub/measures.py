@@ -27,12 +27,13 @@ import itertools
 import math
 import numbers
 import sys
+from operator import add
 from typing import Iterator, Sequence
 
 import numpy as np
 
 from .errors import CapExceededError, ConfigError, ValidationError, schema_errors
-from .logspace import log_sum_exp, log_sum_exp_into, safe_log
+from .logspace import _NEG_MAX, log_sum_exp, log_sum_exp_into, safe_log
 
 _STOCH_TOL = 1e-9
 _LISTS = (list, tuple, np.ndarray)
@@ -399,6 +400,9 @@ class _PrefixSumWindows(Windows):
 _TABLE_ENTRIES = 2**22
 # forward steps times rows times hidden states run as one chunk
 _FORWARD_ENTRIES = 2**12
+# most hidden states for which one row steps on Python floats: above 3 the
+# h^2 scalar terms cost more than the numpy step saves
+_ROW_STEP_HIDDEN = 3
 
 
 class _ForwardWindows(Windows):
@@ -672,7 +676,20 @@ class HiddenMarkovMeasure(ShiftMeasure):
         from a row-major (steps, rows, hidden) copy of alpha.  Either way
         every row sums in the same order as a batch of one, so a window's
         value does not depend on its batch.
+
+        One row that runs to the end of its window, with at most
+        _ROW_STEP_HIDDEN hidden states, steps in _forward_row instead, on
+        Python floats, with the same bits: adds, subtractions and compares
+        are the same IEEE operations on floats as on arrays; the max starts
+        at -DBL_MAX; each column sums left to right with explicit adds, as
+        np.add.reduce does over the leading axis (the builtin sum is
+        compensated from Python 3.12); exp and log still run through
+        numpy's ufuncs, whose results differ from libm's but do not depend
+        on an entry's place in its array; and the totals are the same
+        log_sum_exp calls on the same chunks.
         """
+        if js.size == 1 and js[0] + m <= x.size and self.hidden_size <= _ROW_STEP_HIDDEN:
+            return self._forward_row(x, int(js[0]), m, table)
         h = self.hidden_size
         chunk = max(1, _FORWARD_ENTRIES // (js.size * h))
         # live rows at each step: a table row stops at the end of x
@@ -707,6 +724,64 @@ class HiddenMarkovMeasure(ShiftMeasure):
         if table:
             return out
         return log_sum_exp(np.ascontiguousarray(alpha.T), axis=1)
+
+    def _forward_row(self, x: np.ndarray, j: int, m: int, table: bool) -> np.ndarray:
+        """_forward of the one row x[j : j + m], stepped on Python floats.
+
+        Each step writes its h^2 shifted terms and h column sums into
+        small buffers through memoryviews, for np.exp and np.log in place.
+        Symbols are read a chunk at a time, so memory stays flat.
+        """
+        h = self.hidden_size
+        chunk = max(1, _FORWARD_ENTRIES // h)
+        log_A_cols = self.log_A.T.tolist()
+        log_E_rows = self.log_E.T.tolist()
+        terms, sums = np.empty(h * h), np.empty(h)
+        terms_v, sums_v = memoryview(terms), memoryview(sums)
+        alpha = (self.log_start + self.log_E[:, x[j]]).tolist()
+        out = np.empty((1, m)) if table else None
+        # column k of the terms: its first index and the ones added after it
+        spans = [(k, k * h, range(k * h + 1, k * h + h)) for k in range(h)]
+        with np.errstate(divide="ignore"):
+            for t0 in range(0, m, chunk):
+                t1 = min(m, t0 + chunk)
+                symbols = x[j + t0 : j + t1].tolist()
+                kept = []
+                if not t0:
+                    del symbols[0]
+                    kept += alpha
+                for s in symbols:
+                    tops, q = [], 0
+                    # column k: terms[k * h + i] = alpha[i] + log A[i, k] - top
+                    for a_col in log_A_cols:
+                        col = list(map(add, alpha, a_col))
+                        top = max(col)
+                        if top < _NEG_MAX:  # the max starts at -DBL_MAX
+                            top = _NEG_MAX
+                        tops.append(top)
+                        for v in col:
+                            terms_v[q] = v - top
+                            q += 1
+                    np.exp(terms, out=terms)
+                    e = terms_v.tolist()
+                    for k, q0, rest in spans:
+                        acc = e[q0]
+                        for q in rest:
+                            acc = acc + e[q]
+                        sums_v[k] = acc
+                    np.log(sums, out=sums)
+                    alpha = [
+                        (lse + top) + emit
+                        for lse, top, emit in zip(sums_v.tolist(), tops, log_E_rows[s])
+                    ]
+                    if table:
+                        kept += alpha
+                if table:
+                    totals = np.array(kept).reshape(t1 - t0, 1, h)
+                    out[:, t0:t1] = log_sum_exp(totals, axis=2).T
+        if table:
+            return out
+        return log_sum_exp(np.array([alpha]), axis=1)
 
     def prefix_logprobs(self, x) -> np.ndarray:
         # one forward row per path, each reading its own stretch of the ravel

@@ -381,6 +381,44 @@ def test_estimate_mean_of_too_many_trials_is_a_cap_refusal(tmp_path, capsys):
     assert took < 1.0
 
 
+# every runner that draws a path, a drawn length over the cap, and the
+# pointer of its refusal
+DRAWN_OVER_CAP = {
+    "sample": (["sample", "--measure", "{m}", "--N", "1000000000000", "--seed", "1"],
+               "/N", 10**12),
+    "series": (["series", "--measure", "{m}", "--N", "10000000", "--offset", "1",
+                "--seed", "1", "--grid", "linear:1"], "/N", 10**7 + 1),
+    "cross": (["estimate", "cross", "--p", "{m}", "--q", "{m}", "--N", "9999999",
+               "--offset", "2", "--seed", "1", "--grid", "linear:1"], "/N", 10**7 + 1),
+    "relent": (["estimate", "relent", "--p", "{m}", "--q", "{m}", "--N", "1000000000000",
+                "--seed", "1"], "/N", 10**12),
+    "mean": (["estimate", "mean", "--p", "{m}", "--q", "{m}", "--N", "1000000000000",
+              "--trials", "1", "--seed", "1"], "/N", 10**12),
+    "steele-K": (["steele", "run", "--measure", "{m}", "--n", "100", "--r", "1000000000",
+                  "--K", "1000000", "--eps", "0.1", "--seed", "1"], "/K", 10**15 + 100),
+    "steele-n": (["steele", "run", "--measure", "{m}", "--n", "100000000", "--r", "2",
+                  "--K", "2", "--eps", "0.1", "--seed", "1"], "/n", 10**8 + 4),
+    "decouple-check": (["decouple", "check", "--measure", "{m}", "--N", "1000000000000",
+                        "--seed", "1"], "/N", 10**12),
+}
+
+
+@pytest.mark.parametrize("case", list(DRAWN_OVER_CAP))
+def test_a_drawn_length_over_the_cap_is_refused_before_drawing(tmp_path, capsys, case):
+    """N (plus offset), or n + K r, above the cap is exit 4 at its pointer, within a second."""
+    argv, pointer, length = DRAWN_OVER_CAP[case]
+    m = write_json(tmp_path, "m.json", COIN_SPEC)
+    out = tmp_path / "o"
+    start = time.perf_counter()
+    rc = main([m if a == "{m}" else a for a in argv] + ["--outdir", str(out)])
+    took = time.perf_counter() - start
+    assert rc == 4
+    assert (f"cap: {pointer}: a path of {length} symbols exceeds cap 10000000"
+            in capsys.readouterr().err)
+    assert not out.exists()
+    assert took < 1.0
+
+
 def test_cli_validate_schema_only(tmp_path, capsys):
     m = write_json(tmp_path, "m.json", WORKED_SPEC)
     assert main(["validate", "--file", m]) == 0

@@ -7,8 +7,15 @@ recursion as it stood before: one call of the old log_sum_exp per step
 and one total per step.  The prefix table, windows.many and
 the windows.suffix block table must match it bit for bit, for every
 chunk size, including -inf prefixes and rows that stop at the path end.
+
+One row with few hidden states steps on Python floats instead
+(HiddenMarkovMeasure._forward_row); it must match the rows path bit for
+bit, and the numpy property it rests on is pinned here too.
 """
 from __future__ import annotations
+
+import math
+import sys
 
 import numpy as np
 import pytest
@@ -145,3 +152,83 @@ def test_many_of_no_offsets_is_empty(Q):
     for m in (1, 20, 40):
         got = Q.windows(x).many([], m)
         assert got.shape == (0,) and got.dtype == np.float64
+
+
+# -------------------------------------------------- the one-row step
+
+
+def _rows_prefixes(H: HiddenMarkovMeasure, x: np.ndarray) -> np.ndarray:
+    """x's prefix table from the rows path, as the first of two rows."""
+    return H.prefix_logprobs(np.stack([x, x]))[0]
+
+
+@pytest.mark.parametrize("invariant", [True, False], ids=["invariant", "given-start"])
+@pytest.mark.parametrize("hidden", [1, 2, 3, 4])
+@pytest.mark.usefixtures("budget")
+def test_one_row_step_matches_the_rows_path(hidden, invariant, monkeypatch):
+    """Paths of 1, chunk - 1, chunk and chunk + 1 symbols, prefixes going -inf.
+
+    With _TABLE_ENTRIES at 1, windows.suffix fills blocks of one row.
+    """
+    monkeypatch.setattr(measures, "_TABLE_ENTRIES", 1)
+    H = _hmm(hidden, invariant)
+    chunk = max(1, measures._FORWARD_ENTRIES // hidden)
+    for n in sorted({1, max(1, chunk - 1), chunk, chunk + 1}):
+        x = _path(n, seed=n)
+        got = H.prefix_logprobs(x)
+        assert got[-1] == -np.inf and (n < 4 or np.isfinite(got[0]))
+        _same_bits(got, _rows_prefixes(H, x))
+        if n < 3:
+            continue
+        wl = H.windows(x)
+        both = wl.many([0, 1], n - 1)
+        _same_bits(wl.many([0], n - 1), both[:1])
+        _same_bits(wl.many([1], n - 1), both[1:])
+        _same_bits(wl.suffix(2, n - 2), _rows_prefixes(H, x[2:]))
+
+
+def test_one_row_step_sums_each_column_left_to_right():
+    """A column whose terms after exp are about (1, 1e-16, 1e-16).
+
+    Added left to right they give 1; a compensated sum (math.fsum, or the
+    builtin sum from Python 3.12) gives the next float up.
+    """
+    A = [[0.98, 0.01, 0.01], [1e-16, 0.5, 0.5 - 1e-16], [1e-16, 0.5, 0.5 - 1e-16]]
+    H = HiddenMarkovMeasure(A, [[0.6, 0.4]] * 3, start=[1 / 3] * 3)
+    x = sample_trajectory(IIDMeasure([0.5, 0.5]), 64, seed=3).symbols
+    col = H.log_start + H.log_E[:, x[0]] + H.log_A[:, 0]  # the first step's column 0
+    e = np.exp(col - col.max())
+    assert (e[0] + e[1]) + e[2] == 1.0 != math.fsum(e)
+    _same_bits(H.prefix_logprobs(x), _rows_prefixes(H, x))
+    _same_bits(H.windows(x).many([0], 64), H.windows(x).many([0, 0], 64)[:1])
+
+
+def test_numpy_exp_and_log_ignore_an_entrys_place():
+    """In place on buffers of 1 to 9 floats, np.exp and np.log give the bits
+    they give on the same entries of one array of 10^5 values.
+
+    The one-row step calls them on tiny buffers, the rows path on larger
+    arrays; numpy's vector loops must not round by position.
+    """
+    rng = np.random.default_rng(14)
+    tiny, top = sys.float_info.min, sys.float_info.max
+    for ufunc, values, edges in (
+        (np.exp, rng.uniform(-750.0, 0.0, 10**5),
+         [-np.inf, 0.0, -5e-324, -tiny, -1e-300, -708.4, -745.13, -745.2,
+          709.78, 709.782712893384, 709.79]),
+        (np.log, np.exp(rng.uniform(-745.0, 709.0, 10**5)),
+         [0.0, 5e-324, tiny, 1e-300, 1.0, 1.0 + 2**-52, 3.0, top, np.inf]),
+    ):
+        values[rng.choice(values.size, 40 * len(edges), replace=False)] = np.repeat(edges, 40)
+        with np.errstate(all="ignore"):
+            want = ufunc(values)
+            for size in range(1, 10):
+                buf = np.empty(size)
+                view = memoryview(buf)
+                got = np.empty_like(values)
+                for lo in range(0, values.size - size + 1, size):
+                    view[:] = memoryview(values[lo : lo + size])
+                    ufunc(buf, out=buf)
+                    got[lo : lo + size] = buf
+                stop = values.size - values.size % size
+                assert got[:stop].tobytes() == want[:stop].tobytes(), (ufunc.__name__, size)
