@@ -403,6 +403,8 @@ def _run_traj_check(p: dict) -> dict:
     rho_c = _rho_const(p, Q, tau)
     N = param(p, "N", int)
     _drawn_length(N, "/N")
+    if N > PAIRWISE_CAP:
+        raise CapExceededError(f"pairwise check at N = {N} exceeds cap {PAIRWISE_CAP}", "/N")
     x = sample_trajectory(Q, N, param(p, "seed", int), stream=param(p, "stream", int, 0))
     check = check_trajectory_subadditivity(
         x, Q, ErrorSchedule.constant(rho_c), GapSchedule.constant(tau),

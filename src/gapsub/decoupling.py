@@ -22,8 +22,8 @@ import numpy as np
 
 from .errors import CapExceededError, ConfigError, DecouplingFailure, ValidationError
 from .fekete import PAIRWISE_CAP, SubadditivityCheck, split_scan
-from .logspace import log_sum_exp
-from .measures import IIDMeasure, ShiftMeasure, _level_rows
+from .logspace import log_sum_exp, log_sum_exp_into
+from .measures import IIDMeasure, ShiftMeasure
 # log_prefixes is re-exported: the benchmark's tracer wraps it here by name
 from .sampling import Trajectory, log_prefixes  # noqa: F401
 from .schedules import ErrorSchedule, GapSchedule
@@ -102,25 +102,44 @@ _JOINT_WORDS = 1 << 16
 _FAILURES_KEPT = 20  # positivity failures a report lists
 
 
+def _words_over_cap(k: int, length: int, cap: int) -> str | None:
+    """The printed count of the k**length words, if more than cap; else None.
+
+    k**length > cap once length reaches cap's bit length, so the power is
+    never built larger; a count of 64+ symbols prints as k^length.
+    """
+    if k ** min(length, cap.bit_length()) <= cap:
+        return None
+    return str(k**length) if length < 64 else f"{k}^{length}"
+
+
 def _joint_chunks(Q: ShiftMeasure, state, words: int, tau: int, m_max: int):
     """(lo, m, J): J[i, b] = log Q(a * b) for the first-block word a = lo + i.
 
     state is the level-n state of all `words` first blocks.  Each chunk of
     rows extends by tau symbols, then by one more for each m, so the joint
     level n + tau + m is never built whole; the gap block is summed out.
+
+    The gap sum runs on a gap-major copy, (gap, a, b), so numpy's inner
+    loops run over the whole chunk.  The gap axis was never innermost (k^m
+    second blocks follow it), so numpy summed it left to right before too.
     """
     k = Q.alphabet.size
     rows = max(1, _JOINT_WORDS // k ** (tau + m_max))
     for lo in range(0, words, rows):
         hi = min(lo + rows, words)
-        ext = Q._level_extend(_level_rows(state, lo, hi), tau)
+        ext = Q._level_extend(Q._level_rows(state, lo, hi), tau)
         for m in range(1, m_max + 1):
             ext = Q._level_extend(ext, 1)
             full = Q._level_totals(ext)
             if tau == 0:
                 yield lo, m, full.reshape(hi - lo, k**m)
             else:
-                yield lo, m, log_sum_exp(full.reshape(hi - lo, k**tau, k**m), axis=1)
+                terms = full.reshape(hi - lo, k**tau, k**m).transpose(1, 0, 2).copy()
+                lse = np.empty(terms.shape[1:])
+                with np.errstate(divide="ignore"):
+                    log_sum_exp_into(terms, np.empty(terms.shape[1:]), lse)
+                yield lo, m, lse
 
 
 def minimal_decoupling_constants(
@@ -164,9 +183,8 @@ def minimal_decoupling_constants(
             method="product-identity",
         )
     worst_len = max(n + t + m_max for n, t in zip(range(1, n_max + 1), taus))
-    # k**L > cap once L reaches cap's bit length; a level of 64+ symbols prints as k^L
-    if k ** min(worst_len, cap.bit_length()) > cap:
-        words = k**worst_len if worst_len < 64 else f"{k}^{worst_len}"
+    words = _words_over_cap(k, worst_len, cap)
+    if words:
         raise CapExceededError(
             f"audit needs {words} words at length {worst_len}, cap is {cap}"
         )
@@ -194,17 +212,20 @@ def minimal_decoupling_constants(
             a = A[lo:lo + J.shape[0], None]
             with np.errstate(invalid="ignore"):
                 D = J - a - B[m][None, :]
-            pos_fail = np.isfinite(J) & ~np.isfinite(a + B[m][None, :])
-            if pos_fail.any():
-                had_positivity_failure = True
-                ai, bi = np.nonzero(pos_fail)
-                room = _FAILURES_KEPT - len(failed[m])
-                failed[m] += [(lo + int(i), int(j)) for i, j in zip(ai[:room], bi[:room])]
             finite = np.isfinite(D)
+            # a positivity failure has D = +inf, so only a chunk with a
+            # non-finite D can hold one
+            if not finite.all():
+                pos_fail = np.isfinite(J) & ~np.isfinite(a + B[m][None, :])
+                if pos_fail.any():
+                    had_positivity_failure = True
+                    ai, bi = np.nonzero(pos_fail)
+                    room = _FAILURES_KEPT - len(failed[m])
+                    failed[m] += [(lo + int(i), int(j)) for i, j in zip(ai[:room], bi[:room])]
+                D = np.where(finite, D, -np.inf)
             if finite.any():
-                flat = np.where(finite, D, -np.inf)
-                ai, bi = np.unravel_index(int(np.argmax(flat)), D.shape)
-                cand = float(flat[ai, bi])
+                ai, bi = np.unravel_index(int(np.argmax(D)), D.shape)
+                cand = float(D[ai, bi])
                 if cand > best[m]:
                     best[m] = cand
                     best_at[m] = (lo + int(ai), int(bi))
@@ -262,8 +283,9 @@ def decoupling_defect(
         joint = Q.log_marginal(np.concatenate([a, b]))
     else:
         k = Q.alphabet.size
-        if k**tau_n > cap:
-            raise CapExceededError(f"gap enumeration needs {k**tau_n} words")
+        words = _words_over_cap(k, tau_n, cap)
+        if words:
+            raise CapExceededError(f"gap enumeration needs {words} words")
         pieces = np.empty(k**tau_n, dtype=np.float64)
         for i, g in enumerate(Q.alphabet.words(tau_n)):
             pieces[i] = Q.log_marginal(

@@ -52,8 +52,14 @@ CASES = {
     "hmm1": (HiddenMarkovMeasure([[1.0]], [[0.3, 0.7]]), 3, 3),
     "hmm2": (_hmm(2, 2, 1), 4, 4),
     "hmm3": (_hmm(3, 3, 2), 3, 3),
-    # past the 8-wide block of numpy's pairwise sum
+    # either side of the 8 hidden states from which an extended state keeps
+    # the word-major layout; at seed 2 the level-1 totals of hmm8 differ
+    # when summed pairwise, so they must stay left to right
+    "hmm7": (_hmm(7, 2, 8), 4, 3),
+    "hmm8": (_hmm(8, 2, 2), 4, 3),
     "hmm9": (_hmm(9, 2, 3), 4, 3),
+    # one-word chunks start at rows that are not multiples of k = 5
+    "markov5": (MarkovMeasure(np.random.default_rng(10).dirichlet(np.ones(5), size=5)), 2, 2),
     "markov+iid": (MixtureMeasure([MarkovMeasure(WORKED_P), IIDMeasure([0.4, 0.6])], [0.3, 0.7]), 3, 4),
     "markov+hmm": (MixtureMeasure([MarkovMeasure(WORKED_P), _hmm(3, 2, 4)], [0.5, 0.5]), 4, 3),
     "iid": (IIDMeasure([0.2, 0.3, 0.5]), 3, 3),
@@ -105,6 +111,42 @@ def test_level_states_are_the_old_level_bodies(case):
     Q = case[0]
     for n in range(1, 9):
         assert Q.log_marginals_level(n).tobytes() == old_level(Q, n).tobytes()
+
+
+@pytest.mark.parametrize("case", CASES.values(), ids=CASES.keys())
+def test_any_cut_extends_to_its_block_of_the_longer_level(case):
+    """Rows lo..hi-1 of level 3, extended by s symbols, are the words
+    lo k^s .. hi k^s - 1 of level 3 + s, bit for bit, wherever the cut
+    falls; (1, 1 + k) starts off a multiple of k but spans k words."""
+    Q = case[0]
+    k = Q.alphabet.size
+    state = Q._level_state(3)
+    for lo, hi in [(0, k**3), (1, 1 + k), (2, 3), (k**3 - 1, k**3)]:
+        for s in range(3):
+            got = Q._level_totals(Q._level_extend(Q._level_rows(state, lo, hi), s))
+            assert got.tobytes() == old_level(Q, 3 + s)[lo * k**s : hi * k**s].tobytes()
+
+
+def _left_to_right(a: np.ndarray) -> np.ndarray:
+    acc = a[0].copy()
+    for row in a[1:]:
+        acc = acc + row
+    return acc
+
+
+@pytest.mark.parametrize("h", [2, 3, 8, 9, 16, 33])
+def test_numpy_sums_an_outer_axis_left_to_right(h):
+    """The level layouts rest on this: np.add.reduce over the leading axis
+    of a C-contiguous (h, M) array, M > 1, adds the slices left to right,
+    while over an innermost axis of 8 or more terms it adds pairwise."""
+    rng = np.random.default_rng(h)
+    # (1, e, e, ...) with e below half an ulp of 1: left to right every e
+    # is lost, pairwise they add up first
+    lopsided = np.tile(np.r_[1.0, np.full(h - 1, 1e-16)][:, None], 3)
+    for a in (rng.random((h, 5)), lopsided):
+        assert np.add.reduce(a, axis=0).tobytes() == _left_to_right(a).tobytes()
+    inner = np.add.reduce(np.ascontiguousarray(lopsided.T), axis=1)
+    assert (inner.tobytes() == _left_to_right(lopsided).tobytes()) == (h < 8)
 
 
 @pytest.mark.parametrize(

@@ -361,7 +361,24 @@ def test_decouple_check_of_a_huge_horizon_is_a_cap_refusal(tmp_path, capsys):
                "--outdir", str(out)])
     took = time.perf_counter() - start
     assert rc == 4
-    assert "cap: pairwise check at N = 1000000 exceeds cap 5000" in capsys.readouterr().err
+    assert "cap: /N: pairwise check at N = 1000000 exceeds cap 5000" in capsys.readouterr().err
+    assert not out.exists()
+    assert took < 1.0
+
+
+def test_decouple_check_refuses_its_horizon_before_drawing(tmp_path, capsys):
+    """10^7 symbols of a three-state HMM take over a second to draw; a
+    horizon above the pairwise cap is refused before any is drawn."""
+    hmm3 = {"family": "hmm", "A": [[0.6, 0.3, 0.1], [0.2, 0.5, 0.3], [0.3, 0.3, 0.4]],
+            "E": [[0.8, 0.2], [0.3, 0.7], [0.5, 0.5]]}
+    m = write_json(tmp_path, "m.json", hmm3)
+    out = tmp_path / "o"
+    start = time.perf_counter()
+    rc = main(["decouple", "check", "--measure", m, "--N", "10000000", "--seed", "1",
+               "--outdir", str(out)])
+    took = time.perf_counter() - start
+    assert rc == 4
+    assert "cap: /N: pairwise check at N = 10000000 exceeds cap 5000" in capsys.readouterr().err
     assert not out.exists()
     assert took < 1.0
 

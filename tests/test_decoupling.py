@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -435,6 +436,17 @@ def test_trajectory_check_matches_the_naive_double_loop(family, N, tau, worked_c
     for v, (_, _, excess) in zip(chk.violations, found):
         assert v.excess == pytest.approx(excess, abs=1e-12)
     assert chk.max_excess == pytest.approx(max_excess, abs=1e-12)
+
+
+def test_a_long_gap_is_a_cap_refusal_named_as_a_power(worked_chain):
+    """2^20000 has over 4300 digits, more than Python turns into text by default."""
+    start = time.perf_counter()
+    with pytest.raises(CapExceededError) as got:
+        decoupling_defect(worked_chain, [0], [1], 20000)
+    assert str(got.value) == "gap enumeration needs 2^20000 words"
+    with pytest.raises(CapExceededError, match="needs 16777216 words"):
+        decoupling_defect(worked_chain, [0], [1], 24)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_trajectory_check_horizon_validation(worked_chain):
