@@ -15,7 +15,6 @@ from .decoupling import (
     DecouplingReport,
     TheoremData,
     check_trajectory_subadditivity,
-    decoupling_defect,
     decoupling_to_theorem_data,
     minimal_decoupling_constants,
 )

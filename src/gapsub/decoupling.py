@@ -20,9 +20,9 @@ import dataclasses
 
 import numpy as np
 
-from .errors import CapExceededError, ConfigError, DecouplingFailure, ValidationError
+from .errors import CapExceededError, ConfigError, DecouplingFailure, ScheduleRangeError
 from .fekete import PAIRWISE_CAP, SubadditivityCheck, split_scan
-from .logspace import log_sum_exp, log_sum_exp_into
+from .logspace import log_sum_exp_into
 from .measures import IIDMeasure, ShiftMeasure
 # log_prefixes is re-exported: the benchmark's tracer wraps it here by name
 from .sampling import Trajectory, log_prefixes  # noqa: F401
@@ -100,6 +100,7 @@ class DecouplingReport:
 # max(1, _JOINT_WORDS // k**(tau + m_max))
 _JOINT_WORDS = 1 << 16
 _FAILURES_KEPT = 20  # positivity failures a report lists
+_TAU_CHUNK = 1 << 14  # gap values the audit's length check evaluates at once
 
 
 def _words_over_cap(k: int, length: int, cap: int) -> str | None:
@@ -111,6 +112,25 @@ def _words_over_cap(k: int, length: int, cap: int) -> str | None:
     if k ** min(length, cap.bit_length()) <= cap:
         return None
     return str(k**length) if length < 64 else f"{k}^{length}"
+
+
+def _longest_joint_head(tau: GapSchedule, n_max: int) -> int:
+    """max of n + tau_n over n = 1 .. n_max, in numpy passes of bounded size.
+
+    A chunk whose schedule values raise is replayed n by n, so the error
+    names the first n that fails, as tau.value(n) in a loop would.
+    """
+    worst = 0
+    for lo in range(1, n_max + 1, _TAU_CHUNK):
+        ns = np.arange(lo, min(lo + _TAU_CHUNK, n_max + 1), dtype=np.int64)
+        try:
+            ts = tau.values(ns)
+        except ScheduleRangeError:
+            for n in ns.tolist():
+                tau.value(n)
+            raise
+        worst = max(worst, int((ns + ts).max()))
+    return worst
 
 
 def _joint_chunks(Q: ShiftMeasure, state, words: int, tau: int, m_max: int):
@@ -170,7 +190,9 @@ def minimal_decoupling_constants(
     if n_max < 1 or m_max < 1:
         raise ConfigError("n_max and m_max must be >= 1")
     k = Q.alphabet.size
-    taus = [tau.value(n) for n in range(1, n_max + 1)]
+    # the longest joint level is found before any per-n work, so a cap
+    # refusal costs numpy passes over n, not a Python loop
+    worst_len = _longest_joint_head(tau, n_max) + m_max
     if product_shortcut and isinstance(Q, IIDMeasure):
         return DecouplingReport(
             measure_label=Q.label,
@@ -182,12 +204,12 @@ def minimal_decoupling_constants(
             positivity_failures=(),
             method="product-identity",
         )
-    worst_len = max(n + t + m_max for n, t in zip(range(1, n_max + 1), taus))
     words = _words_over_cap(k, worst_len, cap)
     if words:
         raise CapExceededError(
             f"audit needs {words} words at length {worst_len}, cap is {cap}"
         )
+    taus = [tau.value(n) for n in range(1, n_max + 1)]
     # every level the audit touches passes the family's level cap before
     # any is computed; a refusal names the first one over it in the order
     # n, then m and n + tau + m for each m
@@ -260,39 +282,6 @@ def minimal_decoupling_constants(
         worst_pairs=tuple(worst),
         positivity_failures=tuple(failures),
     )
-
-
-def decoupling_defect(
-    Q: ShiftMeasure, a, b, tau_n: int, cap: int = 10**7
-) -> float:
-    """log Q(a * b) - log Q(a) - log Q(b) for one word pair.
-
-    Needs Q(a) > 0 and Q(b) > 0; the gap block of tau_n symbols is
-    summed out.  This is the per-pair quantity whose maximum the audit
-    reports.
-    """
-    a = Q.alphabet.validate_word(a)
-    b = Q.alphabet.validate_word(b)
-    if tau_n < 0:
-        raise ConfigError("gap must be >= 0")
-    la = Q.log_marginal(a)
-    lb = Q.log_marginal(b)
-    if la == -np.inf or lb == -np.inf:
-        raise ValidationError("decoupling defect needs both halves positive")
-    if tau_n == 0:
-        joint = Q.log_marginal(np.concatenate([a, b]))
-    else:
-        k = Q.alphabet.size
-        words = _words_over_cap(k, tau_n, cap)
-        if words:
-            raise CapExceededError(f"gap enumeration needs {words} words")
-        pieces = np.empty(k**tau_n, dtype=np.float64)
-        for i, g in enumerate(Q.alphabet.words(tau_n)):
-            pieces[i] = Q.log_marginal(
-                np.concatenate([a, np.asarray(g, dtype=np.int64), b])
-            )
-        joint = log_sum_exp(pieces)
-    return float(joint - la - lb)
 
 
 @dataclasses.dataclass(frozen=True)

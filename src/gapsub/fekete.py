@@ -174,27 +174,34 @@ def split_scan(
     not, and two -inf sides cancel to "no violation".  Returns the first
     max_report violations in (n, m) order, their total count and the
     largest defined excess (-inf when no pair has one).
+
+    Each row's excess is written into one buffer; the violations are
+    looked up only in a row whose max exceeds tol or is nan.
     """
     N = pre.size
     found: list[Violation] = []
     total = 0
     max_excess = -np.inf
+    buf = np.empty(N)
     with np.errstate(invalid="ignore"):
         for n in range(1, N + 1):
             j = n + int(sig[n - 1])
             m_max = N - j
             if m_max < 1:
                 continue
-            excess = pre[j : j + m_max] - (pre[n - 1] + rh[n - 1]) - shifted(j, m_max)
-            bad = np.flatnonzero(excess > tol)
-            top = float(excess.max())
-            if math.isnan(top):  # some pair has -inf on both sides
-                defined = excess[~np.isnan(excess)]
-                top = float(defined.max()) if defined.size else -np.inf
+            excess = buf[:m_max]
+            np.subtract(pre[j : j + m_max], pre[n - 1] + rh[n - 1], out=excess)
+            np.subtract(excess, shifted(j, m_max), out=excess)
+            top = float(np.maximum.reduce(excess))
+            if not top <= tol:  # a violation, or some pair with -inf on both sides
+                bad = np.flatnonzero(excess > tol)
+                if math.isnan(top):
+                    defined = excess[~np.isnan(excess)]
+                    top = float(defined.max()) if defined.size else -np.inf
+                total += bad.size
+                for i in bad[: max_report - len(found)]:
+                    found.append(Violation(n=n, m=int(i) + 1, excess=float(excess[i])))
             max_excess = max(max_excess, top)
-            total += bad.size
-            for i in bad[: max_report - len(found)]:
-                found.append(Violation(n=n, m=int(i) + 1, excess=float(excess[i])))
     return tuple(found), total, float(max_excess)
 
 

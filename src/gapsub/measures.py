@@ -391,6 +391,8 @@ class _PrefixSumWindows(Windows):
         # cum[i] = sum of the first i body terms; bad_cum counts -inf terms
         self._cum = np.concatenate(([0.0], np.cumsum(np.where(bad, 0.0, body))))
         self._bad_cum = np.concatenate(([0], np.cumsum(bad.astype(np.int64))))
+        # a path with no -inf term needs no count: every window is finite
+        self._any_bad = bool(self._bad_cum[-1]) or (self._markov and bool(self._head_bad.any()))
 
     def _many(self, js: np.ndarray, m: int) -> np.ndarray:
         if self._markov:
@@ -404,12 +406,17 @@ class _PrefixSumWindows(Windows):
 
     def _suffix(self, j: int, m_max: int) -> np.ndarray:
         cum = self._cum[j + 1 : j + m_max + 1]
-        bad_cum = self._bad_cum[j + 1 : j + m_max + 1]
         if self._markov:
-            vals = self._head[j] + cum - self._cum[j + 1]
-            nbad = self._head_bad[j] + bad_cum - self._bad_cum[j + 1]
+            vals = self._head[j] + cum
+            vals -= self._cum[j + 1]
         else:
             vals = cum - self._cum[j]
+        if not self._any_bad:
+            return vals
+        bad_cum = self._bad_cum[j + 1 : j + m_max + 1]
+        if self._markov:
+            nbad = self._head_bad[j] + bad_cum - self._bad_cum[j + 1]
+        else:
             nbad = bad_cum - self._bad_cum[j]
         return np.where(nbad > 0, -np.inf, vals)
 

@@ -51,7 +51,8 @@ class Trajectory:
 
     def text(self) -> str:
         """The symbols on one line, separated by spaces."""
-        return " ".join(map(str, self.symbols.tolist())) + "\n"
+        names = np.array([str(s) for s in range(int(self.symbols.max()) + 1)], dtype=object)
+        return " ".join(names[self.symbols].tolist()) + "\n"
 
     def to_text(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:

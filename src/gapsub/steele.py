@@ -30,7 +30,7 @@ from .sampling import Trajectory
 from .schedules import ErrorSchedule, GapSchedule
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(frozen=True)
 class ProofContext:
     """Everything the decomposition needs about one path.
 
@@ -45,6 +45,9 @@ class ProofContext:
     the functional is known to decrease under extension-by-one (log
     marginals do), that requirement can be waived with
     assume_shift_monotone=True.
+
+    The context is frozen: the depth table it keeps (see _depth_table) is
+    a function of its fields alone.
     """
 
     f: Callable[[np.ndarray, int], np.ndarray]
@@ -126,11 +129,25 @@ def first_depths(ctx: ProofContext, js) -> np.ndarray:
     return depths
 
 
+def _depth_table(ctx: ProofContext, count: int) -> np.ndarray:
+    """first_depths at the offsets 0 .. count-1, kept on ctx for later callers.
+
+    The walk, the cover count and the Birkhoff average all read this one
+    table.  It is derived from the context alone, so no decomposition can
+    move it; a request longer than the kept table rebuilds it.
+    """
+    table = ctx.__dict__.get("_depths")
+    if table is None or table.size < count:
+        table = first_depths(ctx, np.arange(count))
+        object.__setattr__(ctx, "_depths", table)
+    return table[:count]
+
+
 def bad_indicator(ctx: ProofContext, count: int) -> np.ndarray:
     """Membership for offsets 0 .. count-1 as a bool array."""
     if count < 1:
         raise ConfigError("need at least one offset")
-    return first_depths(ctx, np.arange(count)) == 0
+    return _depth_table(ctx, count) == 0
 
 
 def birkhoff_bad_average(ctx: ProofContext, count: int) -> float:
@@ -209,7 +226,10 @@ class SteeleDecomposition:
             "good_mass": self.good_mass,
             "bad_mass": self.bad_mass,
             "good_coverage": self.good_coverage,
-            "intervals": [dataclasses.asdict(iv) for iv in self.intervals],
+            "intervals": [
+                {"index": iv.index, "lo": iv.lo, "hi": iv.hi, "kind": iv.kind, "k": iv.k}
+                for iv in self.intervals
+            ],
         }
 
 
@@ -224,7 +244,8 @@ def steele_decompose(ctx: ProofContext, n: int) -> SteeleDecomposition:
 
     Needs horizon >= n + K r so membership stays evaluable at every
     reachable offset.  n smaller than the first tile yields the
-    degenerate decomposition with no tiles and covered = 0.
+    degenerate decomposition with no tiles and covered = 0.  The walk
+    reads the depths from the context's depth table of offsets 0 .. n.
     """
     if n < 1:
         raise ConfigError("horizon n must be >= 1")
@@ -232,12 +253,14 @@ def steele_decompose(ctx: ProofContext, n: int) -> SteeleDecomposition:
         raise ConfigError(
             f"context horizon {ctx.horizon} cannot provision n + K r = {n + ctx.K * ctx.r}"
         )
+    depths = _depth_table(ctx, n + 1).tolist()
+    # tile length by depth; a bad offset (depth 0) lays a depth-one tile
+    lengths = [ctx.block_length(k or 1) for k in range(ctx.K + 1)]
     intervals: list[Interval] = []
     m = 0
     while m < n - 1:
-        k = int(first_depths(ctx, [m])[0])
-        base = (k or 1) * ctx.r
-        length = base + ctx.sigma.value(base)
+        k = depths[m]
+        length = lengths[k]
         if m + length > n - 1:
             break
         intervals.append(
@@ -331,13 +354,23 @@ def verify_ub_rep(
     tol = tol_scale * n for float cancellation.
 
     A -inf lhs is trivially dominated and verifies regardless of rhs.
+    f and rho are evaluated once per base length, over all its tiles; the
+    terms are then added one tile at a time in tile order.
     """
     n = d.n
+    bases = [(iv.k * ctx.r) if iv.kind == "good" else ctx.r for iv in d.intervals]
+    groups: dict[int, list[int]] = {}
+    for i, base in enumerate(bases):
+        groups.setdefault(base, []).append(i)
+    terms = [0.0] * len(bases)
+    for base, tiles in groups.items():
+        at = [d.intervals[i].offset for i in tiles]
+        vals = ctx.eval_f(at, base) + ctx.eval_rho(at, base)
+        for i, v in zip(tiles, vals.tolist()):
+            terms[i] = v
     rhs = 0.0
-    for iv in d.intervals:
-        base = (iv.k * ctx.r) if iv.kind == "good" else ctx.r
-        at = [iv.offset]
-        rhs += float(ctx.eval_f(at, base)[0] + ctx.eval_rho(at, base)[0])
+    for v in terms:  # a plain loop: sum() may compensate, which changes the bits
+        rhs += v
     tail = n - d.covered
     if tail >= 1:
         rhs += max(float(ctx.eval_f([d.covered], tail)[0]), 0.0)

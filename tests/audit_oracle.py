@@ -4,7 +4,10 @@ old_level is each family's level body as it stood before level states:
 one dynamic program per family that builds all k^n log-marginals at once.
 whole_level_audit is the audit loop that built and cached every joint
 level n + tau + m whole and read its constants off the full tables.  The
-streamed audit must reproduce both bit for bit.
+streamed audit must reproduce both bit for bit.  decoupling_defect is the
+per-pair defect with the gap block summed word by word; it was in the
+library until nothing there called it, and the tests use it to check
+single pairs against the audit.
 """
 from __future__ import annotations
 
@@ -12,17 +15,20 @@ import numpy as np
 
 from gapsub import (
     CapExceededError,
+    ConfigError,
     HiddenMarkovMeasure,
     IIDMeasure,
     MarkovMeasure,
     MixtureMeasure,
     ShiftMeasure,
+    ValidationError,
 )
 from gapsub.decoupling import (
     DecouplingReport,
     PositivityFailure,
     WorstPair,
     _word_of_index,
+    _words_over_cap,
 )
 
 from lse_oracle import log_sum_exp
@@ -129,3 +135,36 @@ def whole_level_audit(Q: ShiftMeasure, n_max: int, m_max: int, tau, cap: int = 1
         worst_pairs=tuple(worst),
         positivity_failures=tuple(failures),
     )
+
+
+def decoupling_defect(
+    Q: ShiftMeasure, a, b, tau_n: int, cap: int = 10**7
+) -> float:
+    """log Q(a * b) - log Q(a) - log Q(b) for one word pair.
+
+    Needs Q(a) > 0 and Q(b) > 0; the gap block of tau_n symbols is
+    summed out.  This is the per-pair quantity whose maximum the audit
+    reports.
+    """
+    a = Q.alphabet.validate_word(a)
+    b = Q.alphabet.validate_word(b)
+    if tau_n < 0:
+        raise ConfigError("gap must be >= 0")
+    la = Q.log_marginal(a)
+    lb = Q.log_marginal(b)
+    if la == -np.inf or lb == -np.inf:
+        raise ValidationError("decoupling defect needs both halves positive")
+    if tau_n == 0:
+        joint = Q.log_marginal(np.concatenate([a, b]))
+    else:
+        k = Q.alphabet.size
+        words = _words_over_cap(k, tau_n, cap)
+        if words:
+            raise CapExceededError(f"gap enumeration needs {words} words")
+        pieces = np.empty(k**tau_n, dtype=np.float64)
+        for i, g in enumerate(Q.alphabet.words(tau_n)):
+            pieces[i] = Q.log_marginal(
+                np.concatenate([a, np.asarray(g, dtype=np.int64), b])
+            )
+        joint = log_sum_exp(pieces)
+    return float(joint - la - lb)

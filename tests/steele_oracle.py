@@ -5,6 +5,10 @@ depth_value, bad_set_member, the walk and the depth audit each apply the
 depth rule offset by offset and depth by depth, the way the checks did
 before one batch rule served them all.  The batch checks must reproduce
 every decision, tile and verification value bit for bit.
+
+per_tile_decompose is the batch walk as it stood before the depth table:
+one first_depths call per tile start.  The table walk must lay the same
+tiles.
 """
 from __future__ import annotations
 
@@ -21,6 +25,7 @@ from gapsub.steele import (
     ProofContext,
     SteeleDecomposition,
     UpperRepresentation,
+    first_depths,
 )
 
 
@@ -131,6 +136,26 @@ def steele_decompose(ctx: ScalarContext, n: int) -> SteeleDecomposition:
     return SteeleDecomposition(
         n=int(n), intervals=tuple(intervals), covered=m, r=ctx.r, K=ctx.K, eps=ctx.eps,
         sigma_bar=ctx.sigma.max_over_multiples(ctx.r, ctx.K),
+    )
+
+
+def per_tile_decompose(ctx: ProofContext, n: int) -> SteeleDecomposition:
+    intervals: list[Interval] = []
+    m = 0
+    while m < n - 1:
+        k = int(first_depths(ctx, [m])[0])
+        base = (k or 1) * ctx.r
+        length = base + ctx.sigma.value(base)
+        if m + length > n - 1:
+            break
+        intervals.append(Interval(
+            index=len(intervals) + 1, lo=m + 1, hi=m + length,
+            kind="good" if k else "bad", k=k or None,
+        ))
+        m += length
+    return SteeleDecomposition(
+        n=int(n), intervals=tuple(intervals), covered=m, r=ctx.r, K=ctx.K, eps=ctx.eps,
+        sigma_bar=ctx.sigma_bar,
     )
 
 

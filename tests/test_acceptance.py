@@ -29,7 +29,6 @@ from gapsub import (
     check_gapped_subadditivity,
     check_trajectory_subadditivity,
     cross_entropy_estimate,
-    decoupling_defect,
     decoupling_to_theorem_data,
     fekete_infimum,
     gap_lift,
@@ -49,6 +48,7 @@ from gapsub.steele import (
     verify_ub_rep,
 )
 
+from audit_oracle import decoupling_defect
 from conftest import ACCEPTANCE_VERDICTS, WORKED_H, WORKED_H_PI, WORKED_P
 
 

@@ -24,6 +24,7 @@ from gapsub import (
     IIDMeasure,
     MarkovMeasure,
     MixtureMeasure,
+    ScheduleRangeError,
     minimal_decoupling_constants,
 )
 from gapsub import decoupling
@@ -176,6 +177,19 @@ def test_refusal_names_a_long_level_as_a_power(tau, words):
         minimal_decoupling_constants(MarkovMeasure(WORKED_P), 1, 2, GapSchedule.constant(tau))
     length = tau + 3
     assert str(got.value) == f"audit needs {words} words at length {length}, cap is 10000000"
+
+
+@pytest.mark.parametrize("n_max", [5, 40000])
+def test_a_short_gap_table_fails_at_its_first_uncovered_n(n_max):
+    """The length check evaluates the schedule in chunks, but names the same n
+    as tau.value(n) in a loop over n would."""
+    gap = GapSchedule.from_table([1, 0, 2])
+    with pytest.raises(ScheduleRangeError) as got:
+        minimal_decoupling_constants(MarkovMeasure(WORKED_P), n_max, 1, gap)
+    assert str(got.value) == "gap table covers n <= 3, asked for n = 4"
+    with pytest.raises(ScheduleRangeError) as got:
+        minimal_decoupling_constants(IIDMeasure([0.5, 0.5]), n_max, 1, gap)
+    assert str(got.value) == "gap table covers n <= 3, asked for n = 4"
 
 
 _AUDIT_HWM = """

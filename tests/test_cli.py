@@ -352,6 +352,19 @@ def test_audit_of_a_huge_gap_is_a_cap_refusal(tmp_path, capsys):
     assert took < 1.0
 
 
+def test_audit_of_a_huge_n_max_is_refused_before_any_per_n_work(tmp_path, capsys):
+    """The longest joint level comes from numpy passes over n, not a loop."""
+    m = write_json(tmp_path, "m.json", WORKED_SPEC)
+    start = time.perf_counter()
+    rc = main(["decouple", "audit", "--measure", m, "--n-max", "10000000", "--m-max", "1",
+               "--outdir", str(tmp_path / "o")])
+    took = time.perf_counter() - start
+    assert rc == 4
+    err = capsys.readouterr().err
+    assert "cap: audit needs 2^10000001 words at length 10000001, cap is 10000000" in err
+    assert took < 1.0
+
+
 def test_decouple_check_of_a_huge_horizon_is_a_cap_refusal(tmp_path, capsys):
     """The pairwise scan is O(N^2); above the cap it is refused, not started."""
     m = write_json(tmp_path, "m.json", WORKED_SPEC)

@@ -21,7 +21,6 @@ from gapsub import (
     ShiftMeasure,
     ValidationError,
     check_trajectory_subadditivity,
-    decoupling_defect,
     decoupling_to_theorem_data,
     minimal_decoupling_constants,
     sample_trajectory,
@@ -30,7 +29,7 @@ from gapsub import (
 
 from gapsub import decoupling
 
-from audit_oracle import whole_level_audit
+from audit_oracle import decoupling_defect, whole_level_audit
 from conftest import WORKED_P, WORKED_PI
 
 

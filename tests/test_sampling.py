@@ -85,6 +85,17 @@ def test_trajectory_text_round_trip(tmp_path, worked_chain):
     assert (x.symbols == y.symbols).all()
 
 
+@pytest.mark.parametrize("k", [1, 3, 32])
+def test_trajectory_text_is_the_plain_join(k):
+    """The symbol-name lookup writes what joining str of every symbol wrote,
+    two-digit symbols included."""
+    symbols = np.random.default_rng(k).integers(0, k, 5000)
+    x = Trajectory(symbols, alphabet_size=k)
+    assert x.text() == " ".join(map(str, x.symbols.tolist())) + "\n"
+    if k == 32:
+        assert " 31 " in x.text() and " 10 " in x.text()
+
+
 def test_trajectory_validation():
     with pytest.raises(ValidationError):
         Trajectory(np.asarray([], dtype=np.int64), alphabet_size=2)

@@ -12,6 +12,7 @@ from gapsub import (
     ErrorSchedule,
     GapSchedule,
     HiddenMarkovMeasure,
+    MarkovMeasure,
     ValidationError,
     marginal_entropy,
     sample_trajectory,
@@ -621,3 +622,78 @@ def test_forged_depths_match_the_scalar_oracle():
                 + d.intervals[i + 1:]
             )
             assert verify_depths(forged, ctx) == oracle.verify_depths(forged, scalar)
+
+
+# ------------------------------------------------ table walk, per-tile walk
+
+
+def _zero_step_case():
+    """A chain with a zero in P and a path across it: some windows are -inf."""
+    Q = MarkovMeasure([[0.5, 0.5, 0.0], [0.1, 0.6, 0.3], [0.3, 0.3, 0.4]])
+    n, r, K = 400, 10, 4
+    x = sample_trajectory(Q, n + K * r, seed=233).symbols
+    x[[57, 58, 203, 204]] = [0, 2, 0, 2]
+    rho, sigma, limit = ErrorSchedule.constant(0.5), GapSchedule.zero(), -0.9
+    return (
+        oracle.scalar_trajectory_context(x, Q, rho, sigma, limit, r, K, 0.05),
+        trajectory_context(x, Q, rho, sigma, limit, r, K, 0.05),
+        n,
+    )
+
+
+def _walk_cases(worked_chain, half_half_mixture):
+    cases = {name: case[1:] for name, case in _synthetic_cases().items()}
+    for name in ["markov", "markov-hook", "hmm", "mixture", "markov-tau2"]:
+        cases[name] = _path_case(name, worked_chain, half_half_mixture)[1:]
+    cases["zero-step"] = _zero_step_case()[1:]
+    cases["shorter-than-a-tile"] = (linear_ctx(50), 5)
+    cases["n-1"] = (linear_ctx(50), 1)
+    return cases
+
+
+@pytest.mark.parametrize("name", [
+    "parity", "parity-rho", "parity-scalar-rho", "linear", "flat", "markov", "markov-hook",
+    "hmm", "mixture", "markov-tau2", "zero-step", "shorter-than-a-tile", "n-1",
+])
+def test_table_walk_matches_the_per_tile_walk(name, worked_chain, half_half_mixture):
+    ctx, n = _walk_cases(worked_chain, half_half_mixture)[name]
+    got = steele_decompose(ctx, n)
+    assert json.dumps(got.to_json()) == json.dumps(oracle.per_tile_decompose(ctx, n).to_json())
+    if name in ("shorter-than-a-tile", "n-1"):
+        assert got.intervals == () and got.covered == 0
+
+
+def test_zero_step_context_matches_the_scalar_oracle():
+    scalar, ctx, n = _zero_step_case()
+    assert (ctx.f(np.arange(n), ctx.r) == -np.inf).any()
+    depths, d = _assert_matches_oracle(scalar, ctx, n)
+    assert 0 in depths and d.good_intervals and d.bad_intervals
+
+
+def test_depth_table_comes_from_the_context_alone():
+    """A forged decomposition moves neither B nor the Birkhoff average, and a
+    longer request than the kept table rebuilds it."""
+    scalar, ctx, n = _synthetic_cases()["parity"]
+    d = steele_decompose(ctx, n)
+    forged = dataclasses.replace(
+        d, n=n, intervals=tuple(dataclasses.replace(iv, kind="good", k=1) for iv in d.intervals)
+    )
+    assert verify_cover_bounds(forged, ctx).bad_offset_count == (
+        verify_cover_bounds(d, ctx).bad_offset_count
+    )
+    assert birkhoff_bad_average(ctx, n) == oracle.birkhoff_bad_average(scalar, n)
+    fresh = parity_ctx(40)
+    assert bad_indicator(fresh, 5).tolist() == oracle.bad_indicator(scalar, 5).tolist()
+    assert bad_indicator(fresh, 30).tolist() == oracle.bad_indicator(scalar, 30).tolist()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        ctx.eps = 1.0
+
+
+def test_ub_rep_adds_tiles_in_order(worked_chain, half_half_mixture):
+    """Batching f and rho by base length keeps the tile-order sum on floats."""
+    scalar, ctx, n = _path_case("markov-tau2", worked_chain, half_half_mixture)
+    d = steele_decompose(ctx, n)
+    assert len({iv.k for iv in d.intervals}) > 2  # several base lengths interleave
+    assert json.dumps(verify_ub_rep(d, ctx).to_json()) == json.dumps(
+        oracle.verify_ub_rep(d, scalar).to_json()
+    )
