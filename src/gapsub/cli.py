@@ -57,7 +57,7 @@ from .fekete import (
 )
 from .measures import ShiftMeasure, measure_from_spec, validate_measure
 from .sampling import sample_trajectory
-from .schedules import ErrorSchedule, GapSchedule, geometric_grid, linear_grid
+from .schedules import ErrorSchedule, GapSchedule, csv_text, geometric_grid, linear_grid
 from .steele import (
     birkhoff_bad_average,
     steele_decompose,
@@ -184,6 +184,8 @@ def _nonnegative(p: dict, key: str, kind: type, default):
 # default horizon cap of `fekete limit`, the cap on `fekete lift`'s table,
 # on the trials times grid points of `estimate mean` and on every drawn path
 _HORIZON_CAP = 10**7
+# tiles of a Steele run (at most n // r), each one object in decomposition.json
+_TILE_CAP = 10**5
 
 
 def _drawn_length(length: int, pointer: str) -> None:
@@ -321,14 +323,11 @@ def _run_estimate_mean(p: dict) -> dict:
         P, Q, N, trials, param(p, "seed", int), grid=grid,
         assume_decoupled=param(p, "assume_decoupled", bool, False),
     )
-    lines = ["trial,terminal"]
-    for t, v in enumerate(res.trial_terminals.tolist()):
-        lines.append(f"{t},{v!r}")
     summary = res.to_json()
     summary["oracles"] = _oracle_rates(P, Q)
     return {
         "series.csv": res.estimate.series.csv_text(),
-        "terminals.csv": "\n".join(lines) + "\n",
+        "terminals.csv": csv_text("trial,terminal", enumerate(res.trial_terminals.tolist())),
         "summary.json": summary,
     }
 
@@ -366,6 +365,8 @@ def _run_steele(p: dict) -> dict:
     Q = measure_from_spec(p.get("measure"), "/measure")
     n, r, K = param(p, "n", int), param(p, "r", int), param(p, "K", int)
     _drawn_length(n + K * r, "/n" if n > _HORIZON_CAP else "/K")
+    if r >= 1 and n // r > _TILE_CAP:
+        raise CapExceededError(f"up to n // r = {n // r} tiles exceed cap {_TILE_CAP}", "/r")
     eps = param(p, "eps", float)
     tau = _nonnegative(p, "tau", int, 0)
     rho_c = _rho_const(p, Q, tau)

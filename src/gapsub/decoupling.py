@@ -30,11 +30,7 @@ from .schedules import ErrorSchedule, GapSchedule
 
 
 def _word_of_index(idx: int, k: int, n: int) -> tuple[int, ...]:
-    out = []
-    for _ in range(n):
-        out.append(idx % k)
-        idx //= k
-    return tuple(reversed(out))
+    return tuple(int(s) for s in np.unravel_index(idx, (k,) * n))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -168,7 +164,6 @@ def minimal_decoupling_constants(
     m_max: int,
     tau: GapSchedule,
     cap: int = 10**7,
-    product_shortcut: bool = True,
 ) -> DecouplingReport:
     """Exact smallest c_n over all word pairs up to the given lengths.
 
@@ -182,10 +177,8 @@ def minimal_decoupling_constants(
     positivity failures in (n, m, a, b) order are listed.
 
     For a product measure Q(a * b) = Q(a) Q(b) is an identity, so the
-    minimal constant is 0 with no float association noise; the shortcut
-    reports that exact value for iid inputs.  Pass
-    product_shortcut=False to force the enumeration (its constants then
-    agree with 0 only to rounding).
+    minimal constant is 0 with no float association noise; an iid input
+    gets that exact value, with no enumeration.
     """
     if n_max < 1 or m_max < 1:
         raise ConfigError("n_max and m_max must be >= 1")
@@ -193,7 +186,7 @@ def minimal_decoupling_constants(
     # the longest joint level is found before any per-n work, so a cap
     # refusal costs numpy passes over n, not a Python loop
     worst_len = _longest_joint_head(tau, n_max) + m_max
-    if product_shortcut and isinstance(Q, IIDMeasure):
+    if isinstance(Q, IIDMeasure):
         return DecouplingReport(
             measure_label=Q.label,
             n_values=tuple(range(1, n_max + 1)),
@@ -330,9 +323,7 @@ class TrajectoryCheck(SubadditivityCheck):
     max_excess: float
 
     def to_json(self) -> dict:
-        out = super().to_json()
-        violations = out.pop("violations")
-        return {**out, "max_excess": self.max_excess, "violations": violations}
+        return {**super().to_json(), "max_excess": self.max_excess}
 
 
 def check_trajectory_subadditivity(

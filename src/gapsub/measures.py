@@ -118,7 +118,7 @@ def _start_law(start, M: np.ndarray, field: str) -> tuple[np.ndarray, bool]:
     With start None it is the unique stationary law of M.
     """
     if start is None:
-        return stationary_distribution(M, field=field), True
+        return _stationary(M, field), True
     law = _check_stochastic(start, "/start", 1)
     if law.size != M.shape[0]:
         raise ValidationError("size must match the matrix", "/start")
@@ -134,7 +134,11 @@ def stationary_distribution(P: np.ndarray, tol: float = 1e-10, field: str = "/P"
     chain (P + I)/2 covers the rare case where the nullspace vector is
     numerically unusable.  A rejection points at field.
     """
-    P = _check_stochastic(P, field, 2, square=True)
+    return _stationary(_check_stochastic(P, field, 2, square=True), field, tol)
+
+
+def _stationary(P: np.ndarray, field: str, tol: float = 1e-10) -> np.ndarray:
+    """stationary_distribution of an already checked row-stochastic matrix."""
     k = P.shape[0]
     if (P == P[0]).all():
         # identical rows: the row itself is stationary, bit for bit, and
@@ -712,9 +716,9 @@ class HiddenMarkovMeasure(ShiftMeasure):
         prefixes instead; js must then ascend, and a row stops at the end
         of x, leaving nan in its later entries.
 
-        alpha is kept hidden-major, (hidden, rows), so each step reduces
-        over its leading axis with logspace.log_sum_exp_into, on buffers
-        allocated once rather than per step.  Steps run in chunks of
+        alpha is kept hidden-major, (hidden, rows), so each _hidden_step
+        reduces over its leading axis with logspace.log_sum_exp_into, on
+        buffers allocated once rather than per step.  Steps run in chunks of
         _FORWARD_ENTRIES floats; a chunk gathers its emission terms at once
         and, in table mode, takes the totals over hidden states at once,
         from a row-major (steps, rows, hidden) copy of alpha.  Either way
@@ -742,7 +746,6 @@ class HiddenMarkovMeasure(ShiftMeasure):
         ).tolist()
         out = np.full((js.size, m), np.nan) if table else None
         alpha = self.log_start[:, None] + self.log_E[:, x[js]]
-        log_A = self.log_A[:, :, None]
         live = 0
         with np.errstate(divide="ignore"):
             for t0 in range(0, m, chunk):
@@ -756,10 +759,8 @@ class HiddenMarkovMeasure(ShiftMeasure):
                         live = lives[t]
                         alpha = np.ascontiguousarray(alpha[:, :live])
                         terms, hi = np.empty((h, h, live)), np.empty((h, live))
-                        column = alpha[:, None, :]
                     if t:
-                        np.add(column, log_A, out=terms)
-                        log_sum_exp_into(terms, hi, alpha)
+                        self._hidden_step(alpha, terms, hi, alpha)
                         alpha += emit[:, t - t0, :live]
                     if table:
                         totals[t - t0, :live] = alpha.T
@@ -768,6 +769,13 @@ class HiddenMarkovMeasure(ShiftMeasure):
         if table:
             return out
         return log_sum_exp(np.ascontiguousarray(alpha.T), axis=1)
+
+    def _hidden_step(self, alpha: np.ndarray, terms, hi, out: np.ndarray) -> None:
+        """out[j, w] = log sum_i exp(alpha[i, w] + log A[i, j]), summed over i
+        left to right, through the caller's buffers terms (h, h, words) and
+        hi (h, words); out may be alpha, which is read before it is written."""
+        np.add(alpha[:, None, :], self.log_A[:, :, None], out=terms)
+        log_sum_exp_into(terms, hi, out)
 
     def _forward_row(self, x: np.ndarray, j: int, m: int, table: bool) -> np.ndarray:
         """_forward of the one row x[j : j + m], stepped on Python floats.
@@ -853,13 +861,10 @@ class HiddenMarkovMeasure(ShiftMeasure):
         h, k = self.hidden_size, self.alphabet.size
         for _ in range(steps):
             words = alpha.shape[1]
-            # terms[i, j, w] = alpha[i, w] + log A[i, j], summed over i left to
-            # right, as the word-major (words, i, j) terms were
-            terms = np.empty((h, h, words))
-            np.add(alpha[:, None, :], self.log_A[:, :, None], out=terms)
-            hi, moved = np.empty((h, words)), np.empty((h, words))
+            # summed over i in the order the word-major (words, i, j) terms were
+            moved = np.empty((h, words))
             with np.errstate(divide="ignore"):
-                log_sum_exp_into(terms, hi, moved)
+                self._hidden_step(alpha, np.empty((h, h, words)), np.empty((h, words)), moved)
             # _level_totals sums over hidden states in memory order.  numpy
             # sums an innermost axis of 8 or more terms pairwise and an outer
             # one left to right; an extended state was word-major in memory

@@ -54,16 +54,6 @@ class Trajectory:
         names = np.array([str(s) for s in range(int(self.symbols.max()) + 1)], dtype=object)
         return " ".join(names[self.symbols].tolist()) + "\n"
 
-    def to_text(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.text())
-
-    @classmethod
-    def from_text(cls, path, alphabet_size: int) -> "Trajectory":
-        with open(path, "r", encoding="utf-8") as fh:
-            data = fh.read().split()
-        return cls(np.asarray(data, dtype=np.int64), alphabet_size=alphabet_size)
-
 
 def sample_trajectory(
     Q: ShiftMeasure, N: int, seed: int, stream: int = 0

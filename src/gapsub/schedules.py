@@ -2,15 +2,15 @@
 
 A gap schedule assigns a nonnegative integer to every index n >= 1, an
 error schedule a nonnegative real.  Both are either closed-form rules or
-explicit tables, and both serialize to JSON.  ConvergenceSeries holds a
-normalized sequence sampled on an increasing index grid together with
-tail diagnostics.
+explicit tables, and one base serializes both to JSON.  ConvergenceSeries
+holds a normalized sequence sampled on an increasing index grid together
+with tail diagnostics; csv_text writes it and every other key,value CSV.
 """
 from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Callable, Sequence
+from typing import Callable, ClassVar, Sequence
 
 import numpy as np
 
@@ -30,17 +30,6 @@ def _check_table(params: dict, kind: type) -> None:
             raise ConfigError("must be nonnegative", f"/params/values/{i}")
 
 
-def _from_json(cls, obj: dict, pointer: str = ""):
-    """Schedule from its JSON, inverse of to_json; a rejection is a SchemaError under pointer."""
-    with schema_errors(pointer):
-        if not isinstance(obj, dict) or "rule" not in obj:
-            raise ConfigError("needs a 'rule' field")
-        params = obj.get("params", {})
-        if not isinstance(params, dict):
-            raise ConfigError("must be an object", "/params")
-        return cls(obj["rule"], dict(params))
-
-
 def _as_index_array(ns) -> np.ndarray:
     arr = np.asarray(ns, dtype=np.int64)
     if arr.size and arr.min() < 1:
@@ -49,15 +38,65 @@ def _as_index_array(ns) -> np.ndarray:
 
 
 @dataclasses.dataclass(frozen=True)
-class GapSchedule:
+class _Schedule:
+    """Constructors, table lookup and JSON shared by both schedule kinds.
+
+    A kind sets _kind (int or float) and _noun (its name in a range error)."""
+
+    rule: str
+    params: dict = dataclasses.field(default_factory=dict)
+
+    _kind: ClassVar[type]
+    _noun: ClassVar[str]
+
+    @classmethod
+    def zero(cls):
+        return cls.constant(0)
+
+    @classmethod
+    def constant(cls, value):
+        return cls("constant", {"value": cls._kind(value)})
+
+    @classmethod
+    def from_table(cls, values: Sequence):
+        return cls("table", {"values": [cls._kind(v) for v in values]})
+
+    def value(self, n: int):
+        return self._kind(self.values(np.asarray([n], dtype=np.int64))[0])
+
+    def _table(self, arr: np.ndarray) -> np.ndarray:
+        table = self.params["values"]
+        if arr.size and arr.max() > len(table):
+            raise ScheduleRangeError(
+                f"{self._noun} table covers n <= {len(table)}, asked for n = {int(arr.max())}"
+            )
+        return np.asarray(table, dtype=self._kind)[arr - 1]
+
+    def to_json(self) -> dict:
+        return {"rule": self.rule, "params": dict(self.params)}
+
+    @classmethod
+    def from_json(cls, obj: dict, pointer: str = ""):
+        """Schedule from its JSON, inverse of to_json; a rejection is a SchemaError under pointer."""
+        with schema_errors(pointer):
+            if not isinstance(obj, dict) or "rule" not in obj:
+                raise ConfigError("needs a 'rule' field")
+            params = obj.get("params", {})
+            if not isinstance(params, dict):
+                raise ConfigError("must be an object", "/params")
+            return cls(obj["rule"], dict(params))
+
+
+@dataclasses.dataclass(frozen=True)
+class GapSchedule(_Schedule):
     """Nonnegative integer schedule n -> sigma_n.
 
     rule is one of "constant", "ceil_power" (ceil(scale * n**alpha) with
     0 < alpha < 1), "ceil_log" (ceil(log2(1 + n))), or "table".
     """
 
-    rule: str
-    params: dict = dataclasses.field(default_factory=dict)
+    _kind = int
+    _noun = "gap"
 
     def __post_init__(self):
         if self.rule not in _GAP_RULES:
@@ -71,22 +110,7 @@ class GapSchedule:
             if param(self.params, "scale", float, 1.0, "/params") <= 0:
                 raise ConfigError("ceil_power scale must be positive", "/params/scale")
         elif self.rule == "table":
-            _check_table(self.params, int)
-
-    @classmethod
-    def zero(cls) -> "GapSchedule":
-        return cls("constant", {"value": 0})
-
-    @classmethod
-    def constant(cls, value: int) -> "GapSchedule":
-        return cls("constant", {"value": int(value)})
-
-    @classmethod
-    def from_table(cls, values: Sequence[int]) -> "GapSchedule":
-        return cls("table", {"values": [int(v) for v in values]})
-
-    def value(self, n: int) -> int:
-        return int(self.values(np.asarray([n], dtype=np.int64))[0])
+            _check_table(self.params, self._kind)
 
     def values(self, ns) -> np.ndarray:
         """Vectorized evaluation on an array of indices (all >= 1)."""
@@ -99,26 +123,11 @@ class GapSchedule:
             return out.astype(np.int64)
         if self.rule == "ceil_log":
             return np.ceil(np.log2(1.0 + arr.astype(np.float64))).astype(np.int64)
-        table = self.params["values"]
-        if arr.size and arr.max() > len(table):
-            raise ScheduleRangeError(
-                f"gap table covers n <= {len(table)}, asked for n = {int(arr.max())}"
-            )
-        return np.asarray(table, dtype=np.int64)[arr - 1]
-
-    def max_over_multiples(self, r: int, K: int) -> int:
-        """max of sigma_{k r} over k = 1..K."""
-        ks = np.arange(1, K + 1, dtype=np.int64) * int(r)
-        return int(self.values(ks).max())
-
-    def to_json(self) -> dict:
-        return {"rule": self.rule, "params": dict(self.params)}
-
-    from_json = classmethod(_from_json)
+        return self._table(arr)
 
 
 @dataclasses.dataclass(frozen=True)
-class ErrorSchedule:
+class ErrorSchedule(_Schedule):
     """Nonnegative real schedule n -> rho_n.
 
     Closed-form rules: "constant", "scaled_power" (scale * n**alpha with
@@ -131,10 +140,11 @@ class ErrorSchedule:
     value()/values() and never see the hook.
     """
 
-    rule: str
-    params: dict = dataclasses.field(default_factory=dict)
     fn: Callable[[np.ndarray], np.ndarray] | None = None
     hook: Callable[..., float] | None = None
+
+    _kind = float
+    _noun = "error"
 
     def __post_init__(self):
         if self.fn is not None or self.hook is not None:
@@ -150,19 +160,7 @@ class ErrorSchedule:
             if param(self.params, "scale", float, 1.0, "/params") < 0:
                 raise ConfigError("scaled_power scale must be nonnegative", "/params/scale")
         elif self.rule == "table":
-            _check_table(self.params, float)
-
-    @classmethod
-    def zero(cls) -> "ErrorSchedule":
-        return cls("constant", {"value": 0.0})
-
-    @classmethod
-    def constant(cls, value: float) -> "ErrorSchedule":
-        return cls("constant", {"value": float(value)})
-
-    @classmethod
-    def from_table(cls, values: Sequence[float]) -> "ErrorSchedule":
-        return cls("table", {"values": [float(v) for v in values]})
+            _check_table(self.params, self._kind)
 
     @classmethod
     def from_function(cls, fn: Callable[[np.ndarray], np.ndarray]) -> "ErrorSchedule":
@@ -175,9 +173,6 @@ class ErrorSchedule:
     @property
     def position_dependent(self) -> bool:
         return self.hook is not None
-
-    def value(self, n: int) -> float:
-        return float(self.values(np.asarray([n], dtype=np.int64))[0])
 
     def values(self, ns) -> np.ndarray:
         arr = _as_index_array(ns)
@@ -193,19 +188,12 @@ class ErrorSchedule:
         if self.rule == "scaled_power":
             scale = float(self.params.get("scale", 1.0))
             return scale * np.power(arr.astype(np.float64), self.params["alpha"])
-        table = self.params["values"]
-        if arr.size and arr.max() > len(table):
-            raise ScheduleRangeError(
-                f"error table covers n <= {len(table)}, asked for n = {int(arr.max())}"
-            )
-        return np.asarray(table, dtype=np.float64)[arr - 1]
+        return self._table(arr)
 
     def to_json(self) -> dict:
         if self.fn is not None or self.hook is not None:
             raise ConfigError("function-backed error schedule is not serializable")
-        return {"rule": self.rule, "params": dict(self.params)}
-
-    from_json = classmethod(_from_json)
+        return super().to_json()
 
 
 @dataclasses.dataclass(frozen=True)
@@ -241,6 +229,11 @@ def sublinearity_report(
     )
 
 
+def csv_text(header: str, pairs) -> str:
+    """header, then one "key,repr(value)" line per pair; repr keeps every float exact."""
+    return "\n".join([header, *(f"{k},{v!r}" for k, v in pairs)]) + "\n"
+
+
 class ConvergenceSeries:
     """A sampled normalized sequence v_n on a strictly increasing grid.
 
@@ -268,12 +261,6 @@ class ConvergenceSeries:
     def terminal(self) -> float:
         return float(self.values[-1])
 
-    def running_max(self) -> np.ndarray:
-        return np.maximum.accumulate(self.values)
-
-    def running_min(self) -> np.ndarray:
-        return np.minimum.accumulate(self.values)
-
     def tail_oscillation(self) -> float | None:
         """max - min of values with n >= (last n) / 2; None if fewer than two."""
         cut = self.ns[-1] / 2
@@ -287,13 +274,8 @@ class ConvergenceSeries:
         return hi - lo
 
     def csv_text(self) -> str:
-        """The series as CSV under an "n,value" header; repr keeps from_csv exact."""
-        rows = (f"{n},{v!r}" for n, v in zip(self.ns.tolist(), self.values.tolist()))
-        return "\n".join(["n,value", *rows]) + "\n"
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.csv_text())
+        """The series as CSV under an "n,value" header; from_csv reads it back exactly."""
+        return csv_text("n,value", zip(self.ns.tolist(), self.values.tolist()))
 
     @classmethod
     def from_csv(cls, path) -> "ConvergenceSeries":

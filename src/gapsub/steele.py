@@ -81,7 +81,7 @@ class ProofContext:
     @property
     def sigma_bar(self) -> int:
         """max sigma_{k r} over depths k <= K."""
-        return self.sigma.max_over_multiples(self.r, self.K)
+        return int(self.sigma.values(np.arange(1, self.K + 1, dtype=np.int64) * self.r).max())
 
     def block_length(self, k: int) -> int:
         return k * self.r + self.sigma.value(k * self.r)

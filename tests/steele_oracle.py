@@ -135,7 +135,7 @@ def steele_decompose(ctx: ScalarContext, n: int) -> SteeleDecomposition:
         m += length
     return SteeleDecomposition(
         n=int(n), intervals=tuple(intervals), covered=m, r=ctx.r, K=ctx.K, eps=ctx.eps,
-        sigma_bar=ctx.sigma.max_over_multiples(ctx.r, ctx.K),
+        sigma_bar=max(ctx.sigma.value(k * ctx.r) for k in range(1, ctx.K + 1)),
     )
 
 

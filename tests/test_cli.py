@@ -16,9 +16,12 @@ from gapsub import (
     ConfigError,
     IIDMeasure,
     MarkovMeasure,
+    geometric_grid,
+    mean_convergence_series,
     measure_from_spec,
     sample_trajectory,
 )
+from gapsub import cli
 from gapsub.cli import RunConfig, main, run, schema_validate
 from gapsub.schedules import ConvergenceSeries
 
@@ -227,6 +230,39 @@ def test_cli_estimate_mean_writes_terminals(tmp_path):
     assert summary["certificate"] == {"source": "kernel", "constant": 0.0, "tau": 0}
 
 
+# (p, q, N): a q that gives most trials -inf and some 0.0, and an HMM whose
+# terminals need all 17 significant digits
+MEAN_CSV_CASES = {
+    "iid-minus-inf": (COIN_SPEC, {"family": "iid", "p": [1.0, 0.0]}, 2),
+    "hmm": ({"family": "hmm", "A": [[0.7, 0.3], [0.4, 0.6]], "E": [[0.6, 0.4], [0.1, 0.9]]},
+            {"family": "hmm", "A": [[0.5, 0.5], [0.2, 0.8]], "E": [[0.3, 0.7], [0.8, 0.2]]}, 40),
+}
+
+
+@pytest.mark.parametrize("case", list(MEAN_CSV_CASES))
+def test_estimate_mean_csv_text_is_the_old_inline_text(tmp_path, case):
+    """terminals.csv and series.csv are the text the old inline loops built
+    from the library's result: a header, then one key,repr(value) line each."""
+    p_spec, q_spec, N = MEAN_CSV_CASES[case]
+    p, q = write_json(tmp_path, "p.json", p_spec), write_json(tmp_path, "q.json", q_spec)
+    out = tmp_path / "out"
+    assert main(["estimate", "mean", "--p", p, "--q", q, "--N", str(N), "--trials", "12",
+                 "--seed", "3", "--assume-decoupled", "--outdir", str(out)]) == 0
+    res = mean_convergence_series(
+        measure_from_spec(p_spec), measure_from_spec(q_spec), N, 12, 3,
+        grid=geometric_grid(N), assume_decoupled=True,
+    )
+    lines = ["trial,terminal"]
+    for t, v in enumerate(res.trial_terminals.tolist()):
+        lines.append(f"{t},{v!r}")
+    assert (out / "terminals.csv").read_text() == "\n".join(lines) + "\n"
+    s = res.estimate.series
+    rows = (f"{n},{v!r}" for n, v in zip(s.ns.tolist(), s.values.tolist()))
+    assert (out / "series.csv").read_text() == "\n".join(["n,value", *rows]) + "\n"
+    if case == "iid-minus-inf":
+        assert {"0.0", "-inf"} == {line.split(",")[1] for line in lines[1:]}
+
+
 def test_cli_decouple_bound_and_audit(tmp_path):
     m = write_json(tmp_path, "m.json", WORKED_SPEC)
     out1 = tmp_path / "bound"
@@ -431,6 +467,32 @@ DRAWN_OVER_CAP = {
     "decouple-check": (["decouple", "check", "--measure", "{m}", "--N", "1000000000000",
                         "--seed", "1"], "/N", 10**12),
 }
+
+
+def test_a_steele_run_of_too_many_tiles_is_refused_before_drawing(tmp_path, capsys):
+    """n // r above the tile cap is exit 4 at /r, within a second; the path
+    it would draw is within the drawn-length cap."""
+    m = write_json(tmp_path, "m.json", WORKED_SPEC)
+    out = tmp_path / "o"
+    start = time.perf_counter()
+    rc = main(["steele", "run", "--measure", m, "--n", "1000000", "--r", "1", "--K", "1",
+               "--eps", "0.05", "--seed", "1", "--outdir", str(out)])
+    took = time.perf_counter() - start
+    assert rc == 4
+    assert ("cap: /r: up to n // r = 1000000 tiles exceed cap 100000"
+            in capsys.readouterr().err)
+    assert not out.exists()
+    assert took < 1.0
+
+
+def test_the_tile_cap_admits_exactly_its_count(tmp_path, monkeypatch):
+    """n // r equal to the cap runs; one tile more is refused."""
+    monkeypatch.setattr(cli, "_TILE_CAP", 40)
+    m = write_json(tmp_path, "m.json", WORKED_SPEC)
+    argv = ["steele", "run", "--measure", m, "--r", "2", "--K", "2", "--eps", "0.1",
+            "--seed", "1"]
+    assert main(argv + ["--n", "81", "--outdir", str(tmp_path / "a")]) == 0
+    assert main(argv + ["--n", "82", "--outdir", str(tmp_path / "b")]) == 4
 
 
 @pytest.mark.parametrize("case", list(DRAWN_OVER_CAP))

@@ -165,24 +165,43 @@ def test_audit_matches_per_pair_defects_with_gap(worked_chain):
 
 
 def test_iid_product_shortcut_is_exact():
+    """An iid measure gets the exact product identity; its chain with
+    identical rows, the same law but not an IIDMeasure, is enumerated and
+    agrees with 0 to rounding."""
     Q = IIDMeasure([0.3, 0.7])
     rep = minimal_decoupling_constants(Q, 3, 3, GapSchedule.zero())
     assert rep.method == "product-identity"
     assert rep.constants == (0.0, 0.0, 0.0)
     assert rep.worst_pairs == ()
-    forced = minimal_decoupling_constants(
-        Q, 3, 3, GapSchedule.zero(), product_shortcut=False
-    )
+    forced = minimal_decoupling_constants(Q._chain(), 3, 3, GapSchedule.zero())
     assert forced.method == "enumeration"
     assert max(abs(c) for c in forced.constants) < 1e-12
 
 
 def test_audit_cap():
-    Q = IIDMeasure([0.2, 0.3, 0.5])
+    Q = IIDMeasure([0.2, 0.3, 0.5])._chain()
     with pytest.raises(CapExceededError):
-        minimal_decoupling_constants(
-            Q, 8, 8, GapSchedule.zero(), cap=100, product_shortcut=False
-        )
+        minimal_decoupling_constants(Q, 8, 8, GapSchedule.zero(), cap=100)
+
+
+def _old_word_of_index(idx: int, k: int, n: int) -> tuple[int, ...]:
+    out = []
+    for _ in range(n):
+        out.append(idx % k)
+        idx //= k
+    return tuple(reversed(out))
+
+
+@pytest.mark.parametrize("k", [2, 3, 32])
+def test_word_of_index_is_the_old_digit_loop(k):
+    """The word of a flat index, most significant symbol first, as Python
+    ints, is what the old base-k digit loop gave, up to the last index."""
+    for n in range(1, 5):
+        idxs = sorted({*range(min(k**n, 70)), k**n // 2, k**n - 2, k**n - 1})
+        for idx in idxs:
+            got = decoupling._word_of_index(idx, k, n)
+            assert got == _old_word_of_index(idx, k, n)
+            assert all(type(s) is int for s in got)
 
 
 def test_audit_report_json(worked_chain):
@@ -478,4 +497,5 @@ def test_trajectory_check_json(worked_chain):
     )
     js = chk.to_json()
     assert js["horizon"] == 100
+    assert js["max_excess"] == chk.max_excess
     assert js["violation_count"] >= len(js["violations"])

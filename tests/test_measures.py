@@ -87,6 +87,37 @@ def test_stationary_distribution_reducible_rejected():
         stationary_distribution(np.eye(2))
 
 
+def test_stationary_distribution_checks_raw_input_at_its_pointer():
+    with pytest.raises(ValidationError) as got:
+        stationary_distribution([[0.5, 0.6], [0.5, 0.5]], field="/A")
+    assert got.value.pointer == "/A/0"
+    with pytest.raises(ValidationError) as got:
+        stationary_distribution([[0.5, 0.5]])
+    assert got.value.pointer == "/P"
+
+
+@pytest.mark.parametrize("build", [
+    lambda: MarkovMeasure(WORKED_P),
+    lambda: HiddenMarkovMeasure(WORKED_P, [[0.3, 0.7], [0.6, 0.4]]),
+], ids=["markov", "hmm"])
+def test_each_matrix_is_checked_once(monkeypatch, build):
+    """The default start solves for the stationary law on the matrix the
+    constructor has already checked, with the same bits as the public solver."""
+    from gapsub import measures
+    seen, check = [], measures._check_stochastic
+
+    def counted(raw, field, *args, **kwargs):
+        seen.append(field)
+        return check(raw, field, *args, **kwargs)
+
+    monkeypatch.setattr(measures, "_check_stochastic", counted)
+    Q = build()
+    assert sorted(seen) == sorted(set(seen))
+    monkeypatch.undo()
+    matrix = Q.P if isinstance(Q, MarkovMeasure) else Q.A
+    assert Q.start.tobytes() == stationary_distribution(matrix).tobytes()
+
+
 # --------------------------------------------------------------------- iid
 
 

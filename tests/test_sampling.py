@@ -77,14 +77,6 @@ def test_zero_probability_symbols_never_drawn():
     assert not (x.symbols == 1).any()
 
 
-def test_trajectory_text_round_trip(tmp_path, worked_chain):
-    x = sample_trajectory(worked_chain, 64, seed=1)
-    path = tmp_path / "traj.txt"
-    x.to_text(path)
-    y = Trajectory.from_text(path, alphabet_size=2)
-    assert (x.symbols == y.symbols).all()
-
-
 @pytest.mark.parametrize("k", [1, 3, 32])
 def test_trajectory_text_is_the_plain_join(k):
     """The symbol-name lookup writes what joining str of every symbol wrote,

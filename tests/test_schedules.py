@@ -19,6 +19,7 @@ from gapsub import (
     linear_grid,
     sublinearity_report,
 )
+from gapsub.schedules import csv_text
 
 
 # ---------------------------------------------------------------- gap rules
@@ -54,8 +55,10 @@ def test_ceil_power_values():
 def test_table_gap_range():
     s = GapSchedule.from_table([0, 1, 2])
     assert s.value(1) == 0 and s.value(3) == 2
-    with pytest.raises(ScheduleRangeError):
+    with pytest.raises(ScheduleRangeError, match=r"^gap table covers n <= 3, asked for n = 4$"):
         s.value(4)
+    with pytest.raises(ScheduleRangeError, match=r"^gap table covers n <= 3, asked for n = 5$"):
+        s.values([1, 5, 2])
     with pytest.raises(ScheduleRangeError):
         s.values([0])  # indices start at 1
     with pytest.raises(ConfigError):
@@ -80,13 +83,6 @@ def test_values_match_scalar_loop():
         ns = np.arange(1, 60)
         vec = s.values(ns)
         assert [s.value(int(n)) for n in ns] == vec.tolist()
-
-
-def test_max_over_multiples():
-    s = GapSchedule("ceil_log")
-    r, K = 7, 5
-    expected = max(s.value(k * r) for k in range(1, K + 1))
-    assert s.max_over_multiples(r, K) == expected
 
 
 def test_gap_json_round_trip():
@@ -134,11 +130,27 @@ def test_error_hook_is_position_dependent():
         r.to_json()
 
 
+@pytest.mark.parametrize("cls, kind", [(GapSchedule, int), (ErrorSchedule, float)])
+def test_each_kind_keeps_its_value_type(cls, kind):
+    """The shared constructors cast to the kind's type, in JSON and in value()."""
+    for s in (cls.zero(), cls.constant(2), cls.from_table([1, 2, 3]), cls.constant(True)):
+        js = s.to_json()
+        got = js["params"].get("value", js["params"].get("values"))
+        assert all(type(v) is kind for v in (got if isinstance(got, list) else [got]))
+        assert type(s.value(1)) is kind
+        assert cls.from_json(js) == s
+    assert cls.zero().to_json() == {"rule": "constant", "params": {"value": kind(0)}}
+    assert type(cls.zero().to_json()["params"]["value"]) is kind
+    assert cls.from_table([1, 2, 3]).values([1, 3]).dtype == np.dtype(kind)
+
+
 def test_error_table():
     r = ErrorSchedule.from_table([0.5, 0.25])
     assert r.value(2) == 0.25
-    with pytest.raises(ScheduleRangeError):
+    with pytest.raises(ScheduleRangeError, match=r"^error table covers n <= 2, asked for n = 3$"):
         r.value(3)
+    with pytest.raises(ScheduleRangeError, match=r"^error table covers n <= 2, asked for n = 4$"):
+        r.values([4, 1])
 
 
 # ---------------------------------------------------------- sublinearity
@@ -191,8 +203,6 @@ def test_series_validation():
 def test_series_running_extremes_and_terminal():
     s = ConvergenceSeries([1, 2, 3, 4], [1.0, 3.0, 2.0, 2.5])
     assert s.terminal == 2.5
-    assert s.running_max().tolist() == [1.0, 3.0, 3.0, 3.0]
-    assert s.running_min().tolist() == [1.0, 1.0, 1.0, 1.0]
     assert len(s) == 4
 
 
@@ -209,8 +219,14 @@ def test_tail_oscillation():
 def test_series_csv_round_trip_exact(tmp_path):
     vals = [1 / 3, -np.inf, 0.1 + 0.2]  # repr must round-trip these bit for bit
     s = ConvergenceSeries([1, 5, 9], vals)
+    # the text of the old inline series writer, and of the terminals.csv loop
+    assert s.csv_text() == "n,value\n1,0.3333333333333333\n5,-inf\n9,0.30000000000000004\n"
+    lines = ["trial,terminal"]
+    for t, v in enumerate(vals):
+        lines.append(f"{t},{v!r}")
+    assert csv_text("trial,terminal", enumerate(vals)) == "\n".join(lines) + "\n"
     path = tmp_path / "s.csv"
-    s.to_csv(path)
+    path.write_text(s.csv_text())
     t = ConvergenceSeries.from_csv(path)
     assert t.ns.tolist() == s.ns.tolist()
     assert t.values.tolist() == s.values.tolist()
