@@ -22,6 +22,7 @@ from gapsub import (
     stationary_distribution,
     validate_measure,
 )
+from gapsub import measures
 
 from conftest import WORKED_P, WORKED_PI
 
@@ -103,7 +104,6 @@ def test_stationary_distribution_checks_raw_input_at_its_pointer():
 def test_each_matrix_is_checked_once(monkeypatch, build):
     """The default start solves for the stationary law on the matrix the
     constructor has already checked, with the same bits as the public solver."""
-    from gapsub import measures
     seen, check = [], measures._check_stochastic
 
     def counted(raw, field, *args, **kwargs):
