@@ -69,10 +69,6 @@ class DecouplingReport:
             not np.isfinite(c) for c in self.constants
         )
 
-    @property
-    def max_constant(self) -> float:
-        return float(max(self.constants))
-
     def constant(self, n: int) -> float:
         return float(self.constants[self.n_values.index(n)])
 

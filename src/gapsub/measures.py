@@ -23,11 +23,11 @@ from __future__ import annotations
 
 import abc
 import dataclasses
+import functools
 import itertools
 import math
 import numbers
 import sys
-from operator import add
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -430,9 +430,14 @@ class _PrefixSumWindows(Windows):
 _TABLE_ENTRIES = 2**22
 # forward steps times rows times hidden states run as one chunk
 _FORWARD_ENTRIES = 2**12
-# most hidden states for which one row steps on Python floats: above 3 the
-# h^2 scalar terms cost more than the numpy step saves
-_ROW_STEP_HIDDEN = 3
+# most hidden states for which one row steps in _row_kernel.  Per step on a
+# 20000-symbol prefix table, pinned to one CPU, best of 7 in each of three
+# fresh processes, the kernel against the rows path on one row took (us):
+# h = 3: 2.5-3.6 vs 10.4-12.2; h = 4: 3.5-3.8 vs 11.6-13.9; h = 5: 4.8-6.5
+# vs 11.9-12.2; h = 6: 5.8-8.1 vs 10.4-14.3; h = 7: 7.7-10.1 vs 11.1-14.6.
+# The compiled step grows as h^2 (compiling h = 7 takes 2.6 ms), and a
+# one-row call with 8 or more hidden states keeps running the rows path.
+_ROW_STEP_HIDDEN = 7
 
 
 class _ForwardWindows(Windows):
@@ -672,6 +677,73 @@ class MarkovMeasure(ShiftMeasure):
         return _chain_path(self._cum_start, self._cum_rows, rng.random(n))
 
 
+# source of _row_kernel's step: the fields name h hidden states' locals and
+# write out each column's lines
+_ROW_STEP = """\
+def step(symbols, alpha, log_A, log_E_rows, kept):
+    {a}, = alpha
+    {A}, = log_A
+    terms, sums = empty({hh}), empty({h})
+    terms_v, sums_v = memoryview(terms), memoryview(sums)
+    for s in symbols:
+{columns}
+        exp(terms, terms)
+        {e}, = terms_v.tolist()
+{sums}
+        log(sums, sums)
+        {l}, = sums_v.tolist()
+        {E}, = log_E_rows[s]
+{alpha}
+        if kept is not None:
+            kept += ({a},)
+    return [{a}]
+"""
+
+
+@functools.cache
+def _row_kernel(h: int):
+    """The one-row forward step for h hidden states, compiled once per h.
+
+    step(symbols, alpha, log_A, log_E_rows, kept) advances alpha, a list
+    of h Python floats, over a list of symbols and returns the last alpha.
+    log_A is log A row-major as a list and log_E_rows[s] is log E[:, s];
+    a list kept gets every step's alpha appended.  Per symbol, in
+    log_sum_exp_into's order: column k takes c_ik = a_i + log A[i, k], its
+    max t_k as `if c > t: t = c` from c_0k, clamped at -DBL_MAX, and writes
+    terms[k h + i] = c_ik - t_k; np.exp runs in place on the h^2 terms;
+    each column sums left to right; np.log runs in place on the h sums; and
+    a_k = (log sum_k + t_k) + log E[k, s].
+    """
+    def block(rows) -> str:
+        return "\n".join(" " * 8 + row for row in rows)
+
+    def column(k: int) -> list[str]:
+        rows = [f"c0_{k} = a0 + A0_{k}", f"t{k} = c0_{k}"]
+        for i in range(1, h):
+            rows += [f"c{i}_{k} = a{i} + A{i}_{k}", f"if c{i}_{k} > t{k}: t{k} = c{i}_{k}"]
+        rows.append(f"if t{k} < NEG_MAX: t{k} = NEG_MAX")
+        return rows + [f"terms_v[{k * h + i}] = c{i}_{k} - t{k}" for i in range(h)]
+
+    cols = range(h)
+    source = _ROW_STEP.format(
+        h=h,
+        hh=h * h,
+        a=", ".join(f"a{i}" for i in cols),
+        A=", ".join(f"A{i}_{k}" for i in cols for k in cols),
+        columns=block(row for k in cols for row in column(k)),
+        e=", ".join(f"e{q}" for q in range(h * h)),
+        sums=block(
+            f"sums_v[{k}] = " + " + ".join(f"e{k * h + i}" for i in cols) for k in cols
+        ),
+        l=", ".join(f"l{k}" for k in cols),
+        E=", ".join(f"E{k}" for k in cols),
+        alpha=block(f"a{k} = (l{k} + t{k}) + E{k}" for k in cols),
+    )
+    namespace = {"empty": np.empty, "exp": np.exp, "log": np.log, "NEG_MAX": _NEG_MAX}
+    exec(compile(source, f"<hmm row step, h={h}>", "exec"), namespace)
+    return namespace["step"]
+
+
 class HiddenMarkovMeasure(ShiftMeasure):
     """Observed layer of a stationary hidden Markov chain.
 
@@ -726,15 +798,18 @@ class HiddenMarkovMeasure(ShiftMeasure):
         value does not depend on its batch.
 
         One row that runs to the end of its window, with at most
-        _ROW_STEP_HIDDEN hidden states, steps in _forward_row instead, on
-        Python floats, with the same bits: adds, subtractions and compares
-        are the same IEEE operations on floats as on arrays; the max starts
-        at -DBL_MAX; each column sums left to right with explicit adds, as
-        np.add.reduce does over the leading axis (the builtin sum is
-        compensated from Python 3.12); exp and log still run through
-        numpy's ufuncs, whose results differ from libm's but do not depend
-        on an entry's place in its array; and the totals are the same
-        log_sum_exp calls on the same chunks.
+        _ROW_STEP_HIDDEN hidden states, steps in _forward_row instead: a
+        loop compiled once per h (_row_kernel) that keeps alpha, log A and
+        the column maxima in named Python floats and calls numpy only for
+        one exp and one log per step.  It keeps the bits of the rows path:
+        every operation is the same one in the same order, and adds,
+        subtractions and compares are the same IEEE operations on floats as
+        on arrays; the max starts at -DBL_MAX; each column sums left to
+        right with explicit adds, as np.add.reduce does over the leading
+        axis (the builtin sum is compensated from Python 3.12); exp and log
+        still run through numpy's ufuncs, whose results differ from libm's
+        but do not depend on an entry's place in its array; and the totals
+        are the same log_sum_exp calls on the same chunks.
         """
         if js.size == 1 and js[0] + m <= x.size and self.hidden_size <= _ROW_STEP_HIDDEN:
             return self._forward_row(x, int(js[0]), m, table)
@@ -778,56 +853,24 @@ class HiddenMarkovMeasure(ShiftMeasure):
         log_sum_exp_into(terms, hi, out)
 
     def _forward_row(self, x: np.ndarray, j: int, m: int, table: bool) -> np.ndarray:
-        """_forward of the one row x[j : j + m], stepped on Python floats.
+        """_forward of the one row x[j : j + m], stepped by _row_kernel(h).
 
-        Each step writes its h^2 shifted terms and h column sums into
-        small buffers through memoryviews, for np.exp and np.log in place.
-        Symbols are read a chunk at a time, so memory stays flat.
+        The kernel runs a chunk of symbols at a time, so memory stays flat,
+        and in table mode it keeps every step's alpha for the chunk's totals.
         """
         h = self.hidden_size
         chunk = max(1, _FORWARD_ENTRIES // h)
-        log_A_cols = self.log_A.T.tolist()
-        log_E_rows = self.log_E.T.tolist()
-        terms, sums = np.empty(h * h), np.empty(h)
-        terms_v, sums_v = memoryview(terms), memoryview(sums)
+        step = _row_kernel(h)
+        log_A, log_E_rows = self.log_A.ravel().tolist(), self.log_E.T.tolist()
         alpha = (self.log_start + self.log_E[:, x[j]]).tolist()
         out = np.empty((1, m)) if table else None
-        # column k of the terms: its first index and the ones added after it
-        spans = [(k, k * h, range(k * h + 1, k * h + h)) for k in range(h)]
         with np.errstate(divide="ignore"):
             for t0 in range(0, m, chunk):
                 t1 = min(m, t0 + chunk)
-                symbols = x[j + t0 : j + t1].tolist()
-                kept = []
-                if not t0:
-                    del symbols[0]
-                    kept += alpha
-                for s in symbols:
-                    tops, q = [], 0
-                    # column k: terms[k * h + i] = alpha[i] + log A[i, k] - top
-                    for a_col in log_A_cols:
-                        col = list(map(add, alpha, a_col))
-                        top = max(col)
-                        if top < _NEG_MAX:  # the max starts at -DBL_MAX
-                            top = _NEG_MAX
-                        tops.append(top)
-                        for v in col:
-                            terms_v[q] = v - top
-                            q += 1
-                    np.exp(terms, out=terms)
-                    e = terms_v.tolist()
-                    for k, q0, rest in spans:
-                        acc = e[q0]
-                        for q in rest:
-                            acc = acc + e[q]
-                        sums_v[k] = acc
-                    np.log(sums, out=sums)
-                    alpha = [
-                        (lse + top) + emit
-                        for lse, top, emit in zip(sums_v.tolist(), tops, log_E_rows[s])
-                    ]
-                    if table:
-                        kept += alpha
+                # x[j] gave the first alpha, so the first chunk steps from x[j + 1]
+                symbols = x[j + (t0 or 1) : j + t1].tolist()
+                kept = ([] if t0 else alpha[:]) if table else None
+                alpha = step(symbols, alpha, log_A, log_E_rows, kept)
                 if table:
                     totals = np.array(kept).reshape(t1 - t0, 1, h)
                     out[:, t0:t1] = log_sum_exp(totals, axis=2).T

@@ -485,6 +485,12 @@ def test_a_steele_run_of_too_many_tiles_is_refused_before_drawing(tmp_path, caps
     assert took < 1.0
 
 
+def test_the_runner_caps_keep_their_values():
+    """Other tests patch _TILE_CAP down, so a changed cap would pass them."""
+    assert cli._HORIZON_CAP == 10**7
+    assert cli._TILE_CAP == 10**5
+
+
 def test_the_tile_cap_admits_exactly_its_count(tmp_path, monkeypatch):
     """n // r equal to the cap runs; one tile more is refused."""
     monkeypatch.setattr(cli, "_TILE_CAP", 40)

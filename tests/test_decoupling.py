@@ -142,7 +142,7 @@ def test_audit_constants_never_exceed_the_bound(worked_chain):
     assert rep.method == "enumeration"
     assert rep.n_values == (1, 2, 3, 4)
     assert all(c <= bound + 1e-12 for c in rep.constants)
-    assert rep.max_constant <= bound + 1e-12
+    assert max(rep.constants) <= bound + 1e-12
     assert not rep.failed
     # the worst pair must realize its reported defect
     w = rep.worst_pairs[-1]

@@ -8,9 +8,11 @@ and one total per step.  The prefix table, windows.many and
 the windows.suffix block table must match it bit for bit, for every
 chunk size, including -inf prefixes and rows that stop at the path end.
 
-One row with few hidden states steps on Python floats instead
-(HiddenMarkovMeasure._forward_row); it must match the rows path bit for
-bit, and the numpy property it rests on is pinned here too.
+One row with at most _ROW_STEP_HIDDEN hidden states steps in a loop
+compiled once per hidden-state count instead (measures._row_kernel, run by
+HiddenMarkovMeasure._forward_row).  It must match the oracle and the rows
+path bit for bit, on drawn HMMs with zeros in A, E and the start, and the
+numpy property it rests on is pinned here too.
 """
 from __future__ import annotations
 
@@ -19,6 +21,7 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gapsub import (
     HiddenMarkovMeasure,
@@ -163,7 +166,7 @@ def _rows_prefixes(H: HiddenMarkovMeasure, x: np.ndarray) -> np.ndarray:
 
 
 @pytest.mark.parametrize("invariant", [True, False], ids=["invariant", "given-start"])
-@pytest.mark.parametrize("hidden", [1, 2, 3, 4])
+@pytest.mark.parametrize("hidden", [1, 2, 3, 4, 5, 6, 7, 8])
 @pytest.mark.usefixtures("budget")
 def test_one_row_step_matches_the_rows_path(hidden, invariant, monkeypatch):
     """Paths of 1, chunk - 1, chunk and chunk + 1 symbols, prefixes going -inf.
@@ -185,6 +188,61 @@ def test_one_row_step_matches_the_rows_path(hidden, invariant, monkeypatch):
         _same_bits(wl.many([0], n - 1), both[:1])
         _same_bits(wl.many([1], n - 1), both[1:])
         _same_bits(wl.suffix(2, n - 2), _rows_prefixes(H, x[2:]))
+
+
+def _zero_pattern_hmm(rng, h: int, invariant: bool) -> HiddenMarkovMeasure:
+    """Irreducible A and E with zero entries; symbol K - 1 is emitted by no state.
+
+    The cycle i -> i + 1 keeps A irreducible whatever else is zero, and
+    each row of E keeps one of the symbols 0 .. K - 2.
+    """
+    A = rng.dirichlet(np.ones(h), size=h)
+    A[rng.random((h, h)) < 0.4] = 0.0
+    A[np.arange(h), (np.arange(h) + 1) % h] += 0.5
+    E = rng.dirichlet(np.ones(K), size=h)
+    E[rng.random((h, K)) < 0.4] = 0.0
+    E[np.arange(h), rng.integers(K - 1, size=h)] += 0.5
+    E[:, K - 1] = 0.0
+    start = None
+    if not invariant:
+        start = rng.dirichlet(np.ones(h))
+        start[rng.random(h) < 0.3] = 0.0
+        start[rng.integers(h)] += 0.5
+        start /= start.sum()
+    A /= A.sum(axis=1, keepdims=True)
+    E /= E.sum(axis=1, keepdims=True)
+    return HiddenMarkovMeasure(A, E, start=start)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    hidden=st.integers(1, 3),
+    invariant=st.booleans(),
+    budget=st.sampled_from(list(BUDGETS)),
+    extra=st.sampled_from([None, -1, 0, 1]),
+    offset=st.integers(0, 3),
+    table=st.booleans(),
+    dead=st.booleans(),
+)
+def test_one_row_kernel_matches_the_oracle(
+    seed, hidden, invariant, budget, extra, offset, table, dead
+):
+    """Windows of 1, chunk - 1, chunk and chunk + 1 symbols from an offset;
+    with dead, a symbol that no state emits sends the later prefixes to -inf."""
+    rng = np.random.default_rng(seed)
+    H = _zero_pattern_hmm(rng, hidden, invariant)
+    with pytest.MonkeyPatch.context() as patch:
+        if BUDGETS[budget] is not None:
+            patch.setattr(measures, "_FORWARD_ENTRIES", BUDGETS[budget])
+        chunk = max(1, measures._FORWARD_ENTRIES // hidden)
+        m = 1 if extra is None else max(1, chunk + extra)
+        x = rng.integers(0, K - 1, size=offset + m)
+        if dead:
+            x[rng.integers(x.size)] = K - 1
+        got = H._forward_row(x, offset, m, table)
+    _same_bits(got, hmm_oracle.forward(H, x, np.asarray([offset]), m, table=table))
+    assert measures._row_kernel(hidden) is measures._row_kernel(hidden)
 
 
 def test_one_row_step_sums_each_column_left_to_right():
