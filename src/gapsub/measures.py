@@ -714,6 +714,9 @@ def _row_kernel(h: int):
     each column sums left to right; np.log runs in place on the h sums; and
     a_k = (log sum_k + t_k) + log E[k, s].
     """
+    def names(prefix: str, count: int = h) -> str:
+        return ", ".join(f"{prefix}{q}" for q in range(count))
+
     def block(rows) -> str:
         return "\n".join(" " * 8 + row for row in rows)
 
@@ -728,15 +731,15 @@ def _row_kernel(h: int):
     source = _ROW_STEP.format(
         h=h,
         hh=h * h,
-        a=", ".join(f"a{i}" for i in cols),
+        a=names("a"),
         A=", ".join(f"A{i}_{k}" for i in cols for k in cols),
         columns=block(row for k in cols for row in column(k)),
-        e=", ".join(f"e{q}" for q in range(h * h)),
+        e=names("e", h * h),
         sums=block(
             f"sums_v[{k}] = " + " + ".join(f"e{k * h + i}" for i in cols) for k in cols
         ),
-        l=", ".join(f"l{k}" for k in cols),
-        E=", ".join(f"E{k}" for k in cols),
+        l=names("l"),
+        E=names("E"),
         alpha=block(f"a{k} = (l{k} + t{k}) + E{k}" for k in cols),
     )
     namespace = {"empty": np.empty, "exp": np.exp, "log": np.log, "NEG_MAX": _NEG_MAX}
