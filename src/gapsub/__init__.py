@@ -76,10 +76,8 @@ from .schedules import (
     ConvergenceSeries,
     ErrorSchedule,
     GapSchedule,
-    SublinearityReport,
     geometric_grid,
     linear_grid,
-    sublinearity_report,
 )
 from .steele import (
     ProofContext,

@@ -181,8 +181,17 @@ def _nonnegative(p: dict, key: str, kind: type, default):
     return value
 
 
+def _positive(p: dict, key: str, kind: type, *default):
+    """param(p, key, kind, *default), rejected at /key unless it is positive."""
+    value = param(p, key, kind, *default)
+    if not value > 0:
+        raise SchemaError([(f"/{key}", "must be >= 1" if kind is int else "must be positive")])
+    return value
+
+
 # default horizon cap of `fekete limit`, the cap on `fekete lift`'s table,
-# on the trials times grid points of `estimate mean` and on every drawn path
+# on the trials times N of `estimate mean`, on the n_max of `decouple audit`
+# and on every drawn path
 _HORIZON_CAP = 10**7
 # tiles of a Steele run (at most n // r), each one object in decomposition.json
 _TILE_CAP = 10**5
@@ -229,10 +238,7 @@ def _run_fekete_limit(p: dict) -> dict:
 def _run_fekete_lift(p: dict) -> dict:
     F = sequence_from_spec(p.get("sequence"), "/sequence")
     sigma = GapSchedule.from_json(p.get("sigma"), "/sigma")
-    probe_N, table_N = param(p, "probe_N", int, 200), param(p, "table_N", int, 256)
-    for key, value in (("probe_N", probe_N), ("table_N", table_N)):
-        if value < 1:
-            raise SchemaError([(f"/{key}", "must be >= 1")])
+    probe_N, table_N = _positive(p, "probe_N", int, 200), _positive(p, "table_N", int, 256)
     if table_N > _HORIZON_CAP:
         raise CapExceededError(f"table length {table_N} exceeds cap {_HORIZON_CAP}", "/table_N")
     rho = gap_lift(F, sigma, probe_N=probe_N)
@@ -263,17 +269,22 @@ def _run_sample(p: dict) -> dict:
     return {"trajectory.txt": x.text(), "sample.json": summary}
 
 
-def _run_series(p: dict) -> dict:
-    Q = measure_from_spec(p.get("measure"), "/measure")
-    P = Q if p.get("sample_from") is None else measure_from_spec(p["sample_from"], "/sample_from")
-    N, offset = param(p, "N", int), param(p, "offset", int, 0)
+def _path_estimate(estimate, P: ShiftMeasure, Q: ShiftMeasure, p: dict):
+    """(est, est.to_json()) of estimate(P, Q, ...) on the N, offset, grid and seed of p."""
+    N, offset = param(p, "N", int), _nonnegative(p, "offset", int, 0)
     _drawn_length(N + offset, "/N")
     grid = _grid_from_spec(param(p, "grid", str, "geometric"), N)
-    est = cross_entropy_estimate(
+    est = estimate(
         P, Q, N, param(p, "seed", int), grid=grid, offset=offset,
         assume_decoupled=param(p, "assume_decoupled", bool, False),
     )
-    summary = est.to_json()
+    return est, est.to_json()
+
+
+def _run_series(p: dict) -> dict:
+    Q = measure_from_spec(p.get("measure"), "/measure")
+    P = Q if p.get("sample_from") is None else measure_from_spec(p["sample_from"], "/sample_from")
+    est, summary = _path_estimate(cross_entropy_estimate, P, Q, p)
     summary["tail_oscillation"] = est.series.tail_oscillation()
     return {"series.csv": est.series.csv_text(), "summary.json": summary}
 
@@ -291,15 +302,8 @@ def _oracle_rates(P: ShiftMeasure, Q: ShiftMeasure) -> dict:
 def _run_estimate(p: dict, mode: str) -> dict:
     P = measure_from_spec(p.get("p"), "/p")
     Q = measure_from_spec(p.get("q"), "/q")
-    N, offset = param(p, "N", int), param(p, "offset", int, 0)
-    _drawn_length(N + offset, "/N")
-    grid = _grid_from_spec(param(p, "grid", str, "geometric"), N)
     estimate = cross_entropy_estimate if mode == "cross" else relative_entropy_estimate
-    est = estimate(
-        P, Q, N, param(p, "seed", int), grid=grid, offset=offset,
-        assume_decoupled=param(p, "assume_decoupled", bool, False),
-    )
-    summary = est.to_json()
+    est, summary = _path_estimate(estimate, P, Q, p)
     oracles = _oracle_rates(P, Q)
     if oracles:
         summary["oracles"] = oracles
@@ -313,12 +317,10 @@ def _run_estimate_mean(p: dict) -> dict:
     Q = measure_from_spec(p.get("q"), "/q")
     N = param(p, "N", int)
     _drawn_length(N, "/N")
-    grid = _grid_from_spec(param(p, "grid", str, "geometric"), N)
     trials = param(p, "trials", int)
-    if trials * grid.size > _HORIZON_CAP:
-        raise CapExceededError(
-            f"{trials} trials of {grid.size} grid points exceed cap {_HORIZON_CAP}", "/trials"
-        )
+    if trials * N > _HORIZON_CAP:
+        raise CapExceededError(f"{trials} trials of {N} symbols exceed cap {_HORIZON_CAP}", "/trials")
+    grid = _grid_from_spec(param(p, "grid", str, "geometric"), N)
     res = mean_convergence_series(
         P, Q, N, trials, param(p, "seed", int), grid=grid,
         assume_decoupled=param(p, "assume_decoupled", bool, False),
@@ -338,8 +340,11 @@ def _run_decouple_audit(p: dict) -> dict:
         tau = GapSchedule.from_json(p["tau"], "/tau")
     else:
         tau = GapSchedule.constant(_nonnegative(p, "tau", int, 0))
+    n_max = _positive(p, "n_max", int)
+    if n_max > _HORIZON_CAP:
+        raise CapExceededError(f"n_max {n_max} exceeds cap {_HORIZON_CAP}", "/n_max")
     report = minimal_decoupling_constants(
-        Q, param(p, "n_max", int), param(p, "m_max", int), tau,
+        Q, n_max, _positive(p, "m_max", int), tau,
         cap=_nonnegative(p, "cap", int, 10**7),
     )
     return {"report.json": report.to_json()}
@@ -363,11 +368,11 @@ def _run_decouple_bound(p: dict) -> dict:
 
 def _run_steele(p: dict) -> dict:
     Q = measure_from_spec(p.get("measure"), "/measure")
-    n, r, K = param(p, "n", int), param(p, "r", int), param(p, "K", int)
+    n, r, K = (_positive(p, key, int) for key in ("n", "r", "K"))
+    eps = _positive(p, "eps", float)
     _drawn_length(n + K * r, "/n" if n > _HORIZON_CAP else "/K")
-    if r >= 1 and n // r > _TILE_CAP:
+    if n // r > _TILE_CAP:
         raise CapExceededError(f"up to n // r = {n // r} tiles exceed cap {_TILE_CAP}", "/r")
-    eps = param(p, "eps", float)
     tau = _nonnegative(p, "tau", int, 0)
     rho_c = _rho_const(p, Q, tau)
     limit_value = param(p, "limit", float, None)

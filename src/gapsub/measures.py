@@ -24,11 +24,10 @@ from __future__ import annotations
 import abc
 import dataclasses
 import functools
-import itertools
 import math
 import numbers
 import sys
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -69,10 +68,6 @@ class Alphabet:
         if w.min() < 0 or w.max() >= self.size:
             raise ValidationError(f"symbols must lie in [0, {self.size})")
         return w
-
-    def words(self, n: int) -> Iterator[tuple[int, ...]]:
-        """All words of length n in lexicographic order."""
-        return itertools.product(range(self.size), repeat=n)
 
     def word_count(self, n: int) -> int:
         return self.size**n
@@ -204,10 +199,6 @@ class ShiftMeasure(abc.ABC):
     """
 
     alphabet: Alphabet
-
-    @property
-    @abc.abstractmethod
-    def family(self) -> str: ...
 
     @property
     @abc.abstractmethod
@@ -545,10 +536,6 @@ class IIDMeasure(ShiftMeasure):
         self._cum = np.cumsum(self.p)
 
     @property
-    def family(self) -> str:
-        return "iid"
-
-    @property
     def label(self) -> str:
         return f"iid(k={self.alphabet.size})"
 
@@ -602,10 +589,6 @@ class MarkovMeasure(ShiftMeasure):
         self.log_start = safe_log(self.start)
         self._cum_rows = np.cumsum(self.P, axis=1)
         self._cum_start = np.cumsum(self.start)
-
-    @property
-    def family(self) -> str:
-        return "markov"
 
     @property
     def label(self) -> str:
@@ -770,10 +753,6 @@ class HiddenMarkovMeasure(ShiftMeasure):
         self._cum_A = np.cumsum(self.A, axis=1)
         self._cum_E = np.cumsum(self.E, axis=1)
         self._cum_start = np.cumsum(self.start)
-
-    @property
-    def family(self) -> str:
-        return "hmm"
 
     @property
     def label(self) -> str:
@@ -969,10 +948,6 @@ class MixtureMeasure(ShiftMeasure):
         self.alphabet = comps[0].alphabet
         self.log_weights = safe_log(self.weights)
         self._cum_w = np.cumsum(self.weights)
-
-    @property
-    def family(self) -> str:
-        return "mixture"
 
     @property
     def label(self) -> str:

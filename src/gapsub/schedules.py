@@ -196,39 +196,6 @@ class ErrorSchedule(_Schedule):
         return super().to_json()
 
 
-@dataclasses.dataclass(frozen=True)
-class SublinearityReport:
-    max_ratio: float
-    argmax_n: int
-    window: tuple[int, int]
-    threshold: float
-    looks_sublinear: bool
-
-
-def sublinearity_report(
-    schedule: GapSchedule | ErrorSchedule, N: int, threshold: float = 0.1
-) -> SublinearityReport:
-    """Scan s_n / n over the window [ceil(N/2), N].
-
-    Advisory only: a small max ratio over the window suggests o(n) decay
-    but proves nothing.  Constant schedules trivially pass for large N.
-    """
-    if N < 2:
-        raise ConfigError("sublinearity window needs N >= 2")
-    lo = math.ceil(N / 2)
-    ns = np.arange(lo, N + 1, dtype=np.int64)
-    ratios = schedule.values(ns).astype(np.float64) / ns
-    i = int(np.argmax(ratios))
-    mx = float(ratios[i])
-    return SublinearityReport(
-        max_ratio=mx,
-        argmax_n=int(ns[i]),
-        window=(lo, N),
-        threshold=float(threshold),
-        looks_sublinear=bool(mx <= threshold),
-    )
-
-
 def csv_text(header: str, pairs) -> str:
     """header, then one "key,repr(value)" line per pair; repr keeps every float exact."""
     return "\n".join([header, *(f"{k},{v!r}" for k, v in pairs)]) + "\n"

@@ -11,6 +11,8 @@ single pairs against the audit.
 """
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from gapsub import (
@@ -162,7 +164,7 @@ def decoupling_defect(
         if words:
             raise CapExceededError(f"gap enumeration needs {words} words")
         pieces = np.empty(k**tau_n, dtype=np.float64)
-        for i, g in enumerate(Q.alphabet.words(tau_n)):
+        for i, g in enumerate(itertools.product(range(k), repeat=tau_n)):
             pieces[i] = Q.log_marginal(
                 np.concatenate([a, np.asarray(g, dtype=np.int64), b])
             )

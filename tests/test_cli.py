@@ -401,6 +401,21 @@ def test_audit_of_a_huge_n_max_is_refused_before_any_per_n_work(tmp_path, capsys
     assert took < 1.0
 
 
+def test_audit_of_an_n_max_over_the_horizon_cap_is_refused_at_n_max(tmp_path, capsys):
+    """An n_max far above the cap is refused before the library walks its levels."""
+    m = write_json(tmp_path, "m.json", WORKED_SPEC)
+    out = tmp_path / "o"
+    start = time.perf_counter()
+    rc = main(["decouple", "audit", "--measure", m, "--n-max", str(2**62), "--m-max", "1",
+               "--outdir", str(out)])
+    took = time.perf_counter() - start
+    assert rc == 4
+    assert (f"cap: /n_max: n_max {2**62} exceeds cap 10000000"
+            in capsys.readouterr().err)
+    assert not out.exists()
+    assert took < 1.0
+
+
 def test_decouple_check_of_a_huge_horizon_is_a_cap_refusal(tmp_path, capsys):
     """The pairwise scan is O(N^2); above the cap it is refused, not started."""
     m = write_json(tmp_path, "m.json", WORKED_SPEC)
@@ -433,16 +448,65 @@ def test_decouple_check_refuses_its_horizon_before_drawing(tmp_path, capsys):
 
 
 def test_estimate_mean_of_too_many_trials_is_a_cap_refusal(tmp_path, capsys):
-    """trials x grid points above the cap is refused before any trial is drawn."""
+    """trials x N symbols above the cap is refused before any trial is drawn;
+    10^5 trials of N = 10^7 have only 86 grid points each, but draw 10^12 symbols."""
     c = write_json(tmp_path, "c.json", COIN_SPEC)
+    for N, trials in [(100, 10**11), (10**7, 10**5)]:
+        out = tmp_path / f"o{N}"
+        start = time.perf_counter()
+        rc = main(["estimate", "mean", "--p", c, "--q", c, "--N", str(N),
+                   "--trials", str(trials), "--seed", "1", "--outdir", str(out)])
+        took = time.perf_counter() - start
+        assert rc == 4
+        assert (f"cap: /trials: {trials} trials of {N} symbols exceed cap 10000000"
+                in capsys.readouterr().err)
+        assert not out.exists()
+        assert took < 1.0
+
+
+def test_the_trials_cap_admits_exactly_its_symbols(tmp_path, monkeypatch):
+    """trials x N equal to the cap runs; one trial more is refused."""
+    monkeypatch.setattr(cli, "_HORIZON_CAP", 600)
+    c = write_json(tmp_path, "c.json", COIN_SPEC)
+    argv = ["estimate", "mean", "--p", c, "--q", c, "--N", "100", "--seed", "1"]
+    assert main(argv + ["--trials", "6", "--outdir", str(tmp_path / "a")]) == 0
+    assert main(argv + ["--trials", "7", "--outdir", str(tmp_path / "b")]) == 4
+
+
+# a size or scale below its range, which is refused at its pointer before
+# the 5 * 10^6 symbols of the path are drawn
+BELOW_RANGE = {
+    "steele-n": (["steele", "run", "--measure", "{m}", "--n", "0", "--r", "100", "--K", "2",
+                  "--eps", "0.1", "--seed", "1"], "/n: must be >= 1"),
+    "steele-r": (["steele", "run", "--measure", "{m}", "--n", "5000000", "--r", "0",
+                  "--K", "2", "--eps", "0.1", "--seed", "1"], "/r: must be >= 1"),
+    "steele-K": (["steele", "run", "--measure", "{m}", "--n", "5000000", "--r", "100",
+                  "--K", "-100", "--eps", "0.1", "--seed", "1"], "/K: must be >= 1"),
+    "steele-eps": (["steele", "run", "--measure", "{m}", "--n", "5000000", "--r", "100",
+                    "--K", "2", "--eps", "-1", "--seed", "1"], "/eps: must be positive"),
+    "series-offset": (["series", "--measure", "{m}", "--N", "5000000", "--offset", "-1",
+                       "--seed", "1"], "/offset: must be nonnegative"),
+    "cross-offset": (["estimate", "cross", "--p", "{m}", "--q", "{m}", "--N", "5000000",
+                      "--offset", "-1", "--seed", "1"], "/offset: must be nonnegative"),
+    "relent-offset": (["estimate", "relent", "--p", "{m}", "--q", "{m}", "--N", "5000000",
+                       "--offset", "-1", "--seed", "1"], "/offset: must be nonnegative"),
+    "audit-n-max": (["decouple", "audit", "--measure", "{m}", "--n-max", "0", "--m-max", "1"],
+                    "/n_max: must be >= 1"),
+    "audit-m-max": (["decouple", "audit", "--measure", "{m}", "--n-max", "1", "--m-max", "0"],
+                    "/m_max: must be >= 1"),
+}
+
+
+@pytest.mark.parametrize("case", list(BELOW_RANGE))
+def test_a_size_below_its_range_is_refused_before_drawing(tmp_path, capsys, case):
+    argv, message = BELOW_RANGE[case]
+    m = write_json(tmp_path, "m.json", WORKED_SPEC)
     out = tmp_path / "o"
     start = time.perf_counter()
-    rc = main(["estimate", "mean", "--p", c, "--q", c, "--N", "100",
-               "--trials", "100000000000", "--seed", "1", "--outdir", str(out)])
+    rc = main([m if a == "{m}" else a for a in argv] + ["--outdir", str(out)])
     took = time.perf_counter() - start
-    assert rc == 4
-    assert ("cap: /trials: 100000000000 trials of 23 grid points exceed cap 10000000"
-            in capsys.readouterr().err)
+    assert rc == 2
+    assert f"schema: {message}" in capsys.readouterr().err
     assert not out.exists()
     assert took < 1.0
 

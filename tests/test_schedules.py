@@ -17,7 +17,6 @@ from gapsub import (
     ValidationError,
     geometric_grid,
     linear_grid,
-    sublinearity_report,
 )
 from gapsub.schedules import csv_text
 
@@ -149,34 +148,6 @@ def test_error_table():
         r.value(3)
     with pytest.raises(ScheduleRangeError, match=r"^error table covers n <= 2, asked for n = 4$"):
         r.values([4, 1])
-
-
-# ---------------------------------------------------------- sublinearity
-
-
-def test_sublinearity_constant_passes():
-    rep = sublinearity_report(GapSchedule.constant(5), N=1000, threshold=0.1)
-    assert rep.looks_sublinear
-    assert rep.max_ratio == 5 / 500  # worst point is the window start
-    assert rep.window == (500, 1000)
-
-
-def test_sublinearity_sqrt_window_max():
-    """ceil(sqrt(n))/n over [5000, 10000] peaks just past a square."""
-    rep = sublinearity_report(
-        GapSchedule("ceil_power", {"alpha": 0.5}), N=10000, threshold=0.1
-    )
-    ns = np.arange(5000, 10001)
-    ratios = np.ceil(np.sqrt(ns)) / ns
-    assert rep.looks_sublinear
-    assert abs(rep.max_ratio - ratios.max()) < 1e-15
-    assert rep.argmax_n == int(ns[np.argmax(ratios)])
-
-
-def test_sublinearity_linear_table_fails():
-    tab = GapSchedule.from_table(list(range(0, 40)))
-    rep = sublinearity_report(tab, N=39, threshold=0.1)
-    assert not rep.looks_sublinear
 
 
 # ------------------------------------------------------- convergence series
