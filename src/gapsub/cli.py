@@ -6,9 +6,11 @@ and sequence specs, not just their file names), so `gapsub rerun
 --manifest <path>` reproduces the artifacts byte for byte with no other
 inputs.  Nothing written here contains timestamps or machine state.
 
-The constructors validate every input: a spec read from a file or a
-manifest is checked by building it, and a rejection names the JSON
-pointer of the offending field.
+Every run parameter is declared once, in _SUBCOMMANDS.  That table makes
+the options of each run subcommand, and run checks every parameter
+against it before the runner starts, so a refusal names the parameter's
+JSON pointer.  The constructors validate every spec: one read from a file
+or a manifest is checked by building it, and a rejection names its field.
 
 Exit codes: 0 success, 2 bad configuration or schema, 3 failed numeric
 validation, 4 enumeration cap exceeded, 5 decoupling failure, 1 other
@@ -38,6 +40,7 @@ from .errors import (
     DecouplingFailure,
     GapLiftError,
     GapsubError,
+    REQUIRED,
     SchemaError,
     ScheduleRangeError,
     ValidationError,
@@ -167,28 +170,6 @@ def _grid_from_spec(spec: str, N: int) -> np.ndarray:
     raise ConfigError(f"unknown grid spec {spec!r}")
 
 
-def _schedule_pair(p: dict) -> tuple[GapSchedule, ErrorSchedule]:
-    sigma = GapSchedule.zero() if p.get("sigma") is None else GapSchedule.from_json(p["sigma"], "/sigma")
-    rho = ErrorSchedule.zero() if p.get("rho") is None else ErrorSchedule.from_json(p["rho"], "/rho")
-    return sigma, rho
-
-
-def _nonnegative(p: dict, key: str, kind: type, default):
-    """param(p, key, kind, default), rejected at /key when it is negative."""
-    value = param(p, key, kind, default)
-    if value is not None and value < 0:
-        raise SchemaError([(f"/{key}", "must be nonnegative")])
-    return value
-
-
-def _positive(p: dict, key: str, kind: type, *default):
-    """param(p, key, kind, *default), rejected at /key unless it is positive."""
-    value = param(p, key, kind, *default)
-    if not value > 0:
-        raise SchemaError([(f"/{key}", "must be >= 1" if kind is int else "must be positive")])
-    return value
-
-
 # default horizon cap of `fekete limit`, the cap on `fekete lift`'s table,
 # on the trials times N of `estimate mean`, on the n_max of `decouple audit`
 # and on every drawn path
@@ -197,56 +178,119 @@ _HORIZON_CAP = 10**7
 _TILE_CAP = 10**5
 
 
+# ---------------------------------------------------------------------------
+# run parameters: declared once, for the parser and for the reader
+
+
+@dataclasses.dataclass(frozen=True)
+class _Param:
+    """One run parameter: the key of its params entry, and --key on the command line.
+
+    kind is int, float, bool or str, or a JSON object that is built at
+    /key: "measure", "sequence", "gap" or "error" (a schedule), or
+    "int|gap" (an integer gap, or a gap schedule object).  least is the
+    smallest value allowed: 0 means nonnegative, and above 0 an int must be
+    at least least and a float positive.  cap, where given, is the noun of
+    a refusal above _HORIZON_CAP, such as "n_max {}".
+    """
+
+    key: str
+    kind: object
+    default: object = REQUIRED
+    least: int | None = None
+    cap: str | None = None
+    help: str | None = None
+
+
+_MEASURE = _Param("measure", "measure")
+_DRAWN_N = _Param("N", int, least=1, cap="a path of {} symbols")
+_SEED = _Param("seed", int, least=0)
+_STREAM = _Param("stream", int, 0, least=0)
+_DRAW = (_MEASURE, _DRAWN_N, _SEED, _STREAM)
+_GRID = (_Param("grid", str, "geometric"), _Param("assume_decoupled", bool, False))
+_PATH_ESTIMATE = (_Param("N", int, least=1), _SEED, _Param("offset", int, 0, least=0), *_GRID)
+_P_Q = (_Param("p", "measure", help="sampling measure spec"),
+        _Param("q", "measure", help="evaluated measure spec"))
+_TAU = _Param("tau", int, 0, least=0)
+_RHO_CONST = _Param("rho_const", float, None, least=0)
+_CAP = _Param("cap", int, 10**7, least=0)
+_LEVELS = _Param("n_max", int, 4, least=1)  # of `validate --semantic`
+_FEKETE = (_Param("sequence", "sequence"), _Param("sigma", "gap", GapSchedule.zero()),
+           _Param("rho", "error", ErrorSchedule.zero()), _Param("N", int, least=1))
+
+
+def _read(d: _Param, p: dict):
+    """p[d.key], read, built and checked as d declares.
+
+    run reads a subcommand's params in their declared order, so the first
+    refusal is at the first bad key: a SchemaError below its range, a
+    CapExceededError above _HORIZON_CAP.  Limits that join two params are
+    left to the runners.
+    """
+    value, here = p.get(d.key), f"/{d.key}"
+    if d.kind == "int|gap" and isinstance(value, dict):
+        return GapSchedule.from_json(value, here)
+    if d.kind in ("measure", "sequence", "gap", "error"):
+        if value is None and d.default is not REQUIRED:
+            return d.default
+        # looked up at each call, so a wrapper installed on a name of this
+        # module (bench/tracing.py) sees the build
+        build = {"measure": measure_from_spec, "sequence": sequence_from_spec,
+                 "gap": GapSchedule.from_json, "error": ErrorSchedule.from_json}[d.kind]
+        return build(value, here)
+    value = param(p, d.key, int if d.kind == "int|gap" else d.kind, d.default)
+    if value is not None and d.least is not None:
+        positive = d.kind is float and d.least > 0
+        if (not value > 0) if positive else value < d.least:
+            need = "positive" if positive else "nonnegative" if d.least == 0 else f">= {d.least}"
+            raise SchemaError([(here, f"must be {need}")])
+    if d.cap and value > _HORIZON_CAP:
+        raise CapExceededError(f"{d.cap.format(value)} exceeds cap {_HORIZON_CAP}", here)
+    return GapSchedule.constant(value) if d.kind == "int|gap" else value
+
+
 def _drawn_length(length: int, pointer: str) -> None:
     """Refuse, at pointer, a path of more than _HORIZON_CAP symbols before it is drawn."""
     if length > _HORIZON_CAP:
         raise CapExceededError(f"a path of {length} symbols exceeds cap {_HORIZON_CAP}", pointer)
 
 
-def _rho_const(p: dict, Q: ShiftMeasure, tau: int) -> float:
-    """--rho-const if given, else the kernel bound of Q clipped at 0."""
-    rho_c = _nonnegative(p, "rho_const", float, None)
-    return max(Q.kernel_bound(tau), 0.0) if rho_c is None else rho_c
+def _rho_const(a: dict) -> float:
+    """rho_const if given, else the kernel bound of the measure at tau, clipped at 0."""
+    if a["rho_const"] is None:
+        return max(a["measure"].kernel_bound(a["tau"]), 0.0)
+    return a["rho_const"]
 
 
 # ---------------------------------------------------------------------------
-# runners: each takes resolved params, returns {filename: artifact}, where
-# an artifact is a JSON object or the text of the file; params are read
-# through param, so a missing or mistyped one is a SchemaError at its key
+# runners: each takes the params that run read, checked and built, and
+# returns {filename: artifact}, where an artifact is a JSON object or the
+# text of the file
 
 
-def _run_fekete_check(p: dict) -> dict:
-    F = sequence_from_spec(p.get("sequence"), "/sequence")
-    sigma, rho = _schedule_pair(p)
+def _run_fekete_check(a: dict) -> dict:
     check = check_gapped_subadditivity(
-        F, sigma, rho, param(p, "N", int), tol=param(p, "tol", float, 1e-12),
-        cap=_nonnegative(p, "cap", int, PAIRWISE_CAP),
+        a["sequence"], a["sigma"], a["rho"], a["N"], tol=a["tol"], cap=a["cap"]
     )
     return {"check.json": check.to_json()}
 
 
-def _run_fekete_limit(p: dict) -> dict:
-    F = sequence_from_spec(p.get("sequence"), "/sequence")
-    sigma, rho = _schedule_pair(p)
-    N, cap = param(p, "N", int), _nonnegative(p, "cap", int, _HORIZON_CAP)
+def _run_fekete_limit(a: dict) -> dict:
+    N, cap = a["N"], a["cap"]
     if N > cap:
         raise CapExceededError(f"horizon {N} exceeds cap {cap}; pass cap >= N to allow", "/N")
-    est = fekete_limit_estimate(F, sigma, rho, N, stride=param(p, "stride", int, None))
+    est = fekete_limit_estimate(a["sequence"], a["sigma"], a["rho"], N, stride=a["stride"])
     return {"report.json": est.report.to_json(), "series.csv": est.series.csv_text()}
 
 
-def _run_fekete_lift(p: dict) -> dict:
-    F = sequence_from_spec(p.get("sequence"), "/sequence")
-    sigma = GapSchedule.from_json(p.get("sigma"), "/sigma")
-    probe_N, table_N = _positive(p, "probe_N", int, 200), _positive(p, "table_N", int, 256)
-    if table_N > _HORIZON_CAP:
-        raise CapExceededError(f"table length {table_N} exceeds cap {_HORIZON_CAP}", "/table_N")
-    rho = gap_lift(F, sigma, probe_N=probe_N)
+def _run_fekete_lift(a: dict) -> dict:
+    probe_N, table_N = a["probe_N"], a["table_N"]
+    rho = gap_lift(a["sequence"], a["sigma"], probe_N=probe_N)
     table = rho.values(np.arange(1, table_N + 1, dtype=np.int64))
     rho_json = {"rule": "table", "params": {"values": table.tolist()}}
     summary = {
-        "sequence": p["sequence"],
-        "sigma": sigma.to_json(),
+        "sequence": a["sequence"].spec,
+        "sigma": a["sigma"].to_json(),
         "probe_N": probe_N,
         "plainly_subadditive_up_to": probe_N,
         "rho_table_length": table_N,
@@ -254,10 +298,8 @@ def _run_fekete_lift(p: dict) -> dict:
     return {"rho.json": rho_json, "lift.json": summary}
 
 
-def _run_sample(p: dict) -> dict:
-    Q = measure_from_spec(p.get("measure"), "/measure")
-    N, seed, stream = param(p, "N", int), param(p, "seed", int), param(p, "stream", int, 0)
-    _drawn_length(N, "/N")
+def _run_sample(a: dict) -> dict:
+    Q, N, seed, stream = a["measure"], a["N"], a["seed"], a["stream"]
     x = sample_trajectory(Q, N, seed, stream=stream)
     summary = {
         "measure": Q.label,
@@ -269,22 +311,21 @@ def _run_sample(p: dict) -> dict:
     return {"trajectory.txt": x.text(), "sample.json": summary}
 
 
-def _path_estimate(estimate, P: ShiftMeasure, Q: ShiftMeasure, p: dict):
-    """(est, est.to_json()) of estimate(P, Q, ...) on the N, offset, grid and seed of p."""
-    N, offset = param(p, "N", int), _nonnegative(p, "offset", int, 0)
+def _path_estimate(estimate, P: ShiftMeasure, Q: ShiftMeasure, a: dict):
+    """(est, est.to_json()) of estimate(P, Q, ...) on the N, offset, grid and seed of a."""
+    N, offset = a["N"], a["offset"]
     _drawn_length(N + offset, "/N")
-    grid = _grid_from_spec(param(p, "grid", str, "geometric"), N)
     est = estimate(
-        P, Q, N, param(p, "seed", int), grid=grid, offset=offset,
-        assume_decoupled=param(p, "assume_decoupled", bool, False),
+        P, Q, N, a["seed"], grid=_grid_from_spec(a["grid"], N), offset=offset,
+        assume_decoupled=a["assume_decoupled"],
     )
     return est, est.to_json()
 
 
-def _run_series(p: dict) -> dict:
-    Q = measure_from_spec(p.get("measure"), "/measure")
-    P = Q if p.get("sample_from") is None else measure_from_spec(p["sample_from"], "/sample_from")
-    est, summary = _path_estimate(cross_entropy_estimate, P, Q, p)
+def _run_series(a: dict) -> dict:
+    Q = a["measure"]
+    P = Q if a["sample_from"] is None else a["sample_from"]
+    est, summary = _path_estimate(cross_entropy_estimate, P, Q, a)
     summary["tail_oscillation"] = est.series.tail_oscillation()
     return {"series.csv": est.series.csv_text(), "summary.json": summary}
 
@@ -299,11 +340,10 @@ def _oracle_rates(P: ShiftMeasure, Q: ShiftMeasure) -> dict:
     return out
 
 
-def _run_estimate(p: dict, mode: str) -> dict:
-    P = measure_from_spec(p.get("p"), "/p")
-    Q = measure_from_spec(p.get("q"), "/q")
+def _run_estimate(a: dict, mode: str) -> dict:
+    P, Q = a["p"], a["q"]
     estimate = cross_entropy_estimate if mode == "cross" else relative_entropy_estimate
-    est, summary = _path_estimate(estimate, P, Q, p)
+    est, summary = _path_estimate(estimate, P, Q, a)
     oracles = _oracle_rates(P, Q)
     if oracles:
         summary["oracles"] = oracles
@@ -312,18 +352,13 @@ def _run_estimate(p: dict, mode: str) -> dict:
     return {"series.csv": est.series.csv_text(), "summary.json": summary}
 
 
-def _run_estimate_mean(p: dict) -> dict:
-    P = measure_from_spec(p.get("p"), "/p")
-    Q = measure_from_spec(p.get("q"), "/q")
-    N = param(p, "N", int)
-    _drawn_length(N, "/N")
-    trials = param(p, "trials", int)
+def _run_estimate_mean(a: dict) -> dict:
+    P, Q, N, trials = a["p"], a["q"], a["N"], a["trials"]
     if trials * N > _HORIZON_CAP:
         raise CapExceededError(f"{trials} trials of {N} symbols exceed cap {_HORIZON_CAP}", "/trials")
-    grid = _grid_from_spec(param(p, "grid", str, "geometric"), N)
     res = mean_convergence_series(
-        P, Q, N, trials, param(p, "seed", int), grid=grid,
-        assume_decoupled=param(p, "assume_decoupled", bool, False),
+        P, Q, N, trials, a["seed"], grid=_grid_from_spec(a["grid"], N),
+        assume_decoupled=a["assume_decoupled"],
     )
     summary = res.to_json()
     summary["oracles"] = _oracle_rates(P, Q)
@@ -334,25 +369,15 @@ def _run_estimate_mean(p: dict) -> dict:
     }
 
 
-def _run_decouple_audit(p: dict) -> dict:
-    Q = measure_from_spec(p.get("measure"), "/measure")
-    if isinstance(p.get("tau"), dict):
-        tau = GapSchedule.from_json(p["tau"], "/tau")
-    else:
-        tau = GapSchedule.constant(_nonnegative(p, "tau", int, 0))
-    n_max = _positive(p, "n_max", int)
-    if n_max > _HORIZON_CAP:
-        raise CapExceededError(f"n_max {n_max} exceeds cap {_HORIZON_CAP}", "/n_max")
+def _run_decouple_audit(a: dict) -> dict:
     report = minimal_decoupling_constants(
-        Q, n_max, _positive(p, "m_max", int), tau,
-        cap=_nonnegative(p, "cap", int, 10**7),
+        a["measure"], a["n_max"], a["m_max"], a["tau"], cap=a["cap"]
     )
     return {"report.json": report.to_json()}
 
 
-def _run_decouple_bound(p: dict) -> dict:
-    Q = measure_from_spec(p.get("measure"), "/measure")
-    tau = _nonnegative(p, "tau", int, 0)
+def _run_decouple_bound(a: dict) -> dict:
+    Q, tau = a["measure"], a["tau"]
     c = Q.kernel_bound(tau)
     data = decoupling_to_theorem_data(c, tau)
     return {
@@ -366,25 +391,22 @@ def _run_decouple_bound(p: dict) -> dict:
     }
 
 
-def _run_steele(p: dict) -> dict:
-    Q = measure_from_spec(p.get("measure"), "/measure")
-    n, r, K = (_positive(p, key, int) for key in ("n", "r", "K"))
-    eps = _positive(p, "eps", float)
+def _run_steele(a: dict) -> dict:
+    Q, n, r, K, tau = a["measure"], a["n"], a["r"], a["K"], a["tau"]
     _drawn_length(n + K * r, "/n" if n > _HORIZON_CAP else "/K")
     if n // r > _TILE_CAP:
         raise CapExceededError(f"up to n // r = {n // r} tiles exceed cap {_TILE_CAP}", "/r")
-    tau = _nonnegative(p, "tau", int, 0)
-    rho_c = _rho_const(p, Q, tau)
-    limit_value = param(p, "limit", float, None)
+    rho_c = _rho_const(a)
+    limit_value = a["limit"]
     if limit_value is None:
         h = Q.entropy_rate()
         if h is None:
             raise ConfigError(f"pass --limit: {Q.label} has no closed-form entropy rate")
         limit_value = -h
-    x = sample_trajectory(Q, n + K * r, param(p, "seed", int), stream=param(p, "stream", int, 0))
+    x = sample_trajectory(Q, n + K * r, a["seed"], stream=a["stream"])
     ctx = trajectory_context(
         x, Q, ErrorSchedule.constant(rho_c), GapSchedule.constant(tau),
-        limit_value, r, K, eps,
+        limit_value, r, K, a["eps"],
     )
     d = steele_decompose(ctx, n)
     cover = verify_cover_bounds(d, ctx)
@@ -403,31 +425,21 @@ def _run_steele(p: dict) -> dict:
     return {"decomposition.json": d.to_json(), "verification.json": verification}
 
 
-def _run_traj_check(p: dict) -> dict:
-    Q = measure_from_spec(p.get("measure"), "/measure")
-    tau = _nonnegative(p, "tau", int, 0)
-    rho_c = _rho_const(p, Q, tau)
-    N = param(p, "N", int)
-    _drawn_length(N, "/N")
+def _run_traj_check(a: dict) -> dict:
+    Q, N, tau = a["measure"], a["N"], a["tau"]
+    rho_c = _rho_const(a)
     if N > PAIRWISE_CAP:
         raise CapExceededError(f"pairwise check at N = {N} exceeds cap {PAIRWISE_CAP}", "/N")
-    x = sample_trajectory(Q, N, param(p, "seed", int), stream=param(p, "stream", int, 0))
+    x = sample_trajectory(Q, N, a["seed"], stream=a["stream"])
     check = check_trajectory_subadditivity(
-        x, Q, ErrorSchedule.constant(rho_c), GapSchedule.constant(tau),
-        tol=param(p, "tol", float, 1e-10),
+        x, Q, ErrorSchedule.constant(rho_c), GapSchedule.constant(tau), tol=a["tol"]
     )
-    out = check.to_json()
-    out["rho_const"] = rho_c
-    out["tau"] = tau
-    return {"check.json": out}
+    return {"check.json": {**check.to_json(), "rho_const": rho_c, "tau": tau}}
 
 
-def _run_validate_measure(p: dict) -> dict:
-    Q = measure_from_spec(p.get("measure"), "/measure")
-    report = validate_measure(
-        Q, n_max=param(p, "n_max", int, 4), tol=param(p, "tol", float, 1e-9),
-        cap=_nonnegative(p, "cap", int, 10**7),
-    )
+def _run_validate_measure(a: dict) -> dict:
+    Q = a["measure"]
+    report = validate_measure(Q, n_max=a["n_max"], tol=a["tol"], cap=a["cap"])
     out = report.to_json()
     out["measure"] = Q.label
     if not report.ok:
@@ -442,20 +454,41 @@ class _ValidationWithArtifacts(ValidationError):
         super().__init__(f"measure validation failed: {problems}")
 
 
-_RUNNERS = {
-    "fekete.check": _run_fekete_check,
-    "fekete.limit": _run_fekete_limit,
-    "fekete.lift": _run_fekete_lift,
-    "sample": _run_sample,
-    "series": _run_series,
-    "estimate.cross": lambda p: _run_estimate(p, "cross"),
-    "estimate.relent": lambda p: _run_estimate(p, "relent"),
-    "estimate.mean": _run_estimate_mean,
-    "decouple.audit": _run_decouple_audit,
-    "decouple.bound": _run_decouple_bound,
-    "decouple.check": _run_traj_check,
-    "steele.run": _run_steele,
-    "validate.measure": _run_validate_measure,
+# each run subcommand's runner and params; the params are read and checked
+# in their order here, and make the subcommand's command-line options
+_SUBCOMMANDS = {
+    "fekete.check": (_run_fekete_check, (*_FEKETE, _Param("tol", float, 1e-12),
+                                         _Param("cap", int, PAIRWISE_CAP, least=0))),
+    "fekete.limit": (_run_fekete_limit, (*_FEKETE, _Param("cap", int, _HORIZON_CAP, least=0),
+                                         _Param("stride", int, None, least=1))),
+    "fekete.lift": (_run_fekete_lift, (
+        _Param("sequence", "sequence"), _Param("sigma", "gap"), _Param("probe_N", int, 200, least=1),
+        _Param("table_N", int, 256, least=1, cap="table length {}"),
+    )),
+    "sample": (_run_sample, _DRAW),
+    "series": (_run_series, (
+        _Param("measure", "measure", help="measure evaluated along the path"),
+        _Param("sample_from", "measure", None,
+               help="measure the path is drawn from (default: --measure)"),
+        *_PATH_ESTIMATE,
+    )),
+    "estimate.cross": (lambda a: _run_estimate(a, "cross"), (*_P_Q, *_PATH_ESTIMATE)),
+    "estimate.relent": (lambda a: _run_estimate(a, "relent"), (*_P_Q, *_PATH_ESTIMATE)),
+    # N before trials: a path over the cap is refused at /N whatever trials is
+    "estimate.mean": (_run_estimate_mean,
+                      (*_P_Q, _DRAWN_N, _Param("trials", int, least=2), _SEED, *_GRID)),
+    "decouple.audit": (_run_decouple_audit, (
+        _MEASURE, _Param("n_max", int, least=1, cap="n_max {}"), _Param("m_max", int, least=1),
+        _Param("tau", "int|gap", 0, least=0), _CAP,
+    )),
+    "decouple.bound": (_run_decouple_bound, (_MEASURE, _TAU)),
+    "decouple.check": (_run_traj_check, (*_DRAW, _TAU, _RHO_CONST, _Param("tol", float, 1e-10))),
+    "steele.run": (_run_steele, (
+        _MEASURE, *(_Param(key, int, least=1) for key in ("n", "r", "K")),
+        _Param("eps", float, least=1), _SEED, _STREAM, _TAU, _RHO_CONST,
+        _Param("limit", float, None),
+    )),
+    "validate.measure": (_run_validate_measure, (_MEASURE, _LEVELS, _Param("tol", float, 1e-9), _CAP)),
 }
 
 
@@ -465,9 +498,10 @@ def run(config: RunConfig, outdir: str | Path = ".") -> dict:
     Artifacts and the manifest are written atomically into outdir.
     Rerunning the same config always reproduces the same bytes.
     """
-    if config.subcommand not in _RUNNERS:
+    if config.subcommand not in _SUBCOMMANDS:
         raise ConfigError(f"unknown subcommand {config.subcommand!r}")
-    artifacts = _RUNNERS[config.subcommand](config.params)
+    runner, params = _SUBCOMMANDS[config.subcommand]
+    artifacts = runner({d.key: _read(d, config.params) for d in params})
     out = Path(outdir)
     out.mkdir(parents=True, exist_ok=True)
     written = []
@@ -489,8 +523,42 @@ def run(config: RunConfig, outdir: str | Path = ".") -> dict:
 # argument parsing
 
 
-def _add_outdir(sp):
-    sp.add_argument("--outdir", default=".", help="directory for artifacts (default .)")
+# the commands and subcommands of the command line, with their help, in
+# --help order; a run subcommand's options come from _SUBCOMMANDS
+_COMMANDS = {
+    "fekete": "deterministic sequence tools",
+    "fekete.check": "exhaustive gapped-subadditivity check",
+    "fekete.limit": "limit series and finite-horizon infimum",
+    "fekete.lift": "derive an error schedule for a plainly subadditive sequence",
+    "sample": "draw a seeded trajectory",
+    "series": "normalized log-marginal series along a path",
+    "decouple": "decoupling audits and bounds",
+    "decouple.audit": "exact minimal constants by enumeration",
+    "decouple.bound": "kernel bound of the hidden chain",
+    "decouple.check": "pairwise split inequality along a sampled path",
+    "estimate": "entropy-rate estimators",
+    "estimate.cross": "cross entropy rate along one path",
+    "estimate.relent": "relative entropy rate along one path",
+    "estimate.mean": "trial-averaged series",
+    "steele": "interval decomposition on a sampled path",
+    "steele.run": "decompose and verify",
+    "validate": "validate a JSON document",
+    "rerun": "reproduce a previous run from its manifest",
+}
+
+
+_OPTION_TYPES = {int: int, float: float, "int|gap": int}
+
+
+def _add_option(sp, d: _Param) -> None:
+    """--key for d: a measure is a JSON file, a bool a switch, an int|gap an int."""
+    flag = "--" + d.key.replace("_", "-")
+    if d.kind is bool:
+        sp.add_argument(flag, action="store_true", help=d.help)
+    elif d.default is REQUIRED:
+        sp.add_argument(flag, required=True, type=_OPTION_TYPES.get(d.kind), help=d.help)
+    else:
+        sp.add_argument(flag, default=d.default, type=_OPTION_TYPES.get(d.kind), help=d.help)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -499,110 +567,28 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Gapped subadditive limits, decoupling audits, entropy estimation.",
     )
     ap.add_argument("--version", action="version", version=f"gapsub {__version__}")
-    top = ap.add_subparsers(dest="command", required=True)
-
-    fk = top.add_parser("fekete", help="deterministic sequence tools")
-    fks = fk.add_subparsers(dest="subcommand", required=True)
-    for name, hlp in (
-        ("check", "exhaustive gapped-subadditivity check"),
-        ("limit", "limit series and finite-horizon infimum"),
-        ("lift", "derive an error schedule for a plainly subadditive sequence"),
-    ):
-        sp = fks.add_parser(name, help=hlp)
-        sp.add_argument("--spec", required=True, help="JSON file with sequence/schedules/N")
-        _add_outdir(sp)
-
-    sp = top.add_parser("sample", help="draw a seeded trajectory")
-    sp.add_argument("--measure", required=True)
-    sp.add_argument("--N", required=True, type=int)
-    sp.add_argument("--seed", required=True, type=int)
-    sp.add_argument("--stream", type=int, default=0)
-    _add_outdir(sp)
-
-    sp = top.add_parser("series", help="normalized log-marginal series along a path")
-    sp.add_argument("--measure", required=True, help="measure evaluated along the path")
-    sp.add_argument("--sample-from", help="measure the path is drawn from (default: --measure)")
-    sp.add_argument("--N", required=True, type=int)
-    sp.add_argument("--seed", required=True, type=int)
-    sp.add_argument("--offset", type=int, default=0)
-    sp.add_argument("--grid", default="geometric")
-    sp.add_argument("--assume-decoupled", action="store_true")
-    _add_outdir(sp)
-
-    dc = top.add_parser("decouple", help="decoupling audits and bounds")
-    dcs = dc.add_subparsers(dest="subcommand", required=True)
-    sp = dcs.add_parser("audit", help="exact minimal constants by enumeration")
-    sp.add_argument("--measure", required=True)
-    sp.add_argument("--n-max", required=True, type=int)
-    sp.add_argument("--m-max", required=True, type=int)
-    sp.add_argument("--tau", type=int, default=0)
-    sp.add_argument("--cap", type=int, default=10**7)
-    _add_outdir(sp)
-    sp = dcs.add_parser("bound", help="kernel bound of the hidden chain")
-    sp.add_argument("--measure", required=True)
-    sp.add_argument("--tau", type=int, default=0)
-    _add_outdir(sp)
-    sp = dcs.add_parser("check", help="pairwise split inequality along a sampled path")
-    sp.add_argument("--measure", required=True)
-    sp.add_argument("--N", required=True, type=int)
-    sp.add_argument("--seed", required=True, type=int)
-    sp.add_argument("--stream", type=int, default=0)
-    sp.add_argument("--tau", type=int, default=0)
-    sp.add_argument("--rho-const", type=float)
-    sp.add_argument("--tol", type=float, default=1e-10)
-    _add_outdir(sp)
-
-    es = top.add_parser("estimate", help="entropy-rate estimators")
-    ess = es.add_subparsers(dest="subcommand", required=True)
-    for name, hlp in (
-        ("cross", "cross entropy rate along one path"),
-        ("relent", "relative entropy rate along one path"),
-    ):
-        sp = ess.add_parser(name, help=hlp)
-        sp.add_argument("--p", required=True, help="sampling measure spec")
-        sp.add_argument("--q", required=True, help="evaluated measure spec")
-        sp.add_argument("--N", required=True, type=int)
-        sp.add_argument("--seed", required=True, type=int)
-        sp.add_argument("--offset", type=int, default=0)
-        sp.add_argument("--grid", default="geometric")
-        sp.add_argument("--assume-decoupled", action="store_true")
-        _add_outdir(sp)
-    sp = ess.add_parser("mean", help="trial-averaged series")
-    sp.add_argument("--p", required=True)
-    sp.add_argument("--q", required=True)
-    sp.add_argument("--N", required=True, type=int)
-    sp.add_argument("--trials", required=True, type=int)
-    sp.add_argument("--seed", required=True, type=int)
-    sp.add_argument("--grid", default="geometric")
-    sp.add_argument("--assume-decoupled", action="store_true")
-    _add_outdir(sp)
-
-    st = top.add_parser("steele", help="interval decomposition on a sampled path")
-    sts = st.add_subparsers(dest="subcommand", required=True)
-    sp = sts.add_parser("run", help="decompose and verify")
-    sp.add_argument("--measure", required=True)
-    sp.add_argument("--n", required=True, type=int)
-    sp.add_argument("--r", required=True, type=int)
-    sp.add_argument("--K", required=True, type=int)
-    sp.add_argument("--eps", required=True, type=float)
-    sp.add_argument("--seed", required=True, type=int)
-    sp.add_argument("--stream", type=int, default=0)
-    sp.add_argument("--tau", type=int, default=0)
-    sp.add_argument("--rho-const", type=float)
-    sp.add_argument("--limit", type=float)
-    _add_outdir(sp)
-
-    sp = top.add_parser("validate", help="validate a JSON document")
+    parsers, children = {"": ap}, {}
+    for name, hlp in _COMMANDS.items():
+        group, _, leaf = name.rpartition(".")
+        if group not in children:
+            dest = "subcommand" if group else "command"
+            children[group] = parsers[group].add_subparsers(dest=dest, required=True)
+        sp = parsers[name] = children[group].add_parser(leaf, help=hlp)
+        if group == "fekete":
+            sp.add_argument("--spec", required=True, help="JSON file with sequence/schedules/N")
+        elif name in _SUBCOMMANDS:
+            for d in _SUBCOMMANDS[name][1]:
+                _add_option(sp, d)
+    sp = parsers["validate"]
     sp.add_argument("--file", required=True)
     sp.add_argument("--kind", default="auto", choices=("auto", "measure", "sequence", "schedule"))
     sp.add_argument("--semantic", action="store_true",
                     help="for measures: also run the brute-force level audit")
-    sp.add_argument("--n-max", type=int, default=4)
-    _add_outdir(sp)
-
-    sp = top.add_parser("rerun", help="reproduce a previous run from its manifest")
-    sp.add_argument("--manifest", required=True)
-    _add_outdir(sp)
+    _add_option(sp, _LEVELS)
+    parsers["rerun"].add_argument("--manifest", required=True)
+    for name, sp in parsers.items():
+        if name and name not in children:
+            sp.add_argument("--outdir", default=".", help="directory for artifacts (default .)")
     return ap
 
 
@@ -628,8 +614,8 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
             return RunConfig("validate.measure", {"measure": obj, "n_max": args.n_max})
         return RunConfig("noop", {})
     params = {k: v for k, v in vars(args).items() if k not in ("command", "subcommand", "outdir")}
-    for key in ("measure", "p", "q", "sample_from"):
-        path = params.pop(key, None)
+    for key in [d.key for d in _SUBCOMMANDS[subcommand][1] if d.kind == "measure"]:
+        path = params.pop(key)
         if path is not None:
             params[key] = _load_json(path)
             measure_from_spec(params[key])  # checked by building it

@@ -23,7 +23,7 @@ import numpy as np
 from .errors import CapExceededError, ConfigError, DecouplingFailure, ScheduleRangeError
 from .fekete import PAIRWISE_CAP, SubadditivityCheck, split_scan
 from .logspace import log_sum_exp_into
-from .measures import IIDMeasure, ShiftMeasure
+from .measures import IIDMeasure, ShiftMeasure, _words_over_cap
 # log_prefixes is re-exported: the benchmark's tracer wraps it here by name
 from .sampling import Trajectory, log_prefixes  # noqa: F401
 from .schedules import ErrorSchedule, GapSchedule
@@ -93,17 +93,6 @@ class DecouplingReport:
 _JOINT_WORDS = 1 << 16
 _FAILURES_KEPT = 20  # positivity failures a report lists
 _TAU_CHUNK = 1 << 14  # gap values the audit's length check evaluates at once
-
-
-def _words_over_cap(k: int, length: int, cap: int) -> str | None:
-    """The printed count of the k**length words, if more than cap; else None.
-
-    k**length > cap once length reaches cap's bit length, so the power is
-    never built larger; a count of 64+ symbols prints as k^length.
-    """
-    if k ** min(length, cap.bit_length()) <= cap:
-        return None
-    return str(k**length) if length < 64 else f"{k}^{length}"
 
 
 def _longest_joint_head(tau: GapSchedule, n_max: int) -> int:
@@ -317,9 +306,6 @@ class TrajectoryCheck(SubadditivityCheck):
     """A split check along one path, with the largest excess over all pairs."""
 
     max_excess: float
-
-    def to_json(self) -> dict:
-        return {**super().to_json(), "max_excess": self.max_excess}
 
 
 def check_trajectory_subadditivity(

@@ -87,11 +87,11 @@ def schema_errors(prefix: str = ""):
         raise SchemaError([(prefix + exc.pointer, exc.args[0])]) from exc
 
 
-_REQUIRED = object()
+REQUIRED = object()  # the default of a param that must be given
 _KINDS = {int: "an integer", float: "a finite number", bool: "true or false", str: "a string"}
 
 
-def param(obj, key, kind: type, default=_REQUIRED, pointer: str = ""):
+def param(obj, key, kind: type, default=REQUIRED, pointer: str = ""):
     """obj[key] as kind (int, float, bool or str), or default if absent or null.
 
     obj is a JSON object or array.  A float must be finite; an int must be
@@ -101,7 +101,7 @@ def param(obj, key, kind: type, default=_REQUIRED, pointer: str = ""):
     here = f"{pointer}/{key}"
     value = obj.get(key) if isinstance(obj, dict) else obj[key]
     if value is None:
-        if default is _REQUIRED:
+        if default is REQUIRED:
             raise SchemaError([(here, "missing")])
         return default
     if kind in (bool, str):

@@ -69,8 +69,16 @@ class Alphabet:
             raise ValidationError(f"symbols must lie in [0, {self.size})")
         return w
 
-    def word_count(self, n: int) -> int:
-        return self.size**n
+
+def _words_over_cap(k: int, length: int, cap: int) -> str | None:
+    """The printed count of the k**length words, if more than cap; else None.
+
+    k**length > cap once length reaches cap's bit length, so the power is
+    never built larger; a count of 64+ symbols prints as k^length.
+    """
+    if k ** min(length, cap.bit_length()) <= cap:
+        return None
+    return str(k**length) if length < 64 else f"{k}^{length}"
 
 
 def _check_stochastic(raw, field: str, ndim: int, square: bool = False) -> np.ndarray:
@@ -125,9 +133,9 @@ def stationary_distribution(P: np.ndarray, tol: float = 1e-10, field: str = "/P"
 
     Solved through the SVD nullspace of (P^T - I).  A second vanishing
     singular value means the chain is reducible with several invariant
-    laws, which is rejected.  A power-iteration fallback on the lazy
-    chain (P + I)/2 covers the rare case where the nullspace vector is
-    numerically unusable.  A rejection points at field.
+    laws, which is rejected, and so is a nullspace vector that, normalized
+    and clipped at 0, leaves a residual |pi P - pi|_1 above tol.  A
+    rejection is a ValidationError at field.
     """
     return _stationary(_check_stochastic(P, field, 2, square=True), field, tol)
 
@@ -146,30 +154,12 @@ def _stationary(P: np.ndarray, field: str, tol: float = 1e-10) -> np.ndarray:
         raise ValidationError("chain has no unique stationary law (reducible)", field)
     v = vh[-1]
     total = v.sum()
-    pi = None
     if abs(total) > 1e-12:
-        cand = v / total
-        cand = np.clip(cand, 0.0, None)
-        cand = cand / cand.sum()
-        if np.abs(cand @ P - cand).sum() <= tol:
-            pi = cand
-    if pi is None:
-        lazy = 0.5 * (P + np.eye(k))
-        cand = np.full(k, 1.0 / k)
-        for _ in range(100000):
-            nxt = cand @ lazy
-            nxt = nxt / nxt.sum()
-            if np.abs(nxt - cand).sum() <= 1e-15:
-                cand = nxt
-                break
-            cand = nxt
-        resid = float(np.abs(cand @ P - cand).sum())
-        if resid > tol:
-            raise ValidationError(
-                f"stationary distribution did not converge (residual {resid:.3g})", field
-            )
-        pi = cand
-    return pi
+        pi = np.clip(v / total, 0.0, None)
+        pi = pi / pi.sum()
+        if np.abs(pi @ P - pi).sum() <= tol:
+            return pi
+    raise ValidationError("the SVD nullspace vector is not a stationary law", field)
 
 
 def _kernel_bound(pi: np.ndarray, A: np.ndarray, stationary: bool, tau: int) -> float:
@@ -310,10 +300,9 @@ class ShiftMeasure(abc.ABC):
         """Refuse a level of more than cap words; families add their own limits."""
         if n < 1:
             raise ConfigError("level must be >= 1")
-        if self.alphabet.word_count(n) > cap:
-            raise CapExceededError(
-                f"level {n} needs {self.alphabet.word_count(n)} words, cap is {cap}"
-            )
+        words = _words_over_cap(self.alphabet.size, n, cap)
+        if words:
+            raise CapExceededError(f"level {n} needs {words} words, cap is {cap}")
 
 
 def _append_symbols(x: np.ndarray, t: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -871,7 +860,7 @@ class HiddenMarkovMeasure(ShiftMeasure):
         return _ForwardWindows(self, self.alphabet.validate_word(x))
 
     def _guard_level(self, n: int, cap: int) -> None:
-        if self.alphabet.word_count(n) * self.hidden_size > cap:
+        if _words_over_cap(self.alphabet.size, n, cap // self.hidden_size):
             raise CapExceededError(
                 f"level {n} forward table exceeds cap {cap}"
             )
@@ -1031,6 +1020,7 @@ def validate_measure(
     """
     if n_max < 1:
         raise ConfigError("n_max must be >= 1")
+    Q._guard_level(n_max, cap)  # the largest level, before any is built
     norm_err: dict[int, float] = {}
     cons_err: dict[int, float] = {}
     problems: list[str] = []

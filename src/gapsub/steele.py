@@ -390,7 +390,7 @@ class DepthAudit:
     first_failure: tuple[int, str] | None
 
     def to_json(self) -> dict:
-        return {"ok": self.ok, "first_failure": self.first_failure}
+        return dataclasses.asdict(self)
 
 
 def verify_depths(d: SteeleDecomposition, ctx: ProofContext) -> DepthAudit:

@@ -473,8 +473,8 @@ def test_the_trials_cap_admits_exactly_its_symbols(tmp_path, monkeypatch):
     assert main(argv + ["--trials", "7", "--outdir", str(tmp_path / "b")]) == 4
 
 
-# a size or scale below its range, which is refused at its pointer before
-# the 5 * 10^6 symbols of the path are drawn
+# a size, scale, seed or count below its range, which is refused at its
+# pointer before any path is drawn (5 * 10^6 symbols where one is given)
 BELOW_RANGE = {
     "steele-n": (["steele", "run", "--measure", "{m}", "--n", "0", "--r", "100", "--K", "2",
                   "--eps", "0.1", "--seed", "1"], "/n: must be >= 1"),
@@ -494,6 +494,19 @@ BELOW_RANGE = {
                     "/n_max: must be >= 1"),
     "audit-m-max": (["decouple", "audit", "--measure", "{m}", "--n-max", "1", "--m-max", "0"],
                     "/m_max: must be >= 1"),
+    "series-N": (["series", "--measure", "{m}", "--N", "0", "--seed", "1"], "/N: must be >= 1"),
+    "cross-N": (["estimate", "cross", "--p", "{m}", "--q", "{m}", "--N", "-4", "--seed", "1"],
+                "/N: must be >= 1"),
+    "mean-trials": (["estimate", "mean", "--p", "{m}", "--q", "{m}", "--N", "5000000",
+                     "--trials", "1", "--seed", "1"], "/trials: must be >= 2"),
+    "sample-seed": (["sample", "--measure", "{m}", "--N", "5000000", "--seed", "-1"],
+                    "/seed: must be nonnegative"),
+    "sample-stream": (["sample", "--measure", "{m}", "--N", "5000000", "--seed", "1",
+                       "--stream", "-2"], "/stream: must be nonnegative"),
+    "check-N": (["decouple", "check", "--measure", "{m}", "--N", "0", "--seed", "1"],
+                "/N: must be >= 1"),
+    "validate-n-max": (["validate", "--file", "{m}", "--semantic", "--n-max", "0"],
+                       "/n_max: must be >= 1"),
 }
 
 
@@ -596,6 +609,24 @@ def test_cli_validate_semantic_failure(tmp_path, capsys):
     err = capsys.readouterr().err
     report = json.loads(err)
     assert report["ok"] is False and report["problems"]
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [(WORKED_SPEC, "cap: level 40 needs 1099511627776 words, cap is 10000000"),
+     (HMM_SPEC, "cap: level 40 forward table exceeds cap 10000000")],
+    ids=["markov", "hmm"],
+)
+def test_cli_validate_semantic_refuses_its_largest_level_first(tmp_path, capsys, spec, message):
+    """The refusal names level n_max, before any level is built."""
+    m = write_json(tmp_path, "m.json", spec)
+    out = tmp_path / "v"
+    start = time.perf_counter()
+    assert main(["validate", "--file", m, "--semantic", "--n-max", "40", "--outdir", str(out)]) == 4
+    took = time.perf_counter() - start
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+    assert took < 1.0
 
 
 def test_cli_validate_semantic_success(tmp_path):
@@ -776,6 +807,27 @@ def test_fekete_lift_refuses_a_table_or_probe_out_of_range(tmp_path, capsys, ext
     assert main(["fekete", "lift", "--spec", spec, "--outdir", str(out)]) == rc
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "sub, spec, message",
+    [
+        ("check", {"sequence": {"name": "sqrt"}, "N": 0}, "schema: /N: must be >= 1"),
+        ("limit", {"sequence": {"name": "sqrt"}, "N": 100, "stride": 0},
+         "schema: /stride: must be >= 1"),
+    ],
+    ids=["check-N", "limit-stride"],
+)
+def test_fekete_check_and_limit_refuse_a_size_below_its_range(tmp_path, capsys, sub, spec,
+                                                               message):
+    s = write_json(tmp_path, "s.json", spec)
+    out = tmp_path / "o"
+    start = time.perf_counter()
+    assert main(["fekete", sub, "--spec", s, "--outdir", str(out)]) == 2
+    took = time.perf_counter() - start
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+    assert took < 1.0
 
 
 # ----------------------------------------------------- constructors as schema
@@ -995,46 +1047,52 @@ def test_negative_cap_is_a_schema_error(tmp_path, capsys, sub, cap, rc):
 
 
 # manifest params of each subcommand, written out by hand: the config is
-# the parsed options (fekete: the spec file), so a new option shows here
-def _param_keys_cases(tmp_path):
+# the parsed options (fekete: the spec file), so a new option or a changed
+# default shows here
+def _params_cases(tmp_path):
     c = write_json(tmp_path, "c.json", COIN_SPEC)
     w = write_json(tmp_path, "w.json", WORKED_SPEC)
-    fk = write_json(tmp_path, "fk.json", {**FEKETE_SPEC, "stride": 8})
-    lift = write_json(tmp_path, "lift.json", {"sequence": FEKETE_SPEC["sequence"],
-                                              "sigma": {"rule": "ceil_log"}, "table_N": 8})
-    est = {"p", "q", "N", "seed", "offset", "grid", "assume_decoupled"}
-    series = {"measure", "N", "seed", "offset", "grid", "assume_decoupled"}
+    fekete = {**FEKETE_SPEC, "stride": 8}
+    fk = write_json(tmp_path, "fk.json", fekete)
+    lift = {"sequence": FEKETE_SPEC["sequence"], "sigma": {"rule": "ceil_log"}, "table_N": 8}
+    lift_path = write_json(tmp_path, "lift.json", lift)
+    grid = {"grid": "geometric", "assume_decoupled": False}
+    est = {"p": COIN_SPEC, "q": COIN_SPEC, "N": 9, "seed": 1, "offset": 0, **grid}
+    series = {"measure": COIN_SPEC, "N": 9, "seed": 1, "offset": 0, **grid}
+    drawn = {"measure": WORKED_SPEC, "seed": 1, "stream": 0, "tau": 0, "rho_const": None}
     return [
-        (["fekete", "check", "--spec", fk], {"sequence", "sigma", "rho", "N", "stride"}),
-        (["fekete", "limit", "--spec", fk], {"sequence", "sigma", "rho", "N", "stride"}),
-        (["fekete", "lift", "--spec", lift], {"sequence", "sigma", "table_N"}),
-        (["sample", "--measure", c, "--N", "9", "--seed", "1"], {"measure", "N", "seed", "stream"}),
+        (["fekete", "check", "--spec", fk], fekete),
+        (["fekete", "limit", "--spec", fk], fekete),
+        (["fekete", "lift", "--spec", lift_path], lift),
+        (["sample", "--measure", c, "--N", "9", "--seed", "1"],
+         {"measure": COIN_SPEC, "N": 9, "seed": 1, "stream": 0}),
         (["series", "--measure", c, "--N", "9", "--seed", "1"], series),
         (["series", "--measure", c, "--sample-from", w, "--N", "9", "--seed", "1"],
-         series | {"sample_from"}),
+         {**series, "sample_from": WORKED_SPEC}),
         (["decouple", "audit", "--measure", w, "--n-max", "2", "--m-max", "2"],
-         {"measure", "n_max", "m_max", "tau", "cap"}),
-        (["decouple", "bound", "--measure", w], {"measure", "tau"}),
+         {"measure": WORKED_SPEC, "n_max": 2, "m_max": 2, "tau": 0, "cap": 10**7}),
+        (["decouple", "bound", "--measure", w], {"measure": WORKED_SPEC, "tau": 0}),
         (["decouple", "check", "--measure", w, "--N", "9", "--seed", "1"],
-         {"measure", "N", "seed", "stream", "tau", "rho_const", "tol"}),
+         {**drawn, "N": 9, "tol": 1e-10}),
         (["estimate", "cross", "--p", c, "--q", c, "--N", "9", "--seed", "1"], est),
         (["estimate", "relent", "--p", c, "--q", c, "--N", "9", "--seed", "1"], est),
         (["estimate", "mean", "--p", c, "--q", c, "--N", "9", "--trials", "2", "--seed", "1"],
-         {"p", "q", "N", "trials", "seed", "grid", "assume_decoupled"}),
+         {"p": COIN_SPEC, "q": COIN_SPEC, "N": 9, "trials": 2, "seed": 1, **grid}),
         (["steele", "run", "--measure", w, "--n", "40", "--r", "4", "--K", "2", "--eps", "0.1",
           "--seed", "1"],
-         {"measure", "n", "r", "K", "eps", "seed", "stream", "tau", "rho_const", "limit"}),
-        (["validate", "--file", w, "--semantic"], {"measure", "n_max"}),
+         {**drawn, "n": 40, "r": 4, "K": 2, "eps": 0.1, "limit": None}),
+        (["validate", "--file", w, "--semantic"], {"measure": WORKED_SPEC, "n_max": 4}),
     ]
 
 
 def test_manifest_param_keys_per_subcommand(tmp_path):
+    """Each manifest's params, measure specs as loaded, with every default by value."""
     seen = set()
-    for i, (argv, keys) in enumerate(_param_keys_cases(tmp_path)):
+    for i, (argv, params) in enumerate(_params_cases(tmp_path)):
         out = tmp_path / f"o{i}"
         assert main([*argv, "--outdir", str(out)]) == 0, argv
         config = json.loads((out / "manifest.json").read_text())["config"]
-        assert set(config["params"]) == keys, argv
+        assert config["params"] == params, argv
         seen.add(config["subcommand"])
     assert len(seen) == 13
 

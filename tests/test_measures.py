@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -33,7 +34,6 @@ from conftest import WORKED_P, WORKED_PI
 
 def test_alphabet_basics():
     a = Alphabet(3)
-    assert a.word_count(4) == 81
     with pytest.raises(ConfigError):
         Alphabet(1)
 
@@ -85,6 +85,12 @@ def test_stationary_distribution_periodic_chain():
 def test_stationary_distribution_reducible_rejected():
     with pytest.raises(ValidationError, match="reducible"):
         stationary_distribution(np.eye(2))
+
+
+def test_stationary_distribution_refuses_a_candidate_that_fails_its_residual():
+    with pytest.raises(ValidationError, match="not a stationary law") as got:
+        stationary_distribution(np.asarray(WORKED_P), tol=-1.0, field="/A")
+    assert got.value.pointer == "/A"
 
 
 def test_stationary_distribution_checks_raw_input_at_its_pointer():
@@ -149,6 +155,13 @@ def test_level_cap():
     Q = IIDMeasure([0.5, 0.5])
     with pytest.raises(CapExceededError):
         Q.log_marginals_level(10, cap=100)
+    # 2^(10^6) has over 4300 digits, more than Python turns into text by
+    # default; the refusal names it as a power and never builds it
+    start = time.perf_counter()
+    with pytest.raises(CapExceededError) as got:
+        Q.log_marginals_level(10**6)
+    assert str(got.value) == "level 1000000 needs 2^1000000 words, cap is 10000000"
+    assert time.perf_counter() - start < 1.0
 
 
 # ------------------------------------------------------------------ markov
@@ -234,6 +247,10 @@ def test_hmm_level_cap_counts_hidden_states():
     H = HiddenMarkovMeasure([[0.7, 0.3], [0.4, 0.6]], [[0.8, 0.2], [0.3, 0.7]])
     with pytest.raises(CapExceededError):
         H.log_marginals_level(4, cap=20)
+    # 16 words times 2 hidden states
+    assert H.log_marginals_level(4, cap=32).size == 16
+    with pytest.raises(CapExceededError, match="level 4 forward table exceeds cap 31"):
+        H.log_marginals_level(4, cap=31)
 
 
 # ----------------------------------------------------------------- mixture
