@@ -189,15 +189,16 @@ class _Param:
     kind is int, float, bool or str, or a JSON object that is built at
     /key: "measure", "sequence", "gap" or "error" (a schedule), or
     "int|gap" (an integer gap, or a gap schedule object).  least is the
-    smallest value allowed: 0 means nonnegative, and above 0 an int must be
-    at least least and a float positive.  cap, where given, is the noun of
-    a refusal above _HORIZON_CAP, such as "n_max {}".
+    smallest value allowed ("must be nonnegative" at 0, else "must be >=
+    least"); positive asks a float to be above 0.  cap, where given, is the
+    noun of a refusal above _HORIZON_CAP, such as "n_max {}".
     """
 
     key: str
     kind: object
     default: object = REQUIRED
     least: int | None = None
+    positive: bool = False
     cap: str | None = None
     help: str | None = None
 
@@ -217,6 +218,7 @@ _CAP = _Param("cap", int, 10**7, least=0)
 _LEVELS = _Param("n_max", int, 4, least=1)  # of `validate --semantic`
 _FEKETE = (_Param("sequence", "sequence"), _Param("sigma", "gap", GapSchedule.zero()),
            _Param("rho", "error", ErrorSchedule.zero()), _Param("N", int, least=1))
+_FEKETE_CAP = _Param("cap", int, None, least=0)  # its default is read by the runner
 
 
 def _read(d: _Param, p: dict):
@@ -239,11 +241,11 @@ def _read(d: _Param, p: dict):
                  "gap": GapSchedule.from_json, "error": ErrorSchedule.from_json}[d.kind]
         return build(value, here)
     value = param(p, d.key, int if d.kind == "int|gap" else d.kind, d.default)
-    if value is not None and d.least is not None:
-        positive = d.kind is float and d.least > 0
-        if (not value > 0) if positive else value < d.least:
-            need = "positive" if positive else "nonnegative" if d.least == 0 else f">= {d.least}"
-            raise SchemaError([(here, f"must be {need}")])
+    if value is not None and d.positive and value <= 0:
+        raise SchemaError([(here, "must be positive")])
+    if value is not None and d.least is not None and value < d.least:
+        need = "nonnegative" if d.least == 0 else f">= {d.least}"
+        raise SchemaError([(here, f"must be {need}")])
     if d.cap and value > _HORIZON_CAP:
         raise CapExceededError(f"{d.cap.format(value)} exceeds cap {_HORIZON_CAP}", here)
     return GapSchedule.constant(value) if d.kind == "int|gap" else value
@@ -263,20 +265,19 @@ def _rho_const(a: dict) -> float:
 
 
 # ---------------------------------------------------------------------------
-# runners: each takes the params that run read, checked and built, and
-# returns {filename: artifact}, where an artifact is a JSON object or the
-# text of the file
+# runners: each takes the params that run read, checked and built (and,
+# at "given", the params as given), and returns {filename: artifact}, where
+# an artifact is a JSON object or the text of the file
 
 
 def _run_fekete_check(a: dict) -> dict:
-    check = check_gapped_subadditivity(
-        a["sequence"], a["sigma"], a["rho"], a["N"], tol=a["tol"], cap=a["cap"]
-    )
+    cap = PAIRWISE_CAP if a["cap"] is None else a["cap"]
+    check = check_gapped_subadditivity(a["sequence"], a["sigma"], a["rho"], a["N"], a["tol"], cap)
     return {"check.json": check.to_json()}
 
 
 def _run_fekete_limit(a: dict) -> dict:
-    N, cap = a["N"], a["cap"]
+    N, cap = a["N"], _HORIZON_CAP if a["cap"] is None else a["cap"]
     if N > cap:
         raise CapExceededError(f"horizon {N} exceeds cap {cap}; pass cap >= N to allow", "/N")
     est = fekete_limit_estimate(a["sequence"], a["sigma"], a["rho"], N, stride=a["stride"])
@@ -289,7 +290,7 @@ def _run_fekete_lift(a: dict) -> dict:
     table = rho.values(np.arange(1, table_N + 1, dtype=np.int64))
     rho_json = {"rule": "table", "params": {"values": table.tolist()}}
     summary = {
-        "sequence": a["sequence"].spec,
+        "sequence": a["given"]["sequence"],
         "sigma": a["sigma"].to_json(),
         "probe_N": probe_N,
         "plainly_subadditive_up_to": probe_N,
@@ -457,10 +458,9 @@ class _ValidationWithArtifacts(ValidationError):
 # each run subcommand's runner and params; the params are read and checked
 # in their order here, and make the subcommand's command-line options
 _SUBCOMMANDS = {
-    "fekete.check": (_run_fekete_check, (*_FEKETE, _Param("tol", float, 1e-12),
-                                         _Param("cap", int, PAIRWISE_CAP, least=0))),
-    "fekete.limit": (_run_fekete_limit, (*_FEKETE, _Param("cap", int, _HORIZON_CAP, least=0),
-                                         _Param("stride", int, None, least=1))),
+    "fekete.check": (_run_fekete_check, (*_FEKETE, _Param("tol", float, 1e-12), _FEKETE_CAP)),
+    "fekete.limit": (_run_fekete_limit,
+                     (*_FEKETE, _FEKETE_CAP, _Param("stride", int, None, least=1))),
     "fekete.lift": (_run_fekete_lift, (
         _Param("sequence", "sequence"), _Param("sigma", "gap"), _Param("probe_N", int, 200, least=1),
         _Param("table_N", int, 256, least=1, cap="table length {}"),
@@ -485,10 +485,11 @@ _SUBCOMMANDS = {
     "decouple.check": (_run_traj_check, (*_DRAW, _TAU, _RHO_CONST, _Param("tol", float, 1e-10))),
     "steele.run": (_run_steele, (
         _MEASURE, *(_Param(key, int, least=1) for key in ("n", "r", "K")),
-        _Param("eps", float, least=1), _SEED, _STREAM, _TAU, _RHO_CONST,
+        _Param("eps", float, positive=True), _SEED, _STREAM, _TAU, _RHO_CONST,
         _Param("limit", float, None),
     )),
-    "validate.measure": (_run_validate_measure, (_MEASURE, _LEVELS, _Param("tol", float, 1e-9), _CAP)),
+    "validate.measure": (_run_validate_measure,
+                         (_MEASURE, _LEVELS, _Param("tol", float, 1e-9), _CAP)),
 }
 
 
@@ -501,7 +502,8 @@ def run(config: RunConfig, outdir: str | Path = ".") -> dict:
     if config.subcommand not in _SUBCOMMANDS:
         raise ConfigError(f"unknown subcommand {config.subcommand!r}")
     runner, params = _SUBCOMMANDS[config.subcommand]
-    artifacts = runner({d.key: _read(d, config.params) for d in params})
+    checked = {d.key: _read(d, config.params) for d in params}
+    artifacts = runner({"given": config.params, **checked})
     out = Path(outdir)
     out.mkdir(parents=True, exist_ok=True)
     written = []
@@ -523,42 +525,26 @@ def run(config: RunConfig, outdir: str | Path = ".") -> dict:
 # argument parsing
 
 
-# the commands and subcommands of the command line, with their help, in
-# --help order; a run subcommand's options come from _SUBCOMMANDS
-_COMMANDS = {
-    "fekete": "deterministic sequence tools",
-    "fekete.check": "exhaustive gapped-subadditivity check",
-    "fekete.limit": "limit series and finite-horizon infimum",
-    "fekete.lift": "derive an error schedule for a plainly subadditive sequence",
-    "sample": "draw a seeded trajectory",
-    "series": "normalized log-marginal series along a path",
-    "decouple": "decoupling audits and bounds",
-    "decouple.audit": "exact minimal constants by enumeration",
-    "decouple.bound": "kernel bound of the hidden chain",
-    "decouple.check": "pairwise split inequality along a sampled path",
-    "estimate": "entropy-rate estimators",
-    "estimate.cross": "cross entropy rate along one path",
-    "estimate.relent": "relative entropy rate along one path",
-    "estimate.mean": "trial-averaged series",
-    "steele": "interval decomposition on a sampled path",
-    "steele.run": "decompose and verify",
-    "validate": "validate a JSON document",
-    "rerun": "reproduce a previous run from its manifest",
-}
-
-
-_OPTION_TYPES = {int: int, float: float, "int|gap": int}
-
-
 def _add_option(sp, d: _Param) -> None:
     """--key for d: a measure is a JSON file, a bool a switch, an int|gap an int."""
     flag = "--" + d.key.replace("_", "-")
     if d.kind is bool:
         sp.add_argument(flag, action="store_true", help=d.help)
-    elif d.default is REQUIRED:
-        sp.add_argument(flag, required=True, type=_OPTION_TYPES.get(d.kind), help=d.help)
-    else:
-        sp.add_argument(flag, default=d.default, type=_OPTION_TYPES.get(d.kind), help=d.help)
+        return
+    kind = int if d.kind == "int|gap" else d.kind if d.kind in (int, float) else None
+    sp.add_argument(flag, type=kind, required=d.default is REQUIRED, default=d.default, help=d.help)
+
+
+def _add_outdir(sp) -> None:
+    sp.add_argument("--outdir", default=".", help="directory for artifacts (default .)")
+
+
+def _add_run(sub, name: str, hlp: str) -> None:
+    """The parser of run subcommand name, its options made from _SUBCOMMANDS[name]."""
+    sp = sub.add_parser(name.split(".")[-1], help=hlp)
+    for d in _SUBCOMMANDS[name][1]:
+        _add_option(sp, d)
+    _add_outdir(sp)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -567,28 +553,49 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Gapped subadditive limits, decoupling audits, entropy estimation.",
     )
     ap.add_argument("--version", action="version", version=f"gapsub {__version__}")
-    parsers, children = {"": ap}, {}
-    for name, hlp in _COMMANDS.items():
-        group, _, leaf = name.rpartition(".")
-        if group not in children:
-            dest = "subcommand" if group else "command"
-            children[group] = parsers[group].add_subparsers(dest=dest, required=True)
-        sp = parsers[name] = children[group].add_parser(leaf, help=hlp)
-        if group == "fekete":
-            sp.add_argument("--spec", required=True, help="JSON file with sequence/schedules/N")
-        elif name in _SUBCOMMANDS:
-            for d in _SUBCOMMANDS[name][1]:
-                _add_option(sp, d)
-    sp = parsers["validate"]
+    top = ap.add_subparsers(dest="command", required=True)
+
+    fk = top.add_parser("fekete", help="deterministic sequence tools")
+    fks = fk.add_subparsers(dest="subcommand", required=True)
+    for name, hlp in (
+        ("check", "exhaustive gapped-subadditivity check"),
+        ("limit", "limit series and finite-horizon infimum"),
+        ("lift", "derive an error schedule for a plainly subadditive sequence"),
+    ):
+        sp = fks.add_parser(name, help=hlp)
+        sp.add_argument("--spec", required=True, help="JSON file with sequence/schedules/N")
+        _add_outdir(sp)
+
+    _add_run(top, "sample", "draw a seeded trajectory")
+    _add_run(top, "series", "normalized log-marginal series along a path")
+
+    dc = top.add_parser("decouple", help="decoupling audits and bounds")
+    dcs = dc.add_subparsers(dest="subcommand", required=True)
+    _add_run(dcs, "decouple.audit", "exact minimal constants by enumeration")
+    _add_run(dcs, "decouple.bound", "kernel bound of the hidden chain")
+    _add_run(dcs, "decouple.check", "pairwise split inequality along a sampled path")
+
+    es = top.add_parser("estimate", help="entropy-rate estimators")
+    ess = es.add_subparsers(dest="subcommand", required=True)
+    _add_run(ess, "estimate.cross", "cross entropy rate along one path")
+    _add_run(ess, "estimate.relent", "relative entropy rate along one path")
+    _add_run(ess, "estimate.mean", "trial-averaged series")
+
+    st = top.add_parser("steele", help="interval decomposition on a sampled path")
+    sts = st.add_subparsers(dest="subcommand", required=True)
+    _add_run(sts, "steele.run", "decompose and verify")
+
+    sp = top.add_parser("validate", help="validate a JSON document")
     sp.add_argument("--file", required=True)
     sp.add_argument("--kind", default="auto", choices=("auto", "measure", "sequence", "schedule"))
     sp.add_argument("--semantic", action="store_true",
                     help="for measures: also run the brute-force level audit")
     _add_option(sp, _LEVELS)
-    parsers["rerun"].add_argument("--manifest", required=True)
-    for name, sp in parsers.items():
-        if name and name not in children:
-            sp.add_argument("--outdir", default=".", help="directory for artifacts (default .)")
+    _add_outdir(sp)
+
+    sp = top.add_parser("rerun", help="reproduce a previous run from its manifest")
+    sp.add_argument("--manifest", required=True)
+    _add_outdir(sp)
     return ap
 
 

@@ -36,13 +36,11 @@ class RealSequence:
     Wraps a callable evaluated on int64 index arrays.  The longest prefix
     evaluated so far is cached: a horizon within it is a slice, and a
     longer one evaluates F_1 .. F_N afresh.  +inf and nan are rejected.
-    spec is the JSON object the sequence was built from, if any.
     """
 
-    def __init__(self, fn: Callable, name: str = "custom", spec: dict | None = None):
+    def __init__(self, fn: Callable, name: str = "custom"):
         self._fn = fn
         self.name = name
-        self.spec = spec
         self._cache = np.empty(0, dtype=np.float64)
 
     def values(self, N: int) -> np.ndarray:
@@ -127,7 +125,7 @@ def sequence_from_spec(obj: dict, pointer: str = "") -> RealSequence:
             raise ConfigError("must be an object", "/params")
         name = obj["name"]
         fn = _table(params) if name == "table" else _builtin(name, params)
-        return RealSequence(fn, name=name, spec=obj)
+        return RealSequence(fn, name=name)
 
 
 @dataclasses.dataclass(frozen=True)

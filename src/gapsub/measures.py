@@ -69,6 +69,9 @@ class Alphabet:
             raise ValidationError(f"symbols must lie in [0, {self.size})")
         return w
 
+    def word_count(self, n: int) -> int:
+        return self.size**n
+
 
 def _words_over_cap(k: int, length: int, cap: int) -> str | None:
     """The printed count of the k**length words, if more than cap; else None.

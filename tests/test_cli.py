@@ -830,6 +830,17 @@ def test_fekete_check_and_limit_refuse_a_size_below_its_range(tmp_path, capsys, 
     assert took < 1.0
 
 
+def test_fekete_default_caps_are_read_at_each_run(tmp_path, capsys, monkeypatch):
+    """A spec with no cap takes the cap the module holds when it runs."""
+    monkeypatch.setattr(cli, "_HORIZON_CAP", 50)
+    monkeypatch.setattr(cli, "PAIRWISE_CAP", 40)
+    s = write_json(tmp_path, "s.json", {"sequence": {"name": "sqrt"}, "N": 64})
+    assert main(["fekete", "limit", "--spec", s, "--outdir", str(tmp_path / "a")]) == 4
+    assert "cap: /N: horizon 64 exceeds cap 50" in capsys.readouterr().err
+    assert main(["fekete", "check", "--spec", s, "--outdir", str(tmp_path / "b")]) == 4
+    assert "pairwise check at N = 64 exceeds cap 40" in capsys.readouterr().err
+
+
 # ----------------------------------------------------- constructors as schema
 
 

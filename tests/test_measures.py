@@ -34,6 +34,7 @@ from conftest import WORKED_P, WORKED_PI
 
 def test_alphabet_basics():
     a = Alphabet(3)
+    assert a.word_count(4) == 81
     with pytest.raises(ConfigError):
         Alphabet(1)
 
