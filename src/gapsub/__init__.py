@@ -70,6 +70,7 @@ from .sampling import (
     kingman_series,
     log_prefixes,
     make_rng,
+    sample_paths,
     sample_trajectory,
 )
 from .schedules import (

@@ -171,8 +171,8 @@ def _grid_from_spec(spec: str, N: int) -> np.ndarray:
 
 
 # default horizon cap of `fekete limit`, the cap on `fekete lift`'s table,
-# on the trials times N of `estimate mean`, on the n_max of `decouple audit`
-# and on every drawn path
+# on the trials times N of `estimate mean`, on the n_max and m_max of
+# `decouple audit` and on every drawn path
 _HORIZON_CAP = 10**7
 # tiles of a Steele run (at most n // r), each one object in decomposition.json
 _TILE_CAP = 10**5
@@ -257,6 +257,12 @@ def _drawn_length(length: int, pointer: str) -> None:
         raise CapExceededError(f"a path of {length} symbols exceeds cap {_HORIZON_CAP}", pointer)
 
 
+def _pairwise_horizon(N: int, cap: int, pointer: str) -> None:
+    """Refuse, at pointer, a pairwise check of horizon N above cap before it starts."""
+    if N > cap:
+        raise CapExceededError(f"pairwise check at N = {N} exceeds cap {cap}", pointer)
+
+
 def _rho_const(a: dict) -> float:
     """rho_const if given, else the kernel bound of the measure at tau, clipped at 0."""
     if a["rho_const"] is None:
@@ -272,6 +278,7 @@ def _rho_const(a: dict) -> float:
 
 def _run_fekete_check(a: dict) -> dict:
     cap = PAIRWISE_CAP if a["cap"] is None else a["cap"]
+    _pairwise_horizon(a["N"], cap, "/N")
     check = check_gapped_subadditivity(a["sequence"], a["sigma"], a["rho"], a["N"], a["tol"], cap)
     return {"check.json": check.to_json()}
 
@@ -286,6 +293,7 @@ def _run_fekete_limit(a: dict) -> dict:
 
 def _run_fekete_lift(a: dict) -> dict:
     probe_N, table_N = a["probe_N"], a["table_N"]
+    _pairwise_horizon(probe_N, PAIRWISE_CAP, "/probe_N")
     rho = gap_lift(a["sequence"], a["sigma"], probe_N=probe_N)
     table = rho.values(np.arange(1, table_N + 1, dtype=np.int64))
     rho_json = {"rule": "table", "params": {"values": table.tolist()}}
@@ -429,8 +437,7 @@ def _run_steele(a: dict) -> dict:
 def _run_traj_check(a: dict) -> dict:
     Q, N, tau = a["measure"], a["N"], a["tau"]
     rho_c = _rho_const(a)
-    if N > PAIRWISE_CAP:
-        raise CapExceededError(f"pairwise check at N = {N} exceeds cap {PAIRWISE_CAP}", "/N")
+    _pairwise_horizon(N, PAIRWISE_CAP, "/N")
     x = sample_trajectory(Q, N, a["seed"], stream=a["stream"])
     check = check_trajectory_subadditivity(
         x, Q, ErrorSchedule.constant(rho_c), GapSchedule.constant(tau), tol=a["tol"]
@@ -478,7 +485,8 @@ _SUBCOMMANDS = {
     "estimate.mean": (_run_estimate_mean,
                       (*_P_Q, _DRAWN_N, _Param("trials", int, least=2), _SEED, *_GRID)),
     "decouple.audit": (_run_decouple_audit, (
-        _MEASURE, _Param("n_max", int, least=1, cap="n_max {}"), _Param("m_max", int, least=1),
+        _MEASURE, _Param("n_max", int, least=1, cap="n_max {}"),
+        _Param("m_max", int, least=1, cap="m_max {}"),
         _Param("tau", "int|gap", 0, least=0), _CAP,
     )),
     "decouple.bound": (_run_decouple_bound, (_MEASURE, _TAU)),

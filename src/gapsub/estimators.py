@@ -22,7 +22,7 @@ import numpy as np
 from .decoupling import DecouplingReport, TheoremData
 from .errors import ConfigError, DecouplingFailure, ValidationError
 from .measures import _TABLE_ENTRIES, ShiftMeasure
-from .sampling import checked_grid, kingman_rows, kingman_series, sample_trajectory
+from .sampling import checked_grid, kingman_rows, kingman_series, sample_paths, sample_trajectory
 from .schedules import ConvergenceSeries, geometric_grid
 
 
@@ -231,10 +231,13 @@ def mean_convergence_series(
     point estimates the expected-value convergence of the functional,
     which for a mixture differs from every single path's limit.
 
-    Each trial draws all N symbols (an HMM draws its emission uniforms
-    after the hidden ones, so a shorter draw is another path) and keeps
-    the grid[-1] that the grid reads.  The kept paths are evaluated as
-    the rows of kingman_rows, in groups of at most _TABLE_ENTRIES symbols.
+    Trials run in groups of at most _TABLE_ENTRIES kept symbols.  A group
+    is one sample_paths draw on the streams of its trials: its rows are
+    bit for bit the trials drawn one by one, each still on its own stream
+    (seed, t), and an HMM still draws each trial's emission uniforms after
+    its hidden ones.  Each trial draws all N symbols (so a shorter draw
+    would be another path) and keeps the grid[-1] that the grid reads; the
+    kept paths are evaluated as the rows of kingman_rows.
     """
     certificate = _resolve_decoupling(P, Q, decoupling, assume_decoupled)
     if trials < 2:
@@ -244,10 +247,9 @@ def mean_convergence_series(
     group = max(1, _TABLE_ENTRIES // horizon)
     rows = np.empty((trials, grid.size), dtype=np.float64)
     for lo in range(0, trials, group):
-        paths = np.empty((min(group, trials - lo), horizon), dtype=np.int64)
-        for i in range(paths.shape[0]):
-            paths[i] = sample_trajectory(P, N, seed, lo + i).symbols[:horizon]
-        rows[lo : lo + paths.shape[0]] = kingman_rows(paths, Q, grid)
+        hi = min(lo + group, trials)
+        paths = P.alphabet.validate_paths(sample_paths(P, N, seed, range(lo, hi))[:, :horizon])
+        rows[lo:hi] = kingman_rows(paths, Q, grid)
     with np.errstate(invalid="ignore"):
         se = rows.std(axis=0, ddof=1) / np.sqrt(trials)
     estimate = EntropyEstimate(

@@ -37,6 +37,11 @@ from .logspace import _NEG_MAX, log_sum_exp, log_sum_exp_into, safe_log
 _STOCH_TOL = 1e-9
 _LISTS = (list, tuple, np.ndarray)
 _MAP_TABLE_ENTRIES = 1 << 22  # chain-path map entries built at a time: 4-8 MB
+# most states whose chain-path table rows are counted by comparisons.  The
+# k(k - 1) passes over the uniforms against one sort, filling the table of
+# 20 rows of 10^4 steps, pinned to one CPU: 0.2 vs 6.1 ms at k = 2, 5.3 vs
+# 10.0 ms at k = 8, 12.6 vs 12.8 ms at k = 12 and 30.5 vs 16.9 ms at k = 16
+_COMPARE_STATES = 8
 
 
 @dataclasses.dataclass(frozen=True)
@@ -262,7 +267,14 @@ class ShiftMeasure(abc.ABC):
     def to_spec(self) -> dict: ...
 
     @abc.abstractmethod
-    def _sample(self, n: int, rng: np.random.Generator) -> np.ndarray: ...
+    def _sample_rows(self, n: int, rngs: Sequence[np.random.Generator]) -> np.ndarray:
+        """A (len(rngs), n) int64 array: row i is a path drawn from rngs[i] alone.
+
+        Each row is bit for bit the path that its generator draws by itself.
+        """
+
+    def _sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
+        return self._sample_rows(n, [rng])[0]
 
     # A level state holds one row per word of a level, indexed base-k, most
     # significant symbol first, laid out as the family's step runs fastest
@@ -476,46 +488,101 @@ def _draw_from_cum(cum: np.ndarray, u) -> np.ndarray | int:
     return np.minimum(idx, cum.size - 1)
 
 
-def _chain_path(cum_start: np.ndarray, cum_rows: np.ndarray, u: np.ndarray) -> np.ndarray:
+def _uniforms(n: int, rngs: Sequence[np.random.Generator]) -> np.ndarray:
+    """A (len(rngs), n) array: row i holds the next n uniforms of rngs[i]."""
+    u = np.empty((len(rngs), n))
+    for row, rng in zip(u, rngs):
+        rng.random(out=row)
+    return u
+
+
+def _chain_rows(cum_start: np.ndarray, cum_rows: np.ndarray, n: int, rngs) -> np.ndarray:
+    """One chain path of n symbols per generator, drawn over its own uniforms' buffer."""
+    u = _uniforms(n, rngs)
+    return _chain_path(cum_start, cum_rows, u, out=u.view(np.int64))
+
+
+def _chain_path(
+    cum_start: np.ndarray, cum_rows: np.ndarray, u: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
     """x_0 = bucket of u_0 in cum_start, x_{i+1} = bucket of u_{i+1} in cum_rows[x_i].
 
-    Each bucket is _draw_from_cum's, so the path is bit for bit the one drawn
-    symbol by symbol.  Step i is the random map T_i (Propp & Wilson 1996): in
-    sorted order of the uniforms, row s of its table is a run of 0s, then of 1s
-    and so on, cut at the edges of cum_rows[s].  Chunks of at least 4k steps,
-    each from the last symbol of the one before, bound the table; in each the
-    maps compose in blocks of L ~ sqrt(W) steps, a two-level scan (Blelloch 1990).
+    u holds one path's uniforms, shape (n,), or a (rows, n) array with one
+    path's per row; the int64 paths come back in u's shape, in out if given.
+    out may be u's own buffer (u.view(np.int64)): each chunk's uniforms are
+    read before its symbols are written.  Each bucket is _draw_from_cum's,
+    so every row is bit for bit the path drawn symbol by symbol from its
+    own uniforms.
+
+    Step i is the random map T_i (Propp & Wilson 1996): row s of its table
+    holds the bucket of u_i in cum_rows[s].  The table holds every path's
+    maps at once, its entries (row, state) ids r*k + s, so that each step of
+    the scan below is one gather over all rows.  Up to _COMPARE_STATES
+    states, row s is counted from one comparison per edge of cum_rows[s];
+    above, in sorted order of a row's uniforms, it is a run of 0s, then of
+    1s and so on, cut at those edges.  Chunks of
+    max(_MAP_TABLE_ENTRIES // (k*rows), 4k) steps, each from the last
+    symbols of the one before, bound the table.  In each the maps compose
+    in blocks of L ~ sqrt(k*rows*W / 128) steps, a two-level scan (Blelloch
+    1990): L gathers compose every block's map, each row's block starts
+    follow its maps as Python list reads, and L gathers walk every block
+    from its start.  L weighs the gathers' per-call cost against the list
+    reads, which grow with the blocks.
     """
-    x = np.empty(u.size, dtype=np.int64)
-    x[0] = _draw_from_cum(cum_start, u[0])
+    U = u.reshape(-1, u.shape[-1])
+    rows, n = U.shape
+    x = np.empty((rows, n), dtype=np.int64) if out is None else out.reshape(rows, n)
+    x[:, 0] = _draw_from_cum(cum_start, U[:, 0])
     k = cum_rows.shape[0]
-    states = np.arange(k, dtype=np.min_scalar_type(k - 1))
-    chunk = max(_MAP_TABLE_ENTRIES // k, 4 * k)
-    for lo in range(1, u.size, chunk):
-        steps = u[lo:lo + chunk]
-        W = steps.size
-        L = math.isqrt(W)
+    ids = np.arange(rows * k, dtype=np.min_scalar_type(rows * k - 1))
+    chunk = max(_MAP_TABLE_ENTRIES // (k * rows), 4 * k)
+    for lo in range(1, n, chunk):
+        steps = U[:, lo:lo + chunk]
+        W = steps.shape[1]
+        L = min(W, max(1, math.isqrt(k * rows * W // 128)))
         B = -(-W // L)
         width = B * L
-        order = np.argsort(steps)
-        edges = np.searchsorted(steps[order], cum_rows[:, :-1], side="left")
-        T = np.zeros((k, width), dtype=states.dtype)  # columns past W pad the last block
-        for s in range(k):
-            T[s, order] = np.repeat(states, np.diff(edges[s], prepend=0, append=W))
-        flat, base = T.ravel(), np.arange(0, width, L)  # base: first step of each block
-        maps = np.broadcast_to(np.arange(k)[:, None], (k, B))  # maps[s, b]: block b from s
-        for t in range(L):  # every block's map at once
-            maps = flat[maps.astype(np.intp) * width + (base + t)]  # widen 8/16-bit entries
-        starts = [int(x[lo - 1])]  # then the block starts one by one
-        for b in range(B - 1):
-            starts.append(int(maps[starts[-1], b]))
-        path = np.empty((L, B), dtype=states.dtype)
-        at = np.asarray(starts, dtype=np.intp) * width + base
-        for t in range(L):  # then every block from its start
-            path[t] = flat[at + t]
-            at = path[t].astype(np.intp) * width + base
-        x[lo:lo + W] = path.T.ravel()[:W]
-    return x
+        if k <= _COMPARE_STATES:
+            T = np.empty((rows, k, width), dtype=ids.dtype)  # columns past W pad the last block
+            T[...] = ids[::k, None, None]
+            for s in range(k):
+                for edge in cum_rows[s, :-1]:
+                    T[:, s, :W] += steps >= edge
+        else:
+            order = np.argsort(steps, axis=1)
+            # runs[r, s, j]: how many of row r's steps take state s to j
+            runs = np.diff([np.searchsorted(v[o], cum_rows[:, :-1], side="left")
+                            for v, o in zip(steps, order)], axis=2, prepend=0, append=W)
+            T = np.zeros((rows, k, width), dtype=ids.dtype)
+            order += np.arange(0, rows * k * width, k * width)[:, None]  # table row r*k
+            for s in range(k):
+                if s:
+                    order += width
+                T.ravel()[order] = np.repeat(ids, runs[:, s].ravel()).reshape(rows, W)
+        flat, width = T.ravel(), np.intp(width)  # an intp width widens 8/16-bit ids
+        at = np.arange(0, width, L)  # the first step of each block, then the next
+        maps = np.broadcast_to(ids[:, None], (rows * k, B))  # maps[i, b]: block b from id i
+        for _ in range(L):  # every block's map at once
+            maps = flat[maps * width + at]
+            at += 1
+        maps = maps.tolist()
+        starts = []  # then each row's block starts one by one
+        for r, s in enumerate(x[:, lo - 1].tolist()):
+            s += r * k
+            starts.append(s)
+            for b in range(B - 1):
+                s = maps[s][b]
+                starts.append(s)
+        at = np.tile(np.arange(0, width, L), rows)
+        path = np.empty((L, rows * B), dtype=ids.dtype)
+        ends = np.asarray(starts, dtype=np.intp)
+        for t in range(L):  # then every block of every row from its start
+            path[t] = flat[ends * width + at]
+            ends = path[t]
+            at += 1
+        ends = path.reshape(L, rows, B).transpose(1, 2, 0).reshape(rows, width)[:, :W]
+        np.subtract(ends, ids[::k, None], out=x[:, lo:lo + W])  # ids back to states
+    return x.reshape(u.shape)
 
 
 class IIDMeasure(ShiftMeasure):
@@ -560,8 +627,11 @@ class IIDMeasure(ShiftMeasure):
     def to_spec(self) -> dict:
         return {"family": "iid", "p": self.p.tolist()}
 
-    def _sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        return np.asarray(_draw_from_cum(self._cum, rng.random(n)), dtype=np.int64)
+    def _sample_rows(self, n: int, rngs: Sequence[np.random.Generator]) -> np.ndarray:
+        x = np.empty((len(rngs), n), dtype=np.int64)
+        for row, rng in zip(x, rngs):
+            row[:] = _draw_from_cum(self._cum, rng.random(n))
+        return x
 
 
 class MarkovMeasure(ShiftMeasure):
@@ -648,8 +718,8 @@ class MarkovMeasure(ShiftMeasure):
             spec["start"] = self.start.tolist()
         return spec
 
-    def _sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        return _chain_path(self._cum_start, self._cum_rows, rng.random(n))
+    def _sample_rows(self, n: int, rngs: Sequence[np.random.Generator]) -> np.ndarray:
+        return _chain_rows(self._cum_start, self._cum_rows, n, rngs)
 
 
 # source of _row_kernel's step: the fields name h hidden states' locals and
@@ -909,11 +979,14 @@ class HiddenMarkovMeasure(ShiftMeasure):
             spec["start"] = self.start.tolist()
         return spec
 
-    def _sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        z = _chain_path(self._cum_start, self._cum_A, rng.random(n))
-        u_emit = rng.random(n)
-        idx = (self._cum_E[z] <= u_emit[:, None]).sum(axis=1)
-        return np.minimum(idx, self.alphabet.size - 1).astype(np.int64)
+    def _sample_rows(self, n: int, rngs: Sequence[np.random.Generator]) -> np.ndarray:
+        """Each generator draws its hidden uniforms, then its emission uniforms."""
+        z = _chain_rows(self._cum_start, self._cum_A, n, rngs)
+        u = _uniforms(n, rngs)
+        x = np.zeros(z.shape, dtype=np.int64)
+        for edge in self._cum_E[:, :-1].T:  # _draw_from_cum's bucket in row z of E
+            x += edge[z] <= u
+        return x
 
 
 class MixtureMeasure(ShiftMeasure):
@@ -987,9 +1060,18 @@ class MixtureMeasure(ShiftMeasure):
             "components": [c.to_spec() for c in self.components],
         }
 
-    def _sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        j = int(_draw_from_cum(self._cum_w, rng.random()))
-        return self.components[j]._sample(n, rng)
+    def _sample_rows(self, n: int, rngs: Sequence[np.random.Generator]) -> np.ndarray:
+        """Each generator draws its component, then the component's path.
+
+        The rows of one component draw together.
+        """
+        picks = np.asarray([_draw_from_cum(self._cum_w, rng.random()) for rng in rngs])
+        x = np.empty((len(rngs), n), dtype=np.int64)
+        for j, c in enumerate(self.components):
+            (rows,) = np.nonzero(picks == j)
+            if rows.size:
+                x[rows] = c._sample_rows(n, [rngs[i] for i in rows])
+        return x
 
 
 @dataclasses.dataclass(frozen=True)

@@ -55,14 +55,22 @@ class Trajectory:
         return " ".join(names[self.symbols].tolist()) + "\n"
 
 
+def sample_paths(Q: ShiftMeasure, N: int, seed: int, streams) -> np.ndarray:
+    """A (len(streams), N) int64 array: row i is x_1..x_N drawn on (seed, streams[i]).
+
+    Each row is bit for bit the path that its stream draws alone; the rows
+    draw together, so a chain's maps compose for every row in one pass.
+    """
+    if N < 1:
+        raise ConfigError("trajectory length must be >= 1")
+    return Q._sample_rows(N, [make_rng(seed, stream) for stream in streams])
+
+
 def sample_trajectory(
     Q: ShiftMeasure, N: int, seed: int, stream: int = 0
 ) -> Trajectory:
-    """Draw x_1..x_N from Q, deterministically in (seed, stream)."""
-    if N < 1:
-        raise ConfigError("trajectory length must be >= 1")
-    rng = make_rng(seed, stream)
-    return Trajectory(Q._sample(N, rng), alphabet_size=Q.alphabet.size)
+    """Draw x_1..x_N from Q, deterministically in (seed, stream): one row of sample_paths."""
+    return Trajectory(sample_paths(Q, N, seed, [stream])[0], alphabet_size=Q.alphabet.size)
 
 
 def log_prefixes(Q: ShiftMeasure, symbols: np.ndarray) -> np.ndarray:

@@ -11,7 +11,15 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from gapsub import HiddenMarkovMeasure, MarkovMeasure, MixtureMeasure, make_rng, sample_trajectory
+from gapsub import (
+    HiddenMarkovMeasure,
+    IIDMeasure,
+    MarkovMeasure,
+    MixtureMeasure,
+    make_rng,
+    sample_paths,
+    sample_trajectory,
+)
 from gapsub import measures
 from gapsub.measures import _chain_path
 
@@ -144,3 +152,103 @@ def test_mixture_trajectory_matches_the_loop():
         picked.add(j)
         assert np.array_equal(got, loops[j](Q.components[j], 2000, draws))
     assert picked == {0, 1}
+
+
+def _near_permutation(rng: np.random.Generator, k: int, eps: float = 1e-9) -> np.ndarray:
+    """Each state moves to its image under a random permutation, bar eps spread evenly."""
+    P = np.full((k, k), eps / (k - 1))
+    P[np.arange(k), rng.permutation(k)] = 1.0 - eps
+    return P
+
+
+def _rows_kernel(rng: np.random.Generator, k: int, shape: str) -> np.ndarray:
+    if shape == "near-permutation":
+        return _near_permutation(rng, k)
+    P = _kernel(rng, k, zero=True)
+    if k > 2:
+        P[-1] = 0.0  # a row that is all zeros but one
+        P[-1, 1] = 1.0
+    return P
+
+
+@pytest.mark.parametrize("shape", ["zeros", "near-permutation"])
+@pytest.mark.parametrize("k", [2, 3, 8, 9, 32, 130])
+@pytest.mark.parametrize("rows", [1, 2, 7])
+def test_chain_path_rows_match_the_loop(rows, k, shape):
+    """Each row of a (rows, n) draw is the loop's path of that row's uniforms."""
+    rng = np.random.default_rng([rows, k, shape == "zeros"])
+    cum_rows = np.cumsum(_rows_kernel(rng, k, shape), axis=1)
+    cum_start = np.cumsum(rng.dirichlet(np.ones(k)))
+    for n in (1, 2, 997, 3000):
+        u = np.stack([_edge_uniforms(rng, cum_rows, n) for _ in range(rows)])
+        got = _chain_path(cum_start, cum_rows, u)
+        assert got.shape == (rows, n) and got.dtype == np.int64
+        for r in range(rows):
+            assert np.array_equal(got[r], _loop_path(cum_start, cum_rows, u[r]))
+
+
+@pytest.mark.parametrize("rows", [1, 2, 7])
+@pytest.mark.parametrize("k", [2, 3, 9])
+def test_chain_path_rows_carry_their_states_across_chunks(rows, k, monkeypatch):
+    """With the smallest chunks (4k steps), each row's chunk starts where its last one ended."""
+    monkeypatch.setattr(measures, "_MAP_TABLE_ENTRIES", 1)
+    rng = np.random.default_rng([rows, k, 4])
+    cum_rows = np.cumsum(_kernel(rng, k, zero=True), axis=1)
+    cum_start = np.cumsum(rng.dirichlet(np.ones(k)))
+    for n in (2, 4 * k + 1, 8 * k + 2, 997):
+        u = np.stack([_edge_uniforms(rng, cum_rows, n) for _ in range(rows)])
+        got = _chain_path(cum_start, cum_rows, u)
+        for r in range(rows):
+            assert np.array_equal(got[r], _loop_path(cum_start, cum_rows, u[r]))
+        # drawn over the uniforms' own buffer, chunk after chunk
+        buffer = u.copy()
+        drawn = _chain_path(cum_start, cum_rows, buffer, out=buffer.view(np.int64))
+        assert np.array_equal(drawn, got)
+
+
+@pytest.mark.parametrize("k", [2, 5, 9])
+def test_chain_path_fills_the_table_alike_by_comparisons_and_by_sorting(k, monkeypatch):
+    rng = np.random.default_rng([k, 7])
+    cum_rows = np.cumsum(_kernel(rng, k, zero=True), axis=1)
+    u = np.stack([_edge_uniforms(rng, cum_rows, 3000) for _ in range(3)])
+    paths = []
+    for states in (0, 16):  # every k sorted, then every k compared
+        monkeypatch.setattr(measures, "_COMPARE_STATES", states)
+        paths.append(_chain_path(cum_rows[0], cum_rows, u))
+    assert np.array_equal(paths[0], paths[1])
+    assert np.array_equal(paths[0][2], _loop_path(cum_rows[0], cum_rows, u[2]))
+
+
+def _rows_measures() -> list:
+    """(name, measure) of every family, an HMM with 1, 2, 3 and 9 hidden states."""
+    rng = np.random.default_rng(21)
+    chain = MarkovMeasure(_kernel(rng, 3, zero=True))
+    out = [
+        ("iid", IIDMeasure([0.2, 0.5, 0.3])),
+        ("markov", chain),
+        ("markov-non-invariant",
+         MarkovMeasure(_kernel(rng, 3, zero=True), start=[0.1, 0.6, 0.3])),
+    ]
+    for hidden in (1, 2, 3, 9):
+        A = _kernel(rng, hidden, zero=True)
+        out.append((f"hmm{hidden}", HiddenMarkovMeasure(A, rng.dirichlet(np.ones(3), size=hidden))))
+    hmm = HiddenMarkovMeasure(_kernel(rng, 2, zero=False), rng.dirichlet(np.ones(3), size=2))
+    return out + [("mixture", MixtureMeasure([chain, hmm], [0.5, 0.5]))]
+
+
+@pytest.mark.parametrize("Q", [Q for _, Q in _rows_measures()],
+                         ids=[name for name, _ in _rows_measures()])
+def test_sample_rows_stack_the_one_stream_draws(Q):
+    streams = range(3, 10)
+    for n in (1, 2, 997):
+        got = Q._sample_rows(n, [make_rng(17, t) for t in streams])
+        want = np.stack([Q._sample(n, make_rng(17, t)) for t in streams])
+        assert got.dtype == np.int64 and np.array_equal(got, want)
+
+
+def test_sample_paths_rows_are_the_trajectories():
+    chain = MarkovMeasure([[0.9, 0.1], [0.2, 0.8]])
+    Q = MixtureMeasure([chain, IIDMeasure([0.5, 0.5])], [0.3, 0.7])
+    paths = sample_paths(Q, 400, 5, [0, 2, 4, 6, 8, 10])
+    for row, stream in zip(paths, (0, 2, 4, 6, 8, 10)):
+        assert np.array_equal(row, sample_trajectory(Q, 400, 5, stream).symbols)

@@ -416,6 +416,21 @@ def test_audit_of_an_n_max_over_the_horizon_cap_is_refused_at_n_max(tmp_path, ca
     assert took < 1.0
 
 
+def test_audit_of_an_m_max_over_the_horizon_cap_is_refused_at_m_max(tmp_path, capsys):
+    """m_max is refused at its pointer before the library counts any level."""
+    m = write_json(tmp_path, "m.json", WORKED_SPEC)
+    out = tmp_path / "o"
+    start = time.perf_counter()
+    rc = main(["decouple", "audit", "--measure", m, "--n-max", "4", "--m-max", str(2**62),
+               "--outdir", str(out)])
+    took = time.perf_counter() - start
+    assert rc == 4
+    assert (f"cap: /m_max: m_max {2**62} exceeds cap 10000000"
+            in capsys.readouterr().err)
+    assert not out.exists()
+    assert took < 1.0
+
+
 def test_decouple_check_of_a_huge_horizon_is_a_cap_refusal(tmp_path, capsys):
     """The pairwise scan is O(N^2); above the cap it is refused, not started."""
     m = write_json(tmp_path, "m.json", WORKED_SPEC)
@@ -839,6 +854,32 @@ def test_fekete_default_caps_are_read_at_each_run(tmp_path, capsys, monkeypatch)
     assert "cap: /N: horizon 64 exceeds cap 50" in capsys.readouterr().err
     assert main(["fekete", "check", "--spec", s, "--outdir", str(tmp_path / "b")]) == 4
     assert "pairwise check at N = 64 exceeds cap 40" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "sub, spec, message",
+    [
+        ("check", {"sequence": {"name": "sqrt"}, "N": 6000},
+         "cap: /N: pairwise check at N = 6000 exceeds cap 5000"),
+        ("check", {"sequence": {"name": "sqrt"}, "N": 64, "cap": 40},
+         "cap: /N: pairwise check at N = 64 exceeds cap 40"),
+        ("lift", {"sequence": {"name": "sqrt"}, "sigma": {"rule": "ceil_log"},
+                  "probe_N": 20_000_000},
+         "cap: /probe_N: pairwise check at N = 20000000 exceeds cap 5000"),
+    ],
+    ids=["check-N", "check-spec-cap", "lift-probe-N"],
+)
+def test_fekete_pairwise_horizon_over_its_cap_is_refused_at_its_pointer(
+    tmp_path, capsys, sub, spec, message
+):
+    s = write_json(tmp_path, "s.json", spec)
+    out = tmp_path / "o"
+    start = time.perf_counter()
+    assert main(["fekete", sub, "--spec", s, "--outdir", str(out)]) == 4
+    took = time.perf_counter() - start
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+    assert took < 1.0
 
 
 # ----------------------------------------------------- constructors as schema

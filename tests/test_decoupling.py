@@ -271,7 +271,7 @@ class _BrokenMeasure(ShiftMeasure):
     def to_spec(self) -> dict:
         raise NotImplementedError
 
-    def _sample(self, n, rng):
+    def _sample_rows(self, n, rngs):
         raise NotImplementedError
 
     def _level_start(self):
