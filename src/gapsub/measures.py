@@ -268,10 +268,7 @@ class ShiftMeasure(abc.ABC):
 
     @abc.abstractmethod
     def _sample_rows(self, n: int, rngs: Sequence[np.random.Generator]) -> np.ndarray:
-        """A (len(rngs), n) int64 array: row i is a path drawn from rngs[i] alone.
-
-        Each row is bit for bit the path that its generator draws by itself.
-        """
+        """A (len(rngs), n) int64 array whose row i is bit for bit the path rngs[i] draws alone."""
 
     def _sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         return self._sample_rows(n, [rng])[0]
