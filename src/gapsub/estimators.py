@@ -231,20 +231,21 @@ def mean_convergence_series(
     point estimates the expected-value convergence of the functional,
     which for a mixture differs from every single path's limit.
 
-    Trials run in groups of at most _TABLE_ENTRIES kept symbols.  A group
+    Trials run in groups of at most _TABLE_ENTRIES drawn symbols.  A group
     is one sample_paths draw on the streams of its trials: its rows are
     bit for bit the trials drawn one by one, each still on its own stream
     (seed, t), and an HMM still draws each trial's emission uniforms after
     its hidden ones.  Each trial draws all N symbols (so a shorter draw
-    would be another path) and keeps the grid[-1] that the grid reads; the
-    kept paths are evaluated as the rows of kingman_rows.
+    would be another path), which is why N, not grid[-1], sizes a group;
+    it keeps the grid[-1] that the grid reads, and the kept paths are
+    evaluated as the rows of kingman_rows.
     """
     certificate = _resolve_decoupling(P, Q, decoupling, assume_decoupled)
     if trials < 2:
         raise ConfigError("mean mode needs at least 2 trials")
     grid = checked_grid(geometric_grid(N) if grid is None else grid, 0, N)
     horizon = int(grid[-1])
-    group = max(1, _TABLE_ENTRIES // horizon)
+    group = max(1, _TABLE_ENTRIES // N)
     rows = np.empty((trials, grid.size), dtype=np.float64)
     for lo in range(0, trials, group):
         hi = min(lo + group, trials)

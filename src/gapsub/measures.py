@@ -511,6 +511,24 @@ def _chain_path(
     so every row is bit for bit the path drawn symbol by symbol from its
     own uniforms.
 
+    The rows draw in passes of at most _MAP_TABLE_ENTRIES // (16k*max(k, 16))
+    rows, one _chain_pass each: a pass's (rows, k, k) counts of the sort
+    fill and its rows*k lists of block maps then hold at most 1/16 of the
+    budget's entries, and its table at most the budget.  (k = 32 and 8000
+    rows of 100 steps peak near 9 MB, against 270 MB in one pass.)
+    """
+    U = u.reshape(-1, u.shape[-1])
+    x = np.empty(U.shape, dtype=np.int64) if out is None else out.reshape(U.shape)
+    k = cum_rows.shape[0]
+    batch = max(1, _MAP_TABLE_ENTRIES // (16 * k * max(k, 16)))
+    for lo in range(0, U.shape[0], batch):
+        _chain_pass(cum_start, cum_rows, U[lo:lo + batch], x[lo:lo + batch])
+    return x.reshape(u.shape)
+
+
+def _chain_pass(cum_start: np.ndarray, cum_rows: np.ndarray, U: np.ndarray, x: np.ndarray) -> None:
+    """Draw the chain paths of U's rows of uniforms into the int64 rows of x.
+
     Step i is the random map T_i (Propp & Wilson 1996): row s of its table
     holds the bucket of u_i in cum_rows[s].  The table holds every path's
     maps at once, its entries (row, state) ids r*k + s, so that each step of
@@ -524,11 +542,10 @@ def _chain_path(
     1990): L gathers compose every block's map, each row's block starts
     follow its maps as Python list reads, and L gathers walk every block
     from its start.  L weighs the gathers' per-call cost against the list
-    reads, which grow with the blocks.
+    reads, which grow with the blocks.  The flat table indices are intp
+    products, so that 8- and 16-bit ids widen under every NumPy's promotion.
     """
-    U = u.reshape(-1, u.shape[-1])
     rows, n = U.shape
-    x = np.empty((rows, n), dtype=np.int64) if out is None else out.reshape(rows, n)
     x[:, 0] = _draw_from_cum(cum_start, U[:, 0])
     k = cum_rows.shape[0]
     ids = np.arange(rows * k, dtype=np.min_scalar_type(rows * k - 1))
@@ -556,11 +573,11 @@ def _chain_path(
                 if s:
                     order += width
                 T.ravel()[order] = np.repeat(ids, runs[:, s].ravel()).reshape(rows, W)
-        flat, width = T.ravel(), np.intp(width)  # an intp width widens 8/16-bit ids
+        flat = T.ravel()
         at = np.arange(0, width, L)  # the first step of each block, then the next
         maps = np.broadcast_to(ids[:, None], (rows * k, B))  # maps[i, b]: block b from id i
         for _ in range(L):  # every block's map at once
-            maps = flat[maps * width + at]
+            maps = flat[np.multiply(maps, width, dtype=np.intp) + at]
             at += 1
         maps = maps.tolist()
         starts = []  # then each row's block starts one by one
@@ -574,12 +591,11 @@ def _chain_path(
         path = np.empty((L, rows * B), dtype=ids.dtype)
         ends = np.asarray(starts, dtype=np.intp)
         for t in range(L):  # then every block of every row from its start
-            path[t] = flat[ends * width + at]
+            path[t] = flat[np.multiply(ends, width, dtype=np.intp) + at]
             ends = path[t]
             at += 1
         ends = path.reshape(L, rows, B).transpose(1, 2, 0).reshape(rows, width)[:, :W]
         np.subtract(ends, ids[::k, None], out=x[:, lo:lo + W])  # ids back to states
-    return x.reshape(u.shape)
 
 
 class IIDMeasure(ShiftMeasure):

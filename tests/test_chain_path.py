@@ -8,6 +8,8 @@ order, so every seeded trajectory keeps its bytes.
 """
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -187,11 +189,17 @@ def test_chain_path_rows_match_the_loop(rows, k, shape):
             assert np.array_equal(got[r], _loop_path(cum_start, cum_rows, u[r]))
 
 
+@pytest.mark.parametrize("per_pass", [None, 2, 7], ids=["floor", "passes-of-2", "one-pass"])
 @pytest.mark.parametrize("rows", [1, 2, 7])
 @pytest.mark.parametrize("k", [2, 3, 9])
-def test_chain_path_rows_carry_their_states_across_chunks(rows, k, monkeypatch):
-    """With the smallest chunks (4k steps), each row's chunk starts where its last one ended."""
-    monkeypatch.setattr(measures, "_MAP_TABLE_ENTRIES", 1)
+def test_chain_path_rows_carry_their_states_across_chunks(rows, k, per_pass, monkeypatch):
+    """Each row's chunk starts where its last one ended.
+
+    With no budget each row draws alone in the smallest chunks (4k steps);
+    otherwise the budget sets per_pass rows to a pass and 256-step chunks.
+    """
+    entries = 1 if per_pass is None else per_pass * 16 * k * 16
+    monkeypatch.setattr(measures, "_MAP_TABLE_ENTRIES", entries)
     rng = np.random.default_rng([rows, k, 4])
     cum_rows = np.cumsum(_kernel(rng, k, zero=True), axis=1)
     cum_start = np.cumsum(rng.dirichlet(np.ones(k)))
@@ -217,6 +225,31 @@ def test_chain_path_fills_the_table_alike_by_comparisons_and_by_sorting(k, monke
         paths.append(_chain_path(cum_rows[0], cum_rows, u))
     assert np.array_equal(paths[0], paths[1])
     assert np.array_equal(paths[0][2], _loop_path(cum_rows[0], cum_rows, u[2]))
+
+
+@pytest.mark.parametrize("k", [3, 32])
+def test_chain_path_passes_of_many_short_rows_stay_in_the_budget(k, monkeypatch):
+    """3000 rows draw in passes whose tables and counts stay within the budget's bytes.
+
+    One pass of all rows would hold (3000, 32, 32) sort-fill counts, about
+    25 MB at k = 32, four times over.
+    """
+    entries = 1 << 16
+    monkeypatch.setattr(measures, "_MAP_TABLE_ENTRIES", entries)
+    rng = np.random.default_rng([k, 3000])
+    cum_rows = np.cumsum(_kernel(rng, k, zero=True), axis=1)
+    u = np.stack([_edge_uniforms(rng, cum_rows, 40) for _ in range(3000)])
+    x = np.empty(u.shape, dtype=np.int64)
+    tracemalloc.start()
+    try:
+        _chain_path(cum_rows[1], cum_rows, u, out=x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * entries
+    for r in range(0, 3000, 7):
+        assert np.array_equal(x[r], _loop_path(cum_rows[1], cum_rows, u[r]))
+    assert np.array_equal(x, _chain_path(cum_rows[1], cum_rows, u))
 
 
 def _rows_measures() -> list:

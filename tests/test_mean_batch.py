@@ -1,7 +1,8 @@
 """estimate mean with its trials as rows, against the per-trial oracle, bit for bit.
 
-mean_convergence_series evaluates the trial paths as the rows of one
-kingman_rows call per group of at most estimators._TABLE_ENTRIES symbols.
+mean_convergence_series draws and evaluates the trial paths as the rows
+of one sample_paths and one kingman_rows call per group of at most
+estimators._TABLE_ENTRIES drawn symbols.
 mean_oracle evaluates each trial alone, as the estimator did before.  The
 rows, and the text of every file `estimate mean` writes, must match for
 every family, for a Q under which trials reach -inf at different n, for a
@@ -18,6 +19,7 @@ from gapsub import (
     ValidationError,
     geometric_grid,
     measure_from_spec,
+    sample_paths,
     sample_trajectory,
 )
 from gapsub import cli, estimators
@@ -79,14 +81,35 @@ def _run(tmp_path, name: str, monkeypatch, mean) -> dict:
 @pytest.mark.parametrize("name", list(CASES))
 def test_mean_files_are_the_per_trial_oracles(tmp_path, monkeypatch, name, group):
     _, _, _, trials, grid = CASES[name]
-    if GROUPS[group] is not None:
-        horizon = CASES[name][2] if grid is None else grid[-1]
-        monkeypatch.setattr(estimators, "_TABLE_ENTRIES", GROUPS[group] * horizon)
+    if GROUPS[group] is not None:  # every trial draws N symbols
+        monkeypatch.setattr(estimators, "_TABLE_ENTRIES", GROUPS[group] * CASES[name][2])
         assert trials % GROUPS[group] or GROUPS[group] == 1
     got = _run(tmp_path, name, monkeypatch, estimators.mean_convergence_series)
     want = _run(tmp_path, name, monkeypatch, mean_oracle.mean_convergence_series)
     assert set(got) == {"manifest.json", "series.csv", "summary.json", "terminals.csv"}
     assert got == want
+
+
+def test_a_short_grid_draws_groups_sized_by_N(monkeypatch):
+    """A grid that stops far short of N still draws at most _TABLE_ENTRIES symbols at a time."""
+    P = measure_from_spec(CHAIN)
+    N, trials, grid = 5000, 9, np.asarray([1, 2, 5, 10])
+    whole = estimators.mean_convergence_series(P, P, N, trials, 5, grid, assume_decoupled=True)
+    monkeypatch.setattr(estimators, "_TABLE_ENTRIES", 2 * N)
+    drawn = []
+
+    def spy(Q, n, seed, streams):
+        drawn.append((len(streams), n))
+        return sample_paths(Q, n, seed, streams)
+
+    monkeypatch.setattr(estimators, "sample_paths", spy)
+    got = estimators.mean_convergence_series(P, P, N, trials, 5, grid, assume_decoupled=True)
+    assert drawn == [(2, N)] * 4 + [(1, N)]
+    want = mean_oracle.trial_rows(P, P, N, trials, 5, grid)
+    assert got.trial_terminals.tobytes() == want[:, -1].tobytes()
+    for r in (got, whole):
+        assert r.estimate.series.values.tobytes() == want.mean(axis=0).tobytes()
+        assert r.se.tobytes() == got.se.tobytes()
 
 
 @pytest.mark.parametrize("name", list(CASES))
