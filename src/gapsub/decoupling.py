@@ -26,7 +26,7 @@ from .logspace import log_sum_exp_into
 from .measures import IIDMeasure, ShiftMeasure, _words_over_cap
 # log_prefixes is re-exported: the benchmark's tracer wraps it here by name
 from .sampling import Trajectory, log_prefixes  # noqa: F401
-from .schedules import ErrorSchedule, GapSchedule
+from .schedules import ErrorSchedule, GapSchedule, index_blocks
 
 
 def _word_of_index(idx: int, k: int, n: int) -> tuple[int, ...]:
@@ -92,18 +92,16 @@ class DecouplingReport:
 # max(1, _JOINT_WORDS // k**(tau + m_max))
 _JOINT_WORDS = 1 << 16
 _FAILURES_KEPT = 20  # positivity failures a report lists
-_TAU_CHUNK = 1 << 14  # gap values the audit's length check evaluates at once
 
 
 def _longest_joint_head(tau: GapSchedule, n_max: int) -> int:
-    """max of n + tau_n over n = 1 .. n_max, in numpy passes of bounded size.
+    """max of n + tau_n over n = 1 .. n_max, one numpy pass per index block.
 
-    A chunk whose schedule values raise is replayed n by n, so the error
+    A block whose schedule values raise is replayed n by n, so the error
     names the first n that fails, as tau.value(n) in a loop would.
     """
     worst = 0
-    for lo in range(1, n_max + 1, _TAU_CHUNK):
-        ns = np.arange(lo, min(lo + _TAU_CHUNK, n_max + 1), dtype=np.int64)
+    for ns in index_blocks(n_max):
         try:
             ts = tau.values(ns)
         except ScheduleRangeError:

@@ -25,16 +25,22 @@ from .errors import (
     param,
     schema_errors,
 )
-from .schedules import ConvergenceSeries, ErrorSchedule, GapSchedule, linear_grid
+from .schedules import ConvergenceSeries, ErrorSchedule, GapSchedule, index_blocks, linear_grid
 
 PAIRWISE_CAP = 5000  # largest horizon of a pairwise check, which compares O(N^2) pairs
+
+
+def _check_horizon(N: int) -> None:
+    if N < 1:
+        raise ConfigError("sequence horizon must be >= 1")
 
 
 class RealSequence:
     """Lazy 1-indexed sequence with values in [-inf, inf).
 
-    Wraps a callable evaluated on int64 index arrays.  The longest prefix
-    evaluated so far is cached: a horizon within it is a slice, and a
+    Wraps a callable evaluated on int64 index arrays.  at(ns) evaluates it
+    at given indices, checked and uncached; values(N) keeps the longest
+    prefix built through at so far: a horizon within it is a slice, and a
     longer one evaluates F_1 .. F_N afresh.  +inf and nan are rejected.
     """
 
@@ -43,20 +49,22 @@ class RealSequence:
         self.name = name
         self._cache = np.empty(0, dtype=np.float64)
 
+    def at(self, ns: np.ndarray) -> np.ndarray:
+        """Array [F_n for n in ns], for an int64 array ns of indices >= 1."""
+        vals = np.asarray(self._fn(ns), dtype=np.float64)
+        if vals.shape != ns.shape:
+            raise ValidationError(f"sequence {self.name!r} returned a wrong shape")
+        if np.isnan(vals).any():
+            raise ValidationError(f"sequence {self.name!r} produced nan")
+        if (vals == np.inf).any():
+            raise ValidationError(f"sequence {self.name!r} produced +inf")
+        return vals
+
     def values(self, N: int) -> np.ndarray:
         """Array [F_1, ..., F_N]; entry i holds F_{i+1}."""
-        if N < 1:
-            raise ConfigError("sequence horizon must be >= 1")
+        _check_horizon(N)
         if self._cache.size < N:
-            ns = np.arange(1, N + 1, dtype=np.int64)
-            vals = np.asarray(self._fn(ns), dtype=np.float64)
-            if vals.shape != ns.shape:
-                raise ValidationError(f"sequence {self.name!r} returned a wrong shape")
-            if np.isnan(vals).any():
-                raise ValidationError(f"sequence {self.name!r} produced nan")
-            if (vals == np.inf).any():
-                raise ValidationError(f"sequence {self.name!r} produced +inf")
-            self._cache = vals
+            self._cache = self.at(np.arange(1, N + 1, dtype=np.int64))
         return self._cache[:N]
 
     def __call__(self, n: int) -> float:
@@ -254,20 +262,35 @@ class FeketeReport:
 def fekete_infimum(
     F: RealSequence, sigma: GapSchedule, rho: ErrorSchedule, N: int
 ) -> FeketeReport:
-    """Locate inf_n (F_n + rho_n) / (n + sigma_n) over n <= N."""
-    Fv = F.values(N)
-    ns = np.arange(1, N + 1, dtype=np.int64)
-    denom = (ns + sigma.values(ns)).astype(np.float64)
-    ratios = (Fv + rho.values(ns)) / denom
-    i = int(np.argmin(ratios))
-    inf_val = float(ratios[i])
-    proxy = float(Fv[N - 1] / N)
+    """Locate inf_n (F_n + rho_n) / (n + sigma_n) over n <= N.
+
+    The indices are walked in blocks (schedules.index_blocks), so memory
+    stays bounded at any N.  Each block's ratios are formed elementwise
+    as a whole-array pass would form them, and the running minimum keeps
+    np.argmin's rule across blocks: the first index attaining it wins,
+    and a nan ratio wins as soon as it appears.  F_N comes from the last
+    block.  F is evaluated through F.at and is not cached.
+    """
+    _check_horizon(N)
+    # a schedule table too short for N names N, as one pass over 1 .. N would
+    last = np.array([N], dtype=np.int64)
+    sigma.values(last)
+    rho.values(last)
+    arg, inf_val = 0, math.nan
+    for ns in index_blocks(N):
+        Fv = F.at(ns)
+        denom = (ns + sigma.values(ns)).astype(np.float64)
+        ratios = (Fv + rho.values(ns)) / denom
+        i = int(np.argmin(ratios))
+        if arg == 0 or (not math.isnan(inf_val) and not ratios[i] >= inf_val):
+            arg, inf_val = int(ns[i]), float(ratios[i])
+    proxy = float(Fv[-1] / N)
     if inf_val == -np.inf and proxy == -np.inf:
         gap = 0.0
     else:
         gap = abs(proxy - inf_val)
     return FeketeReport(
-        infimum=inf_val, argmin_n=i + 1, limit_proxy=proxy, gap=float(gap), horizon=N
+        infimum=inf_val, argmin_n=arg, limit_proxy=proxy, gap=float(gap), horizon=N
     )
 
 
@@ -288,16 +311,17 @@ def fekete_limit_estimate(
 
     For a gapped subadditive F with sublinear schedules the series tail
     and the infimum bracket the same limit, so their gap at N is the
-    honest convergence diagnostic.
+    honest convergence diagnostic.  The series evaluates F only at its
+    grid points, and the infimum one index block at a time, so no array
+    of length N is built.
     """
     if stride is None:
         stride = max(1, N // 200)
     if stride < 1:
         raise ConfigError("stride must be >= 1")
-    Fv = F.values(N)
+    report = fekete_infimum(F, sigma, rho, N)
     grid = linear_grid(N, stride)
-    series = ConvergenceSeries(grid, Fv[grid - 1] / grid)
-    return LimitEstimate(report=fekete_infimum(F, sigma, rho, N), series=series)
+    return LimitEstimate(report=report, series=ConvergenceSeries(grid, F.at(grid) / grid))
 
 
 def gap_lift(

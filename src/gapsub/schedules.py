@@ -9,6 +9,7 @@ with tail diagnostics; csv_text writes it and every other key,value CSV.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from typing import Callable, ClassVar, Sequence
 
@@ -35,6 +36,16 @@ def _as_index_array(ns) -> np.ndarray:
     if arr.size and arr.min() < 1:
         raise ScheduleRangeError("schedule indices start at 1")
     return arr
+
+
+_INDEX_BLOCK = 1 << 16  # indices a blocked pass over n = 1 .. N evaluates at once
+
+
+def index_blocks(N: int):
+    """Consecutive int64 arrays covering n = 1 .. N, each of at most _INDEX_BLOCK indices."""
+    block = _INDEX_BLOCK
+    for lo in range(1, N + 1, block):
+        yield np.arange(lo, min(lo + block, N + 1), dtype=np.int64)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -64,13 +75,19 @@ class _Schedule:
     def value(self, n: int):
         return self._kind(self.values(np.asarray([n], dtype=np.int64))[0])
 
+    @functools.cached_property
+    def _table_array(self) -> np.ndarray:
+        # built on first use and kept outside the fields, so ==, repr and
+        # to_json see only the list
+        return np.asarray(self.params["values"], dtype=self._kind)
+
     def _table(self, arr: np.ndarray) -> np.ndarray:
-        table = self.params["values"]
-        if arr.size and arr.max() > len(table):
+        table = self._table_array
+        if arr.size and arr.max() > table.size:
             raise ScheduleRangeError(
-                f"{self._noun} table covers n <= {len(table)}, asked for n = {int(arr.max())}"
+                f"{self._noun} table covers n <= {table.size}, asked for n = {int(arr.max())}"
             )
-        return np.asarray(table, dtype=self._kind)[arr - 1]
+        return table[arr - 1]
 
     def to_json(self) -> dict:
         return {"rule": self.rule, "params": dict(self.params)}

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,15 +13,18 @@ from gapsub import (
     CapExceededError,
     ConfigError,
     ErrorSchedule,
+    FeketeReport,
     GapLiftError,
     GapSchedule,
     RealSequence,
+    ScheduleRangeError,
     SchemaError,
     ValidationError,
     check_gapped_subadditivity,
     fekete_infimum,
     fekete_limit_estimate,
     gap_lift,
+    schedules,
     sequence_from_spec,
 )
 
@@ -256,6 +261,159 @@ def test_limit_estimate_series():
     assert est.series.ns.tolist() == [300, 600, 900, 1000]
     assert est.series.values.tolist() == [1.0, 1.0, 1.0, 1.0]
     assert est.report.horizon == 1000
+
+
+# --------------------------------------------------------- blocked infimum
+
+AFFINE_SQRT = {"name": "affine_sqrt", "params": {"slope": 3.0, "sqrt_coeff": 2.0}}
+
+
+def _whole_array_report(F, sigma, rho, N) -> FeketeReport:
+    """The infimum as one pass over n = 1 .. N: the blocks must match it bit for bit."""
+    Fv = F.values(N)
+    ns = np.arange(1, N + 1, dtype=np.int64)
+    denom = (ns + sigma.values(ns)).astype(np.float64)
+    ratios = (Fv + rho.values(ns)) / denom
+    i = int(np.argmin(ratios))
+    inf_val = float(ratios[i])
+    proxy = float(Fv[N - 1] / N)
+    gap = 0.0 if inf_val == -np.inf and proxy == -np.inf else abs(proxy - inf_val)
+    return FeketeReport(inf_val, i + 1, proxy, float(gap), N)
+
+
+def _horizons(B: int) -> list[int]:
+    return sorted({1, B - 1, B, B + 1, 3 * B + 5} - {0})
+
+
+@pytest.mark.parametrize("B", [1, 7, 1 << 16])
+def test_blocked_infimum_is_the_whole_array_one_bit_for_bit(B, monkeypatch):
+    """Every sequence, gap and error family, at block sizes 1, 7 and 2^16 and
+    horizons on both sides of one and three block boundaries; the -inf runs
+    start inside a block, on a block's last index and on a block's first."""
+    monkeypatch.setattr(schedules, "_INDEX_BLOCK", B)
+    size = 3 * B + 5
+    rng = np.random.default_rng(B)
+    sequences = {
+        "affine_sqrt": sequence_from_spec(AFFINE_SQRT),
+        "log": sequence_from_spec({"name": "log", "params": {"scale": 1.5}}),
+        "table": table_seq(np.round(rng.normal(size=size) * 4.0).tolist()),
+        **{
+            f"neg_inf_from_{start}": sequence_from_spec(
+                {"name": "neg_inf_from", "params": {"start": start, "slope": 0.5}}
+            )
+            for start in (B // 2 + 2, B, B + 1)
+        },
+    }
+    gaps = {
+        "constant": GapSchedule.constant(2),
+        "ceil_log": GapSchedule("ceil_log"),
+        "ceil_power": GapSchedule("ceil_power", {"alpha": 0.5, "scale": 1.5}),
+        "table": GapSchedule.from_table(rng.integers(0, 6, size=size).tolist()),
+    }
+    errors = {
+        "constant": ErrorSchedule.constant(0.5),
+        "scaled_power": ErrorSchedule("scaled_power", {"alpha": 0.5, "scale": 2.0}),
+        "table": ErrorSchedule.from_table(rng.uniform(0.0, 3.0, size=size).tolist()),
+    }
+    lifted = sequence_from_spec(AFFINE_SQRT)
+    for N in _horizons(B):
+        for (fname, F), (gname, sigma) in itertools.product(sequences.items(), gaps.items()):
+            rhos = {**errors, "gap_lift": gap_lift(lifted, sigma, probe_N=50)}
+            for rname, rho in rhos.items():
+                got = fekete_infimum(F, sigma, rho, N)
+                want = _whole_array_report(F, sigma, rho, N)
+                assert repr(got) == repr(want), (fname, gname, rname, N)
+
+
+@pytest.mark.parametrize("B", [1, 7, 1 << 16])
+def test_blocked_infimum_keeps_argmins_rule_across_blocks(B, monkeypatch):
+    """A minimum tied at n = B and B + 1, and again in the last block, is
+    attained first at B; a nan ratio in a later block wins over an earlier
+    -inf, as it does in np.argmin."""
+    monkeypatch.setattr(schedules, "_INDEX_BLOCK", B)
+    N = 3 * B + 5
+    vals = np.arange(1, N + 1, dtype=np.float64)
+    for n in (B, B + 1, 3 * B + 2):
+        vals[n - 1] = 0.5 * n
+    F = table_seq(vals.tolist())
+    zero_gap, zero_error = GapSchedule.zero(), ErrorSchedule.zero()
+    rep = fekete_infimum(F, zero_gap, zero_error, N)
+    assert (rep.infimum, rep.argmin_n) == (0.5, B)
+    assert repr(rep) == repr(_whole_array_report(F, zero_gap, zero_error, N))
+
+    # -inf + inf is nan: the first nan ratio sits in block two, after a -inf in block one
+    F = sequence_from_spec({"name": "neg_inf_from", "params": {"start": 1}})
+    rho = ErrorSchedule.from_function(lambda ns: np.where(ns >= B + 2, np.inf, 0.0))
+    with np.errstate(invalid="ignore"):
+        rep = fekete_infimum(F, zero_gap, rho, N)
+        want = _whole_array_report(F, zero_gap, rho, N)
+    assert math.isnan(rep.infimum) and rep.argmin_n == B + 2
+    assert repr(rep) == repr(want)
+
+
+@pytest.mark.parametrize("B", [1, 7, 1 << 16])
+@pytest.mark.parametrize("stride", [None, 7])
+def test_limit_series_is_the_prefix_at_the_grid_points(B, stride, monkeypatch):
+    monkeypatch.setattr(schedules, "_INDEX_BLOCK", B)
+    N = 3 * B + 5
+    for spec in (AFFINE_SQRT, {"name": "neg_inf_from", "params": {"start": B + 1}}):
+        F = sequence_from_spec(spec)
+        est = fekete_limit_estimate(F, GapSchedule("ceil_log"), ErrorSchedule.constant(50.0), N, stride)
+        grid = est.series.ns
+        assert grid[-1] == N
+        assert est.series.values.tobytes() == (F.values(N)[grid - 1] / grid).tobytes()
+
+
+def _raised(call) -> tuple[type, str]:
+    with pytest.raises((ConfigError, ValidationError)) as got:
+        call()
+    return type(got.value), str(got.value)
+
+
+def _late(bad: float):
+    return RealSequence(lambda ns: np.where(ns == 25, bad, 1.0 * ns), name="late")
+
+
+@pytest.mark.parametrize(
+    "make_F",
+    [lambda: table_seq([1.0] * 20), lambda: _late(np.nan), lambda: _late(np.inf)],
+    ids=["short-table", "late-nan", "late-plus-inf"],
+)
+def test_a_fault_in_a_late_block_raises_the_whole_prefix_error(make_F, monkeypatch):
+    """With blocks of 7 the fault at n = 21 or 25 sits in the fourth block;
+    the exception and its message are those of F.values(N)."""
+    monkeypatch.setattr(schedules, "_INDEX_BLOCK", 7)
+    N = 30
+    want = _raised(lambda: make_F().values(N))
+    for run in (fekete_infimum, fekete_limit_estimate):
+        got = _raised(lambda: run(make_F(), GapSchedule.zero(), ErrorSchedule.zero(), N))
+        assert got == want
+
+
+def test_a_short_schedule_table_names_the_horizon(monkeypatch):
+    """As a pass over n = 1 .. N would, not the end of the first block."""
+    monkeypatch.setattr(schedules, "_INDEX_BLOCK", 7)
+    F = sequence_from_spec(AFFINE_SQRT)
+    short_gap, short_error = GapSchedule.from_table([1] * 20), ErrorSchedule.from_table([1.0] * 20)
+    with pytest.raises(ScheduleRangeError, match=r"^gap table covers n <= 20, asked for n = 30$"):
+        fekete_infimum(F, short_gap, ErrorSchedule.zero(), 30)
+    with pytest.raises(ScheduleRangeError, match=r"^error table covers n <= 20, asked for n = 30$"):
+        fekete_infimum(F, GapSchedule.zero(), short_error, 30)
+
+
+@pytest.mark.parametrize("N", [10**6, 4 * 10**6])
+def test_limit_estimate_memory_does_not_grow_with_the_horizon(N):
+    """One index block at a time: 3.7 MB traced at either horizon, where a
+    whole-array pass held about 32 bytes per index (32 MB at 10^6)."""
+    F = sequence_from_spec(AFFINE_SQRT)
+    tracemalloc.start()
+    try:
+        est = fekete_limit_estimate(F, GapSchedule("ceil_log"), ErrorSchedule.constant(50.0), N)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert est.report.argmin_n == N
+    assert peak <= 8 * 10**6
 
 
 # ----------------------------------------------------------------- gap lift

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import copy
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -139,6 +141,29 @@ def test_each_kind_keeps_its_value_type(cls, kind):
         assert type(s.value(1)) is kind
         assert cls.from_json(s.to_json()) == s
     assert cls.from_table([1, 2, 3]).values([1, 3]).dtype == np.dtype(kind)
+
+
+@pytest.mark.parametrize("cls", [GapSchedule, ErrorSchedule])
+def test_a_block_of_a_long_table_does_not_convert_the_list_again(cls):
+    """A table's list becomes an array once per schedule: a later block of
+    2^16 indices of a 10^6-entry table allocates about the block (0.5 MB
+    per array), not the 8 MB table.  The array stays out of ==, repr and
+    to_json."""
+    values = [1, 2] * (10**6 // 2)
+    s = cls.from_table(values)
+    twin = copy.copy(s)  # the same fields, no array yet
+    block = np.arange(1, (1 << 16) + 1, dtype=np.int64)
+    first = s.values(block)
+    tracemalloc.start()
+    try:
+        later = s.values(block + 7 * (1 << 16))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 10**6
+    assert first.tolist() == later.tolist() == values[: 1 << 16]
+    assert s == twin and repr(s) == repr(twin)
+    assert s.to_json() == {"rule": "table", "params": {"values": values}}
 
 
 def test_error_table():
