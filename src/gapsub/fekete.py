@@ -270,20 +270,32 @@ def fekete_infimum(
     np.argmin's rule across blocks: the first index attaining it wins,
     and a nan ratio wins as soon as it appears.  F_N comes from the last
     block.  F is evaluated through F.at and is not cached.
+
+    The errors are those of the whole pass, which checks F_1 .. F_N before
+    any schedule: a schedule's error is raised once F has passed every
+    block, and a schedule table too short for N names N.
     """
     _check_horizon(N)
-    # a schedule table too short for N names N, as one pass over 1 .. N would
     last = np.array([N], dtype=np.int64)
-    sigma.values(last)
-    rho.values(last)
-    arg, inf_val = 0, math.nan
+    arg, inf_val, fault = 0, math.nan, None
     for ns in index_blocks(N):
         Fv = F.at(ns)
-        denom = (ns + sigma.values(ns)).astype(np.float64)
-        ratios = (Fv + rho.values(ns)) / denom
+        if fault is not None:
+            continue
+        try:
+            if arg == 0:  # first block: a table too short for N fails here
+                sigma.values(last)
+                rho.values(last)
+            denom = (ns + sigma.values(ns)).astype(np.float64)
+            ratios = (Fv + rho.values(ns)) / denom
+        except Exception as exc:
+            fault = exc
+            continue
         i = int(np.argmin(ratios))
         if arg == 0 or (not math.isnan(inf_val) and not ratios[i] >= inf_val):
             arg, inf_val = int(ns[i]), float(ratios[i])
+    if fault is not None:
+        raise fault
     proxy = float(Fv[-1] / N)
     if inf_val == -np.inf and proxy == -np.inf:
         gap = 0.0

@@ -43,9 +43,8 @@ _INDEX_BLOCK = 1 << 16  # indices a blocked pass over n = 1 .. N evaluates at on
 
 def index_blocks(N: int):
     """Consecutive int64 arrays covering n = 1 .. N, each of at most _INDEX_BLOCK indices."""
-    block = _INDEX_BLOCK
-    for lo in range(1, N + 1, block):
-        yield np.arange(lo, min(lo + block, N + 1), dtype=np.int64)
+    for lo in range(1, N + 1, _INDEX_BLOCK):
+        yield np.arange(lo, min(lo + _INDEX_BLOCK, N + 1), dtype=np.int64)
 
 
 @dataclasses.dataclass(frozen=True)

@@ -15,6 +15,7 @@ from gapsub import (
     ErrorSchedule,
     FeketeReport,
     GapLiftError,
+    GapsubError,
     GapSchedule,
     RealSequence,
     ScheduleRangeError,
@@ -364,41 +365,59 @@ def test_limit_series_is_the_prefix_at_the_grid_points(B, stride, monkeypatch):
         assert est.series.values.tobytes() == (F.values(N)[grid - 1] / grid).tobytes()
 
 
-def _raised(call) -> tuple[type, str]:
-    with pytest.raises((ConfigError, ValidationError)) as got:
+def _raised(call) -> tuple[type, str] | None:
+    try:
         call()
-    return type(got.value), str(got.value)
+    except GapsubError as exc:
+        return type(exc), str(exc)
+    return None
 
 
 def _late(bad: float):
     return RealSequence(lambda ns: np.where(ns == 25, bad, 1.0 * ns), name="late")
 
 
-@pytest.mark.parametrize(
-    "make_F",
-    [lambda: table_seq([1.0] * 20), lambda: _late(np.nan), lambda: _late(np.inf)],
-    ids=["short-table", "late-nan", "late-plus-inf"],
-)
-def test_a_fault_in_a_late_block_raises_the_whole_prefix_error(make_F, monkeypatch):
-    """With blocks of 7 the fault at n = 21 or 25 sits in the fourth block;
-    the exception and its message are those of F.values(N)."""
+def _rho_failing_from(n: int) -> ErrorSchedule:
+    def fn(ns):
+        if ns.max() >= n:
+            raise ValidationError(f"rho fails at n >= {n}")
+        return np.zeros(ns.shape)
+
+    return ErrorSchedule.from_function(fn)
+
+
+def test_faults_raise_the_whole_pass_error(monkeypatch):
+    """With blocks of 7 and N = 30, every mix of faults raises the exception
+    and message of one pass over 1 .. N: F is checked at every n before any
+    schedule (a short table at n = 21, a nan or +inf at n = 25), even where
+    a schedule fails in an earlier block; sigma comes before rho; and a
+    short schedule table names n = 30, not the end of a block."""
     monkeypatch.setattr(schedules, "_INDEX_BLOCK", 7)
     N = 30
-    want = _raised(lambda: make_F().values(N))
-    for run in (fekete_infimum, fekete_limit_estimate):
-        got = _raised(lambda: run(make_F(), GapSchedule.zero(), ErrorSchedule.zero(), N))
-        assert got == want
-
-
-def test_a_short_schedule_table_names_the_horizon(monkeypatch):
-    """As a pass over n = 1 .. N would, not the end of the first block."""
-    monkeypatch.setattr(schedules, "_INDEX_BLOCK", 7)
-    F = sequence_from_spec(AFFINE_SQRT)
-    short_gap, short_error = GapSchedule.from_table([1] * 20), ErrorSchedule.from_table([1.0] * 20)
-    with pytest.raises(ScheduleRangeError, match=r"^gap table covers n <= 20, asked for n = 30$"):
-        fekete_infimum(F, short_gap, ErrorSchedule.zero(), 30)
-    with pytest.raises(ScheduleRangeError, match=r"^error table covers n <= 20, asked for n = 30$"):
-        fekete_infimum(F, GapSchedule.zero(), short_error, 30)
+    Fs = {
+        "ok": lambda: sequence_from_spec(AFFINE_SQRT),
+        "short-table": lambda: table_seq([1.0] * 20),
+        "late-nan": lambda: _late(np.nan),
+        "late-plus-inf": lambda: _late(np.inf),
+    }
+    sigmas = {"ok": GapSchedule.constant(1), "short-table": GapSchedule.from_table([1] * 20)}
+    rhos = {
+        "ok": ErrorSchedule.zero(),
+        "short-table": ErrorSchedule.from_table([1.0] * 20),
+        "hook": ErrorSchedule.from_hook(lambda symbols, j, n: 0.0),
+        "fails-in-block-two": _rho_failing_from(9),
+    }
+    for (fname, F), (sname, sigma), (rname, rho) in itertools.product(
+        Fs.items(), sigmas.items(), rhos.items()
+    ):
+        want = _raised(lambda: _whole_array_report(F(), sigma, rho, N))
+        assert (want is None) == (fname == sname == rname == "ok")
+        if fname != "ok":
+            assert want == _raised(lambda: F().values(N))
+        if (fname, sname) == ("ok", "short-table"):
+            assert want == (ScheduleRangeError, "gap table covers n <= 20, asked for n = 30")
+        for run in (fekete_infimum, fekete_limit_estimate):
+            assert _raised(lambda: run(F(), sigma, rho, N)) == want, (fname, sname, rname)
 
 
 @pytest.mark.parametrize("N", [10**6, 4 * 10**6])
