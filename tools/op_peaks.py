@@ -59,8 +59,7 @@ def measure(seed: int, workload: str, index: int, traced: bool) -> dict:
 
 
 def in_fresh_interpreter(seed: int, workload: str, index: int, traced: bool) -> dict:
-    env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1",
-               PYTHONDONTWRITEBYTECODE="1")
+    env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1")
     args = [sys.executable, __file__, "--one", str(seed), workload, str(index), str(int(traced))]
     done = subprocess.run(args, env=env, capture_output=True, text=True, check=True)
     return json.loads(done.stdout)
