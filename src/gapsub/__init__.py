@@ -13,9 +13,7 @@ __version__ = "0.2.0"
 
 from .decoupling import (
     DecouplingReport,
-    TheoremData,
     check_trajectory_subadditivity,
-    decoupling_to_theorem_data,
     minimal_decoupling_constants,
 )
 from .errors import (
@@ -31,9 +29,7 @@ from .errors import (
 from .estimators import (
     EntropyEstimate,
     MeanSeriesResult,
-    brute_force_kl_level,
     cross_entropy_estimate,
-    marginal_entropy,
     mean_convergence_series,
     relative_entropy_estimate,
 )

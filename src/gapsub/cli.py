@@ -29,11 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .decoupling import (
-    check_trajectory_subadditivity,
-    decoupling_to_theorem_data,
-    minimal_decoupling_constants,
-)
+from .decoupling import check_trajectory_subadditivity, minimal_decoupling_constants
 from .errors import (
     CapExceededError,
     ConfigError,
@@ -172,7 +168,8 @@ def _grid_from_spec(spec: str, N: int) -> np.ndarray:
 
 # default horizon cap of `fekete limit`, the cap on `fekete lift`'s table,
 # on the trials times N of `estimate mean`, on the n_max and m_max of
-# `decouple audit` and on every drawn path
+# `decouple audit`, on the tau of `decouple bound`, `decouple check` and
+# `steele run`, and on every drawn path
 _HORIZON_CAP = 10**7
 # tiles of a Steele run (at most n // r), each one object in decomposition.json
 _TILE_CAP = 10**5
@@ -212,7 +209,7 @@ _GRID = (_Param("grid", str, "geometric"), _Param("assume_decoupled", bool, Fals
 _PATH_ESTIMATE = (_Param("N", int, least=1), _SEED, _Param("offset", int, 0, least=0), *_GRID)
 _P_Q = (_Param("p", "measure", help="sampling measure spec"),
         _Param("q", "measure", help="evaluated measure spec"))
-_TAU = _Param("tau", int, 0, least=0)
+_TAU = _Param("tau", int, 0, least=0, cap="tau {}")
 _RHO_CONST = _Param("rho_const", float, None, least=0)
 _CAP = _Param("cap", int, 10**7, least=0)
 _LEVELS = _Param("n_max", int, 4, least=1)  # of `validate --semantic`
@@ -388,23 +385,25 @@ def _run_decouple_audit(a: dict) -> dict:
 def _run_decouple_bound(a: dict) -> dict:
     Q, tau = a["measure"], a["tau"]
     c = Q.kernel_bound(tau)
-    data = decoupling_to_theorem_data(c, tau)
     return {
         "bound.json": {
             "measure": Q.label,
             "tau": tau,
             "constant": c,
-            "rho": data.rho.to_json(),
-            "sigma": data.sigma.to_json(),
+            "rho": ErrorSchedule.constant(max(c, 0.0)).to_json(),
+            "sigma": GapSchedule.constant(tau).to_json(),
         }
     }
 
 
 def _run_steele(a: dict) -> dict:
     Q, n, r, K, tau = a["measure"], a["n"], a["r"], a["K"], a["tau"]
-    _drawn_length(n + K * r, "/n" if n > _HORIZON_CAP else "/K")
+    _drawn_length(n + K * r, "/n" if n > _HORIZON_CAP else "/r" if r > K else "/K")
     if n // r > _TILE_CAP:
         raise CapExceededError(f"up to n // r = {n // r} tiles exceed cap {_TILE_CAP}", "/r")
+    if r + tau >= n:
+        raise SchemaError([("/r", f"r + tau = {r + tau} must be < n = {n}: "
+                                  "no tile of length r + tau fits in [1, n - 1]")])
     rho_c = _rho_const(a)
     limit_value = a["limit"]
     if limit_value is None:
@@ -436,8 +435,11 @@ def _run_steele(a: dict) -> dict:
 
 def _run_traj_check(a: dict) -> dict:
     Q, N, tau = a["measure"], a["N"], a["tau"]
-    rho_c = _rho_const(a)
     _pairwise_horizon(N, PAIRWISE_CAP, "/N")
+    if N < tau + 2:
+        raise SchemaError([("/N", f"must be >= tau + 2 = {tau + 2}: at tau {tau} "
+                                  "no pair has n + tau + m <= N")])
+    rho_c = _rho_const(a)
     x = sample_trajectory(Q, N, a["seed"], stream=a["stream"])
     check = check_trajectory_subadditivity(
         x, Q, ErrorSchedule.constant(rho_c), GapSchedule.constant(tau), tol=a["tol"]

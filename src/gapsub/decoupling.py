@@ -20,7 +20,7 @@ import dataclasses
 
 import numpy as np
 
-from .errors import CapExceededError, ConfigError, DecouplingFailure, ScheduleRangeError
+from .errors import CapExceededError, ConfigError, ScheduleRangeError
 from .fekete import PAIRWISE_CAP, SubadditivityCheck, split_scan
 from .logspace import log_sum_exp_into
 from .measures import IIDMeasure, ShiftMeasure, _words_over_cap
@@ -257,45 +257,6 @@ def minimal_decoupling_constants(
         m_max=m_max,
         worst_pairs=tuple(worst),
         positivity_failures=tuple(failures),
-    )
-
-
-@dataclasses.dataclass(frozen=True)
-class TheoremData:
-    """Error and gap schedules ready for the limit machinery."""
-
-    rho: ErrorSchedule
-    sigma: GapSchedule
-    source: str
-
-
-def decoupling_to_theorem_data(
-    source: DecouplingReport | float,
-    tau: GapSchedule | int | None = None,
-) -> TheoremData:
-    """Package audited or bounded constants as (rho, sigma) schedules.
-
-    rho_n = max(c_n, 0): the subadditivity defect must be nonnegative
-    even when the audited constant is negative.  From a report the rho
-    table covers exactly the audited n range; from a scalar bound both
-    schedules are constant.  A failed report is refused.
-    """
-    if isinstance(source, DecouplingReport):
-        if source.failed:
-            raise DecouplingFailure(
-                "cannot build theorem schedules from a failed audit",
-                witnesses=[dataclasses.astuple(p) for p in source.positivity_failures],
-            )
-        rho = ErrorSchedule.from_table([max(c, 0.0) for c in source.constants])
-        return TheoremData(rho=rho, sigma=source.tau, source="audit")
-    c = float(source)
-    if not np.isfinite(c):
-        raise DecouplingFailure("cannot build theorem schedules from an infinite constant")
-    if tau is None:
-        raise ConfigError("a scalar constant needs an explicit gap")
-    sigma = tau if isinstance(tau, GapSchedule) else GapSchedule.constant(int(tau))
-    return TheoremData(
-        rho=ErrorSchedule.constant(max(c, 0.0)), sigma=sigma, source="bound"
     )
 
 

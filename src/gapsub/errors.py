@@ -61,11 +61,7 @@ class CapExceededError(GapsubError):
 
 
 class DecouplingFailure(GapsubError):
-    """Upper decoupling does not hold for the measure at the audited sizes."""
-
-    def __init__(self, message: str, witnesses: list[tuple] | None = None):
-        self.witnesses = witnesses or []
-        super().__init__(message)
+    """An estimate found no certificate: Q has no kernel bound and none was assumed."""
 
 
 class GapLiftError(GapsubError):

@@ -19,7 +19,6 @@ import dataclasses
 
 import numpy as np
 
-from .decoupling import DecouplingReport, TheoremData
 from .errors import ConfigError, DecouplingFailure, ValidationError
 from .measures import _TABLE_ENTRIES, ShiftMeasure
 from .sampling import checked_grid, kingman_rows, kingman_series, sample_paths, sample_trajectory
@@ -66,77 +65,37 @@ class EntropyEstimate:
         }
 
 
-def marginal_entropy(Q: ShiftMeasure, n: int, cap: int = 10**7) -> float:
-    """H(Q_n) = -sum_w Q_n(w) log Q_n(w) by enumeration."""
-    lv = Q.log_marginals_level(n, cap=cap)
-    finite = lv[np.isfinite(lv)]
-    return float(-(np.exp(finite) @ finite))
-
-
-def brute_force_kl_level(
-    P: ShiftMeasure, Q: ShiftMeasure, n: int, cap: int = 10**7
-) -> float:
-    """Exact D(P_n || Q_n) = sum_w P_n(w) log(P_n(w)/Q_n(w)) by enumeration.
-
-    +inf when some word has P-mass but no Q-mass.  Useful as a slow
-    cross-check of n times the rate estimates at small n.
-    """
-    if P.alphabet.size != Q.alphabet.size:
-        raise ConfigError("measures must share one alphabet")
-    lp = P.log_marginals_level(n, cap=cap)
-    lq = Q.log_marginals_level(n, cap=cap)
-    support = np.isfinite(lp)
-    if (~np.isfinite(lq) & support).any():
-        return float("inf")
-    p = np.exp(lp[support])
-    return float(p @ (lp[support] - lq[support]))
-
-
-def _resolve_decoupling(
-    P: ShiftMeasure, Q: ShiftMeasure, evidence: DecouplingReport | TheoremData | None,
-    assume_decoupled: bool,
-) -> dict:
+def _resolve_decoupling(P: ShiftMeasure, Q: ShiftMeasure, assume_decoupled: bool) -> dict:
     """The certificate that Q is upper-decoupling: {source, constant, tau}.
 
-    Without evidence or assumption it is Q's kernel bound at gap 0, source
-    "kernel"; raises DecouplingFailure when Q has none.  constant and tau
-    are null for the other sources, which carry no one number.  The
-    alphabets of P and Q are compared after the certificate is found.
+    Unless assumed, it is Q's kernel bound at gap 0, source "kernel";
+    raises DecouplingFailure when Q has none.  An assumption carries no
+    number, so its constant and tau are null.  The alphabets of P and Q
+    are compared after the certificate is found.
     """
-    constant = tau = None
     if assume_decoupled:
-        source = "assumed"
-    elif isinstance(evidence, TheoremData):
-        source = evidence.source
-    elif isinstance(evidence, DecouplingReport):
-        if evidence.failed:
-            raise DecouplingFailure(
-                f"audit of {evidence.measure_label} failed; the series need not converge",
-                witnesses=[dataclasses.astuple(p) for p in evidence.positivity_failures],
-            )
-        source = "audit"
+        certificate = {"source": "assumed", "constant": None, "tau": None}
     else:
-        source, tau = "kernel", 0
         try:
-            constant = Q.kernel_bound(0)
+            certificate = {"source": "kernel", "constant": Q.kernel_bound(0), "tau": 0}
         except ValidationError as exc:
             raise DecouplingFailure(
                 f"no decoupling certificate for {Q.label} ({exc}); pass "
-                "--assume-decoupled (library: assume_decoupled=True or an audit report)"
+                "--assume-decoupled (library: assume_decoupled=True)"
             ) from exc
     if P.alphabet.size != Q.alphabet.size:
         raise ConfigError("measures must share one alphabet")
-    return {"source": source, "constant": constant, "tau": tau}
+    return certificate
 
 
-def _path_estimate(kind, P, Q, N, seed, grid, offset, stream, decoupling, assume_decoupled):
+def _path_estimate(kind, P, Q, N, seed, grid, offset, stream, assume_decoupled):
     """The one-path estimate of kind "cross" or "relative"; see the public estimators.
 
     (1/n) log Q_n along x ~ P drawn on stream (seed, stream), less (1/n)
     log P_n for "relative"; x has N + offset symbols and evaluation
     starts after the first offset.
     """
-    certificate = _resolve_decoupling(P, Q, decoupling, assume_decoupled)
+    certificate = _resolve_decoupling(P, Q, assume_decoupled)
     x = sample_trajectory(P, N + offset, seed, stream)
     series = kingman_series(x, Q, grid=grid, offset=offset)
     if kind == "relative":
@@ -153,7 +112,6 @@ def cross_entropy_estimate(
     grid: np.ndarray | None = None,
     offset: int = 0,
     stream: int = 0,
-    decoupling: DecouplingReport | TheoremData | None = None,
     assume_decoupled: bool = False,
 ) -> EntropyEstimate:
     """Single-trajectory cross entropy rate of P against Q.
@@ -162,8 +120,7 @@ def cross_entropy_estimate(
     without a decoupling certificate for Q, since the almost-sure limit
     is only guaranteed under upper decoupling.
     """
-    return _path_estimate("cross", P, Q, N, seed, grid, offset, stream, decoupling,
-                          assume_decoupled)
+    return _path_estimate("cross", P, Q, N, seed, grid, offset, stream, assume_decoupled)
 
 
 def relative_entropy_estimate(
@@ -174,7 +131,6 @@ def relative_entropy_estimate(
     grid: np.ndarray | None = None,
     offset: int = 0,
     stream: int = 0,
-    decoupling: DecouplingReport | TheoremData | None = None,
     assume_decoupled: bool = False,
 ) -> EntropyEstimate:
     """Single-trajectory relative entropy rate of P against Q.
@@ -185,8 +141,7 @@ def relative_entropy_estimate(
     P-side series is always finite because sampling never leaves the
     support of P.
     """
-    return _path_estimate("relative", P, Q, N, seed, grid, offset, stream, decoupling,
-                          assume_decoupled)
+    return _path_estimate("relative", P, Q, N, seed, grid, offset, stream, assume_decoupled)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -221,7 +176,6 @@ def mean_convergence_series(
     trials: int,
     seed: int,
     grid: np.ndarray | None = None,
-    decoupling: DecouplingReport | TheoremData | None = None,
     assume_decoupled: bool = False,
 ) -> MeanSeriesResult:
     """Average the normalized log Q_n series over independent trials.
@@ -240,7 +194,7 @@ def mean_convergence_series(
     it keeps the grid[-1] that the grid reads, and the kept paths are
     evaluated as the rows of kingman_rows.
     """
-    certificate = _resolve_decoupling(P, Q, decoupling, assume_decoupled)
+    certificate = _resolve_decoupling(P, Q, assume_decoupled)
     if trials < 2:
         raise ConfigError("mean mode needs at least 2 trials")
     grid = checked_grid(geometric_grid(N) if grid is None else grid, 0, N)

@@ -79,9 +79,9 @@ def trial_rows(P, Q, N: int, trials: int, seed: int, grid: np.ndarray) -> np.nda
 
 
 def mean_convergence_series(
-    P, Q, N, trials, seed, grid=None, decoupling=None, assume_decoupled=False
+    P, Q, N, trials, seed, grid=None, assume_decoupled=False
 ) -> MeanSeriesResult:
-    certificate = _resolve_decoupling(P, Q, decoupling, assume_decoupled)
+    certificate = _resolve_decoupling(P, Q, assume_decoupled)
     grid = np.asarray(geometric_grid(N) if grid is None else grid, dtype=np.int64)
     rows = trial_rows(P, Q, N, trials, seed, grid)
     with np.errstate(invalid="ignore"):

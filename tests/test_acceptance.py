@@ -25,11 +25,9 @@ from gapsub import (
     GapSchedule,
     IIDMeasure,
     MarkovMeasure,
-    brute_force_kl_level,
     check_gapped_subadditivity,
     check_trajectory_subadditivity,
     cross_entropy_estimate,
-    decoupling_to_theorem_data,
     fekete_infimum,
     gap_lift,
     mean_convergence_series,
@@ -50,6 +48,7 @@ from gapsub.steele import (
 
 from audit_oracle import decoupling_defect
 from conftest import ACCEPTANCE_VERDICTS, WORKED_H, WORKED_H_PI, WORKED_P
+from level_oracle import brute_force_kl_level
 
 
 def report(criterion: int, ok: bool, detail: str) -> None:
@@ -194,13 +193,13 @@ def test_criterion_05_decoupling_audits(worked_chain, iid_biased, half_half_mixt
 
 def test_criterion_06_certified_schedules_hold_on_paths(worked_chain):
     c = worked_chain.kernel_bound(0)
-    data = decoupling_to_theorem_data(c, 0)
+    rho, sigma = ErrorSchedule.constant(max(c, 0.0)), GapSchedule.zero()
     violations = 0
     worst = 0.0
     for t in range(10):
         x = sample_trajectory(worked_chain, 2000, seed=606, stream=t)
         chk = check_trajectory_subadditivity(
-            x, worked_chain, data.rho, data.sigma, tol=1e-10
+            x, worked_chain, rho, sigma, tol=1e-10
         )
         violations += chk.violation_count
         worst = max(worst, chk.max_excess)

@@ -553,7 +553,13 @@ DRAWN_OVER_CAP = {
     "mean": (["estimate", "mean", "--p", "{m}", "--q", "{m}", "--N", "1000000000000",
               "--trials", "1", "--seed", "1"], "/N", 10**12),
     "steele-K": (["steele", "run", "--measure", "{m}", "--n", "100", "--r", "1000000000",
-                  "--K", "1000000", "--eps", "0.1", "--seed", "1"], "/K", 10**15 + 100),
+                  "--K", "1000000", "--eps", "0.1", "--seed", "1"], "/r", 10**15 + 100),
+    "steele-huge-r": (["steele", "run", "--measure", "{m}", "--n", "1000",
+                       "--r", "4611686018427387904", "--K", "2", "--eps", "0.1", "--seed", "1"],
+                      "/r", 2**63 + 1000),
+    "steele-K-over-r": (["steele", "run", "--measure", "{m}", "--n", "100", "--r", "2",
+                         "--K", "1000000000000000", "--eps", "0.1", "--seed", "1"],
+                        "/K", 2 * 10**15 + 100),
     "steele-n": (["steele", "run", "--measure", "{m}", "--n", "100000000", "--r", "2",
                   "--K", "2", "--eps", "0.1", "--seed", "1"], "/n", 10**8 + 4),
     "decouple-check": (["decouple", "check", "--measure", "{m}", "--N", "1000000000000",
@@ -591,6 +597,67 @@ def test_the_tile_cap_admits_exactly_its_count(tmp_path, monkeypatch):
             "--seed", "1"]
     assert main(argv + ["--n", "81", "--outdir", str(tmp_path / "a")]) == 0
     assert main(argv + ["--n", "82", "--outdir", str(tmp_path / "b")]) == 4
+
+
+# a gap over the cap (exit 4), and a check or run that would compare
+# nothing (exit 2): each refused at its pointer before any work
+REFUSED_BEFORE_WORK = {
+    "bound-tau": (["decouple", "bound", "--measure", "{m}", "--tau", "4611686018427387904"],
+                  4, "cap: /tau: tau 4611686018427387904 exceeds cap 10000000"),
+    "check-tau": (["decouple", "check", "--measure", "{m}", "--N", "100", "--seed", "1",
+                   "--tau", "4611686018427387904"],
+                  4, "cap: /tau: tau 4611686018427387904 exceeds cap 10000000"),
+    "steele-tau": (["steele", "run", "--measure", "{m}", "--n", "100", "--r", "2", "--K", "2",
+                    "--eps", "0.1", "--seed", "1", "--tau", "4611686018427387904"],
+                   4, "cap: /tau: tau 4611686018427387904 exceeds cap 10000000"),
+    "check-no-pair": (["decouple", "check", "--measure", "{m}", "--N", "5", "--seed", "1",
+                       "--tau", "4"],
+                      2, "schema: /N: must be >= tau + 2 = 6: at tau 4 no pair has n + tau + m <= N"),
+    "steele-no-tile": (["steele", "run", "--measure", "{m}", "--n", "100", "--r", "200",
+                        "--K", "1", "--eps", "0.1", "--seed", "1"],
+                       2, "schema: /r: r + tau = 200 must be < n = 100: no tile"),
+    "steele-r-is-n": (["steele", "run", "--measure", "{m}", "--n", "100", "--r", "100",
+                       "--K", "1", "--eps", "0.1", "--seed", "1"],
+                      2, "schema: /r: r + tau = 100 must be < n = 100: no tile"),
+    "steele-gap-fills-n": (["steele", "run", "--measure", "{m}", "--n", "100", "--r", "2",
+                            "--K", "1", "--eps", "0.1", "--seed", "1", "--tau", "98"],
+                           2, "schema: /r: r + tau = 100 must be < n = 100: no tile"),
+}
+
+
+@pytest.mark.parametrize("case", list(REFUSED_BEFORE_WORK))
+def test_a_huge_gap_or_an_empty_check_is_refused_before_work(tmp_path, capsys, case):
+    argv, code, message = REFUSED_BEFORE_WORK[case]
+    m = write_json(tmp_path, "m.json", WORKED_SPEC)
+    out = tmp_path / "o"
+    start = time.perf_counter()
+    rc = main([m if a == "{m}" else a for a in argv] + ["--outdir", str(out)])
+    took = time.perf_counter() - start
+    assert rc == code
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+    assert took < 1.0
+
+
+def test_the_gap_cap_admits_exactly_its_value(tmp_path):
+    """tau = 10^7 is bounded; one more is refused."""
+    m = write_json(tmp_path, "m.json", WORKED_SPEC)
+    argv = ["decouple", "bound", "--measure", m]
+    assert main(argv + ["--tau", "10000000", "--outdir", str(tmp_path / "a")]) == 0
+    assert main(argv + ["--tau", "10000001", "--outdir", str(tmp_path / "b")]) == 4
+
+
+def test_the_shortest_checks_that_compare_something_run(tmp_path):
+    """N = tau + 2 holds one pair, and r + tau = n - 1 fits one tile of depth one."""
+    m = write_json(tmp_path, "m.json", WORKED_SPEC)
+    out = tmp_path / "check"
+    assert main(["decouple", "check", "--measure", m, "--N", "6", "--seed", "1", "--tau", "4",
+                 "--outdir", str(out)]) == 0
+    assert np.isfinite(json.loads((out / "check.json").read_text())["max_excess"])
+    out = tmp_path / "steele"
+    assert main(["steele", "run", "--measure", m, "--n", "100", "--r", "97", "--K", "1",
+                 "--eps", "0.1", "--seed", "1", "--tau", "2", "--outdir", str(out)]) == 0
+    assert len(json.loads((out / "decomposition.json").read_text())["intervals"]) == 1
 
 
 @pytest.mark.parametrize("case", list(DRAWN_OVER_CAP))

@@ -12,7 +12,6 @@ from hypothesis import assume, given, settings, strategies as st
 from gapsub import (
     CapExceededError,
     ConfigError,
-    DecouplingFailure,
     ErrorSchedule,
     GapSchedule,
     HiddenMarkovMeasure,
@@ -22,7 +21,6 @@ from gapsub import (
     ShiftMeasure,
     ValidationError,
     check_trajectory_subadditivity,
-    decoupling_to_theorem_data,
     minimal_decoupling_constants,
     sample_trajectory,
     stationary_distribution,
@@ -297,8 +295,6 @@ def test_positivity_failure_is_recorded_and_refused():
     assert rep.positivity_failures
     pf = rep.positivity_failures[0]
     assert pf.a == (0,) and pf.b == (1,)
-    with pytest.raises(DecouplingFailure):
-        decoupling_to_theorem_data(rep)
 
 
 @pytest.mark.parametrize("budget", [None, 1, 16], ids=["default", "one", "sixteen"])
@@ -317,32 +313,6 @@ def test_positivity_failures_keep_their_order_and_cap(monkeypatch, tau, budget):
     )
     assert rep.constants == (np.inf,) * 3
     assert json.dumps(rep.to_json()) == json.dumps(whole_level_audit(Q, 3, 3, gap).to_json())
-
-
-# ------------------------------------------------------------ theorem data
-
-
-def test_theorem_data_from_report(worked_chain):
-    tau = GapSchedule.constant(1)
-    rep = minimal_decoupling_constants(worked_chain, 3, 3, tau)
-    data = decoupling_to_theorem_data(rep)
-    assert data.source == "audit"
-    assert data.sigma == tau
-    for n in (1, 2, 3):
-        assert data.rho.value(n) == max(rep.constant(n), 0.0)
-
-
-def test_theorem_data_from_scalar():
-    data = decoupling_to_theorem_data(0.7, tau=2)
-    assert data.source == "bound"
-    assert data.rho.value(100) == 0.7
-    assert data.sigma.value(100) == 2
-    clamped = decoupling_to_theorem_data(-0.3, tau=0)
-    assert clamped.rho.value(5) == 0.0
-    with pytest.raises(ConfigError):
-        decoupling_to_theorem_data(0.5)
-    with pytest.raises(DecouplingFailure):
-        decoupling_to_theorem_data(float("inf"), tau=0)
 
 
 # ------------------------------------------------- trajectory inequalities

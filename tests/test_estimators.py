@@ -9,17 +9,12 @@ import pytest
 from gapsub import (
     ConfigError,
     DecouplingFailure,
-    GapSchedule,
     HiddenMarkovMeasure,
     IIDMeasure,
     MarkovMeasure,
     MixtureMeasure,
-    brute_force_kl_level,
     cross_entropy_estimate,
-    decoupling_to_theorem_data,
-    marginal_entropy,
     mean_convergence_series,
-    minimal_decoupling_constants,
     relative_entropy_estimate,
 )
 from gapsub.sampling import kingman_series, sample_trajectory
@@ -32,6 +27,7 @@ from conftest import (
     WORKED_PI,
     entropy_of,
 )
+from level_oracle import brute_force_kl_level, marginal_entropy
 
 
 # ------------------------------------------------------------ closed forms
@@ -214,17 +210,14 @@ def test_estimator_refuses_non_stationary_markov():
 
 
 def test_estimator_accepts_certificates(worked_chain):
-    rep = minimal_decoupling_constants(worked_chain, 3, 3, GapSchedule.zero())
-    est = cross_entropy_estimate(worked_chain, worked_chain, N=50, seed=1, decoupling=rep)
-    assert est.certificate["source"] == "audit"
-    data = decoupling_to_theorem_data(worked_chain.kernel_bound(0), 0)
-    est2 = cross_entropy_estimate(worked_chain, worked_chain, N=50, seed=1, decoupling=data)
-    assert est2.certificate["source"] == "bound"
-    est3 = cross_entropy_estimate(worked_chain, worked_chain, N=50, seed=1)
-    assert est3.certificate == {
+    est = cross_entropy_estimate(worked_chain, worked_chain, N=50, seed=1)
+    assert est.certificate == {
         "source": "kernel", "constant": worked_chain.kernel_bound(0), "tau": 0
     }
-    assert est3.to_json()["certificate"] == est3.certificate
+    assert est.to_json()["certificate"] == est.certificate
+    assumed = cross_entropy_estimate(worked_chain, worked_chain, N=50, seed=1,
+                                     assume_decoupled=True)
+    assert assumed.certificate == {"source": "assumed", "constant": None, "tau": None}
 
 
 def test_alphabet_mismatch_on_an_uncertified_q_is_a_decoupling_failure_first():

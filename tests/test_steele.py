@@ -14,7 +14,6 @@ from gapsub import (
     HiddenMarkovMeasure,
     MarkovMeasure,
     ValidationError,
-    marginal_entropy,
     sample_trajectory,
     stationary_distribution,
 )
@@ -35,6 +34,7 @@ from gapsub.steele import (
 
 import steele_oracle as oracle
 from conftest import WORKED_H
+from level_oracle import marginal_entropy
 
 
 def zero_rho(js, m):
