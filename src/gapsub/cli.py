@@ -12,9 +12,13 @@ against it before the runner starts, so a refusal names the parameter's
 JSON pointer.  The constructors validate every spec: one read from a file
 or a manifest is checked by building it, and a rejection names its field.
 
-Exit codes: 0 success, 2 bad configuration or schema, 3 failed numeric
-validation, 4 enumeration cap exceeded, 5 decoupling failure, 1 other
-errors.
+Every refusal is a GapsubError, reported by main in one place as "label:
+pointer: message" on stderr; on rerun the pointer sits under
+/config/params.  The label and the exit code live on the error classes
+(errors.py): 2 bad configuration or schema (ConfigError, SchemaError), 3
+failed numeric validation (ValidationError), 4 enumeration cap exceeded
+(CapExceededError), 5 decoupling failure (DecouplingFailure), 1 other
+errors; 0 is success.
 """
 from __future__ import annotations
 
@@ -33,12 +37,9 @@ from .decoupling import check_trajectory_subadditivity, minimal_decoupling_const
 from .errors import (
     CapExceededError,
     ConfigError,
-    DecouplingFailure,
-    GapLiftError,
     GapsubError,
     REQUIRED,
     SchemaError,
-    ScheduleRangeError,
     ValidationError,
     param,
 )
@@ -117,7 +118,7 @@ def schema_validate(obj, kind: str = "auto") -> list[tuple[str, str]]:
             build(obj)
             return []
         except SchemaError as exc:
-            problems += exc.problems
+            problems.append((exc.pointer, exc.message))
     # a rule that only the other kind knows is not the document's problem
     return sorted(problems, key=lambda problem: problem[0] == "/rule")[:1]
 
@@ -168,11 +169,15 @@ def _grid_from_spec(spec: str, N: int) -> np.ndarray:
 
 # default horizon cap of `fekete limit`, the cap on `fekete lift`'s table,
 # on the trials times N of `estimate mean`, on the n_max and m_max of
-# `decouple audit`, on the tau of `decouple bound`, `decouple check` and
-# `steele run`, and on every drawn path
+# `decouple audit`, on the integer tau of every `decouple` subcommand and
+# of `steele run`, and on every drawn path
 _HORIZON_CAP = 10**7
-# tiles of a Steele run (at most n // r), each one object in decomposition.json
-_TILE_CAP = 10**5
+# entries one artifact lists: the tiles of a Steele run (at most n // r),
+# each one object in decomposition.json, and the n values of an audit's
+# report.json
+_ENTRY_CAP = 10**5
+_PATH = "a path of {} symbols"  # the noun of a drawn length's refusal
+_PAIRWISE = "pairwise check at N = {}"
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +206,7 @@ class _Param:
 
 
 _MEASURE = _Param("measure", "measure")
-_DRAWN_N = _Param("N", int, least=1, cap="a path of {} symbols")
+_DRAWN_N = _Param("N", int, least=1, cap=_PATH)
 _SEED = _Param("seed", int, least=0)
 _STREAM = _Param("stream", int, 0, least=0)
 _DRAW = (_MEASURE, _DRAWN_N, _SEED, _STREAM)
@@ -223,8 +228,8 @@ def _read(d: _Param, p: dict):
 
     run reads a subcommand's params in their declared order, so the first
     refusal is at the first bad key: a SchemaError below its range, a
-    CapExceededError above _HORIZON_CAP.  Limits that join two params are
-    left to the runners.
+    CapExceededError above _HORIZON_CAP.  Limits that join two params, or
+    that are tighter than _HORIZON_CAP, are left to the runners.
     """
     value, here = p.get(d.key), f"/{d.key}"
     if d.kind == "int|gap" and isinstance(value, dict):
@@ -239,25 +244,19 @@ def _read(d: _Param, p: dict):
         return build(value, here)
     value = param(p, d.key, int if d.kind == "int|gap" else d.kind, d.default)
     if value is not None and d.positive and value <= 0:
-        raise SchemaError([(here, "must be positive")])
+        raise SchemaError("must be positive", here)
     if value is not None and d.least is not None and value < d.least:
         need = "nonnegative" if d.least == 0 else f">= {d.least}"
-        raise SchemaError([(here, f"must be {need}")])
-    if d.cap and value > _HORIZON_CAP:
-        raise CapExceededError(f"{d.cap.format(value)} exceeds cap {_HORIZON_CAP}", here)
+        raise SchemaError(f"must be {need}", here)
+    if d.cap:
+        _over_cap(value, _HORIZON_CAP, d.cap, here)
     return GapSchedule.constant(value) if d.kind == "int|gap" else value
 
 
-def _drawn_length(length: int, pointer: str) -> None:
-    """Refuse, at pointer, a path of more than _HORIZON_CAP symbols before it is drawn."""
-    if length > _HORIZON_CAP:
-        raise CapExceededError(f"a path of {length} symbols exceeds cap {_HORIZON_CAP}", pointer)
-
-
-def _pairwise_horizon(N: int, cap: int, pointer: str) -> None:
-    """Refuse, at pointer, a pairwise check of horizon N above cap before it starts."""
-    if N > cap:
-        raise CapExceededError(f"pairwise check at N = {N} exceeds cap {cap}", pointer)
+def _over_cap(value: int, cap: int, what: str, pointer: str) -> None:
+    """Refuse, at pointer, a value above cap before any work; what.format(value) names it."""
+    if value > cap:
+        raise CapExceededError(f"{what.format(value)} exceeds cap {cap}", pointer)
 
 
 def _rho_const(a: dict) -> float:
@@ -275,22 +274,21 @@ def _rho_const(a: dict) -> float:
 
 def _run_fekete_check(a: dict) -> dict:
     cap = PAIRWISE_CAP if a["cap"] is None else a["cap"]
-    _pairwise_horizon(a["N"], cap, "/N")
+    _over_cap(a["N"], cap, _PAIRWISE, "/N")
     check = check_gapped_subadditivity(a["sequence"], a["sigma"], a["rho"], a["N"], a["tol"], cap)
     return {"check.json": check.to_json()}
 
 
 def _run_fekete_limit(a: dict) -> dict:
     N, cap = a["N"], _HORIZON_CAP if a["cap"] is None else a["cap"]
-    if N > cap:
-        raise CapExceededError(f"horizon {N} exceeds cap {cap}; pass cap >= N to allow", "/N")
+    _over_cap(N, cap, "horizon {}", "/N")
     est = fekete_limit_estimate(a["sequence"], a["sigma"], a["rho"], N, stride=a["stride"])
     return {"report.json": est.report.to_json(), "series.csv": est.series.csv_text()}
 
 
 def _run_fekete_lift(a: dict) -> dict:
     probe_N, table_N = a["probe_N"], a["table_N"]
-    _pairwise_horizon(probe_N, PAIRWISE_CAP, "/probe_N")
+    _over_cap(probe_N, PAIRWISE_CAP, _PAIRWISE, "/probe_N")
     rho = gap_lift(a["sequence"], a["sigma"], probe_N=probe_N)
     table = rho.values(np.arange(1, table_N + 1, dtype=np.int64))
     rho_json = {"rule": "table", "params": {"values": table.tolist()}}
@@ -320,7 +318,7 @@ def _run_sample(a: dict) -> dict:
 def _path_estimate(estimate, P: ShiftMeasure, Q: ShiftMeasure, a: dict):
     """(est, est.to_json()) of estimate(P, Q, ...) on the N, offset, grid and seed of a."""
     N, offset = a["N"], a["offset"]
-    _drawn_length(N + offset, "/N")
+    _over_cap(N + offset, _HORIZON_CAP, _PATH, "/N")
     est = estimate(
         P, Q, N, a["seed"], grid=_grid_from_spec(a["grid"], N), offset=offset,
         assume_decoupled=a["assume_decoupled"],
@@ -360,8 +358,8 @@ def _run_estimate(a: dict, mode: str) -> dict:
 
 def _run_estimate_mean(a: dict) -> dict:
     P, Q, N, trials = a["p"], a["q"], a["N"], a["trials"]
-    if trials * N > _HORIZON_CAP:
-        raise CapExceededError(f"{trials} trials of {N} symbols exceed cap {_HORIZON_CAP}", "/trials")
+    _over_cap(trials * N, _HORIZON_CAP, f"a draw of {{}} symbols ({trials} trials of {N})",
+              "/trials")
     res = mean_convergence_series(
         P, Q, N, trials, a["seed"], grid=_grid_from_spec(a["grid"], N),
         assume_decoupled=a["assume_decoupled"],
@@ -376,6 +374,7 @@ def _run_estimate_mean(a: dict) -> dict:
 
 
 def _run_decouple_audit(a: dict) -> dict:
+    _over_cap(a["n_max"], _ENTRY_CAP, "n_max {}", "/n_max")
     report = minimal_decoupling_constants(
         a["measure"], a["n_max"], a["m_max"], a["tau"], cap=a["cap"]
     )
@@ -398,12 +397,12 @@ def _run_decouple_bound(a: dict) -> dict:
 
 def _run_steele(a: dict) -> dict:
     Q, n, r, K, tau = a["measure"], a["n"], a["r"], a["K"], a["tau"]
-    _drawn_length(n + K * r, "/n" if n > _HORIZON_CAP else "/r" if r > K else "/K")
-    if n // r > _TILE_CAP:
-        raise CapExceededError(f"up to n // r = {n // r} tiles exceed cap {_TILE_CAP}", "/r")
+    path_pointer = "/n" if n > _HORIZON_CAP else "/r" if r > K else "/K"
+    _over_cap(n + K * r, _HORIZON_CAP, _PATH, path_pointer)
+    _over_cap(n // r, _ENTRY_CAP, "a decomposition of up to n // r = {} tiles", "/r")
     if r + tau >= n:
-        raise SchemaError([("/r", f"r + tau = {r + tau} must be < n = {n}: "
-                                  "no tile of length r + tau fits in [1, n - 1]")])
+        raise SchemaError(f"r + tau = {r + tau} must be < n = {n}: "
+                          "no tile of length r + tau fits in [1, n - 1]", "/r")
     rho_c = _rho_const(a)
     limit_value = a["limit"]
     if limit_value is None:
@@ -417,6 +416,8 @@ def _run_steele(a: dict) -> dict:
         limit_value, r, K, a["eps"],
     )
     d = steele_decompose(ctx, n)
+    if not d.intervals:  # offset 0 is good at a depth whose tile is longer than n - 1
+        raise ValidationError(f"the decomposition of this path lays no tile in [1, {n - 1}]", "/n")
     cover = verify_cover_bounds(d, ctx)
     ub = verify_ub_rep(d, ctx)
     depths = verify_depths(d, ctx)
@@ -435,10 +436,10 @@ def _run_steele(a: dict) -> dict:
 
 def _run_traj_check(a: dict) -> dict:
     Q, N, tau = a["measure"], a["N"], a["tau"]
-    _pairwise_horizon(N, PAIRWISE_CAP, "/N")
+    _over_cap(N, PAIRWISE_CAP, _PAIRWISE, "/N")
     if N < tau + 2:
-        raise SchemaError([("/N", f"must be >= tau + 2 = {tau + 2}: at tau {tau} "
-                                  "no pair has n + tau + m <= N")])
+        raise SchemaError(f"must be >= tau + 2 = {tau + 2}: at tau {tau} "
+                          "no pair has n + tau + m <= N", "/N")
     rho_c = _rho_const(a)
     x = sample_trajectory(Q, N, a["seed"], stream=a["stream"])
     check = check_trajectory_subadditivity(
@@ -489,7 +490,7 @@ _SUBCOMMANDS = {
     "decouple.audit": (_run_decouple_audit, (
         _MEASURE, _Param("n_max", int, least=1, cap="n_max {}"),
         _Param("m_max", int, least=1, cap="m_max {}"),
-        _Param("tau", "int|gap", 0, least=0), _CAP,
+        _Param("tau", "int|gap", 0, least=0, cap="tau {}"), _CAP,
     )),
     "decouple.bound": (_run_decouple_bound, (_MEASURE, _TAU)),
     "decouple.check": (_run_traj_check, (*_DRAW, _TAU, _RHO_CONST, _Param("tol", float, 1e-10))),
@@ -620,13 +621,12 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     if args.command == "fekete":
         spec = _load_json(args.spec)
         if not isinstance(spec, dict):
-            raise SchemaError([("", "a fekete spec must be an object")])
+            raise SchemaError("a fekete spec must be an object")
         return RunConfig(subcommand, spec)
     if args.command == "validate":
         obj = _load_json(args.file)
-        problems = schema_validate(obj, args.kind)
-        if problems:
-            raise SchemaError(problems)
+        for pointer, message in schema_validate(obj, args.kind):  # at most one
+            raise SchemaError(message, pointer)
         if isinstance(obj, dict) and "family" in obj and args.semantic:
             return RunConfig("validate.measure", {"measure": obj, "n_max": args.n_max})
         return RunConfig("noop", {})
@@ -656,28 +656,12 @@ def main(argv: list[str] | None = None) -> int:
         run(config, args.outdir)
     except _ValidationWithArtifacts as exc:
         print(json.dumps(exc.report, indent=2, sort_keys=True), file=sys.stderr)
-        return 3
-    except SchemaError as exc:
-        # a manifest's params sit under /config/params
-        base = "/config/params" if args.command == "rerun" else ""
-        for ptr, msg in exc.problems:
-            print(f"schema: {base + ptr or '/'}: {msg}", file=sys.stderr)
-        return 2
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValidationError, ScheduleRangeError, GapLiftError) as exc:
-        print(f"validation: {exc}", file=sys.stderr)
-        return 3
-    except CapExceededError as exc:
-        print(f"cap: {exc}", file=sys.stderr)
-        return 4
-    except DecouplingFailure as exc:
-        print(f"decoupling: {exc}", file=sys.stderr)
-        return 5
+        return exc.exit_code
     except GapsubError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        # a manifest's params sit under /config/params
+        base = "/config/params" if args.command == "rerun" and exc.pointer else ""
+        print(f"{exc.label}: {base}{exc}", file=sys.stderr)
+        return exc.exit_code
     return 0
 
 

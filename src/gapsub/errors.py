@@ -1,12 +1,12 @@
 """Exception types shared across the package, and the JSON-pointer plumbing.
 
-Every error raised on a user-facing path derives from GapsubError so CLI
-code can map failures to exit codes in one place.  The constructors are
-the only validators of their input: one that rejects a single field sets
-the error's pointer to it ("/P/0").  The JSON builders (measure_from_spec,
-sequence_from_spec, the schedules' from_json) re-raise a rejection through
-schema_errors as a SchemaError, prefixing the pointer with the object's
-place in its document.
+Every error raised on a user-facing path derives from GapsubError, and
+each class declares how the CLI reports it: the label that starts its line
+and the process's exit code.  The constructors are the only validators of
+their input: one that rejects a single field sets the error's pointer to
+it ("/P/0").  The JSON builders (measure_from_spec, sequence_from_spec,
+the schedules' from_json) re-raise a rejection through schema_errors as a
+SchemaError, prefixing the pointer with the object's place in its document.
 """
 from __future__ import annotations
 
@@ -19,52 +19,61 @@ class GapsubError(Exception):
     """Base class for all package errors.
 
     pointer, when set, is the JSON pointer of the offending field
-    relative to the object being built, such as "/P/0".
+    relative to the object being built, such as "/P/0".  label and
+    exit_code are the CLI's report of the class: "label: pointer: message"
+    on stderr ("label: message" with no pointer), then exit with exit_code.
     """
+
+    label = "error"
+    exit_code = 1
 
     def __init__(self, message: str = "", pointer: str = ""):
         super().__init__(message)
+        self.message = message
         self.pointer = pointer
 
     def __str__(self) -> str:
-        message = super().__str__()
-        return f"{self.pointer}: {message}" if self.pointer else message
+        return f"{self.pointer}: {self.message}" if self.pointer else self.message
 
 
 class ConfigError(GapsubError):
     """Malformed run configuration or command-line input."""
 
+    exit_code = 2
+
 
 class SchemaError(ConfigError):
-    """A JSON document failed structural validation.
+    """A JSON document failed structural validation at pointer."""
 
-    Carries (pointer, message) pairs so callers can point at the exact
-    offending field.
-    """
-
-    def __init__(self, problems: list[tuple[str, str]]):
-        self.problems = list(problems)
-        lines = ", ".join(f"{ptr}: {msg}" for ptr, msg in self.problems)
-        super().__init__(f"schema validation failed: {lines}")
+    label = "schema"
 
 
 class ValidationError(GapsubError):
     """A numeric object violates its contract (normalization, consistency)."""
 
+    label = "validation"
+    exit_code = 3
 
-class ScheduleRangeError(GapsubError):
+
+class ScheduleRangeError(ValidationError):
     """A schedule was queried outside its defined range."""
 
 
 class CapExceededError(GapsubError):
     """An exact enumeration would exceed the configured work cap."""
 
+    label = "cap"
+    exit_code = 4
+
 
 class DecouplingFailure(GapsubError):
     """An estimate found no certificate: Q has no kernel bound and none was assumed."""
 
+    label = "decoupling"
+    exit_code = 5
 
-class GapLiftError(GapsubError):
+
+class GapLiftError(ValidationError):
     """The base sequence is not plainly subadditive, so no lift is defined."""
 
 
@@ -77,10 +86,8 @@ def schema_errors(prefix: str = ""):
     """
     try:
         yield
-    except SchemaError as exc:
-        raise SchemaError([(prefix + ptr, msg) for ptr, msg in exc.problems]) from exc
     except (ConfigError, ValidationError) as exc:
-        raise SchemaError([(prefix + exc.pointer, exc.args[0])]) from exc
+        raise SchemaError(exc.message, prefix + exc.pointer) from exc
 
 
 REQUIRED = object()  # the default of a param that must be given
@@ -98,7 +105,7 @@ def param(obj, key, kind: type, default=REQUIRED, pointer: str = ""):
     value = obj.get(key) if isinstance(obj, dict) else obj[key]
     if value is None:
         if default is REQUIRED:
-            raise SchemaError([(here, "missing")])
+            raise SchemaError("missing", here)
         return default
     if kind in (bool, str):
         ok = isinstance(value, kind)
@@ -109,5 +116,5 @@ def param(obj, key, kind: type, default=REQUIRED, pointer: str = ""):
     else:  # also false for nan, and for an int beyond the float range
         ok = abs(value) <= sys.float_info.max
     if not ok:
-        raise SchemaError([(here, f"must be {_KINDS[kind]}")])
+        raise SchemaError(f"must be {_KINDS[kind]}", here)
     return kind(value)

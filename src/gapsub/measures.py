@@ -264,9 +264,6 @@ class ShiftMeasure(abc.ABC):
         return float(cross - self.entropy_rate())
 
     @abc.abstractmethod
-    def to_spec(self) -> dict: ...
-
-    @abc.abstractmethod
     def _sample_rows(self, n: int, rngs: Sequence[np.random.Generator]) -> np.ndarray:
         """A (len(rngs), n) int64 array whose row i is bit for bit the path rngs[i] draws alone."""
 
@@ -637,9 +634,6 @@ class IIDMeasure(ShiftMeasure):
     def _chain(self) -> "MarkovMeasure":
         return MarkovMeasure(np.tile(self.p, (self.alphabet.size, 1)))
 
-    def to_spec(self) -> dict:
-        return {"family": "iid", "p": self.p.tolist()}
-
     def _sample_rows(self, n: int, rngs: Sequence[np.random.Generator]) -> np.ndarray:
         x = np.empty((len(rngs), n), dtype=np.int64)
         for row, rng in zip(x, rngs):
@@ -724,12 +718,6 @@ class MarkovMeasure(ShiftMeasure):
 
     def _chain(self) -> "MarkovMeasure":
         return self
-
-    def to_spec(self) -> dict:
-        spec = {"family": "markov", "P": self.P.tolist()}
-        if not self.stationary_start:
-            spec["start"] = self.start.tolist()
-        return spec
 
     def _sample_rows(self, n: int, rngs: Sequence[np.random.Generator]) -> np.ndarray:
         return _chain_rows(self._cum_start, self._cum_rows, n, rngs)
@@ -820,7 +808,6 @@ class HiddenMarkovMeasure(ShiftMeasure):
             raise ValidationError("needs one row per hidden state", "/E")
         self.alphabet = Alphabet(self.E.shape[1])
         self.hidden_size = self.A.shape[0]
-        self._start_given = start is not None
         self.start, self.stationary_start = _start_law(start, self.A, "/A")
         self.log_A = safe_log(self.A)
         self.log_E = safe_log(self.E)
@@ -986,12 +973,6 @@ class HiddenMarkovMeasure(ShiftMeasure):
     def kernel_bound(self, tau: int) -> float:
         return _kernel_bound(self.start, self.A, self.stationary_start, tau)
 
-    def to_spec(self) -> dict:
-        spec = {"family": "hmm", "A": self.A.tolist(), "E": self.E.tolist()}
-        if self._start_given:
-            spec["start"] = self.start.tolist()
-        return spec
-
     def _sample_rows(self, n: int, rngs: Sequence[np.random.Generator]) -> np.ndarray:
         """Each generator draws its hidden uniforms, then its emission uniforms."""
         z = _chain_rows(self._cum_start, self._cum_A, n, rngs)
@@ -1065,13 +1046,6 @@ class MixtureMeasure(ShiftMeasure):
     def kernel_bound(self, tau: int) -> float:
         """max_c (c_c - log w_c): the hidden chain is block-diagonal with start w_c pi_c."""
         return float(max(c.kernel_bound(tau) - lw for c, lw in zip(self.components, self.log_weights)))
-
-    def to_spec(self) -> dict:
-        return {
-            "family": "mixture",
-            "weights": self.weights.tolist(),
-            "components": [c.to_spec() for c in self.components],
-        }
 
     def _sample_rows(self, n: int, rngs: Sequence[np.random.Generator]) -> np.ndarray:
         """Each generator draws its component, then the component's path.
@@ -1151,7 +1125,7 @@ def validate_measure(
 
 
 def measure_from_spec(obj: dict, pointer: str = "") -> ShiftMeasure:
-    """Build a measure from its JSON spec; inverse of to_spec.
+    """Build a measure from its JSON spec, an object named by its "family" field.
 
     Every rejection is a SchemaError whose pointer starts with pointer,
     the spec's place in its document.

@@ -12,6 +12,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -182,6 +183,15 @@ def test_refusal_names_a_long_level_as_a_power(tau, words):
         minimal_decoupling_constants(MarkovMeasure(WORKED_P), 1, 2, GapSchedule.constant(tau))
     length = tau + 3
     assert str(got.value) == f"audit needs {words} words at length {length}, cap is 10000000"
+
+
+def test_a_huge_n_max_is_refused_before_any_per_n_work():
+    """The longest joint level comes from numpy passes over n, not a loop."""
+    start = time.perf_counter()
+    with pytest.raises(CapExceededError) as got:
+        minimal_decoupling_constants(MarkovMeasure(WORKED_P), 10**7, 1, GapSchedule.zero())
+    assert str(got.value) == "audit needs 2^10000001 words at length 10000001, cap is 10000000"
+    assert time.perf_counter() - start < 1.0
 
 
 @pytest.mark.parametrize("n_max", [5, 40000])

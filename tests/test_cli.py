@@ -21,7 +21,7 @@ from gapsub import (
     measure_from_spec,
     sample_trajectory,
 )
-from gapsub import cli
+from gapsub import cli, errors
 from gapsub.cli import RunConfig, main, run, schema_validate
 from gapsub.schedules import ConvergenceSeries
 
@@ -376,20 +376,27 @@ def test_steele_run_without_a_closed_form_needs_limit(tmp_path, capsys, spec):
 
 
 def test_audit_of_a_huge_gap_is_a_cap_refusal(tmp_path, capsys):
-    """The refusal compares lengths, so it never builds or prints 2**(10**8)."""
+    """An integer gap over 10^7 is refused at /tau; a gap schedule is bounded
+    by the word cap, which compares lengths, so it never builds or prints
+    2**(10**8)."""
     m = write_json(tmp_path, "m.json", WORKED_SPEC)
     start = time.perf_counter()
     rc = main(["decouple", "audit", "--measure", m, "--n-max", "2", "--m-max", "2",
                "--tau", "100000000", "--outdir", str(tmp_path / "o")])
-    took = time.perf_counter() - start
     assert rc == 4
+    assert "cap: /tau: tau 100000000 exceeds cap 10000000" in capsys.readouterr().err
+    gap = {"rule": "constant", "params": {"value": 100000000}}
+    manifest = {"config": {"subcommand": "decouple.audit", "params": {
+        "measure": WORKED_SPEC, "n_max": 2, "m_max": 2, "tau": gap}}}
+    stub = write_json(tmp_path, "manifest.json", manifest)
+    assert main(["rerun", "--manifest", stub, "--outdir", str(tmp_path / "o")]) == 4
     err = capsys.readouterr().err
     assert "cap: audit needs 2^100000004 words at length 100000004, cap is 10000000" in err
-    assert took < 1.0
+    assert time.perf_counter() - start < 1.0
 
 
 def test_audit_of_a_huge_n_max_is_refused_before_any_per_n_work(tmp_path, capsys):
-    """The longest joint level comes from numpy passes over n, not a loop."""
+    """report.json lists one constant per n, so n_max is at most the entry cap."""
     m = write_json(tmp_path, "m.json", WORKED_SPEC)
     start = time.perf_counter()
     rc = main(["decouple", "audit", "--measure", m, "--n-max", "10000000", "--m-max", "1",
@@ -397,8 +404,24 @@ def test_audit_of_a_huge_n_max_is_refused_before_any_per_n_work(tmp_path, capsys
     took = time.perf_counter() - start
     assert rc == 4
     err = capsys.readouterr().err
-    assert "cap: audit needs 2^10000001 words at length 10000001, cap is 10000000" in err
+    assert "cap: /n_max: n_max 10000000 exceeds cap 100000" in err
     assert took < 1.0
+
+
+def test_an_identity_audit_is_bounded_by_the_entry_cap(tmp_path, capsys, monkeypatch):
+    """An iid audit enumerates no word, so only the entry cap bounds its
+    report: 10^6 n values are refused, and n_max equal to the cap runs."""
+    c = write_json(tmp_path, "c.json", COIN_SPEC)
+    argv = ["decouple", "audit", "--measure", c, "--m-max", "1"]
+    out = tmp_path / "o"
+    start = time.perf_counter()
+    assert main(argv + ["--n-max", "1000000", "--outdir", str(out)]) == 4
+    assert time.perf_counter() - start < 1.0
+    assert "cap: /n_max: n_max 1000000 exceeds cap 100000" in capsys.readouterr().err
+    assert not out.exists()
+    monkeypatch.setattr(cli, "_ENTRY_CAP", 30)
+    assert main(argv + ["--n-max", "30", "--outdir", str(tmp_path / "a")]) == 0
+    assert main(argv + ["--n-max", "31", "--outdir", str(tmp_path / "b")]) == 4
 
 
 def test_audit_of_an_n_max_over_the_horizon_cap_is_refused_at_n_max(tmp_path, capsys):
@@ -473,7 +496,8 @@ def test_estimate_mean_of_too_many_trials_is_a_cap_refusal(tmp_path, capsys):
                    "--trials", str(trials), "--seed", "1", "--outdir", str(out)])
         took = time.perf_counter() - start
         assert rc == 4
-        assert (f"cap: /trials: {trials} trials of {N} symbols exceed cap 10000000"
+        assert (f"cap: /trials: a draw of {trials * N} symbols ({trials} trials of {N}) "
+                "exceeds cap 10000000"
                 in capsys.readouterr().err)
         assert not out.exists()
         assert took < 1.0
@@ -577,21 +601,21 @@ def test_a_steele_run_of_too_many_tiles_is_refused_before_drawing(tmp_path, caps
                "--eps", "0.05", "--seed", "1", "--outdir", str(out)])
     took = time.perf_counter() - start
     assert rc == 4
-    assert ("cap: /r: up to n // r = 1000000 tiles exceed cap 100000"
+    assert ("cap: /r: a decomposition of up to n // r = 1000000 tiles exceeds cap 100000"
             in capsys.readouterr().err)
     assert not out.exists()
     assert took < 1.0
 
 
 def test_the_runner_caps_keep_their_values():
-    """Other tests patch _TILE_CAP down, so a changed cap would pass them."""
+    """Other tests patch _ENTRY_CAP down, so a changed cap would pass them."""
     assert cli._HORIZON_CAP == 10**7
-    assert cli._TILE_CAP == 10**5
+    assert cli._ENTRY_CAP == 10**5
 
 
 def test_the_tile_cap_admits_exactly_its_count(tmp_path, monkeypatch):
     """n // r equal to the cap runs; one tile more is refused."""
-    monkeypatch.setattr(cli, "_TILE_CAP", 40)
+    monkeypatch.setattr(cli, "_ENTRY_CAP", 40)
     m = write_json(tmp_path, "m.json", WORKED_SPEC)
     argv = ["steele", "run", "--measure", m, "--r", "2", "--K", "2", "--eps", "0.1",
             "--seed", "1"]
@@ -658,6 +682,26 @@ def test_the_shortest_checks_that_compare_something_run(tmp_path):
     assert main(["steele", "run", "--measure", m, "--n", "100", "--r", "97", "--K", "1",
                  "--eps", "0.1", "--seed", "1", "--tau", "2", "--outdir", str(out)]) == 0
     assert len(json.loads((out / "decomposition.json").read_text())["intervals"]) == 1
+
+
+@pytest.mark.parametrize("seed, tiles", [(1, 1), (5, 0), (6, 0)])
+def test_a_steele_run_that_lays_no_tile_is_refused(tmp_path, capsys, seed, tiles):
+    """r + tau < n, but a good first offset may need a tile longer than
+    n - 1, so whether a tile fits depends on the drawn path: such a run is
+    refused at /n (exit 3) and writes nothing, where one tile fits it runs."""
+    m = write_json(tmp_path, "m.json", WORKED_SPEC)
+    out = tmp_path / "o"
+    rc = main(["steele", "run", "--measure", m, "--n", "30", "--r", "15", "--K", "3",
+               "--eps", "0.01", "--seed", str(seed), "--outdir", str(out)])
+    if tiles:
+        assert rc == 0
+        intervals = json.loads((out / "decomposition.json").read_text())["intervals"]
+        assert len(intervals) == tiles
+    else:
+        assert rc == 3
+        assert ("validation: /n: the decomposition of this path lays no tile in [1, 29]"
+                in capsys.readouterr().err)
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("case", list(DRAWN_OVER_CAP))
@@ -785,6 +829,26 @@ def test_exit_code_missing_seed(tmp_path):
     assert exc.value.code == 2
 
 
+# the exit-code table of the README and of the cli docstring: each error
+# class's stderr label and exit code
+@pytest.mark.parametrize(
+    "cls, label, code",
+    [
+        (errors.GapsubError, "error", 1),
+        (errors.ConfigError, "error", 2),
+        (errors.SchemaError, "schema", 2),
+        (errors.ValidationError, "validation", 3),
+        (errors.ScheduleRangeError, "validation", 3),
+        (errors.GapLiftError, "validation", 3),
+        (errors.CapExceededError, "cap", 4),
+        (errors.DecouplingFailure, "decoupling", 5),
+    ],
+    ids=lambda v: v.__name__ if isinstance(v, type) else None,
+)
+def test_each_error_class_declares_its_label_and_exit_code(cls, label, code):
+    assert (cls.label, cls.exit_code) == (label, code)
+
+
 def test_assume_decoupled_flag_unblocks_hmm(tmp_path):
     q = write_json(tmp_path, "q.json", UNCERTIFIED_HMM_SPEC)
     p = write_json(tmp_path, "p.json", COIN_SPEC)
@@ -820,6 +884,29 @@ def test_rerun_needs_config_section(tmp_path, capsys):
     rc = main(["rerun", "--manifest", stub])
     assert rc == 2
     assert "manifest" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "subcommand, params, code, line",
+    [
+        ("sample", {"N": 20000000}, 4,
+         "cap: /config/params/N: a path of 20000000 symbols exceeds cap 10000000"),
+        ("sample", {"N": 0}, 2, "schema: /config/params/N: must be >= 1"),
+        ("steele.run", {"n": 30, "r": 15, "K": 3, "eps": 0.01, "seed": 5}, 3,
+         "validation: /config/params/n: the decomposition of this path lays no tile in [1, 29]"),
+    ],
+    ids=["cap", "schema", "validation"],
+)
+def test_a_rerun_refusal_points_under_config_params(tmp_path, capsys, subcommand, params,
+                                                    code, line):
+    """Every refusal that names a field names it in the manifest."""
+    manifest = {"config": {"subcommand": subcommand,
+                           "params": {"measure": WORKED_SPEC, "seed": 1, **params}}}
+    stub = write_json(tmp_path, "manifest.json", manifest)
+    out = tmp_path / "o"
+    assert main(["rerun", "--manifest", stub, "--outdir", str(out)]) == code
+    assert capsys.readouterr().err == line + "\n"
+    assert not out.exists()
 
 
 def test_fekete_cli_spec_errors(tmp_path, capsys):

@@ -266,9 +266,6 @@ class _BrokenMeasure(ShiftMeasure):
     def windows(self, x):
         raise NotImplementedError
 
-    def to_spec(self) -> dict:
-        raise NotImplementedError
-
     def _sample_rows(self, n, rngs):
         raise NotImplementedError
 

@@ -132,7 +132,7 @@ def test_iid_log_marginal_is_product():
     w = [0, 2, 2, 1]
     expected = math.log(0.2) + 2 * math.log(0.5) + math.log(0.3)
     assert abs(Q.log_marginal(w) - expected) < 1e-12
-    assert Q.to_spec()["family"] == "iid" and Q.label == "iid(k=3)"
+    assert Q.label == "iid(k=3)"
 
 
 def test_iid_zero_prob_symbol():
@@ -264,7 +264,6 @@ def test_mixture_log_marginal_is_weighted(half_half_mixture):
         math.log(0.5) + c1.log_marginal(w), math.log(0.5) + c2.log_marginal(w)
     )
     assert abs(half_half_mixture.log_marginal(w) - expected) < 1e-12
-    assert half_half_mixture.to_spec()["family"] == "mixture"
     assert "iid(k=2)" in half_half_mixture.label
 
 
@@ -343,39 +342,6 @@ def test_random_iid_levels_normalize(weights):
 # ----------------------------------------------------------------- specs
 
 
-@pytest.mark.parametrize(
-    "build",
-    [
-        lambda: IIDMeasure([0.2, 0.8]),
-        lambda: MarkovMeasure(WORKED_P),
-        lambda: MarkovMeasure(WORKED_P, start=[0.5, 0.5]),
-        lambda: HiddenMarkovMeasure([[0.7, 0.3], [0.4, 0.6]], [[0.8, 0.2], [0.3, 0.7]]),
-        lambda: MixtureMeasure(
-            [IIDMeasure([0.9, 0.1]), IIDMeasure([0.1, 0.9])], [0.5, 0.5]
-        ),
-    ],
-    ids=["iid", "markov", "markov-start", "hmm", "mixture"],
-)
-def test_spec_round_trip(build):
-    Q = build()
-    R = measure_from_spec(Q.to_spec())
-    assert R.label == Q.label
-    for w in ([0], [1, 0], [0, 1, 1]):
-        assert abs(R.log_marginal(w) - Q.log_marginal(w)) < 1e-14
-
-
-def test_hmm_explicit_start_survives_the_spec_round_trip():
-    H = HiddenMarkovMeasure(
-        [[0.9, 0.1], [0.2, 0.8]], [[0.8, 0.2], [0.3, 0.7]], start=[1.0, 0.0]
-    )
-    R = measure_from_spec(H.to_spec())
-    assert R.to_spec() == H.to_spec()
-    assert H.label == R.label == "hmm(hidden=2, k=2, non-invariant start)"
-    for Q in (H, R):
-        assert round(Q.log_marginal([1, 1, 0]), 4) == -3.4234
-    assert "start" not in HiddenMarkovMeasure(H.A, H.E).to_spec()
-
-
 BAD_ENTRY_BUILDS = pytest.mark.parametrize(
     "build",
     [
@@ -423,7 +389,7 @@ def test_boolean_and_string_entries_rejected(build, bad):
 def test_measure_from_spec_points_at_the_field(spec, pointer):
     with pytest.raises(SchemaError) as exc:
         measure_from_spec(spec, "/measure")
-    assert exc.value.problems[0][0] == "/measure" + pointer
+    assert exc.value.pointer == "/measure" + pointer
 
 
 def test_measure_from_spec_errors():
