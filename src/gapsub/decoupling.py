@@ -88,9 +88,10 @@ class DecouplingReport:
         }
 
 
-# joint words held at a time per m: first-block rows per chunk are
-# max(1, _JOINT_WORDS // k**(tau + m_max))
-_JOINT_WORDS = 1 << 16
+# floats a piece of the joint walk holds once extended: a node is cut into
+# pieces of at most this many before it extends, unless one word of the
+# coarsest level the cut may use needs more on its own
+_JOINT_WORDS = 1 << 15
 _FAILURES_KEPT = 20  # positivity failures a report lists
 
 
@@ -112,33 +113,99 @@ def _longest_joint_head(tau: GapSchedule, n_max: int) -> int:
     return worst
 
 
-def _joint_chunks(Q: ShiftMeasure, state, words: int, tau: int, m_max: int):
-    """(lo, m, J): J[i, b] = log Q(a * b) for the first-block word a = lo + i.
+@dataclasses.dataclass
+class _Split:
+    """The running scan of one split (n, m) with gap tau = tau_n.
 
-    state is the level-n state of all `words` first blocks.  Each chunk of
-    rows extends by tau symbols, then by one more for each m, so the joint
-    level n + tau + m is never built whole; the gap block is summed out.
+    best is the largest defect so far and best_at the flat (a, b) indices
+    of its first occurrence; failed lists the first positivity failures.
+    """
 
-    The gap sum runs on a gap-major copy, (gap, a, b), so numpy's inner
-    loops run over the whole chunk.  The gap axis was never innermost (k^m
-    second blocks follow it), so numpy summed it left to right before too.
+    n: int
+    tau: int
+    m: int
+    best: float = -np.inf
+    best_at: tuple[int, int] | None = None
+    failed: list[tuple[int, int]] = dataclasses.field(default_factory=list)
+
+    def scan(self, full: np.ndarray, lo: int, tables: list, k: int) -> None:
+        """Read the split off full = log Q of the joint words lo, lo + 1, ...
+
+        The words are whole blocks of k^(tau + m): every extension of the
+        first-block words from lo // k^(tau + m) on.  The gap sum runs on a
+        gap-major copy, (gap, a, b), so numpy's inner loops run over the
+        node; the gap axis is never innermost (k^m second blocks follow
+        it), so numpy sums it left to right, wherever the node is cut.
+        """
+        width = k ** (self.tau + self.m)
+        rows, a0 = full.size // width, lo // width
+        if self.tau == 0:
+            J = full.reshape(rows, k**self.m)
+        else:
+            terms = full.reshape(rows, k**self.tau, k**self.m).transpose(1, 0, 2).copy()
+            J = log_sum_exp_into(terms, np.empty(terms.shape[1:]), np.empty(terms.shape[1:]))
+        a, b = tables[self.n][a0:a0 + rows, None], tables[self.m][None, :]
+        D = J - a - b
+        at = int(np.argmax(D))
+        top = D.flat[at]
+        if not np.isfinite(top):
+            # argmax stops at the first nan, so a finite maximum means no nan
+            # and no +inf; a positivity failure has D = +inf
+            finite = np.isfinite(D)
+            pos_fail = np.isfinite(J) & ~np.isfinite(a + b)
+            if pos_fail.any():
+                ai, bi = np.nonzero(pos_fail)
+                room = _FAILURES_KEPT - len(self.failed)
+                self.failed += [(a0 + int(i), int(j)) for i, j in zip(ai[:room], bi[:room])]
+            if not finite.any():
+                return
+            at = int(np.argmax(np.where(finite, D, -np.inf)))
+            top = D.flat[at]
+        if top > self.best:
+            self.best = float(top)
+            self.best_at = (a0 + at // b.size, at % b.size)
+
+
+def _walk_joint_levels(Q: ShiftMeasure, splits: dict[int, list[_Split]], tables: list) -> None:
+    """Scan every split in one depth-first walk over the joint levels.
+
+    splits maps each joint level n + tau_n + m to its splits.  A node holds
+    a contiguous range of words of its level: every extension of some
+    words of a shorter level p.  It takes its totals once, if any split
+    sits at its level, and each of those splits reads them.  It then
+    extends by one symbol, in pieces cut at whole words of level p, where
+    p is the least first-block length of any split at the next level or
+    deeper; so each split's gap and second blocks lie whole inside a node
+    even where n + tau_n is not monotone.  A piece holds at most
+    _JOINT_WORDS floats once extended (Q._level_floats per word), or one
+    word of level p if that alone is more.  Pieces are visited in
+    ascending order, so each split sees its first-block words in order.
     """
     k = Q.alphabet.size
-    rows = max(1, _JOINT_WORDS // k ** (tau + m_max))
-    for lo in range(0, words, rows):
-        hi = min(lo + rows, words)
-        ext = Q._level_extend(Q._level_rows(state, lo, hi), tau)
-        for m in range(1, m_max + 1):
-            ext = Q._level_extend(ext, 1)
-            full = Q._level_totals(ext)
-            if tau == 0:
-                yield lo, m, full.reshape(hi - lo, k**m)
-            else:
-                terms = full.reshape(hi - lo, k**tau, k**m).transpose(1, 0, 2).copy()
-                lse = np.empty(terms.shape[1:])
-                with np.errstate(divide="ignore"):
-                    log_sum_exp_into(terms, np.empty(terms.shape[1:]), lse)
-                yield lo, m, lse
+    deepest = max(splits)
+    least = [0] * (deepest + 1)  # least[l]: least n of a split at level l or deeper
+    run = deepest
+    for level in range(deepest, 0, -1):
+        run = min([run] + [s.n for s in splits.get(level, ())])
+        least[level] = run
+    floats = k * Q._level_floats
+
+    def visit(state, level: int, lo: int, rows: int) -> None:
+        if level in splits:
+            full = Q._level_totals(state)
+            for split in splits[level]:
+                split.scan(full, lo, tables, k)
+            del full  # not held while the children are walked
+        if level == deepest:
+            return
+        word = k ** (level - least[level + 1])  # rows per word of level p
+        step = max(1, _JOINT_WORDS // (word * floats)) * word
+        for a in range(0, rows, step):
+            b = min(a + step, rows)
+            child = Q._level_extend(Q._level_rows(state, a, b), 1)
+            visit(child, level + 1, (lo + a) * k, (b - a) * k)
+
+    visit(Q._level_start(), 1, 0, k)
 
 
 def minimal_decoupling_constants(
@@ -155,9 +222,12 @@ def minimal_decoupling_constants(
     vanish.  A pair with Q(a * b) > 0 but Q(a) Q(b) = 0 admits no finite
     constant; it is recorded and the report flags failure.
 
-    The joint levels stream from the level-n state in chunks of first-block
-    words; the worst pair is the first in (m, a, b) order, and the first 20
-    positivity failures in (n, m, a, b) order are listed.
+    A joint word of length L is the same word for every split (n, m) with
+    n + tau_n + m = L, so each joint level is walked once, depth first
+    from level 1, in pieces of at most _JOINT_WORDS floats, and every
+    split reads its defects from the node (_walk_joint_levels).  The worst
+    pair is the first in (m, a, b) order, and the first 20 positivity
+    failures in (n, m, a, b) order are listed.
 
     For a product measure Q(a * b) = Q(a) Q(b) is an identity, so the
     minimal constant is 0 with no float association noise; an iid input
@@ -194,59 +264,41 @@ def minimal_decoupling_constants(
         for m in range(1, m_max + 1):
             Q._guard_level(m, cap)
             Q._guard_level(n + t + m, cap)
-    B = [None] + [Q.log_marginals_level(m, cap=cap) for m in range(1, m_max + 1)]
+    # tables[l] is log Q over level l, both A_n and B_m
+    tables = [None] + [Q.log_marginals_level(l, cap=cap) for l in range(1, max(n_max, m_max) + 1)]
+    by_n = [[_Split(n, t, m) for m in range(1, m_max + 1)] for n, t in zip(range(1, n_max + 1), taus)]
+    splits: dict[int, list[_Split]] = {}
+    for split in (s for row in by_n for s in row):
+        splits.setdefault(split.n + split.tau + split.m, []).append(split)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        _walk_joint_levels(Q, splits, tables)
     constants: list[float] = []
     worst: list[WorstPair] = []
     failures: list[PositivityFailure] = []
-    for n, t in zip(range(1, n_max + 1), taus):
-        state = Q._level_state(n)
-        A = Q._level_totals(state)
-        # per m: the largest defect, its first (a, b), the first failures
-        best = [-np.inf] * (m_max + 1)
-        best_at: list[tuple[int, int] | None] = [None] * (m_max + 1)
-        failed: list[list[tuple[int, int]]] = [[] for _ in range(m_max + 1)]
-        had_positivity_failure = False
-        for lo, m, J in _joint_chunks(Q, state, A.size, t, m_max):
-            a = A[lo:lo + J.shape[0], None]
-            with np.errstate(invalid="ignore"):
-                D = J - a - B[m][None, :]
-            finite = np.isfinite(D)
-            # a positivity failure has D = +inf, so only a chunk with a
-            # non-finite D can hold one
-            if not finite.all():
-                pos_fail = np.isfinite(J) & ~np.isfinite(a + B[m][None, :])
-                if pos_fail.any():
-                    had_positivity_failure = True
-                    ai, bi = np.nonzero(pos_fail)
-                    room = _FAILURES_KEPT - len(failed[m])
-                    failed[m] += [(lo + int(i), int(j)) for i, j in zip(ai[:room], bi[:room])]
-                D = np.where(finite, D, -np.inf)
-            if finite.any():
-                ai, bi = np.unravel_index(int(np.argmax(D)), D.shape)
-                cand = float(D[ai, bi])
-                if cand > best[m]:
-                    best[m] = cand
-                    best_at[m] = (lo + int(ai), int(bi))
-        top, top_at = -np.inf, None
-        for m in range(1, m_max + 1):
-            for ai, bi in failed[m][: _FAILURES_KEPT - len(failures)]:
+    for n, row in enumerate(by_n, 1):
+        top = None
+        for split in row:
+            for ai, bi in split.failed[: _FAILURES_KEPT - len(failures)]:
                 failures.append(
                     PositivityFailure(
-                        n=n, m=m, a=_word_of_index(ai, k, n), b=_word_of_index(bi, k, m)
+                        n=n, m=split.m, a=_word_of_index(ai, k, n), b=_word_of_index(bi, k, split.m)
                     )
                 )
-            if best_at[m] is not None and best[m] > top:
-                top, top_at = best[m], (*best_at[m], m)
-        constants.append(float("inf") if had_positivity_failure else float(top))
-        if top_at is not None:
-            ai, bi, m = top_at
+            if split.best_at is not None and (top is None or split.best > top.best):
+                top = split
+        if any(split.failed for split in row):
+            constants.append(float("inf"))
+        else:
+            constants.append(-np.inf if top is None else top.best)
+        if top is not None:
+            ai, bi = top.best_at
             worst.append(
                 WorstPair(
                     n=n,
-                    m=m,
+                    m=top.m,
                     a=_word_of_index(ai, k, n),
-                    b=_word_of_index(bi, k, m),
-                    defect=float(top),
+                    b=_word_of_index(bi, k, top.m),
+                    defect=top.best,
                 )
             )
     return DecouplingReport(

@@ -37,6 +37,7 @@ from .logspace import _NEG_MAX, log_sum_exp, log_sum_exp_into, safe_log
 _STOCH_TOL = 1e-9
 _LISTS = (list, tuple, np.ndarray)
 _MAP_TABLE_ENTRIES = 1 << 22  # chain-path map entries built at a time: 4-8 MB
+_GATHER_ENTRIES = 1 << 16  # transition terms MarkovMeasure.log_increments gathers at a time
 # most states whose chain-path table rows are counted by comparisons.  The
 # k(k - 1) passes over the uniforms against one sort, filling the table of
 # 20 rows of 10^4 steps, pinned to one CPU: 0.2 vs 6.1 ms at k = 2, 5.3 vs
@@ -296,6 +297,11 @@ class ShiftMeasure(abc.ABC):
         if isinstance(state, np.ndarray):
             return state[lo:hi]
         return tuple(s[lo:hi] for s in state)
+
+    @property
+    def _level_floats(self) -> int:
+        """Floats a level state holds per word."""
+        return 1
 
     def _level_state(self, n: int):
         return self._level_extend(self._level_start(), n - 1)
@@ -669,8 +675,16 @@ class MarkovMeasure(ShiftMeasure):
         w = self.alphabet.validate_paths(x)
         out = np.empty(w.shape, dtype=np.float64)
         out[..., 0] = self.log_start[w[..., 0]]
-        # one gather at flat indices: twice as fast as indexing by two arrays
-        out[..., 1:] = self.log_P.ravel()[w[..., :-1] * self.alphabet.size + w[..., 1:]]
+        # one gather at flat indices, twice as fast as indexing by two arrays,
+        # taken into out a block of columns at a time, so no index array or
+        # gathered copy spans the whole path
+        flat, k, n = self.log_P.ravel(), self.alphabet.size, w.shape[-1]
+        cols = max(1, _GATHER_ENTRIES // (w.size // n))
+        for lo in range(1, n, cols):
+            hi = min(lo + cols, n)
+            at = w[..., lo - 1:hi - 1] * k
+            at += w[..., lo:hi]
+            np.take(flat, at, out=out[..., lo:hi], mode="clip")
         return out
 
     def prefix_logprobs(self, x) -> np.ndarray:
@@ -939,6 +953,10 @@ class HiddenMarkovMeasure(ShiftMeasure):
             )
         super()._guard_level(n, cap)
 
+    @property
+    def _level_floats(self) -> int:
+        return self.hidden_size
+
     def _level_start(self) -> np.ndarray:
         # alpha[i, w]: forward value of word w in hidden state i, indexed
         # hidden-major as in _forward, so numpy's inner loops run over words
@@ -1030,6 +1048,10 @@ class MixtureMeasure(ShiftMeasure):
         super()._guard_level(n, cap)
         for c in self.components:
             c._guard_level(n, cap)
+
+    @property
+    def _level_floats(self) -> int:
+        return sum(c._level_floats for c in self.components)
 
     def _level_start(self) -> tuple:
         return tuple(c._level_start() for c in self.components)

@@ -105,11 +105,12 @@ def kingman_rows(paths: np.ndarray, Q: ShiftMeasure, grid: np.ndarray) -> np.nda
     incs = Q.log_increments(paths[:, : grid[-1]])
     neg = ~np.isfinite(incs)
     finite_len = np.where(neg.any(axis=1), neg.argmax(axis=1), incs.shape[1])
-    pivot = incs[:, :1]
+    pivot = incs[:, :1].copy()
+    # the increments are a fresh array, centered and summed in place
     with np.errstate(invalid="ignore"):  # -inf - -inf, past a row's finite head
-        centered = incs - pivot
-        np.cumsum(centered, axis=1, out=centered)
-        values = pivot + centered[:, grid - 1] / grid
+        np.subtract(incs, pivot, out=incs)
+        np.cumsum(incs, axis=1, out=incs)
+        values = pivot + incs[:, grid - 1] / grid
     return np.where(grid <= finite_len[:, None], values, -np.inf)
 
 

@@ -1,10 +1,12 @@
 """The streamed decoupling audit against whole-level enumeration, bit for bit.
 
-minimal_decoupling_constants extends chunks of first-block words from the
-level-n state; the oracle in audit_oracle.py builds every joint level
-whole.  Reports are compared as JSON text, so every float must agree
-exactly, at the default chunk budget and at budgets that cut the first
-blocks into many chunks.
+minimal_decoupling_constants walks the joint levels once, depth first from
+level 1, in pieces of at most decoupling._JOINT_WORDS floats, and reads
+every split (n, m) off the node at its level; the oracle in audit_oracle.py
+builds every joint level whole, once per split.  Reports are compared as
+JSON text, so every float must agree exactly, at the default budget and at
+budgets that cut the levels into many pieces, under constant, growing and
+non-monotone gap schedules.
 """
 from __future__ import annotations
 
@@ -71,9 +73,14 @@ GAPS = {
     "tau1": GapSchedule.constant(1),
     "tau2": GapSchedule.constant(2),
     "ceil-log": GapSchedule("ceil_log"),
+    # n + tau_n = 3, 2, 4, 7: the levels of n = 2 end before those of n = 1,
+    # so a piece may be cut at whole words of level 1 only while a split of
+    # n = 1 lies at or below it
+    "table-non-monotone": GapSchedule.from_table([2, 0, 1, 3]),
 }
-# joint words per chunk: the default, one first-block word per chunk, and
-# a budget that leaves chunks of several words with a short last chunk
+# floats per piece: the default, one word of the coarsest allowed level per
+# piece, and a budget that leaves pieces of several words with a short last
+# piece
 BUDGETS = {"default": decoupling._JOINT_WORDS, "one": 1, "odd": 37}
 
 
@@ -95,6 +102,48 @@ def test_streamed_audit_is_the_whole_level_audit(monkeypatch, case, gap, budget)
     got = minimal_decoupling_constants(Q, n_max, m_max, gap)
     assert got.method == "enumeration"
     assert _text(got) == _text(whole_level_audit(Q, n_max, m_max, gap))
+
+
+def _spy_on_joint_extensions(Q, words) -> list[int]:
+    """Count the words each one-step extension of Q makes, leaving out the
+    extensions that build level tables (Q._level_state)."""
+    made, in_table = [0], [0]
+    extend, state = Q._level_extend, Q._level_state
+
+    def spy_extend(s, steps):
+        for _ in range(steps):
+            s = extend(s, 1)
+            if not in_table[0]:
+                made[0] += words(s)
+        return s
+
+    def spy_state(n):
+        in_table[0] += 1
+        try:
+            return state(n)
+        finally:
+            in_table[0] -= 1
+
+    Q._level_extend, Q._level_state = spy_extend, spy_state
+    return made
+
+
+@pytest.mark.parametrize(
+    "Q, words, n_max, m_max, tau, deepest",
+    [
+        (MarkovMeasure(WORKED_P), lambda s: s[0].size, 4, 4, 2, 10),
+        (_hmm(2, 2, 1), lambda s: s.shape[1], 3, 3, 1, 7),
+    ],
+    ids=["worked", "hmm2"],
+)
+def test_each_joint_word_is_extended_once(Q, words, n_max, m_max, tau, deepest):
+    """The walk makes every word of levels 2 .. deepest once: 2,044 words
+    for the worked chain, where extending each split's first blocks anew
+    made 3,780; 252 for the HMM, where that made 420."""
+    made = _spy_on_joint_extensions(Q, words)
+    got = minimal_decoupling_constants(Q, n_max, m_max, GapSchedule.constant(tau))
+    assert made[0] == sum(2**level for level in range(2, deepest + 1))
+    assert _text(got) == _text(whole_level_audit(Q, n_max, m_max, GapSchedule.constant(tau)))
 
 
 @pytest.mark.parametrize("tau", [0, 1])

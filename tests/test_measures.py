@@ -3,6 +3,7 @@ from __future__ import annotations
 import itertools
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -181,6 +182,33 @@ def test_markov_log_marginal_by_hand(worked_chain):
     incs = worked_chain.log_increments(np.asarray(w))
     assert abs(incs.sum() - expected) < 1e-12
     assert worked_chain.stationary_start
+
+
+@pytest.mark.parametrize("entries", [1, 3, 7, measures._GATHER_ENTRIES])
+def test_markov_increments_gather_in_column_blocks(monkeypatch, entries):
+    """Any block of columns gives the whole-path gather bit for bit, for
+    rows and for one path, with zero transitions and a zero start mass."""
+    Q = MarkovMeasure([[0.0, 0.6, 0.4], [0.5, 0.0, 0.5], [0.3, 0.3, 0.4]], start=[0.0, 0.5, 0.5])
+    x = np.random.default_rng(3).integers(0, 3, (4, 23))
+    monkeypatch.setattr(measures, "_GATHER_ENTRIES", entries)
+    for w in (x, x[0], x[:, :1], x[:, :2], x[1:2]):
+        want = np.empty(w.shape)
+        want[..., 0] = Q.log_start[w[..., 0]]
+        want[..., 1:] = Q.log_P.ravel()[w[..., :-1] * 3 + w[..., 1:]]
+        assert Q.log_increments(w).tobytes() == want.tobytes()
+
+
+def test_markov_increments_hold_no_whole_path_temporary(worked_chain):
+    """The output is 8 MB at 10^6 symbols; a whole-path index array and
+    gathered copy took the traced peak to 24 MB."""
+    x = np.random.default_rng(4).integers(0, 2, 10**6)
+    tracemalloc.start()
+    try:
+        worked_chain.log_increments(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12e6
 
 
 def test_markov_level_enumeration_matches_loop(worked_chain):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -138,6 +139,25 @@ def test_kingman_offset_equals_sliced_path(worked_chain):
     a = kingman_series(x, worked_chain, grid=grid, offset=100)
     b = kingman_series(x.symbols[100:], worked_chain, grid=grid)
     assert (a.values == b.values).all()
+
+
+def test_kingman_centres_its_increments_in_place():
+    """The series is the out-of-place centred sum bit for bit, and at 10^6
+    iid symbols the traced peak stays near the 8 MB of increments, where
+    a centred copy took it to 17 MB."""
+    Q = IIDMeasure([0.2, 0.3, 0.5])
+    x = sample_trajectory(Q, 10**6, seed=59).symbols
+    grid = np.unique(np.geomspace(1, x.size, 40).astype(np.int64))
+    incs = Q.log_increments(x)
+    want = incs[0] + np.cumsum(incs - incs[0])[grid - 1] / grid
+    tracemalloc.start()
+    try:
+        got = kingman_series(x, Q, grid=grid).values
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.tobytes() == want.tobytes()
+    assert peak < 12e6
 
 
 def test_kingman_grid_validation(worked_chain):
