@@ -7,8 +7,10 @@ for all words a (length n) and b (length m),
 
 where a * b ranges over all joints of a and b separated by tau_n free
 symbols (the gap block is summed out).  The audit computes the smallest
-such constants exactly by enumeration; ShiftMeasure.kernel_bound bounds
-them in closed form through the (tau+1)-step kernel of the hidden chain.
+such constants exactly by enumeration, walking each joint level once and
+reading every split (n, m) of that length from it;
+ShiftMeasure.kernel_bound bounds them in closed form through the
+(tau+1)-step kernel of the hidden chain.
 
 These constants are exactly what the limit theory consumes: along a
 sampled trajectory the functional f_n = log Q_n becomes gapped almost

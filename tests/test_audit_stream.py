@@ -62,7 +62,7 @@ CASES = {
     "hmm7": (_hmm(7, 2, 8), 4, 3),
     "hmm8": (_hmm(8, 2, 2), 4, 3),
     "hmm9": (_hmm(9, 2, 3), 4, 3),
-    # one-word chunks start at rows that are not multiples of k = 5
+    # one-word pieces start at rows that are not multiples of k = 5
     "markov5": (MarkovMeasure(np.random.default_rng(10).dirichlet(np.ones(5), size=5)), 2, 2),
     "markov+iid": (MixtureMeasure([MarkovMeasure(WORKED_P), IIDMeasure([0.4, 0.6])], [0.3, 0.7]), 3, 4),
     "markov+hmm": (MixtureMeasure([MarkovMeasure(WORKED_P), _hmm(3, 2, 4)], [0.5, 0.5]), 4, 3),
