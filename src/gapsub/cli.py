@@ -9,8 +9,9 @@ inputs.  Nothing written here contains timestamps or machine state.
 Every run parameter is declared once, in _SUBCOMMANDS.  That table makes
 the options of each run subcommand, and run checks every parameter
 against it before the runner starts, so a refusal names the parameter's
-JSON pointer.  The constructors validate every spec: one read from a file
-or a manifest is checked by building it, and a rejection names its field.
+JSON pointer; a key that no subcommand of its group declares is refused.
+The constructors validate every spec: one read from a file or a manifest
+is checked by building it, and a rejection names its field.
 
 Every refusal is a GapsubError, reported by main in one place as "label:
 pointer: message" on stderr; on rerun the pointer sits under
@@ -42,6 +43,7 @@ from .errors import (
     SchemaError,
     ValidationError,
     param,
+    schema_errors,
 )
 from .estimators import (
     cross_entropy_estimate,
@@ -154,17 +156,19 @@ def _load_json(path: str):
 
 
 def _grid_from_spec(spec: str, N: int) -> np.ndarray:
-    if spec == "geometric":
-        return geometric_grid(N)
+    """The grid --grid names; a refusal is a SchemaError at /grid."""
     kind, _, arg = spec.partition(":")
-    try:
-        if kind == "geometric" and arg:
-            return geometric_grid(N, ratio=float(arg))
-        if kind == "linear" and arg:
-            return linear_grid(N, step=int(arg))
-    except ValueError as exc:  # from float(arg) or int(arg)
-        raise ConfigError(f"bad grid spec {spec!r}: {exc}") from exc
-    raise ConfigError(f"unknown grid spec {spec!r}")
+    with schema_errors("/grid"):
+        if spec == "geometric":
+            return geometric_grid(N)
+        try:
+            if kind == "geometric" and arg:
+                return geometric_grid(N, ratio=float(arg))
+            if kind == "linear" and arg:
+                return linear_grid(N, step=int(arg))
+        except ValueError as exc:  # from float(arg) or int(arg)
+            raise ConfigError(f"bad grid spec {spec!r}: {exc}") from exc
+        raise ConfigError(f"unknown grid spec {spec!r}")
 
 
 # default horizon cap of `fekete limit`, the cap on `fekete lift`'s table,
@@ -513,6 +517,13 @@ def run(config: RunConfig, outdir: str | Path = ".") -> dict:
     if config.subcommand not in _SUBCOMMANDS:
         raise ConfigError(f"unknown subcommand {config.subcommand!r}")
     runner, params = _SUBCOMMANDS[config.subcommand]
+    # a key is known if any subcommand of the group declares it: one fekete spec serves all three
+    group = config.subcommand.split(".")[0]
+    known = {d.key for name, (_, ds) in _SUBCOMMANDS.items() if name.split(".")[0] == group
+             for d in ds}
+    for key in config.params:
+        if key not in known:
+            raise SchemaError("unknown parameter", f"/{key}")
     checked = {d.key: _read(d, config.params) for d in params}
     artifacts = runner({"given": config.params, **checked})
     out = Path(outdir)

@@ -175,12 +175,14 @@ def _walk_joint_levels(Q: ShiftMeasure, splits: dict[int, list[_Split]], tables:
     a contiguous range of words of its level: every extension of some
     words of a shorter level p.  It takes its totals once, if any split
     sits at its level, and each of those splits reads them.  It then
-    extends by one symbol, in pieces cut at whole words of level p, where
-    p is the least first-block length of any split at the next level or
-    deeper; so each split's gap and second blocks lie whole inside a node
-    even where n + tau_n is not monotone.  A piece holds at most
+    extends by one symbol, in pieces cut at whole words of level
+    min(p, level - 1), where p is the least first-block length of any
+    split at the next level or deeper; so each split's gap and second
+    blocks lie whole inside a node even where n + tau_n is not monotone,
+    and every cut falls at a multiple of k, never inside a group of k
+    words (Q._level_extend relies on it).  A piece holds at most
     _JOINT_WORDS floats once extended (Q._level_floats per word), or one
-    word of level p if that alone is more.  Pieces are visited in
+    word of that level if that alone is more.  Pieces are visited in
     ascending order, so each split sees its first-block words in order.
     """
     k = Q.alphabet.size
@@ -200,7 +202,7 @@ def _walk_joint_levels(Q: ShiftMeasure, splits: dict[int, list[_Split]], tables:
             del full  # not held while the children are walked
         if level == deepest:
             return
-        word = k ** (level - least[level + 1])  # rows per word of level p
+        word = k ** max(level - least[level + 1], 1)  # rows per word of level min(p, level - 1)
         step = max(1, _JOINT_WORDS // (word * floats)) * word
         for a in range(0, rows, step):
             b = min(a + step, rows)

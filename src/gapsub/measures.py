@@ -268,14 +268,12 @@ class ShiftMeasure(abc.ABC):
     def _sample_rows(self, n: int, rngs: Sequence[np.random.Generator]) -> np.ndarray:
         """A (len(rngs), n) int64 array whose row i is bit for bit the path rngs[i] draws alone."""
 
-    def _sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        return self._sample_rows(n, [rng])[0]
-
     # A level state holds one row per word of a level, indexed base-k, most
     # significant symbol first, laid out as the family's step runs fastest
-    # (an HMM's is hidden-major); _level_rows cuts it.  Extending a state
-    # appends every symbol to every word, so the rows of a level's state
-    # extend to a contiguous block of the longer level.
+    # (an HMM's is hidden-major); _level_rows cuts it, at multiples of k
+    # only.  Extending a state appends every symbol to every word, so the
+    # rows of a level's state extend to a contiguous block of the longer
+    # level.
 
     @abc.abstractmethod
     def _level_start(self):
@@ -285,18 +283,13 @@ class ShiftMeasure(abc.ABC):
     def _level_extend(self, state, steps: int):
         """The state of the words of state, each followed by every word of length steps."""
 
-    @abc.abstractmethod
     def _level_totals(self, state) -> np.ndarray:
-        """log Q of every word of state."""
+        """log Q of every word of state: the state itself, for a family of one float per word."""
+        return state
 
     def _level_rows(self, state, lo: int, hi: int):
-        """Rows lo..hi-1 of a level state: the state of those words.
-
-        This cuts an array, or each array of a tuple, on its leading axis.
-        """
-        if isinstance(state, np.ndarray):
-            return state[lo:hi]
-        return tuple(s[lo:hi] for s in state)
+        """Rows lo..hi-1 of a level state: the state of those words."""
+        return state[lo:hi]
 
     @property
     def _level_floats(self) -> int:
@@ -631,9 +624,6 @@ class IIDMeasure(ShiftMeasure):
             lv = (lv[:, None] + self.log_p[None, :]).ravel()
         return lv
 
-    def _level_totals(self, lv: np.ndarray) -> np.ndarray:
-        return lv
-
     def kernel_bound(self, tau: int) -> float:
         return _kernel_bound(np.ones(1), np.ones((1, 1)), True, tau)
 
@@ -692,40 +682,23 @@ class MarkovMeasure(ShiftMeasure):
 
     def windows(self, x) -> Windows:
         w = self.alphabet.validate_word(x)
-        steps = np.concatenate(([0.0], self.log_P[w[:-1], w[1:]]))
+        steps = self.log_increments(w)
+        steps[0] = 0.0
         return _PrefixSumWindows(steps, head=self.log_start[w])
 
-    def _level_start(self) -> tuple[np.ndarray, int]:
-        """(log Q of every word, the last symbol of the first word).
+    def _level_start(self) -> np.ndarray:
+        return self.log_start.copy()
 
-        The words are consecutive, so their last symbols cycle through
-        0..k-1 from the first one's.
-        """
-        return self.log_start.copy(), 0
-
-    def _level_extend(self, state, steps: int):
-        lv, first = state
+    def _level_extend(self, lv: np.ndarray, steps: int) -> np.ndarray:
+        """lv must hold whole groups of k consecutive words, so that word
+        r * k + i ends in i: out[r, i, s] = lv[r * k + i] + log P[i, s]."""
         k = self.alphabet.size
         for _ in range(steps):
-            if first or lv.size % k:
-                # rows cut off a multiple of k: gather each word's row of P
-                last = (first + np.arange(lv.size)) % k
-                lv = (lv[:, None] + self.log_P[last, :]).ravel()
-            else:
-                # word r * k + i ends in i: out[r, i, s] = lv[r * k + i] + log P[i, s]
-                rows = lv.reshape(-1, k)
-                out = np.empty((rows.shape[0], k, k))
-                _append_symbols(rows.T, self.log_P, out.transpose(1, 0, 2))
-                lv = out.ravel()
-            first = 0
-        return lv, first
-
-    def _level_rows(self, state, lo: int, hi: int):
-        lv, first = state
-        return lv[lo:hi], (first + lo) % self.alphabet.size
-
-    def _level_totals(self, state) -> np.ndarray:
-        return state[0]
+            rows = lv.reshape(-1, k)
+            out = np.empty((rows.shape[0], k, k))
+            _append_symbols(rows.T, self.log_P, out.transpose(1, 0, 2))
+            lv = out.ravel()
+        return lv
 
     def kernel_bound(self, tau: int) -> float:
         return _kernel_bound(self.start, self.P, self.stationary_start, tau)

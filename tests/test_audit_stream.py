@@ -1,12 +1,14 @@
 """The streamed decoupling audit against whole-level enumeration, bit for bit.
 
 minimal_decoupling_constants walks the joint levels once, depth first from
-level 1, in pieces of at most decoupling._JOINT_WORDS floats, and reads
-every split (n, m) off the node at its level; the oracle in audit_oracle.py
-builds every joint level whole, once per split.  Reports are compared as
-JSON text, so every float must agree exactly, at the default budget and at
-budgets that cut the levels into many pieces, under constant, growing and
-non-monotone gap schedules.
+level 1, in pieces of at most decoupling._JOINT_WORDS floats cut at whole
+groups of k words, and reads every split (n, m) off the node at its level;
+the oracle in audit_oracle.py builds every joint level whole, once per
+split.  Reports are compared as JSON text, so every float must agree
+exactly, at the default budget and at budgets that cut the levels into
+many pieces, under constant, growing and non-monotone gap schedules.  A
+spy on the cuts pins that each falls at a multiple of k, the condition a
+Markov level state's extension rests on.
 """
 from __future__ import annotations
 
@@ -62,7 +64,7 @@ CASES = {
     "hmm7": (_hmm(7, 2, 8), 4, 3),
     "hmm8": (_hmm(8, 2, 2), 4, 3),
     "hmm9": (_hmm(9, 2, 3), 4, 3),
-    # one-word pieces start at rows that are not multiples of k = 5
+    # at a budget of one float, every piece is one group of k = 5 words
     "markov5": (MarkovMeasure(np.random.default_rng(10).dirichlet(np.ones(5), size=5)), 2, 2),
     "markov+iid": (MixtureMeasure([MarkovMeasure(WORKED_P), IIDMeasure([0.4, 0.6])], [0.3, 0.7]), 3, 4),
     "markov+hmm": (MixtureMeasure([MarkovMeasure(WORKED_P), _hmm(3, 2, 4)], [0.5, 0.5]), 4, 3),
@@ -131,7 +133,7 @@ def _spy_on_joint_extensions(Q, words) -> list[int]:
 @pytest.mark.parametrize(
     "Q, words, n_max, m_max, tau, deepest",
     [
-        (MarkovMeasure(WORKED_P), lambda s: s[0].size, 4, 4, 2, 10),
+        (MarkovMeasure(WORKED_P), lambda s: s.size, 4, 4, 2, 10),
         (_hmm(2, 2, 1), lambda s: s.shape[1], 3, 3, 1, 7),
     ],
     ids=["worked", "hmm2"],
@@ -162,6 +164,31 @@ def test_symmetric_chain_ties_across_chunks(monkeypatch, tau):
     assert worst.a == decoupling._word_of_index(int(rows[0]), 2, n)
 
 
+CUT_GAPS = {name: GAPS[name] for name in ("tau0", "tau1", "table-non-monotone")}
+
+
+@pytest.mark.parametrize("budget", BUDGETS.values(), ids=BUDGETS.keys())
+@pytest.mark.parametrize("gap", CUT_GAPS.values(), ids=CUT_GAPS.keys())
+@pytest.mark.parametrize("case", CASES.values(), ids=CASES.keys())
+def test_every_cut_falls_at_a_multiple_of_k(monkeypatch, case, gap, budget):
+    """The walk cuts a level state only at whole groups of k words: at gap
+    0 a split with m = 1 would otherwise cut at single words of its level."""
+    Q, n_max, m_max = case
+    if isinstance(Q, IIDMeasure):
+        Q = Q._chain()
+    k, cuts, rows = Q.alphabet.size, [], Q._level_rows
+
+    def spy_rows(state, lo, hi):
+        cuts.append((lo, hi))
+        return rows(state, lo, hi)
+
+    monkeypatch.setattr(Q, "_level_rows", spy_rows)
+    monkeypatch.setattr(decoupling, "_JOINT_WORDS", budget)
+    minimal_decoupling_constants(Q, n_max, m_max, gap)
+    assert cuts
+    assert [(lo, hi) for lo, hi in cuts if lo % k or hi % k] == []
+
+
 @pytest.mark.parametrize("case", CASES.values(), ids=CASES.keys())
 def test_level_states_are_the_old_level_bodies(case):
     Q = case[0]
@@ -172,12 +199,13 @@ def test_level_states_are_the_old_level_bodies(case):
 @pytest.mark.parametrize("case", CASES.values(), ids=CASES.keys())
 def test_any_cut_extends_to_its_block_of_the_longer_level(case):
     """Rows lo..hi-1 of level 3, extended by s symbols, are the words
-    lo k^s .. hi k^s - 1 of level 3 + s, bit for bit, wherever the cut
-    falls; (1, 1 + k) starts off a multiple of k but spans k words."""
+    lo k^s .. hi k^s - 1 of level 3 + s, bit for bit, wherever a cut at
+    whole groups of k words falls: the whole level, its second group and
+    its last."""
     Q = case[0]
     k = Q.alphabet.size
     state = Q._level_state(3)
-    for lo, hi in [(0, k**3), (1, 1 + k), (2, 3), (k**3 - 1, k**3)]:
+    for lo, hi in [(0, k**3), (k, 2 * k), (k**3 - k, k**3)]:
         for s in range(3):
             got = Q._level_totals(Q._level_extend(Q._level_rows(state, lo, hi), s))
             assert got.tobytes() == old_level(Q, 3 + s)[lo * k**s : hi * k**s].tobytes()

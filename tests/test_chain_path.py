@@ -124,7 +124,8 @@ def test_markov_sample_matches_the_loop(k, start):
     P = _kernel(rng, k, zero=True)
     Q = MarkovMeasure(P, start=None if start == "stationary" else rng.dirichlet(np.ones(k)))
     for n in (1, 2, 17, 3000):
-        assert np.array_equal(Q._sample(n, make_rng(k, n)), _loop_markov(Q, n, make_rng(k, n)))
+        got = Q._sample_rows(n, [make_rng(k, n)])[0]
+        assert np.array_equal(got, _loop_markov(Q, n, make_rng(k, n)))
 
 
 @pytest.mark.parametrize("hidden", [1, 2, 3, 9])
@@ -135,7 +136,7 @@ def test_hmm_sample_matches_the_loop(hidden):
     for start in (None, rng.dirichlet(np.ones(hidden))):
         Q = HiddenMarkovMeasure(A, E, start=start)
         for n in (1, 2, 17, 3000):
-            got = Q._sample(n, make_rng(hidden, n))
+            got = Q._sample_rows(n, [make_rng(hidden, n)])[0]
             assert np.array_equal(got, _loop_hmm(Q, n, make_rng(hidden, n)))
 
 
@@ -275,7 +276,7 @@ def test_sample_rows_stack_the_one_stream_draws(Q):
     streams = range(3, 10)
     for n in (1, 2, 997):
         got = Q._sample_rows(n, [make_rng(17, t) for t in streams])
-        want = np.stack([Q._sample(n, make_rng(17, t)) for t in streams])
+        want = np.stack([Q._sample_rows(n, [make_rng(17, t)])[0] for t in streams])
         assert got.dtype == np.int64 and np.array_equal(got, want)
 
 

@@ -798,7 +798,7 @@ def test_exit_code_config_error_unknown_grid(tmp_path, capsys):
     rc = main(["series", "--measure", m, "--N", "50", "--seed", "1",
                "--grid", "weird", "--outdir", str(tmp_path / "o")])
     assert rc == 2
-    assert "error:" in capsys.readouterr().err
+    assert capsys.readouterr().err == "schema: /grid: unknown grid spec 'weird'\n"
 
 
 def test_exit_code_cap_exceeded(tmp_path, capsys):
@@ -894,8 +894,9 @@ def test_rerun_needs_config_section(tmp_path, capsys):
         ("sample", {"N": 0}, 2, "schema: /config/params/N: must be >= 1"),
         ("steele.run", {"n": 30, "r": 15, "K": 3, "eps": 0.01, "seed": 5}, 3,
          "validation: /config/params/n: the decomposition of this path lays no tile in [1, 29]"),
+        ("sample", {"N": 5, "sedd": 2}, 2, "schema: /config/params/sedd: unknown parameter"),
     ],
-    ids=["cap", "schema", "validation"],
+    ids=["cap", "schema", "validation", "unknown-key"],
 )
 def test_a_rerun_refusal_points_under_config_params(tmp_path, capsys, subcommand, params,
                                                     code, line):
@@ -1062,6 +1063,16 @@ TABLES = {
 }
 
 
+def test_an_unknown_key_is_refused_before_any_work(tmp_path, capsys):
+    """A misspelt sigma is not read as the default gap of 0."""
+    typo = {key: value for key, value in FEKETE_SPEC.items() if key != "sigma"}
+    spec = write_json(tmp_path, "s.json", {**typo, "simga": {"rule": "ceil_log"}})
+    out = tmp_path / "o"
+    assert main(["fekete", "check", "--spec", spec, "--outdir", str(out)]) == 2
+    assert capsys.readouterr().err == "schema: /simga: unknown parameter\n"
+    assert not out.exists()
+
+
 def test_schema_schedule_builds_as_either_kind():
     assert schema_validate({"rule": "ceil_log"}) == []
     assert schema_validate({"rule": "scaled_power", "params": {"alpha": 0.5}}) == []
@@ -1164,14 +1175,29 @@ def test_reducible_chain_exits_2(tmp_path, capsys):
     assert "schema: /P: chain has no unique stationary law" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("grid", ["geometric:nan", "geometric:inf", "geometric:abc",
-                                  "linear:abc", "geometric:"])
+_RATIO = "geometric grid ratio must be finite and exceed 1"
+# each bad --grid and the message of its refusal at /grid
+BAD_GRIDS = {
+    "geometric:nan": _RATIO,
+    "geometric:inf": _RATIO,
+    "geometric:1.0": _RATIO,
+    "geometric:abc": "bad grid spec 'geometric:abc': could not convert string to float: 'abc'",
+    "linear:abc": "bad grid spec 'linear:abc': invalid literal for int() with base 10: 'abc'",
+    "linear:0": "linear grid needs positive step and horizon",
+    "geometric:": "unknown grid spec 'geometric:'",
+    "foo": "unknown grid spec 'foo'",
+}
+
+
+@pytest.mark.parametrize("grid", BAD_GRIDS)
 def test_bad_grid_exits_2(tmp_path, capsys, grid):
     m = write_json(tmp_path, "m.json", COIN_SPEC)
+    out = tmp_path / "o"
     rc = main(["series", "--measure", m, "--N", "50", "--seed", "1", "--grid", grid,
-               "--outdir", str(tmp_path / "o")])
+               "--outdir", str(out)])
     assert rc == 2
-    assert "error:" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"schema: /grid: {BAD_GRIDS[grid]}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

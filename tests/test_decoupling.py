@@ -281,6 +281,9 @@ class _BrokenMeasure(ShiftMeasure):
     def _level_totals(self, state) -> np.ndarray:
         return state[0]
 
+    def _level_rows(self, state, lo: int, hi: int):
+        return tuple(s[lo:hi] for s in state)
+
     def kernel_bound(self, tau: int) -> float:
         raise NotImplementedError
 
