@@ -42,6 +42,7 @@ from .errors import (
     REQUIRED,
     SchemaError,
     ValidationError,
+    known_keys,
     param,
     schema_errors,
 )
@@ -521,9 +522,7 @@ def run(config: RunConfig, outdir: str | Path = ".") -> dict:
     group = config.subcommand.split(".")[0]
     known = {d.key for name, (_, ds) in _SUBCOMMANDS.items() if name.split(".")[0] == group
              for d in ds}
-    for key in config.params:
-        if key not in known:
-            raise SchemaError("unknown parameter", f"/{key}")
+    known_keys(config.params, known, noun="parameter")
     checked = {d.key: _read(d, config.params) for d in params}
     artifacts = runner({"given": config.params, **checked})
     out = Path(outdir)

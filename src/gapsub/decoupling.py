@@ -352,7 +352,7 @@ def check_trajectory_subadditivity(
     wl = Q.windows(symbols[:N])
     ns = np.arange(1, N + 1, dtype=np.int64)
     found, total, max_excess = split_scan(
-        wl.suffix(0, N), wl.suffix, sigma.values(ns), rho.values(ns), tol, max_report
+        wl.suffix(0, N), wl.suffix_rows, sigma.values(ns), rho.values(ns), tol, max_report
     )
     return TrajectoryCheck(
         ok=(total == 0),

@@ -6,7 +6,8 @@ and the process's exit code.  The constructors are the only validators of
 their input: one that rejects a single field sets the error's pointer to
 it ("/P/0").  The JSON builders (measure_from_spec, sequence_from_spec,
 the schedules' from_json) re-raise a rejection through schema_errors as a
-SchemaError, prefixing the pointer with the object's place in its document.
+SchemaError, prefixing the pointer with the object's place in its document;
+each also refuses a key it does not read (known_keys).
 """
 from __future__ import annotations
 
@@ -118,3 +119,15 @@ def param(obj, key, kind: type, default=REQUIRED, pointer: str = ""):
     if not ok:
         raise SchemaError(f"must be {_KINDS[kind]}", here)
     return kind(value)
+
+
+def known_keys(obj: dict, keys, pointer: str = "", noun: str = "key") -> None:
+    """Refuse the first key of obj, in its order, that keys does not hold.
+
+    A builder that reads the keys keys of a JSON object calls this, so a
+    misspelt key is refused instead of ignored: a SchemaError "unknown
+    noun" at pointer + "/" + key.
+    """
+    for key in obj:
+        if key not in keys:
+            raise SchemaError(f"unknown {noun}", f"{pointer}/{key}")

@@ -16,18 +16,21 @@ import math
 from typing import Callable, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     CapExceededError,
     ConfigError,
     GapLiftError,
     ValidationError,
+    known_keys,
     param,
     schema_errors,
 )
 from .schedules import ConvergenceSeries, ErrorSchedule, GapSchedule, index_blocks, linear_grid
 
 PAIRWISE_CAP = 5000  # largest horizon of a pairwise check, which compares O(N^2) pairs
+_SCAN_FLOATS = 2**16  # most excess entries one block of the split scan holds
 
 
 def _check_horizon(N: int) -> None:
@@ -71,6 +74,19 @@ class RealSequence:
         return float(self.values(n)[n - 1])
 
 
+# the params keys each named sequence reads: "table" and the closed forms of _builtin
+_PARAM_KEYS = {
+    "table": ("values",),
+    "linear": ("slope",),
+    "affine_sqrt": ("slope", "sqrt_coeff"),
+    "sqrt": ("scale",),
+    "neg_nlogn": ("scale",),
+    "square": ("scale",),
+    "log": ("scale",),
+    "neg_inf_from": ("start", "slope"),
+}
+
+
 def _builtin(name: str, params: dict) -> Callable[[np.ndarray], np.ndarray]:
     def coeff(key: str, default: float = 1.0) -> float:
         return param(params, key, float, default, "/params")
@@ -94,11 +110,10 @@ def _builtin(name: str, params: dict) -> Callable[[np.ndarray], np.ndarray]:
     if name == "log":
         s = coeff("scale")
         return lambda ns: s * np.log1p(ns.astype(np.float64))
-    if name == "neg_inf_from":
-        start = param(params, "start", int, 2, "/params")
-        a = coeff("slope", 0.0)
-        return lambda ns: np.where(ns >= start, -np.inf, a * ns.astype(np.float64))
-    raise ConfigError(f"unknown sequence {name!r}", "/name")
+    # the one name left: neg_inf_from
+    start = param(params, "start", int, 2, "/params")
+    a = coeff("slope", 0.0)
+    return lambda ns: np.where(ns >= start, -np.inf, a * ns.astype(np.float64))
 
 
 def _table(params: dict) -> Callable[[np.ndarray], np.ndarray]:
@@ -123,7 +138,8 @@ def sequence_from_spec(obj: dict, pointer: str = "") -> RealSequence:
 
     "table" takes explicit values; every other name is a closed form.
     Every rejection is a SchemaError whose pointer starts with pointer,
-    the spec's place in its document.
+    the spec's place in its document; a key the name does not read is
+    refused.
     """
     with schema_errors(pointer):
         if not isinstance(obj, dict) or "name" not in obj:
@@ -132,6 +148,10 @@ def sequence_from_spec(obj: dict, pointer: str = "") -> RealSequence:
         if not isinstance(params, dict):
             raise ConfigError("must be an object", "/params")
         name = obj["name"]
+        if not isinstance(name, str) or name not in _PARAM_KEYS:
+            raise ConfigError(f"unknown sequence {name!r}", "/name")
+        known_keys(obj, ("name", "params"))
+        known_keys(params, _PARAM_KEYS[name], "/params")
         fn = _table(params) if name == "table" else _builtin(name, params)
         return RealSequence(fn, name=name)
 
@@ -155,21 +175,52 @@ class SubadditivityCheck:
         return dataclasses.asdict(self)
 
 
+def _scan_blocks(sig: np.ndarray, N: int) -> list[tuple[int, int, int]]:
+    """(n, rows, width) of each block of the split scan, in row order.
+
+    A block is the consecutive rows n .. n + rows - 1 of one run of equal
+    sigma, so its offsets j = n + sigma_n step by 1 and its row widths
+    N - j by -1; width is its first row's.  rows <= (width + 1) // 2, so
+    every row has a pair and at most a quarter of a block's entries lie past
+    its rows' ends, and rows * width <= _SCAN_FLOATS unless one row is wider.
+    """
+    bounds = [0, *(np.flatnonzero(np.diff(sig)) + 1).tolist(), N] if N else []
+    blocks = []
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        n, width = lo + 1, N - lo - 1 - int(sig[lo])
+        left = min(hi - lo, width)  # the rows of the run that have a pair
+        while left > 0:
+            rows = min(left, (width + 1) // 2, max(1, _SCAN_FLOATS // width))
+            blocks.append((n, rows, width))
+            n, width, left = n + rows, width - rows, left - rows
+    return blocks
+
+
+def _row_top(excess: np.ndarray) -> float:
+    """The largest defined excess of a row: nan entries skipped, -inf if none is left."""
+    top = float(np.maximum.reduce(excess))
+    if math.isnan(top):
+        defined = excess[~np.isnan(excess)]
+        top = float(defined.max()) if defined.size else -np.inf
+    return top
+
+
 def split_scan(
     pre: np.ndarray,
-    shifted: Callable[[int, int], np.ndarray],
+    shifted: Callable[[int, int, int], np.ndarray],
     sig: np.ndarray,
     rh: np.ndarray,
     tol: float,
     max_report: int,
 ) -> tuple[tuple[Violation, ...], int, float]:
-    """Test pre_{n+sigma_n+m} <= pre_n + rho_n + shifted(n + sigma_n, m)_m pairwise.
+    """Test pre_{n+sigma_n+m} <= pre_n + rho_n + (shifted by n + sigma_n)_m pairwise.
 
-    pre holds the prefix values [F_1, ..., F_N]; shifted(j, m_max) the
-    values [F_1, ..., F_{m_max}] of the orbit shifted by j, so on a
-    one-point system every shift is pre itself.  sig and rh hold sigma_n
-    and rho_n for n = 1 .. N.  Every pair with n + sigma_n + m <= N is
-    covered, one vectorized sweep per n.
+    pre holds the prefix values [F_1, ..., F_N].  shifted(j, rows, width)
+    is a (rows, width) array, or one row to broadcast, whose row r holds
+    [F_1, ..., F_width] of the orbit shifted by j + r; entries past the end
+    of the orbit may hold anything.  On a one-point system every shift is
+    pre itself.  sig and rh hold sigma_n and rho_n for n = 1 .. N.  Every
+    pair with n + sigma_n + m <= N is covered.
 
     Infinite values follow the extended-real reading: a finite left side
     against a -inf right side is a violation, -inf against anything is
@@ -177,33 +228,54 @@ def split_scan(
     max_report violations in (n, m) order, their total count and the
     largest defined excess (-inf when no pair has one).
 
-    Each row's excess is written into one buffer; the violations are
-    looked up only in a row whose max exceeds tol or is nan.
+    The rows run in blocks of equal sigma (_scan_blocks), so a block's
+    left sides form a Hankel view of pre and its shifted sides are
+    suffixes at consecutive offsets.  Each entry is the row-by-row
+    (pre_j - (pre_n + rho_n)) - shifted, the same two subtractions; the
+    entries past a row's end are set to -inf.  Only a row whose max
+    exceeds tol or is nan is searched for violations.  The row maxima
+    fold in row order; the sign of a zero maximum depends on the order of
+    its reduction, so a zero is taken again from its row alone.
     """
     N = pre.size
+    blocks = _scan_blocks(sig, N)
     found: list[Violation] = []
     total = 0
     max_excess = -np.inf
-    buf = np.empty(N)
+    if not blocks:
+        return (), 0, float(max_excess)
+    buf = np.empty(max(rows * width for _, rows, width in blocks))
+    most = max(rows for _, rows, _ in blocks)
+    # corner[r, c] of a block of most rows: column width - most + 1 + c lies past row r's end
+    corner = np.add.outer(np.arange(most), np.arange(most - 1)) >= most - 1
+    lefts = sliding_window_view(np.concatenate((pre, np.zeros(N - 1))), N)  # [j, i] = pre_{j+i+1}
+    base = pre + rh
     with np.errstate(invalid="ignore"):
-        for n in range(1, N + 1):
+        for n, rows, width in blocks:
             j = n + int(sig[n - 1])
-            m_max = N - j
-            if m_max < 1:
-                continue
-            excess = buf[:m_max]
-            np.subtract(pre[j : j + m_max], pre[n - 1] + rh[n - 1], out=excess)
-            np.subtract(excess, shifted(j, m_max), out=excess)
-            top = float(np.maximum.reduce(excess))
-            if not top <= tol:  # a violation, or some pair with -inf on both sides
-                bad = np.flatnonzero(excess > tol)
-                if math.isnan(top):
-                    defined = excess[~np.isnan(excess)]
-                    top = float(defined.max()) if defined.size else -np.inf
+            excess = buf[: rows * width].reshape(rows, width)
+            np.subtract(lefts[j : j + rows, :width], base[n - 1 : n - 1 + rows, None], out=excess)
+            np.subtract(excess, shifted(j, rows, width), out=excess)
+            if rows > 1:
+                np.copyto(excess[:, width - rows + 1 :], -np.inf,
+                          where=corner[most - rows :, : rows - 1])
+            tops = np.maximum.reduce(excess, axis=1)
+            hits = np.flatnonzero(~(tops <= tol))  # violations, or pairs with -inf on both sides
+            tops = tops.tolist()
+            for r in hits.tolist():
+                row = excess[r, : width - r]
+                bad = np.flatnonzero(row > tol)
+                if math.isnan(tops[r]):
+                    tops[r] = _row_top(row)
                 total += bad.size
                 for i in bad[: max_report - len(found)]:
-                    found.append(Violation(n=n, m=int(i) + 1, excess=float(excess[i])))
-            max_excess = max(max_excess, top)
+                    found.append(Violation(n=n + r, m=int(i) + 1, excess=float(row[i])))
+            top = max(tops)
+            if top > max_excess:
+                max_excess = top
+                if top == 0:  # the sign of a zero follows its row's own reduction
+                    r = tops.index(top)
+                    max_excess = _row_top(excess[r, : width - r])
     return tuple(found), total, float(max_excess)
 
 
@@ -229,7 +301,7 @@ def check_gapped_subadditivity(
     Fv = F.values(N)
     ns = np.arange(1, N + 1, dtype=np.int64)
     found, total, _ = split_scan(
-        Fv, lambda j, m: Fv[:m], sigma.values(ns), rho.values(ns), tol, max_report
+        Fv, lambda j, rows, m: Fv[None, :m], sigma.values(ns), rho.values(ns), tol, max_report
     )
     return SubadditivityCheck(
         ok=(total == 0),

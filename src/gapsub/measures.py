@@ -30,8 +30,9 @@ import sys
 from typing import Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import CapExceededError, ConfigError, ValidationError, schema_errors
+from .errors import CapExceededError, ConfigError, ValidationError, known_keys, schema_errors
 from .logspace import _NEG_MAX, log_sum_exp, log_sum_exp_into, safe_log
 
 _STOCH_TOL = 1e-9
@@ -95,33 +96,68 @@ def _check_stochastic(raw, field: str, ndim: int, square: bool = False) -> np.nd
 
     field is the argument's JSON pointer, such as "/P"; a rejection points
     at it, or at the offending row of a matrix.  Entries are checked as
-    given, since np.asarray would turn a boolean into 1.0.
+    given, since np.asarray would turn a boolean into 1.0.  Rows of exact
+    ints and floats, or a numeric array, are checked as one array; any
+    other input, and any that fails there, is checked row by row, which
+    refuses at the first offending row.
     """
     if raw is None:
         raise ValidationError("missing", field)
     rows = [raw] if ndim == 1 else raw
     if not isinstance(rows, _LISTS) or len(rows) == 0:
         raise ValidationError("must be a nonempty list of rows", field)
-    for i, row in enumerate(rows):
-        here = field if ndim == 1 else f"{field}/{i}"
-        if not isinstance(row, _LISTS) or len(row) == 0:
-            raise ValidationError("must be a nonempty list", here)
-        if len(row) != len(rows[0]):
-            raise ValidationError("ragged row", here)
-        if not all(isinstance(v, numbers.Real) and not isinstance(v, bool) for v in row):
-            raise ValidationError("non-numeric entry", here)
-        if not all(abs(v) <= sys.float_info.max for v in row):
-            raise ValidationError("non-finite entry", here)
-        vals = np.asarray(row, dtype=np.float64)
-        if (vals < 0).any():
-            raise ValidationError("negative entry", here)
-        total = float(vals.sum())
-        if abs(total - 1.0) > _STOCH_TOL:
-            what = "row sums" if ndim == 2 else "sums"
-            raise ValidationError(f"{what} to {total!r}, expected 1", here)
+    vals = _plain_rows(raw, ndim)
+    if not (
+        vals is not None
+        and np.isfinite(vals).all()
+        and (vals >= 0).all()
+        and (np.abs(vals.sum(axis=1) - 1.0) <= _STOCH_TOL).all()
+    ):
+        for i, row in enumerate(rows):
+            _check_row(row, rows[0], field if ndim == 1 else f"{field}/{i}", ndim)
     if square and len(rows) != len(rows[0]):
         raise ValidationError("must be square", field)
     return np.asarray(raw, dtype=np.float64)
+
+
+def _plain_rows(raw, ndim: int) -> np.ndarray | None:
+    """raw as a 2-d float array, one row per row, if it is a numeric array of
+    ndim dimensions or nonempty lists of one length whose entries are all
+    exact ints and floats in the float range; else None."""
+    if isinstance(raw, np.ndarray):
+        if raw.ndim != ndim or raw.size == 0 or raw.dtype.kind not in "fiu":
+            return None
+        return raw.reshape(-1, raw.shape[-1]).astype(np.float64)
+    rows = [raw] if ndim == 1 else raw
+    width = len(rows[0]) if isinstance(rows[0], (list, tuple)) else 0
+    if not width or not all(type(row) in (list, tuple) and len(row) == width for row in rows):
+        return None
+    if not {type(v) for row in rows for v in row} <= {int, float}:
+        return None
+    try:
+        return np.array(rows, dtype=np.float64)
+    except OverflowError:  # an int beyond the float range
+        return None
+
+
+def _check_row(row, first, here: str, ndim: int) -> None:
+    """Refuse one row of _check_stochastic at here, in the checks' order;
+    first is the first row, whose length every row must have."""
+    if not isinstance(row, _LISTS) or len(row) == 0:
+        raise ValidationError("must be a nonempty list", here)
+    if len(row) != len(first):
+        raise ValidationError("ragged row", here)
+    if not all(isinstance(v, numbers.Real) and not isinstance(v, bool) for v in row):
+        raise ValidationError("non-numeric entry", here)
+    if not all(abs(v) <= sys.float_info.max for v in row):
+        raise ValidationError("non-finite entry", here)
+    vals = np.asarray(row, dtype=np.float64)
+    if (vals < 0).any():
+        raise ValidationError("negative entry", here)
+    total = float(vals.sum())
+    if abs(total - 1.0) > _STOCH_TOL:
+        what = "row sums" if ndim == 2 else "sums"
+        raise ValidationError(f"{what} to {total!r}, expected 1", here)
 
 
 def _start_law(start, M: np.ndarray, field: str) -> tuple[np.ndarray, bool]:
@@ -333,8 +369,10 @@ def _append_symbols(x: np.ndarray, t: np.ndarray, out: np.ndarray) -> np.ndarray
 class Windows(abc.ABC):
     """f_m at offset j, log Q_m(x_{j+1} .. x_{j+m}), along one path x.
 
-    many evaluates one length at many offsets, suffix every length up to
-    m_max at one offset.  Both check that the windows lie inside the path.
+    many evaluates one length at many offsets; suffix_rows every length up
+    to a width at a run of consecutive offsets, one row per offset, and
+    suffix is its one-row case.  Each checks that its windows start inside
+    the path.
     """
 
     def __init__(self, size: int):
@@ -344,7 +382,7 @@ class Windows(abc.ABC):
     def _many(self, js: np.ndarray, m: int) -> np.ndarray: ...
 
     @abc.abstractmethod
-    def _suffix(self, j: int, m_max: int) -> np.ndarray: ...
+    def _suffix_rows(self, j0: int, rows: int, width: int) -> np.ndarray: ...
 
     def many(self, js, m: int) -> np.ndarray:
         """f_m at each offset in js; requires j + m <= size for all j."""
@@ -357,11 +395,19 @@ class Windows(abc.ABC):
             raise ConfigError("window exceeds the trajectory")
         return self._many(js, m)
 
+    def suffix_rows(self, j0: int, rows: int, width: int) -> np.ndarray:
+        """A (rows, width) array whose row r is [f_1, ..., f_width] at offset j0 + r.
+
+        Needs j0 + width <= size and j0 + rows <= size.  Row r's entries
+        from size - j0 - r on lie past the path and are unspecified.
+        """
+        if rows < 1 or width < 1 or j0 < 0 or j0 + max(rows, width) > self.size:
+            raise ConfigError("suffix window exceeds the trajectory")
+        return self._suffix_rows(j0, rows, width)
+
     def suffix(self, j: int, m_max: int) -> np.ndarray:
         """Array [f_1, ..., f_{m_max}] at offset j; needs j + m_max <= size."""
-        if m_max < 1 or j < 0 or j + m_max > self.size:
-            raise ConfigError("suffix window exceeds the trajectory")
-        return self._suffix(j, m_max)
+        return self.suffix_rows(j, 1, m_max)[0]
 
 
 class _PrefixSumWindows(Windows):
@@ -396,20 +442,32 @@ class _PrefixSumWindows(Windows):
             nbad = self._bad_cum[js + m] - self._bad_cum[js]
         return np.where(nbad > 0, -np.inf, vals)
 
-    def _suffix(self, j: int, m_max: int) -> np.ndarray:
-        cum = self._cum[j + 1 : j + m_max + 1]
+    @functools.cached_property
+    def _ends(self) -> tuple[np.ndarray, np.ndarray | None]:
+        """Strided views [a, i] = cum[a + i] of _cum and, if a term is -inf,
+        _bad_cum, over a zero tail where a suffix block's rows run past the path."""
+        def view(cum: np.ndarray) -> np.ndarray:
+            tail = np.zeros(self.size - 1, dtype=cum.dtype)
+            return sliding_window_view(np.concatenate((cum, tail)), self.size)
+
+        return view(self._cum), view(self._bad_cum) if self._any_bad else None
+
+    def _suffix_rows(self, j0: int, rows: int, width: int) -> np.ndarray:
+        ends, bad_ends = self._ends
+        at, after = slice(j0, j0 + rows), slice(j0 + 1, j0 + rows + 1)
+        cum = ends[after, :width]  # [r, i] = cum[j0 + r + 1 + i]
         if self._markov:
-            vals = self._head[j] + cum
-            vals -= self._cum[j + 1]
+            vals = self._head[at, None] + cum
+            vals -= self._cum[after, None]
         else:
-            vals = cum - self._cum[j]
+            vals = cum - self._cum[at, None]
         if not self._any_bad:
             return vals
-        bad_cum = self._bad_cum[j + 1 : j + m_max + 1]
+        bad_cum = bad_ends[after, :width]
         if self._markov:
-            nbad = self._head_bad[j] + bad_cum - self._bad_cum[j + 1]
+            nbad = self._head_bad[at, None] + bad_cum - self._bad_cum[after, None]
         else:
-            nbad = bad_cum - self._bad_cum[j]
+            nbad = bad_cum - self._bad_cum[at, None]
         return np.where(nbad > 0, -np.inf, vals)
 
 
@@ -431,8 +489,8 @@ _ROW_STEP_HIDDEN = 7
 class _ForwardWindows(Windows):
     """HMM windows: one forward row per offset, all advanced together.
 
-    suffix fills the prefix table of a block of consecutive offsets at
-    once and serves later offsets in the block from it.
+    suffix_rows fills the prefix table of a block of consecutive offsets,
+    to the end of the path, and serves later blocks inside it from it.
     """
 
     def __init__(self, Q: "HiddenMarkovMeasure", x: np.ndarray):
@@ -445,15 +503,15 @@ class _ForwardWindows(Windows):
     def _many(self, js: np.ndarray, m: int) -> np.ndarray:
         return self._Q._forward(self._x, js, m)
 
-    def _suffix(self, j: int, m_max: int) -> np.ndarray:
-        if not self._lo <= j < self._lo + self._table.shape[0]:
-            width = self.size - j
-            rows = max(1, min(width, _TABLE_ENTRIES // width))
-            self._lo = j
+    def _suffix_rows(self, j0: int, rows: int, width: int) -> np.ndarray:
+        if not self._lo <= j0 <= j0 + rows <= self._lo + self._table.shape[0]:
+            full = self.size - j0
+            count = min(full, max(rows, _TABLE_ENTRIES // full))
+            self._lo = j0
             self._table = self._Q._forward(
-                self._x, np.arange(j, j + rows, dtype=np.int64), width, table=True
+                self._x, np.arange(j0, j0 + count, dtype=np.int64), full, table=True
             )
-        return self._table[j - self._lo, :m_max]
+        return self._table[j0 - self._lo : j0 - self._lo + rows, :width]
 
 
 class _MixtureWindows(Windows):
@@ -467,8 +525,8 @@ class _MixtureWindows(Windows):
     def _many(self, js: np.ndarray, m: int) -> np.ndarray:
         return self._Q._mix([w._many(js, m) for w in self._parts])
 
-    def _suffix(self, j: int, m_max: int) -> np.ndarray:
-        return self._Q._mix([w._suffix(j, m_max) for w in self._parts])
+    def _suffix_rows(self, j0: int, rows: int, width: int) -> np.ndarray:
+        return self._Q._mix([w._suffix_rows(j0, rows, width) for w in self._parts])
 
 
 def _draw_from_cum(cum: np.ndarray, u) -> np.ndarray | int:
@@ -1119,28 +1177,39 @@ def validate_measure(
     )
 
 
+# the keys of a measure spec, by family
+_SPEC_KEYS = {
+    "iid": ("family", "p"),
+    "markov": ("family", "P", "start"),
+    "hmm": ("family", "A", "E", "start"),
+    "mixture": ("family", "components", "weights"),
+}
+
+
 def measure_from_spec(obj: dict, pointer: str = "") -> ShiftMeasure:
     """Build a measure from its JSON spec, an object named by its "family" field.
 
     Every rejection is a SchemaError whose pointer starts with pointer,
-    the spec's place in its document.
+    the spec's place in its document; a key the family does not read is
+    refused.
     """
     with schema_errors(pointer):
         if not isinstance(obj, dict):
             raise ConfigError("a measure spec must be an object")
         family = obj.get("family")
+        if not isinstance(family, str) or family not in _SPEC_KEYS:
+            raise ConfigError(f"unknown family {family!r}", "/family")
+        known_keys(obj, _SPEC_KEYS[family])
         if family == "iid":
             return IIDMeasure(obj.get("p"))
         if family == "markov":
             return MarkovMeasure(obj.get("P"), start=obj.get("start"))
         if family == "hmm":
             return HiddenMarkovMeasure(obj.get("A"), obj.get("E"), start=obj.get("start"))
-        if family == "mixture":
-            comps = obj.get("components")
-            if not isinstance(comps, list):
-                raise ConfigError("needs a list of components", "/components")
-            return MixtureMeasure(
-                [measure_from_spec(c, f"/components/{i}") for i, c in enumerate(comps)],
-                obj.get("weights"),
-            )
-        raise ConfigError(f"unknown family {family!r}", "/family")
+        comps = obj.get("components")
+        if not isinstance(comps, list):
+            raise ConfigError("needs a list of components", "/components")
+        return MixtureMeasure(
+            [measure_from_spec(c, f"/components/{i}") for i, c in enumerate(comps)],
+            obj.get("weights"),
+        )

@@ -50,7 +50,16 @@ class Trajectory:
         return int(self.symbols.size)
 
     def text(self) -> str:
-        """The symbols on one line, separated by spaces."""
+        """The symbols on one line, separated by spaces.
+
+        Names of one digit are written as bytes: each digit, then a space,
+        with a newline in place of the last space.
+        """
+        if self.symbols.max() <= 9:
+            line = np.full(2 * self.symbols.size, ord(" "), dtype=np.uint8)
+            np.add(self.symbols, ord("0"), out=line[::2], casting="unsafe")
+            line[-1] = ord("\n")
+            return line.tobytes().decode("ascii")
         names = np.array([str(s) for s in range(int(self.symbols.max()) + 1)], dtype=object)
         return " ".join(names[self.symbols].tolist()) + "\n"
 

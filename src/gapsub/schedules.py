@@ -15,10 +15,15 @@ from typing import Callable, ClassVar, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, ScheduleRangeError, ValidationError, param, schema_errors
+from .errors import (
+    ConfigError,
+    ScheduleRangeError,
+    ValidationError,
+    known_keys,
+    param,
+    schema_errors,
+)
 
-_GAP_RULES = ("constant", "ceil_power", "ceil_log", "table")
-_ERROR_RULES = ("constant", "scaled_power", "table")
 
 
 def _check_table(params: dict, kind: type) -> None:
@@ -58,6 +63,13 @@ class _Schedule:
 
     _kind: ClassVar[type]
     _noun: ClassVar[str]
+    _rules: ClassVar[dict[str, tuple[str, ...]]]  # the params keys of each rule
+
+    def _check_rule(self) -> None:
+        """Refuse an unknown rule, and a params key that the rule does not read."""
+        if not isinstance(self.rule, str) or self.rule not in self._rules:
+            raise ConfigError(f"unknown {self._noun} rule {self.rule!r}", "/rule")
+        known_keys(self.params, self._rules[self.rule], "/params")
 
     @classmethod
     def zero(cls):
@@ -97,6 +109,7 @@ class _Schedule:
         with schema_errors(pointer):
             if not isinstance(obj, dict) or "rule" not in obj:
                 raise ConfigError("needs a 'rule' field")
+            known_keys(obj, ("rule", "params"))
             params = obj.get("params", {})
             if not isinstance(params, dict):
                 raise ConfigError("must be an object", "/params")
@@ -113,10 +126,11 @@ class GapSchedule(_Schedule):
 
     _kind = int
     _noun = "gap"
+    _rules = {"constant": ("value",), "ceil_power": ("alpha", "scale"), "ceil_log": (),
+              "table": ("values",)}
 
     def __post_init__(self):
-        if self.rule not in _GAP_RULES:
-            raise ConfigError(f"unknown gap rule {self.rule!r}", "/rule")
+        self._check_rule()
         if self.rule == "constant":
             if param(self.params, "value", int, pointer="/params") < 0:
                 raise ConfigError("must be a nonnegative integer", "/params/value")
@@ -161,12 +175,12 @@ class ErrorSchedule(_Schedule):
 
     _kind = float
     _noun = "error"
+    _rules = {"constant": ("value",), "scaled_power": ("alpha", "scale"), "table": ("values",)}
 
     def __post_init__(self):
         if self.fn is not None or self.hook is not None:
             return
-        if self.rule not in _ERROR_RULES:
-            raise ConfigError(f"unknown error rule {self.rule!r}", "/rule")
+        self._check_rule()
         if self.rule == "constant":
             if param(self.params, "value", float, pointer="/params") < 0:
                 raise ConfigError("must be nonnegative", "/params/value")

@@ -1063,6 +1063,54 @@ TABLES = {
 }
 
 
+# a key that its spec's builder does not read, and the pointer of its refusal
+UNREAD_KEYS = [
+    (("sequence", "params"), {"slope": 3.0, "sqrt_coef": 2.0}, "/sequence/params/sqrt_coef"),
+    (("sequence", "parms"), {"slope": 3.0}, "/sequence/parms"),
+    (("sigma",), {"rule": "ceil_log", "parms": {"value": 2}}, "/sigma/parms"),
+    (("sigma",), {"rule": "ceil_log", "params": {"value": 2}}, "/sigma/params/value"),
+    (("rho",), {"rule": "constant", "params": {"value": 1.0, "vlaue": 2.0}},
+     "/rho/params/vlaue"),
+]
+
+
+@pytest.mark.parametrize("path, value, pointer", UNREAD_KEYS,
+                         ids=["sequence-param", "sequence", "gap", "gap-param", "error-param"])
+def test_an_unread_fekete_spec_key_is_refused(tmp_path, capsys, path, value, pointer):
+    """affine_sqrt with sqrt_coef once ran with sqrt_coeff = 1, and a schedule
+    with parms as if it had no params."""
+    s = write_json(tmp_path, "s.json", _replace(FEKETE_SPEC, path, value))
+    out = tmp_path / "o"
+    assert main(["fekete", "check", "--spec", s, "--outdir", str(out)]) == 2
+    assert capsys.readouterr().err == f"schema: {pointer}: unknown key\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "subcommand, params, pointer",
+    [
+        ("estimate.cross", {"p": {**WORKED_SPEC, "strat": [0.5, 0.5]}, "q": WORKED_SPEC,
+                            "N": 50, "seed": 1}, "/p/strat"),
+        ("sample", {"measure": {**MIXTURE_SPEC, "components": [
+            COIN_SPEC, {**COIN_SPEC, "P": [[0.5, 0.5], [0.5, 0.5]]}]}, "N": 5, "seed": 1},
+         "/measure/components/1/P"),
+    ],
+    ids=["markov-start", "mixture-component"],
+)
+def test_an_unread_measure_key_is_refused(tmp_path, capsys, subcommand, params, pointer):
+    """A Markov spec with strat once ran from the stationary start."""
+    manifest = {"config": {"subcommand": subcommand, "params": params}}
+    stub = write_json(tmp_path, "manifest.json", manifest)
+    out = tmp_path / "o"
+    assert main(["rerun", "--manifest", stub, "--outdir", str(out)]) == 2
+    assert capsys.readouterr().err == f"schema: /config/params{pointer}: unknown key\n"
+    assert not out.exists()
+    m = write_json(tmp_path, "m.json", params.get("p", params.get("measure")))
+    assert main(["validate", "--file", m]) == 2
+    in_file = "/" + pointer.split("/", 2)[2]  # the file is the spec itself
+    assert capsys.readouterr().err == f"schema: {in_file}: unknown key\n"
+
+
 def test_an_unknown_key_is_refused_before_any_work(tmp_path, capsys):
     """A misspelt sigma is not read as the default gap of 0."""
     typo = {key: value for key, value in FEKETE_SPEC.items() if key != "sigma"}

@@ -399,6 +399,50 @@ def test_boolean_and_string_entries_rejected(build, bad):
 
 
 @pytest.mark.parametrize(
+    "P, pointer, message",
+    [
+        ([[0.5, 0.6], [0.5, "x"], [0.5]], "/P/0", "row sums to 1.1"),
+        ([[0.5, 0.5], [0.5, -0.5, 1.0], [0.5, True]], "/P/1", "ragged row"),
+        ([[0.5, 0.5], [0.5, True], [1.5, -0.5]], "/P/1", "non-numeric entry"),
+        ([[0.5, 0.5], [10**400, 0.5], [0.5, "x"]], "/P/1", "non-finite entry"),
+        ([[0.5, 0.5], [1.5, -0.5], [math.nan, 0.5]], "/P/1", "negative entry"),
+        ([[0.5, 0.5], [0.5, 0.5], [0.5, 0.6]], "/P/2", "row sums to 1.1"),
+        ([[0.5, 0.5], [0.5, 0.5], 0.5], "/P/2", "must be a nonempty list"),
+        (np.array([[0.5, 0.5], [np.inf, 0.5]]), "/P/1", "non-finite entry"),
+    ],
+)
+def test_the_first_offending_row_is_refused(P, pointer, message):
+    """A later row's fault does not hide an earlier row's; within a row the
+    checks run ragged, non-numeric, non-finite, negative, sum."""
+    with pytest.raises(ValidationError) as exc:
+        measures._check_stochastic(P, "/P", 2)
+    assert exc.value.pointer == pointer and exc.value.message.startswith(message)
+
+
+@pytest.mark.parametrize("p", [math.nan, "x", [], [[0.5, 0.5]]])
+def test_a_vector_of_no_numbers_is_refused(p):
+    with pytest.raises(ValidationError) as exc:
+        measures._check_stochastic(p, "/p", 1)
+    assert exc.value.pointer == "/p"
+
+
+@pytest.mark.parametrize(
+    "P",
+    [
+        [[1, 0], [0.25, 0.75]],
+        ((0.5, 0.5), (0.25, 0.75)),
+        np.array([[0.5, 0.5], [0.25, 0.75]], dtype=np.float32),
+        [np.array([0.5, 0.5]), [np.float64(0.25), 0.75]],
+        np.array([[1, 0], [0, 1]]),
+    ],
+    ids=["ints", "tuples", "float32", "numpy-entries", "int-array"],
+)
+def test_other_numeric_entries_are_accepted(P):
+    got = measures._check_stochastic(P, "/P", 2, square=True)
+    assert got.dtype == np.float64 and (got == np.asarray(P, dtype=np.float64)).all()
+
+
+@pytest.mark.parametrize(
     "spec, pointer",
     [
         ({"family": "markov", "P": [[0.5, 0.5], [0.4, 0.5]]}, "/P/1"),

@@ -78,15 +78,23 @@ def test_zero_probability_symbols_never_drawn():
     assert not (x.symbols == 1).any()
 
 
-@pytest.mark.parametrize("k", [1, 3, 32])
+@pytest.mark.parametrize("k", [1, 2, 3, 10, 11, 32])
 def test_trajectory_text_is_the_plain_join(k):
-    """The symbol-name lookup writes what joining str of every symbol wrote,
-    two-digit symbols included."""
+    """The text is what joining str of every symbol wrote: one-digit names
+    as bytes, two-digit symbols through the name lookup."""
     symbols = np.random.default_rng(k).integers(0, k, 5000)
     x = Trajectory(symbols, alphabet_size=k)
     assert x.text() == " ".join(map(str, x.symbols.tolist())) + "\n"
     if k == 32:
         assert " 31 " in x.text() and " 10 " in x.text()
+
+
+def test_trajectory_text_of_a_wide_alphabet_path_with_one_digit_symbols():
+    symbols = np.random.default_rng(12).integers(0, 10, 5000)
+    x = Trajectory(symbols, alphabet_size=12)
+    assert x.symbols.max() == 9
+    assert x.text() == " ".join(map(str, x.symbols.tolist())) + "\n"
+    assert Trajectory(np.array([7]), alphabet_size=12).text() == "7\n"
 
 
 def test_trajectory_validation():

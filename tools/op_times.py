@@ -1,0 +1,71 @@
+"""Print the best in-process time of every benchmark operation.
+
+    python3 tools/op_times.py 11 12 --repeat 7
+
+Every operation of every workload in bench/workloads.py runs at each given
+seed through gapsub.cli.run, on this checkout's sources, into a temporary
+directory, --repeat times in a row in this interpreter.  The interpreter
+pins itself to the CPU it starts on, and numpy runs single-threaded, as
+under bench/run.py.  One line is printed per operation:
+
+    seed/workload/operation best_ms=... median_ms=...
+
+The times are raw wall-clock milliseconds (time.perf_counter), not
+normalised by the benchmark's reference kernel, so compare two checkouts
+on the same machine, one after the other.  The first call of each
+operation pays its one-time costs (compiles, caches); best_ms leaves them
+out.  Needs Linux, for /proc/self/stat.
+"""
+from __future__ import annotations
+
+import os
+
+os.environ["OMP_NUM_THREADS"] = "1"
+os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
+import argparse  # noqa: E402
+import statistics  # noqa: E402
+import sys  # noqa: E402
+import tempfile  # noqa: E402
+import time  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.dont_write_bytecode = True  # leave no cache files in bench/
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
+
+
+def pin_to_current_cpu() -> None:
+    """Keep this process on the CPU it runs on now."""
+    with open("/proc/self/stat") as fh:
+        cpu = int(fh.read().rsplit(")", 1)[1].split()[36])
+    os.sched_setaffinity(0, {cpu})
+
+
+def main(seeds: list[int], repeat: int) -> None:
+    from gapsub import cli
+    from workloads import WORKLOADS
+
+    pin_to_current_cpu()
+    for seed in seeds:
+        for workload, operations in WORKLOADS.items():
+            for op in operations(seed):
+                config = cli.RunConfig(op.subcommand, op.params)
+                took = []
+                with tempfile.TemporaryDirectory() as out:
+                    for _ in range(repeat):
+                        start = time.perf_counter()
+                        cli.run(config, out)
+                        took.append(time.perf_counter() - start)
+                print(f"{seed}/{workload}/{op.name} best_ms={min(took) * 1e3:.2f} "
+                      f"median_ms={statistics.median(took) * 1e3:.2f}", flush=True)
+
+
+if __name__ == "__main__":
+    ap = argparse.ArgumentParser(description="best in-process time of every benchmark operation")
+    ap.add_argument("seeds", type=int, nargs="+")
+    ap.add_argument("--repeat", type=int, default=7, help="calls per operation (default 7)")
+    args = ap.parse_args()
+    if args.repeat < 1:
+        ap.error("--repeat must be >= 1")
+    main(args.seeds, args.repeat)
