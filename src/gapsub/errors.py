@@ -124,9 +124,9 @@ def param(obj, key, kind: type, default=REQUIRED, pointer: str = ""):
 def known_keys(obj: dict, keys, pointer: str = "", noun: str = "key") -> None:
     """Refuse the first key of obj, in its order, that keys does not hold.
 
-    A builder that reads the keys keys of a JSON object calls this, so a
-    misspelt key is refused instead of ignored: a SchemaError "unknown
-    noun" at pointer + "/" + key.
+    A builder of a JSON object passes the keys it reads, so a misspelt key
+    is refused instead of ignored: a SchemaError "unknown noun" at
+    pointer + "/" + key.
     """
     for key in obj:
         if key not in keys:

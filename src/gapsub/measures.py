@@ -96,17 +96,17 @@ def _check_stochastic(raw, field: str, ndim: int, square: bool = False) -> np.nd
 
     field is the argument's JSON pointer, such as "/P"; a rejection points
     at it, or at the offending row of a matrix.  Entries are checked as
-    given, since np.asarray would turn a boolean into 1.0.  Rows of exact
-    ints and floats, or a numeric array, are checked as one array; any
-    other input, and any that fails there, is checked row by row, which
-    refuses at the first offending row.
+    given, since np.asarray would turn a boolean into 1.0.  Lists of exact
+    ints and floats are checked as one array; any other input, and any
+    that fails there, is checked row by row, which refuses at the first
+    offending row.
     """
     if raw is None:
         raise ValidationError("missing", field)
     rows = [raw] if ndim == 1 else raw
     if not isinstance(rows, _LISTS) or len(rows) == 0:
         raise ValidationError("must be a nonempty list of rows", field)
-    vals = _plain_rows(raw, ndim)
+    vals = _plain_rows(rows)
     if not (
         vals is not None
         and np.isfinite(vals).all()
@@ -120,17 +120,10 @@ def _check_stochastic(raw, field: str, ndim: int, square: bool = False) -> np.nd
     return np.asarray(raw, dtype=np.float64)
 
 
-def _plain_rows(raw, ndim: int) -> np.ndarray | None:
-    """raw as a 2-d float array, one row per row, if it is a numeric array of
-    ndim dimensions or nonempty lists of one length whose entries are all
-    exact ints and floats in the float range; else None."""
-    if isinstance(raw, np.ndarray):
-        if raw.ndim != ndim or raw.size == 0 or raw.dtype.kind not in "fiu":
-            return None
-        return raw.reshape(-1, raw.shape[-1]).astype(np.float64)
-    rows = [raw] if ndim == 1 else raw
-    width = len(rows[0]) if isinstance(rows[0], (list, tuple)) else 0
-    if not width or not all(type(row) in (list, tuple) and len(row) == width for row in rows):
+def _plain_rows(rows) -> np.ndarray | None:
+    """rows as a 2-d float array if they are lists of one length whose
+    entries are all exact ints and floats in the float range; else None."""
+    if not all(type(row) in (list, tuple) and len(row) == len(rows[0]) for row in rows):
         return None
     if not {type(v) for row in rows for v in row} <= {int, float}:
         return None
@@ -1206,6 +1199,7 @@ def measure_from_spec(obj: dict, pointer: str = "") -> ShiftMeasure:
             return MarkovMeasure(obj.get("P"), start=obj.get("start"))
         if family == "hmm":
             return HiddenMarkovMeasure(obj.get("A"), obj.get("E"), start=obj.get("start"))
+        # the one family left: mixture
         comps = obj.get("components")
         if not isinstance(comps, list):
             raise ConfigError("needs a list of components", "/components")

@@ -2,8 +2,8 @@
 
 split_scan builds each row's excess in a fresh array and runs the
 violation lookup and the max on every row.  prefix_sum_suffix counts the
--inf terms of every suffix, whether or not the path has any.  The fused
-scan and the windows' suffix must reproduce both bit for bit.
+-inf terms of every suffix, whether or not the path has any.  The blocked
+scan and the windows' suffix blocks must reproduce both bit for bit.
 """
 from __future__ import annotations
 

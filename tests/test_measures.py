@@ -431,11 +431,11 @@ def test_a_vector_of_no_numbers_is_refused(p):
     [
         [[1, 0], [0.25, 0.75]],
         ((0.5, 0.5), (0.25, 0.75)),
-        np.array([[0.5, 0.5], [0.25, 0.75]], dtype=np.float32),
+        np.array([[0.5, 0.5], [0.25, 0.75]]),
         [np.array([0.5, 0.5]), [np.float64(0.25), 0.75]],
         np.array([[1, 0], [0, 1]]),
     ],
-    ids=["ints", "tuples", "float32", "numpy-entries", "int-array"],
+    ids=["ints", "tuples", "array", "numpy-entries", "int-array"],
 )
 def test_other_numeric_entries_are_accepted(P):
     got = measures._check_stochastic(P, "/P", 2, square=True)

@@ -273,12 +273,13 @@ def test_blocks_cross_a_forward_table_rebuild(name, monkeypatch):
     hmm = Q if name == "hmm" else Q.components[0]
     forward, tables = hmm._forward, []
 
-    def counted(x, js, m, table=False):
+    def counted(path, js, m, table=False):
         tables.append(table)
-        return forward(x, js, m, table)
+        return forward(path, js, m, table)
 
     monkeypatch.setattr(hmm, "_forward", counted)
     for tol, result in want.items():
         wl = Q.windows(x)
-        assert _bits(split_scan(wl.suffix(0, N), wl.suffix_rows, sig, np.zeros(N), tol, 40)) == result
+        got = split_scan(wl.suffix(0, N), wl.suffix_rows, sig, np.zeros(N), tol, 40)
+        assert _bits(got) == result
     assert sum(tables) > 20
