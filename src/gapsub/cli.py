@@ -9,9 +9,12 @@ inputs.  Nothing written here contains timestamps or machine state.
 Every run parameter is declared once, in _SUBCOMMANDS.  That table makes
 the options of each run subcommand, and run checks every parameter
 against it before the runner starts, so a refusal names the parameter's
-JSON pointer; a key that no subcommand of its group declares is refused.
-The constructors validate every spec: one read from a file or a manifest
-is checked by building it, and a rejection names its field.
+JSON pointer; a key that the subcommand does not declare is refused,
+except that a fekete run accepts the keys of all three fekete
+subcommands, so one spec file serves them all.  The constructors validate
+every spec: one read from a file or a manifest is checked by building it,
+and a rejection names its field (and, for a file given to an option, the
+option and the file).
 
 Every refusal is a GapsubError, reported by main in one place as "label:
 pointer: message" on stderr; on rerun the pointer sits under
@@ -518,10 +521,10 @@ def run(config: RunConfig, outdir: str | Path = ".") -> dict:
     if config.subcommand not in _SUBCOMMANDS:
         raise ConfigError(f"unknown subcommand {config.subcommand!r}")
     runner, params = _SUBCOMMANDS[config.subcommand]
-    # a key is known if any subcommand of the group declares it: one fekete spec serves all three
-    group = config.subcommand.split(".")[0]
-    known = {d.key for name, (_, ds) in _SUBCOMMANDS.items() if name.split(".")[0] == group
-             for d in ds}
+    known = [d.key for d in params]
+    if config.subcommand.startswith("fekete."):  # one spec file serves check, limit and lift
+        known = [d.key for name, (_, ds) in _SUBCOMMANDS.items() if name.startswith("fekete.")
+                 for d in ds]
     known_keys(config.params, known, noun="parameter")
     checked = {d.key: _read(d, config.params) for d in params}
     artifacts = runner({"given": config.params, **checked})
@@ -546,9 +549,13 @@ def run(config: RunConfig, outdir: str | Path = ".") -> dict:
 # argument parsing
 
 
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
+
+
 def _add_option(sp, d: _Param) -> None:
     """--key for d: a measure is a JSON file, a bool a switch, an int|gap an int."""
-    flag = "--" + d.key.replace("_", "-")
+    flag = _flag(d.key)
     if d.kind is bool:
         sp.add_argument(flag, action="store_true", help=d.help)
         return
@@ -645,7 +652,10 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         path = params.pop(key)
         if path is not None:
             params[key] = _load_json(path)
-            measure_from_spec(params[key])  # checked by building it
+            try:  # checked by building it; the pointer is within the file
+                measure_from_spec(params[key])
+            except SchemaError as exc:
+                raise SchemaError(f"{exc.message} ({_flag(key)} {path})", exc.pointer) from exc
     return RunConfig(subcommand, params)
 
 

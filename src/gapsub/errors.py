@@ -12,8 +12,8 @@ each also refuses a key it does not read (known_keys).
 from __future__ import annotations
 
 import contextlib
+import math
 import numbers
-import sys
 
 
 class GapsubError(Exception):
@@ -91,6 +91,17 @@ def schema_errors(prefix: str = ""):
         raise SchemaError(exc.message, prefix + exc.pointer) from exc
 
 
+def finite(value: numbers.Real) -> bool:
+    """Whether value is finite as a Python float; an int beyond the float range is not.
+
+    Converting first keeps a numpy float32 from casting the float maximum
+    to its own type, which overflows and warns."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 REQUIRED = object()  # the default of a param that must be given
 _KINDS = {int: "an integer", float: "a finite number", bool: "true or false", str: "a string"}
 
@@ -114,8 +125,8 @@ def param(obj, key, kind: type, default=REQUIRED, pointer: str = ""):
         ok = False
     elif kind is int:
         ok = abs(value) < 2**63 and value == int(value)
-    else:  # also false for nan, and for an int beyond the float range
-        ok = abs(value) <= sys.float_info.max
+    else:
+        ok = finite(value)
     if not ok:
         raise SchemaError(f"must be {_KINDS[kind]}", here)
     return kind(value)

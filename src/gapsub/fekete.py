@@ -74,49 +74,33 @@ class RealSequence:
         return float(self.values(n)[n - 1])
 
 
-# the params keys each named sequence reads: "table" and the closed forms of _builtin
-_PARAM_KEYS = {
-    "table": ("values",),
-    "linear": ("slope",),
-    "affine_sqrt": ("slope", "sqrt_coeff"),
-    "sqrt": ("scale",),
-    "neg_nlogn": ("scale",),
-    "square": ("scale",),
-    "log": ("scale",),
-    "neg_inf_from": ("start", "slope"),
+# each closed-form sequence: its params with their defaults, in reading
+# order (a default's type is the param's kind), and F of the index array
+# and those params
+_CLOSED_FORMS = {
+    "linear": ({"slope": 1.0}, lambda ns, a: a * ns.astype(np.float64)),
+    "affine_sqrt": ({"slope": 1.0, "sqrt_coeff": 1.0},
+                    lambda ns, a, b: a * ns + b * np.sqrt(ns.astype(np.float64))),
+    "sqrt": ({"scale": 1.0}, lambda ns, s: s * np.sqrt(ns.astype(np.float64))),
+    "neg_nlogn": ({"scale": 1.0}, lambda ns, s: -s * ns * np.log(ns.astype(np.float64))),
+    "square": ({"scale": 1.0}, lambda ns, s: s * ns.astype(np.float64) ** 2),
+    "log": ({"scale": 1.0}, lambda ns, s: s * np.log1p(ns.astype(np.float64))),
+    "neg_inf_from": ({"start": 2, "slope": 0.0}, lambda ns, start, a: np.where(
+        ns >= start, -np.inf, a * ns.astype(np.float64))),
 }
 
 
-def _builtin(name: str, params: dict) -> Callable[[np.ndarray], np.ndarray]:
-    def coeff(key: str, default: float = 1.0) -> float:
-        return param(params, key, float, default, "/params")
-
-    if name == "linear":
-        a = coeff("slope")
-        return lambda ns: a * ns.astype(np.float64)
-    if name == "affine_sqrt":
-        a = coeff("slope")
-        b = coeff("sqrt_coeff")
-        return lambda ns: a * ns + b * np.sqrt(ns.astype(np.float64))
-    if name == "sqrt":
-        s = coeff("scale")
-        return lambda ns: s * np.sqrt(ns.astype(np.float64))
-    if name == "neg_nlogn":
-        s = coeff("scale")
-        return lambda ns: -s * ns * np.log(ns.astype(np.float64))
-    if name == "square":
-        s = coeff("scale")
-        return lambda ns: s * ns.astype(np.float64) ** 2
-    if name == "log":
-        s = coeff("scale")
-        return lambda ns: s * np.log1p(ns.astype(np.float64))
-    # the one name left: neg_inf_from
-    start = param(params, "start", int, 2, "/params")
-    a = coeff("slope", 0.0)
-    return lambda ns: np.where(ns >= start, -np.inf, a * ns.astype(np.float64))
+def _closed_form(name: str, params: dict) -> Callable[[np.ndarray], np.ndarray]:
+    """F of closed form name, its params read in their declared order."""
+    defaults, F = _CLOSED_FORMS[name]
+    known_keys(params, defaults, "/params")
+    args = [param(params, key, type(default), default, "/params")
+            for key, default in defaults.items()]
+    return lambda ns: F(ns, *args)
 
 
 def _table(params: dict) -> Callable[[np.ndarray], np.ndarray]:
+    known_keys(params, ("values",), "/params")
     vals = params.get("values")
     if not isinstance(vals, list) or not vals:
         raise ConfigError("needs a nonempty list", "/params/values")
@@ -148,11 +132,10 @@ def sequence_from_spec(obj: dict, pointer: str = "") -> RealSequence:
         if not isinstance(params, dict):
             raise ConfigError("must be an object", "/params")
         name = obj["name"]
-        if not isinstance(name, str) or name not in _PARAM_KEYS:
+        if not isinstance(name, str) or (name != "table" and name not in _CLOSED_FORMS):
             raise ConfigError(f"unknown sequence {name!r}", "/name")
         known_keys(obj, ("name", "params"))
-        known_keys(params, _PARAM_KEYS[name], "/params")
-        fn = _table(params) if name == "table" else _builtin(name, params)
+        fn = _table(params) if name == "table" else _closed_form(name, params)
         return RealSequence(fn, name=name)
 
 

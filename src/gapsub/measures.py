@@ -26,13 +26,14 @@ import dataclasses
 import functools
 import math
 import numbers
-import sys
 from typing import Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import CapExceededError, ConfigError, ValidationError, known_keys, schema_errors
+from .errors import (
+    CapExceededError, ConfigError, ValidationError, finite, known_keys, schema_errors
+)
 from .logspace import _NEG_MAX, log_sum_exp, log_sum_exp_into, safe_log
 
 _STOCH_TOL = 1e-9
@@ -142,7 +143,7 @@ def _check_row(row, first, here: str, ndim: int) -> None:
         raise ValidationError("ragged row", here)
     if not all(isinstance(v, numbers.Real) and not isinstance(v, bool) for v in row):
         raise ValidationError("non-numeric entry", here)
-    if not all(abs(v) <= sys.float_info.max for v in row):
+    if not all(finite(v) for v in row):
         raise ValidationError("non-finite entry", here)
     vals = np.asarray(row, dtype=np.float64)
     if (vals < 0).any():
@@ -1170,12 +1171,12 @@ def validate_measure(
     )
 
 
-# the keys of a measure spec, by family
-_SPEC_KEYS = {
-    "iid": ("family", "p"),
-    "markov": ("family", "P", "start"),
-    "hmm": ("family", "A", "E", "start"),
-    "mixture": ("family", "components", "weights"),
+# each family: its class, and the keys of its spec in the class's argument order
+_FAMILIES = {
+    "iid": (IIDMeasure, ("p",)),
+    "markov": (MarkovMeasure, ("P", "start")),
+    "hmm": (HiddenMarkovMeasure, ("A", "E", "start")),
+    "mixture": (MixtureMeasure, ("components", "weights")),
 }
 
 
@@ -1184,26 +1185,19 @@ def measure_from_spec(obj: dict, pointer: str = "") -> ShiftMeasure:
 
     Every rejection is a SchemaError whose pointer starts with pointer,
     the spec's place in its document; a key the family does not read is
-    refused.
+    refused.  A mixture builds its components first.
     """
     with schema_errors(pointer):
         if not isinstance(obj, dict):
             raise ConfigError("a measure spec must be an object")
         family = obj.get("family")
-        if not isinstance(family, str) or family not in _SPEC_KEYS:
+        if not isinstance(family, str) or family not in _FAMILIES:
             raise ConfigError(f"unknown family {family!r}", "/family")
-        known_keys(obj, _SPEC_KEYS[family])
-        if family == "iid":
-            return IIDMeasure(obj.get("p"))
-        if family == "markov":
-            return MarkovMeasure(obj.get("P"), start=obj.get("start"))
-        if family == "hmm":
-            return HiddenMarkovMeasure(obj.get("A"), obj.get("E"), start=obj.get("start"))
-        # the one family left: mixture
-        comps = obj.get("components")
-        if not isinstance(comps, list):
-            raise ConfigError("needs a list of components", "/components")
-        return MixtureMeasure(
-            [measure_from_spec(c, f"/components/{i}") for i, c in enumerate(comps)],
-            obj.get("weights"),
-        )
+        cls, keys = _FAMILIES[family]
+        known_keys(obj, ("family", *keys))
+        args = [obj.get(key) for key in keys]
+        if family == "mixture":
+            if not isinstance(args[0], list):
+                raise ConfigError("needs a list of components", "/components")
+            args[0] = [measure_from_spec(c, f"/components/{i}") for i, c in enumerate(args[0])]
+        return cls(*args)

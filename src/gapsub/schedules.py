@@ -11,11 +11,12 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
-from typing import Callable, ClassVar, Sequence
+from typing import Callable, ClassVar
 
 import numpy as np
 
 from .errors import (
+    REQUIRED,
     ConfigError,
     ScheduleRangeError,
     ValidationError,
@@ -25,9 +26,9 @@ from .errors import (
 )
 
 
-
 def _check_table(params: dict, kind: type) -> None:
-    """A table rule's values: a nonempty list of nonnegative entries of kind."""
+    """A table rule's params: one nonempty list of nonnegative entries of kind."""
+    known_keys(params, ("values",), "/params")
     vals = params.get("values")
     if not isinstance(vals, (list, tuple)) or not vals:
         raise ConfigError("needs a nonempty list", "/params/values")
@@ -54,22 +55,44 @@ def index_blocks(N: int):
 
 @dataclasses.dataclass(frozen=True)
 class _Schedule:
-    """Constructors, table lookup and JSON shared by both schedule kinds.
+    """Constructors, rule checks, evaluation and JSON shared by both schedule kinds.
 
-    A kind sets _kind (int or float) and _noun (its name in a range error)."""
+    A kind sets _kind (int or float), _noun (its name in a range error)
+    and _rules, its closed-form rules; every kind also takes "table"."""
 
     rule: str
     params: dict = dataclasses.field(default_factory=dict)
 
     _kind: ClassVar[type]
     _noun: ClassVar[str]
-    _rules: ClassVar[dict[str, tuple[str, ...]]]  # the params keys of each rule
+    # each closed-form rule: (F of the index array and the rule's params, the
+    # params in reading order, each as (key, kind, default, whether a value
+    # is in range, the refusal of one that is not))
+    _rules: ClassVar[dict[str, tuple]]
 
     def _check_rule(self) -> None:
-        """Refuse an unknown rule, and a params key that the rule does not read."""
-        if not isinstance(self.rule, str) or self.rule not in self._rules:
+        """Refuse an unknown rule, a params key that the rule does not read, and a bad param.
+
+        A closed-form rule reads its params in declared order, each checked
+        for its kind and then its range."""
+        if not (isinstance(self.rule, str) and (self.rule == "table" or self.rule in self._rules)):
             raise ConfigError(f"unknown {self._noun} rule {self.rule!r}", "/rule")
-        known_keys(self.params, self._rules[self.rule], "/params")
+        if self.rule == "table":
+            _check_table(self.params, self._kind)
+            return
+        known_keys(self.params, [key for key, *_ in self._rules[self.rule][1]], "/params")
+        self._args  # read here, so a bad param is refused at construction
+
+    @functools.cached_property
+    def _args(self) -> list:
+        """The params of a closed-form rule, read as its entry in _rules declares."""
+        args = []
+        for key, kind, default, ok, refusal in self._rules[self.rule][1]:
+            value = param(self.params, key, kind, default, "/params")
+            if not ok(value):
+                raise ConfigError(refusal, f"/params/{key}")
+            args.append(value)
+        return args
 
     @classmethod
     def zero(cls):
@@ -78,10 +101,6 @@ class _Schedule:
     @classmethod
     def constant(cls, value):
         return cls("constant", {"value": cls._kind(value)})
-
-    @classmethod
-    def from_table(cls, values: Sequence):
-        return cls("table", {"values": [cls._kind(v) for v in values]})
 
     def value(self, n: int):
         return self._kind(self.values(np.asarray([n], dtype=np.int64))[0])
@@ -92,13 +111,17 @@ class _Schedule:
         # to_json see only the list
         return np.asarray(self.params["values"], dtype=self._kind)
 
-    def _table(self, arr: np.ndarray) -> np.ndarray:
-        table = self._table_array
-        if arr.size and arr.max() > table.size:
-            raise ScheduleRangeError(
-                f"{self._noun} table covers n <= {table.size}, asked for n = {int(arr.max())}"
-            )
-        return table[arr - 1]
+    def values(self, ns) -> np.ndarray:
+        """Vectorized evaluation on an array of indices (all >= 1)."""
+        arr = _as_index_array(ns)
+        if self.rule == "table":
+            table = self._table_array
+            if arr.size and arr.max() > table.size:
+                raise ScheduleRangeError(
+                    f"{self._noun} table covers n <= {table.size}, asked for n = {int(arr.max())}"
+                )
+            return table[arr - 1]
+        return self._rules[self.rule][0](arr, *self._args)
 
     def to_json(self) -> dict:
         return {"rule": self.rule, "params": dict(self.params)}
@@ -126,34 +149,20 @@ class GapSchedule(_Schedule):
 
     _kind = int
     _noun = "gap"
-    _rules = {"constant": ("value",), "ceil_power": ("alpha", "scale"), "ceil_log": (),
-              "table": ("values",)}
+    _rules = {
+        "constant": (lambda ns, v: np.full(ns.shape, v, dtype=np.int64), (
+            ("value", int, REQUIRED, lambda v: v >= 0, "must be a nonnegative integer"),
+        )),
+        "ceil_power": (lambda ns, alpha, scale: np.ceil(
+            scale * np.power(ns.astype(np.float64), alpha)).astype(np.int64), (
+            ("alpha", float, REQUIRED, lambda a: 0.0 < a < 1.0, "ceil_power needs 0 < alpha < 1"),
+            ("scale", float, 1.0, lambda s: s > 0, "ceil_power scale must be positive"),
+        )),
+        "ceil_log": (lambda ns: np.ceil(np.log2(1.0 + ns.astype(np.float64))).astype(np.int64), ()),
+    }
 
     def __post_init__(self):
         self._check_rule()
-        if self.rule == "constant":
-            if param(self.params, "value", int, pointer="/params") < 0:
-                raise ConfigError("must be a nonnegative integer", "/params/value")
-        elif self.rule == "ceil_power":
-            if not 0.0 < param(self.params, "alpha", float, pointer="/params") < 1.0:
-                raise ConfigError("ceil_power needs 0 < alpha < 1", "/params/alpha")
-            if param(self.params, "scale", float, 1.0, "/params") <= 0:
-                raise ConfigError("ceil_power scale must be positive", "/params/scale")
-        elif self.rule == "table":
-            _check_table(self.params, self._kind)
-
-    def values(self, ns) -> np.ndarray:
-        """Vectorized evaluation on an array of indices (all >= 1)."""
-        arr = _as_index_array(ns)
-        if self.rule == "constant":
-            return np.full(arr.shape, self.params["value"], dtype=np.int64)
-        if self.rule == "ceil_power":
-            scale = float(self.params.get("scale", 1.0))
-            out = np.ceil(scale * np.power(arr.astype(np.float64), self.params["alpha"]))
-            return out.astype(np.int64)
-        if self.rule == "ceil_log":
-            return np.ceil(np.log2(1.0 + arr.astype(np.float64))).astype(np.int64)
-        return self._table(arr)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -175,22 +184,19 @@ class ErrorSchedule(_Schedule):
 
     _kind = float
     _noun = "error"
-    _rules = {"constant": ("value",), "scaled_power": ("alpha", "scale"), "table": ("values",)}
+    _rules = {
+        "constant": (lambda ns, v: np.full(ns.shape, v), (
+            ("value", float, REQUIRED, lambda v: v >= 0, "must be nonnegative"),
+        )),
+        "scaled_power": (lambda ns, alpha, scale: scale * np.power(ns.astype(np.float64), alpha), (
+            ("alpha", float, REQUIRED, lambda a: a < 1.0, "scaled_power needs alpha < 1"),
+            ("scale", float, 1.0, lambda s: s >= 0, "scaled_power scale must be nonnegative"),
+        )),
+    }
 
     def __post_init__(self):
-        if self.fn is not None or self.hook is not None:
-            return
-        self._check_rule()
-        if self.rule == "constant":
-            if param(self.params, "value", float, pointer="/params") < 0:
-                raise ConfigError("must be nonnegative", "/params/value")
-        elif self.rule == "scaled_power":
-            if param(self.params, "alpha", float, pointer="/params") >= 1.0:
-                raise ConfigError("scaled_power needs alpha < 1", "/params/alpha")
-            if param(self.params, "scale", float, 1.0, "/params") < 0:
-                raise ConfigError("scaled_power scale must be nonnegative", "/params/scale")
-        elif self.rule == "table":
-            _check_table(self.params, self._kind)
+        if self.fn is None and self.hook is None:
+            self._check_rule()
 
     @classmethod
     def from_function(cls, fn: Callable[[np.ndarray], np.ndarray]) -> "ErrorSchedule":
@@ -205,20 +211,15 @@ class ErrorSchedule(_Schedule):
         return self.hook is not None
 
     def values(self, ns) -> np.ndarray:
+        if self.fn is None and self.hook is None:
+            return super().values(ns)
         arr = _as_index_array(ns)
         if self.hook is not None:
             raise ConfigError("position-dependent error schedule has no position-free value")
-        if self.fn is not None:
-            out = np.asarray(self.fn(arr), dtype=np.float64)
-            if out.shape != arr.shape:
-                raise ValidationError("error schedule function returned a wrong shape")
-            return out
-        if self.rule == "constant":
-            return np.full(arr.shape, float(self.params["value"]))
-        if self.rule == "scaled_power":
-            scale = float(self.params.get("scale", 1.0))
-            return scale * np.power(arr.astype(np.float64), self.params["alpha"])
-        return self._table(arr)
+        out = np.asarray(self.fn(arr), dtype=np.float64)
+        if out.shape != arr.shape:
+            raise ValidationError("error schedule function returned a wrong shape")
+        return out
 
     def to_json(self) -> dict:
         if self.fn is not None or self.hook is not None:
@@ -271,25 +272,8 @@ class ConvergenceSeries:
         return hi - lo
 
     def csv_text(self) -> str:
-        """The series as CSV under an "n,value" header; from_csv reads it back exactly."""
+        """The series as CSV under an "n,value" header; repr keeps every value exact."""
         return csv_text("n,value", zip(self.ns.tolist(), self.values.tolist()))
-
-    @classmethod
-    def from_csv(cls, path) -> "ConvergenceSeries":
-        ns: list[int] = []
-        vals: list[float] = []
-        with open(path, "r", encoding="utf-8") as fh:
-            header = fh.readline().strip()
-            if header != "n,value":
-                raise ConfigError(f"unexpected series header {header!r}")
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                a, b = line.split(",")
-                ns.append(int(a))
-                vals.append(float(b))
-        return cls(ns, vals)
 
 
 def geometric_grid(N: int, ratio: float = 1.2, start: int = 1) -> np.ndarray:

@@ -341,9 +341,10 @@ class UpperRepresentation:
         return dataclasses.asdict(self)
 
 
-def verify_ub_rep(
-    d: SteeleDecomposition, ctx: ProofContext, tol_scale: float = 1e-8
-) -> UpperRepresentation:
+_UB_TOL = 1e-8  # the upper representation's float allowance per unit of n
+
+
+def verify_ub_rep(d: SteeleDecomposition, ctx: ProofContext) -> UpperRepresentation:
     """Check f(0, n) against the tile-sum upper bound.
 
     rhs sums f + rho over the good tiles at their depth-k lengths and
@@ -351,7 +352,7 @@ def verify_ub_rep(
     offset, plus the positive part of the boundary tail.  Gapped almost
     subadditivity makes rhs an upper bound for f(0, n) in exact
     arithmetic; the check allows residual >= -tol with
-    tol = tol_scale * n for float cancellation.
+    tol = _UB_TOL * n for float cancellation.
 
     A -inf lhs is trivially dominated and verifies regardless of rhs.
     f and rho are evaluated once per base length, over all its tiles; the
@@ -375,7 +376,7 @@ def verify_ub_rep(
     if tail >= 1:
         rhs += max(float(ctx.eval_f([d.covered], tail)[0]), 0.0)
     lhs = float(ctx.eval_f([0], n)[0])
-    tol = tol_scale * n
+    tol = _UB_TOL * n
     if lhs == -np.inf:
         return UpperRepresentation(ok=True, lhs=lhs, rhs=rhs, residual=np.inf, tol=tol)
     residual = rhs - lhs

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from gapsub import IIDMeasure, MarkovMeasure, MixtureMeasure
+from gapsub import ConfigError, ConvergenceSeries, IIDMeasure, MarkovMeasure, MixtureMeasure
 
 WORKED_P = [[0.9, 0.1], [0.2, 0.8]]
 UNIFORM_P = [[0.5, 0.5], [0.5, 0.5]]
@@ -28,6 +28,29 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.section("acceptance criteria")
         for line in ACCEPTANCE_VERDICTS:
             terminalreporter.write_line(line)
+
+def table_schedule(cls, values):
+    """The table schedule of kind cls (GapSchedule or ErrorSchedule) over values."""
+    return cls("table", {"values": [cls._kind(v) for v in values]})
+
+
+def read_series(path) -> ConvergenceSeries:
+    """The series of a series.csv artifact, read back exactly."""
+    ns: list[int] = []
+    vals: list[float] = []
+    with open(path, "r", encoding="utf-8") as fh:
+        header = fh.readline().strip()
+        if header != "n,value":
+            raise ConfigError(f"unexpected series header {header!r}")
+        for line in fh:
+            line = line.strip()
+            if not line:
+                continue
+            a, b = line.split(",")
+            ns.append(int(a))
+            vals.append(float(b))
+    return ConvergenceSeries(ns, vals)
+
 
 # hand-derived closed-form values for the worked chain
 WORKED_PI = (2.0 / 3.0, 1.0 / 3.0)

@@ -35,7 +35,7 @@ from gapsub import (
 from gapsub import decoupling
 
 from audit_oracle import old_level, whole_level_audit
-from conftest import WORKED_P
+from conftest import WORKED_P, table_schedule
 from lse_oracle import log_sum_exp
 
 
@@ -78,7 +78,7 @@ GAPS = {
     # n + tau_n = 3, 2, 4, 7: the levels of n = 2 end before those of n = 1,
     # so a piece may be cut at whole words of level 1 only while a split of
     # n = 1 lies at or below it
-    "table-non-monotone": GapSchedule.from_table([2, 0, 1, 3]),
+    "table-non-monotone": table_schedule(GapSchedule, [2, 0, 1, 3]),
 }
 # floats per piece: the default, one word of the coarsest allowed level per
 # piece, and a budget that leaves pieces of several words with a short last
@@ -275,7 +275,7 @@ def test_a_huge_n_max_is_refused_before_any_per_n_work():
 def test_a_short_gap_table_fails_at_its_first_uncovered_n(n_max):
     """The length check evaluates the schedule in chunks, but names the same n
     as tau.value(n) in a loop over n would."""
-    gap = GapSchedule.from_table([1, 0, 2])
+    gap = table_schedule(GapSchedule, [1, 0, 2])
     with pytest.raises(ScheduleRangeError) as got:
         minimal_decoupling_constants(MarkovMeasure(WORKED_P), n_max, 1, gap)
     assert str(got.value) == "gap table covers n <= 3, asked for n = 4"

@@ -23,9 +23,8 @@ from gapsub import (
 )
 from gapsub import cli, errors
 from gapsub.cli import RunConfig, main, run, schema_validate
-from gapsub.schedules import ConvergenceSeries
 
-from conftest import WORKED_H, WORKED_KL_VS_UNIFORM, WORKED_P
+from conftest import WORKED_H, WORKED_KL_VS_UNIFORM, WORKED_P, read_series
 
 WORKED_SPEC = {"family": "markov", "P": WORKED_P}
 UNIFORM_SPEC = {"family": "markov", "P": [[0.5, 0.5], [0.5, 0.5]]}
@@ -177,7 +176,7 @@ def test_cli_series_constant_path(tmp_path):
          "--outdir", str(out)]
     )
     assert rc == 0
-    series = ConvergenceSeries.from_csv(out / "series.csv")
+    series = read_series(out / "series.csv")
     assert (series.values == -math.log(2.0)).all()
     summary = json.loads((out / "summary.json").read_text())
     assert summary["tail_oscillation"] == 0.0
@@ -193,7 +192,7 @@ def test_cli_series_sample_from_other_measure(tmp_path):
          "--outdir", str(out)]
     )
     assert rc == 0
-    series = ConvergenceSeries.from_csv(out / "series.csv")
+    series = read_series(out / "series.csv")
     # evaluating the uniform chain along any binary path gives exactly -log 2
     assert (series.values == -math.log(2.0)).all()
 
@@ -934,7 +933,7 @@ def test_fekete_limit_cli(tmp_path):
     assert main(["fekete", "limit", "--spec", spec, "--outdir", str(out)]) == 0
     report = json.loads((out / "report.json").read_text())
     assert report["infimum"] == 2.5 and report["argmin_n"] == 1
-    series = ConvergenceSeries.from_csv(out / "series.csv")
+    series = read_series(out / "series.csv")
     assert (series.values == 2.5).all()
 
 
@@ -1118,6 +1117,68 @@ def test_an_unknown_key_is_refused_before_any_work(tmp_path, capsys):
     out = tmp_path / "o"
     assert main(["fekete", "check", "--spec", spec, "--outdir", str(out)]) == 2
     assert capsys.readouterr().err == "schema: /simga: unknown parameter\n"
+    assert not out.exists()
+
+
+# a run, and a key that a sibling subcommand declares but this one does not
+SIBLING_KEYS = [
+    (["decouple", "bound"], "rho_const", 0.5),
+    (["decouple", "check", "--N", "9", "--seed", "1"], "n_max", 4),
+    (["estimate", "cross", "--N", "9", "--seed", "1"], "trials", 50),
+]
+
+
+@pytest.mark.parametrize("argv, key, value", SIBLING_KEYS, ids=[k for _, k, _ in SIBLING_KEYS])
+def test_a_run_refuses_a_key_its_subcommand_does_not_declare(tmp_path, capsys, argv, key,
+                                                             value):
+    """decouple bound once ran with rho_const, and estimate cross with
+    trials, ignoring them."""
+    w = write_json(tmp_path, "w.json", WORKED_SPEC)
+    files = ["--p", w, "--q", w] if argv[0] == "estimate" else ["--measure", w]
+    first = tmp_path / "first"
+    assert main([*argv, *files, "--outdir", str(first)]) == 0
+    manifest = json.loads((first / "manifest.json").read_text())
+    config = RunConfig.from_json(manifest["config"])
+    edited = RunConfig(config.subcommand, {**config.params, key: value})
+    with pytest.raises(errors.SchemaError) as exc:
+        run(edited, tmp_path / "direct")
+    assert (exc.value.pointer, exc.value.message) == (f"/{key}", "unknown parameter")
+    manifest["config"] = edited.to_json()
+    stub = write_json(tmp_path, "manifest.json", manifest)
+    out = tmp_path / "again"
+    assert main(["rerun", "--manifest", stub, "--outdir", str(out)]) == 2
+    assert capsys.readouterr().err == f"schema: /config/params/{key}: unknown parameter\n"
+    assert not out.exists() and not (tmp_path / "direct").exists()
+
+
+def test_a_fekete_spec_with_every_sibling_key_serves_all_three(tmp_path):
+    """One spec file carries the keys of check, limit and lift alike."""
+    spec = write_json(tmp_path, "s.json", {**FEKETE_SPEC, "tol": 1e-12, "cap": 100,
+                                           "stride": 8, "probe_N": 30, "table_N": 16})
+    for sub in ("check", "limit", "lift"):
+        assert main(["fekete", sub, "--spec", spec, "--outdir", str(tmp_path / sub)]) == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["estimate", "cross", "--p", "{good}", "--q", "{bad}"],
+        ["estimate", "cross", "--p", "{bad}", "--q", "{good}"],
+        ["series", "--measure", "{good}", "--sample-from", "{bad}"],
+        ["series", "--measure", "{bad}", "--sample-from", "{good}"],
+    ],
+    ids=["bad-q", "bad-p", "bad-sample-from", "bad-measure"],
+)
+def test_a_bad_measure_file_is_named_with_its_option(tmp_path, capsys, argv):
+    """A bad --p file and a bad --q file once printed the same line."""
+    good = write_json(tmp_path, "good.json", WORKED_SPEC)
+    bad = write_json(tmp_path, "bad.json", {"family": "markov", "P": [[0.5, 0.6], [0.5, 0.5]]})
+    argv = [arg.format(good=good, bad=bad) for arg in argv]
+    flag = argv[argv.index(bad) - 1]
+    out = tmp_path / "o"
+    assert main([*argv, "--N", "9", "--seed", "1", "--outdir", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"schema: /P/0: row sums to 1.1, expected 1 ({flag} {bad})\n")
     assert not out.exists()
 
 

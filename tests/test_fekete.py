@@ -29,6 +29,8 @@ from gapsub import (
     sequence_from_spec,
 )
 
+from conftest import table_schedule
+
 
 def table_seq(vals) -> RealSequence:
     return sequence_from_spec({"name": "table", "params": {"values": list(vals)}})
@@ -104,6 +106,45 @@ def test_sequence_spec_rejections_point_at_the_field(spec, pointer):
 def test_table_sequence_keeps_neg_inf():
     F = sequence_from_spec({"name": "table", "params": {"values": [1.0, -math.inf]}})
     assert F.values(2).tolist() == [1.0, -math.inf]
+
+
+# every closed form with all its params, and F written out with those params
+CLOSED_FORMS = {
+    "linear": ({"slope": 0.7}, lambda ns: 0.7 * ns.astype(np.float64)),
+    "affine_sqrt": ({"slope": 3.0, "sqrt_coeff": -0.3},
+                    lambda ns: 3.0 * ns + -0.3 * np.sqrt(ns.astype(np.float64))),
+    "sqrt": ({"scale": 1.1}, lambda ns: 1.1 * np.sqrt(ns.astype(np.float64))),
+    "neg_nlogn": ({"scale": 0.3}, lambda ns: -0.3 * ns * np.log(ns.astype(np.float64))),
+    "square": ({"scale": 0.1}, lambda ns: 0.1 * ns.astype(np.float64) ** 2),
+    "log": ({"scale": 2.3}, lambda ns: 2.3 * np.log1p(ns.astype(np.float64))),
+    "neg_inf_from": ({"start": 40, "slope": 0.9},
+                     lambda ns: np.where(ns >= 40, -np.inf, 0.9 * ns.astype(np.float64))),
+}
+# the defaults of each closed form's params
+DEFAULTS = {
+    "linear": {"slope": 1.0}, "affine_sqrt": {"slope": 1.0, "sqrt_coeff": 1.0},
+    "sqrt": {"scale": 1.0}, "neg_nlogn": {"scale": 1.0}, "square": {"scale": 1.0},
+    "log": {"scale": 1.0}, "neg_inf_from": {"start": 2, "slope": 0.0},
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLOSED_FORMS))
+def test_each_closed_form_is_its_expression_bit_for_bit(name):
+    """F at n = 1 .. 64 has the bytes of its expression with every param
+    given, and a spec without params the bytes of one with the defaults."""
+    params, expected = CLOSED_FORMS[name]
+    F = sequence_from_spec({"name": name, "params": params})
+    assert F.values(64).tobytes() == expected(np.arange(1, 65, dtype=np.int64)).tobytes()
+    default = sequence_from_spec({"name": name, "params": DEFAULTS[name]})
+    assert sequence_from_spec({"name": name}).values(64).tobytes() == default.values(64).tobytes()
+
+
+@pytest.mark.parametrize("name", ["table", *sorted(CLOSED_FORMS)])
+def test_an_extra_sequence_param_is_refused(name):
+    params = {"values": [1.0]} if name == "table" else dict(CLOSED_FORMS[name][0])
+    with pytest.raises(SchemaError) as exc:
+        sequence_from_spec({"name": name, "params": {**params, "extra": 1.0}}, "/sequence")
+    assert (exc.value.pointer, exc.value.message) == ("/sequence/params/extra", "unknown key")
 
 
 # ------------------------------------------------------- subadditivity check
@@ -309,12 +350,12 @@ def test_blocked_infimum_is_the_whole_array_one_bit_for_bit(B, monkeypatch):
         "constant": GapSchedule.constant(2),
         "ceil_log": GapSchedule("ceil_log"),
         "ceil_power": GapSchedule("ceil_power", {"alpha": 0.5, "scale": 1.5}),
-        "table": GapSchedule.from_table(rng.integers(0, 6, size=size).tolist()),
+        "table": table_schedule(GapSchedule, rng.integers(0, 6, size=size).tolist()),
     }
     errors = {
         "constant": ErrorSchedule.constant(0.5),
         "scaled_power": ErrorSchedule("scaled_power", {"alpha": 0.5, "scale": 2.0}),
-        "table": ErrorSchedule.from_table(rng.uniform(0.0, 3.0, size=size).tolist()),
+        "table": table_schedule(ErrorSchedule, rng.uniform(0.0, 3.0, size=size).tolist()),
     }
     lifted = sequence_from_spec(AFFINE_SQRT)
     for N in _horizons(B):
@@ -400,10 +441,10 @@ def test_faults_raise_the_whole_pass_error(monkeypatch):
         "late-nan": lambda: _late(np.nan),
         "late-plus-inf": lambda: _late(np.inf),
     }
-    sigmas = {"ok": GapSchedule.constant(1), "short-table": GapSchedule.from_table([1] * 20)}
+    sigmas = {"ok": GapSchedule.constant(1), "short-table": table_schedule(GapSchedule, [1] * 20)}
     rhos = {
         "ok": ErrorSchedule.zero(),
-        "short-table": ErrorSchedule.from_table([1.0] * 20),
+        "short-table": table_schedule(ErrorSchedule, [1.0] * 20),
         "hook": ErrorSchedule.from_hook(lambda symbols, j, n: 0.0),
         "fails-in-block-two": _rho_failing_from(9),
     }

@@ -4,6 +4,7 @@ import itertools
 import math
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -440,6 +441,41 @@ def test_a_vector_of_no_numbers_is_refused(p):
 def test_other_numeric_entries_are_accepted(P):
     got = measures._check_stochastic(P, "/P", 2, square=True)
     assert got.dtype == np.float64 and (got == np.asarray(P, dtype=np.float64)).all()
+
+
+def test_float32_entries_build_without_a_warning():
+    """Each entry is tested as a Python float: a float32 entry compared with
+    the float maximum would cast it to float32, overflow and warn."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        Q = MarkovMeasure(np.array([[0.5, 0.5], [0.25, 0.75]], dtype=np.float32))
+    assert np.abs(np.exp(Q.log_marginals_level(1)) - [1 / 3, 2 / 3]).max() < 1e-12
+    with pytest.raises(ValidationError) as exc:
+        MarkovMeasure(np.array([[np.inf, 0.5], [0.25, 0.75]], dtype=np.float32))
+    assert (exc.value.pointer, exc.value.message) == ("/P/0", "non-finite entry")
+
+
+# a spec of each family with all its keys, and its level-1 marginals
+MARKOV_FROM_0 = {"family": "markov", "P": WORKED_P, "start": [1.0, 0.0]}
+FULL_SPECS = {
+    "iid": ({"family": "iid", "p": [0.25, 0.75]}, [0.25, 0.75]),
+    "markov": (MARKOV_FROM_0, [1.0, 0.0]),
+    "hmm": ({"family": "hmm", "A": WORKED_P, "E": [[0.9, 0.1], [0.3, 0.7]],
+             "start": [1.0, 0.0]}, [0.9, 0.1]),
+    "mixture": ({"family": "mixture", "components": [{"family": "iid", "p": [0.25, 0.75]},
+                                                      MARKOV_FROM_0],
+                 "weights": [0.5, 0.5]}, [0.625, 0.375]),
+}
+
+
+@pytest.mark.parametrize("family", sorted(FULL_SPECS))
+def test_a_spec_reads_every_key_of_its_family_and_no_other(family):
+    spec, level_1 = FULL_SPECS[family]
+    got = np.exp(measure_from_spec(spec).log_marginals_level(1))
+    assert np.abs(got - level_1).max() < 1e-15
+    with pytest.raises(SchemaError) as exc:
+        measure_from_spec({**spec, "extra": 1}, "/measure")
+    assert (exc.value.pointer, exc.value.message) == ("/measure/extra", "unknown key")
 
 
 @pytest.mark.parametrize(

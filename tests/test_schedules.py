@@ -22,6 +22,8 @@ from gapsub import (
 )
 from gapsub.schedules import csv_text
 
+from conftest import read_series, table_schedule
+
 
 # ---------------------------------------------------------------- gap rules
 
@@ -54,7 +56,7 @@ def test_ceil_power_values():
 
 
 def test_table_gap_range():
-    s = GapSchedule.from_table([0, 1, 2])
+    s = table_schedule(GapSchedule, [0, 1, 2])
     assert s.value(1) == 0 and s.value(3) == 2
     with pytest.raises(ScheduleRangeError, match=r"^gap table covers n <= 3, asked for n = 4$"):
         s.value(4)
@@ -63,7 +65,7 @@ def test_table_gap_range():
     with pytest.raises(ScheduleRangeError):
         s.values([0])  # indices start at 1
     with pytest.raises(ConfigError):
-        GapSchedule.from_table([])
+        table_schedule(GapSchedule, [])
     with pytest.raises(ConfigError):
         GapSchedule("table", {"values": [1, -2]})
 
@@ -135,12 +137,12 @@ def test_error_hook_is_position_dependent():
 def test_each_kind_keeps_its_value_type(cls, kind):
     """The shared constructors cast to the kind's type, in JSON and in value()."""
     assert cls.zero().to_json() == {"rule": "constant", "params": {"value": 0}}
-    for s in (cls.zero(), cls.constant(True), cls.from_table([1, 2, 3])):
+    for s in (cls.zero(), cls.constant(True), table_schedule(cls, [1, 2, 3])):
         params = s.to_json()["params"]
         assert all(type(v) is kind for v in params.get("values", [params.get("value")]))
         assert type(s.value(1)) is kind
         assert cls.from_json(s.to_json()) == s
-    assert cls.from_table([1, 2, 3]).values([1, 3]).dtype == np.dtype(kind)
+    assert table_schedule(cls, [1, 2, 3]).values([1, 3]).dtype == np.dtype(kind)
 
 
 @pytest.mark.parametrize("cls", [GapSchedule, ErrorSchedule])
@@ -150,7 +152,7 @@ def test_a_block_of_a_long_table_does_not_convert_the_list_again(cls):
     per array), not the 8 MB table.  The array stays out of ==, repr and
     to_json."""
     values = [1, 2] * (10**6 // 2)
-    s = cls.from_table(values)
+    s = table_schedule(cls, values)
     twin = copy.copy(s)  # the same fields, no array yet
     block = np.arange(1, (1 << 16) + 1, dtype=np.int64)
     first = s.values(block)
@@ -167,12 +169,85 @@ def test_a_block_of_a_long_table_does_not_convert_the_list_again(cls):
 
 
 def test_error_table():
-    r = ErrorSchedule.from_table([0.5, 0.25])
+    r = table_schedule(ErrorSchedule, [0.5, 0.25])
     assert r.value(2) == 0.25
     with pytest.raises(ScheduleRangeError, match=r"^error table covers n <= 2, asked for n = 3$"):
         r.value(3)
     with pytest.raises(ScheduleRangeError, match=r"^error table covers n <= 2, asked for n = 4$"):
         r.values([4, 1])
+
+
+# ------------------------------------------------- every rule and its params
+
+
+# each closed-form rule with all its params, and its values written out
+RULES = [
+    (GapSchedule, "constant", {"value": 3}, lambda ns: np.full(ns.shape, 3, dtype=np.int64)),
+    (GapSchedule, "ceil_power", {"alpha": 0.7, "scale": 1.5},
+     lambda ns: np.ceil(1.5 * np.power(ns.astype(np.float64), 0.7)).astype(np.int64)),
+    (GapSchedule, "ceil_log", {},
+     lambda ns: np.ceil(np.log2(1.0 + ns.astype(np.float64))).astype(np.int64)),
+    (ErrorSchedule, "constant", {"value": 0.3}, lambda ns: np.full(ns.shape, 0.3)),
+    (ErrorSchedule, "scaled_power", {"alpha": -0.4, "scale": 2.5},
+     lambda ns: 2.5 * np.power(ns.astype(np.float64), -0.4)),
+]
+
+
+@pytest.mark.parametrize("cls, rule, params, expected", RULES,
+                         ids=[f"{c._noun}-{r}" for c, r, _, _ in RULES])
+def test_each_rule_is_its_expression_bit_for_bit(cls, rule, params, expected):
+    ns = np.arange(1, 65, dtype=np.int64)
+    assert cls(rule, params).values(ns).tobytes() == expected(ns).tobytes()
+    with pytest.raises(SchemaError) as exc:
+        cls.from_json({"rule": rule, "params": {**params, "extra": 1}}, "/s")
+    assert (exc.value.pointer, exc.value.message) == ("/s/params/extra", "unknown key")
+
+
+def test_a_power_rule_scale_defaults_to_one():
+    """A null scale is absent, as the check reads it; its values once raised TypeError."""
+    ns = np.arange(1, 65)
+    for cls, rule in ((GapSchedule, "ceil_power"), (ErrorSchedule, "scaled_power")):
+        unscaled = cls(rule, {"alpha": 0.5, "scale": 1.0}).values(ns).tobytes()
+        assert cls(rule, {"alpha": 0.5}).values(ns).tobytes() == unscaled
+        assert cls(rule, {"alpha": 0.5, "scale": None}).values(ns).tobytes() == unscaled
+
+
+# a rule's params, and the refusal: its pointer and message
+REFUSALS = [
+    (GapSchedule, "constant", {}, "value", "missing"),
+    (GapSchedule, "constant", {"value": 1.5}, "value", "must be an integer"),
+    (GapSchedule, "constant", {"value": -1}, "value", "must be a nonnegative integer"),
+    (GapSchedule, "ceil_power", {"alpha": "x"}, "alpha", "must be a finite number"),
+    (GapSchedule, "ceil_power", {"alpha": 1.0}, "alpha", "ceil_power needs 0 < alpha < 1"),
+    (GapSchedule, "ceil_power", {"alpha": 0.0}, "alpha", "ceil_power needs 0 < alpha < 1"),
+    (GapSchedule, "ceil_power", {"alpha": 0.5, "scale": "x"}, "scale", "must be a finite number"),
+    (GapSchedule, "ceil_power", {"alpha": 0.5, "scale": 0.0}, "scale",
+     "ceil_power scale must be positive"),
+    (GapSchedule, "ceil_power", {"alpha": 2.0, "scale": "x"}, "alpha",
+     "ceil_power needs 0 < alpha < 1"),
+    (GapSchedule, "ceil_log", {"scale": 2.0}, "scale", "unknown key"),
+    (GapSchedule, "table", {"values": []}, "values", "needs a nonempty list"),
+    (GapSchedule, "table", {"values": [1, 0.5]}, "values/1", "must be an integer"),
+    (GapSchedule, "table", {"values": [1, -2]}, "values/1", "must be nonnegative"),
+    (ErrorSchedule, "constant", {"value": True}, "value", "must be a finite number"),
+    (ErrorSchedule, "constant", {"value": -0.5}, "value", "must be nonnegative"),
+    (ErrorSchedule, "scaled_power", {"alpha": math.nan}, "alpha", "must be a finite number"),
+    (ErrorSchedule, "scaled_power", {"alpha": 1.0}, "alpha", "scaled_power needs alpha < 1"),
+    (ErrorSchedule, "scaled_power", {"alpha": 0.5, "scale": [1]}, "scale",
+     "must be a finite number"),
+    (ErrorSchedule, "scaled_power", {"alpha": 0.5, "scale": -1.0}, "scale",
+     "scaled_power scale must be nonnegative"),
+    (ErrorSchedule, "table", {"values": [0.5, "x"]}, "values/1", "must be a finite number"),
+    (ErrorSchedule, "table", {"values": [0.5], "value": 1.0}, "value", "unknown key"),
+]
+
+
+@pytest.mark.parametrize("cls, rule, params, key, message", REFUSALS)
+def test_each_param_refusal_keeps_its_pointer_and_message(cls, rule, params, key, message):
+    """Params are checked in declared order, each for its kind and then its range."""
+    with pytest.raises(SchemaError) as exc:
+        cls.from_json({"rule": rule, "params": params}, "/s")
+    assert (exc.value.pointer, exc.value.message) == (f"/s/params/{key}", message)
 
 
 # ------------------------------------------------------- convergence series
@@ -221,7 +296,7 @@ def test_series_csv_round_trip_exact(tmp_path):
     assert csv_text("trial,terminal", enumerate(vals)) == "\n".join(lines) + "\n"
     path = tmp_path / "s.csv"
     path.write_text(s.csv_text())
-    t = ConvergenceSeries.from_csv(path)
+    t = read_series(path)
     assert t.ns.tolist() == s.ns.tolist()
     assert t.values.tolist() == s.values.tolist()
     with open(path) as fh:
@@ -232,7 +307,7 @@ def test_series_csv_header_checked(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("index,value\n1,0.0\n")
     with pytest.raises(ConfigError):
-        ConvergenceSeries.from_csv(path)
+        read_series(path)
 
 
 # ------------------------------------------------------------------- grids
