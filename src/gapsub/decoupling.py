@@ -342,7 +342,7 @@ def check_trajectory_subadditivity(
     tol is an absolute slack for float cancellation: exact ties like a
     deterministic transition evaluate to excess 0 up to rounding.
     """
-    symbols = x.symbols if isinstance(x, Trajectory) else np.asarray(x, dtype=np.int64)
+    symbols = x.symbols if isinstance(x, Trajectory) else np.asarray(x)  # checked by Q.windows
     if N is None:
         N = symbols.size
     if N > symbols.size:

@@ -14,7 +14,9 @@ prefix_logprobs and log_increments also take a (paths, n) array and
 evaluate each row as a path, each row bit for bit as on its own.  iid
 and Markov prefixes are running sums of exact per-symbol increments
 (np.cumsum along the path, which matches a sequential left-to-right sum
-bit for bit) and their windows are differences of prefix sums.
+bit for bit) and their windows are differences of prefix sums.  Their
+increments are gathered a column block of at most _GATHER_ENTRIES terms
+at a time (_increment_blocks), which lets a series stream them.
 Hidden-Markov prefixes and windows run one forward recursion with a row
 per offset or per path, and mixtures take the log-sum-exp of their
 component values.
@@ -39,12 +41,23 @@ from .logspace import _NEG_MAX, log_sum_exp, log_sum_exp_into, safe_log
 _STOCH_TOL = 1e-9
 _LISTS = (list, tuple, np.ndarray)
 _MAP_TABLE_ENTRIES = 1 << 22  # chain-path map entries built at a time: 4-8 MB
-_GATHER_ENTRIES = 1 << 16  # transition terms MarkovMeasure.log_increments gathers at a time
+# increments gathered and streamed at a time: one block and its index
+# buffer stay under glibc's 128 KB mmap threshold, so they are reused heap,
+# not pages mapped and faulted on each call
+_GATHER_ENTRIES = 1 << 13
 # most states whose chain-path table rows are counted by comparisons.  The
 # k(k - 1) passes over the uniforms against one sort, filling the table of
 # 20 rows of 10^4 steps, pinned to one CPU: 0.2 vs 6.1 ms at k = 2, 5.3 vs
 # 10.0 ms at k = 8, 12.6 vs 12.8 ms at k = 12 and 30.5 vs 16.9 ms at k = 16
 _COMPARE_STATES = 8
+
+
+def integer_array(a: np.ndarray, error: type[Exception], what: str) -> np.ndarray:
+    """a as int64, refused with error if its dtype is not integer: a cast
+    would truncate 1.9 to 1 and read the string '1' as 1."""
+    if a.dtype.kind not in "iu":
+        raise error(f"{what} must be integers, not {a.dtype}")
+    return a.astype(np.int64, copy=False)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -58,14 +71,14 @@ class Alphabet:
             raise ConfigError("alphabet needs at least two symbols")
 
     def validate_word(self, word: np.ndarray) -> np.ndarray:
-        w = np.asarray(word, dtype=np.int64)
+        w = np.asarray(word)
         if w.ndim != 1 or w.size == 0:
             raise ValidationError("a word is a nonempty 1-d symbol array")
         return self._in_range(w)
 
     def validate_paths(self, paths) -> np.ndarray:
         """A word, or a (paths, n) array with one path per row, as int64 symbols."""
-        w = np.asarray(paths, dtype=np.int64)
+        w = np.asarray(paths)
         if w.ndim != 2:
             return self.validate_word(w)
         if w.size == 0:
@@ -73,6 +86,7 @@ class Alphabet:
         return self._in_range(w)
 
     def _in_range(self, w: np.ndarray) -> np.ndarray:
+        w = integer_array(w, ValidationError, "symbols")
         if w.min() < 0 or w.max() >= self.size:
             raise ValidationError(f"symbols must lie in [0, {self.size})")
         return w
@@ -254,6 +268,20 @@ class ShiftMeasure(abc.ABC):
         with np.errstate(invalid="ignore"):
             return np.diff(self.prefix_logprobs(x), axis=-1, prepend=0.0)
 
+    def _increment_blocks(self, w: np.ndarray, width: int, out: np.ndarray | None = None):
+        """Yield (lo, block): the log_increments of the checked (paths, n)
+        array w in columns lo .. lo + block.shape[1] - 1.
+
+        A block is valid until the next yield.  Families whose increments
+        are exact per-symbol terms (iid, Markov) gather blocks of at most
+        width columns, into views of out (the whole (paths, n) result) when
+        it is given, else into one reused buffer; their log_increments
+        drains the blocks into out.  Any other family evaluates the
+        increments whole, as one fresh block, whose cost is its forward
+        recursion rather than memory.
+        """
+        yield 0, self.log_increments(w)
+
     def log_marginal(self, word) -> float:
         """log Q_n(word) for a length-n symbol array."""
         return float(self.prefix_logprobs(word)[-1])
@@ -358,6 +386,27 @@ def _append_symbols(x: np.ndarray, t: np.ndarray, out: np.ndarray) -> np.ndarray
     else:
         np.add(x[:, :, None], t[:, None, :], out=out)
     return out
+
+
+def _column_blocks(shape: tuple[int, int], width: int, out: np.ndarray | None):
+    """Yield (lo, hi, block) for columns lo .. hi - 1 of a (rows, n) result,
+    at most width columns at a time: views of out if it is given, else
+    C-contiguous views of one reused buffer."""
+    rows, n = shape
+    buf = np.empty(rows * min(width, n)) if out is None else None
+    for lo in range(0, n, width):
+        hi = min(lo + width, n)
+        yield lo, hi, out[:, lo:hi] if buf is None else buf[: rows * (hi - lo)].reshape(rows, -1)
+
+
+def _drain_blocks(Q: "ShiftMeasure", w: np.ndarray) -> np.ndarray:
+    """Q's increments of the checked word or paths w, gathered block by
+    block into one array of w's shape."""
+    rows = w.reshape(-1, w.shape[-1])
+    out = np.empty(rows.shape)
+    for _ in Q._increment_blocks(rows, max(1, _GATHER_ENTRIES // rows.shape[0]), out):
+        pass
+    return out.reshape(w.shape)
 
 
 class Windows(abc.ABC):
@@ -660,7 +709,12 @@ class IIDMeasure(ShiftMeasure):
         return f"iid(k={self.alphabet.size})"
 
     def log_increments(self, x) -> np.ndarray:
-        return self.log_p[self.alphabet.validate_paths(x)]
+        return _drain_blocks(self, self.alphabet.validate_paths(x))
+
+    def _increment_blocks(self, w: np.ndarray, width: int, out: np.ndarray | None = None):
+        for lo, hi, block in _column_blocks(w.shape, width, out):
+            np.take(self.log_p, w[:, lo:hi], out=block, mode="clip")
+            yield lo, block
 
     def prefix_logprobs(self, x) -> np.ndarray:
         return np.cumsum(self.log_increments(x), axis=-1)
@@ -714,20 +768,25 @@ class MarkovMeasure(ShiftMeasure):
 
     def log_increments(self, x) -> np.ndarray:
         """Start term, then one transition term per step."""
-        w = self.alphabet.validate_paths(x)
-        out = np.empty(w.shape, dtype=np.float64)
-        out[..., 0] = self.log_start[w[..., 0]]
-        # one gather at flat indices, twice as fast as indexing by two arrays,
-        # taken into out a block of columns at a time, so no index array or
-        # gathered copy spans the whole path
-        flat, k, n = self.log_P.ravel(), self.alphabet.size, w.shape[-1]
-        cols = max(1, _GATHER_ENTRIES // (w.size // n))
-        for lo in range(1, n, cols):
-            hi = min(lo + cols, n)
-            at = w[..., lo - 1:hi - 1] * k
-            at += w[..., lo:hi]
-            np.take(flat, at, out=out[..., lo:hi], mode="clip")
-        return out
+        return _drain_blocks(self, self.alphabet.validate_paths(x))
+
+    def _increment_blocks(self, w: np.ndarray, width: int, out: np.ndarray | None = None):
+        # one gather at flat indices, twice as fast as indexing by two
+        # arrays, built in one reused index buffer; column 0's index is a
+        # placeholder that the start term overwrites
+        flat, k = self.log_P.ravel(), self.alphabet.size
+        index = np.empty(w.shape[0] * min(width, w.shape[1]), dtype=np.int64)
+        for lo, hi, block in _column_blocks(w.shape, width, out):
+            at = index[: block.size].reshape(block.shape)
+            c = max(lo, 1)
+            np.multiply(w[:, c - 1:hi - 1], k, out=at[:, c - lo:])
+            np.add(at[:, c - lo:], w[:, c:hi], out=at[:, c - lo:])
+            if lo == 0:
+                at[:, 0] = 0
+            np.take(flat, at, out=block, mode="clip")
+            if lo == 0:
+                block[:, 0] = self.log_start[w[:, 0]]
+            yield lo, block
 
     def prefix_logprobs(self, x) -> np.ndarray:
         return np.cumsum(self.log_increments(x), axis=-1)

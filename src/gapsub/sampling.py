@@ -15,12 +15,14 @@ series instead of one that wobbles in the last ulp.
 """
 from __future__ import annotations
 
+import bisect
 import dataclasses
 
 import numpy as np
 
 from .errors import ConfigError, ValidationError
-from .measures import ShiftMeasure
+from . import measures
+from .measures import ShiftMeasure, integer_array
 from .schedules import ConvergenceSeries, geometric_grid
 
 
@@ -39,10 +41,11 @@ class Trajectory:
     alphabet_size: int
 
     def __post_init__(self):
-        sym = np.asarray(self.symbols, dtype=np.int64)
-        object.__setattr__(self, "symbols", sym)
+        sym = np.asarray(self.symbols)
         if sym.ndim != 1 or sym.size == 0:
             raise ValidationError("trajectory needs a nonempty 1-d symbol array")
+        sym = integer_array(sym, ValidationError, "trajectory symbols")
+        object.__setattr__(self, "symbols", sym)
         if sym.min() < 0 or sym.max() >= self.alphabet_size:
             raise ValidationError("trajectory symbols out of alphabet range")
 
@@ -92,8 +95,11 @@ def checked_grid(grid, offset: int, size: int) -> np.ndarray:
 
     It must ascend strictly from 1, and offset + grid[-1] <= size.
     """
-    grid = np.asarray(grid, dtype=np.int64)
-    if grid.size == 0 or grid[0] < 1 or (np.diff(grid) <= 0).any():
+    grid = np.asarray(grid)
+    if grid.size == 0:
+        raise ConfigError("grid must be strictly increasing and >= 1")
+    grid = integer_array(grid, ConfigError, "grid points")
+    if grid[0] < 1 or (np.diff(grid) <= 0).any():
         raise ConfigError("grid must be strictly increasing and >= 1")
     if offset + int(grid[-1]) > size:
         raise ConfigError(f"grid needs {offset + int(grid[-1])} symbols, trajectory has {size}")
@@ -110,16 +116,37 @@ def kingman_rows(paths: np.ndarray, Q: ShiftMeasure, grid: np.ndarray) -> np.nda
     with the centered pivot of the module docstring.  Once an increment
     is -inf every later normalized value is -inf (log marginals only
     decrease), so the centered sum counts on the finite head only.
+
+    The increments stream in column blocks of at most _GATHER_ENTRIES
+    floats (Q._increment_blocks; a family that evaluates whole gives one
+    block).  Each block is centered and summed in place, and each row
+    carries its running sum into the next block's first column, which is
+    the same add as the next step of the whole-row sum.
     """
-    incs = Q.log_increments(paths[:, : grid[-1]])
-    neg = ~np.isfinite(incs)
-    finite_len = np.where(neg.any(axis=1), neg.argmax(axis=1), incs.shape[1])
-    pivot = incs[:, :1].copy()
-    # the increments are a fresh array, centered and summed in place
+    w = Q.alphabet.validate_paths(paths[:, : grid[-1]])
+    rows, n = w.shape
+    values = np.empty((rows, grid.size))
+    finite_len = np.full(rows, n)
+    ends, a = grid.tolist(), 0
     with np.errstate(invalid="ignore"):  # -inf - -inf, past a row's finite head
-        np.subtract(incs, pivot, out=incs)
-        np.cumsum(incs, axis=1, out=incs)
-        values = pivot + incs[:, grid - 1] / grid
+        for lo, block in Q._increment_blocks(w, max(1, measures._GATHER_ENTRIES // rows)):
+            neg = ~np.isfinite(block)
+            if neg.any():  # a row's finite head ends at its first non-finite increment
+                first = np.where(neg.any(axis=1), lo + neg.argmax(axis=1), n)
+                np.minimum(finite_len, first, out=finite_len)
+            if lo == 0:
+                pivot = block[:, :1].copy()
+            np.subtract(block, pivot, out=block)
+            if lo:
+                block[:, 0] += carry
+            np.cumsum(block, axis=1, out=block)
+            hi = lo + block.shape[1]
+            b = bisect.bisect_right(ends, hi, a)
+            if b > a:
+                at = grid[a:b]
+                values[:, a:b] = pivot + block[:, at - 1 - lo] / at
+            a = b
+            carry = block[:, -1].copy()
     return np.where(grid <= finite_len[:, None], values, -np.inf)
 
 
@@ -135,7 +162,7 @@ def kingman_series(
     n the trajectory supports.  Requires offset + max(grid) <= len(x).
     It is the one-row case of kingman_rows.
     """
-    symbols = x.symbols if isinstance(x, Trajectory) else np.asarray(x, dtype=np.int64)
+    symbols = x.symbols if isinstance(x, Trajectory) else np.asarray(x)  # checked by Q
     if offset < 0:
         raise ConfigError("offset must be >= 0")
     avail = symbols.size - offset

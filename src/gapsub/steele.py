@@ -431,7 +431,7 @@ def trajectory_context(
     offset; any other is one value per length.  Log-marginals decrease
     under extension, so the sigma_1 = 0 requirement is waived.
     """
-    symbols = x.symbols if isinstance(x, Trajectory) else np.asarray(x, dtype=np.int64)
+    symbols = x.symbols if isinstance(x, Trajectory) else Q.alphabet.validate_word(x)
     if rho.position_dependent:
 
         def rho_fn(js: np.ndarray, n: int) -> np.ndarray:

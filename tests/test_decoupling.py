@@ -328,6 +328,13 @@ def test_trajectory_check_passes_with_the_bound(worked_chain):
     assert chk.max_excess <= 1e-10
 
 
+def test_trajectory_check_refuses_non_integer_symbols(worked_chain):
+    """The path was cast to int64, which truncated 1.5 to 1."""
+    x = sample_trajectory(worked_chain, 40, seed=101).symbols + 0.5
+    with pytest.raises(ValidationError, match="symbols must be integers"):
+        check_trajectory_subadditivity(x, worked_chain, ErrorSchedule.zero(), GapSchedule.zero())
+
+
 def test_trajectory_check_flags_zero_rho(worked_chain):
     # without the decoupling allowance the split at a sticky transition
     # fails: P(0 -> 0) = 0.9 > pi(0) = 2/3

@@ -53,6 +53,26 @@ def test_validate_word():
         a.validate_word([[0, 1]])
 
 
+@pytest.mark.parametrize("word", [[0.5, 1.9, 1.2], [0.0, 1.0], ["0", "1"], [True, False]])
+def test_a_word_of_non_integers_is_refused(worked_chain, word):
+    """A cast to int64 read [0.5, 1.9, 1.2] as [0, 1, 1] and '1' as 1."""
+    with pytest.raises(ValidationError, match="symbols must be integers"):
+        worked_chain.prefix_logprobs(word)
+
+
+def test_paths_of_non_integers_are_refused():
+    Q = IIDMeasure([0.5, 0.5])
+    with pytest.raises(ValidationError, match="symbols must be integers, not float64"):
+        Q.log_increments(np.asarray([[0.0, 1.0], [1.7, 0.0]]))
+    with pytest.raises(ValidationError, match="nonempty 2-d"):
+        Q.log_increments(np.zeros((3, 0)))
+    with pytest.raises(ValidationError, match="nonempty 1-d"):
+        Alphabet(2).validate_word([])
+    for dtype in (np.int8, np.uint16, np.int32):
+        w = Alphabet(2).validate_paths(np.asarray([[0, 1], [1, 1]], dtype=dtype))
+        assert w.dtype == np.int64 and w.tolist() == [[0, 1], [1, 1]]
+
+
 # ------------------------------------------------------- input validation
 
 

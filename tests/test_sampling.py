@@ -19,6 +19,7 @@ from gapsub import (
     make_rng,
     sample_trajectory,
 )
+from gapsub.sampling import checked_grid
 
 from conftest import WORKED_P
 from lse_oracle import log_sum_exp
@@ -102,6 +103,15 @@ def test_trajectory_validation():
         Trajectory(np.asarray([], dtype=np.int64), alphabet_size=2)
     with pytest.raises(ConfigError):
         sample_trajectory(IIDMeasure([0.5, 0.5]), 0, seed=1)
+    with pytest.raises(ValidationError, match="nonempty 1-d"):
+        Trajectory([], alphabet_size=2)
+
+
+def test_a_trajectory_of_non_integers_is_refused():
+    """A cast to int64 made [0.2, 1.7] the symbols [0, 1]."""
+    with pytest.raises(ValidationError, match="symbols must be integers, not float64"):
+        Trajectory(np.array([0.2, 1.7]), 2)
+    assert Trajectory(np.array([0, 1], dtype=np.int32), 2).symbols.dtype == np.int64
 
 
 # ------------------------------------------------------------ log prefixes
@@ -178,6 +188,19 @@ def test_kingman_grid_validation(worked_chain):
         kingman_series(x, worked_chain, offset=100)
     with pytest.raises(ConfigError):
         kingman_series(x, worked_chain, offset=-1)
+
+
+def test_a_grid_of_non_integers_is_refused(worked_chain):
+    """A cast to int64 made the grid [1.9, 3.5] the ns [1, 3]."""
+    x = sample_trajectory(worked_chain, 10, seed=47)
+    with pytest.raises(ConfigError, match="grid points must be integers, not float64"):
+        kingman_series(x, worked_chain, grid=[1.9, 3.5])
+    with pytest.raises(ConfigError, match="grid points must be integers"):
+        checked_grid(np.asarray(["1", "2"]), 0, 10)
+    with pytest.raises(ConfigError, match="strictly increasing"):
+        checked_grid([], 0, 10)
+    with pytest.raises(ValidationError, match="symbols must be integers"):
+        kingman_series(x.symbols.astype(np.float64), worked_chain, grid=[1, 3])
 
 
 def test_kingman_neg_inf_is_sticky():

@@ -479,6 +479,14 @@ def test_trajectory_context_with_position_hook(worked_path, worked_chain):
     assert by_offset.eval_rho([3, 5], 17).tolist() == [20.0, 22.0]
 
 
+def test_trajectory_context_refuses_non_integer_symbols(worked_path, worked_chain):
+    """The path was cast to int64, which truncated 1.5 to 1."""
+    with pytest.raises(ValidationError, match="symbols must be integers"):
+        make_worked_ctx(worked_path.symbols + 0.5, worked_chain, K=3)
+    ctx = make_worked_ctx(worked_path.symbols.astype(np.int32), worked_chain, K=3)
+    assert ctx.horizon == len(worked_path)
+
+
 def test_trajectory_context_generic_family_fallback(half_half_mixture):
     x = sample_trajectory(half_half_mixture, 160, seed=223)
     # along either component's typical path the normalized mixture

@@ -8,13 +8,16 @@ directory, --repeat times in a row in this interpreter.  The interpreter
 pins itself to the CPU it starts on, and numpy runs single-threaded, as
 under bench/run.py.  One line is printed per operation:
 
-    seed/workload/operation best_ms=... median_ms=...
+    seed/workload/operation best_ms=... median_ms=... minflt=...
 
 The times are raw wall-clock milliseconds (time.perf_counter), not
 normalised by the benchmark's reference kernel, so compare two checkouts
 on the same machine, one after the other.  The first call of each
 operation pays its one-time costs (compiles, caches); best_ms leaves them
-out.  Needs Linux, for /proc/self/stat.
+out.  minflt is the median count of minor page faults per call, from
+getrusage(RUSAGE_SELF): pages the call touched for the first time, mostly
+fresh arrays that the allocator mapped for it and unmapped after.  Needs
+Linux, for /proc/self/stat.
 """
 from __future__ import annotations
 
@@ -24,6 +27,7 @@ os.environ["OMP_NUM_THREADS"] = "1"
 os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 import argparse  # noqa: E402
+import resource  # noqa: E402
 import statistics  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
@@ -51,14 +55,17 @@ def main(seeds: list[int], repeat: int) -> None:
         for workload, operations in WORKLOADS.items():
             for op in operations(seed):
                 config = cli.RunConfig(op.subcommand, op.params)
-                took = []
+                took, faults = [], []
                 with tempfile.TemporaryDirectory() as out:
                     for _ in range(repeat):
+                        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
                         start = time.perf_counter()
                         cli.run(config, out)
                         took.append(time.perf_counter() - start)
+                        faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
                 print(f"{seed}/{workload}/{op.name} best_ms={min(took) * 1e3:.2f} "
-                      f"median_ms={statistics.median(took) * 1e3:.2f}", flush=True)
+                      f"median_ms={statistics.median(took) * 1e3:.2f} "
+                      f"minflt={statistics.median(faults):.0f}", flush=True)
 
 
 if __name__ == "__main__":
