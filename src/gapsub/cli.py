@@ -12,9 +12,9 @@ against it before the runner starts, so a refusal names the parameter's
 JSON pointer; a key that the subcommand does not declare is refused,
 except that a fekete run accepts the keys of all three fekete
 subcommands, so one spec file serves them all.  The constructors validate
-every spec: one read from a file or a manifest is checked by building it,
-and a rejection names its field (and, for a file given to an option, the
-option and the file).
+every spec: one read from a file or a manifest is checked by building it
+once, when run reads it, and a rejection names its field (and, for a file
+given to an option, the option and the file).
 
 Every refusal is a GapsubError, reported by main in one place as "label:
 pointer: message" on stderr; on rerun the pointer sits under
@@ -99,27 +99,23 @@ class RunConfig:
 # schema validation: the constructors are the schema
 
 
-def schema_validate(obj, kind: str = "auto") -> list[tuple[str, str]]:
+def schema_validate(obj) -> list[tuple[str, str]]:
     """(pointer, message) of the first problem of a JSON document, or [].
 
-    kind "auto" sniffs: 'family' means measure, 'name' sequence, 'rule'
+    The kind is sniffed: 'family' means measure, 'name' sequence, 'rule'
     schedule.  A document is valid when it builds; a schedule when it
     builds as an error schedule or as a gap schedule.
     """
-    if kind == "auto":
-        fields = {"family": "measure", "name": "sequence", "rule": "schedule"}
-        kind = next((k for f, k in fields.items() if isinstance(obj, dict) and f in obj), None)
-        if kind is None:
-            return [("", "cannot infer document kind (no family/name/rule field)")]
-    builders = {
-        "measure": [measure_from_spec],
-        "sequence": [sequence_from_spec],
-        "schedule": [ErrorSchedule.from_json, GapSchedule.from_json],
+    fields = {
+        "family": [measure_from_spec],
+        "name": [sequence_from_spec],
+        "rule": [ErrorSchedule.from_json, GapSchedule.from_json],
     }
-    if kind not in builders:
-        raise ConfigError(f"unknown schema kind {kind!r}")
+    builders = next((b for f, b in fields.items() if isinstance(obj, dict) and f in obj), None)
+    if builders is None:
+        return [("", "cannot infer document kind (no family/name/rule field)")]
     problems: list[tuple[str, str]] = []
-    for build in builders[kind]:
+    for build in builders:
         try:
             build(obj)
             return []
@@ -615,7 +611,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = top.add_parser("validate", help="validate a JSON document")
     sp.add_argument("--file", required=True)
-    sp.add_argument("--kind", default="auto", choices=("auto", "measure", "sequence", "schedule"))
     sp.add_argument("--semantic", action="store_true",
                     help="for measures: also run the brute-force level audit")
     _add_option(sp, _LEVELS)
@@ -627,11 +622,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    """The run that an invocation asks for.
+def _config_from_args(args: argparse.Namespace) -> tuple[RunConfig, dict[str, str]]:
+    """The run that an invocation asks for, and the files given to its measure options.
 
-    Its params are the parsed options, with the measure files read in and
-    checked; fekete takes its params from its spec file, and validate
+    Its params are the parsed options, with the measure files read in; run
+    builds them.  fekete takes its params from its spec file, and validate
     checks a document and may run the semantic audit.
     """
     subcommand = ".".join(filter(None, [args.command, getattr(args, "subcommand", None)]))
@@ -639,29 +634,27 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         spec = _load_json(args.spec)
         if not isinstance(spec, dict):
             raise SchemaError("a fekete spec must be an object")
-        return RunConfig(subcommand, spec)
+        return RunConfig(subcommand, spec), {}
     if args.command == "validate":
         obj = _load_json(args.file)
-        for pointer, message in schema_validate(obj, args.kind):  # at most one
+        for pointer, message in schema_validate(obj):  # at most one
             raise SchemaError(message, pointer)
         if isinstance(obj, dict) and "family" in obj and args.semantic:
-            return RunConfig("validate.measure", {"measure": obj, "n_max": args.n_max})
-        return RunConfig("noop", {})
+            return RunConfig("validate.measure", {"measure": obj, "n_max": args.n_max}), {}
+        return RunConfig("noop", {}), {}
     params = {k: v for k, v in vars(args).items() if k not in ("command", "subcommand", "outdir")}
+    files = {}
     for key in [d.key for d in _SUBCOMMANDS[subcommand][1] if d.kind == "measure"]:
         path = params.pop(key)
         if path is not None:
-            params[key] = _load_json(path)
-            try:  # checked by building it; the pointer is within the file
-                measure_from_spec(params[key])
-            except SchemaError as exc:
-                raise SchemaError(f"{exc.message} ({_flag(key)} {path})", exc.pointer) from exc
-    return RunConfig(subcommand, params)
+            params[key], files[key] = _load_json(path), path
+    return RunConfig(subcommand, params), files
 
 
 def main(argv: list[str] | None = None) -> int:
     ap = _build_parser()
     args = ap.parse_args(argv)
+    files: dict[str, str] = {}
     try:
         if args.command == "rerun":
             manifest = _load_json(args.manifest)
@@ -669,7 +662,7 @@ def main(argv: list[str] | None = None) -> int:
                 raise ConfigError("manifest lacks a 'config' section")
             config = RunConfig.from_json(manifest["config"])
         else:
-            config = _config_from_args(args)
+            config, files = _config_from_args(args)
         if config.subcommand == "noop":
             print(json.dumps({"ok": True, "kind": "schema-only"}))
             return 0
@@ -678,9 +671,13 @@ def main(argv: list[str] | None = None) -> int:
         print(json.dumps(exc.report, indent=2, sort_keys=True), file=sys.stderr)
         return exc.exit_code
     except GapsubError as exc:
-        # a manifest's params sit under /config/params
-        base = "/config/params" if args.command == "rerun" and exc.pointer else ""
-        print(f"{exc.label}: {base}{exc}", file=sys.stderr)
+        pointer, message = exc.pointer, exc.message
+        for key, path in files.items():  # within a file given to --key, the line names both
+            if f"{pointer}/".startswith(f"/{key}/"):
+                pointer, message = pointer[len(key) + 1 :], f"{message} ({_flag(key)} {path})"
+        if args.command == "rerun" and pointer:  # a manifest's params sit under /config/params
+            pointer = "/config/params" + pointer
+        print(f"{exc.label}: {GapsubError(message, pointer)}", file=sys.stderr)
         return exc.exit_code
     return 0
 

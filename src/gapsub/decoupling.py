@@ -22,7 +22,7 @@ import dataclasses
 
 import numpy as np
 
-from .errors import CapExceededError, ConfigError, ScheduleRangeError
+from .errors import CapExceededError, ConfigError
 from .fekete import PAIRWISE_CAP, SubadditivityCheck, split_scan
 from .logspace import log_sum_exp_into
 from .measures import IIDMeasure, ShiftMeasure, _words_over_cap
@@ -100,19 +100,9 @@ _FAILURES_KEPT = 20  # positivity failures a report lists
 def _longest_joint_head(tau: GapSchedule, n_max: int) -> int:
     """max of n + tau_n over n = 1 .. n_max, one numpy pass per index block.
 
-    A block whose schedule values raise is replayed n by n, so the error
-    names the first n that fails, as tau.value(n) in a loop would.
+    An error names the first n that fails, as tau.value(n) in a loop would.
     """
-    worst = 0
-    for ns in index_blocks(n_max):
-        try:
-            ts = tau.values(ns)
-        except ScheduleRangeError:
-            for n in ns.tolist():
-                tau.value(n)
-            raise
-        worst = max(worst, int((ns + ts).max()))
-    return worst
+    return max(int((ns + tau.values(ns)).max()) for ns in index_blocks(n_max))
 
 
 @dataclasses.dataclass

@@ -322,34 +322,34 @@ def fekete_infimum(
     The indices are walked in blocks (schedules.index_blocks), so memory
     stays bounded at any N.  Each block's ratios are formed elementwise
     as a whole-array pass would form them, and the running minimum keeps
-    np.argmin's rule across blocks: the first index attaining it wins,
-    and a nan ratio wins as soon as it appears.  F_N comes from the last
-    block.  F is evaluated through F.at and is not cached.
+    np.argmin's rule across blocks: the first index attaining it wins.
+    No ratio is nan, since F < +inf and rho is finite.  F_N comes from the
+    last block.  F is evaluated through F.at and is not cached.
 
-    The errors are those of the whole pass, which checks F_1 .. F_N before
-    any schedule: a schedule's error is raised once F has passed every
-    block, and a schedule table too short for N names N.
+    The errors are those of the whole pass, which checks F_1 .. F_N, then
+    sigma_1 .. sigma_N, then rho_1 .. rho_N: each schedule keeps its first
+    error, which names the first n that fails, and sigma's is raised before
+    rho's once F has passed every block.
     """
     _check_horizon(N)
-    last = np.array([N], dtype=np.int64)
-    arg, inf_val, fault = 0, math.nan, None
+    arg, inf_val = 0, math.inf
+    faults: list[Exception | None] = [None, None]  # sigma's and rho's first error
     for ns in index_blocks(N):
         Fv = F.at(ns)
-        if fault is not None:
+        terms = []  # n + sigma_n, then F_n + rho_n
+        for i, (base, schedule) in enumerate(((ns, sigma), (Fv, rho))):
+            if faults[i] is None:
+                try:
+                    terms.append(base + schedule.values(ns))
+                except Exception as exc:
+                    faults[i] = exc
+        if len(terms) < 2:
             continue
-        try:
-            if arg == 0:  # first block: a table too short for N fails here
-                sigma.values(last)
-                rho.values(last)
-            denom = (ns + sigma.values(ns)).astype(np.float64)
-            ratios = (Fv + rho.values(ns)) / denom
-        except Exception as exc:
-            fault = exc
-            continue
+        ratios = terms[1] / terms[0]  # the int64 sums cast to float64 as they are divided
         i = int(np.argmin(ratios))
-        if arg == 0 or (not math.isnan(inf_val) and not ratios[i] >= inf_val):
+        if arg == 0 or ratios[i] < inf_val:
             arg, inf_val = int(ns[i]), float(ratios[i])
-    if fault is not None:
+    for fault in filter(None, faults):
         raise fault
     proxy = float(Fv[-1] / N)
     if inf_val == -np.inf and proxy == -np.inf:
@@ -416,9 +416,8 @@ def gap_lift(
         sv = sigma.values(ns)
         out = np.zeros(ns.shape, dtype=np.float64)
         mask = sv >= 1
-        if mask.any():
-            Fv = F.values(int(sv.max()))
-            out[mask] = np.maximum(Fv[sv[mask] - 1], 0.0)
+        if mask.any():  # F at the gaps alone, so a gap of 2**62 builds no prefix
+            out[mask] = np.maximum(F.at(sv[mask]), 0.0)
         return out
 
     return ErrorSchedule.from_function(rho_fn)

@@ -112,8 +112,9 @@ def _check_stochastic(raw, field: str, ndim: int, square: bool = False) -> np.nd
     field is the argument's JSON pointer, such as "/P"; a rejection points
     at it, or at the offending row of a matrix.  Entries are checked as
     given, since np.asarray would turn a boolean into 1.0.  Lists of exact
-    ints and floats are checked as one array; any other input, and any
-    that fails there, is checked row by row, which refuses at the first
+    ints and floats, and an array of ndim dimensions with a real integer or
+    float dtype, are checked as one array; any other input, and any that
+    fails there, is checked row by row, which refuses at the first
     offending row.
     """
     if raw is None:
@@ -121,7 +122,7 @@ def _check_stochastic(raw, field: str, ndim: int, square: bool = False) -> np.nd
     rows = [raw] if ndim == 1 else raw
     if not isinstance(rows, _LISTS) or len(rows) == 0:
         raise ValidationError("must be a nonempty list of rows", field)
-    vals = _plain_rows(rows)
+    vals = _plain_rows(rows, ndim)
     if not (
         vals is not None
         and np.isfinite(vals).all()
@@ -135,15 +136,21 @@ def _check_stochastic(raw, field: str, ndim: int, square: bool = False) -> np.nd
     return np.asarray(raw, dtype=np.float64)
 
 
-def _plain_rows(rows) -> np.ndarray | None:
+def _plain_rows(rows, ndim: int) -> np.ndarray | None:
     """rows as a 2-d float array if they are lists of one length whose
-    entries are all exact ints and floats in the float range; else None."""
-    if not all(type(row) in (list, tuple) and len(row) == len(rows[0]) for row in rows):
+    entries are all exact ints and floats in the float range, or one array
+    of ndim dimensions with a real integer or float dtype; else None."""
+    raw = rows[0] if ndim == 1 else rows
+    if isinstance(raw, np.ndarray):
+        if raw.ndim != ndim or raw.dtype.kind not in "iuf":
+            return None
+    elif not all(type(row) in (list, tuple) and len(row) == len(rows[0]) for row in rows):
         return None
-    if not {type(v) for row in rows for v in row} <= {int, float}:
+    elif not {type(v) for row in rows for v in row} <= {int, float}:
         return None
     try:
-        return np.array(rows, dtype=np.float64)
+        with np.errstate(over="ignore"):  # a float beyond the float64 range fails as inf
+            return np.array(rows, dtype=np.float64)
     except OverflowError:  # an int beyond the float range
         return None
 

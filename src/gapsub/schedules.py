@@ -1,7 +1,7 @@
 """Deterministic index schedules and the convergence-series container.
 
-A gap schedule assigns a nonnegative integer to every index n >= 1, an
-error schedule a nonnegative real.  Both are either closed-form rules or
+A gap schedule assigns an integer in [0, 2**62] to every index n >= 1, an
+error schedule a finite real >= 0.  Both are either closed-form rules or
 explicit tables, and one base serializes both to JSON.  ConvergenceSeries
 holds a normalized sequence sampled on an increasing index grid together
 with tail diagnostics; csv_text writes it and every other key,value CSV.
@@ -26,17 +26,6 @@ from .errors import (
 )
 
 
-def _check_table(params: dict, kind: type) -> None:
-    """A table rule's params: one nonempty list of nonnegative entries of kind."""
-    known_keys(params, ("values",), "/params")
-    vals = params.get("values")
-    if not isinstance(vals, (list, tuple)) or not vals:
-        raise ConfigError("needs a nonempty list", "/params/values")
-    for i in range(len(vals)):
-        if param(vals, i, kind, pointer="/params/values") < 0:
-            raise ConfigError("must be nonnegative", f"/params/values/{i}")
-
-
 def _as_index_array(ns) -> np.ndarray:
     arr = np.asarray(ns, dtype=np.int64)
     if arr.size and arr.min() < 1:
@@ -57,14 +46,17 @@ def index_blocks(N: int):
 class _Schedule:
     """Constructors, rule checks, evaluation and JSON shared by both schedule kinds.
 
-    A kind sets _kind (int or float), _noun (its name in a range error)
-    and _rules, its closed-form rules; every kind also takes "table"."""
+    A kind sets _kind (int or float), _noun (its name in a range error),
+    the range [0, _most] that _range states, and _rules, its closed-form
+    rules; every kind also takes "table"."""
 
     rule: str
     params: dict = dataclasses.field(default_factory=dict)
 
     _kind: ClassVar[type]
     _noun: ClassVar[str]
+    _most: ClassVar
+    _range: ClassVar[str]
     # each closed-form rule: (F of the index array and the rule's params, the
     # params in reading order, each as (key, kind, default, whether a value
     # is in range, the refusal of one that is not))
@@ -78,10 +70,25 @@ class _Schedule:
         if not (isinstance(self.rule, str) and (self.rule == "table" or self.rule in self._rules)):
             raise ConfigError(f"unknown {self._noun} rule {self.rule!r}", "/rule")
         if self.rule == "table":
-            _check_table(self.params, self._kind)
+            self._check_table()
             return
         known_keys(self.params, [key for key, *_ in self._rules[self.rule][1]], "/params")
-        self._args  # read here, so a bad param is refused at construction
+        args = self._args  # read here, so a bad param is refused at construction
+        if self.rule == "constant" and args[0] > self._most:
+            raise ConfigError(f"must {self._range}", "/params/value")
+
+    def _check_table(self) -> None:
+        """A table rule's params: one nonempty list of entries of the kind in [0, _most]."""
+        known_keys(self.params, ("values",), "/params")
+        vals = self.params.get("values")
+        if not isinstance(vals, (list, tuple)) or not vals:
+            raise ConfigError("needs a nonempty list", "/params/values")
+        for i in range(len(vals)):
+            v = param(vals, i, self._kind, pointer="/params/values")
+            if v < 0:
+                raise ConfigError("must be nonnegative", f"/params/values/{i}")
+            if v > self._most:
+                raise ConfigError(f"must {self._range}", f"/params/values/{i}")
 
     @functools.cached_property
     def _args(self) -> list:
@@ -112,15 +119,30 @@ class _Schedule:
         return np.asarray(self.params["values"], dtype=self._kind)
 
     def values(self, ns) -> np.ndarray:
-        """Vectorized evaluation on an array of indices (all >= 1)."""
+        """Vectorized evaluation on indices >= 1, cast to the kind once in range;
+        an error names the smallest n that fails, as value(n) in a loop would."""
         arr = _as_index_array(ns)
         if self.rule == "table":
             table = self._table_array
-            if arr.size and arr.max() > table.size:
+            past = arr > table.size
+            if past.any():
                 raise ScheduleRangeError(
-                    f"{self._noun} table covers n <= {table.size}, asked for n = {int(arr.max())}"
+                    f"{self._noun} table covers n <= {table.size}, asked for n = {arr[past].min()}"
                 )
             return table[arr - 1]
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+            vals = self._evaluate(arr)
+        if arr.size and not (vals.min() >= 0 and vals.max() <= self._most):  # nan fails too
+            bad = ~((vals >= 0) & (vals <= self._most))
+            i = np.flatnonzero(bad)[np.argmin(arr[bad])]
+            raise ScheduleRangeError(
+                f"{self._noun} rule {self.rule!r} gives {vals[i].item()!r} at n = {int(arr[i])}; "
+                f"{self._noun} values must {self._range}"
+            )
+        return vals.astype(self._kind, copy=False)
+
+    def _evaluate(self, arr: np.ndarray) -> np.ndarray:
+        """The rule's values at the indices arr, before the range check."""
         return self._rules[self.rule][0](arr, *self._args)
 
     def to_json(self) -> dict:
@@ -149,16 +171,18 @@ class GapSchedule(_Schedule):
 
     _kind = int
     _noun = "gap"
+    _most = 2**62  # n + sigma_n + m stays in int64 whenever n + m < 2**62
+    _range = "lie in [0, 2**62]"
     _rules = {
         "constant": (lambda ns, v: np.full(ns.shape, v, dtype=np.int64), (
             ("value", int, REQUIRED, lambda v: v >= 0, "must be a nonnegative integer"),
         )),
         "ceil_power": (lambda ns, alpha, scale: np.ceil(
-            scale * np.power(ns.astype(np.float64), alpha)).astype(np.int64), (
+            scale * np.power(ns.astype(np.float64), alpha)), (
             ("alpha", float, REQUIRED, lambda a: 0.0 < a < 1.0, "ceil_power needs 0 < alpha < 1"),
             ("scale", float, 1.0, lambda s: s > 0, "ceil_power scale must be positive"),
         )),
-        "ceil_log": (lambda ns: np.ceil(np.log2(1.0 + ns.astype(np.float64))).astype(np.int64), ()),
+        "ceil_log": (lambda ns: np.ceil(np.log2(1.0 + ns.astype(np.float64))), ()),
     }
 
     def __post_init__(self):
@@ -170,20 +194,18 @@ class ErrorSchedule(_Schedule):
     """Nonnegative real schedule n -> rho_n.
 
     Closed-form rules: "constant", "scaled_power" (scale * n**alpha with
-    alpha < 1, so the schedule stays sublinear), "table".  A schedule may
-    instead wrap a plain function or a position-dependent hook; those are
-    not serializable and to_json refuses.
-
-    The hook signature is hook(symbols, j, n) -> float, evaluated on a
-    window of length n starting at offset j.  Position-free users call
-    value()/values() and never see the hook.
+    alpha < 1, so the schedule stays sublinear), "table".  from_function
+    wraps a function of the index array instead, rule "function", with the
+    same range check; to_json refuses it.  An error that also depends on
+    the offset along a path goes straight into a steele.ProofContext.
     """
 
     fn: Callable[[np.ndarray], np.ndarray] | None = None
-    hook: Callable[..., float] | None = None
 
     _kind = float
     _noun = "error"
+    _most = np.finfo(np.float64).max
+    _range = "be finite and >= 0"
     _rules = {
         "constant": (lambda ns, v: np.full(ns.shape, v), (
             ("value", float, REQUIRED, lambda v: v >= 0, "must be nonnegative"),
@@ -195,34 +217,23 @@ class ErrorSchedule(_Schedule):
     }
 
     def __post_init__(self):
-        if self.fn is None and self.hook is None:
+        if self.fn is None:
             self._check_rule()
 
     @classmethod
     def from_function(cls, fn: Callable[[np.ndarray], np.ndarray]) -> "ErrorSchedule":
         return cls("function", {}, fn=fn)
 
-    @classmethod
-    def from_hook(cls, hook: Callable[..., float]) -> "ErrorSchedule":
-        return cls("hook", {}, hook=hook)
-
-    @property
-    def position_dependent(self) -> bool:
-        return self.hook is not None
-
-    def values(self, ns) -> np.ndarray:
-        if self.fn is None and self.hook is None:
-            return super().values(ns)
-        arr = _as_index_array(ns)
-        if self.hook is not None:
-            raise ConfigError("position-dependent error schedule has no position-free value")
+    def _evaluate(self, arr: np.ndarray) -> np.ndarray:
+        if self.fn is None:
+            return super()._evaluate(arr)
         out = np.asarray(self.fn(arr), dtype=np.float64)
         if out.shape != arr.shape:
             raise ValidationError("error schedule function returned a wrong shape")
         return out
 
     def to_json(self) -> dict:
-        if self.fn is not None or self.hook is not None:
+        if self.fn is not None:
             raise ConfigError("function-backed error schedule is not serializable")
         return super().to_json()
 

@@ -427,21 +427,12 @@ def trajectory_context(
 ) -> ProofContext:
     """ProofContext for f = per-window log-marginals of Q along x.
 
-    f is Q.windows(x).many.  A position-dependent rho is asked offset by
-    offset; any other is one value per length.  Log-marginals decrease
-    under extension, so the sigma_1 = 0 requirement is waived.
+    f is Q.windows(x).many, and rho(js, n) is rho_n at every offset.  A
+    rho that depends on the offset as well as on n goes straight into a
+    ProofContext as its rho(js, n), next to this f.  Log-marginals
+    decrease under extension, so the sigma_1 = 0 requirement is waived.
     """
     symbols = x.symbols if isinstance(x, Trajectory) else Q.alphabet.validate_word(x)
-    if rho.position_dependent:
-
-        def rho_fn(js: np.ndarray, n: int) -> np.ndarray:
-            return np.asarray([float(rho.hook(symbols, int(j), n)) for j in js])
-
-    else:
-
-        def rho_fn(js: np.ndarray, n: int) -> np.ndarray:
-            return np.full(js.shape, rho.value(n))
-
     return ProofContext(
         f=Q.windows(symbols).many,
         limit_value=float(limit_value),
@@ -450,6 +441,6 @@ def trajectory_context(
         K=int(K),
         eps=float(eps),
         horizon=int(symbols.size),
-        rho=rho_fn,
+        rho=lambda js, n: np.full(js.shape, rho.value(n)),
         assume_shift_monotone=True,
     )

@@ -71,12 +71,9 @@ def scalar_trajectory_context(
     limit_value: float, r: int, K: int, eps: float,
 ) -> ScalarContext:
     wl = Q.windows(x)
-    if rho.position_dependent:
-        rho_fn = lambda j, n: float(rho.hook(x, j, n))  # noqa: E731
-    else:
-        rho_fn = lambda j, n: rho.value(n)  # noqa: E731
     return ScalarContext(
-        f=lambda j, n: wl.many([j], n)[0], rho=rho_fn, limit_value=float(limit_value),
+        f=lambda j, n: wl.many([j], n)[0], rho=lambda j, n: rho.value(n),
+        limit_value=float(limit_value),
         sigma=sigma, r=int(r), K=int(K), eps=float(eps), horizon=int(x.size),
     )
 

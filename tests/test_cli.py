@@ -93,8 +93,6 @@ def test_schema_unknown_family_and_kind_sniffing():
     assert schema_validate({"rule": "fancy"})[0][0] == "/rule"
     probs = schema_validate({"rule": "table", "params": {"values": []}})
     assert probs[0][0] == "/params/values"
-    with pytest.raises(ConfigError):
-        schema_validate({}, kind="book")
 
 
 def test_run_config_round_trip():
@@ -1182,6 +1180,59 @@ def test_a_bad_measure_file_is_named_with_its_option(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+def test_each_measure_file_is_built_once(tmp_path, monkeypatch):
+    """run builds the measures it reads; the files were once built first to check them too."""
+    built = []
+
+    def spy(obj, pointer=""):
+        built.append(pointer)
+        return measure_from_spec(obj, pointer)
+
+    monkeypatch.setattr(cli, "measure_from_spec", spy)
+    w = write_json(tmp_path, "w.json", WORKED_SPEC)
+    assert main(["estimate", "cross", "--p", w, "--q", w, "--N", "9", "--seed", "1",
+                 "--outdir", str(tmp_path / "o")]) == 0
+    assert built == ["/p", "/q"]
+
+
+# a fekete or audit run whose schedule leaves its range, and the refusal it ends in
+SIGMA_1E30 = {"rule": "ceil_power", "params": {"alpha": 0.5, "scale": 1e30}}
+GAP_1E30 = "gap rule 'ceil_power' gives 1e+30 at n = 1; gap values must lie in [0, 2**62]"
+OUT_OF_RANGE_RUNS = [
+    ("fekete.limit", {**FEKETE_SPEC, "sigma": SIGMA_1E30}, 3, f"validation: {GAP_1E30}"),
+    ("fekete.check", {**FEKETE_SPEC, "sigma": SIGMA_1E30}, 3, f"validation: {GAP_1E30}"),
+    ("decouple.audit", {"measure": WORKED_SPEC, "n_max": 2, "m_max": 2, "tau": SIGMA_1E30}, 3,
+     f"validation: {GAP_1E30}"),
+    ("fekete.limit", {**FEKETE_SPEC, "sigma": {"rule": "constant",
+                                               "params": {"value": 2**63 - 1}}},
+     2, "schema: /sigma/params/value: must lie in [0, 2**62]"),
+    ("fekete.check", {**FEKETE_SPEC, "rho": {"rule": "scaled_power",
+                                             "params": {"alpha": 0.5, "scale": 1e308}}},
+     3, "validation: error rule 'scaled_power' gives inf at n = 4; "
+        "error values must be finite and >= 0"),
+]
+
+
+@pytest.mark.parametrize("subcommand, params, rc, line", OUT_OF_RANGE_RUNS,
+                         ids=["limit-sigma-1e30", "check-sigma-1e30", "audit-tau-1e30",
+                              "limit-sigma-2-63", "check-rho-inf"])
+def test_a_schedule_out_of_range_is_refused_before_any_report(tmp_path, capsys, subcommand,
+                                                               params, rc, line):
+    """fekete limit once wrote the infimum -1.08e-18 at n = 10 from a gap cast
+    to -2**63, fekete check ended in a traceback, the audit said "level must
+    be >= 1", and a +inf rho let fekete check report ok comparing nothing."""
+    command = subcommand.split(".")
+    if command[0] == "fekete":
+        argv = [*command, "--spec", write_json(tmp_path, "s.json", params)]
+    else:
+        manifest = {"config": {"subcommand": subcommand, "params": params}}
+        argv = ["rerun", "--manifest", write_json(tmp_path, "manifest.json", manifest)]
+    out = tmp_path / "o"
+    assert main([*argv, "--outdir", str(out)]) == rc
+    assert capsys.readouterr().err == line + "\n"
+    assert not out.exists()
+
+
 def test_schema_schedule_builds_as_either_kind():
     assert schema_validate({"rule": "ceil_log"}) == []
     assert schema_validate({"rule": "scaled_power", "params": {"alpha": 0.5}}) == []
@@ -1507,6 +1558,8 @@ FEKETE_SPECS = JUNK | _mutants(
          "rho": {"rule": "scaled_power", "params": {"alpha": 0.5, "scale": 1.0}},
          "N": 40, "probe_N": 30, "table_N": 16},
         {"sequence": {"name": "sqrt"}, "sigma": {"rule": "ceil_log"}, "N": 40, "tol": 1e-12},
+        {**FEKETE_SPEC, "sigma": SIGMA_1E30,
+         "rho": {"rule": "scaled_power", "params": {"alpha": 0.5, "scale": 1e308}}},
     ],
     SIZES | SEQUENCES | SCHEDULES,
 ) | st.fixed_dictionaries(

@@ -370,8 +370,8 @@ def test_blocked_infimum_is_the_whole_array_one_bit_for_bit(B, monkeypatch):
 @pytest.mark.parametrize("B", [1, 7, 1 << 16])
 def test_blocked_infimum_keeps_argmins_rule_across_blocks(B, monkeypatch):
     """A minimum tied at n = B and B + 1, and again in the last block, is
-    attained first at B; a nan ratio in a later block wins over an earlier
-    -inf, as it does in np.argmin."""
+    attained first at B.  A +inf rho, which once made -inf + inf a nan
+    ratio in block two, is refused at its first n, as in one pass."""
     monkeypatch.setattr(schedules, "_INDEX_BLOCK", B)
     N = 3 * B + 5
     vals = np.arange(1, N + 1, dtype=np.float64)
@@ -383,14 +383,12 @@ def test_blocked_infimum_keeps_argmins_rule_across_blocks(B, monkeypatch):
     assert (rep.infimum, rep.argmin_n) == (0.5, B)
     assert repr(rep) == repr(_whole_array_report(F, zero_gap, zero_error, N))
 
-    # -inf + inf is nan: the first nan ratio sits in block two, after a -inf in block one
     F = sequence_from_spec({"name": "neg_inf_from", "params": {"start": 1}})
     rho = ErrorSchedule.from_function(lambda ns: np.where(ns >= B + 2, np.inf, 0.0))
-    with np.errstate(invalid="ignore"):
-        rep = fekete_infimum(F, zero_gap, rho, N)
-        want = _whole_array_report(F, zero_gap, rho, N)
-    assert math.isnan(rep.infimum) and rep.argmin_n == B + 2
-    assert repr(rep) == repr(want)
+    want = (ScheduleRangeError,
+            f"error rule 'function' gives inf at n = {B + 2}; error values must be finite and >= 0")
+    assert _raised(lambda: fekete_infimum(F, zero_gap, rho, N)) == want
+    assert _raised(lambda: _whole_array_report(F, zero_gap, rho, N)) == want
 
 
 @pytest.mark.parametrize("B", [1, 7, 1 << 16])
@@ -431,8 +429,9 @@ def test_faults_raise_the_whole_pass_error(monkeypatch):
     """With blocks of 7 and N = 30, every mix of faults raises the exception
     and message of one pass over 1 .. N: F is checked at every n before any
     schedule (a short table at n = 21, a nan or +inf at n = 25), even where
-    a schedule fails in an earlier block; sigma comes before rho; and a
-    short schedule table names n = 30, not the end of a block."""
+    a schedule fails in an earlier block; sigma comes before rho, even where
+    rho fails in an earlier block; and a short schedule table (at n = 21) or
+    a value out of range names the first n that fails."""
     monkeypatch.setattr(schedules, "_INDEX_BLOCK", 7)
     N = 30
     Fs = {
@@ -441,12 +440,19 @@ def test_faults_raise_the_whole_pass_error(monkeypatch):
         "late-nan": lambda: _late(np.nan),
         "late-plus-inf": lambda: _late(np.inf),
     }
-    sigmas = {"ok": GapSchedule.constant(1), "short-table": table_schedule(GapSchedule, [1] * 20)}
+    sigmas = {
+        "ok": GapSchedule.constant(1),
+        "short-table": table_schedule(GapSchedule, [1] * 20),
+        # ceil(scale sqrt(n)) passes 2**62 first at n = 15, in block three
+        "too-large-in-block-three": GapSchedule(
+            "ceil_power", {"alpha": 0.5, "scale": 2.0**62 / math.sqrt(14.5)}),
+    }
     rhos = {
         "ok": ErrorSchedule.zero(),
         "short-table": table_schedule(ErrorSchedule, [1.0] * 20),
-        "hook": ErrorSchedule.from_hook(lambda symbols, j, n: 0.0),
         "fails-in-block-two": _rho_failing_from(9),
+        "plus-inf-in-block-two": ErrorSchedule.from_function(
+            lambda ns: np.where(ns >= 10, np.inf, 0.0)),
     }
     for (fname, F), (sname, sigma), (rname, rho) in itertools.product(
         Fs.items(), sigmas.items(), rhos.items()
@@ -456,7 +462,11 @@ def test_faults_raise_the_whole_pass_error(monkeypatch):
         if fname != "ok":
             assert want == _raised(lambda: F().values(N))
         if (fname, sname) == ("ok", "short-table"):
-            assert want == (ScheduleRangeError, "gap table covers n <= 20, asked for n = 30")
+            assert want == (ScheduleRangeError, "gap table covers n <= 20, asked for n = 21")
+        if (fname, sname) == ("ok", "too-large-in-block-three"):
+            assert want[0] is ScheduleRangeError and "at n = 15;" in want[1]
+        if (fname, sname, rname) == ("ok", "ok", "plus-inf-in-block-two"):
+            assert want[0] is ScheduleRangeError and "gives inf at n = 10;" in want[1]
         for run in (fekete_infimum, fekete_limit_estimate):
             assert _raised(lambda: run(F(), sigma, rho, N)) == want, (fname, sname, rname)
 
@@ -487,6 +497,13 @@ def test_gap_lift_rho_values():
     assert abs(lifted.value(5) - 2.0 * math.sqrt(3.0)) < 1e-12
     chk = check_gapped_subadditivity(F, sigma, lifted, 300)
     assert chk.ok
+
+
+def test_gap_lift_at_the_largest_gap_evaluates_f_at_the_gaps_alone():
+    """A gap of 2**62 once built F_1 .. F_{2**62} and ended in a numpy ValueError."""
+    F = sequence_from_spec({"name": "sqrt"})
+    lifted = gap_lift(F, GapSchedule.constant(2**62), probe_N=32)
+    assert lifted.values(np.arange(1, 4)).tolist() == [2.0**31] * 3
 
 
 def test_gap_lift_zero_gap_gives_zero_rho():

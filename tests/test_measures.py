@@ -430,6 +430,10 @@ def test_boolean_and_string_entries_rejected(build, bad):
         ([[0.5, 0.5], [0.5, 0.5], [0.5, 0.6]], "/P/2", "row sums to 1.1"),
         ([[0.5, 0.5], [0.5, 0.5], 0.5], "/P/2", "must be a nonempty list"),
         (np.array([[0.5, 0.5], [np.inf, 0.5]]), "/P/1", "non-finite entry"),
+        (np.array([[0.5, 0.5], [0.5, 0.6], [-0.5, 1.5]]), "/P/1", "row sums to 1.1"),
+        (np.array([[0.5, 0.5], [1.5, -0.5]], dtype=np.float32), "/P/1", "negative entry"),
+        (np.array([[True, False], [False, True]]), "/P/0", "non-numeric entry"),
+        (np.array([[0.5, 0.5], [True, 0.5]], dtype=object), "/P/1", "non-numeric entry"),
     ],
 )
 def test_the_first_offending_row_is_refused(P, pointer, message):
@@ -461,6 +465,19 @@ def test_a_vector_of_no_numbers_is_refused(p):
 def test_other_numeric_entries_are_accepted(P):
     got = measures._check_stochastic(P, "/P", 2, square=True)
     assert got.dtype == np.float64 and (got == np.asarray(P, dtype=np.float64)).all()
+
+
+@pytest.mark.parametrize(
+    "P", [np.full((3, 3), 1 / 3), np.eye(3, dtype=np.int8), np.eye(3, dtype=np.uint64)],
+    ids=["float", "int8", "uint64"],
+)
+def test_a_real_array_is_checked_as_one_array(P, monkeypatch):
+    """An array of an integer or float dtype once went row by row, several
+    times slower than the same rows as lists."""
+    monkeypatch.setattr(measures, "_check_row", None)  # called, it would raise
+    got = measures._check_stochastic(P, "/P", 2, square=True)
+    assert got.dtype == np.float64 and (got == P).all()
+    assert (measures._check_stochastic(P[0] / P[0].sum(), "/p", 1) == P[0] / P[0].sum()).all()
 
 
 def test_float32_entries_build_without_a_warning():

@@ -33,6 +33,8 @@ def test_constant_gap():
     assert s.value(1) == 3
     assert list(s.values([1, 10, 1000])) == [3, 3, 3]
     assert list(GapSchedule.zero().values([1, 5])) == [0, 0]
+    # the largest gap: n + sigma_n + m stays in int64
+    assert GapSchedule.constant(2**62).values([1, 2]).tolist() == [2**62, 2**62]
 
 
 def test_ceil_log_values():
@@ -58,6 +60,7 @@ def test_ceil_power_values():
 def test_table_gap_range():
     s = table_schedule(GapSchedule, [0, 1, 2])
     assert s.value(1) == 0 and s.value(3) == 2
+    assert table_schedule(GapSchedule, [0, 2**62]).value(2) == 2**62
     with pytest.raises(ScheduleRangeError, match=r"^gap table covers n <= 3, asked for n = 4$"):
         s.value(4)
     with pytest.raises(ScheduleRangeError, match=r"^gap table covers n <= 3, asked for n = 5$"):
@@ -113,7 +116,6 @@ def test_error_constant_and_power():
 def test_error_from_function_not_serializable():
     r = ErrorSchedule.from_function(lambda ns: ns.astype(float) * 0.0)
     assert r.value(5) == 0.0
-    assert not r.position_dependent
     with pytest.raises(ConfigError):
         r.to_json()
 
@@ -124,13 +126,32 @@ def test_error_function_shape_checked():
         r.values([1, 2])
 
 
-def test_error_hook_is_position_dependent():
-    r = ErrorSchedule.from_hook(lambda symbols, j, n: 0.0)
-    assert r.position_dependent
-    with pytest.raises(ConfigError):
-        r.value(3)
-    with pytest.raises(ConfigError):
-        r.to_json()
+# a schedule whose values leave the kind's range at some n, that first n and the value there
+OUT_OF_RANGE = [
+    (GapSchedule("ceil_power", {"alpha": 0.5, "scale": 1e30}), 1, "1e+30"),
+    (GapSchedule("ceil_power", {"alpha": 0.5, "scale": 2.0**62 / math.sqrt(14.5)}), 15,
+     repr(math.ceil(2.0**62 / math.sqrt(14.5) * math.sqrt(15.0)) * 1.0)),
+    (ErrorSchedule("scaled_power", {"alpha": 0.5, "scale": 1e308}), 4, "inf"),
+    (ErrorSchedule.from_function(lambda ns: np.where(ns >= 5, np.nan, 0.0)), 5, "nan"),
+    (ErrorSchedule.from_function(lambda ns: 3.0 - ns), 4, "-1.0"),
+]
+
+
+@pytest.mark.parametrize("s, first, shown", OUT_OF_RANGE,
+                         ids=["gap-1e30", "gap-late", "error-inf", "error-nan", "error-negative"])
+def test_a_value_out_of_range_names_the_rule_and_the_first_n(s, first, shown):
+    """Gaps lie in [0, 2**62] and errors are finite and >= 0; a rule that
+    leaves its range raises, with no cast to -2**63 and no RuntimeWarning."""
+    want = "lie in [0, 2**62]" if s._noun == "gap" else "be finite and >= 0"
+    message = f"{s._noun} rule {s.rule!r} gives {shown} at n = {first}; {s._noun} values must {want}"
+    assert (s.values(np.arange(1, first)) >= 0).all()
+    for ns in (np.arange(1, 40), np.arange(39, 0, -1), [first]):
+        with pytest.raises(ScheduleRangeError) as exc:
+            s.values(ns)
+        assert str(exc.value) == message
+    with pytest.raises(ScheduleRangeError):
+        s.value(first)
+
 
 
 @pytest.mark.parametrize("cls, kind", [(GapSchedule, int), (ErrorSchedule, float)])
@@ -217,6 +238,8 @@ REFUSALS = [
     (GapSchedule, "constant", {}, "value", "missing"),
     (GapSchedule, "constant", {"value": 1.5}, "value", "must be an integer"),
     (GapSchedule, "constant", {"value": -1}, "value", "must be a nonnegative integer"),
+    (GapSchedule, "constant", {"value": 2**63 - 1}, "value", "must lie in [0, 2**62]"),
+    (GapSchedule, "constant", {"value": 2**62 + 1}, "value", "must lie in [0, 2**62]"),
     (GapSchedule, "ceil_power", {"alpha": "x"}, "alpha", "must be a finite number"),
     (GapSchedule, "ceil_power", {"alpha": 1.0}, "alpha", "ceil_power needs 0 < alpha < 1"),
     (GapSchedule, "ceil_power", {"alpha": 0.0}, "alpha", "ceil_power needs 0 < alpha < 1"),
@@ -229,6 +252,7 @@ REFUSALS = [
     (GapSchedule, "table", {"values": []}, "values", "needs a nonempty list"),
     (GapSchedule, "table", {"values": [1, 0.5]}, "values/1", "must be an integer"),
     (GapSchedule, "table", {"values": [1, -2]}, "values/1", "must be nonnegative"),
+    (GapSchedule, "table", {"values": [1, 2**63 - 1]}, "values/1", "must lie in [0, 2**62]"),
     (ErrorSchedule, "constant", {"value": True}, "value", "must be a finite number"),
     (ErrorSchedule, "constant", {"value": -0.5}, "value", "must be nonnegative"),
     (ErrorSchedule, "scaled_power", {"alpha": math.nan}, "alpha", "must be a finite number"),

@@ -451,32 +451,36 @@ def test_trajectory_bad_average_shrinks_with_depth(worked_path, worked_chain):
     assert 0.0 <= psi[10] < psi[5] < 1.0
 
 
-def test_trajectory_context_with_position_hook(worked_path, worked_chain):
-    rho = ErrorSchedule.from_hook(lambda symbols, j, n: 0.25)
-    ctx = trajectory_context(
-        worked_path,
-        worked_chain,
-        rho=rho,
-        sigma=GapSchedule.zero(),
-        limit_value=-WORKED_H,
-        r=20,
-        K=3,
-        eps=0.05,
-    )
+def test_a_rho_of_the_offset_goes_straight_into_a_proof_context(worked_path, worked_chain):
+    """A rho of the offset as well as n is the context's rho(js, n), next to
+    the log-marginal windows; a constant one lays trajectory_context's tiles."""
+
+    def context(rho):
+        return ProofContext(
+            f=worked_chain.windows(worked_path.symbols).many, rho=rho, limit_value=-WORKED_H,
+            sigma=GapSchedule.zero(), r=20, K=3, eps=0.05, horizon=len(worked_path),
+            assume_shift_monotone=True,
+        )
+
+    ctx = context(lambda js, n: np.full(js.shape, 0.25))
     assert ctx.eval_rho([3, 5], 17).tolist() == [0.25, 0.25]
     d = steele_decompose(ctx, 300)
     assert verify_depths(d, ctx).ok
     assert verify_cover_bounds(d, ctx).ok
-    # the hook is asked once per offset, with that offset
-    by_offset = dataclasses.replace(
-        ctx,
-        rho=trajectory_context(
-            worked_path, worked_chain,
-            rho=ErrorSchedule.from_hook(lambda symbols, j, n: float(j + n)),
-            sigma=GapSchedule.zero(), limit_value=-WORKED_H, r=20, K=3, eps=0.05,
-        ).rho,
+    by_schedule = trajectory_context(
+        worked_path, worked_chain, rho=ErrorSchedule.constant(0.25), sigma=GapSchedule.zero(),
+        limit_value=-WORKED_H, r=20, K=3, eps=0.05,
     )
-    assert by_offset.eval_rho([3, 5], 17).tolist() == [20.0, 22.0]
+    assert steele_decompose(by_schedule, 300) == d
+    # rho is asked at each offset, with that offset
+    asked = []
+
+    def by_offset(js, n):
+        asked.append((js.tolist(), n))
+        return (js + n).astype(np.float64)
+
+    assert context(by_offset).eval_rho([3, 5], 17).tolist() == [20.0, 22.0]
+    assert asked == [([3, 5], 17)]
 
 
 def test_trajectory_context_refuses_non_integer_symbols(worked_path, worked_chain):
@@ -573,7 +577,8 @@ def _path_case(name, worked_chain, half_half_mixture):
         # (measure, rho, sigma, limit, n, r, K, eps, seed)
         "markov": (worked_chain, ErrorSchedule.constant(math.log(2.4)), GapSchedule.zero(),
                    -WORKED_H, 600, 10, 5, 0.05, 211),
-        "markov-hook": (worked_chain, ErrorSchedule.from_hook(lambda s, j, n: 0.1 * (j % 3)),
+        # a rho of the offset: one expression serves the scalar and the batch context
+        "markov-hook": (worked_chain, lambda j, n: 0.1 * (j % 3),
                         GapSchedule.zero(), -WORKED_H, 400, 10, 4, 0.05, 212),
         "hmm": (hmm, ErrorSchedule.constant(hmm.kernel_bound(0)), GapSchedule.zero(),
                 -0.7, 300, 5, 4, 0.05, 227),
@@ -585,11 +590,17 @@ def _path_case(name, worked_chain, half_half_mixture):
     }
     Q, rho, sigma, limit, n, r, K, eps, seed = cases[name]
     x = sample_trajectory(Q, n + K * r, seed=seed).symbols
-    return (
-        oracle.scalar_trajectory_context(x, Q, rho, sigma, limit, r, K, eps),
-        trajectory_context(x, Q, rho, sigma, limit, r, K, eps),
-        n,
-    )
+    if isinstance(rho, ErrorSchedule):
+        return (
+            oracle.scalar_trajectory_context(x, Q, rho, sigma, limit, r, K, eps),
+            trajectory_context(x, Q, rho, sigma, limit, r, K, eps),
+            n,
+        )
+    # a rho of the offset goes straight into both contexts, next to the windows
+    scalar = oracle.scalar_trajectory_context(x, Q, ErrorSchedule.zero(), sigma, limit, r, K, eps)
+    ctx = ProofContext(f=Q.windows(x).many, rho=rho, limit_value=limit, sigma=sigma, r=r, K=K,
+                       eps=eps, horizon=x.size, assume_shift_monotone=True)
+    return dataclasses.replace(scalar, rho=rho), ctx, n
 
 
 def _assert_matches_oracle(scalar, ctx, n):
