@@ -623,11 +623,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args: argparse.Namespace) -> tuple[RunConfig, dict[str, str]]:
-    """The run that an invocation asks for, and the files given to its measure options.
+    """The run that an invocation asks for, and the params read from files.
 
     Its params are the parsed options, with the measure files read in; run
-    builds them.  fekete takes its params from its spec file, and validate
-    checks a document and may run the semantic audit.
+    builds them.  Each param read from a file maps to the note that ends a
+    refusal within it, naming the option and the file.  fekete takes its
+    params from its spec file, and validate checks a document and may run
+    the semantic audit, whose run builds the measure; a refusal within it
+    reads as the document's own, with no note.
     """
     subcommand = ".".join(filter(None, [args.command, getattr(args, "subcommand", None)]))
     if args.command == "fekete":
@@ -637,24 +640,25 @@ def _config_from_args(args: argparse.Namespace) -> tuple[RunConfig, dict[str, st
         return RunConfig(subcommand, spec), {}
     if args.command == "validate":
         obj = _load_json(args.file)
+        if isinstance(obj, dict) and "family" in obj and args.semantic:
+            params = {"measure": obj, "n_max": args.n_max}
+            return RunConfig("validate.measure", params), {"measure": ""}
         for pointer, message in schema_validate(obj):  # at most one
             raise SchemaError(message, pointer)
-        if isinstance(obj, dict) and "family" in obj and args.semantic:
-            return RunConfig("validate.measure", {"measure": obj, "n_max": args.n_max}), {}
         return RunConfig("noop", {}), {}
     params = {k: v for k, v in vars(args).items() if k not in ("command", "subcommand", "outdir")}
-    files = {}
+    notes = {}
     for key in [d.key for d in _SUBCOMMANDS[subcommand][1] if d.kind == "measure"]:
         path = params.pop(key)
         if path is not None:
-            params[key], files[key] = _load_json(path), path
-    return RunConfig(subcommand, params), files
+            params[key], notes[key] = _load_json(path), f" ({_flag(key)} {path})"
+    return RunConfig(subcommand, params), notes
 
 
 def main(argv: list[str] | None = None) -> int:
     ap = _build_parser()
     args = ap.parse_args(argv)
-    files: dict[str, str] = {}
+    notes: dict[str, str] = {}
     try:
         if args.command == "rerun":
             manifest = _load_json(args.manifest)
@@ -662,7 +666,7 @@ def main(argv: list[str] | None = None) -> int:
                 raise ConfigError("manifest lacks a 'config' section")
             config = RunConfig.from_json(manifest["config"])
         else:
-            config, files = _config_from_args(args)
+            config, notes = _config_from_args(args)
         if config.subcommand == "noop":
             print(json.dumps({"ok": True, "kind": "schema-only"}))
             return 0
@@ -672,9 +676,9 @@ def main(argv: list[str] | None = None) -> int:
         return exc.exit_code
     except GapsubError as exc:
         pointer, message = exc.pointer, exc.message
-        for key, path in files.items():  # within a file given to --key, the line names both
+        for key, note in notes.items():  # the pointer within the file, and its note
             if f"{pointer}/".startswith(f"/{key}/"):
-                pointer, message = pointer[len(key) + 1 :], f"{message} ({_flag(key)} {path})"
+                pointer, message = pointer[len(key) + 1 :], message + note
         if args.command == "rerun" and pointer:  # a manifest's params sit under /config/params
             pointer = "/config/params" + pointer
         print(f"{exc.label}: {GapsubError(message, pointer)}", file=sys.stderr)

@@ -249,7 +249,7 @@ def minimal_decoupling_constants(
         raise CapExceededError(
             f"audit needs {words} words at length {worst_len}, cap is {cap}"
         )
-    taus = [tau.value(n) for n in range(1, n_max + 1)]
+    taus = tau.values(np.arange(1, n_max + 1, dtype=np.int64)).tolist()
     # every level the audit touches passes the family's level cap before
     # any is computed; a refusal names the first one over it in the order
     # n, then m and n + tau + m for each m

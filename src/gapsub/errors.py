@@ -57,7 +57,7 @@ class ValidationError(GapsubError):
 
 
 class ScheduleRangeError(ValidationError):
-    """A schedule was queried outside its defined range."""
+    """A function of n, a schedule or a sequence, was asked or gave a value outside its range."""
 
 
 class CapExceededError(GapsubError):

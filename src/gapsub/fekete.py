@@ -22,15 +22,16 @@ from .errors import (
     CapExceededError,
     ConfigError,
     GapLiftError,
-    ValidationError,
     known_keys,
     param,
     schema_errors,
 )
 from .schedules import ConvergenceSeries, ErrorSchedule, GapSchedule, index_blocks, linear_grid
+from .schedules import evaluate, lookup
 
 PAIRWISE_CAP = 5000  # largest horizon of a pairwise check, which compares O(N^2) pairs
 _SCAN_FLOATS = 2**16  # most excess entries one block of the split scan holds
+_BELOW_INF = "lie in [-inf, inf)"  # the range of F_n and of F_n + rho_n
 
 
 def _check_horizon(N: int) -> None:
@@ -42,36 +43,32 @@ class RealSequence:
     """Lazy 1-indexed sequence with values in [-inf, inf).
 
     Wraps a callable evaluated on int64 index arrays.  at(ns) evaluates it
-    at given indices, checked and uncached; values(N) keeps the longest
-    prefix built through at so far: a horizon within it is a slice, and a
-    longer one evaluates F_1 .. F_N afresh.  +inf and nan are rejected.
+    at given indices through schedules.evaluate, which refuses nan and
+    +inf at the smallest n that gives one; nothing is cached.
     """
 
     def __init__(self, fn: Callable, name: str = "custom"):
         self._fn = fn
         self.name = name
-        self._cache = np.empty(0, dtype=np.float64)
 
-    def at(self, ns: np.ndarray) -> np.ndarray:
-        """Array [F_n for n in ns], for an int64 array ns of indices >= 1."""
-        vals = np.asarray(self._fn(ns), dtype=np.float64)
-        if vals.shape != ns.shape:
-            raise ValidationError(f"sequence {self.name!r} returned a wrong shape")
-        if np.isnan(vals).any():
-            raise ValidationError(f"sequence {self.name!r} produced nan")
-        if (vals == np.inf).any():
-            raise ValidationError(f"sequence {self.name!r} produced +inf")
-        return vals
+    def at(self, ns) -> np.ndarray:
+        """Array [F_n for n in ns], for indices ns >= 1."""
+        return evaluate(self._fn, ns, f"sequence {self.name!r}",
+                        f"sequence values must {_BELOW_INF}")
 
     def values(self, N: int) -> np.ndarray:
         """Array [F_1, ..., F_N]; entry i holds F_{i+1}."""
         _check_horizon(N)
-        if self._cache.size < N:
-            self._cache = self.at(np.arange(1, N + 1, dtype=np.int64))
-        return self._cache[:N]
+        return self.at(np.arange(1, N + 1, dtype=np.int64))
 
     def __call__(self, n: int) -> float:
-        return float(self.values(n)[n - 1])
+        return float(self.at([n])[0])
+
+
+def _plus_error(F: RealSequence, Fv: np.ndarray, rv: np.ndarray, ns: np.ndarray) -> np.ndarray:
+    """Fv + rv, the values of F_n + rho_n at ns, refused at the first n where they overflow."""
+    return evaluate(lambda _: Fv + rv, ns, f"F_n + rho_n of sequence {F.name!r}",
+                    f"F_n + rho_n must {_BELOW_INF}")
 
 
 # each closed-form sequence: its params with their defaults, in reading
@@ -108,13 +105,7 @@ def _table(params: dict) -> Callable[[np.ndarray], np.ndarray]:
         if v != -np.inf:  # F takes values in [-inf, inf)
             param(vals, i, float, pointer="/params/values")
     vals = np.asarray(vals, dtype=np.float64)
-
-    def fn(ns: np.ndarray) -> np.ndarray:
-        if ns.max() > vals.size:
-            raise ConfigError(f"table sequence covers n <= {vals.size}")
-        return vals[ns - 1]
-
-    return fn
+    return lambda ns: lookup(vals, ns, "sequence")
 
 
 def sequence_from_spec(obj: dict, pointer: str = "") -> RealSequence:
@@ -207,18 +198,22 @@ def split_scan(
 
     Infinite values follow the extended-real reading: a finite left side
     against a -inf right side is a violation, -inf against anything is
-    not, and two -inf sides cancel to "no violation".  Returns the first
-    max_report violations in (n, m) order, their total count and the
-    largest defined excess (-inf when no pair has one).
+    not, and two -inf sides cancel to "no violation"; pre + rh must not
+    overflow.  Returns the first max_report violations in (n, m) order,
+    their total count and the largest defined excess (-inf when no pair
+    has one).
 
     The rows run in blocks of equal sigma (_scan_blocks), so a block's
     left sides form a Hankel view of pre and its shifted sides are
     suffixes at consecutive offsets.  Each entry is the row-by-row
     (pre_j - (pre_n + rho_n)) - shifted, the same two subtractions; the
     entries past a row's end are set to -inf.  Only a row whose max
-    exceeds tol or is nan is searched for violations.  The row maxima
-    fold in row order; the sign of a zero maximum depends on the order of
-    its reduction, so a zero is taken again from its row alone.
+    exceeds tol or is nan is searched for violations.  There a nan entry
+    with a finite left side is a violation with excess +inf: its first
+    subtraction overflowed to -inf, and its shifted side is -inf, since no
+    side is nan or +inf.  The subtractions run under np.errstate.  The row
+    maxima fold in row order; the sign of a zero maximum depends on the
+    order of its reduction, so a zero is taken again from its row alone.
     """
     N = pre.size
     blocks = _scan_blocks(sig, N)
@@ -232,8 +227,8 @@ def split_scan(
     # corner[r, c] of a block of most rows: column width - most + 1 + c lies past row r's end
     corner = np.add.outer(np.arange(most), np.arange(most - 1)) >= most - 1
     lefts = sliding_window_view(np.concatenate((pre, np.zeros(N - 1))), N)  # [j, i] = pre_{j+i+1}
-    base = pre + rh
-    with np.errstate(invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
+        base = pre + rh
         for n, rows, width in blocks:
             j = n + int(sig[n - 1])
             excess = buf[: rows * width].reshape(rows, width)
@@ -247,9 +242,10 @@ def split_scan(
             tops = tops.tolist()
             for r in hits.tolist():
                 row = excess[r, : width - r]
-                bad = np.flatnonzero(row > tol)
                 if math.isnan(tops[r]):
+                    row[np.isnan(row) & np.isfinite(lefts[j + r, : width - r])] = np.inf
                     tops[r] = _row_top(row)
+                bad = np.flatnonzero(row > tol)
                 total += bad.size
                 for i in bad[: max_report - len(found)]:
                     found.append(Violation(n=n + r, m=int(i) + 1, excess=float(row[i])))
@@ -276,6 +272,8 @@ def check_gapped_subadditivity(
     The one-point case of the split scan: every shift of the orbit is F
     itself.  The cost is O(N^2) values; the cap guards against accidental
     huge horizons; raise it explicitly if the quadratic cost is intended.
+    F, sigma, rho and then F + rho are checked in that order, each at its
+    first n that fails, before any pair is compared.
     """
     if N > cap:
         raise CapExceededError(
@@ -283,9 +281,9 @@ def check_gapped_subadditivity(
         )
     Fv = F.values(N)
     ns = np.arange(1, N + 1, dtype=np.int64)
-    found, total, _ = split_scan(
-        Fv, lambda j, rows, m: Fv[None, :m], sigma.values(ns), rho.values(ns), tol, max_report
-    )
+    sig, rh = sigma.values(ns), rho.values(ns)
+    _plus_error(F, Fv, rh, ns)
+    found, total, _ = split_scan(Fv, lambda j, rows, m: Fv[None, :m], sig, rh, tol, max_report)
     return SubadditivityCheck(
         ok=(total == 0),
         violations=found,
@@ -323,28 +321,33 @@ def fekete_infimum(
     stays bounded at any N.  Each block's ratios are formed elementwise
     as a whole-array pass would form them, and the running minimum keeps
     np.argmin's rule across blocks: the first index attaining it wins.
-    No ratio is nan, since F < +inf and rho is finite.  F_N comes from the
-    last block.  F is evaluated through F.at and is not cached.
+    No ratio is nan, since F < +inf, rho is finite and F + rho is refused
+    where it overflows.  F_N comes from the last block.
 
     The errors are those of the whole pass, which checks F_1 .. F_N, then
-    sigma_1 .. sigma_N, then rho_1 .. rho_N: each schedule keeps its first
-    error, which names the first n that fails, and sigma's is raised before
-    rho's once F has passed every block.
+    sigma_1 .. sigma_N, then rho_1 .. rho_N, then F_n + rho_n: each stage
+    keeps its first error, which names the first n that fails, and an
+    earlier stage's is raised before a later one's once F has passed every
+    block.  A block stops at its first failing stage.
     """
     _check_horizon(N)
     arg, inf_val = 0, math.inf
-    faults: list[Exception | None] = [None, None]  # sigma's and rho's first error
+    faults: list[Exception | None] = [None, None, None]  # the first error of each stage
     for ns in index_blocks(N):
         Fv = F.at(ns)
-        terms = []  # n + sigma_n, then F_n + rho_n
-        for i, (base, schedule) in enumerate(((ns, sigma), (Fv, rho))):
-            if faults[i] is None:
-                try:
-                    terms.append(base + schedule.values(ns))
-                except Exception as exc:
-                    faults[i] = exc
-        if len(terms) < 2:
+        terms = []  # n + sigma_n, rho_n, then F_n + rho_n
+        stages = (lambda: ns + sigma.values(ns), lambda: rho.values(ns),
+                  lambda: _plus_error(F, Fv, terms[1], ns))
+        try:
+            for i, stage in enumerate(stages):
+                if faults[i] is not None:
+                    break
+                terms.append(stage())
+        except Exception as exc:
+            faults[i] = exc
+        if len(terms) < 3:
             continue
+        del terms[1]  # rho_n, summed into F_n + rho_n: freed before the ratios are formed
         ratios = terms[1] / terms[0]  # the int64 sums cast to float64 as they are divided
         i = int(np.argmin(ratios))
         if arg == 0 or ratios[i] < inf_val:

@@ -2,9 +2,11 @@
 
 A gap schedule assigns an integer in [0, 2**62] to every index n >= 1, an
 error schedule a finite real >= 0.  Both are either closed-form rules or
-explicit tables, and one base serializes both to JSON.  ConvergenceSeries
-holds a normalized sequence sampled on an increasing index grid together
-with tail diagnostics; csv_text writes it and every other key,value CSV.
+explicit tables, and one base serializes both to JSON.  evaluate is the
+one checked evaluation of every function of n, fekete's sequences too,
+and lookup their one table lookup.  ConvergenceSeries holds a normalized
+sequence sampled on an increasing index grid together with tail
+diagnostics; csv_text writes it and every other key,value CSV.
 """
 from __future__ import annotations
 
@@ -26,11 +28,37 @@ from .errors import (
 )
 
 
-def _as_index_array(ns) -> np.ndarray:
+def evaluate(fn: Callable[[np.ndarray], np.ndarray], ns, what: str, must: str,
+             kind: type = float, least=-np.inf, most=float(np.finfo(np.float64).max)) -> np.ndarray:
+    """fn at the indices ns >= 1 as kind: the one checked evaluation of every function of n.
+
+    fn runs on an int64 array under np.errstate, so an overflow gives inf
+    or nan, not a warning.  A wrong shape is refused, and so is a value
+    outside [least, most] (a sequence's range by default), nan included,
+    as "what gives v at n = N; must" at the smallest such n.
+    """
     arr = np.asarray(ns, dtype=np.int64)
     if arr.size and arr.min() < 1:
-        raise ScheduleRangeError("schedule indices start at 1")
-    return arr
+        raise ScheduleRangeError(f"{what} is defined at n >= 1, asked for n = {arr.min()}")
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+        vals = np.asarray(fn(arr))
+    if vals.shape != arr.shape:
+        raise ValidationError(f"{what} returned a wrong shape")
+    if arr.size and not (vals.min() >= least and vals.max() <= most):  # nan fails too
+        bad = ~((vals >= least) & (vals <= most))
+        i = np.flatnonzero(bad)[np.argmin(arr[bad])]
+        raise ScheduleRangeError(f"{what} gives {vals[i].item()!r} at n = {int(arr[i])}; {must}")
+    return vals.astype(kind, copy=False)
+
+
+def lookup(table: np.ndarray, ns: np.ndarray, noun: str) -> np.ndarray:
+    """table[n - 1] at each index n of ns; an n past the end is refused, naming the smallest."""
+    past = ns > table.size
+    if past.any():
+        raise ScheduleRangeError(
+            f"{noun} table covers n <= {table.size}, asked for n = {ns[past].min()}"
+        )
+    return table[ns - 1]
 
 
 _INDEX_BLOCK = 1 << 16  # indices a blocked pass over n = 1 .. N evaluates at once
@@ -61,6 +89,7 @@ class _Schedule:
     # params in reading order, each as (key, kind, default, whether a value
     # is in range, the refusal of one that is not))
     _rules: ClassVar[dict[str, tuple]]
+    fn: ClassVar[Callable | None] = None  # an error schedule's from_function sets its own
 
     def _check_rule(self) -> None:
         """Refuse an unknown rule, a params key that the rule does not read, and a bad param.
@@ -119,31 +148,18 @@ class _Schedule:
         return np.asarray(self.params["values"], dtype=self._kind)
 
     def values(self, ns) -> np.ndarray:
-        """Vectorized evaluation on indices >= 1, cast to the kind once in range;
-        an error names the smallest n that fails, as value(n) in a loop would."""
-        arr = _as_index_array(ns)
-        if self.rule == "table":
-            table = self._table_array
-            past = arr > table.size
-            if past.any():
-                raise ScheduleRangeError(
-                    f"{self._noun} table covers n <= {table.size}, asked for n = {arr[past].min()}"
-                )
-            return table[arr - 1]
-        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
-            vals = self._evaluate(arr)
-        if arr.size and not (vals.min() >= 0 and vals.max() <= self._most):  # nan fails too
-            bad = ~((vals >= 0) & (vals <= self._most))
-            i = np.flatnonzero(bad)[np.argmin(arr[bad])]
-            raise ScheduleRangeError(
-                f"{self._noun} rule {self.rule!r} gives {vals[i].item()!r} at n = {int(arr[i])}; "
-                f"{self._noun} values must {self._range}"
-            )
-        return vals.astype(self._kind, copy=False)
+        """The schedule at indices >= 1, through evaluate: a value out of range,
+        or an n past a table's end, is refused naming the smallest such n."""
+        return evaluate(self._at, ns, f"{self._noun} rule {self.rule!r}",
+                        f"{self._noun} values must {self._range}", self._kind, 0, self._most)
 
-    def _evaluate(self, arr: np.ndarray) -> np.ndarray:
-        """The rule's values at the indices arr, before the range check."""
-        return self._rules[self.rule][0](arr, *self._args)
+    def _at(self, ns: np.ndarray) -> np.ndarray:
+        """The schedule at the index array ns, before the range check."""
+        if self.fn is not None:
+            return self.fn(ns)
+        if self.rule == "table":
+            return lookup(self._table_array, ns, self._noun)
+        return self._rules[self.rule][0](ns, *self._args)
 
     def to_json(self) -> dict:
         return {"rule": self.rule, "params": dict(self.params)}
@@ -223,14 +239,6 @@ class ErrorSchedule(_Schedule):
     @classmethod
     def from_function(cls, fn: Callable[[np.ndarray], np.ndarray]) -> "ErrorSchedule":
         return cls("function", {}, fn=fn)
-
-    def _evaluate(self, arr: np.ndarray) -> np.ndarray:
-        if self.fn is None:
-            return super()._evaluate(arr)
-        out = np.asarray(self.fn(arr), dtype=np.float64)
-        if out.shape != arr.shape:
-            raise ValidationError("error schedule function returned a wrong shape")
-        return out
 
     def to_json(self) -> dict:
         if self.fn is not None:

@@ -20,6 +20,7 @@ construction useful.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from typing import Callable
 
 import numpy as np
@@ -46,8 +47,9 @@ class ProofContext:
     marginals do), that requirement can be waived with
     assume_shift_monotone=True.
 
-    The context is frozen: the depth table it keeps (see _depth_table) is
-    a function of its fields alone.
+    The context is frozen: the gaps sigma_{k r} of its depths (one
+    sigma.values call) and the depth table it keeps (see _depth_table) are
+    functions of its fields alone.
     """
 
     f: Callable[[np.ndarray, int], np.ndarray]
@@ -78,13 +80,18 @@ class ProofContext:
         """Bad-set cutoff: max(limit, -1/eps) + eps."""
         return max(self.limit_value, -1.0 / self.eps) + self.eps
 
+    @functools.cached_property
+    def _gaps(self) -> list[int]:
+        """[sigma_r, sigma_{2 r}, ..., sigma_{K r}], evaluated once."""
+        return self.sigma.values(np.arange(1, self.K + 1, dtype=np.int64) * self.r).tolist()
+
     @property
     def sigma_bar(self) -> int:
         """max sigma_{k r} over depths k <= K."""
-        return int(self.sigma.values(np.arange(1, self.K + 1, dtype=np.int64) * self.r).max())
+        return max(self._gaps)
 
     def block_length(self, k: int) -> int:
-        return k * self.r + self.sigma.value(k * self.r)
+        return k * self.r + self._gaps[k - 1]
 
     def eval_f(self, js, n: int) -> np.ndarray:
         """f at the offsets js and length n; every window must lie in the horizon."""
@@ -122,7 +129,7 @@ def first_depths(ctx: ProofContext, js) -> np.ndarray:
             break
         n = k * ctx.r
         at = js[pending]
-        vals = (ctx.eval_f(at, n) + ctx.eval_rho(at, n)) / (n + ctx.sigma.value(n))
+        vals = (ctx.eval_f(at, n) + ctx.eval_rho(at, n)) / ctx.block_length(k)
         admits = vals <= thr
         depths[pending[admits]] = k
         pending = pending[~admits]
@@ -316,8 +323,7 @@ def verify_cover_bounds(d: SteeleDecomposition, ctx: ProofContext) -> CoverBound
     sg = d.good_mass
     upper_slack = (n - 1) - sg
     B = int(bad_indicator(ctx, n + 1).sum())
-    r_len = ctx.r + ctx.sigma.value(ctx.r)
-    lower = n - r_len * B - ctx.K * ctx.r - d.sigma_bar
+    lower = n - ctx.block_length(1) * B - ctx.K * ctx.r - d.sigma_bar
     lower_slack = sg - lower
     return CoverBounds(
         ok=(upper_slack >= 0 and lower_slack >= 0),

@@ -21,7 +21,7 @@ from gapsub import (
     measure_from_spec,
     sample_trajectory,
 )
-from gapsub import cli, errors
+from gapsub import cli, errors, fekete
 from gapsub.cli import RunConfig, main, run, schema_validate
 
 from conftest import WORKED_H, WORKED_KL_VS_UNIFORM, WORKED_P, read_series
@@ -1195,32 +1195,94 @@ def test_each_measure_file_is_built_once(tmp_path, monkeypatch):
     assert built == ["/p", "/q"]
 
 
+def test_validate_semantic_builds_the_measure_once(tmp_path, monkeypatch, capsys):
+    """The measure was once built to check it and again by the audit's run; a
+    refusal still names its pointer within the document, with no option."""
+    built = []
+
+    def spy(obj, pointer=""):
+        built.append(pointer)
+        return measure_from_spec(obj, pointer)
+
+    monkeypatch.setattr(cli, "measure_from_spec", spy)
+    m = write_json(tmp_path, "m.json", WORKED_SPEC)
+    assert main(["validate", "--file", m, "--semantic", "--outdir", str(tmp_path / "o")]) == 0
+    assert built == ["/measure"]
+    bad = write_json(tmp_path, "bad.json", {"family": "markov", "P": [[0.6, 0.5], [0.5, 0.5]]})
+    lines = []
+    for extra in ([], ["--semantic"]):
+        out = tmp_path / f"bad{len(extra)}"
+        assert main(["validate", "--file", bad, *extra, "--outdir", str(out)]) == 2
+        lines.append(capsys.readouterr().err)
+        assert not out.exists()
+    assert lines[0] == lines[1] == "schema: /P/0: row sums to 1.1, expected 1\n"
+
+
 # a fekete or audit run whose schedule leaves its range, and the refusal it ends in
 SIGMA_1E30 = {"rule": "ceil_power", "params": {"alpha": 0.5, "scale": 1e30}}
 GAP_1E30 = "gap rule 'ceil_power' gives 1e+30 at n = 1; gap values must lie in [0, 2**62]"
-OUT_OF_RANGE_RUNS = [
-    ("fekete.limit", {**FEKETE_SPEC, "sigma": SIGMA_1E30}, 3, f"validation: {GAP_1E30}"),
-    ("fekete.check", {**FEKETE_SPEC, "sigma": SIGMA_1E30}, 3, f"validation: {GAP_1E30}"),
-    ("decouple.audit", {"measure": WORKED_SPEC, "n_max": 2, "m_max": 2, "tau": SIGMA_1E30}, 3,
-     f"validation: {GAP_1E30}"),
-    ("fekete.limit", {**FEKETE_SPEC, "sigma": {"rule": "constant",
-                                               "params": {"value": 2**63 - 1}}},
-     2, "schema: /sigma/params/value: must lie in [0, 2**62]"),
-    ("fekete.check", {**FEKETE_SPEC, "rho": {"rule": "scaled_power",
-                                             "params": {"alpha": 0.5, "scale": 1e308}}},
-     3, "validation: error rule 'scaled_power' gives inf at n = 4; "
-        "error values must be finite and >= 0"),
-]
+RHO_INF = {"rule": "scaled_power", "params": {"alpha": 0.5, "scale": 1e308}}
+ERROR_INF = ("validation: error rule 'scaled_power' gives inf at n = 4; "
+             "error values must be finite and >= 0")
+# each closed form at a param that overflows to +inf, and the first n where it does
+OVERFLOWING_SEQUENCES = {
+    "linear": ({"slope": 1e306}, 180),
+    "affine_sqrt": ({"slope": 1e306}, 180),
+    "sqrt": ({"scale": 1e308}, 4),
+    "neg_nlogn": ({"scale": -1e308}, 2),
+    "square": ({"scale": 1e306}, 14),
+    "log": ({"scale": 1e308}, 6),
+    "neg_inf_from": ({"start": 1000, "slope": 1e306}, 180),
+}
+# F_n = 1e306 n is finite to n = 64, but F_n + 1.7e308 overflows from n = 10 on
+SUM_OVERFLOW = {"sequence": {"name": "linear", "params": {"slope": 1e306}},
+                "rho": {"rule": "constant", "params": {"value": 1.7e308}}, "N": 64}
+OUT_OF_RANGE_RUNS = {
+    "limit-sigma-1e30": ("fekete.limit", {**FEKETE_SPEC, "sigma": SIGMA_1E30}, 3,
+                         f"validation: {GAP_1E30}"),
+    "check-sigma-1e30": ("fekete.check", {**FEKETE_SPEC, "sigma": SIGMA_1E30}, 3,
+                         f"validation: {GAP_1E30}"),
+    "audit-tau-1e30": ("decouple.audit",
+                       {"measure": WORKED_SPEC, "n_max": 2, "m_max": 2, "tau": SIGMA_1E30}, 3,
+                       f"validation: {GAP_1E30}"),
+    "limit-sigma-2-63": ("fekete.limit",
+                         {**FEKETE_SPEC, "sigma": {"rule": "constant",
+                                                   "params": {"value": 2**63 - 1}}},
+                         2, "schema: /sigma/params/value: must lie in [0, 2**62]"),
+    "check-rho-inf": ("fekete.check", {**FEKETE_SPEC, "rho": RHO_INF}, 3, ERROR_INF),
+    "limit-rho-inf": ("fekete.limit", {**FEKETE_SPEC, "rho": RHO_INF}, 3, ERROR_INF),
+    **{f"{sub}-{name}-overflow": (
+        f"fekete.{sub}", {"sequence": {"name": name, "params": params}, "N": 200}, 3,
+        f"validation: sequence {name!r} gives inf at n = {n}; "
+        "sequence values must lie in [-inf, inf)")
+       for name, (params, n) in OVERFLOWING_SEQUENCES.items() for sub in ("check", "limit")},
+    **{f"{sub}-sum-overflow": (
+        f"fekete.{sub}", SUM_OVERFLOW, 3,
+        "validation: F_n + rho_n of sequence 'linear' gives inf at n = 10; "
+        "F_n + rho_n must lie in [-inf, inf)") for sub in ("check", "limit")},
+    **{f"{sub}-short-table": (
+        f"fekete.{sub}", {"sequence": {"name": "table", "params": {"values": [1.0, 2.0]}},
+                          "N": 5}, 3,
+        "validation: sequence table covers n <= 2, asked for n = 3")
+       for sub in ("check", "limit")},
+}
 
 
-@pytest.mark.parametrize("subcommand, params, rc, line", OUT_OF_RANGE_RUNS,
-                         ids=["limit-sigma-1e30", "check-sigma-1e30", "audit-tau-1e30",
-                              "limit-sigma-2-63", "check-rho-inf"])
+def test_every_closed_form_has_an_overflowing_run():
+    assert set(OVERFLOWING_SEQUENCES) == set(fekete._CLOSED_FORMS)
+
+
+@pytest.mark.parametrize("subcommand, params, rc, line", OUT_OF_RANGE_RUNS.values(),
+                         ids=OUT_OF_RANGE_RUNS.keys())
 def test_a_schedule_out_of_range_is_refused_before_any_report(tmp_path, capsys, subcommand,
                                                                params, rc, line):
     """fekete limit once wrote the infimum -1.08e-18 at n = 10 from a gap cast
     to -2**63, fekete check ended in a traceback, the audit said "level must
-    be >= 1", and a +inf rho let fekete check report ok comparing nothing."""
+    be >= 1", and a +inf rho let fekete check report ok comparing nothing.
+    A sequence or a sum F_n + rho_n that overflows is refused at its first n
+    with no RuntimeWarning (an error under pytest): the sum once made fekete
+    limit write a wrong infimum with exit 0, and a short sequence table once
+    ended in exit 2 naming no n."""
     command = subcommand.split(".")
     if command[0] == "fekete":
         argv = [*command, "--spec", write_json(tmp_path, "s.json", params)]

@@ -39,7 +39,7 @@ def table_seq(vals) -> RealSequence:
 # ------------------------------------------------------------ RealSequence
 
 
-def test_sequence_is_one_indexed_and_cached():
+def test_sequence_is_one_indexed_and_evaluated_afresh():
     calls = []
 
     def fn(ns):
@@ -50,9 +50,8 @@ def test_sequence_is_one_indexed_and_cached():
     v = F.values(10)
     assert v[0] == 1.0 and abs(F(9) - 3.0) < 1e-15
     F.values(5)
-    assert calls == [10]  # shorter horizon served from cache
     F.values(12)
-    assert calls == [10, 12]
+    assert calls == [10, 1, 5, 12]  # no prefix is kept
 
 
 def test_sequence_rejects_nan_and_plus_inf():
@@ -200,6 +199,16 @@ def test_finite_left_against_neg_inf_right_is_a_violation():
     chk = check_gapped_subadditivity(F, GapSchedule.zero(), ErrorSchedule.zero(), 6)
     assert not chk.ok
     assert any(v.n == 3 and v.m == 3 and v.excess == np.inf for v in chk.violations)
+
+
+@pytest.mark.parametrize("big", [1e300, 1e308])
+def test_an_overflowing_subtraction_keeps_its_violation(big):
+    """F_3 = -big is finite and F_1 + F_2 = -inf, so (1, 2) violates; at 1e308
+    F_3 - F_1 once overflowed to -inf, and -inf - (-inf) hid the pair as a nan."""
+    F = table_seq([big, -np.inf, -big])
+    chk = check_gapped_subadditivity(F, GapSchedule.zero(), ErrorSchedule.zero(), 3)
+    assert chk.violation_count == 2
+    assert [(v.n, v.m, v.excess) for v in chk.violations] == [(1, 2, np.inf), (2, 1, np.inf)]
 
 
 def test_check_cap():
@@ -469,6 +478,30 @@ def test_faults_raise_the_whole_pass_error(monkeypatch):
             assert want[0] is ScheduleRangeError and "gives inf at n = 10;" in want[1]
         for run in (fekete_infimum, fekete_limit_estimate):
             assert _raised(lambda: run(F(), sigma, rho, N)) == want, (fname, sname, rname)
+
+
+def test_an_overflowing_sum_is_refused_after_f_sigma_and_rho(monkeypatch):
+    """With blocks of 7 and N = 30, F_n + rho_n = 1e306 n + 1.7e308 overflows
+    from n = 10, in block two; a short gap or error table fails in block
+    three, and its error is raised first, as in one pass over 1 .. N."""
+    monkeypatch.setattr(schedules, "_INDEX_BLOCK", 7)
+    F = sequence_from_spec({"name": "linear", "params": {"slope": 1e306}})
+    sigmas = {"ok": GapSchedule.zero(), "short": table_schedule(GapSchedule, [0] * 20)}
+    rhos = {"ok": ErrorSchedule.constant(1.7e308),
+            "short": table_schedule(ErrorSchedule, [1.7e308] * 20)}
+    want = {
+        ("ok", "ok"): "F_n + rho_n of sequence 'linear' gives inf at n = 10; "
+                      "F_n + rho_n must lie in [-inf, inf)",
+        ("ok", "short"): "error table covers n <= 20, asked for n = 21",
+        ("short", "ok"): "gap table covers n <= 20, asked for n = 21",
+        ("short", "short"): "gap table covers n <= 20, asked for n = 21",
+    }
+    for (sname, sigma), (rname, rho) in itertools.product(sigmas.items(), rhos.items()):
+        for run in (fekete_infimum, fekete_limit_estimate):
+            got = _raised(lambda: run(F, sigma, rho, 30))
+            assert got == (ScheduleRangeError, want[sname, rname]), (sname, rname)
+    got = _raised(lambda: check_gapped_subadditivity(F, GapSchedule.zero(), rhos["ok"], 30))
+    assert got == (ScheduleRangeError, want["ok", "ok"])
 
 
 @pytest.mark.parametrize("N", [10**6, 4 * 10**6])

@@ -132,6 +132,23 @@ def test_nonzero_sigma1_needs_waiver():
     assert ctx.block_length(1) == 6
 
 
+def test_the_depth_gaps_are_evaluated_once(monkeypatch):
+    """The walk, the cover bounds and the depth audit read sigma_{k r} from one
+    sigma.values call on the context, not one scalar call per depth."""
+    ctx = linear_ctx(60, limit=-1.0, eps=0.1)
+    calls = []
+    values = GapSchedule.values
+
+    def spy(self, ns):
+        calls.append(np.asarray(ns).tolist())
+        return values(self, ns)
+
+    monkeypatch.setattr(GapSchedule, "values", spy)
+    d = steele_decompose(ctx, 50)
+    assert verify_cover_bounds(d, ctx).ok and verify_depths(d, ctx).ok
+    assert calls == [[k * ctx.r for k in range(1, ctx.K + 1)]]
+
+
 def test_threshold_floor_and_offsets():
     assert linear_ctx(50, limit=-1.0, eps=0.1).threshold == pytest.approx(-0.9)
     # far-below limits are floored at -1/eps before adding eps
