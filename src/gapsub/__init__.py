@@ -46,7 +46,6 @@ from .fekete import (
     fekete_infimum,
     fekete_limit_estimate,
     gap_lift,
-    sequence_from_spec,
 )
 from .measures import (
     Alphabet,

@@ -56,10 +56,10 @@ from .estimators import (
 )
 from .fekete import (
     PAIRWISE_CAP,
+    RealSequence,
     check_gapped_subadditivity,
     fekete_limit_estimate,
     gap_lift,
-    sequence_from_spec,
 )
 from .measures import ShiftMeasure, measure_from_spec, validate_measure
 from .sampling import sample_trajectory
@@ -108,7 +108,7 @@ def schema_validate(obj) -> list[tuple[str, str]]:
     """
     fields = {
         "family": [measure_from_spec],
-        "name": [sequence_from_spec],
+        "name": [RealSequence.from_json],
         "rule": [ErrorSchedule.from_json, GapSchedule.from_json],
     }
     builders = next((b for f, b in fields.items() if isinstance(obj, dict) and f in obj), None)
@@ -174,7 +174,7 @@ def _grid_from_spec(spec: str, N: int) -> np.ndarray:
 # default horizon cap of `fekete limit`, the cap on `fekete lift`'s table,
 # on the trials times N of `estimate mean`, on the n_max and m_max of
 # `decouple audit`, on the integer tau of every `decouple` subcommand and
-# of `steele run`, and on every drawn path
+# of `steele run`, on every drawn path, and the ceiling of every cap param
 _HORIZON_CAP = 10**7
 # entries one artifact lists: the tiles of a Steele run (at most n // r),
 # each one object in decomposition.json, and the n values of an audit's
@@ -220,11 +220,11 @@ _P_Q = (_Param("p", "measure", help="sampling measure spec"),
         _Param("q", "measure", help="evaluated measure spec"))
 _TAU = _Param("tau", int, 0, least=0, cap="tau {}")
 _RHO_CONST = _Param("rho_const", float, None, least=0)
-_CAP = _Param("cap", int, 10**7, least=0)
+_CAP = _Param("cap", int, 10**7, least=0, cap="cap {}")
 _LEVELS = _Param("n_max", int, 4, least=1)  # of `validate --semantic`
 _FEKETE = (_Param("sequence", "sequence"), _Param("sigma", "gap", GapSchedule.zero()),
            _Param("rho", "error", ErrorSchedule.zero()), _Param("N", int, least=1))
-_FEKETE_CAP = _Param("cap", int, None, least=0)  # its default is read by the runner
+_FEKETE_CAP = _Param("cap", int, None, least=0, cap="cap {}")  # its default is read by the runner
 
 
 def _read(d: _Param, p: dict):
@@ -243,7 +243,7 @@ def _read(d: _Param, p: dict):
             return d.default
         # looked up at each call, so a wrapper installed on a name of this
         # module (bench/tracing.py) sees the build
-        build = {"measure": measure_from_spec, "sequence": sequence_from_spec,
+        build = {"measure": measure_from_spec, "sequence": RealSequence.from_json,
                  "gap": GapSchedule.from_json, "error": ErrorSchedule.from_json}[d.kind]
         return build(value, here)
     value = param(p, d.key, int if d.kind == "int|gap" else d.kind, d.default)
@@ -252,7 +252,7 @@ def _read(d: _Param, p: dict):
     if value is not None and d.least is not None and value < d.least:
         need = "nonnegative" if d.least == 0 else f">= {d.least}"
         raise SchemaError(f"must be {need}", here)
-    if d.cap:
+    if d.cap and value is not None:
         _over_cap(value, _HORIZON_CAP, d.cap, here)
     return GapSchedule.constant(value) if d.kind == "int|gap" else value
 

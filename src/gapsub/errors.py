@@ -4,10 +4,11 @@ Every error raised on a user-facing path derives from GapsubError, and
 each class declares how the CLI reports it: the label that starts its line
 and the process's exit code.  The constructors are the only validators of
 their input: one that rejects a single field sets the error's pointer to
-it ("/P/0").  The JSON builders (measure_from_spec, sequence_from_spec,
-the schedules' from_json) re-raise a rejection through schema_errors as a
-SchemaError, prefixing the pointer with the object's place in its document;
-each also refuses a key it does not read (known_keys).
+it ("/P/0").  The JSON builders (measure_from_spec, and the from_json of
+every schedule kind, fekete's RealSequence among them) re-raise a
+rejection through schema_errors as a SchemaError, prefixing the pointer
+with the object's place in its document; each also refuses a key it does
+not read (known_keys).
 """
 from __future__ import annotations
 

@@ -7,27 +7,22 @@ for a gap schedule sigma and error schedule rho when
 
 Under that inequality (with sublinear schedules) F_n / n converges to
 inf_n (F_n + rho_n) / (n + sigma_n), which the functions here locate and
-cross-check at finite horizons.
+cross-check at finite horizons.  F is a RealSequence, the third kind of
+schedules._Schedule next to the gap and error schedules, so all three
+functions of n are built from JSON, checked and evaluated by one base.
 """
 from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import (
-    CapExceededError,
-    ConfigError,
-    GapLiftError,
-    known_keys,
-    param,
-    schema_errors,
-)
+from .errors import CapExceededError, ConfigError, GapLiftError
 from .schedules import ConvergenceSeries, ErrorSchedule, GapSchedule, index_blocks, linear_grid
-from .schedules import evaluate, lookup
+from .schedules import _Schedule, evaluate
 
 PAIRWISE_CAP = 5000  # largest horizon of a pairwise check, which compares O(N^2) pairs
 _SCAN_FLOATS = 2**16  # most excess entries one block of the split scan holds
@@ -39,95 +34,43 @@ def _check_horizon(N: int) -> None:
         raise ConfigError("sequence horizon must be >= 1")
 
 
-class RealSequence:
-    """Lazy 1-indexed sequence with values in [-inf, inf).
+@dataclasses.dataclass(frozen=True)
+class RealSequence(_Schedule):
+    """Lazy 1-indexed sequence n -> F_n with values in [-inf, inf), the third schedule kind.
 
-    Wraps a callable evaluated on int64 index arrays.  at(ns) evaluates it
-    at given indices through schedules.evaluate, which refuses nan and
-    +inf at the smallest n that gives one; nothing is cached.
+    Its rule is its name: "table" or one of the closed forms below, each
+    with its params in reading order (a sequence param has no range).
+    values(ns) evaluates it at the indices ns through schedules.evaluate,
+    which refuses nan and +inf at the smallest n that gives one; nothing
+    but a table's array is kept.
     """
 
-    def __init__(self, fn: Callable, name: str = "custom"):
-        self._fn = fn
-        self.name = name
-
-    def at(self, ns) -> np.ndarray:
-        """Array [F_n for n in ns], for indices ns >= 1."""
-        return evaluate(self._fn, ns, f"sequence {self.name!r}",
-                        f"sequence values must {_BELOW_INF}")
-
-    def values(self, N: int) -> np.ndarray:
-        """Array [F_1, ..., F_N]; entry i holds F_{i+1}."""
-        _check_horizon(N)
-        return self.at(np.arange(1, N + 1, dtype=np.int64))
-
-    def __call__(self, n: int) -> float:
-        return float(self.at([n])[0])
+    _kind = float
+    _noun = "sequence"
+    _names = "sequence {!r}"
+    _least = -np.inf
+    _most = float(np.finfo(np.float64).max)
+    _range = _BELOW_INF
+    _field = "name"
+    _rules = {
+        "linear": (lambda ns, a: a * ns.astype(np.float64), (("slope", float, 1.0),)),
+        "affine_sqrt": (lambda ns, a, b: a * ns + b * np.sqrt(ns.astype(np.float64)),
+                        (("slope", float, 1.0), ("sqrt_coeff", float, 1.0))),
+        "sqrt": (lambda ns, s: s * np.sqrt(ns.astype(np.float64)), (("scale", float, 1.0),)),
+        "neg_nlogn": (lambda ns, s: -s * ns * np.log(ns.astype(np.float64)),
+                      (("scale", float, 1.0),)),
+        "square": (lambda ns, s: s * ns.astype(np.float64) ** 2, (("scale", float, 1.0),)),
+        "log": (lambda ns, s: s * np.log1p(ns.astype(np.float64)), (("scale", float, 1.0),)),
+        "neg_inf_from": (lambda ns, start, a: np.where(
+            ns >= start, -np.inf, a * ns.astype(np.float64)),
+            (("start", int, 2), ("slope", float, 0.0))),
+    }
 
 
 def _plus_error(F: RealSequence, Fv: np.ndarray, rv: np.ndarray, ns: np.ndarray) -> np.ndarray:
     """Fv + rv, the values of F_n + rho_n at ns, refused at the first n where they overflow."""
-    return evaluate(lambda _: Fv + rv, ns, f"F_n + rho_n of sequence {F.name!r}",
+    return evaluate(lambda _: Fv + rv, ns, f"F_n + rho_n of sequence {F.rule!r}",
                     f"F_n + rho_n must {_BELOW_INF}")
-
-
-# each closed-form sequence: its params with their defaults, in reading
-# order (a default's type is the param's kind), and F of the index array
-# and those params
-_CLOSED_FORMS = {
-    "linear": ({"slope": 1.0}, lambda ns, a: a * ns.astype(np.float64)),
-    "affine_sqrt": ({"slope": 1.0, "sqrt_coeff": 1.0},
-                    lambda ns, a, b: a * ns + b * np.sqrt(ns.astype(np.float64))),
-    "sqrt": ({"scale": 1.0}, lambda ns, s: s * np.sqrt(ns.astype(np.float64))),
-    "neg_nlogn": ({"scale": 1.0}, lambda ns, s: -s * ns * np.log(ns.astype(np.float64))),
-    "square": ({"scale": 1.0}, lambda ns, s: s * ns.astype(np.float64) ** 2),
-    "log": ({"scale": 1.0}, lambda ns, s: s * np.log1p(ns.astype(np.float64))),
-    "neg_inf_from": ({"start": 2, "slope": 0.0}, lambda ns, start, a: np.where(
-        ns >= start, -np.inf, a * ns.astype(np.float64))),
-}
-
-
-def _closed_form(name: str, params: dict) -> Callable[[np.ndarray], np.ndarray]:
-    """F of closed form name, its params read in their declared order."""
-    defaults, F = _CLOSED_FORMS[name]
-    known_keys(params, defaults, "/params")
-    args = [param(params, key, type(default), default, "/params")
-            for key, default in defaults.items()]
-    return lambda ns: F(ns, *args)
-
-
-def _table(params: dict) -> Callable[[np.ndarray], np.ndarray]:
-    known_keys(params, ("values",), "/params")
-    vals = params.get("values")
-    if not isinstance(vals, list) or not vals:
-        raise ConfigError("needs a nonempty list", "/params/values")
-    for i, v in enumerate(vals):
-        if v != -np.inf:  # F takes values in [-inf, inf)
-            param(vals, i, float, pointer="/params/values")
-    vals = np.asarray(vals, dtype=np.float64)
-    return lambda ns: lookup(vals, ns, "sequence")
-
-
-def sequence_from_spec(obj: dict, pointer: str = "") -> RealSequence:
-    """Build a RealSequence from {"name": ..., "params": {...}} JSON.
-
-    "table" takes explicit values; every other name is a closed form.
-    Every rejection is a SchemaError whose pointer starts with pointer,
-    the spec's place in its document; a key the name does not read is
-    refused.
-    """
-    with schema_errors(pointer):
-        if not isinstance(obj, dict) or "name" not in obj:
-            raise ConfigError("needs a 'name' field")
-        params = obj.get("params", {})
-        if not isinstance(params, dict):
-            raise ConfigError("must be an object", "/params")
-        name = obj["name"]
-        if not isinstance(name, str) or (name != "table" and name not in _CLOSED_FORMS):
-            raise ConfigError(f"unknown sequence {name!r}", "/name")
-        known_keys(obj, ("name", "params"))
-        fn = _table(params) if name == "table" else _closed_form(name, params)
-        return RealSequence(fn, name=name)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -211,7 +154,10 @@ def split_scan(
     exceeds tol or is nan is searched for violations.  There a nan entry
     with a finite left side is a violation with excess +inf: its first
     subtraction overflowed to -inf, and its shifted side is -inf, since no
-    side is nan or +inf.  The subtractions run under np.errstate.  The row
+    side is nan or +inf.  A +inf entry whose left and shifted sides are
+    finite may be an overflow of the first subtraction alone, so it is
+    taken again as pre_j - ((pre_n + rho_n) + shifted), and the row's max
+    with it.  The subtractions run under np.errstate.  The row
     maxima fold in row order; the sign of a zero maximum depends on the
     order of its reduction, so a zero is taken again from its row alone.
     """
@@ -233,7 +179,8 @@ def split_scan(
             j = n + int(sig[n - 1])
             excess = buf[: rows * width].reshape(rows, width)
             np.subtract(lefts[j : j + rows, :width], base[n - 1 : n - 1 + rows, None], out=excess)
-            np.subtract(excess, shifted(j, rows, width), out=excess)
+            sides = np.broadcast_to(shifted(j, rows, width), (rows, width))
+            np.subtract(excess, sides, out=excess)
             if rows > 1:
                 np.copyto(excess[:, width - rows + 1 :], -np.inf,
                           where=corner[most - rows :, : rows - 1])
@@ -241,9 +188,13 @@ def split_scan(
             hits = np.flatnonzero(~(tops <= tol))  # violations, or pairs with -inf on both sides
             tops = tops.tolist()
             for r in hits.tolist():
-                row = excess[r, : width - r]
+                row, left = excess[r, : width - r], lefts[j + r, : width - r]
                 if math.isnan(tops[r]):
-                    row[np.isnan(row) & np.isfinite(lefts[j + r, : width - r])] = np.inf
+                    row[np.isnan(row) & np.isfinite(left)] = np.inf
+                over = np.flatnonzero(row == np.inf)
+                over = over[np.isfinite(left[over]) & np.isfinite(sides[r, over])]
+                row[over] = left[over] - (base[n - 1 + r] + sides[r, over])
+                if math.isnan(tops[r]) or over.size:
                     tops[r] = _row_top(row)
                 bad = np.flatnonzero(row > tol)
                 total += bad.size
@@ -279,8 +230,9 @@ def check_gapped_subadditivity(
         raise CapExceededError(
             f"pairwise check at N = {N} exceeds cap {cap}; pass cap >= N to allow"
         )
-    Fv = F.values(N)
+    _check_horizon(N)
     ns = np.arange(1, N + 1, dtype=np.int64)
+    Fv = F.values(ns)
     sig, rh = sigma.values(ns), rho.values(ns)
     _plus_error(F, Fv, rh, ns)
     found, total, _ = split_scan(Fv, lambda j, rows, m: Fv[None, :m], sig, rh, tol, max_report)
@@ -334,7 +286,7 @@ def fekete_infimum(
     arg, inf_val = 0, math.inf
     faults: list[Exception | None] = [None, None, None]  # the first error of each stage
     for ns in index_blocks(N):
-        Fv = F.at(ns)
+        Fv = F.values(ns)
         terms = []  # n + sigma_n, rho_n, then F_n + rho_n
         stages = (lambda: ns + sigma.values(ns), lambda: rho.values(ns),
                   lambda: _plus_error(F, Fv, terms[1], ns))
@@ -391,7 +343,7 @@ def fekete_limit_estimate(
         raise ConfigError("stride must be >= 1")
     report = fekete_infimum(F, sigma, rho, N)
     grid = linear_grid(N, stride)
-    return LimitEstimate(report=report, series=ConvergenceSeries(grid, F.at(grid) / grid))
+    return LimitEstimate(report=report, series=ConvergenceSeries(grid, F.values(grid) / grid))
 
 
 def gap_lift(
@@ -410,7 +362,7 @@ def gap_lift(
     if not probe.ok:
         first = probe.violations[0]
         raise GapLiftError(
-            f"{F.name!r} is not plainly subadditive up to {probe_N}: "
+            f"{F.rule!r} is not plainly subadditive up to {probe_N}: "
             f"first violation at (n, m) = ({first.n}, {first.m}), excess {first.excess:.3g} "
             f"({probe.violation_count} total)"
         )
@@ -420,7 +372,7 @@ def gap_lift(
         out = np.zeros(ns.shape, dtype=np.float64)
         mask = sv >= 1
         if mask.any():  # F at the gaps alone, so a gap of 2**62 builds no prefix
-            out[mask] = np.maximum(F.at(sv[mask]), 0.0)
+            out[mask] = np.maximum(F.values(sv[mask]), 0.0)
         return out
 
     return ErrorSchedule.from_function(rho_fn)

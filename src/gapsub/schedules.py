@@ -1,12 +1,14 @@
-"""Deterministic index schedules and the convergence-series container.
+"""Deterministic functions of n and the convergence-series container.
 
 A gap schedule assigns an integer in [0, 2**62] to every index n >= 1, an
-error schedule a finite real >= 0.  Both are either closed-form rules or
-explicit tables, and one base serializes both to JSON.  evaluate is the
-one checked evaluation of every function of n, fekete's sequences too,
-and lookup their one table lookup.  ConvergenceSeries holds a normalized
-sequence sampled on an increasing index grid together with tail
-diagnostics; csv_text writes it and every other key,value CSV.
+error schedule a finite real >= 0, and fekete's RealSequence, the third
+kind, a real in [-inf, inf).  Each is a closed-form rule, an explicit
+table or a wrapped function of the index array, and one base, _Schedule,
+builds, checks, evaluates and serializes all three.  evaluate is the one
+checked evaluation of every function of n, and lookup their one table
+lookup.  ConvergenceSeries holds a normalized sequence sampled on an
+increasing index grid together with tail diagnostics; csv_text writes it
+and every other key,value CSV.
 """
 from __future__ import annotations
 
@@ -33,11 +35,14 @@ def evaluate(fn: Callable[[np.ndarray], np.ndarray], ns, what: str, must: str,
     """fn at the indices ns >= 1 as kind: the one checked evaluation of every function of n.
 
     fn runs on an int64 array under np.errstate, so an overflow gives inf
-    or nan, not a warning.  A wrong shape is refused, and so is a value
+    or nan, not a warning.  ns must be 1-d, so a scalar horizon is not
+    read as one index.  A wrong shape is refused, and so is a value
     outside [least, most] (a sequence's range by default), nan included,
     as "what gives v at n = N; must" at the smallest such n.
     """
     arr = np.asarray(ns, dtype=np.int64)
+    if arr.ndim != 1:
+        raise ValidationError(f"{what} is evaluated at a 1-d index array, not a {arr.ndim}-d one")
     if arr.size and arr.min() < 1:
         raise ScheduleRangeError(f"{what} is defined at n >= 1, asked for n = {arr.min()}")
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
@@ -72,24 +77,36 @@ def index_blocks(N: int):
 
 @dataclasses.dataclass(frozen=True)
 class _Schedule:
-    """Constructors, rule checks, evaluation and JSON shared by both schedule kinds.
+    """Constructors, rule checks, evaluation and JSON shared by every function of n.
 
     A kind sets _kind (int or float), _noun (its name in a range error),
-    the range [0, _most] that _range states, and _rules, its closed-form
-    rules; every kind also takes "table"."""
+    _names (how an error names a rule), the range [_least, _most] that
+    _range states, _field (the spec field that holds the rule) and _rules,
+    its closed-form rules; every kind also takes "table".  from_function
+    wraps a function of the index array instead, rule "function", with the
+    same range check; to_json refuses it.
+    """
 
     rule: str
     params: dict = dataclasses.field(default_factory=dict)
+    fn: Callable[[np.ndarray], np.ndarray] | None = None
 
     _kind: ClassVar[type]
     _noun: ClassVar[str]
+    _names: ClassVar[str]  # formatted with the rule, as "gap rule 'x'"
+    _least: ClassVar = 0  # 0, or -inf for a kind whose values may be -inf
     _most: ClassVar
     _range: ClassVar[str]
+    _field: ClassVar[str] = "rule"
     # each closed-form rule: (F of the index array and the rule's params, the
-    # params in reading order, each as (key, kind, default, whether a value
-    # is in range, the refusal of one that is not))
+    # params in reading order, each as (key, kind, default), followed, where
+    # the param has a range, by whether a value is in it and the refusal of
+    # one that is not)
     _rules: ClassVar[dict[str, tuple]]
-    fn: ClassVar[Callable | None] = None  # an error schedule's from_function sets its own
+
+    def __post_init__(self):
+        if self.fn is None:
+            self._check_rule()
 
     def _check_rule(self) -> None:
         """Refuse an unknown rule, a params key that the rule does not read, and a bad param.
@@ -97,7 +114,7 @@ class _Schedule:
         A closed-form rule reads its params in declared order, each checked
         for its kind and then its range."""
         if not (isinstance(self.rule, str) and (self.rule == "table" or self.rule in self._rules)):
-            raise ConfigError(f"unknown {self._noun} rule {self.rule!r}", "/rule")
+            raise ConfigError(f"unknown {self._names.format(self.rule)}", f"/{self._field}")
         if self.rule == "table":
             self._check_table()
             return
@@ -107,14 +124,16 @@ class _Schedule:
             raise ConfigError(f"must {self._range}", "/params/value")
 
     def _check_table(self) -> None:
-        """A table rule's params: one nonempty list of entries of the kind in [0, _most]."""
+        """A table rule's params: one nonempty list of entries of the kind in [_least, _most]."""
         known_keys(self.params, ("values",), "/params")
         vals = self.params.get("values")
         if not isinstance(vals, (list, tuple)) or not vals:
             raise ConfigError("needs a nonempty list", "/params/values")
-        for i in range(len(vals)):
+        for i, v in enumerate(vals):
+            if self._least == -np.inf and v == -np.inf:  # in range, though param refuses it
+                continue
             v = param(vals, i, self._kind, pointer="/params/values")
-            if v < 0:
+            if v < self._least:
                 raise ConfigError("must be nonnegative", f"/params/values/{i}")
             if v > self._most:
                 raise ConfigError(f"must {self._range}", f"/params/values/{i}")
@@ -123,10 +142,10 @@ class _Schedule:
     def _args(self) -> list:
         """The params of a closed-form rule, read as its entry in _rules declares."""
         args = []
-        for key, kind, default, ok, refusal in self._rules[self.rule][1]:
+        for key, kind, default, *check in self._rules[self.rule][1]:
             value = param(self.params, key, kind, default, "/params")
-            if not ok(value):
-                raise ConfigError(refusal, f"/params/{key}")
+            if check and not check[0](value):
+                raise ConfigError(check[1], f"/params/{key}")
             args.append(value)
         return args
 
@@ -138,43 +157,50 @@ class _Schedule:
     def constant(cls, value):
         return cls("constant", {"value": cls._kind(value)})
 
+    @classmethod
+    def from_function(cls, fn: Callable[[np.ndarray], np.ndarray]):
+        return cls("function", {}, fn=fn)
+
     def value(self, n: int):
         return self._kind(self.values(np.asarray([n], dtype=np.int64))[0])
 
     @functools.cached_property
-    def _table_array(self) -> np.ndarray:
+    def _entries(self) -> np.ndarray:
         # built on first use and kept outside the fields, so ==, repr and
         # to_json see only the list
         return np.asarray(self.params["values"], dtype=self._kind)
 
     def values(self, ns) -> np.ndarray:
-        """The schedule at indices >= 1, through evaluate: a value out of range,
-        or an n past a table's end, is refused naming the smallest such n."""
-        return evaluate(self._at, ns, f"{self._noun} rule {self.rule!r}",
-                        f"{self._noun} values must {self._range}", self._kind, 0, self._most)
+        """The values at the 1-d index array ns >= 1, through evaluate: a value out
+        of range, or an n past a table's end, is refused naming the smallest such n."""
+        return evaluate(self._at, ns, self._names.format(self.rule),
+                        f"{self._noun} values must {self._range}", self._kind,
+                        self._least, self._most)
 
     def _at(self, ns: np.ndarray) -> np.ndarray:
-        """The schedule at the index array ns, before the range check."""
+        """The values at the index array ns, before the range check."""
         if self.fn is not None:
             return self.fn(ns)
         if self.rule == "table":
-            return lookup(self._table_array, ns, self._noun)
+            return lookup(self._entries, ns, self._noun)
         return self._rules[self.rule][0](ns, *self._args)
 
     def to_json(self) -> dict:
-        return {"rule": self.rule, "params": dict(self.params)}
+        if self.fn is not None:
+            raise ConfigError(f"function-backed {type(self).__name__} is not serializable")
+        return {self._field: self.rule, "params": dict(self.params)}
 
     @classmethod
     def from_json(cls, obj: dict, pointer: str = ""):
-        """Schedule from its JSON, inverse of to_json; a rejection is a SchemaError under pointer."""
+        """The kind from its JSON, inverse of to_json; a rejection is a SchemaError under pointer."""
         with schema_errors(pointer):
-            if not isinstance(obj, dict) or "rule" not in obj:
-                raise ConfigError("needs a 'rule' field")
-            known_keys(obj, ("rule", "params"))
+            if not isinstance(obj, dict) or cls._field not in obj:
+                raise ConfigError(f"needs a '{cls._field}' field")
+            known_keys(obj, (cls._field, "params"))
             params = obj.get("params", {})
             if not isinstance(params, dict):
                 raise ConfigError("must be an object", "/params")
-            return cls(obj["rule"], dict(params))
+            return cls(obj[cls._field], dict(params))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -187,6 +213,7 @@ class GapSchedule(_Schedule):
 
     _kind = int
     _noun = "gap"
+    _names = "gap rule {!r}"
     _most = 2**62  # n + sigma_n + m stays in int64 whenever n + m < 2**62
     _range = "lie in [0, 2**62]"
     _rules = {
@@ -201,25 +228,20 @@ class GapSchedule(_Schedule):
         "ceil_log": (lambda ns: np.ceil(np.log2(1.0 + ns.astype(np.float64))), ()),
     }
 
-    def __post_init__(self):
-        self._check_rule()
-
 
 @dataclasses.dataclass(frozen=True)
 class ErrorSchedule(_Schedule):
     """Nonnegative real schedule n -> rho_n.
 
     Closed-form rules: "constant", "scaled_power" (scale * n**alpha with
-    alpha < 1, so the schedule stays sublinear), "table".  from_function
-    wraps a function of the index array instead, rule "function", with the
-    same range check; to_json refuses it.  An error that also depends on
-    the offset along a path goes straight into a steele.ProofContext.
+    alpha < 1, so the schedule stays sublinear), "table".  An error that
+    also depends on the offset along a path goes straight into a
+    steele.ProofContext.
     """
-
-    fn: Callable[[np.ndarray], np.ndarray] | None = None
 
     _kind = float
     _noun = "error"
+    _names = "error rule {!r}"
     _most = np.finfo(np.float64).max
     _range = "be finite and >= 0"
     _rules = {
@@ -231,19 +253,6 @@ class ErrorSchedule(_Schedule):
             ("scale", float, 1.0, lambda s: s >= 0, "scaled_power scale must be nonnegative"),
         )),
     }
-
-    def __post_init__(self):
-        if self.fn is None:
-            self._check_rule()
-
-    @classmethod
-    def from_function(cls, fn: Callable[[np.ndarray], np.ndarray]) -> "ErrorSchedule":
-        return cls("function", {}, fn=fn)
-
-    def to_json(self) -> dict:
-        if self.fn is not None:
-            raise ConfigError("function-backed error schedule is not serializable")
-        return super().to_json()
 
 
 def csv_text(header: str, pairs) -> str:
@@ -295,23 +304,23 @@ class ConvergenceSeries:
         return csv_text("n,value", zip(self.ns.tolist(), self.values.tolist()))
 
 
-def geometric_grid(N: int, ratio: float = 1.2, start: int = 1) -> np.ndarray:
-    """Distinct integer grid ceil(start * ratio**j), clipped and capped at N.
+def geometric_grid(N: int, ratio: float = 1.2) -> np.ndarray:
+    """Distinct integer grid ceil(ratio**j), clipped and capped at N.
 
     N itself is always the last entry so that series built on the grid
     terminate at the full horizon.  Below 1/(ratio - 1) a step grows the
     point by less than 1, so consecutive ceilings differ by at most 1 and
     every integer there is on the grid; the multiplicative walk starts
-    past them, at start * ratio**j0, and costs one step per grid point.
+    past them, at ratio**j0, and costs one step per grid point.
     """
-    if N < 1 or start < 1:
-        raise ConfigError("grid horizon and start must be >= 1")
+    if N < 1:
+        raise ConfigError("grid horizon must be >= 1")
     if not 1.0 < ratio < math.inf:
         raise ConfigError("geometric grid ratio must be finite and exceed 1")
     # one step short of 1/(ratio - 1), so every earlier step is below 1
-    j0 = max(0, math.floor(math.log(1.0 / ((ratio - 1.0) * start)) / math.log(ratio)) - 1)
-    x = start * ratio**j0
-    head = np.arange(math.ceil(start), min(math.ceil(x), N), dtype=np.int64)
+    j0 = max(0, math.floor(math.log(1.0 / (ratio - 1.0)) / math.log(ratio)) - 1)
+    x = ratio**j0
+    head = np.arange(1, min(math.ceil(x), N), dtype=np.int64)
     points = []
     while (n := math.ceil(x)) < N:
         points.append(n)

@@ -433,13 +433,15 @@ def trajectory_context(
 ) -> ProofContext:
     """ProofContext for f = per-window log-marginals of Q along x.
 
-    f is Q.windows(x).many, and rho(js, n) is rho_n at every offset.  A
-    rho that depends on the offset as well as on n goes straight into a
-    ProofContext as its rho(js, n), next to this f.  Log-marginals
+    f is Q.windows(x).many, and rho(js, n) is rho_n at every offset.  The
+    proof asks rho only at the depth lengths k r, k <= K, so those are
+    evaluated once, in one rho.values call; any other n is evaluated when
+    asked.  A rho that depends on the offset as well as on n goes straight
+    into a ProofContext as its rho(js, n), next to this f.  Log-marginals
     decrease under extension, so the sigma_1 = 0 requirement is waived.
     """
     symbols = x.symbols if isinstance(x, Trajectory) else Q.alphabet.validate_word(x)
-    return ProofContext(
+    ctx = ProofContext(
         f=Q.windows(symbols).many,
         limit_value=float(limit_value),
         sigma=sigma,
@@ -447,6 +449,9 @@ def trajectory_context(
         K=int(K),
         eps=float(eps),
         horizon=int(symbols.size),
-        rho=lambda js, n: np.full(js.shape, rho.value(n)),
+        rho=lambda js, n: np.full(js.shape, at_depth[n] if n in at_depth else rho.value(n)),
         assume_shift_monotone=True,
     )
+    lengths = np.arange(1, ctx.K + 1, dtype=np.int64) * ctx.r  # once the context checked r and K
+    at_depth = dict(zip(lengths.tolist(), rho.values(lengths).tolist()))
+    return ctx

@@ -30,7 +30,7 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
             terminalreporter.write_line(line)
 
 def table_schedule(cls, values):
-    """The table schedule of kind cls (GapSchedule or ErrorSchedule) over values."""
+    """The table of kind cls (GapSchedule, ErrorSchedule or RealSequence) over values."""
     return cls("table", {"values": [cls._kind(v) for v in values]})
 
 

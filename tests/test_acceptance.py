@@ -25,6 +25,7 @@ from gapsub import (
     GapSchedule,
     IIDMeasure,
     MarkovMeasure,
+    RealSequence,
     check_gapped_subadditivity,
     check_trajectory_subadditivity,
     cross_entropy_estimate,
@@ -34,7 +35,6 @@ from gapsub import (
     minimal_decoupling_constants,
     relative_entropy_estimate,
     sample_trajectory,
-    sequence_from_spec,
 )
 from gapsub.cli import main
 from gapsub.steele import (
@@ -59,7 +59,7 @@ def report(criterion: int, ok: bool, detail: str) -> None:
 
 
 def test_criterion_01_gap_lift_and_finite_infimum():
-    F = sequence_from_spec(
+    F = RealSequence.from_json(
         {"name": "affine_sqrt", "params": {"slope": 3.0, "sqrt_coeff": 2.0}}
     )
     sigma = GapSchedule("ceil_log")

@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 from gapsub import (
     __version__,
     ConfigError,
+    ErrorSchedule,
     IIDMeasure,
     MarkovMeasure,
     geometric_grid,
@@ -359,6 +360,23 @@ def test_cli_steele_run_verifies(tmp_path):
     assert 0.0 <= ver["bad_birkhoff_average"]
     dec = json.loads((out / "decomposition.json").read_text())
     assert dec["n"] == 400 and dec["covered"] <= 399
+
+
+def test_a_steele_run_evaluates_rho_in_one_call(tmp_path, monkeypatch):
+    """rho_{k r} at every depth k <= K comes from one ErrorSchedule.values
+    call; one call per depth per evaluation made 25 at this size."""
+    calls = []
+    values = ErrorSchedule.values
+
+    def spy(self, ns):
+        calls.append(len(ns))
+        return values(self, ns)
+
+    monkeypatch.setattr(ErrorSchedule, "values", spy)
+    m = write_json(tmp_path, "m.json", WORKED_SPEC)
+    assert main(["steele", "run", "--measure", m, "--n", "20000", "--r", "20", "--K", "8",
+                 "--eps", "0.05", "--seed", "31", "--outdir", str(tmp_path / "o")]) == 0
+    assert calls == [8]
 
 
 @pytest.mark.parametrize("spec", [HMM_SPEC, MIXTURE_SPEC], ids=["hmm", "mixture"])
@@ -1269,7 +1287,7 @@ OUT_OF_RANGE_RUNS = {
 
 
 def test_every_closed_form_has_an_overflowing_run():
-    assert set(OVERFLOWING_SEQUENCES) == set(fekete._CLOSED_FORMS)
+    assert set(OVERFLOWING_SEQUENCES) == set(fekete.RealSequence._rules)
 
 
 @pytest.mark.parametrize("subcommand, params, rc, line", OUT_OF_RANGE_RUNS.values(),
@@ -1489,13 +1507,17 @@ def _cap_argv(tmp_path, sub: str, cap: int) -> list[str]:
     return ["rerun", "--manifest", write_json(tmp_path, "manifest.json", manifest)]
 
 
-@pytest.mark.parametrize("cap, rc", [(-5, 2), (-1, 2), (0, 4)], ids=["minus-5", "minus-1", "zero"])
+@pytest.mark.parametrize("cap, rc", [(-5, 2), (-1, 2), (0, 4), (10**7 + 1, 4)],
+                         ids=["minus-5", "minus-1", "zero", "over-ceiling"])
 @pytest.mark.parametrize("sub", ["audit", "validate", "check", "limit"])
 def test_negative_cap_is_a_schema_error(tmp_path, capsys, sub, cap, rc):
+    """A cap below 0 is a schema error; one above the horizon cap, which
+    once started unbounded work, is refused at /cap before any."""
     out = tmp_path / "o"
     assert main([*_cap_argv(tmp_path, sub, cap), "--outdir", str(out)]) == rc
     err = capsys.readouterr().err
     assert ("/cap: must be nonnegative" in err) == (rc == 2)
+    assert ("/cap: cap 10000001 exceeds cap 10000000" in err) == (cap > 10**7)
     assert err.startswith("schema:" if rc == 2 else "cap:")
     assert not out.exists()
 

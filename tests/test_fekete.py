@@ -26,14 +26,10 @@ from gapsub import (
     fekete_limit_estimate,
     gap_lift,
     schedules,
-    sequence_from_spec,
 )
+from gapsub.fekete import split_scan
 
 from conftest import table_schedule
-
-
-def table_seq(vals) -> RealSequence:
-    return sequence_from_spec({"name": "table", "params": {"values": list(vals)}})
 
 
 # ------------------------------------------------------------ RealSequence
@@ -46,40 +42,53 @@ def test_sequence_is_one_indexed_and_evaluated_afresh():
         calls.append(ns.size)
         return ns.astype(float) ** 0.5
 
-    F = RealSequence(fn, name="sqrt")
-    v = F.values(10)
-    assert v[0] == 1.0 and abs(F(9) - 3.0) < 1e-15
-    F.values(5)
-    F.values(12)
+    F = RealSequence.from_function(fn)
+    v = F.values(np.arange(1, 11))
+    assert v[0] == 1.0 and abs(F.value(9) - 3.0) < 1e-15
+    F.values(np.arange(1, 6))
+    F.values(np.arange(1, 13))
     assert calls == [10, 1, 5, 12]  # no prefix is kept
 
 
 def test_sequence_rejects_nan_and_plus_inf():
     with pytest.raises(ValidationError):
-        RealSequence(lambda ns: np.full(ns.shape, np.nan)).values(3)
+        RealSequence.from_function(lambda ns: np.full(ns.shape, np.nan)).values(np.arange(1, 4))
     with pytest.raises(ValidationError):
-        RealSequence(lambda ns: np.full(ns.shape, np.inf)).values(3)
+        RealSequence.from_function(lambda ns: np.full(ns.shape, np.inf)).values(np.arange(1, 4))
     # -inf is legal
-    F = sequence_from_spec({"name": "neg_inf_from", "params": {"start": 2}})
-    assert F(1) == 0.0 and F(5) == -np.inf
+    F = RealSequence.from_json({"name": "neg_inf_from", "params": {"start": 2}})
+    assert F.value(1) == 0.0 and F.value(5) == -np.inf
 
 
 def test_sequence_non_vectorized_path():
-    F = RealSequence(lambda ns: 2.0 * ns)
-    assert F.values(4).tolist() == [2.0, 4.0, 6.0, 8.0]
+    F = RealSequence.from_function(lambda ns: 2.0 * ns)
+    assert F.values(np.arange(1, 5)).tolist() == [2.0, 4.0, 6.0, 8.0]
+
+
+def test_old_call_shapes_fail_loudly():
+    """A horizon is not an index array, a sequence is not called, and a
+    function is wrapped by from_function, not passed in place of the rule."""
+    F = RealSequence.from_json({"name": "linear"})
+    with pytest.raises(ValidationError, match="^sequence 'linear' is evaluated at a 1-d index array"):
+        F.values(10)
+    with pytest.raises(TypeError):
+        F(3)
+    with pytest.raises(TypeError):
+        RealSequence(lambda ns: 1.0 * ns, name="x")
+    assert not hasattr(F, "at") and not hasattr(F, "name")
 
 
 def test_builtin_families():
-    assert sequence_from_spec({"name": "linear", "params": {"slope": 3.0}})(7) == 21.0
-    F = sequence_from_spec(
+    assert RealSequence.from_json({"name": "linear", "params": {"slope": 3.0}}).value(7) == 21.0
+    F = RealSequence.from_json(
         {"name": "affine_sqrt", "params": {"slope": 3.0, "sqrt_coeff": 2.0}}
     )
-    assert abs(F(4) - 16.0) < 1e-12
-    assert sequence_from_spec({"name": "square", "params": {"scale": 1.0}})(5) == 25.0
+    assert abs(F.value(4) - 16.0) < 1e-12
+    assert RealSequence.from_json({"name": "square", "params": {"scale": 1.0}}).value(5) == 25.0
     with pytest.raises(ConfigError):
-        sequence_from_spec({"name": "cubic"})
+        RealSequence.from_json({"name": "cubic"})
     with pytest.raises(ConfigError):
-        sequence_from_spec({"params": {}})
+        RealSequence.from_json({"params": {}})
 
 
 @pytest.mark.parametrize(
@@ -98,13 +107,13 @@ def test_builtin_families():
 )
 def test_sequence_spec_rejections_point_at_the_field(spec, pointer):
     with pytest.raises(SchemaError) as exc:
-        sequence_from_spec(spec, "/sequence")
+        RealSequence.from_json(spec, "/sequence")
     assert exc.value.pointer == "/sequence" + pointer
 
 
 def test_table_sequence_keeps_neg_inf():
-    F = sequence_from_spec({"name": "table", "params": {"values": [1.0, -math.inf]}})
-    assert F.values(2).tolist() == [1.0, -math.inf]
+    F = RealSequence.from_json({"name": "table", "params": {"values": [1.0, -math.inf]}})
+    assert F.values([1, 2]).tolist() == [1.0, -math.inf]
 
 
 # every closed form with all its params, and F written out with those params
@@ -132,17 +141,18 @@ def test_each_closed_form_is_its_expression_bit_for_bit(name):
     """F at n = 1 .. 64 has the bytes of its expression with every param
     given, and a spec without params the bytes of one with the defaults."""
     params, expected = CLOSED_FORMS[name]
-    F = sequence_from_spec({"name": name, "params": params})
-    assert F.values(64).tobytes() == expected(np.arange(1, 65, dtype=np.int64)).tobytes()
-    default = sequence_from_spec({"name": name, "params": DEFAULTS[name]})
-    assert sequence_from_spec({"name": name}).values(64).tobytes() == default.values(64).tobytes()
+    F = RealSequence.from_json({"name": name, "params": params})
+    ns = np.arange(1, 65, dtype=np.int64)
+    assert F.values(ns).tobytes() == expected(ns).tobytes()
+    default = RealSequence.from_json({"name": name, "params": DEFAULTS[name]})
+    assert RealSequence.from_json({"name": name}).values(ns).tobytes() == default.values(ns).tobytes()
 
 
 @pytest.mark.parametrize("name", ["table", *sorted(CLOSED_FORMS)])
 def test_an_extra_sequence_param_is_refused(name):
     params = {"values": [1.0]} if name == "table" else dict(CLOSED_FORMS[name][0])
     with pytest.raises(SchemaError) as exc:
-        sequence_from_spec({"name": name, "params": {**params, "extra": 1.0}}, "/sequence")
+        RealSequence.from_json({"name": name, "params": {**params, "extra": 1.0}}, "/sequence")
     assert (exc.value.pointer, exc.value.message) == ("/sequence/params/extra", "unknown key")
 
 
@@ -150,14 +160,14 @@ def test_an_extra_sequence_param_is_refused(name):
 
 
 def test_subadditive_sequence_has_no_violations():
-    F = sequence_from_spec({"name": "sqrt", "params": {"scale": 2.0}})
+    F = RealSequence.from_json({"name": "sqrt", "params": {"scale": 2.0}})
     chk = check_gapped_subadditivity(F, GapSchedule.zero(), ErrorSchedule.zero(), 120)
     assert chk.ok and chk.violation_count == 0 and chk.violations == ()
 
 
 def test_square_sequence_violations_reported_exactly():
     # n^2 fails plainly: excess at (n, m) is exactly 2 n m
-    F = sequence_from_spec({"name": "square", "params": {"scale": 1.0}})
+    F = RealSequence.from_json({"name": "square", "params": {"scale": 1.0}})
     chk = check_gapped_subadditivity(F, GapSchedule.zero(), ErrorSchedule.zero(), 30)
     assert not chk.ok
     first = chk.violations[0]
@@ -169,7 +179,7 @@ def test_square_sequence_violations_reported_exactly():
 def test_gap_shifts_the_left_side():
     # with sigma = 1 the tested inequality is F_{n+1+m} <= F_n + rho_n + F_m;
     # F = table picked so only the shifted pair (1, 1) fails
-    F = table_seq([0.0, 0.0, 5.0])
+    F = table_schedule(RealSequence, [0.0, 0.0, 5.0])
     chk = check_gapped_subadditivity(F, GapSchedule.constant(1), ErrorSchedule.zero(), 3)
     assert chk.violation_count == 1
     v = chk.violations[0]
@@ -180,7 +190,7 @@ def test_gap_shifts_the_left_side():
 
 
 def test_rho_absorbs_excess():
-    F = table_seq([0.0, 0.0, 5.0])
+    F = table_schedule(RealSequence, [0.0, 0.0, 5.0])
     chk = check_gapped_subadditivity(
         F, GapSchedule.constant(1), ErrorSchedule.constant(5.0), 3
     )
@@ -188,14 +198,14 @@ def test_rho_absorbs_excess():
 
 
 def test_neg_inf_left_side_never_violates():
-    F = table_seq([0.0, 0.0, -np.inf, -np.inf])
+    F = table_schedule(RealSequence, [0.0, 0.0, -np.inf, -np.inf])
     chk = check_gapped_subadditivity(F, GapSchedule.zero(), ErrorSchedule.zero(), 4)
     assert chk.ok
 
 
 def test_finite_left_against_neg_inf_right_is_a_violation():
     # F_3 = -inf but F_6 finite: splitting 6 = 3 + 3 must flag +inf excess
-    F = table_seq([0.0, 0.0, -np.inf, 0.0, 0.0, 1.0])
+    F = table_schedule(RealSequence, [0.0, 0.0, -np.inf, 0.0, 0.0, 1.0])
     chk = check_gapped_subadditivity(F, GapSchedule.zero(), ErrorSchedule.zero(), 6)
     assert not chk.ok
     assert any(v.n == 3 and v.m == 3 and v.excess == np.inf for v in chk.violations)
@@ -205,14 +215,29 @@ def test_finite_left_against_neg_inf_right_is_a_violation():
 def test_an_overflowing_subtraction_keeps_its_violation(big):
     """F_3 = -big is finite and F_1 + F_2 = -inf, so (1, 2) violates; at 1e308
     F_3 - F_1 once overflowed to -inf, and -inf - (-inf) hid the pair as a nan."""
-    F = table_seq([big, -np.inf, -big])
+    F = table_schedule(RealSequence, [big, -np.inf, -big])
     chk = check_gapped_subadditivity(F, GapSchedule.zero(), ErrorSchedule.zero(), 3)
     assert chk.violation_count == 2
     assert [(v.n, v.m, v.excess) for v in chk.violations] == [(1, 2, np.inf), (2, 1, np.inf)]
 
 
+def test_an_overflowing_first_subtraction_is_taken_again():
+    """F_3 - F_1 overflows to +inf, but F_3 - (F_1 + F_2) = 5e307 is finite and
+    once was reported as +inf; F_2 - 2 F_1 = 3.5e308 is past the float range,
+    so (1, 1) keeps +inf.  A row's largest excess follows its recomputed entries."""
+    F = table_schedule(RealSequence, [-1e308, 1.5e308, 1e308])
+    chk = check_gapped_subadditivity(F, GapSchedule.zero(), ErrorSchedule.zero(), 3)
+    assert [(v.n, v.m, v.excess) for v in chk.violations] == [
+        (1, 1, np.inf), (1, 2, 5e307), (2, 1, 5e307)]
+    pre, zeros = np.asarray([1.5e308, -1e308, 1e308]), np.zeros(3)
+    found, total, top = split_scan(pre, lambda j, rows, m: pre[None, :m],
+                                   zeros.astype(np.int64), zeros, 1e-12, 10)
+    assert [(v.n, v.m, v.excess) for v in found] == [(1, 2, 5e307), (2, 1, 5e307)]
+    assert (total, top) == (2, 5e307)
+
+
 def test_check_cap():
-    F = sequence_from_spec({"name": "sqrt"})
+    F = RealSequence.from_json({"name": "sqrt"})
     with pytest.raises(CapExceededError):
         check_gapped_subadditivity(F, GapSchedule.zero(), ErrorSchedule.zero(), 6000)
     chk = check_gapped_subadditivity(
@@ -222,7 +247,7 @@ def test_check_cap():
 
 
 def test_max_report_truncates_but_counts_all():
-    F = sequence_from_spec({"name": "square"})
+    F = RealSequence.from_json({"name": "square"})
     chk = check_gapped_subadditivity(
         F, GapSchedule.zero(), ErrorSchedule.zero(), 40, max_report=7
     )
@@ -258,7 +283,7 @@ def _naive_check(Fv, sig, rh, tol):
     st.sampled_from([0.0, 0.5]),
 )
 def test_checker_agrees_with_naive_reference(vals, gap, rho_val):
-    F = table_seq(vals)
+    F = table_schedule(RealSequence, vals)
     sigma = GapSchedule.constant(gap)
     rho = ErrorSchedule.constant(rho_val)
     N = len(vals)
@@ -272,7 +297,7 @@ def test_checker_agrees_with_naive_reference(vals, gap, rho_val):
 
 
 def test_infimum_of_linear_sequence_hits_slope_at_one():
-    F = sequence_from_spec({"name": "linear", "params": {"slope": 2.5}})
+    F = RealSequence.from_json({"name": "linear", "params": {"slope": 2.5}})
     rep = fekete_infimum(F, GapSchedule.zero(), ErrorSchedule.zero(), 100)
     assert rep.infimum == 2.5
     assert rep.argmin_n == 1  # first attaining index
@@ -281,7 +306,7 @@ def test_infimum_of_linear_sequence_hits_slope_at_one():
 
 
 def test_infimum_with_gaps_matches_direct_formula():
-    F = sequence_from_spec(
+    F = RealSequence.from_json(
         {"name": "affine_sqrt", "params": {"slope": 3.0, "sqrt_coeff": 2.0}}
     )
     sigma = GapSchedule("ceil_log")
@@ -298,7 +323,7 @@ def test_infimum_with_gaps_matches_direct_formula():
 
 
 def test_infimum_neg_inf_case():
-    F = table_seq([0.0, -np.inf, -np.inf])
+    F = table_schedule(RealSequence, [0.0, -np.inf, -np.inf])
     rep = fekete_infimum(F, GapSchedule.zero(), ErrorSchedule.zero(), 3)
     assert rep.infimum == -np.inf
     assert rep.argmin_n == 2
@@ -307,7 +332,7 @@ def test_infimum_neg_inf_case():
 
 
 def test_limit_estimate_series():
-    F = sequence_from_spec({"name": "linear", "params": {"slope": 1.0}})
+    F = RealSequence.from_json({"name": "linear", "params": {"slope": 1.0}})
     est = fekete_limit_estimate(F, GapSchedule.zero(), ErrorSchedule.zero(), 1000, stride=300)
     assert est.series.ns.tolist() == [300, 600, 900, 1000]
     assert est.series.values.tolist() == [1.0, 1.0, 1.0, 1.0]
@@ -321,8 +346,8 @@ AFFINE_SQRT = {"name": "affine_sqrt", "params": {"slope": 3.0, "sqrt_coeff": 2.0
 
 def _whole_array_report(F, sigma, rho, N) -> FeketeReport:
     """The infimum as one pass over n = 1 .. N: the blocks must match it bit for bit."""
-    Fv = F.values(N)
     ns = np.arange(1, N + 1, dtype=np.int64)
+    Fv = F.values(ns)
     denom = (ns + sigma.values(ns)).astype(np.float64)
     ratios = (Fv + rho.values(ns)) / denom
     i = int(np.argmin(ratios))
@@ -345,11 +370,11 @@ def test_blocked_infimum_is_the_whole_array_one_bit_for_bit(B, monkeypatch):
     size = 3 * B + 5
     rng = np.random.default_rng(B)
     sequences = {
-        "affine_sqrt": sequence_from_spec(AFFINE_SQRT),
-        "log": sequence_from_spec({"name": "log", "params": {"scale": 1.5}}),
-        "table": table_seq(np.round(rng.normal(size=size) * 4.0).tolist()),
+        "affine_sqrt": RealSequence.from_json(AFFINE_SQRT),
+        "log": RealSequence.from_json({"name": "log", "params": {"scale": 1.5}}),
+        "table": table_schedule(RealSequence, np.round(rng.normal(size=size) * 4.0).tolist()),
         **{
-            f"neg_inf_from_{start}": sequence_from_spec(
+            f"neg_inf_from_{start}": RealSequence.from_json(
                 {"name": "neg_inf_from", "params": {"start": start, "slope": 0.5}}
             )
             for start in (B // 2 + 2, B, B + 1)
@@ -366,7 +391,7 @@ def test_blocked_infimum_is_the_whole_array_one_bit_for_bit(B, monkeypatch):
         "scaled_power": ErrorSchedule("scaled_power", {"alpha": 0.5, "scale": 2.0}),
         "table": table_schedule(ErrorSchedule, rng.uniform(0.0, 3.0, size=size).tolist()),
     }
-    lifted = sequence_from_spec(AFFINE_SQRT)
+    lifted = RealSequence.from_json(AFFINE_SQRT)
     for N in _horizons(B):
         for (fname, F), (gname, sigma) in itertools.product(sequences.items(), gaps.items()):
             rhos = {**errors, "gap_lift": gap_lift(lifted, sigma, probe_N=50)}
@@ -386,13 +411,13 @@ def test_blocked_infimum_keeps_argmins_rule_across_blocks(B, monkeypatch):
     vals = np.arange(1, N + 1, dtype=np.float64)
     for n in (B, B + 1, 3 * B + 2):
         vals[n - 1] = 0.5 * n
-    F = table_seq(vals.tolist())
+    F = table_schedule(RealSequence, vals.tolist())
     zero_gap, zero_error = GapSchedule.zero(), ErrorSchedule.zero()
     rep = fekete_infimum(F, zero_gap, zero_error, N)
     assert (rep.infimum, rep.argmin_n) == (0.5, B)
     assert repr(rep) == repr(_whole_array_report(F, zero_gap, zero_error, N))
 
-    F = sequence_from_spec({"name": "neg_inf_from", "params": {"start": 1}})
+    F = RealSequence.from_json({"name": "neg_inf_from", "params": {"start": 1}})
     rho = ErrorSchedule.from_function(lambda ns: np.where(ns >= B + 2, np.inf, 0.0))
     want = (ScheduleRangeError,
             f"error rule 'function' gives inf at n = {B + 2}; error values must be finite and >= 0")
@@ -406,11 +431,11 @@ def test_limit_series_is_the_prefix_at_the_grid_points(B, stride, monkeypatch):
     monkeypatch.setattr(schedules, "_INDEX_BLOCK", B)
     N = 3 * B + 5
     for spec in (AFFINE_SQRT, {"name": "neg_inf_from", "params": {"start": B + 1}}):
-        F = sequence_from_spec(spec)
+        F = RealSequence.from_json(spec)
         est = fekete_limit_estimate(F, GapSchedule("ceil_log"), ErrorSchedule.constant(50.0), N, stride)
         grid = est.series.ns
         assert grid[-1] == N
-        assert est.series.values.tobytes() == (F.values(N)[grid - 1] / grid).tobytes()
+        assert est.series.values.tobytes() == (F.values(np.arange(1, N + 1))[grid - 1] / grid).tobytes()
 
 
 def _raised(call) -> tuple[type, str] | None:
@@ -422,7 +447,7 @@ def _raised(call) -> tuple[type, str] | None:
 
 
 def _late(bad: float):
-    return RealSequence(lambda ns: np.where(ns == 25, bad, 1.0 * ns), name="late")
+    return RealSequence.from_function(lambda ns: np.where(ns == 25, bad, 1.0 * ns))
 
 
 def _rho_failing_from(n: int) -> ErrorSchedule:
@@ -444,8 +469,8 @@ def test_faults_raise_the_whole_pass_error(monkeypatch):
     monkeypatch.setattr(schedules, "_INDEX_BLOCK", 7)
     N = 30
     Fs = {
-        "ok": lambda: sequence_from_spec(AFFINE_SQRT),
-        "short-table": lambda: table_seq([1.0] * 20),
+        "ok": lambda: RealSequence.from_json(AFFINE_SQRT),
+        "short-table": lambda: table_schedule(RealSequence, [1.0] * 20),
         "late-nan": lambda: _late(np.nan),
         "late-plus-inf": lambda: _late(np.inf),
     }
@@ -469,7 +494,7 @@ def test_faults_raise_the_whole_pass_error(monkeypatch):
         want = _raised(lambda: _whole_array_report(F(), sigma, rho, N))
         assert (want is None) == (fname == sname == rname == "ok")
         if fname != "ok":
-            assert want == _raised(lambda: F().values(N))
+            assert want == _raised(lambda: F().values(np.arange(1, N + 1)))
         if (fname, sname) == ("ok", "short-table"):
             assert want == (ScheduleRangeError, "gap table covers n <= 20, asked for n = 21")
         if (fname, sname) == ("ok", "too-large-in-block-three"):
@@ -485,7 +510,7 @@ def test_an_overflowing_sum_is_refused_after_f_sigma_and_rho(monkeypatch):
     from n = 10, in block two; a short gap or error table fails in block
     three, and its error is raised first, as in one pass over 1 .. N."""
     monkeypatch.setattr(schedules, "_INDEX_BLOCK", 7)
-    F = sequence_from_spec({"name": "linear", "params": {"slope": 1e306}})
+    F = RealSequence.from_json({"name": "linear", "params": {"slope": 1e306}})
     sigmas = {"ok": GapSchedule.zero(), "short": table_schedule(GapSchedule, [0] * 20)}
     rhos = {"ok": ErrorSchedule.constant(1.7e308),
             "short": table_schedule(ErrorSchedule, [1.7e308] * 20)}
@@ -508,7 +533,7 @@ def test_an_overflowing_sum_is_refused_after_f_sigma_and_rho(monkeypatch):
 def test_limit_estimate_memory_does_not_grow_with_the_horizon(N):
     """One index block at a time: 3.7 MB traced at either horizon, where a
     whole-array pass held about 32 bytes per index (32 MB at 10^6)."""
-    F = sequence_from_spec(AFFINE_SQRT)
+    F = RealSequence.from_json(AFFINE_SQRT)
     tracemalloc.start()
     try:
         est = fekete_limit_estimate(F, GapSchedule("ceil_log"), ErrorSchedule.constant(50.0), N)
@@ -523,7 +548,7 @@ def test_limit_estimate_memory_does_not_grow_with_the_horizon(N):
 
 
 def test_gap_lift_rho_values():
-    F = sequence_from_spec({"name": "sqrt", "params": {"scale": 2.0}})
+    F = RealSequence.from_json({"name": "sqrt", "params": {"scale": 2.0}})
     sigma = GapSchedule("ceil_log")
     lifted = gap_lift(F, sigma, probe_N=64)
     # rho_n = max(F_{sigma_n}, 0); sigma_5 = ceil(log2 6) = 3 -> 2 sqrt(3)
@@ -534,18 +559,18 @@ def test_gap_lift_rho_values():
 
 def test_gap_lift_at_the_largest_gap_evaluates_f_at_the_gaps_alone():
     """A gap of 2**62 once built F_1 .. F_{2**62} and ended in a numpy ValueError."""
-    F = sequence_from_spec({"name": "sqrt"})
+    F = RealSequence.from_json({"name": "sqrt"})
     lifted = gap_lift(F, GapSchedule.constant(2**62), probe_N=32)
     assert lifted.values(np.arange(1, 4)).tolist() == [2.0**31] * 3
 
 
 def test_gap_lift_zero_gap_gives_zero_rho():
-    F = sequence_from_spec({"name": "sqrt"})
+    F = RealSequence.from_json({"name": "sqrt"})
     lifted = gap_lift(F, GapSchedule.zero(), probe_N=32)
     assert lifted.values(np.arange(1, 20)).tolist() == [0.0] * 19
 
 
 def test_gap_lift_refuses_superadditive_input():
-    F = sequence_from_spec({"name": "square"})
+    F = RealSequence.from_json({"name": "square"})
     with pytest.raises(GapLiftError, match=r"\(1, 1\)"):
         gap_lift(F, GapSchedule("ceil_log"), probe_N=50)

@@ -14,6 +14,7 @@ from gapsub import (
     ConvergenceSeries,
     ErrorSchedule,
     GapSchedule,
+    RealSequence,
     ScheduleRangeError,
     SchemaError,
     ValidationError,
@@ -97,6 +98,17 @@ def test_gap_json_round_trip():
     assert s2 == s
     with pytest.raises(ConfigError):
         GapSchedule.from_json({"params": {}})
+    # every kind round-trips, a sequence under its "name" field
+    kinds = [s, ErrorSchedule("scaled_power", {"alpha": 0.5, "scale": 2.0}),
+             RealSequence("affine_sqrt", {"slope": 3.0, "sqrt_coeff": 2.0}),
+             table_schedule(RealSequence, [1.5, -math.inf])]
+    for s in kinds:
+        assert type(s).from_json(s.to_json()) == s
+    assert kinds[2].to_json() == {"name": "affine_sqrt", "params": {"slope": 3.0, "sqrt_coeff": 2.0}}
+    # and a function-backed one of each kind refuses to_json
+    for cls in (GapSchedule, ErrorSchedule, RealSequence):
+        with pytest.raises(ConfigError, match=f"^function-backed {cls.__name__} is not serializable$"):
+            cls.from_function(lambda ns: ns).to_json()
 
 
 # -------------------------------------------------------------- error rules

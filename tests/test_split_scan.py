@@ -17,9 +17,9 @@ from gapsub import (
     IIDMeasure,
     MarkovMeasure,
     MixtureMeasure,
+    RealSequence,
     check_trajectory_subadditivity,
     sample_trajectory,
-    sequence_from_spec,
 )
 from gapsub import fekete, measures
 from gapsub.fekete import _scan_blocks, split_scan
@@ -58,15 +58,15 @@ def test_rows_with_neg_inf_on_both_sides():
     assert got == want
     assert got[1] > 0 and np.frombuffer(got[2])[0] == np.inf  # finite against -inf
     # every value -inf from n = 3 on: rows of nan only, no defined excess in most
-    Fv = sequence_from_spec({"name": "neg_inf_from", "params": {"start": 3}}).values(60)
+    Fv = RealSequence.from_json({"name": "neg_inf_from", "params": {"start": 3}}).values(np.arange(1, 61))
     got, want = _schedules(Fv, GapSchedule.zero(), ErrorSchedule.zero())
     assert got == want
 
 
 def test_more_violations_than_the_report_holds():
-    Fv = sequence_from_spec(
+    Fv = RealSequence.from_json(
         {"name": "affine_sqrt", "params": {"slope": 3.0, "sqrt_coeff": 2.0}}
-    ).values(400)
+    ).values(np.arange(1, 401))
     got, want = _schedules(Fv, GapSchedule("ceil_log"), ErrorSchedule.zero())
     assert got == want
     assert len(got[0]) == 200 and got[1] > 200
@@ -154,7 +154,7 @@ def test_a_zero_largest_excess_keeps_its_sign(seed):
     rng = np.random.default_rng([seed, 2])
     N = int(rng.integers(40, 200))
     values = np.where(rng.random(N) < 0.5, -0.0, 0.0).tolist()
-    Fv = sequence_from_spec({"name": "table", "params": {"values": values}}).values(N)
+    Fv = RealSequence.from_json({"name": "table", "params": {"values": values}}).values(np.arange(1, N + 1))
     assert np.signbit(Fv).any() and not np.signbit(Fv).all()
     rh = np.zeros(N)
     rh[: rng.integers(1, 20)] = 1.0
