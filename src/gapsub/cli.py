@@ -47,6 +47,7 @@ from .errors import (
     ValidationError,
     known_keys,
     param,
+    pointed,
     schema_errors,
 )
 from .estimators import (
@@ -263,10 +264,16 @@ def _over_cap(value: int, cap: int, what: str, pointer: str) -> None:
         raise CapExceededError(f"{what.format(value)} exceeds cap {cap}", pointer)
 
 
+def _kernel_bound(a: dict) -> float:
+    """The kernel bound of the measure at tau; a refusal points at the measure's field."""
+    with pointed("/measure", ValidationError):
+        return a["measure"].kernel_bound(a["tau"])
+
+
 def _rho_const(a: dict) -> float:
     """rho_const if given, else the kernel bound of the measure at tau, clipped at 0."""
     if a["rho_const"] is None:
-        return max(a["measure"].kernel_bound(a["tau"]), 0.0)
+        return max(_kernel_bound(a), 0.0)
     return a["rho_const"]
 
 
@@ -320,13 +327,15 @@ def _run_sample(a: dict) -> dict:
 
 
 def _path_estimate(estimate, P: ShiftMeasure, Q: ShiftMeasure, a: dict):
-    """(est, est.to_json()) of estimate(P, Q, ...) on the N, offset, grid and seed of a."""
+    """(est, est.to_json()) of estimate(P, Q, ...) on the N, offset, grid and seed of a.
+
+    Measures on two alphabets are refused at the second measure's key."""
     N, offset = a["N"], a["offset"]
     _over_cap(N + offset, _HORIZON_CAP, _PATH, "/N")
-    est = estimate(
-        P, Q, N, a["seed"], grid=_grid_from_spec(a["grid"], N), offset=offset,
-        assume_decoupled=a["assume_decoupled"],
-    )
+    grid = _grid_from_spec(a["grid"], N)
+    with pointed("/q" if "q" in a else "/sample_from", ConfigError):
+        est = estimate(P, Q, N, a["seed"], grid=grid, offset=offset,
+                       assume_decoupled=a["assume_decoupled"])
     return est, est.to_json()
 
 
@@ -364,10 +373,10 @@ def _run_estimate_mean(a: dict) -> dict:
     P, Q, N, trials = a["p"], a["q"], a["N"], a["trials"]
     _over_cap(trials * N, _HORIZON_CAP, f"a draw of {{}} symbols ({trials} trials of {N})",
               "/trials")
-    res = mean_convergence_series(
-        P, Q, N, trials, a["seed"], grid=_grid_from_spec(a["grid"], N),
-        assume_decoupled=a["assume_decoupled"],
-    )
+    grid = _grid_from_spec(a["grid"], N)
+    with pointed("/q", ConfigError):
+        res = mean_convergence_series(P, Q, N, trials, a["seed"], grid=grid,
+                                      assume_decoupled=a["assume_decoupled"])
     summary = res.to_json()
     summary["oracles"] = _oracle_rates(P, Q)
     return {
@@ -379,15 +388,16 @@ def _run_estimate_mean(a: dict) -> dict:
 
 def _run_decouple_audit(a: dict) -> dict:
     _over_cap(a["n_max"], _ENTRY_CAP, "n_max {}", "/n_max")
-    report = minimal_decoupling_constants(
-        a["measure"], a["n_max"], a["m_max"], a["tau"], cap=a["cap"]
-    )
+    with pointed("/cap", CapExceededError):
+        report = minimal_decoupling_constants(
+            a["measure"], a["n_max"], a["m_max"], a["tau"], cap=a["cap"]
+        )
     return {"report.json": report.to_json()}
 
 
 def _run_decouple_bound(a: dict) -> dict:
     Q, tau = a["measure"], a["tau"]
-    c = Q.kernel_bound(tau)
+    c = _kernel_bound(a)
     return {
         "bound.json": {
             "measure": Q.label,
@@ -412,7 +422,7 @@ def _run_steele(a: dict) -> dict:
     if limit_value is None:
         h = Q.entropy_rate()
         if h is None:
-            raise ConfigError(f"pass --limit: {Q.label} has no closed-form entropy rate")
+            raise ConfigError(f"pass --limit: {Q.label} has no closed-form entropy rate", "/limit")
         limit_value = -h
     x = sample_trajectory(Q, n + K * r, a["seed"], stream=a["stream"])
     ctx = trajectory_context(
@@ -454,7 +464,8 @@ def _run_traj_check(a: dict) -> dict:
 
 def _run_validate_measure(a: dict) -> dict:
     Q = a["measure"]
-    report = validate_measure(Q, n_max=a["n_max"], tol=a["tol"], cap=a["cap"])
+    with pointed("/n_max", CapExceededError):  # the largest level is refused first
+        report = validate_measure(Q, n_max=a["n_max"], tol=a["tol"], cap=a["cap"])
     out = report.to_json()
     out["measure"] = Q.label
     if not report.ok:

@@ -92,6 +92,17 @@ def schema_errors(prefix: str = ""):
         raise SchemaError(exc.message, prefix + exc.pointer) from exc
 
 
+@contextlib.contextmanager
+def pointed(prefix: str, kind: type[GapsubError] = GapsubError):
+    """Prefix the pointer of a kind error raised inside, keeping its class
+    and exit code; one that names no field gets prefix as its pointer."""
+    try:
+        yield
+    except kind as exc:
+        exc.pointer = prefix + exc.pointer
+        raise
+
+
 def finite(value: numbers.Real) -> bool:
     """Whether value is finite as a Python float; an int beyond the float range is not.
 

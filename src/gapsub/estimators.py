@@ -80,7 +80,7 @@ def _resolve_decoupling(P: ShiftMeasure, Q: ShiftMeasure, assume_decoupled: bool
             certificate = {"source": "kernel", "constant": Q.kernel_bound(0), "tau": 0}
         except ValidationError as exc:
             raise DecouplingFailure(
-                f"no decoupling certificate for {Q.label} ({exc}); pass "
+                f"no decoupling certificate for {Q.label} ({exc.message}); pass "
                 "--assume-decoupled (library: assume_decoupled=True)"
             ) from exc
     if P.alphabet.size != Q.alphabet.size:

@@ -277,35 +277,23 @@ def fekete_infimum(
     where it overflows.  F_N comes from the last block.
 
     The errors are those of the whole pass, which checks F_1 .. F_N, then
-    sigma_1 .. sigma_N, then rho_1 .. rho_N, then F_n + rho_n: each stage
-    keeps its first error, which names the first n that fails, and an
-    earlier stage's is raised before a later one's once F has passed every
-    block.  A block stops at its first failing stage.
+    sigma_1 .. sigma_N, then rho_1 .. rho_N, then F_n + rho_n: a block
+    evaluates its terms straight through, and the first error sends the
+    walk to _raise_whole_pass_error.
     """
     _check_horizon(N)
     arg, inf_val = 0, math.inf
-    faults: list[Exception | None] = [None, None, None]  # the first error of each stage
-    for ns in index_blocks(N):
-        Fv = F.values(ns)
-        terms = []  # n + sigma_n, rho_n, then F_n + rho_n
-        stages = (lambda: ns + sigma.values(ns), lambda: rho.values(ns),
-                  lambda: _plus_error(F, Fv, terms[1], ns))
-        try:
-            for i, stage in enumerate(stages):
-                if faults[i] is not None:
-                    break
-                terms.append(stage())
-        except Exception as exc:
-            faults[i] = exc
-        if len(terms) < 3:
-            continue
-        del terms[1]  # rho_n, summed into F_n + rho_n: freed before the ratios are formed
-        ratios = terms[1] / terms[0]  # the int64 sums cast to float64 as they are divided
-        i = int(np.argmin(ratios))
-        if arg == 0 or ratios[i] < inf_val:
-            arg, inf_val = int(ns[i]), float(ratios[i])
-    for fault in filter(None, faults):
-        raise fault
+    try:
+        for ns in index_blocks(N):
+            Fv = F.values(ns)
+            gaps = ns + sigma.values(ns)
+            # the int64 sums cast to float64 as they are divided
+            ratios = _plus_error(F, Fv, rho.values(ns), ns) / gaps
+            i = int(np.argmin(ratios))
+            if arg == 0 or ratios[i] < inf_val:
+                arg, inf_val = int(ns[i]), float(ratios[i])
+    except Exception as fault:
+        _raise_whole_pass_error(F, sigma, rho, N, fault)
     proxy = float(Fv[-1] / N)
     if inf_val == -np.inf and proxy == -np.inf:
         gap = 0.0
@@ -314,6 +302,21 @@ def fekete_infimum(
     return FeketeReport(
         infimum=inf_val, argmin_n=arg, limit_proxy=proxy, gap=float(gap), horizon=N
     )
+
+
+def _raise_whole_pass_error(
+    F: RealSequence, sigma: GapSchedule, rho: ErrorSchedule, N: int, fault: Exception
+) -> None:
+    """Raise the error of one pass over n = 1 .. N: each stage (F, sigma, rho,
+    then F_n + rho_n) runs over every block before the next, so its first
+    error names the first n that fails; fault, a blocked walk's first error,
+    if no stage fails."""
+    stages = (F.values, sigma.values, rho.values,
+              lambda ns: _plus_error(F, F.values(ns), rho.values(ns), ns))
+    for stage in stages:
+        for ns in index_blocks(N):
+            stage(ns)
+    raise fault
 
 
 @dataclasses.dataclass(frozen=True)

@@ -11,15 +11,15 @@ Every family evaluates along a path through one interface:
 prefix_logprobs(x) gives log Q_n(x_1..x_n) for every n, and windows(x)
 gives f_m at offset j, log Q_m(x_{j+1}..x_{j+m}), for any j and m.
 prefix_logprobs and log_increments also take a (paths, n) array and
-evaluate each row as a path, each row bit for bit as on its own.  iid
-and Markov prefixes are running sums of exact per-symbol increments
-(np.cumsum along the path, which matches a sequential left-to-right sum
-bit for bit) and their windows are differences of prefix sums.  Their
-increments are gathered a column block of at most _GATHER_ENTRIES terms
-at a time (_increment_blocks), which lets a series stream them.
-Hidden-Markov prefixes and windows run one forward recursion with a row
-per offset or per path, and mixtures take the log-sum-exp of their
-component values.
+evaluate each row as a path, each row bit for bit as on its own, after
+one check of its symbols (checked_symbols).  iid and Markov prefixes are
+running sums of exact per-symbol increments (np.cumsum along the path,
+which matches a sequential left-to-right sum bit for bit) and their
+windows are differences of prefix sums.  Their increments are gathered
+a column block of at most _GATHER_ENTRIES terms at a time
+(_increment_blocks), which lets a series stream them.  Hidden-Markov
+prefixes and windows run one forward recursion with a row per offset or
+per path, and mixtures take the log-sum-exp of their component values.
 """
 from __future__ import annotations
 
@@ -34,7 +34,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
-    CapExceededError, ConfigError, ValidationError, finite, known_keys, schema_errors
+    CapExceededError, ConfigError, ValidationError, finite, known_keys, pointed, schema_errors
 )
 from .logspace import _NEG_MAX, log_sum_exp, log_sum_exp_into, safe_log
 
@@ -60,6 +60,21 @@ def integer_array(a: np.ndarray, error: type[Exception], what: str) -> np.ndarra
     return a.astype(np.int64, copy=False)
 
 
+def checked_symbols(x, size: int, paths: bool = False) -> np.ndarray:
+    """x as int64 symbols in [0, size): the one symbol check, of a nonempty 1-d
+    word or, with paths, also of a nonempty (paths, n) array, one path per row."""
+    w = np.asarray(x)
+    if paths and w.ndim == 2:
+        if w.size == 0:
+            raise ValidationError("paths are a nonempty 2-d symbol array, one path per row")
+    elif w.ndim != 1 or w.size == 0:
+        raise ValidationError("a word is a nonempty 1-d symbol array")
+    w = integer_array(w, ValidationError, "symbols")
+    if w.min() < 0 or w.max() >= size:
+        raise ValidationError(f"symbols must lie in [0, {size})")
+    return w
+
+
 @dataclasses.dataclass(frozen=True)
 class Alphabet:
     """Finite alphabet {0, ..., size - 1}."""
@@ -70,26 +85,12 @@ class Alphabet:
         if self.size < 2:
             raise ConfigError("alphabet needs at least two symbols")
 
-    def validate_word(self, word: np.ndarray) -> np.ndarray:
-        w = np.asarray(word)
-        if w.ndim != 1 or w.size == 0:
-            raise ValidationError("a word is a nonempty 1-d symbol array")
-        return self._in_range(w)
+    def validate_word(self, word) -> np.ndarray:
+        return checked_symbols(word, self.size)
 
     def validate_paths(self, paths) -> np.ndarray:
         """A word, or a (paths, n) array with one path per row, as int64 symbols."""
-        w = np.asarray(paths)
-        if w.ndim != 2:
-            return self.validate_word(w)
-        if w.size == 0:
-            raise ValidationError("paths are a nonempty 2-d symbol array, one path per row")
-        return self._in_range(w)
-
-    def _in_range(self, w: np.ndarray) -> np.ndarray:
-        w = integer_array(w, ValidationError, "symbols")
-        if w.min() < 0 or w.max() >= self.size:
-            raise ValidationError(f"symbols must lie in [0, {self.size})")
-        return w
+        return checked_symbols(paths, self.size, paths=True)
 
     def word_count(self, n: int) -> int:
         return self.size**n
@@ -231,7 +232,7 @@ def _kernel_bound(pi: np.ndarray, A: np.ndarray, stationary: bool, tau: int) -> 
     c exact when a kernel row equals pi, as for an iid process, where it is 0.
     """
     if not stationary:
-        raise ValidationError("kernel bound needs the stationary start")
+        raise ValidationError("kernel bound needs the stationary start", "/start")
     if tau < 0:
         raise ConfigError("gap must be >= 0")
     if (pi <= 0).any():
@@ -243,9 +244,11 @@ def _kernel_bound(pi: np.ndarray, A: np.ndarray, stationary: bool, tau: int) -> 
 class ShiftMeasure(abc.ABC):
     """Common contract for measure families.
 
-    Subclasses provide exact log-prefixes and windows along a path, level
-    states that enumerate every word of a length, and forward sampling.
-    Log-marginals take values in [-inf, inf).
+    prefix_logprobs, log_increments and windows check the symbols of a path
+    once and evaluate the checked array w through _prefixes, _increments and
+    _windows, which run no check (a mixture calls its components' directly).
+    Subclasses provide these, level states that enumerate every word of a
+    length, and forward sampling.  Log-marginals take values in [-inf, inf).
     """
 
     alphabet: Alphabet
@@ -254,17 +257,13 @@ class ShiftMeasure(abc.ABC):
     @abc.abstractmethod
     def label(self) -> str: ...
 
-    @abc.abstractmethod
     def prefix_logprobs(self, x) -> np.ndarray:
         """[log Q_1(x_1), log Q_2(x_1 x_2), ..., log Q_n(x_1..x_n)].
 
         x is one path, or a (paths, n) array whose rows are paths; the
         result then has one row per path.
         """
-
-    @abc.abstractmethod
-    def windows(self, x) -> "Windows":
-        """Window log-marginals along the path x."""
+        return self._prefixes(self.alphabet.validate_paths(x))
 
     def log_increments(self, x) -> np.ndarray:
         """Per-symbol increments of prefix_logprobs(x), along each path.
@@ -272,22 +271,35 @@ class ShiftMeasure(abc.ABC):
         The first -inf marks the first prefix of probability zero;
         entries after it carry no information.
         """
+        return self._increments(self.alphabet.validate_paths(x))
+
+    def windows(self, x) -> "Windows":
+        """Window log-marginals along the path x."""
+        return self._windows(self.alphabet.validate_word(x))
+
+    @abc.abstractmethod
+    def _prefixes(self, w: np.ndarray) -> np.ndarray: ...
+
+    def _increments(self, w: np.ndarray) -> np.ndarray:
         with np.errstate(invalid="ignore"):
-            return np.diff(self.prefix_logprobs(x), axis=-1, prepend=0.0)
+            return np.diff(self._prefixes(w), axis=-1, prepend=0.0)
+
+    @abc.abstractmethod
+    def _windows(self, w: np.ndarray) -> "Windows": ...
 
     def _increment_blocks(self, w: np.ndarray, width: int, out: np.ndarray | None = None):
         """Yield (lo, block): the log_increments of the checked (paths, n)
         array w in columns lo .. lo + block.shape[1] - 1.
 
         A block is valid until the next yield.  Families whose increments
-        are exact per-symbol terms (iid, Markov) gather blocks of at most
-        width columns, into views of out (the whole (paths, n) result) when
-        it is given, else into one reused buffer; their log_increments
-        drains the blocks into out.  Any other family evaluates the
-        increments whole, as one fresh block, whose cost is its forward
-        recursion rather than memory.
+        are exact per-symbol terms (_TermMeasure: iid, Markov) gather
+        blocks of at most width columns, into views of out (the whole
+        (paths, n) result) when it is given, else into one reused buffer,
+        and drain them into out for their increments.  Any other family
+        evaluates the increments whole, as one fresh block, whose cost is
+        its forward recursion rather than memory.
         """
-        yield 0, self.log_increments(w)
+        yield 0, self._increments(w)
 
     def log_marginal(self, word) -> float:
         """log Q_n(word) for a length-n symbol array."""
@@ -404,16 +416,6 @@ def _column_blocks(shape: tuple[int, int], width: int, out: np.ndarray | None):
     for lo in range(0, n, width):
         hi = min(lo + width, n)
         yield lo, hi, out[:, lo:hi] if buf is None else buf[: rows * (hi - lo)].reshape(rows, -1)
-
-
-def _drain_blocks(Q: "ShiftMeasure", w: np.ndarray) -> np.ndarray:
-    """Q's increments of the checked word or paths w, gathered block by
-    block into one array of w's shape."""
-    rows = w.reshape(-1, w.shape[-1])
-    out = np.empty(rows.shape)
-    for _ in Q._increment_blocks(rows, max(1, _GATHER_ENTRIES // rows.shape[0]), out):
-        pass
-    return out.reshape(w.shape)
 
 
 class Windows(abc.ABC):
@@ -570,7 +572,7 @@ class _MixtureWindows(Windows):
     def __init__(self, Q: "MixtureMeasure", x: np.ndarray):
         super().__init__(x.size)
         self._Q = Q
-        self._parts = [c.windows(x) for c in Q.components]
+        self._parts = [c._windows(x) for c in Q.components]
 
     def _many(self, js: np.ndarray, m: int) -> np.ndarray:
         return self._Q._mix([w._many(js, m) for w in self._parts])
@@ -702,7 +704,22 @@ def _chain_pass(cum_start: np.ndarray, cum_rows: np.ndarray, U: np.ndarray, x: n
         np.subtract(ends, ids[::k, None], out=x[:, lo:lo + W])  # ids back to states
 
 
-class IIDMeasure(ShiftMeasure):
+class _TermMeasure(ShiftMeasure):
+    """A family whose increments are exact per-symbol terms (iid, Markov):
+    gathered block by block from _increment_blocks, and summed into prefixes."""
+
+    def _increments(self, w: np.ndarray) -> np.ndarray:
+        rows = w.reshape(-1, w.shape[-1])
+        out = np.empty(rows.shape)
+        for _ in self._increment_blocks(rows, max(1, _GATHER_ENTRIES // rows.shape[0]), out):
+            pass
+        return out.reshape(w.shape)
+
+    def _prefixes(self, w: np.ndarray) -> np.ndarray:
+        return np.cumsum(self._increments(w), axis=-1)
+
+
+class IIDMeasure(_TermMeasure):
     """Product measure with a fixed symbol law p."""
 
     def __init__(self, p):
@@ -715,19 +732,13 @@ class IIDMeasure(ShiftMeasure):
     def label(self) -> str:
         return f"iid(k={self.alphabet.size})"
 
-    def log_increments(self, x) -> np.ndarray:
-        return _drain_blocks(self, self.alphabet.validate_paths(x))
-
     def _increment_blocks(self, w: np.ndarray, width: int, out: np.ndarray | None = None):
         for lo, hi, block in _column_blocks(w.shape, width, out):
             np.take(self.log_p, w[:, lo:hi], out=block, mode="clip")
             yield lo, block
 
-    def prefix_logprobs(self, x) -> np.ndarray:
-        return np.cumsum(self.log_increments(x), axis=-1)
-
-    def windows(self, x) -> Windows:
-        return _PrefixSumWindows(self.log_increments(x))
+    def _windows(self, w: np.ndarray) -> Windows:
+        return _PrefixSumWindows(self._increments(w))
 
     def _level_start(self) -> np.ndarray:
         return self.log_p.copy()
@@ -750,7 +761,7 @@ class IIDMeasure(ShiftMeasure):
         return x
 
 
-class MarkovMeasure(ShiftMeasure):
+class MarkovMeasure(_TermMeasure):
     """Stationary finite Markov chain, or one started off-equilibrium.
 
     The default start is the unique stationary law, making the process
@@ -773,10 +784,6 @@ class MarkovMeasure(ShiftMeasure):
         tag = "" if self.stationary_start else ", non-invariant start"
         return f"markov(k={self.alphabet.size}{tag})"
 
-    def log_increments(self, x) -> np.ndarray:
-        """Start term, then one transition term per step."""
-        return _drain_blocks(self, self.alphabet.validate_paths(x))
-
     def _increment_blocks(self, w: np.ndarray, width: int, out: np.ndarray | None = None):
         # one gather at flat indices, twice as fast as indexing by two
         # arrays, built in one reused index buffer; column 0's index is a
@@ -795,12 +802,8 @@ class MarkovMeasure(ShiftMeasure):
                 block[:, 0] = self.log_start[w[:, 0]]
             yield lo, block
 
-    def prefix_logprobs(self, x) -> np.ndarray:
-        return np.cumsum(self.log_increments(x), axis=-1)
-
-    def windows(self, x) -> Windows:
-        w = self.alphabet.validate_word(x)
-        steps = self.log_increments(w)
+    def _windows(self, w: np.ndarray) -> Windows:
+        steps = self._increments(w)
         steps[0] = 0.0
         return _PrefixSumWindows(steps, head=self.log_start[w])
 
@@ -1027,15 +1030,14 @@ class HiddenMarkovMeasure(ShiftMeasure):
             return out
         return log_sum_exp(np.array([alpha]), axis=1)
 
-    def prefix_logprobs(self, x) -> np.ndarray:
+    def _prefixes(self, w: np.ndarray) -> np.ndarray:
         # one forward row per path, each reading its own stretch of the ravel
-        w = self.alphabet.validate_paths(x)
         n = w.shape[-1]
         js = np.arange(0, w.size, n, dtype=np.int64)
         return self._forward(w.ravel(), js, n, table=True).reshape(w.shape)
 
-    def windows(self, x) -> Windows:
-        return _ForwardWindows(self, self.alphabet.validate_word(x))
+    def _windows(self, w: np.ndarray) -> Windows:
+        return _ForwardWindows(self, w)
 
     def _guard_level(self, n: int, cap: int) -> None:
         if _words_over_cap(self.alphabet.size, n, cap // self.hidden_size):
@@ -1128,12 +1130,11 @@ class MixtureMeasure(ShiftMeasure):
             np.stack([lw + v for lw, v in zip(self.log_weights, values)]), axis=0
         )
 
-    def prefix_logprobs(self, x) -> np.ndarray:
-        w = self.alphabet.validate_paths(x)
-        return self._mix([c.prefix_logprobs(w) for c in self.components])
+    def _prefixes(self, w: np.ndarray) -> np.ndarray:
+        return self._mix([c._prefixes(w) for c in self.components])
 
-    def windows(self, x) -> Windows:
-        return _MixtureWindows(self, self.alphabet.validate_word(x))
+    def _windows(self, w: np.ndarray) -> Windows:
+        return _MixtureWindows(self, w)
 
     def _guard_level(self, n: int, cap: int) -> None:
         super()._guard_level(n, cap)
@@ -1157,8 +1158,14 @@ class MixtureMeasure(ShiftMeasure):
         return self._mix([c._level_totals(s) for c, s in zip(self.components, state)])
 
     def kernel_bound(self, tau: int) -> float:
-        """max_c (c_c - log w_c): the hidden chain is block-diagonal with start w_c pi_c."""
-        return float(max(c.kernel_bound(tau) - lw for c, lw in zip(self.components, self.log_weights)))
+        """max_c (c_c - log w_c): the hidden chain is block-diagonal with start w_c pi_c.
+
+        A component's refusal points into its entry of /components."""
+        bounds = []
+        for i, (c, lw) in enumerate(zip(self.components, self.log_weights)):
+            with pointed(f"/components/{i}", ValidationError):
+                bounds.append(c.kernel_bound(tau) - lw)
+        return float(max(bounds))
 
     def _sample_rows(self, n: int, rngs: Sequence[np.random.Generator]) -> np.ndarray:
         """Each generator draws its component, then the component's path.

@@ -20,9 +20,9 @@ import dataclasses
 
 import numpy as np
 
-from .errors import ConfigError, ValidationError
+from .errors import ConfigError
 from . import measures
-from .measures import ShiftMeasure, integer_array
+from .measures import ShiftMeasure, checked_symbols, integer_array
 from .schedules import ConvergenceSeries, geometric_grid
 
 
@@ -35,19 +35,13 @@ def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
 
 @dataclasses.dataclass(frozen=True)
 class Trajectory:
-    """A finite symbol path on the alphabet {0, ..., alphabet_size - 1}."""
+    """A finite path of symbols in {0, ..., alphabet_size - 1}, checked by checked_symbols."""
 
     symbols: np.ndarray
     alphabet_size: int
 
     def __post_init__(self):
-        sym = np.asarray(self.symbols)
-        if sym.ndim != 1 or sym.size == 0:
-            raise ValidationError("trajectory needs a nonempty 1-d symbol array")
-        sym = integer_array(sym, ValidationError, "trajectory symbols")
-        object.__setattr__(self, "symbols", sym)
-        if sym.min() < 0 or sym.max() >= self.alphabet_size:
-            raise ValidationError("trajectory symbols out of alphabet range")
+        object.__setattr__(self, "symbols", checked_symbols(self.symbols, self.alphabet_size))
 
     def __len__(self) -> int:
         return int(self.symbols.size)

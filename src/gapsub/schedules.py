@@ -150,14 +150,6 @@ class _Schedule:
         return args
 
     @classmethod
-    def zero(cls):
-        return cls.constant(0)
-
-    @classmethod
-    def constant(cls, value):
-        return cls("constant", {"value": cls._kind(value)})
-
-    @classmethod
     def from_function(cls, fn: Callable[[np.ndarray], np.ndarray]):
         return cls("function", {}, fn=fn)
 
@@ -203,8 +195,20 @@ class _Schedule:
             return cls(obj[cls._field], dict(params))
 
 
+class _NonnegativeSchedule(_Schedule):
+    """A kind with a "constant" rule, a gap or an error schedule, and its constructors."""
+
+    @classmethod
+    def zero(cls):
+        return cls.constant(0)
+
+    @classmethod
+    def constant(cls, value):
+        return cls("constant", {"value": cls._kind(value)})
+
+
 @dataclasses.dataclass(frozen=True)
-class GapSchedule(_Schedule):
+class GapSchedule(_NonnegativeSchedule):
     """Nonnegative integer schedule n -> sigma_n.
 
     rule is one of "constant", "ceil_power" (ceil(scale * n**alpha) with
@@ -230,7 +234,7 @@ class GapSchedule(_Schedule):
 
 
 @dataclasses.dataclass(frozen=True)
-class ErrorSchedule(_Schedule):
+class ErrorSchedule(_NonnegativeSchedule):
     """Nonnegative real schedule n -> rho_n.
 
     Closed-form rules: "constant", "scaled_power" (scale * n**alpha with

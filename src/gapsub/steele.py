@@ -440,15 +440,15 @@ def trajectory_context(
     into a ProofContext as its rho(js, n), next to this f.  Log-marginals
     decrease under extension, so the sigma_1 = 0 requirement is waived.
     """
-    symbols = x.symbols if isinstance(x, Trajectory) else Q.alphabet.validate_word(x)
+    wl = Q.windows(x.symbols if isinstance(x, Trajectory) else x)
     ctx = ProofContext(
-        f=Q.windows(symbols).many,
+        f=wl.many,
         limit_value=float(limit_value),
         sigma=sigma,
         r=int(r),
         K=int(K),
         eps=float(eps),
-        horizon=int(symbols.size),
+        horizon=wl.size,
         rho=lambda js, n: np.full(js.shape, at_depth[n] if n in at_depth else rho.value(n)),
         assume_shift_monotone=True,
     )

@@ -297,7 +297,8 @@ def test_cli_decouple_bound_covers_hmm_and_mixture(tmp_path, spec, tau):
 def test_cli_decouple_bound_refuses_a_non_invariant_start(tmp_path, capsys):
     m = write_json(tmp_path, "m.json", UNCERTIFIED_HMM_SPEC)
     assert main(["decouple", "bound", "--measure", m, "--outdir", str(tmp_path / "o")]) == 3
-    assert "kernel bound needs the stationary start" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"validation: /start: kernel bound needs the stationary start (--measure {m})" in err
 
 
 def test_cli_iid_with_a_zero_symbol_is_certified(tmp_path):
@@ -386,8 +387,58 @@ def test_steele_run_without_a_closed_form_needs_limit(tmp_path, capsys, spec):
             "--eps", "0.1", "--seed", "1", "--outdir", str(tmp_path / "o")]
     assert main(argv) == 2
     err = capsys.readouterr().err
-    assert f"error: pass --limit: {measure_from_spec(spec).label} has no closed-form" in err
+    assert f"error: /limit: pass --limit: {measure_from_spec(spec).label} has no closed-form" in err
     assert main(argv + ["--limit", "-0.6"]) == 0
+
+
+_STEELE_ARGS = ["--n", "40", "--r", "2", "--K", "2", "--eps", "0.1", "--seed", "1"]
+_NO_STATIONARY_START = "validation: /start: kernel bound needs the stationary start (--measure {bad})"
+_TWO_ALPHABETS = "error: measures must share one alphabet (--q {three})"
+_THREE_SYMBOLS = {"family": "iid", "p": [0.2, 0.3, 0.5]}
+
+
+@pytest.mark.parametrize("argv, code, line", [
+    (["steele", "run", "--measure", "{hmm}", *_STEELE_ARGS], 2,
+     "error: /limit: pass --limit: hmm(hidden=2, k=2) has no closed-form entropy rate"),
+    (["decouple", "audit", "--measure", "{chain}", "--n-max", "10", "--m-max", "10",
+      "--cap", "100"], 4, "cap: /cap: audit needs 1048576 words at length 20, cap is 100"),
+    (["validate", "--file", "{chain}", "--semantic", "--n-max", "40"], 4,
+     "cap: /n_max: level 40 needs 1099511627776 words, cap is 10000000"),
+    (["decouple", "check", "--measure", "{bad}", "--N", "20", "--seed", "1"], 3,
+     _NO_STATIONARY_START),
+    (["decouple", "bound", "--measure", "{bad}"], 3, _NO_STATIONARY_START),
+    (["steele", "run", "--measure", "{bad}", *_STEELE_ARGS, "--limit", "-0.6"], 3,
+     _NO_STATIONARY_START),
+    (["decouple", "bound", "--measure", "{mixture}"], 3,
+     "validation: /components/1/start: kernel bound needs the stationary start "
+     "(--measure {mixture})"),
+    (["estimate", "cross", "--p", "{chain}", "--q", "{three}", "--N", "50", "--seed", "1"], 2,
+     _TWO_ALPHABETS),
+    (["estimate", "relent", "--p", "{chain}", "--q", "{three}", "--N", "50", "--seed", "1"], 2,
+     _TWO_ALPHABETS),
+    (["estimate", "mean", "--p", "{chain}", "--q", "{three}", "--N", "50", "--trials", "2",
+      "--seed", "1"], 2, _TWO_ALPHABETS),
+    (["series", "--measure", "{three}", "--sample-from", "{chain}", "--N", "50", "--seed", "1"],
+     2, "error: measures must share one alphabet (--sample-from {chain})"),
+    (["rerun", "--manifest", "{manifest}"], 2,
+     "error: /config/params/q: measures must share one alphabet"),
+], ids=["steele-limit", "audit-cap", "validate-n-max", "check-start", "bound-start",
+        "steele-start", "bound-component-start", "cross-alphabets", "relent-alphabets",
+        "mean-alphabets", "series-alphabets", "rerun-alphabets"])
+def test_each_refusal_of_malformed_input_names_a_pointer(tmp_path, capsys, argv, code, line):
+    """These refusals keep their exit codes and messages, and now name the
+    field at fault; one in a measure file names the option and the file,
+    and the field within it if there is one."""
+    manifest = {"config": {"subcommand": "estimate.cross",
+                           "params": {"p": WORKED_SPEC, "q": _THREE_SYMBOLS, "N": 50, "seed": 1}}}
+    specs = {"hmm": HMM_SPEC, "chain": WORKED_SPEC, "bad": UNCERTIFIED_HMM_SPEC,
+             "mixture": {**MIXTURE_SPEC, "components": [HMM_SPEC, UNCERTIFIED_HMM_SPEC]},
+             "three": _THREE_SYMBOLS, "manifest": manifest}
+    files = {name: write_json(tmp_path, f"{name}.json", spec) for name, spec in specs.items()}
+    out = tmp_path / "o"
+    assert main([a.format(**files) for a in argv] + ["--outdir", str(out)]) == code
+    assert capsys.readouterr().err == line.format(**files) + "\n"
+    assert not out.exists()
 
 
 def test_audit_of_a_huge_gap_is_a_cap_refusal(tmp_path, capsys):
@@ -406,7 +457,8 @@ def test_audit_of_a_huge_gap_is_a_cap_refusal(tmp_path, capsys):
     stub = write_json(tmp_path, "manifest.json", manifest)
     assert main(["rerun", "--manifest", stub, "--outdir", str(tmp_path / "o")]) == 4
     err = capsys.readouterr().err
-    assert "cap: audit needs 2^100000004 words at length 100000004, cap is 10000000" in err
+    assert ("cap: /config/params/cap: audit needs 2^100000004 words at length 100000004, "
+            "cap is 10000000") in err
     assert time.perf_counter() - start < 1.0
 
 
@@ -754,8 +806,8 @@ def test_cli_validate_semantic_failure(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "spec, message",
-    [(WORKED_SPEC, "cap: level 40 needs 1099511627776 words, cap is 10000000"),
-     (HMM_SPEC, "cap: level 40 forward table exceeds cap 10000000")],
+    [(WORKED_SPEC, "cap: /n_max: level 40 needs 1099511627776 words, cap is 10000000"),
+     (HMM_SPEC, "cap: /n_max: level 40 forward table exceeds cap 10000000")],
     ids=["markov", "hmm"],
 )
 def test_cli_validate_semantic_refuses_its_largest_level_first(tmp_path, capsys, spec, message):

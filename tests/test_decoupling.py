@@ -260,10 +260,10 @@ class _BrokenMeasure(ShiftMeasure):
     def log_marginal(self, word) -> float:
         raise NotImplementedError
 
-    def prefix_logprobs(self, x):
+    def _prefixes(self, w):
         raise NotImplementedError
 
-    def windows(self, x):
+    def _windows(self, w):
         raise NotImplementedError
 
     def _sample_rows(self, n, rngs):

@@ -15,15 +15,20 @@ from gapsub import (
     Alphabet,
     CapExceededError,
     ConfigError,
+    ErrorSchedule,
+    GapSchedule,
     HiddenMarkovMeasure,
     IIDMeasure,
     MarkovMeasure,
     MixtureMeasure,
     SchemaError,
     ValidationError,
+    check_trajectory_subadditivity,
+    kingman_series,
     log_sum_exp,
     measure_from_spec,
     stationary_distribution,
+    trajectory_context,
     validate_measure,
 )
 from gapsub import measures
@@ -71,6 +76,49 @@ def test_paths_of_non_integers_are_refused():
     for dtype in (np.int8, np.uint16, np.int32):
         w = Alphabet(2).validate_paths(np.asarray([[0, 1], [1, 1]], dtype=dtype))
         assert w.dtype == np.int64 and w.tolist() == [[0, 1], [1, 1]]
+
+
+_HMM = {"family": "hmm", "A": [[0.8, 0.2], [0.3, 0.7]], "E": [[0.6, 0.4], [0.1, 0.9]]}
+_CHAIN = {"family": "markov", "P": WORKED_P}
+_ONE_CHECK_MEASURES = {
+    "iid": {"family": "iid", "p": [0.3, 0.7]},
+    "markov": _CHAIN,
+    "hmm": _HMM,
+    "mixture": {"family": "mixture", "components": [_HMM, _CHAIN], "weights": [0.4, 0.6]},
+}
+
+
+@pytest.mark.parametrize("family", list(_ONE_CHECK_MEASURES))
+def test_every_evaluation_checks_its_path_once(family, monkeypatch):
+    """Each evaluation of an array path runs the symbol check once.  The
+    families checked again inside (a Markov or mixture windows, each
+    component of a mixture), and so did trajectory_context before
+    Q.windows, up to 5 checks per call."""
+    Q = measure_from_spec(_ONE_CHECK_MEASURES[family])
+    x = np.random.default_rng(3).integers(0, 2, 60)
+    rho, sigma = ErrorSchedule.constant(40.0), GapSchedule.zero()
+    calls = []
+    check = measures.checked_symbols
+
+    def spy(*args, **kwargs):
+        calls.append(1)
+        return check(*args, **kwargs)
+
+    monkeypatch.setattr(measures, "checked_symbols", spy)
+    evaluations = {
+        "prefix_logprobs": lambda: Q.prefix_logprobs(x),
+        "log_increments": lambda: Q.log_increments(x),
+        "windows": lambda: Q.windows(x),
+        "kingman_series": lambda: kingman_series(x, Q),
+        "check_trajectory_subadditivity": lambda: check_trajectory_subadditivity(x, Q, rho, sigma),
+        "trajectory_context": lambda: trajectory_context(x, Q, rho, sigma, -0.5, 5, 2, 0.1),
+    }
+    counts = {}
+    for name, evaluate in evaluations.items():
+        calls.clear()
+        evaluate()
+        counts[name] = len(calls)
+    assert counts == dict.fromkeys(evaluations, 1)
 
 
 # ------------------------------------------------------- input validation

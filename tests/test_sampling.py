@@ -105,6 +105,8 @@ def test_trajectory_validation():
         sample_trajectory(IIDMeasure([0.5, 0.5]), 0, seed=1)
     with pytest.raises(ValidationError, match="nonempty 1-d"):
         Trajectory([], alphabet_size=2)
+    with pytest.raises(ValidationError, match=r"symbols must lie in \[0, 2\)"):
+        Trajectory([0, 2], alphabet_size=2)
 
 
 def test_a_trajectory_of_non_integers_is_refused():

@@ -178,6 +178,14 @@ def test_each_kind_keeps_its_value_type(cls, kind):
     assert table_schedule(cls, [1, 2, 3]).values([1, 3]).dtype == np.dtype(kind)
 
 
+def test_only_gaps_and_errors_have_the_constant_constructors():
+    """A sequence has no "constant" rule, so the zero() and constant(v) that
+    RealSequence inherited always raised "unknown sequence 'constant'"."""
+    assert not hasattr(RealSequence, "zero") and not hasattr(RealSequence, "constant")
+    assert GapSchedule.zero() == GapSchedule("constant", {"value": 0})
+    assert ErrorSchedule.constant(1.5) == ErrorSchedule("constant", {"value": 1.5})
+
+
 @pytest.mark.parametrize("cls", [GapSchedule, ErrorSchedule])
 def test_a_block_of_a_long_table_does_not_convert_the_list_again(cls):
     """A table's list becomes an array once per schedule: a later block of
