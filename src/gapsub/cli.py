@@ -522,7 +522,8 @@ _SUBCOMMANDS = {
 def run(config: RunConfig, outdir: str | Path = ".") -> dict:
     """Execute a resolved configuration; returns the manifest object.
 
-    Artifacts and the manifest are written atomically into outdir.
+    Artifacts and the manifest are written atomically into outdir; an
+    outdir that cannot be made or written is a ConfigError naming it.
     Rerunning the same config always reproduces the same bytes.
     """
     if config.subcommand not in _SUBCOMMANDS:
@@ -536,19 +537,21 @@ def run(config: RunConfig, outdir: str | Path = ".") -> dict:
     checked = {d.key: _read(d, config.params) for d in params}
     artifacts = runner({"given": config.params, **checked})
     out = Path(outdir)
-    out.mkdir(parents=True, exist_ok=True)
-    written = []
-    for name, payload in sorted(artifacts.items()):
-        data = payload.encode("utf-8") if isinstance(payload, str) else _json_bytes(payload)
-        _atomic_bytes(out / name, data)
-        written.append(name)
     manifest = {
         "tool": "gapsub",
         "version": __version__,
         "config": config.to_json(),
-        "outputs": written,
+        "outputs": sorted(artifacts),
     }
-    _atomic_bytes(out / "manifest.json", _json_bytes(manifest))
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        for name, payload in sorted(artifacts.items()):
+            data = payload.encode("utf-8") if isinstance(payload, str) else _json_bytes(payload)
+            _atomic_bytes(out / name, data)
+        _atomic_bytes(out / "manifest.json", _json_bytes(manifest))
+    except OSError as exc:  # outdir is a file, lies under one, or is not writable
+        why = exc.strerror or exc
+        raise ConfigError(f"cannot write output directory {outdir}: {why}") from exc
     return manifest
 
 

@@ -41,8 +41,10 @@ from .logspace import _NEG_MAX, log_sum_exp, log_sum_exp_into, safe_log
 _STOCH_TOL = 1e-9
 _LISTS = (list, tuple, np.ndarray)
 _MAP_TABLE_ENTRIES = 1 << 22  # chain-path map entries built at a time: 4-8 MB
-# increments gathered and streamed at a time: one block and its index
-# buffer stay under glibc's 128 KB mmap threshold, so they are reused heap,
+# entries of one block of a streamed pass: the increments that a Kingman
+# series gathers at a time (_increment_blocks, sampling.kingman_rows) and
+# the offsets of a Steele depth table (steele.first_depths).  Each array of
+# a block stays under glibc's 128 KB mmap threshold, so it is reused heap,
 # not pages mapped and faulted on each call
 _GATHER_ENTRIES = 1 << 13
 # most states whose chain-path table rows are counted by comparisons.  The
@@ -176,17 +178,17 @@ def _check_row(row, first, here: str, ndim: int) -> None:
         raise ValidationError(f"{what} to {total!r}, expected 1", here)
 
 
-def _start_law(start, M: np.ndarray, field: str) -> tuple[np.ndarray, bool]:
-    """(start law, whether it is invariant) of the chain with matrix M at field.
+def _start_law(start, M: np.ndarray, field: str) -> tuple[np.ndarray, bool, str]:
+    """(start law, whether it is invariant, its field) of the chain with matrix M at field.
 
-    With start None it is the unique stationary law of M.
+    With start None it is the unique stationary law of M, whose field is M's.
     """
     if start is None:
-        return _stationary(M, field), True
+        return _stationary(M, field), True, field
     law = _check_stochastic(start, "/start", 1)
     if law.size != M.shape[0]:
         raise ValidationError("size must match the matrix", "/start")
-    return law, bool(np.abs(law @ M - law).max() <= 1e-12)
+    return law, bool(np.abs(law @ M - law).max() <= 1e-12), "/start"
 
 
 def stationary_distribution(P: np.ndarray, tol: float = 1e-10, field: str = "/P") -> np.ndarray:
@@ -223,20 +225,21 @@ def _stationary(P: np.ndarray, field: str, tol: float = 1e-10) -> np.ndarray:
     raise ValidationError("the SVD nullspace vector is not a stationary law", field)
 
 
-def _kernel_bound(pi: np.ndarray, A: np.ndarray, stationary: bool, tau: int) -> float:
+def _kernel_bound(pi: np.ndarray, A: np.ndarray, stationary: bool, tau: int, field: str) -> float:
     """c = max_ij [log A^{tau+1}(i, j) - log pi(j)] for a process driven by the chain (pi, A).
 
     Conditioning on the hidden state entering the second block bounds
     Q(a * b) = sum_ij Q(a, z_n = i) A^{tau+1}(i, j) Q(b | z_1 = j) by exp(c) Q(a) Q(b)
     for every n and m.  A difference of logs (never the log of a ratio) keeps
     c exact when a kernel row equals pi, as for an iid process, where it is 0.
+    A zero in pi is refused at field, the field that pi comes from.
     """
     if not stationary:
         raise ValidationError("kernel bound needs the stationary start", "/start")
     if tau < 0:
         raise ConfigError("gap must be >= 0")
     if (pi <= 0).any():
-        raise ValidationError("kernel bound needs pi > 0 everywhere")
+        raise ValidationError("kernel bound needs pi > 0 everywhere", field)
     log_kernel = safe_log(np.linalg.matrix_power(A, tau + 1))
     return float(np.max(log_kernel - np.log(pi)[None, :]))
 
@@ -749,7 +752,7 @@ class IIDMeasure(_TermMeasure):
         return lv
 
     def kernel_bound(self, tau: int) -> float:
-        return _kernel_bound(np.ones(1), np.ones((1, 1)), True, tau)
+        return _kernel_bound(np.ones(1), np.ones((1, 1)), True, tau, "/p")
 
     def _chain(self) -> "MarkovMeasure":
         return MarkovMeasure(np.tile(self.p, (self.alphabet.size, 1)))
@@ -773,7 +776,7 @@ class MarkovMeasure(_TermMeasure):
     def __init__(self, P, start=None):
         self.P = _check_stochastic(P, "/P", 2, square=True)
         self.alphabet = Alphabet(self.P.shape[0])
-        self.start, self.stationary_start = _start_law(start, self.P, "/P")
+        self.start, self.stationary_start, self._start_field = _start_law(start, self.P, "/P")
         self.log_P = safe_log(self.P)
         self.log_start = safe_log(self.start)
         self._cum_rows = np.cumsum(self.P, axis=1)
@@ -822,7 +825,7 @@ class MarkovMeasure(_TermMeasure):
         return lv
 
     def kernel_bound(self, tau: int) -> float:
-        return _kernel_bound(self.start, self.P, self.stationary_start, tau)
+        return _kernel_bound(self.start, self.P, self.stationary_start, tau, self._start_field)
 
     def _chain(self) -> "MarkovMeasure":
         return self
@@ -916,7 +919,7 @@ class HiddenMarkovMeasure(ShiftMeasure):
             raise ValidationError("needs one row per hidden state", "/E")
         self.alphabet = Alphabet(self.E.shape[1])
         self.hidden_size = self.A.shape[0]
-        self.start, self.stationary_start = _start_law(start, self.A, "/A")
+        self.start, self.stationary_start, self._start_field = _start_law(start, self.A, "/A")
         self.log_A = safe_log(self.A)
         self.log_E = safe_log(self.E)
         self.log_start = safe_log(self.start)
@@ -1082,7 +1085,7 @@ class HiddenMarkovMeasure(ShiftMeasure):
         return log_sum_exp(alpha, axis=0)
 
     def kernel_bound(self, tau: int) -> float:
-        return _kernel_bound(self.start, self.A, self.stationary_start, tau)
+        return _kernel_bound(self.start, self.A, self.stationary_start, tau, self._start_field)
 
     def _sample_rows(self, n: int, rngs: Sequence[np.random.Generator]) -> np.ndarray:
         """Each generator draws its hidden uniforms, then its emission uniforms."""

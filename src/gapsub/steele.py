@@ -25,8 +25,8 @@ from typing import Callable
 
 import numpy as np
 
+from . import measures
 from .errors import ConfigError, ValidationError
-from .measures import ShiftMeasure
 from .sampling import Trajectory
 from .schedules import ErrorSchedule, GapSchedule
 
@@ -48,8 +48,8 @@ class ProofContext:
     assume_shift_monotone=True.
 
     The context is frozen: the gaps sigma_{k r} of its depths (one
-    sigma.values call) and the depth table it keeps (see _depth_table) are
-    functions of its fields alone.
+    sigma.values call) and its table of first admissible depths (depths)
+    are functions of its fields alone, each evaluated once, when first read.
     """
 
     f: Callable[[np.ndarray, int], np.ndarray]
@@ -90,6 +90,15 @@ class ProofContext:
         """max sigma_{k r} over depths k <= K."""
         return max(self._gaps)
 
+    @functools.cached_property
+    def depths(self) -> np.ndarray:
+        """first_depths at every offset 0 .. horizon - K r, whose K depths fit the horizon.
+
+        The walk, the cover count and the Birkhoff average all read slices
+        of this one table, so no decomposition can move it.
+        """
+        return first_depths(self, np.arange(max(self.horizon - self.K * self.r + 1, 0)))
+
     def block_length(self, k: int) -> int:
         return k * self.r + self._gaps[k - 1]
 
@@ -117,44 +126,32 @@ def first_depths(ctx: ProofContext, js) -> np.ndarray:
 
     Depth k admits at offset j when the normalized block value
     (f + rho)(j, k r) / (k r + sigma_{k r}) is within the threshold; an
-    offset is bad when no depth k <= K admits.  Each depth evaluates only
-    the offsets no smaller depth has admitted.
+    offset is bad when no depth k <= K admits.  The offsets are walked in
+    blocks of measures._GATHER_ENTRIES, and within a block each depth
+    evaluates only the offsets no smaller depth has admitted.
     """
     js = np.asarray(js, dtype=np.int64)
     depths = np.zeros(js.shape, dtype=np.int64)
-    pending = np.arange(js.size)
-    thr = ctx.threshold
-    for k in range(1, ctx.K + 1):
-        if not pending.size:
-            break
-        n = k * ctx.r
-        at = js[pending]
-        vals = (ctx.eval_f(at, n) + ctx.eval_rho(at, n)) / ctx.block_length(k)
-        admits = vals <= thr
-        depths[pending[admits]] = k
-        pending = pending[~admits]
+    thr, step = ctx.threshold, measures._GATHER_ENTRIES
+    for lo in range(0, js.size, step):
+        pending = np.arange(lo, min(lo + step, js.size))
+        for k in range(1, ctx.K + 1):
+            if not pending.size:
+                break
+            n = k * ctx.r
+            at = js[pending]
+            vals = (ctx.eval_f(at, n) + ctx.eval_rho(at, n)) / ctx.block_length(k)
+            admits = vals <= thr
+            depths[pending[admits]] = k
+            pending = pending[~admits]
     return depths
 
 
-def _depth_table(ctx: ProofContext, count: int) -> np.ndarray:
-    """first_depths at the offsets 0 .. count-1, kept on ctx for later callers.
-
-    The walk, the cover count and the Birkhoff average all read this one
-    table.  It is derived from the context alone, so no decomposition can
-    move it; a request longer than the kept table rebuilds it.
-    """
-    table = ctx.__dict__.get("_depths")
-    if table is None or table.size < count:
-        table = first_depths(ctx, np.arange(count))
-        object.__setattr__(ctx, "_depths", table)
-    return table[:count]
-
-
 def bad_indicator(ctx: ProofContext, count: int) -> np.ndarray:
-    """Membership for offsets 0 .. count-1 as a bool array."""
-    if count < 1:
-        raise ConfigError("need at least one offset")
-    return _depth_table(ctx, count) == 0
+    """Membership for offsets 0 .. count-1 as a bool array, read from ctx.depths."""
+    if not 1 <= count <= ctx.depths.size:
+        raise ConfigError(f"offset count {count} must lie in 1 .. {ctx.depths.size} (ctx.depths)")
+    return ctx.depths[:count] == 0
 
 
 def birkhoff_bad_average(ctx: ProofContext, count: int) -> float:
@@ -252,7 +249,7 @@ def steele_decompose(ctx: ProofContext, n: int) -> SteeleDecomposition:
     Needs horizon >= n + K r so membership stays evaluable at every
     reachable offset.  n smaller than the first tile yields the
     degenerate decomposition with no tiles and covered = 0.  The walk
-    reads the depths from the context's depth table of offsets 0 .. n.
+    reads the depths of offsets 0 .. n from ctx.depths.
     """
     if n < 1:
         raise ConfigError("horizon n must be >= 1")
@@ -260,7 +257,7 @@ def steele_decompose(ctx: ProofContext, n: int) -> SteeleDecomposition:
         raise ConfigError(
             f"context horizon {ctx.horizon} cannot provision n + K r = {n + ctx.K * ctx.r}"
         )
-    depths = _depth_table(ctx, n + 1).tolist()
+    depths = ctx.depths[: n + 1].tolist()
     # tile length by depth; a bad offset (depth 0) lays a depth-one tile
     lengths = [ctx.block_length(k or 1) for k in range(ctx.K + 1)]
     intervals: list[Interval] = []
@@ -423,7 +420,7 @@ def verify_depths(d: SteeleDecomposition, ctx: ProofContext) -> DepthAudit:
 
 def trajectory_context(
     x: Trajectory | np.ndarray,
-    Q: ShiftMeasure,
+    Q: measures.ShiftMeasure,
     rho: ErrorSchedule,
     sigma: GapSchedule,
     limit_value: float,

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import errno
 import json
 import math
 import os
@@ -438,6 +439,71 @@ def test_each_refusal_of_malformed_input_names_a_pointer(tmp_path, capsys, argv,
     out = tmp_path / "o"
     assert main([a.format(**files) for a in argv] + ["--outdir", str(out)]) == code
     assert capsys.readouterr().err == line.format(**files) + "\n"
+    assert not out.exists()
+
+
+_ABSORBING = [[0.5, 0.5], [0.0, 1.0]]  # its stationary law (0, 1) has a zero
+
+
+@pytest.mark.parametrize("spec, pointer", [
+    ({"family": "markov", "P": _ABSORBING}, "/P"),
+    ({"family": "hmm", "A": _ABSORBING, "E": HMM_SPEC["E"]}, "/A"),
+    ({"family": "markov", "P": _ABSORBING, "start": [0.0, 1.0]}, "/start"),
+    ({"family": "mixture", "weights": [0.5, 0.5],
+      "components": [COIN_SPEC, {"family": "markov", "P": _ABSORBING}]}, "/components/1/P"),
+], ids=["markov", "hmm", "given-start", "mixture"])
+def test_a_kernel_bound_refused_for_a_zero_in_pi_names_its_field(tmp_path, capsys, spec, pointer):
+    """pi is the stationary law of /P or /A, or the given /start."""
+    m = write_json(tmp_path, "m.json", spec)
+    out = tmp_path / "o"
+    assert main(["decouple", "bound", "--measure", m, "--outdir", str(out)]) == 3
+    assert capsys.readouterr().err == (
+        f"validation: {pointer}: kernel bound needs pi > 0 everywhere (--measure {m})\n"
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("where", ["a-file", "under-a-file"])
+@pytest.mark.parametrize("command", ["sample", "rerun"])
+def test_an_unusable_outdir_is_refused_in_one_line(tmp_path, capsys, command, where):
+    """An outdir that is a file, or lies under one, exits 2 naming it, and the file stays."""
+    argv = ["sample", "--measure", write_json(tmp_path, "m.json", COIN_SPEC),
+            "--N", "10", "--seed", "1"]
+    if command == "rerun":
+        assert main(argv + ["--outdir", str(tmp_path / "first")]) == 0
+        argv = ["rerun", "--manifest", str(tmp_path / "first" / "manifest.json")]
+    capsys.readouterr()
+    blocker = tmp_path / "f"
+    blocker.write_text("kept")
+    out, code = (blocker, errno.EEXIST) if where == "a-file" else (blocker / "o", errno.ENOTDIR)
+    assert main(argv + ["--outdir", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: cannot write output directory {out}: {os.strerror(code)}\n"
+    )
+    assert blocker.read_text() == "kept"
+
+
+@pytest.mark.parametrize("flaw", ["missing", "truncated"])
+@pytest.mark.parametrize("argv", [
+    ["estimate", "cross", "--p", "{path}", "--q", "{chain}", "--N", "50", "--seed", "1"],
+    ["fekete", "check", "--spec", "{path}"],
+    ["validate", "--file", "{path}"],
+    ["rerun", "--manifest", "{path}"],
+], ids=["p", "fekete-spec", "validate-file", "rerun-manifest"])
+def test_an_unreadable_or_invalid_input_file_is_refused_in_one_line(tmp_path, capsys, argv, flaw):
+    """A file given to an option that cannot be read, or is not JSON, exits 2
+    with one line that names it."""
+    path, text = tmp_path / "in.json", '{"family": "iid", "p": [0.5,'
+    if flaw == "missing":
+        line = f"cannot read {path}: [Errno {errno.ENOENT}] {os.strerror(errno.ENOENT)}: '{path}'"
+    else:
+        path.write_text(text)
+        with pytest.raises(json.JSONDecodeError) as exc:
+            json.loads(text)
+        line = f"{path} is not valid JSON: {exc.value}"
+    chain, out = write_json(tmp_path, "chain.json", WORKED_SPEC), tmp_path / "o"
+    assert main([a.format(path=path, chain=chain) for a in argv] + ["--outdir", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {line}\n"
     assert not out.exists()
 
 

@@ -17,7 +17,7 @@ from gapsub import (
     sample_trajectory,
     stationary_distribution,
 )
-from gapsub import steele
+from gapsub import measures, steele
 from gapsub.steele import (
     Interval,
     ProofContext,
@@ -323,10 +323,13 @@ def test_bad_indicator_matches_scalar_loop():
 
 
 def test_bad_indicator_guards():
+    """A count must lie in 1 .. ctx.depths.size, the offsets whose K depths fit."""
     ctx = parity_ctx(20)
+    assert ctx.depths.size == ctx.horizon - ctx.K * ctx.r + 1
+    assert bad_indicator(ctx, ctx.depths.size).tolist() == (ctx.depths == 0).tolist()
     with pytest.raises(ConfigError):
         bad_indicator(ctx, 0)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match=r"offset count 22 must lie in 1 \.\. 21"):
         bad_indicator(ctx, ctx.horizon - ctx.K * ctx.r + 2)
 
 
@@ -707,8 +710,8 @@ def test_zero_step_context_matches_the_scalar_oracle():
 
 
 def test_depth_table_comes_from_the_context_alone():
-    """A forged decomposition moves neither B nor the Birkhoff average, and a
-    longer request than the kept table rebuilds it."""
+    """A forged decomposition moves neither B nor the Birkhoff average, and
+    counts of any size read one table."""
     scalar, ctx, n = _synthetic_cases()["parity"]
     d = steele_decompose(ctx, n)
     forged = dataclasses.replace(
@@ -723,6 +726,33 @@ def test_depth_table_comes_from_the_context_alone():
     assert bad_indicator(fresh, 30).tolist() == oracle.bad_indicator(scalar, 30).tolist()
     with pytest.raises(dataclasses.FrozenInstanceError):
         ctx.eps = 1.0
+
+
+@pytest.mark.parametrize("name", ["markov", "hmm"])
+def test_depth_table_streams_and_is_built_once(name, worked_chain, half_half_mixture, monkeypatch):
+    """ctx.depths walks its offsets in blocks of measures._GATHER_ENTRIES:
+    every budget gives the same table, tiles and checks, and the walk, the
+    cover count and the Birkhoff average build the table once per context."""
+    builds = []
+
+    def counted(ctx, js):
+        builds.append(len(js))
+        return first_depths(ctx, js)
+
+    monkeypatch.setattr(steele, "first_depths", counted)
+    runs = []
+    for budget in (1, 7, measures._GATHER_ENTRIES):
+        monkeypatch.setattr(measures, "_GATHER_ENTRIES", budget)
+        _, ctx, n = _path_case(name, worked_chain, half_half_mixture)
+        d = steele_decompose(ctx, n)
+        cover, psi = verify_cover_bounds(d, ctx), birkhoff_bad_average(ctx, n)
+        assert builds == [ctx.depths.size] == [ctx.horizon - ctx.K * ctx.r + 1]
+        checks = [cover.to_json(), verify_ub_rep(d, ctx).to_json(),
+                  verify_depths(d, ctx).to_json(), psi]
+        runs.append((json.dumps(d.to_json()), json.dumps(checks), ctx.depths.tolist()))
+        builds.clear()
+    assert runs[0] == runs[1] == runs[2]
+    assert checks[0]["ok"] and checks[1]["ok"] and checks[2]["ok"]
 
 
 def test_ub_rep_adds_tiles_in_order(worked_chain, half_half_mixture):
