@@ -271,10 +271,8 @@ def _kernel_bound(a: dict) -> float:
 
 
 def _rho_const(a: dict) -> float:
-    """rho_const if given, else the kernel bound of the measure at tau, clipped at 0."""
-    if a["rho_const"] is None:
-        return max(_kernel_bound(a), 0.0)
-    return a["rho_const"]
+    """rho_const if given, else the kernel bound of the measure at tau."""
+    return _kernel_bound(a) if a["rho_const"] is None else a["rho_const"]
 
 
 # ---------------------------------------------------------------------------
@@ -403,7 +401,7 @@ def _run_decouple_bound(a: dict) -> dict:
             "measure": Q.label,
             "tau": tau,
             "constant": c,
-            "rho": ErrorSchedule.constant(max(c, 0.0)).to_json(),
+            "rho": ErrorSchedule.constant(c).to_json(),
             "sigma": GapSchedule.constant(tau).to_json(),
         }
     }

@@ -178,19 +178,6 @@ def _check_row(row, first, here: str, ndim: int) -> None:
         raise ValidationError(f"{what} to {total!r}, expected 1", here)
 
 
-def _start_law(start, M: np.ndarray, field: str) -> tuple[np.ndarray, bool, str]:
-    """(start law, whether it is invariant, its field) of the chain with matrix M at field.
-
-    With start None it is the unique stationary law of M, whose field is M's.
-    """
-    if start is None:
-        return _stationary(M, field), True, field
-    law = _check_stochastic(start, "/start", 1)
-    if law.size != M.shape[0]:
-        raise ValidationError("size must match the matrix", "/start")
-    return law, bool(np.abs(law @ M - law).max() <= 1e-12), "/start"
-
-
 def stationary_distribution(P: np.ndarray, tol: float = 1e-10, field: str = "/P") -> np.ndarray:
     """Unique stationary law of a row-stochastic matrix.
 
@@ -225,23 +212,76 @@ def _stationary(P: np.ndarray, field: str, tol: float = 1e-10) -> np.ndarray:
     raise ValidationError("the SVD nullspace vector is not a stationary law", field)
 
 
-def _kernel_bound(pi: np.ndarray, A: np.ndarray, stationary: bool, tau: int, field: str) -> float:
-    """c = max_ij [log A^{tau+1}(i, j) - log pi(j)] for a process driven by the chain (pi, A).
+@dataclasses.dataclass(frozen=True, eq=False)
+class HiddenChain:
+    """The hidden chain (start, A, E) of a measure, Q(x_1..x_n) = sum over hidden
+    paths z of start(z_1) E(z_1, x_1) prod_t A(z_{t-1}, z_t) E(z_t, x_t); stationary
+    says if start is invariant under A, field is where a refusal of it points.
+
+    A Markov chain's emissions are None: E, the identity, is built when read.
+    A mixture holds parts, its components' (log weight, record) pairs, in
+    place of start, A and E; dense builds when read its form as one chain:
+    A block-diagonal, E stacked and start w_c pi_c."""
+
+    start: np.ndarray | None
+    A: np.ndarray | None
+    stationary: bool
+    field: str
+    emissions: np.ndarray | None = None
+    parts: tuple[tuple[float, "HiddenChain"], ...] = ()
+
+    @functools.cached_property
+    def E(self) -> np.ndarray:
+        return np.eye(len(self.A)) if self.emissions is None else self.emissions
+
+    @functools.cached_property
+    def dense(self) -> "HiddenChain":
+        if not self.parts:
+            return self
+        chains = [c.dense for _, c in self.parts]
+        sizes = [len(c.A) for c in chains]
+        A = np.zeros((sum(sizes), sum(sizes)))
+        for c, lo in zip(chains, np.cumsum([0, *sizes])):
+            A[lo:lo + len(c.A), lo:lo + len(c.A)] = c.A
+        start = np.concatenate([np.exp(lw) * c.start for (lw, _), c in zip(self.parts, chains)])
+        return HiddenChain(start, A, self.stationary, self.field, np.vstack([c.E for c in chains]))
+
+    def symbol_chain(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """(start, P) of the symbols as a Markov chain: with one hidden state
+        every row of P and the start are E[0], and with E exactly the
+        identity P = A.  None for any other chain and for a mixture."""
+        if self.parts:
+            return None
+        if len(self.E) == 1:
+            return self.E[0], np.tile(self.E[0], (self.E.shape[1], 1))
+        return (self.start, self.A) if np.array_equal(self.E, np.eye(len(self.E))) else None
+
+
+def _kernel_bound(chain: HiddenChain, tau: int) -> float:
+    """c = max_ij [log A^{tau+1}(i, j) - log pi(j)] of the chain (pi, A), at least 0.0.
 
     Conditioning on the hidden state entering the second block bounds
     Q(a * b) = sum_ij Q(a, z_n = i) A^{tau+1}(i, j) Q(b | z_1 = j) by exp(c) Q(a) Q(b)
     for every n and m.  A difference of logs (never the log of a ratio) keeps
-    c exact when a kernel row equals pi, as for an iid process, where it is 0.
-    A zero in pi is refused at field, the field that pi comes from.
+    c exact when a kernel row equals pi, as for iid, where it is 0; c >= 0 as
+    pi A^{tau+1} = pi, so a rounding-negative c is 0.0.  A mixture's is
+    max_c (c_c - log w_c), a part's refusal pointing into /components.
     """
-    if not stationary:
-        raise ValidationError("kernel bound needs the stationary start", "/start")
+    if chain.parts:
+        bounds = []
+        for i, (lw, part) in enumerate(chain.parts):
+            with pointed(f"/components/{i}", ValidationError):
+                bounds.append(_kernel_bound(part, tau) - lw)
+        return float(max(bounds))
+    if not chain.stationary:
+        raise ValidationError("kernel bound needs the stationary start", chain.field)
     if tau < 0:
         raise ConfigError("gap must be >= 0")
-    if (pi <= 0).any():
-        raise ValidationError("kernel bound needs pi > 0 everywhere", field)
-    log_kernel = safe_log(np.linalg.matrix_power(A, tau + 1))
-    return float(np.max(log_kernel - np.log(pi)[None, :]))
+    if (chain.start <= 0).any():
+        raise ValidationError("kernel bound needs pi > 0 everywhere", chain.field)
+    log_kernel = safe_log(np.linalg.matrix_power(chain.A, tau + 1))
+    c = float(np.max(log_kernel - np.log(chain.start)[None, :]))
+    return c if c > 0.0 else 0.0
 
 
 class ShiftMeasure(abc.ABC):
@@ -308,30 +348,44 @@ class ShiftMeasure(abc.ABC):
         """log Q_n(word) for a length-n symbol array."""
         return float(self.prefix_logprobs(word)[-1])
 
-    @abc.abstractmethod
-    def kernel_bound(self, tau: int) -> float:
-        """Decoupling constant at gap tau for all n and m, from the hidden chain."""
+    def _hidden(self) -> HiddenChain:
+        return self._hidden_chain  # kept by _drive, for Markov and hidden Markov
 
-    def _chain(self) -> "MarkovMeasure | None":
-        """This measure as a Markov chain on its alphabet, or None if it is none."""
-        return None
+    def _drive(self, A: np.ndarray, start, field: str, emissions=None) -> None:
+        """Keep the hidden chain of kernel A at field from start, a law checked
+        at /start or if None the unique stationary law of A, and its start
+        law as the plain attributes that labels and samplers read."""
+        if start is None:
+            law, stationary = _stationary(A, field), True
+        else:
+            law, field = _check_stochastic(start, "/start", 1), "/start"
+            if law.size != A.shape[0]:
+                raise ValidationError("size must match the matrix", field)
+            stationary = bool(np.abs(law @ A - law).max() <= 1e-12)
+        self._hidden_chain = HiddenChain(law, A, stationary, field, emissions)
+        self.start, self.stationary_start = law, stationary
+        self.log_start, self._cum_start = safe_log(law), np.cumsum(law)
+
+    def kernel_bound(self, tau: int) -> float:
+        """Decoupling constant at gap tau for all n and m: _kernel_bound of _hidden()."""
+        return _kernel_bound(self._hidden(), tau)
 
     def cross_entropy_rate(self, Q: "ShiftMeasure") -> float | None:
-        """sum_i pi(i) sum_j P_ij (-log Q_ij) in nats, for this chain (pi, P) and Q's.
-
-        +inf when Q forbids a step of P.  None (no closed form) unless both
-        measures are chains and this one starts at its stationary law.
-        """
-        P, K = self._chain(), Q._chain()
-        if P is None or K is None or not P.stationary_start:
+        """sum_i pi(i) sum_j P_ij (-log K_ij) in nats, for the symbol chains (pi, P) of
+        this measure and K of Q.  +inf when Q forbids a step of P.  None (no closed
+        form) unless both are chains and this one starts at its stationary law."""
+        mine = self._hidden()
+        P, K = mine.symbol_chain(), Q._hidden().symbol_chain()
+        if P is None or K is None or not mine.stationary:
             return None
-        if P.alphabet.size != K.alphabet.size:
+        if self.alphabet.size != Q.alphabet.size:
             raise ConfigError("measures must share one alphabet")
-        if ((P.P > 0) & (K.P == 0)).any():
+        (pi, P), (_, K) = P, K
+        if ((P > 0) & (K == 0)).any():
             return float("inf")
         with np.errstate(invalid="ignore"):  # 0 log 0 = 0 by continuity
-            rows = np.where(P.P > 0, P.P * K.log_P, 0.0).sum(axis=1)
-        return float(-(P.start @ rows))
+            rows = np.where(P > 0, P * safe_log(K), 0.0).sum(axis=1)
+        return float(-(pi @ rows))
 
     def entropy_rate(self) -> float | None:
         """h = -sum_i pi_i sum_j P_ij log P_ij in nats: cross_entropy_rate(self)."""
@@ -751,11 +805,8 @@ class IIDMeasure(_TermMeasure):
             lv = (lv[:, None] + self.log_p[None, :]).ravel()
         return lv
 
-    def kernel_bound(self, tau: int) -> float:
-        return _kernel_bound(np.ones(1), np.ones((1, 1)), True, tau, "/p")
-
-    def _chain(self) -> "MarkovMeasure":
-        return MarkovMeasure(np.tile(self.p, (self.alphabet.size, 1)))
+    def _hidden(self) -> HiddenChain:
+        return HiddenChain(np.ones(1), np.ones((1, 1)), True, "/p", self.p[None, :])
 
     def _sample_rows(self, n: int, rngs: Sequence[np.random.Generator]) -> np.ndarray:
         x = np.empty((len(rngs), n), dtype=np.int64)
@@ -776,11 +827,9 @@ class MarkovMeasure(_TermMeasure):
     def __init__(self, P, start=None):
         self.P = _check_stochastic(P, "/P", 2, square=True)
         self.alphabet = Alphabet(self.P.shape[0])
-        self.start, self.stationary_start, self._start_field = _start_law(start, self.P, "/P")
+        self._drive(self.P, start, "/P")
         self.log_P = safe_log(self.P)
-        self.log_start = safe_log(self.start)
         self._cum_rows = np.cumsum(self.P, axis=1)
-        self._cum_start = np.cumsum(self.start)
 
     @property
     def label(self) -> str:
@@ -823,12 +872,6 @@ class MarkovMeasure(_TermMeasure):
             _append_symbols(rows.T, self.log_P, out.transpose(1, 0, 2))
             lv = out.ravel()
         return lv
-
-    def kernel_bound(self, tau: int) -> float:
-        return _kernel_bound(self.start, self.P, self.stationary_start, tau, self._start_field)
-
-    def _chain(self) -> "MarkovMeasure":
-        return self
 
     def _sample_rows(self, n: int, rngs: Sequence[np.random.Generator]) -> np.ndarray:
         return _chain_rows(self._cum_start, self._cum_rows, n, rngs)
@@ -905,7 +948,7 @@ def _row_kernel(h: int):
 
 
 class HiddenMarkovMeasure(ShiftMeasure):
-    """Observed layer of a stationary hidden Markov chain.
+    """Observed layer of a hidden Markov chain, from the stationary law of A or a given start.
 
     A is the hidden transition matrix, E the per-state emission matrix
     (hidden states by observed symbols).  Marginals come from the
@@ -919,13 +962,11 @@ class HiddenMarkovMeasure(ShiftMeasure):
             raise ValidationError("needs one row per hidden state", "/E")
         self.alphabet = Alphabet(self.E.shape[1])
         self.hidden_size = self.A.shape[0]
-        self.start, self.stationary_start, self._start_field = _start_law(start, self.A, "/A")
+        self._drive(self.A, start, "/A", self.E)
         self.log_A = safe_log(self.A)
         self.log_E = safe_log(self.E)
-        self.log_start = safe_log(self.start)
         self._cum_A = np.cumsum(self.A, axis=1)
         self._cum_E = np.cumsum(self.E, axis=1)
-        self._cum_start = np.cumsum(self.start)
 
     @property
     def label(self) -> str:
@@ -1084,9 +1125,6 @@ class HiddenMarkovMeasure(ShiftMeasure):
     def _level_totals(self, alpha: np.ndarray) -> np.ndarray:
         return log_sum_exp(alpha, axis=0)
 
-    def kernel_bound(self, tau: int) -> float:
-        return _kernel_bound(self.start, self.A, self.stationary_start, tau, self._start_field)
-
     def _sample_rows(self, n: int, rngs: Sequence[np.random.Generator]) -> np.ndarray:
         """Each generator draws its hidden uniforms, then its emission uniforms."""
         z = _chain_rows(self._cum_start, self._cum_A, n, rngs)
@@ -1160,15 +1198,10 @@ class MixtureMeasure(ShiftMeasure):
     def _level_totals(self, state: tuple) -> np.ndarray:
         return self._mix([c._level_totals(s) for c, s in zip(self.components, state)])
 
-    def kernel_bound(self, tau: int) -> float:
-        """max_c (c_c - log w_c): the hidden chain is block-diagonal with start w_c pi_c.
-
-        A component's refusal points into its entry of /components."""
-        bounds = []
-        for i, (c, lw) in enumerate(zip(self.components, self.log_weights)):
-            with pointed(f"/components/{i}", ValidationError):
-                bounds.append(c.kernel_bound(tau) - lw)
-        return float(max(bounds))
+    def _hidden(self) -> HiddenChain:
+        parts = tuple(zip(self.log_weights, (c._hidden() for c in self.components)))
+        stationary = all(c.stationary for _, c in parts)
+        return HiddenChain(None, None, stationary, "/components", parts=parts)
 
     def _sample_rows(self, n: int, rngs: Sequence[np.random.Generator]) -> np.ndarray:
         """Each generator draws its component, then the component's path.

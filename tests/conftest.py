@@ -13,7 +13,15 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from gapsub import ConfigError, ConvergenceSeries, IIDMeasure, MarkovMeasure, MixtureMeasure
+from gapsub import (
+    ConfigError,
+    ConvergenceSeries,
+    HiddenMarkovMeasure,
+    IIDMeasure,
+    MarkovMeasure,
+    MixtureMeasure,
+    ShiftMeasure,
+)
 
 WORKED_P = [[0.9, 0.1], [0.2, 0.8]]
 UNIFORM_P = [[0.5, 0.5], [0.5, 0.5]]
@@ -32,6 +40,25 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 def table_schedule(cls, values):
     """The table of kind cls (GapSchedule, ErrorSchedule or RealSequence) over values."""
     return cls("table", {"values": [cls._kind(v) for v in values]})
+
+
+def random_rows(rng, rows: int, cols: int, zeros: bool) -> list:
+    """Random row-stochastic rows; with zeros, some entries (never a whole row) vanish."""
+    M = rng.dirichlet(np.ones(cols), size=rows)
+    if zeros:
+        M[rng.random((rows, cols)) < 0.3] = 0.0
+        M[np.arange(rows), rng.integers(cols, size=rows)] += 0.5
+        M /= M.sum(axis=1, keepdims=True)
+    return M.tolist()
+
+
+def random_measure(rng, family: str, h: int, k: int, zeros: bool) -> ShiftMeasure:
+    """A random measure of family "iid", "markov" or "hmm" (h hidden states) on k symbols."""
+    if family == "iid":
+        return IIDMeasure(random_rows(rng, 1, k, zeros)[0])
+    if family == "markov":
+        return MarkovMeasure(random_rows(rng, k, k, zeros))
+    return HiddenMarkovMeasure(random_rows(rng, h, h, zeros), random_rows(rng, h, k, zeros))
 
 
 def read_series(path) -> ConvergenceSeries:

@@ -99,7 +99,7 @@ def test_streamed_audit_is_the_whole_level_audit(monkeypatch, case, gap, budget)
         # an IIDMeasure gets the product identity; its chain with identical
         # rows is the same law and is enumerated.  The markov+iid mixture
         # keeps the iid level states inside the streamed audit
-        Q = Q._chain()
+        Q = MarkovMeasure([Q.p] * Q.alphabet.size)
     monkeypatch.setattr(decoupling, "_JOINT_WORDS", budget)
     got = minimal_decoupling_constants(Q, n_max, m_max, gap)
     assert got.method == "enumeration"
@@ -175,7 +175,7 @@ def test_every_cut_falls_at_a_multiple_of_k(monkeypatch, case, gap, budget):
     0 a split with m = 1 would otherwise cut at single words of its level."""
     Q, n_max, m_max = case
     if isinstance(Q, IIDMeasure):
-        Q = Q._chain()
+        Q = MarkovMeasure([Q.p] * Q.alphabet.size)
     k, cuts, rows = Q.alphabet.size, [], Q._level_rows
 
     def spy_rows(state, lo, hi):

@@ -29,7 +29,7 @@ from gapsub import (
 from gapsub import decoupling
 
 from audit_oracle import decoupling_defect, whole_level_audit
-from conftest import WORKED_P, WORKED_PI
+from conftest import WORKED_P, WORKED_PI, random_measure
 
 
 # --------------------------------------------------------------- the bound
@@ -82,22 +82,43 @@ def test_kernel_bound_is_exact_for_iid_and_the_half_half_mixture(half_half_mixtu
         assert half_half_mixture.kernel_bound(tau) == math.log(2.0)
 
 
-def _rows(rng, rows: int, cols: int, zeros: bool) -> list:
-    """Random row-stochastic rows; with zeros, some entries (never a whole row) vanish."""
-    M = rng.dirichlet(np.ones(cols), size=rows)
-    if zeros:
-        M[rng.random((rows, cols)) < 0.3] = 0.0
-        M[np.arange(rows), rng.integers(cols, size=rows)] += 0.5
-        M /= M.sum(axis=1, keepdims=True)
-    return M.tolist()
+def test_kernel_bound_is_never_negative_at_a_huge_gap():
+    """The true constant is >= 0, since sum_i pi(i) A^{tau+1}(i, j) = pi(j).  At
+    tau = 10^7 about half of these chains round to a negative max; each reads
+    +0.0, and every nonnegative value keeps the bits of the plain expression."""
+    rng = np.random.default_rng(2026)
+    tau, clipped = 10**7, 0
+    for _ in range(300):
+        k = int(rng.integers(2, 6))
+        P = rng.dirichlet(np.ones(k), size=k)
+        c = MarkovMeasure(P).kernel_bound(tau)
+        pi = stationary_distribution(P)
+        with np.errstate(divide="ignore"):
+            plain = float(np.max(np.log(np.linalg.matrix_power(P, tau + 1)) - np.log(pi)))
+        assert math.copysign(1.0, c) == 1.0 and c >= 0.0
+        assert c == plain if plain >= 0.0 else c == 0.0
+        clipped += plain < 0.0
+    assert clipped > 100
 
 
-def _random_measure(rng, family: str, h: int, k: int, zeros: bool) -> ShiftMeasure:
-    if family == "iid":
-        return IIDMeasure(_rows(rng, 1, k, zeros)[0])
-    if family == "markov":
-        return MarkovMeasure(_rows(rng, k, k, zeros))
-    return HiddenMarkovMeasure(_rows(rng, h, h, zeros), _rows(rng, h, k, zeros))
+def test_a_nested_mixture_bound_is_taken_part_by_part():
+    """[[iid, Markov], HMM]: (c_inner - lw_inner) - lw_outer, bit for bit, and a
+    nested absorbing chain is refused at its own field inside both mixtures."""
+    inner = MixtureMeasure([IIDMeasure([0.3, 0.7]), MarkovMeasure(WORKED_P)], [0.25, 0.75])
+    hmm = HiddenMarkovMeasure([[0.7, 0.3], [0.4, 0.6]], [[0.6, 0.4], [0.2, 0.8]])
+    outer = MixtureMeasure([inner, hmm], [0.4, 0.6])
+    for tau in range(4):
+        c_inner = max(c.kernel_bound(tau) - lw for c, lw in zip(inner.components, inner.log_weights))
+        expected = max(c_inner - outer.log_weights[0], hmm.kernel_bound(tau) - outer.log_weights[1])
+        assert outer.kernel_bound(tau) == expected
+    absorbing = MarkovMeasure([[0.5, 0.5], [0.0, 1.0]])
+    nested = MixtureMeasure(
+        [IIDMeasure([0.5, 0.5]), MixtureMeasure([IIDMeasure([0.5, 0.5]), absorbing], [0.5, 0.5])],
+        [0.5, 0.5],
+    )
+    with pytest.raises(ValidationError, match="pi > 0") as refused:
+        nested.kernel_bound(0)
+    assert refused.value.pointer == "/components/1/components/1/P"
 
 
 @settings(max_examples=100, deadline=None)
@@ -119,11 +140,11 @@ def test_audited_constants_never_exceed_the_kernel_bound(
         if mixture:
             families = rng.choice(["iid", "markov", "hmm"], size=2)
             Q = MixtureMeasure(
-                [_random_measure(rng, f, h, k, zeros) for f in families],
+                [random_measure(rng, f, h, k, zeros) for f in families],
                 rng.dirichlet(np.ones(2)).tolist(),
             )
         else:
-            Q = _random_measure(rng, "hmm", h, k, zeros)
+            Q = random_measure(rng, "hmm", h, k, zeros)
         bound = Q.kernel_bound(tau)
     except ValidationError:
         assume(False)  # a reducible chain, or pi with a zero: no bound to test
@@ -172,13 +193,13 @@ def test_iid_product_shortcut_is_exact():
     assert rep.method == "product-identity"
     assert rep.constants == (0.0, 0.0, 0.0)
     assert rep.worst_pairs == ()
-    forced = minimal_decoupling_constants(Q._chain(), 3, 3, GapSchedule.zero())
+    forced = minimal_decoupling_constants(MarkovMeasure([Q.p] * 2), 3, 3, GapSchedule.zero())
     assert forced.method == "enumeration"
     assert max(abs(c) for c in forced.constants) < 1e-12
 
 
 def test_audit_cap():
-    Q = IIDMeasure([0.2, 0.3, 0.5])._chain()
+    Q = MarkovMeasure([[0.2, 0.3, 0.5]] * 3)
     with pytest.raises(CapExceededError):
         minimal_decoupling_constants(Q, 8, 8, GapSchedule.zero(), cap=100)
 

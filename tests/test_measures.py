@@ -9,7 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from gapsub import (
     Alphabet,
@@ -33,7 +33,7 @@ from gapsub import (
 )
 from gapsub import measures
 
-from conftest import WORKED_P, WORKED_PI
+from conftest import WORKED_P, WORKED_PI, random_measure, random_rows
 
 
 # ----------------------------------------------------------------- alphabet
@@ -382,6 +382,109 @@ def test_mixture_validation():
         MixtureMeasure(
             [IIDMeasure([0.5, 0.5]), IIDMeasure([0.4, 0.6])], [1.0, 0.0]
         )
+
+
+# ------------------------------------------------------------ hidden chain
+
+
+def test_the_hidden_chain_of_each_family():
+    """iid is one state emitting p, a Markov chain A = P with E = I built only
+    when read, an HMM its own (A, E), and a mixture its components' records
+    with its log weights, whose dense form is built only when read."""
+    iid = IIDMeasure([0.2, 0.8])._hidden()
+    assert (iid.start.tolist(), iid.A.tolist(), iid.E.tolist()) == ([1.0], [[1.0]], [[0.2, 0.8]])
+    assert (iid.stationary, iid.field) == (True, "/p")
+    chain = MarkovMeasure(WORKED_P)
+    r = chain._hidden()
+    assert r.A is chain.P and r.start is chain.start and (r.stationary, r.field) == (True, "/P")
+    assert "E" not in vars(r) and np.array_equal(r.E, np.eye(2))
+    off = MarkovMeasure(WORKED_P, start=[0.5, 0.5])._hidden()
+    assert (off.stationary, off.field) == (False, "/start")
+    hmm = HiddenMarkovMeasure([[0.7, 0.3], [0.4, 0.6]], [[0.6, 0.3, 0.1], [0.2, 0.3, 0.5]])
+    r = hmm._hidden()
+    assert r.A is hmm.A and r.E is hmm.E and r.field == "/A"
+    mix = MixtureMeasure([IIDMeasure([0.5, 0.5]), chain], [0.25, 0.75])
+    r = mix._hidden()
+    assert [lw for lw, _ in r.parts] == mix.log_weights.tolist()
+    assert "dense" not in vars(r) and r.start is None and r.symbol_chain() is None
+    d = r.dense
+    assert d.A.tolist() == [[1.0, 0.0, 0.0], [0.0, 0.9, 0.1], [0.0, 0.2, 0.8]]
+    assert d.E.tolist() == [[0.5, 0.5], [1.0, 0.0], [0.0, 1.0]]
+    assert np.abs(d.start - [0.25, 0.75 * WORKED_PI[0], 0.75 * WORKED_PI[1]]).max() < 1e-15
+
+
+def _forward_level(chain, n: int) -> np.ndarray:
+    """log Q_n of every word, base-k and most significant symbol first, by a
+    plain log-space forward pass over the chain's one-chain form."""
+    d = chain.dense
+    with np.errstate(divide="ignore"):
+        log_A, log_E, log_start = np.log(d.A), np.log(d.E), np.log(d.start)
+    alpha = log_start[None, :] + log_E.T  # (words, hidden states)
+    for _ in range(n - 1):
+        moved = np.logaddexp.reduce(alpha[:, :, None] + log_A[None], axis=1)
+        alpha = (moved[:, None, :] + log_E.T[None]).reshape(-1, len(log_A))
+    return np.logaddexp.reduce(alpha, axis=1)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    family=st.sampled_from(["iid", "markov", "hmm", "mixture"]),
+    h=st.integers(1, 3),
+    k=st.integers(2, 3),
+    zeros=st.booleans(),
+)
+def test_every_hidden_chain_reproduces_its_measure(seed, family, h, k, zeros):
+    """A forward pass over _hidden() gives log_marginals_level(n) for n <= 6:
+    chains with zeros, HMMs with h <= 3, and mixtures of all three families."""
+    rng = np.random.default_rng(seed)
+    try:
+        if family == "mixture":
+            Q = MixtureMeasure(
+                [random_measure(rng, f, h, k, zeros) for f in ("iid", "markov", "hmm")],
+                rng.dirichlet(np.ones(3)).tolist(),
+            )
+        else:
+            Q = random_measure(rng, family, h, k, zeros)
+    except ValidationError:
+        assume(False)  # a reducible chain has no unique stationary law
+    for n in range(1, 7):
+        got, want = _forward_level(Q._hidden(), n), Q.log_marginals_level(n)
+        assert np.array_equal(np.isneginf(got), np.isneginf(want))
+        finite = np.isfinite(want)
+        assert np.abs(got[finite] - want[finite]).max(initial=0.0) <= 1e-12
+
+
+def test_identity_emissions_and_one_hidden_state_have_their_chains_rates():
+    """An HMM with E = I has the rates of its MarkovMeasure, and an HMM with one
+    hidden state those of its IIDMeasure, bit for bit, on either side of a
+    rate; another HMM, a non-invariant start and a mixture have none."""
+    rng = np.random.default_rng(36)
+    checked = 0
+    for k in (2, 3, 4):
+        for zeros in (False, True, True):
+            P, p = random_rows(rng, k, k, zeros), random_rows(rng, 1, k, zeros)[0]
+            try:
+                chain = MarkovMeasure(P)
+            except ValidationError:
+                continue  # reducible
+            others = (MarkovMeasure(random_rows(rng, k, k, False)), IIDMeasure(p), chain)
+            for H, M in ((HiddenMarkovMeasure(P, np.eye(k)), chain),
+                         (HiddenMarkovMeasure([[1.0]], [p]), IIDMeasure(p))):
+                assert M.entropy_rate() is not None
+                assert H.entropy_rate() == M.entropy_rate()
+                for R in others:
+                    assert H.cross_entropy_rate(R) == M.cross_entropy_rate(R)
+                    assert R.cross_entropy_rate(H) == R.cross_entropy_rate(M)
+                    assert H.kl_rate(R) == M.kl_rate(R) and R.kl_rate(H) == R.kl_rate(M)
+                checked += 1
+    assert checked >= 8
+    start = [0.5, 0.5]
+    assert HiddenMarkovMeasure(WORKED_P, np.eye(2), start).entropy_rate() is None
+    assert MarkovMeasure(WORKED_P, start).entropy_rate() is None
+    assert HiddenMarkovMeasure(WORKED_P, [[0.0, 1.0], [1.0, 0.0]]).entropy_rate() is None
+    mix = MixtureMeasure([IIDMeasure([0.5, 0.5]), MarkovMeasure(WORKED_P)], [0.5, 0.5])
+    assert mix.entropy_rate() is None and MarkovMeasure(WORKED_P).cross_entropy_rate(mix) is None
 
 
 # ------------------------------------------------------------- consistency

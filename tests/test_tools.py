@@ -1,10 +1,13 @@
-"""tools/artifact_digests.py, on which every same-bytes comparison of two
-checkouts rests: it runs, and prints one digest per file an operation writes."""
+"""The tools that compare two checkouts: tools/artifact_digests.py, on which
+every same-bytes comparison rests, runs and prints one digest per file an
+operation writes; tools/op_times.py prints the CPU each timing ran on."""
 from __future__ import annotations
 
+import os
 import re
 import runpy
 import sys
+import types
 from pathlib import Path
 
 from gapsub import cli
@@ -38,3 +41,31 @@ def test_artifact_digests_prints_one_line_per_written_file(monkeypatch, capsys):
     for names, manifest in zip(files.values(), manifests):
         assert names == sorted([*manifest["outputs"], "manifest.json"])
     assert sorted((ROOT / "bench").rglob("*")) == bench
+
+
+def test_op_times_prints_the_cpu_it_pinned_to(monkeypatch, capsys):
+    """One tiny operation in place of the workloads: its line carries the
+    times, the faults and the CPU that pin_to_current_cpu returned, one that
+    the process may run on.  The test restores the process's CPU set."""
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the tool prepends src/ and bench/
+    monkeypatch.setattr(sys, "dont_write_bytecode", sys.dont_write_bytecode)
+    for name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS"):  # the tool sets both to 1
+        monkeypatch.setenv(name, "1")
+    op = types.SimpleNamespace(
+        name="tiny", subcommand="sample",
+        params={"measure": {"family": "iid", "p": [0.5, 0.5]}, "N": 10, "seed": 1, "stream": 0},
+    )
+    monkeypatch.setitem(sys.modules, "workloads",
+                        types.SimpleNamespace(WORKLOADS={"tiny-load": lambda seed: [op]}))
+    tool = runpy.run_path(str(ROOT / "tools" / "op_times.py"))
+    allowed = os.sched_getaffinity(0)
+    try:
+        tool["main"]([5], 2)
+        pinned = os.sched_getaffinity(0)
+    finally:
+        os.sched_setaffinity(0, allowed)
+    (line,) = capsys.readouterr().out.splitlines()
+    match = re.fullmatch(
+        r"5/tiny-load/tiny best_ms=\d+\.\d\d median_ms=\d+\.\d\d minflt=\d+ cpu=(\d+)", line
+    )
+    assert match and pinned == {int(match.group(1))} and pinned <= allowed
