@@ -25,7 +25,7 @@ import numpy as np
 from .errors import CapExceededError, ConfigError
 from .fekete import PAIRWISE_CAP, SubadditivityCheck, split_scan
 from .logspace import log_sum_exp_into
-from .measures import IIDMeasure, ShiftMeasure, _words_over_cap
+from .measures import ShiftMeasure, _words_over_cap
 # log_prefixes is re-exported: the benchmark's tracer wraps it here by name
 from .sampling import Trajectory, log_prefixes  # noqa: F401
 from .schedules import ErrorSchedule, GapSchedule, index_blocks
@@ -223,9 +223,8 @@ def minimal_decoupling_constants(
     pair is the first in (m, a, b) order, and the first 20 positivity
     failures in (n, m, a, b) order are listed.
 
-    For a product measure Q(a * b) = Q(a) Q(b) is an identity, so the
-    minimal constant is 0 with no float association noise; an iid input
-    gets that exact value, with no enumeration.
+    For a product record (HiddenChain.product) Q(a * b) = Q(a) Q(b) is an
+    identity, so its constants are exactly 0, with no enumeration.
     """
     if n_max < 1 or m_max < 1:
         raise ConfigError("n_max and m_max must be >= 1")
@@ -233,7 +232,7 @@ def minimal_decoupling_constants(
     # the longest joint level is found before any per-n work, so a cap
     # refusal costs numpy passes over n, not a Python loop
     worst_len = _longest_joint_head(tau, n_max) + m_max
-    if isinstance(Q, IIDMeasure):
+    if Q._hidden().product:
         return DecouplingReport(
             measure_label=Q.label,
             n_values=tuple(range(1, n_max + 1)),
@@ -332,7 +331,7 @@ def check_trajectory_subadditivity(
     tol is an absolute slack for float cancellation: exact ties like a
     deterministic transition evaluate to excess 0 up to rounding.
     """
-    symbols = x.symbols if isinstance(x, Trajectory) else np.asarray(x)  # checked by Q.windows
+    symbols = np.asarray(x)  # checked by Q.windows
     if N is None:
         N = symbols.size
     if N > symbols.size:

@@ -194,9 +194,7 @@ def _stationary(P: np.ndarray, field: str, tol: float = 1e-10) -> np.ndarray:
     """stationary_distribution of an already checked row-stochastic matrix."""
     k = P.shape[0]
     if (P == P[0]).all():
-        # identical rows: the row itself is stationary, bit for bit, and
-        # downstream exactness arguments (iid decoupling constant 0) rely
-        # on pi not picking up SVD rounding
+        # identical rows: the row is pi bit for bit, as HiddenChain.product needs
         return P[0].copy()
     A = P.T - np.eye(k)
     _, s, vh = np.linalg.svd(A)
@@ -256,27 +254,37 @@ class HiddenChain:
             return self.E[0], np.tile(self.E[0], (self.E.shape[1], 1))
         return (self.start, self.A) if np.array_equal(self.E, np.eye(len(self.E))) else None
 
+    @functools.cached_property
+    def product(self) -> bool:
+        """Q(a b) = Q(a) Q(b): one hidden state, or each row of symbol_chain() is its start."""
+        if self.parts or len(self.A) == 1:
+            return not self.parts
+        chain = self.symbol_chain()
+        return chain is not None and bool((chain[1] == chain[0]).all())
+
 
 def _kernel_bound(chain: HiddenChain, tau: int) -> float:
     """c = max_ij [log A^{tau+1}(i, j) - log pi(j)] of the chain (pi, A), at least 0.0.
 
     Conditioning on the hidden state entering the second block bounds
     Q(a * b) = sum_ij Q(a, z_n = i) A^{tau+1}(i, j) Q(b | z_1 = j) by exp(c) Q(a) Q(b)
-    for every n and m.  A difference of logs (never the log of a ratio) keeps
-    c exact when a kernel row equals pi, as for iid, where it is 0; c >= 0 as
-    pi A^{tau+1} = pi, so a rounding-negative c is 0.0.  A mixture's is
+    for every n and m.  c >= 0 as pi A^{tau+1} = pi, so a rounding-negative c
+    is 0.0.  A product (HiddenChain.product), whose A^{tau+1} may round off its
+    rows, is exactly 0.0, even with a zero in pi.  A mixture's is
     max_c (c_c - log w_c), a part's refusal pointing into /components.
     """
+    if tau < 0:
+        raise ConfigError("gap must be >= 0")
     if chain.parts:
         bounds = []
         for i, (lw, part) in enumerate(chain.parts):
             with pointed(f"/components/{i}", ValidationError):
                 bounds.append(_kernel_bound(part, tau) - lw)
         return float(max(bounds))
+    if chain.product:
+        return 0.0
     if not chain.stationary:
         raise ValidationError("kernel bound needs the stationary start", chain.field)
-    if tau < 0:
-        raise ConfigError("gap must be >= 0")
     if (chain.start <= 0).any():
         raise ValidationError("kernel bound needs pi > 0 everywhere", chain.field)
     log_kernel = safe_log(np.linalg.matrix_power(chain.A, tau + 1))

@@ -46,6 +46,9 @@ class Trajectory:
     def __len__(self) -> int:
         return int(self.symbols.size)
 
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        return np.array(self.symbols, dtype=dtype, copy=copy)
+
     def text(self) -> str:
         """The symbols on one line, separated by spaces.
 
@@ -156,7 +159,7 @@ def kingman_series(
     n the trajectory supports.  Requires offset + max(grid) <= len(x).
     It is the one-row case of kingman_rows.
     """
-    symbols = x.symbols if isinstance(x, Trajectory) else np.asarray(x)  # checked by Q
+    symbols = np.asarray(x)  # checked by Q
     if offset < 0:
         raise ConfigError("offset must be >= 0")
     avail = symbols.size - offset

@@ -437,7 +437,7 @@ def trajectory_context(
     into a ProofContext as its rho(js, n), next to this f.  Log-marginals
     decrease under extension, so the sigma_1 = 0 requirement is waived.
     """
-    wl = Q.windows(x.symbols if isinstance(x, Trajectory) else x)
+    wl = Q.windows(x)
     ctx = ProofContext(
         f=wl.many,
         limit_value=float(limit_value),

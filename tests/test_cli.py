@@ -314,6 +314,27 @@ def test_cli_iid_with_a_zero_symbol_is_certified(tmp_path):
     assert check["ok"] and check["rho_const"] == 0.0
 
 
+def test_cli_every_product_record_is_certified(tmp_path):
+    """A one-state HMM audits by the product identity at any size, and a chain
+    whose identical rows give a symbol no mass has kernel bound 0.0, which
+    certifies its estimate."""
+    h = write_json(tmp_path, "h.json", {"family": "hmm", "A": [[1.0]], "E": [[0.3, 0.7]]})
+    out = tmp_path / "audit"
+    assert main(["decouple", "audit", "--measure", h, "--n-max", "30", "--m-max", "30",
+                 "--outdir", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["method"] == "product-identity" and report["constants"] == [0.0] * 30
+    m = write_json(tmp_path, "m.json", {"family": "markov", "P": [[0.3, 0.7, 0.0]] * 3})
+    out = tmp_path / "bound"
+    assert main(["decouple", "bound", "--measure", m, "--outdir", str(out)]) == 0
+    assert '"constant": 0.0' in (out / "bound.json").read_text()
+    out = tmp_path / "cross"
+    assert main(["estimate", "cross", "--p", m, "--q", m, "--N", "200", "--seed", "3",
+                 "--outdir", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["certificate"] == {"source": "kernel", "constant": 0.0, "tau": 0}
+
+
 def test_cli_hmm_and_mixture_need_no_rho_const_or_assumption(tmp_path):
     h = write_json(tmp_path, "h.json", HMM_SPEC)
     out = tmp_path / "cross"
@@ -390,6 +411,10 @@ def test_steele_run_without_a_closed_form_needs_limit(tmp_path, capsys, spec):
     err = capsys.readouterr().err
     assert f"error: /limit: pass --limit: {measure_from_spec(spec).label} has no closed-form" in err
     assert main(argv + ["--limit", "-0.6"]) == 0
+    # a limit is usually negative, and argparse takes a lone -1e-3 for an
+    # option, so the README gives the --limit=<value> form
+    assert main(argv + ["--limit=-1e-3"]) == 0
+    assert json.loads((tmp_path / "o" / "verification.json").read_text())["limit_value"] == -1e-3
 
 
 _STEELE_ARGS = ["--n", "40", "--r", "2", "--K", "2", "--eps", "0.1", "--seed", "1"]

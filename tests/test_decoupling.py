@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import time
+import types
 
 import numpy as np
 import pytest
@@ -121,6 +122,55 @@ def test_a_nested_mixture_bound_is_taken_part_by_part():
     assert refused.value.pointer == "/components/1/components/1/P"
 
 
+# one law p given as each family's product record
+_PRODUCT_FORMS = {
+    "iid": lambda p: IIDMeasure(p),
+    "hmm-one-state": lambda p: HiddenMarkovMeasure([[1.0]], [p]),
+    "chain": lambda p: MarkovMeasure([p] * len(p)),
+    "chain-started-at-its-row": lambda p: MarkovMeasure([p] * len(p), start=p),
+    "hmm-identity-emissions": lambda p: HiddenMarkovMeasure([p] * len(p), np.eye(len(p))),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    form=st.sampled_from(sorted(_PRODUCT_FORMS)),
+    weights=st.lists(st.integers(1, 9), min_size=2, max_size=3),
+    zero=st.booleans(),
+    tau=st.integers(0, 2),
+)
+def test_every_product_record_gets_the_product_identity(form, weights, zero, tau):
+    """Whatever the family, a product record (a zero in its law or not) has
+    kernel bound exactly 0.0 and audits to the product identity, whose zeros
+    whole-level enumeration gives to rounding."""
+    if zero:
+        weights[0] = 0
+    Q = _PRODUCT_FORMS[form]((np.asarray(weights, dtype=float) / sum(weights)).tolist())
+    assert Q._hidden().product
+    c = Q.kernel_bound(tau)
+    assert c == 0.0 and math.copysign(1.0, c) == 1.0
+    gap = GapSchedule.constant(tau)
+    rep = minimal_decoupling_constants(Q, 3, 3, gap)
+    assert (rep.method, rep.constants) == ("product-identity", (0.0, 0.0, 0.0))
+    assert rep.worst_pairs == () and rep.positivity_failures == ()
+    enumerated = whole_level_audit(Q, 3, 3, gap)
+    assert enumerated.positivity_failures == ()
+    assert max(abs(v) for v in enumerated.constants) < 1e-12
+
+
+def test_identical_rows_from_another_start_are_no_product():
+    """Started away from its row, a chain with identical rows draws x_1 from the
+    start: no product, so the audit enumerates it and the bound is refused."""
+    Q = MarkovMeasure([[0.3, 0.7]] * 2, start=[0.5, 0.5])
+    assert not Q._hidden().product
+    rep = minimal_decoupling_constants(Q, 3, 3, GapSchedule.zero())
+    assert rep.method == "enumeration"
+    want = whole_level_audit(Q, 3, 3, GapSchedule.zero())
+    assert json.dumps(rep.to_json()) == json.dumps(want.to_json())
+    with pytest.raises(ValidationError, match="stationary start"):
+        Q.kernel_bound(0)
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
@@ -185,23 +235,32 @@ def test_audit_matches_per_pair_defects_with_gap(worked_chain):
 
 
 def test_iid_product_shortcut_is_exact():
-    """An iid measure gets the exact product identity; its chain with
-    identical rows, the same law but not an IIDMeasure, is enumerated and
+    """An iid measure gets the exact product identity, and so does its chain
+    with identical rows, the same law; enumerated whole-level, that chain
     agrees with 0 to rounding."""
     Q = IIDMeasure([0.3, 0.7])
     rep = minimal_decoupling_constants(Q, 3, 3, GapSchedule.zero())
     assert rep.method == "product-identity"
     assert rep.constants == (0.0, 0.0, 0.0)
     assert rep.worst_pairs == ()
-    forced = minimal_decoupling_constants(MarkovMeasure([Q.p] * 2), 3, 3, GapSchedule.zero())
-    assert forced.method == "enumeration"
-    assert max(abs(c) for c in forced.constants) < 1e-12
+    chain = MarkovMeasure([Q.p] * 2)
+    forced = minimal_decoupling_constants(chain, 3, 3, GapSchedule.zero())
+    assert (forced.method, forced.constants, forced.worst_pairs) == (
+        "product-identity", (0.0, 0.0, 0.0), ()
+    )
+    enumerated = whole_level_audit(chain, 3, 3, GapSchedule.zero())
+    assert max(abs(c) for c in enumerated.constants) < 1e-12
 
 
 def test_audit_cap():
-    Q = MarkovMeasure([[0.2, 0.3, 0.5]] * 3)
+    """A joint level over the word cap is refused; a product takes its
+    identity before the cap and enumerates nothing."""
+    Q = MarkovMeasure([[0.2, 0.3, 0.5], [0.5, 0.2, 0.3], [0.3, 0.5, 0.2]])
     with pytest.raises(CapExceededError):
         minimal_decoupling_constants(Q, 8, 8, GapSchedule.zero(), cap=100)
+    product = MarkovMeasure([[0.2, 0.3, 0.5]] * 3)
+    rep = minimal_decoupling_constants(product, 8, 8, GapSchedule.zero(), cap=100)
+    assert (rep.method, rep.constants) == ("product-identity", (0.0,) * 8)
 
 
 def _old_word_of_index(idx: int, k: int, n: int) -> tuple[int, ...]:
@@ -267,7 +326,8 @@ class _BrokenMeasure(ShiftMeasure):
     """Deliberately inconsistent tables: mass at level 2 sits on words
     whose level-1 halves have none.  Only the audit entry points are
     implemented: level 1 is [0, -inf], every level n >= 2 is uniform.
-    A level state is (values, word lengths)."""
+    A level state is (values, word lengths).  Of a hidden-chain record the
+    audit reads only the product rule, and this measure is no product."""
 
     def __init__(self):
         from gapsub import Alphabet
@@ -307,6 +367,9 @@ class _BrokenMeasure(ShiftMeasure):
 
     def kernel_bound(self, tau: int) -> float:
         raise NotImplementedError
+
+    def _hidden(self):
+        return types.SimpleNamespace(product=False)
 
 
 def test_positivity_failure_is_recorded_and_refused():

@@ -1,0 +1,58 @@
+"""No library code decides by the class of a gapsub object.
+
+A family answers through its own methods and its hidden-chain record (a
+product, a symbol chain), and a path converts through np.asarray.  So no
+isinstance or issubclass in src/gapsub/*.py may test against a class that
+src/gapsub defines: a measure family, Trajectory or any other.
+"""
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "gapsub"
+
+
+def _trees() -> dict[str, ast.AST]:
+    return {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+
+
+def _names(node: ast.AST) -> list[str]:
+    """The class names that the second argument of an isinstance names."""
+    if isinstance(node, ast.Tuple):
+        return [name for elt in node.elts for name in _names(elt)]
+    if isinstance(node, ast.Attribute):
+        return [node.attr]
+    return [node.id] if isinstance(node, ast.Name) else []
+
+
+def _class_tests(tree: ast.AST, ours: set[str]) -> list[tuple[int, str]]:
+    """(line, class) of every isinstance or issubclass against a class in ours."""
+    return [
+        (node.lineno, name)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id in ("isinstance", "issubclass")
+        and len(node.args) == 2
+        for name in _names(node.args[1])
+        if name in ours
+    ]
+
+
+def test_the_guard_sees_a_family_dispatch():
+    ours = {"IIDMeasure", "Trajectory"}
+    src = "if isinstance(Q, (dict, measures.IIDMeasure)):\n    x = issubclass(t, Trajectory)\n"
+    assert _class_tests(ast.parse(src), ours) == [(1, "IIDMeasure"), (2, "Trajectory")]
+    assert _class_tests(ast.parse("isinstance(x, (list, tuple, np.ndarray))"), ours) == []
+
+
+def test_no_isinstance_tests_against_a_gapsub_class():
+    trees = _trees()
+    ours = {node.name for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, ast.ClassDef)}
+    assert {"IIDMeasure", "MarkovMeasure", "HiddenMarkovMeasure", "MixtureMeasure",
+            "ShiftMeasure", "Trajectory"} <= ours
+    found = [f"{name}:{line}: {cls}" for name, tree in trees.items()
+             for line, cls in _class_tests(tree, ours)]
+    assert found == []

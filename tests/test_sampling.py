@@ -116,6 +116,17 @@ def test_a_trajectory_of_non_integers_is_refused():
     assert Trajectory(np.array([0, 1], dtype=np.int32), 2).symbols.dtype == np.int64
 
 
+def test_a_trajectory_converts_through_asarray(worked_chain):
+    """np.asarray reads a path as its symbols, so no caller unwraps one: the
+    series of the path is that of its array, bit for bit."""
+    x = sample_trajectory(worked_chain, 300, seed=4)
+    assert np.asarray(x) is x.symbols
+    assert np.array(x) is not x.symbols and np.array_equal(np.array(x), x.symbols)
+    assert np.asarray(x, dtype=np.float64).tolist() == x.symbols.astype(np.float64).tolist()
+    series = kingman_series(x, worked_chain)
+    assert series.values.tobytes() == kingman_series(x.symbols, worked_chain).values.tobytes()
+
+
 # ------------------------------------------------------------ log prefixes
 
 
