@@ -62,7 +62,7 @@ from .fekete import (
     fekete_limit_estimate,
     gap_lift,
 )
-from .measures import ShiftMeasure, measure_from_spec, validate_measure
+from .measures import WORD_CAP, ShiftMeasure, measure_from_spec, validate_measure
 from .sampling import sample_trajectory
 from .schedules import ErrorSchedule, GapSchedule, csv_text, geometric_grid, linear_grid
 from .steele import (
@@ -221,7 +221,7 @@ _P_Q = (_Param("p", "measure", help="sampling measure spec"),
         _Param("q", "measure", help="evaluated measure spec"))
 _TAU = _Param("tau", int, 0, least=0, cap="tau {}")
 _RHO_CONST = _Param("rho_const", float, None, least=0)
-_CAP = _Param("cap", int, 10**7, least=0, cap="cap {}")
+_CAP = _Param("cap", int, WORD_CAP, least=0, cap="cap {}")
 _LEVELS = _Param("n_max", int, 4, least=1)  # of `validate --semantic`
 _FEKETE = (_Param("sequence", "sequence"), _Param("sigma", "gap", GapSchedule.zero()),
            _Param("rho", "error", ErrorSchedule.zero()), _Param("N", int, least=1))
@@ -347,12 +347,11 @@ def _run_series(a: dict) -> dict:
 
 def _oracle_rates(P: ShiftMeasure, Q: ShiftMeasure) -> dict:
     """Closed-form rates when both measures admit them."""
-    kl = P.kl_rate(Q)
-    if kl is None:
+    cross = P.cross_entropy_rate(Q)
+    if cross is None:
         return {}
-    out = {"entropy_rate_p": P.entropy_rate(), "kl_rate": kl}
-    out["cross_entropy_rate"] = kl + out["entropy_rate_p"] if np.isfinite(kl) else float("inf")
-    return out
+    h = P.entropy_rate()
+    return {"entropy_rate_p": h, "kl_rate": cross - h, "cross_entropy_rate": cross}
 
 
 def _run_estimate(a: dict, mode: str) -> dict:

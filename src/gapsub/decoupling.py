@@ -25,7 +25,7 @@ import numpy as np
 from .errors import CapExceededError, ConfigError
 from .fekete import PAIRWISE_CAP, SubadditivityCheck, split_scan
 from .logspace import log_sum_exp_into
-from .measures import ShiftMeasure, _words_over_cap
+from .measures import WORD_CAP, ShiftMeasure
 # log_prefixes is re-exported: the benchmark's tracer wraps it here by name
 from .sampling import Trajectory, log_prefixes  # noqa: F401
 from .schedules import ErrorSchedule, GapSchedule, index_blocks
@@ -207,7 +207,7 @@ def minimal_decoupling_constants(
     n_max: int,
     m_max: int,
     tau: GapSchedule,
-    cap: int = 10**7,
+    cap: int = WORD_CAP,
 ) -> DecouplingReport:
     """Exact smallest c_n over all word pairs up to the given lengths.
 
@@ -222,6 +222,10 @@ def minimal_decoupling_constants(
     split reads its defects from the node (_walk_joint_levels).  The worst
     pair is the first in (m, a, b) order, and the first 20 positivity
     failures in (n, m, a, b) order are listed.
+
+    cap bounds the floats of a level state, as for log_marginals_level.
+    Every table and joint level is at most max_n (n + tau_n) + m_max
+    long, so that deepest level is checked once, before any table.
 
     For a product record (HiddenChain.product) Q(a * b) = Q(a) Q(b) is an
     identity, so its constants are exactly 0, with no enumeration.
@@ -243,20 +247,11 @@ def minimal_decoupling_constants(
             positivity_failures=(),
             method="product-identity",
         )
-    words = _words_over_cap(k, worst_len, cap)
-    if words:
-        raise CapExceededError(
-            f"audit needs {words} words at length {worst_len}, cap is {cap}"
-        )
+    # the level budget of the deepest level covers every shorter one
+    need = Q._level_need(worst_len, cap)
+    if need:
+        raise CapExceededError(f"audit needs {need} at length {worst_len}, cap is {cap}")
     taus = tau.values(np.arange(1, n_max + 1, dtype=np.int64)).tolist()
-    # every level the audit touches passes the family's level cap before
-    # any is computed; a refusal names the first one over it in the order
-    # n, then m and n + tau + m for each m
-    for n, t in zip(range(1, n_max + 1), taus):
-        Q._guard_level(n, cap)
-        for m in range(1, m_max + 1):
-            Q._guard_level(m, cap)
-            Q._guard_level(n + t + m, cap)
     # tables[l] is log Q over level l, both A_n and B_m
     tables = [None] + [Q.log_marginals_level(l, cap=cap) for l in range(1, max(n_max, m_max) + 1)]
     by_n = [[_Split(n, t, m) for m in range(1, m_max + 1)] for n, t in zip(range(1, n_max + 1), taus)]

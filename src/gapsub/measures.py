@@ -38,6 +38,7 @@ from .errors import (
 )
 from .logspace import _NEG_MAX, log_sum_exp, log_sum_exp_into, safe_log
 
+WORD_CAP = 10**7  # default cap on the floats of a level state: k^n words times _level_floats
 _STOCH_TOL = 1e-9
 _LISTS = (list, tuple, np.ndarray)
 _MAP_TABLE_ENTRIES = 1 << 22  # chain-path map entries built at a time: 4-8 MB
@@ -441,18 +442,26 @@ class ShiftMeasure(abc.ABC):
     def _level_state(self, n: int):
         return self._level_extend(self._level_start(), n - 1)
 
-    def log_marginals_level(self, n: int, cap: int = 10**7) -> np.ndarray:
+    def log_marginals_level(self, n: int, cap: int = WORD_CAP) -> np.ndarray:
         """log Q_n over all k^n words, indexed base-k, most significant first."""
         self._guard_level(n, cap)
         return self._level_totals(self._level_state(n))
 
+    def _level_need(self, n: int, cap: int) -> str | None:
+        """The printed size of the level-n state, if it holds more than cap floats; else None."""
+        floats = self._level_floats
+        words = _words_over_cap(self.alphabet.size, n, cap // floats)
+        if words is None:
+            return None
+        return f"{words} words" if floats == 1 else f"{words} words of {floats} floats"
+
     def _guard_level(self, n: int, cap: int) -> None:
-        """Refuse a level of more than cap words; families add their own limits."""
+        """Refuse a level whose state holds more than cap floats: k^n * _level_floats."""
         if n < 1:
             raise ConfigError("level must be >= 1")
-        words = _words_over_cap(self.alphabet.size, n, cap)
-        if words:
-            raise CapExceededError(f"level {n} needs {words} words, cap is {cap}")
+        need = self._level_need(n, cap)
+        if need:
+            raise CapExceededError(f"level {n} needs {need}, cap is {cap}")
 
 
 def _append_symbols(x: np.ndarray, t: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -1091,13 +1100,6 @@ class HiddenMarkovMeasure(ShiftMeasure):
     def _windows(self, w: np.ndarray) -> Windows:
         return _ForwardWindows(self, w)
 
-    def _guard_level(self, n: int, cap: int) -> None:
-        if _words_over_cap(self.alphabet.size, n, cap // self.hidden_size):
-            raise CapExceededError(
-                f"level {n} forward table exceeds cap {cap}"
-            )
-        super()._guard_level(n, cap)
-
     @property
     def _level_floats(self) -> int:
         return self.hidden_size
@@ -1185,11 +1187,6 @@ class MixtureMeasure(ShiftMeasure):
     def _windows(self, w: np.ndarray) -> Windows:
         return _MixtureWindows(self, w)
 
-    def _guard_level(self, n: int, cap: int) -> None:
-        super()._guard_level(n, cap)
-        for c in self.components:
-            c._guard_level(n, cap)
-
     @property
     def _level_floats(self) -> int:
         return sum(c._level_floats for c in self.components)
@@ -1244,7 +1241,7 @@ class MeasureValidation:
 
 
 def validate_measure(
-    Q: ShiftMeasure, n_max: int = 4, tol: float = 1e-9, cap: int = 10**7
+    Q: ShiftMeasure, n_max: int = 4, tol: float = 1e-9, cap: int = WORD_CAP
 ) -> MeasureValidation:
     """Audit normalization and two-sided marginal consistency by brute force.
 

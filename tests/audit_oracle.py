@@ -30,18 +30,16 @@ from gapsub.decoupling import (
     PositivityFailure,
     WorstPair,
     _word_of_index,
-    _words_over_cap,
 )
+from gapsub.measures import WORD_CAP, _words_over_cap
 
 from lse_oracle import log_sum_exp
 
 
-def old_level(Q: ShiftMeasure, n: int, cap: int = 10**7) -> np.ndarray:
+def old_level(Q: ShiftMeasure, n: int, cap: int = WORD_CAP) -> np.ndarray:
     """log Q_n over all k^n words by the family's whole-level recursion."""
     k = Q.alphabet.size
-    if isinstance(Q, HiddenMarkovMeasure) and k**n * Q.hidden_size > cap:
-        raise CapExceededError(f"level {n} forward table exceeds cap {cap}")
-    ShiftMeasure._guard_level(Q, n, cap)
+    Q._guard_level(n, cap)
     if isinstance(Q, IIDMeasure):
         lv = Q.log_p.copy()
         for _ in range(n - 1):
@@ -66,14 +64,16 @@ def old_level(Q: ShiftMeasure, n: int, cap: int = 10**7) -> np.ndarray:
     return Q.log_marginals_level(n, cap=cap)
 
 
-def whole_level_audit(Q: ShiftMeasure, n_max: int, m_max: int, tau, cap: int = 10**7):
+def whole_level_audit(Q: ShiftMeasure, n_max: int, m_max: int, tau, cap: int = WORD_CAP):
     """minimal_decoupling_constants as whole-level enumeration (no iid shortcut)."""
     k = Q.alphabet.size
     taus = [tau.value(n) for n in range(1, n_max + 1)]
     worst_len = max(n + t + m_max for n, t in zip(range(1, n_max + 1), taus))
-    if k**worst_len > cap:
+    floats = Q._level_floats  # per word of a level state
+    if k**worst_len * floats > cap:
+        of = "" if floats == 1 else f" of {floats} floats"
         raise CapExceededError(
-            f"audit needs {k**worst_len} words at length {worst_len}, cap is {cap}"
+            f"audit needs {k**worst_len} words{of} at length {worst_len}, cap is {cap}"
         )
     levels: dict[int, np.ndarray] = {}
 
@@ -140,7 +140,7 @@ def whole_level_audit(Q: ShiftMeasure, n_max: int, m_max: int, tau, cap: int = 1
 
 
 def decoupling_defect(
-    Q: ShiftMeasure, a, b, tau_n: int, cap: int = 10**7
+    Q: ShiftMeasure, a, b, tau_n: int, cap: int = WORD_CAP
 ) -> float:
     """log Q(a * b) - log Q(a) - log Q(b) for one word pair.
 

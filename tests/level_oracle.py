@@ -10,9 +10,10 @@ from __future__ import annotations
 import numpy as np
 
 from gapsub import ConfigError, ShiftMeasure
+from gapsub.measures import WORD_CAP
 
 
-def marginal_entropy(Q: ShiftMeasure, n: int, cap: int = 10**7) -> float:
+def marginal_entropy(Q: ShiftMeasure, n: int, cap: int = WORD_CAP) -> float:
     """H(Q_n) = -sum_w Q_n(w) log Q_n(w) by enumeration."""
     lv = Q.log_marginals_level(n, cap=cap)
     finite = lv[np.isfinite(lv)]
@@ -20,7 +21,7 @@ def marginal_entropy(Q: ShiftMeasure, n: int, cap: int = 10**7) -> float:
 
 
 def brute_force_kl_level(
-    P: ShiftMeasure, Q: ShiftMeasure, n: int, cap: int = 10**7
+    P: ShiftMeasure, Q: ShiftMeasure, n: int, cap: int = WORD_CAP
 ) -> float:
     """Exact D(P_n || Q_n) = sum_w P_n(w) log(P_n(w)/Q_n(w)) by enumeration.
 

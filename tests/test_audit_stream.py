@@ -257,7 +257,18 @@ def test_refusals_keep_their_messages(Q, n_max, m_max, tau, cap):
     assert str(got.value) == str(want.value)
 
 
-@pytest.mark.parametrize("tau, words", [(60, "9223372036854775808"), (61, "2^64")])
+def test_hmm_audit_checks_its_deepest_level_once():
+    """h = 2, n = m = 4, tau = 4: the deepest level has 2^12 words of 2
+    floats, so the audit is refused at cap 8191 and runs at 8192."""
+    Q, gap = _hmm(2, 2, 5), GapSchedule.constant(4)
+    with pytest.raises(CapExceededError) as got:
+        minimal_decoupling_constants(Q, 4, 4, gap, cap=8191)
+    assert str(got.value) == "audit needs 4096 words of 2 floats at length 12, cap is 8191"
+    rep = minimal_decoupling_constants(Q, 4, 4, gap, cap=8192)
+    assert rep.constants == whole_level_audit(Q, 4, 4, gap, cap=8192).constants
+
+
+@pytest.mark.parametrize("tau, words",[(60, "9223372036854775808"), (61, "2^64")])
 def test_refusal_names_a_long_level_as_a_power(tau, words):
     """Below 64 symbols the count is printed whole, from 64 on as k^length."""
     with pytest.raises(CapExceededError) as got:

@@ -213,6 +213,22 @@ def test_cli_estimate_relent_reports_oracles(tmp_path):
     assert summary["kind"] == "relative"
 
 
+def test_cli_cross_entropy_oracle_is_the_closed_form(tmp_path):
+    """The oracle is cross_entropy_rate itself, not kl_rate + h, which
+    rounds to 1.3629855815683425 for this pair."""
+    P = [[0.2, 0.8], [0.1, 0.9]]
+    Q = [[0.2, 0.8], [0.8, 0.19999999999999996]]
+    p = write_json(tmp_path, "p.json", {"family": "markov", "P": P})
+    q = write_json(tmp_path, "q.json", {"family": "markov", "P": Q})
+    out = tmp_path / "out"
+    assert main(["estimate", "cross", "--p", p, "--q", q, "--N", "100", "--seed", "1",
+                 "--outdir", str(out)]) == 0
+    oracles = json.loads((out / "summary.json").read_text())["oracles"]
+    want = MarkovMeasure(P).cross_entropy_rate(MarkovMeasure(Q))
+    assert oracles["cross_entropy_rate"] == want == 1.3629855815683423
+    assert oracles["kl_rate"] == MarkovMeasure(P).kl_rate(MarkovMeasure(Q))
+
+
 def test_cli_estimate_mean_writes_terminals(tmp_path):
     p = write_json(tmp_path, "p.json", COIN_SPEC)
     out = tmp_path / "out"
@@ -898,7 +914,7 @@ def test_cli_validate_semantic_failure(tmp_path, capsys):
 @pytest.mark.parametrize(
     "spec, message",
     [(WORKED_SPEC, "cap: /n_max: level 40 needs 1099511627776 words, cap is 10000000"),
-     (HMM_SPEC, "cap: /n_max: level 40 forward table exceeds cap 10000000")],
+     (HMM_SPEC, "cap: /n_max: level 40 needs 1099511627776 words of 2 floats, cap is 10000000")],
     ids=["markov", "hmm"],
 )
 def test_cli_validate_semantic_refuses_its_largest_level_first(tmp_path, capsys, spec, message):

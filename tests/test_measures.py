@@ -347,8 +347,53 @@ def test_hmm_level_cap_counts_hidden_states():
         H.log_marginals_level(4, cap=20)
     # 16 words times 2 hidden states
     assert H.log_marginals_level(4, cap=32).size == 16
-    with pytest.raises(CapExceededError, match="level 4 forward table exceeds cap 31"):
+    with pytest.raises(CapExceededError, match="level 4 needs 16 words of 2 floats, cap is 31"):
         H.log_marginals_level(4, cap=31)
+
+
+def test_mixture_level_cap_counts_every_component():
+    """Two 2-state HMMs hold 4 floats per word: level 4 is 64 floats, not 32."""
+    H = HiddenMarkovMeasure([[0.7, 0.3], [0.4, 0.6]], [[0.8, 0.2], [0.3, 0.7]])
+    M = MixtureMeasure([H, H], [0.5, 0.5])
+    with pytest.raises(CapExceededError, match="level 4 needs 16 words of 4 floats, cap is 32"):
+        M.log_marginals_level(4, cap=32)
+    assert sum(s.size for s in M._level_state(4)) == 64
+    assert M.log_marginals_level(4, cap=64).size == 16
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    family=st.sampled_from(["iid", "markov", "hmm", "mixture"]),
+    h=st.integers(1, 3),
+    k=st.integers(2, 3),
+    n=st.integers(1, 5),
+    cap=st.integers(0, 1000),
+)
+def test_level_cap_counts_the_floats_of_a_level_state(seed, family, h, k, n, cap):
+    """_guard_level(n, cap) refuses iff k^n * _level_floats > cap, for iid,
+    chains, HMMs with h <= 3 and mixtures of the three families."""
+    rng = np.random.default_rng(seed)
+    try:
+        if family == "mixture":
+            Q = MixtureMeasure(
+                [random_measure(rng, f, h, k, False) for f in ("iid", "markov", "hmm")],
+                rng.dirichlet(np.ones(3)).tolist(),
+            )
+        else:
+            Q = random_measure(rng, family, h, k, False)
+    except ValidationError:
+        assume(False)  # a reducible chain has no unique stationary law
+    floats = {"iid": 1, "markov": 1, "hmm": h, "mixture": 2 + h}[family]
+    assert Q._level_floats == floats
+    try:
+        Q._guard_level(n, cap)
+    except CapExceededError as exc:
+        assert k**n * floats > cap
+        of = "" if floats == 1 else f" of {floats} floats"
+        assert str(exc) == f"level {n} needs {k**n} words{of}, cap is {cap}"
+    else:
+        assert k**n * floats <= cap
 
 
 # ----------------------------------------------------------------- mixture

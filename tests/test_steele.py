@@ -333,6 +333,17 @@ def test_bad_indicator_guards():
         bad_indicator(ctx, ctx.horizon - ctx.K * ctx.r + 2)
 
 
+def test_a_value_at_the_threshold_admits_and_one_offset_is_a_count():
+    """Every normalized value ties the threshold 0.5 exactly, so depth 1
+    admits at every offset, and a count of 1 reads one offset."""
+    ctx = ProofContext(f=lambda js, n: np.full(js.shape, 0.5 * n), limit_value=0.0,
+                       sigma=GapSchedule.zero(), r=2, K=1, eps=0.5, horizon=10,
+                       rho=lambda js, n: np.zeros(js.shape))
+    assert ctx.threshold == 0.5
+    assert first_depths(ctx, [0, 1, 5]).tolist() == [1, 1, 1]
+    assert bad_indicator(ctx, 1).tolist() == [False]
+
+
 @pytest.mark.parametrize("value", [-0.5, np.nan, np.inf])
 def test_bad_rho_is_rejected_on_every_path(value):
     ctx = parity_ctx(20, rho=const_rho(value))
