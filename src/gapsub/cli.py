@@ -59,6 +59,7 @@ from .fekete import (
     PAIRWISE_CAP,
     RealSequence,
     check_gapped_subadditivity,
+    check_pairwise_horizon,
     fekete_limit_estimate,
     gap_lift,
 )
@@ -182,7 +183,6 @@ _HORIZON_CAP = 10**7
 # report.json
 _ENTRY_CAP = 10**5
 _PATH = "a path of {} symbols"  # the noun of a drawn length's refusal
-_PAIRWISE = "pairwise check at N = {}"
 
 
 # ---------------------------------------------------------------------------
@@ -283,8 +283,8 @@ def _rho_const(a: dict) -> float:
 
 def _run_fekete_check(a: dict) -> dict:
     cap = PAIRWISE_CAP if a["cap"] is None else a["cap"]
-    _over_cap(a["N"], cap, _PAIRWISE, "/N")
-    check = check_gapped_subadditivity(a["sequence"], a["sigma"], a["rho"], a["N"], a["tol"], cap)
+    with pointed("/N", CapExceededError):
+        check = check_gapped_subadditivity(a["sequence"], a["sigma"], a["rho"], a["N"], a["tol"], cap)
     return {"check.json": check.to_json()}
 
 
@@ -297,8 +297,8 @@ def _run_fekete_limit(a: dict) -> dict:
 
 def _run_fekete_lift(a: dict) -> dict:
     probe_N, table_N = a["probe_N"], a["table_N"]
-    _over_cap(probe_N, PAIRWISE_CAP, _PAIRWISE, "/probe_N")
-    rho = gap_lift(a["sequence"], a["sigma"], probe_N=probe_N)
+    with pointed("/probe_N", CapExceededError):
+        rho = gap_lift(a["sequence"], a["sigma"], probe_N=probe_N)
     table = rho.values(np.arange(1, table_N + 1, dtype=np.int64))
     rho_json = {"rule": "table", "params": {"values": table.tolist()}}
     summary = {
@@ -447,7 +447,8 @@ def _run_steele(a: dict) -> dict:
 
 def _run_traj_check(a: dict) -> dict:
     Q, N, tau = a["measure"], a["N"], a["tau"]
-    _over_cap(N, PAIRWISE_CAP, _PAIRWISE, "/N")
+    with pointed("/N", CapExceededError):
+        check_pairwise_horizon(N, PAIRWISE_CAP)
     if N < tau + 2:
         raise SchemaError(f"must be >= tau + 2 = {tau + 2}: at tau {tau} "
                           "no pair has n + tau + m <= N", "/N")

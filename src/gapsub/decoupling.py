@@ -23,7 +23,7 @@ import dataclasses
 import numpy as np
 
 from .errors import CapExceededError, ConfigError
-from .fekete import PAIRWISE_CAP, SubadditivityCheck, split_scan
+from .fekete import SubadditivityCheck, check_pairwise_horizon, split_scan
 from .logspace import log_sum_exp_into
 from .measures import WORD_CAP, ShiftMeasure
 # log_prefixes is re-exported: the benchmark's tracer wraps it here by name
@@ -300,13 +300,6 @@ def minimal_decoupling_constants(
     )
 
 
-@dataclasses.dataclass(frozen=True)
-class TrajectoryCheck(SubadditivityCheck):
-    """A split check along one path, with the largest excess over all pairs."""
-
-    max_excess: float
-
-
 def check_trajectory_subadditivity(
     x: Trajectory | np.ndarray,
     Q: ShiftMeasure,
@@ -315,34 +308,28 @@ def check_trajectory_subadditivity(
     N: int | None = None,
     tol: float = 1e-10,
     max_report: int = 200,
-) -> TrajectoryCheck:
+) -> SubadditivityCheck:
     """Test f_{n+sigma_n+m}(x) <= f_n(x) + rho_n + f_m(shifted x) pairwise.
 
     f_n = log Q_n along the given path; the second block is evaluated
     after shifting by n + sigma_n.  All pairs with n + sigma_n + m <= N
     are covered by fekete.split_scan, each block through Q.windows, in
-    O(N^2) arithmetic; a horizon above fekete.PAIRWISE_CAP is refused.
+    O(N^2) arithmetic.  N defaults to the path's length; fekete's
+    check_pairwise_horizon refuses it below 1 or above fekete.PAIRWISE_CAP
+    before the path is read.
 
     tol is an absolute slack for float cancellation: exact ties like a
     deterministic transition evaluate to excess 0 up to rounding.
     """
     symbols = np.asarray(x)  # checked by Q.windows
-    if N is None:
-        N = symbols.size
+    N = symbols.size if N is None else N
+    check_pairwise_horizon(N)
     if N > symbols.size:
         raise ConfigError(f"horizon {N} exceeds trajectory length {symbols.size}")
-    if N > PAIRWISE_CAP:
-        raise CapExceededError(f"pairwise check at N = {N} exceeds cap {PAIRWISE_CAP}")
     wl = Q.windows(symbols[:N])
     ns = np.arange(1, N + 1, dtype=np.int64)
-    found, total, max_excess = split_scan(
+    found, total, top = split_scan(
         wl.suffix(0, N), wl.suffix_rows, sigma.values(ns), rho.values(ns), tol, max_report
     )
-    return TrajectoryCheck(
-        ok=(total == 0),
-        violations=found,
-        violation_count=total,
-        horizon=int(N),
-        tol=tol,
-        max_excess=max_excess,
-    )
+    return SubadditivityCheck(ok=total == 0, violations=found, violation_count=total,
+                              horizon=int(N), tol=tol, max_excess=top)

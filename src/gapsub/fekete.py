@@ -34,6 +34,15 @@ def _check_horizon(N: int) -> None:
         raise ConfigError("sequence horizon must be >= 1")
 
 
+def check_pairwise_horizon(N: int, cap: int = PAIRWISE_CAP) -> None:
+    """The one budget of a split check, which compares O(N^2) pairs: its
+    horizon N must lie in 1 .. cap.  Every front end asks it before it
+    draws or evaluates anything."""
+    if N > cap:
+        raise CapExceededError(f"pairwise check at N = {N} exceeds cap {cap}")
+    _check_horizon(N)
+
+
 @dataclasses.dataclass(frozen=True)
 class RealSequence(_Schedule):
     """Lazy 1-indexed sequence n -> F_n with values in [-inf, inf), the third schedule kind.
@@ -87,6 +96,7 @@ class SubadditivityCheck:
     violation_count: int
     horizon: int
     tol: float
+    max_excess: float  # the largest defined excess over all pairs, -inf if none
 
     def to_json(self) -> dict:
         return dataclasses.asdict(self)
@@ -226,23 +236,14 @@ def check_gapped_subadditivity(
     F, sigma, rho and then F + rho are checked in that order, each at its
     first n that fails, before any pair is compared.
     """
-    if N > cap:
-        raise CapExceededError(
-            f"pairwise check at N = {N} exceeds cap {cap}; pass cap >= N to allow"
-        )
-    _check_horizon(N)
+    check_pairwise_horizon(N, cap)
     ns = np.arange(1, N + 1, dtype=np.int64)
     Fv = F.values(ns)
     sig, rh = sigma.values(ns), rho.values(ns)
     _plus_error(F, Fv, rh, ns)
-    found, total, _ = split_scan(Fv, lambda j, rows, m: Fv[None, :m], sig, rh, tol, max_report)
-    return SubadditivityCheck(
-        ok=(total == 0),
-        violations=found,
-        violation_count=total,
-        horizon=N,
-        tol=tol,
-    )
+    found, total, top = split_scan(Fv, lambda j, rows, m: Fv[None, :m], sig, rh, tol, max_report)
+    return SubadditivityCheck(ok=total == 0, violations=found, violation_count=total,
+                              horizon=N, tol=tol, max_excess=top)
 
 
 @dataclasses.dataclass(frozen=True)

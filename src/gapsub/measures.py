@@ -55,10 +55,12 @@ _GATHER_ENTRIES = 1 << 13
 _COMPARE_STATES = 8
 
 
-def integer_array(a: np.ndarray, error: type[Exception], what: str) -> np.ndarray:
-    """a as int64, refused with error if its dtype is not integer: a cast
-    would truncate 1.9 to 1 and read the string '1' as 1."""
-    if a.dtype.kind not in "iu":
+def integer_array(a, error: type[Exception], what: str) -> np.ndarray:
+    """a as an int64 array, refused with error if it holds a value of a
+    dtype that is not integer: a cast would truncate 1.9 to 1 and read the
+    string '1' as 1.  An empty list, float64 to numpy, is no values."""
+    a = np.asarray(a)
+    if a.size and a.dtype.kind not in "iu":
         raise error(f"{what} must be integers, not {a.dtype}")
     return a.astype(np.int64, copy=False)
 
@@ -512,7 +514,7 @@ class Windows(abc.ABC):
 
     def many(self, js, m: int) -> np.ndarray:
         """f_m at each offset in js; requires j + m <= size for all j."""
-        js = np.asarray(js, dtype=np.int64)
+        js = integer_array(js, ConfigError, "offsets")
         if m < 1:
             raise ConfigError("window length must be >= 1")
         if not js.size:
@@ -558,15 +560,27 @@ class _PrefixSumWindows(Windows):
         # a path with no -inf term needs no count: every window is finite
         self._any_bad = bool(self._bad_cum[-1]) or (self._markov and bool(self._head_bad.any()))
 
-    def _many(self, js: np.ndarray, m: int) -> np.ndarray:
+    def _sums(self, js: np.ndarray, ends: np.ndarray, bad_ends) -> np.ndarray:
+        """The windows at offsets js whose prefix sums end at ends, the one
+        window formula: (head[j] + ends) - cum[j + 1] for a chain, whose
+        steps j + 2 .. j + m follow the head (body[0] is 0 padding), and
+        ends - cum[j] for iid.  bad_ends() gives the -inf counts at the
+        same ends; a path with no -inf term skips the count."""
+        first = js + 1 if self._markov else js  # the prefix sum each window starts after
         if self._markov:
-            # steps j+2 .. j+m in 1-indexed terms; body[0] is 0 padding
-            vals = self._head[js] + (self._cum[js + m] - self._cum[js + 1])
-            nbad = self._head_bad[js] + self._bad_cum[js + m] - self._bad_cum[js + 1]
+            vals = self._head[js] + ends
+            vals -= self._cum[first]
         else:
-            vals = self._cum[js + m] - self._cum[js]
-            nbad = self._bad_cum[js + m] - self._bad_cum[js]
+            vals = ends - self._cum[first]
+        if not self._any_bad:
+            return vals
+        nbad = bad_ends() - self._bad_cum[first]
+        if self._markov:
+            nbad += self._head_bad[js]
         return np.where(nbad > 0, -np.inf, vals)
+
+    def _many(self, js: np.ndarray, m: int) -> np.ndarray:
+        return self._sums(js, self._cum[js + m], lambda: self._bad_cum[js + m])
 
     @functools.cached_property
     def _ends(self) -> tuple[np.ndarray, np.ndarray | None]:
@@ -580,21 +594,9 @@ class _PrefixSumWindows(Windows):
 
     def _suffix_rows(self, j0: int, rows: int, width: int) -> np.ndarray:
         ends, bad_ends = self._ends
-        at, after = slice(j0, j0 + rows), slice(j0 + 1, j0 + rows + 1)
-        cum = ends[after, :width]  # [r, i] = cum[j0 + r + 1 + i]
-        if self._markov:
-            vals = self._head[at, None] + cum
-            vals -= self._cum[after, None]
-        else:
-            vals = cum - self._cum[at, None]
-        if not self._any_bad:
-            return vals
-        bad_cum = bad_ends[after, :width]
-        if self._markov:
-            nbad = self._head_bad[at, None] + bad_cum - self._bad_cum[after, None]
-        else:
-            nbad = bad_cum - self._bad_cum[at, None]
-        return np.where(nbad > 0, -np.inf, vals)
+        after = slice(j0 + 1, j0 + rows + 1)  # [r, i] = cum[j0 + r + 1 + i]
+        js = np.arange(j0, j0 + rows)[:, None]
+        return self._sums(js, ends[after, :width], lambda: bad_ends[after, :width])
 
 
 # largest forward table one HMM suffix block may hold, in floats; also the

@@ -104,7 +104,7 @@ class ProofContext:
 
     def eval_f(self, js, n: int) -> np.ndarray:
         """f at the offsets js and length n; every window must lie in the horizon."""
-        js = np.asarray(js, dtype=np.int64)
+        js = measures.integer_array(js, ConfigError, "offsets")
         outside = (js < 0) | (js + n > self.horizon) | (n < 1)
         if outside.any():
             raise ConfigError(
@@ -115,7 +115,8 @@ class ProofContext:
 
     def eval_rho(self, js, n: int) -> np.ndarray:
         """rho at the offsets js and length n; every value must be finite and >= 0."""
-        v = np.asarray(self.rho(np.asarray(js, dtype=np.int64), n), dtype=np.float64)
+        js = measures.integer_array(js, ConfigError, "offsets")
+        v = np.asarray(self.rho(js, n), dtype=np.float64)
         if not (np.isfinite(v) & (v >= 0)).all():
             raise ValidationError("rho values must be finite and >= 0")
         return v
@@ -130,7 +131,7 @@ def first_depths(ctx: ProofContext, js) -> np.ndarray:
     blocks of measures._GATHER_ENTRIES, and within a block each depth
     evaluates only the offsets no smaller depth has admitted.
     """
-    js = np.asarray(js, dtype=np.int64)
+    js = measures.integer_array(js, ConfigError, "offsets")
     depths = np.zeros(js.shape, dtype=np.int64)
     thr, step = ctx.threshold, measures._GATHER_ENTRIES
     for lo in range(0, js.size, step):

@@ -1835,3 +1835,57 @@ def test_arbitrary_fekete_spec_exits_0_2_or_3(spec, sub):
         with open(s, "w") as fh:
             json.dump(spec, fh)
         assert main(["fekete", sub, "--spec", s, "--outdir", os.path.join(tmp, "o")]) in (0, 2, 3)
+
+
+def _pairwise_refusal(case, tmp_path, capsys):
+    """(exit code, stderr line) of one pairwise refusal at N = 6000: through the
+    CLI, the line main prints; through the library, the line it would print."""
+    from gapsub import GapSchedule, RealSequence, check_trajectory_subadditivity
+
+    zero, F = ErrorSchedule.zero(), RealSequence.from_json({"name": "sqrt"})
+    library = {
+        "check_gapped_subadditivity": lambda: fekete.check_gapped_subadditivity(
+            F, GapSchedule.zero(), zero, 6000),
+        "check_trajectory_subadditivity": lambda: check_trajectory_subadditivity(
+            np.zeros(6000, dtype=np.int64), IIDMeasure([0.5, 0.5]), zero, GapSchedule.zero()),
+    }
+    if case in library:
+        with pytest.raises(errors.CapExceededError) as got:
+            library[case]()
+        return got.value.exit_code, f"{got.value.label}: {got.value}"
+    out = tmp_path / "o"
+    if case == "decouple-check":
+        argv = ["decouple", "check", "--measure", write_json(tmp_path, "m.json", WORKED_SPEC),
+                "--N", "6000", "--seed", "1"]
+    else:
+        horizon = {"sigma": {"rule": "ceil_log"}, "probe_N": 6000} if case == "fekete-lift" else {"N": 6000}
+        spec = write_json(tmp_path, "s.json", {"sequence": {"name": "sqrt"}, **horizon})
+        argv = ["fekete", case.split("-")[1], "--spec", spec]
+    rc = main([*argv, "--outdir", str(out)])
+    assert not out.exists()
+    return rc, capsys.readouterr().err
+
+
+PAIRWISE_REFUSALS = {
+    "fekete-check": "cap: /N: pairwise check at N = 6000 exceeds cap 5000\n",
+    "fekete-lift": "cap: /probe_N: pairwise check at N = 6000 exceeds cap 5000\n",
+    "decouple-check": "cap: /N: pairwise check at N = 6000 exceeds cap 5000\n",
+    "check_gapped_subadditivity": "cap: pairwise check at N = 6000 exceeds cap 5000",
+    "check_trajectory_subadditivity": "cap: pairwise check at N = 6000 exceeds cap 5000",
+}
+
+
+@pytest.mark.parametrize("case", list(PAIRWISE_REFUSALS))
+def test_every_pairwise_refusal_is_one_rule(case, tmp_path, capsys, monkeypatch):
+    """fekete.check_pairwise_horizon is the one budget of every split check:
+    each front end exits 4 with its message, the CLI pointing it at its
+    horizon key, before a path is drawn or any value is evaluated."""
+    from gapsub import measures, schedules
+
+    def evaluated(*args, **kwargs):
+        raise AssertionError("a value was evaluated before the pairwise refusal")
+
+    monkeypatch.setattr(cli, "sample_trajectory", evaluated)
+    monkeypatch.setattr(schedules._Schedule, "values", evaluated)
+    monkeypatch.setattr(measures.ShiftMeasure, "windows", evaluated)
+    assert _pairwise_refusal(case, tmp_path, capsys) == (4, PAIRWISE_REFUSALS[case])

@@ -548,6 +548,16 @@ def test_trajectory_check_refuses_a_horizon_above_the_pairwise_cap():
     assert chk.horizon == 20
 
 
+@pytest.mark.parametrize("N", [0, -5])
+def test_trajectory_check_refuses_a_horizon_below_1_before_reading_the_path(N):
+    """As the sequence check does: a ConfigError (exit 2), not a fault of
+    the path.  The path here is not even a word, so reading it would fail."""
+    Q = IIDMeasure([0.5, 0.5])
+    with pytest.raises(ConfigError, match="sequence horizon must be >= 1") as got:
+        check_trajectory_subadditivity([[0.5]], Q, ErrorSchedule.zero(), GapSchedule.zero(), N=N)
+    assert got.value.exit_code == 2
+
+
 def test_trajectory_check_json(worked_chain):
     x = sample_trajectory(worked_chain, 100, seed=113)
     chk = check_trajectory_subadditivity(

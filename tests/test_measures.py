@@ -396,6 +396,36 @@ def test_level_cap_counts_the_floats_of_a_level_state(seed, family, h, k, n, cap
         assert k**n * floats <= cap
 
 
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    family=st.sampled_from(["iid", "markov", "hmm", "mixture"]),
+    h=st.integers(1, 3),
+    k=st.integers(2, 3),
+    n=st.integers(1, 40),
+)
+def test_many_is_the_suffix_rows_column_bit_for_bit(seed, family, h, k, n):
+    """many(js, m) and column m - 1 of suffix_rows are one window formula, for
+    iid, chains, HMMs with h <= 3 and mixtures of the three.  Zero entries
+    and a path drawn uniformly put -inf terms in most windows of a chain."""
+    rng = np.random.default_rng(seed)
+    try:
+        if family == "mixture":
+            Q = MixtureMeasure(
+                [random_measure(rng, f, h, k, True) for f in ("iid", "markov", "hmm")],
+                rng.dirichlet(np.ones(3)).tolist(),
+            )
+        else:
+            Q = random_measure(rng, family, h, k, True)
+    except ValidationError:
+        assume(False)  # a reducible chain has no unique stationary law
+    wl = Q.windows(rng.integers(k, size=n))
+    rows = wl.suffix_rows(0, n, n)
+    for m in range(1, n + 1):
+        js = np.arange(n - m + 1)
+        assert wl.many(js, m).tobytes() == rows[js, m - 1].tobytes()
+
+
 # ----------------------------------------------------------------- mixture
 
 

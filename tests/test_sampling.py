@@ -334,3 +334,13 @@ def test_window_bounds_checked(worked_chain):
         wl.many(np.asarray([-1]), 2)
     with pytest.raises(ConfigError):
         wl.suffix(18, 5)
+
+
+@pytest.mark.parametrize("family", list(FAMILIES))
+@pytest.mark.parametrize("js", [[1.7], ["2"], [True]], ids=["float", "string", "bool"])
+def test_window_offsets_of_a_non_integer_dtype_are_refused(family, js):
+    """A cast would read the offset 1.7 as 1, '2' as 2 and True as 1."""
+    Q = FAMILIES[family]()
+    wl = Q.windows(sample_trajectory(Q, 20, seed=3).symbols)
+    with pytest.raises(ConfigError, match="offsets must be integers"):
+        wl.many(js, 3)

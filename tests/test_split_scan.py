@@ -162,6 +162,15 @@ def test_a_zero_largest_excess_keeps_its_sign(seed):
     assert got == want and np.frombuffer(got[2])[0] == 0.0
 
 
+def test_an_excess_of_exactly_tol_is_no_violation():
+    """F = (0, 0.5, 1.25) at tol 0.5: the pair (1, 1) has excess exactly
+    0.5, so only (1, 2) and (2, 1), each 0.75 over, are violations."""
+    F = RealSequence.from_json({"name": "table", "params": {"values": [0.0, 0.5, 1.25]}})
+    chk = fekete.check_gapped_subadditivity(F, GapSchedule.zero(), ErrorSchedule.zero(), 3, tol=0.5)
+    assert [(v.n, v.m, v.excess) for v in chk.violations] == [(1, 2, 0.75), (2, 1, 0.75)]
+    assert (chk.violation_count, chk.max_excess) == (2, 0.75)
+
+
 def _paths():
     """(measure, path) pairs: iid and Markov with and without a -inf term, HMM, mixture."""
     markov = MarkovMeasure(ZERO_STEP_P)

@@ -190,6 +190,19 @@ def test_eval_guards():
         bad_rho.eval_rho([0], 5)
 
 
+@pytest.mark.parametrize("js", [[1.7], ["2"], [True]], ids=["float", "string", "bool"])
+def test_offsets_of_a_non_integer_dtype_are_refused(js):
+    """A cast would read the offset 1.7 as 1, '2' as 2 and True as 1; an
+    empty offset list, float64 to numpy, holds no offset to misread."""
+    ctx = linear_ctx(20, r=5, K=2)
+    for evaluate in (ctx.eval_f, ctx.eval_rho):
+        with pytest.raises(ConfigError, match="offsets must be integers"):
+            evaluate(js, 5)
+    with pytest.raises(ConfigError, match="offsets must be integers"):
+        first_depths(ctx, js)
+    assert first_depths(ctx, []).dtype == np.int64 and first_depths(ctx, []).size == 0
+
+
 def test_rho_shifts_depth_values():
     # threshold -0.5; offset 0 has block values -1 at depths 1 and 2
     assert first_depths(parity_ctx(30), [0, 1]).tolist() == [1, 0]
