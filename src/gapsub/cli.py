@@ -481,7 +481,8 @@ class _ValidationWithArtifacts(ValidationError):
 # each run subcommand's runner and params; the params are read and checked
 # in their order here, and make the subcommand's command-line options
 _SUBCOMMANDS = {
-    "fekete.check": (_run_fekete_check, (*_FEKETE, _Param("tol", float, 1e-12), _FEKETE_CAP)),
+    "fekete.check": (_run_fekete_check,
+                     (*_FEKETE, _Param("tol", float, 1e-12, least=0), _FEKETE_CAP)),
     "fekete.limit": (_run_fekete_limit,
                      (*_FEKETE, _FEKETE_CAP, _Param("stride", int, None, least=1))),
     "fekete.lift": (_run_fekete_lift, (
@@ -506,14 +507,15 @@ _SUBCOMMANDS = {
         _Param("tau", "int|gap", 0, least=0, cap="tau {}"), _CAP,
     )),
     "decouple.bound": (_run_decouple_bound, (_MEASURE, _TAU)),
-    "decouple.check": (_run_traj_check, (*_DRAW, _TAU, _RHO_CONST, _Param("tol", float, 1e-10))),
+    "decouple.check": (_run_traj_check,
+                       (*_DRAW, _TAU, _RHO_CONST, _Param("tol", float, 1e-10, least=0))),
     "steele.run": (_run_steele, (
         _MEASURE, *(_Param(key, int, least=1) for key in ("n", "r", "K")),
         _Param("eps", float, positive=True), _SEED, _STREAM, _TAU, _RHO_CONST,
         _Param("limit", float, None),
     )),
     "validate.measure": (_run_validate_measure,
-                         (_MEASURE, _LEVELS, _Param("tol", float, 1e-9), _CAP)),
+                         (_MEASURE, _LEVELS, _Param("tol", float, 1e-9, least=0), _CAP)),
 }
 
 

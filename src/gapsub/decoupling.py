@@ -22,7 +22,7 @@ import dataclasses
 
 import numpy as np
 
-from .errors import CapExceededError, ConfigError
+from .errors import CapExceededError, ConfigError, check_tol
 from .fekete import SubadditivityCheck, check_pairwise_horizon, split_scan
 from .logspace import log_sum_exp_into
 from .measures import WORD_CAP, ShiftMeasure
@@ -319,8 +319,10 @@ def check_trajectory_subadditivity(
     before the path is read.
 
     tol is an absolute slack for float cancellation: exact ties like a
-    deterministic transition evaluate to excess 0 up to rounding.
+    deterministic transition evaluate to excess 0 up to rounding.  It must
+    be finite and >= 0, and is checked first.
     """
+    check_tol(tol)
     symbols = np.asarray(x)  # checked by Q.windows
     N = symbols.size if N is None else N
     check_pairwise_horizon(N)

@@ -114,6 +114,13 @@ def finite(value: numbers.Real) -> bool:
         return False
 
 
+def check_tol(tol) -> None:
+    """Refuse a slack tol that is nan, infinite or negative: a check that
+    allows excess <= tol would pass every comparison at a nan tol."""
+    if not (finite(tol) and tol >= 0):
+        raise ConfigError("tol must be finite and >= 0")
+
+
 REQUIRED = object()  # the default of a param that must be given
 _KINDS = {int: "an integer", float: "a finite number", bool: "true or false", str: "a string"}
 

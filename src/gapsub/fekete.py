@@ -20,7 +20,9 @@ from typing import Callable
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import CapExceededError, ConfigError, GapLiftError
+from .errors import (
+    CapExceededError, ConfigError, GapLiftError, ScheduleRangeError, check_tol, pointed
+)
 from .schedules import ConvergenceSeries, ErrorSchedule, GapSchedule, index_blocks, linear_grid
 from .schedules import _Schedule, evaluate
 
@@ -76,10 +78,13 @@ class RealSequence(_Schedule):
     }
 
 
-def _plus_error(F: RealSequence, Fv: np.ndarray, rv: np.ndarray, ns: np.ndarray) -> np.ndarray:
-    """Fv + rv, the values of F_n + rho_n at ns, refused at the first n where they overflow."""
-    return evaluate(lambda _: Fv + rv, ns, f"F_n + rho_n of sequence {F.rule!r}",
-                    f"F_n + rho_n must {_BELOW_INF}")
+def _plus_error(F: RealSequence, rho: ErrorSchedule, Fv: np.ndarray, rv: np.ndarray,
+                ns: np.ndarray) -> np.ndarray:
+    """Fv + rv, the values of F_n + rho_n at ns, refused at the first n where they
+    overflow, at rho's pointer: F_n alone is in range, and rho_n only adds to it."""
+    with pointed(rho.pointer, ScheduleRangeError):
+        return evaluate(lambda _: Fv + rv, ns, f"F_n + rho_n of sequence {F.rule!r}",
+                        f"F_n + rho_n must {_BELOW_INF}")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -234,13 +239,14 @@ def check_gapped_subadditivity(
     itself.  The cost is O(N^2) values; the cap guards against accidental
     huge horizons; raise it explicitly if the quadratic cost is intended.
     F, sigma, rho and then F + rho are checked in that order, each at its
-    first n that fails, before any pair is compared.
+    first n that fails, before any pair is compared; tol first of all.
     """
+    check_tol(tol)
     check_pairwise_horizon(N, cap)
     ns = np.arange(1, N + 1, dtype=np.int64)
     Fv = F.values(ns)
     sig, rh = sigma.values(ns), rho.values(ns)
-    _plus_error(F, Fv, rh, ns)
+    _plus_error(F, rho, Fv, rh, ns)
     found, total, top = split_scan(Fv, lambda j, rows, m: Fv[None, :m], sig, rh, tol, max_report)
     return SubadditivityCheck(ok=total == 0, violations=found, violation_count=total,
                               horizon=N, tol=tol, max_excess=top)
@@ -289,7 +295,7 @@ def fekete_infimum(
             Fv = F.values(ns)
             gaps = ns + sigma.values(ns)
             # the int64 sums cast to float64 as they are divided
-            ratios = _plus_error(F, Fv, rho.values(ns), ns) / gaps
+            ratios = _plus_error(F, rho, Fv, rho.values(ns), ns) / gaps
             i = int(np.argmin(ratios))
             if arg == 0 or ratios[i] < inf_val:
                 arg, inf_val = int(ns[i]), float(ratios[i])
@@ -313,7 +319,7 @@ def _raise_whole_pass_error(
     error names the first n that fails; fault, a blocked walk's first error,
     if no stage fails."""
     stages = (F.values, sigma.values, rho.values,
-              lambda ns: _plus_error(F, F.values(ns), rho.values(ns), ns))
+              lambda ns: _plus_error(F, rho, F.values(ns), rho.values(ns), ns))
     for stage in stages:
         for ns in index_blocks(N):
             stage(ns)

@@ -34,7 +34,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
-    CapExceededError, ConfigError, ValidationError, finite, known_keys, pointed, schema_errors
+    CapExceededError, ConfigError, ValidationError, check_tol, finite, known_keys, pointed,
+    schema_errors,
 )
 from .logspace import _NEG_MAX, log_sum_exp, log_sum_exp_into, safe_log
 
@@ -82,13 +83,14 @@ def checked_symbols(x, size: int, paths: bool = False) -> np.ndarray:
 
 @dataclasses.dataclass(frozen=True)
 class Alphabet:
-    """Finite alphabet {0, ..., size - 1}."""
+    """Finite alphabet {0, ..., size - 1}; field points at the array that sets its size."""
 
     size: int
+    field: str = dataclasses.field(default="", compare=False, repr=False)
 
     def __post_init__(self):
         if self.size < 2:
-            raise ConfigError("alphabet needs at least two symbols")
+            raise ConfigError("alphabet needs at least two symbols", self.field)
 
     def validate_word(self, word) -> np.ndarray:
         return checked_symbols(word, self.size)
@@ -220,9 +222,9 @@ class HiddenChain:
     says if start is invariant under A, field is where a refusal of it points.
 
     A Markov chain's emissions are None: E, the identity, is built when read.
-    A mixture holds parts, its components' (log weight, record) pairs, in
-    place of start, A and E; dense builds when read its form as one chain:
-    A block-diagonal, E stacked and start w_c pi_c."""
+    A mixture holds parts, its components' (weight, record) pairs, in place
+    of start, A and E; dense builds when read its form as one chain: A
+    block-diagonal, E stacked and start w_c pi_c."""
 
     start: np.ndarray | None
     A: np.ndarray | None
@@ -244,18 +246,49 @@ class HiddenChain:
         A = np.zeros((sum(sizes), sum(sizes)))
         for c, lo in zip(chains, np.cumsum([0, *sizes])):
             A[lo:lo + len(c.A), lo:lo + len(c.A)] = c.A
-        start = np.concatenate([np.exp(lw) * c.start for (lw, _), c in zip(self.parts, chains)])
+        start = np.concatenate([w * c.start for (w, _), c in zip(self.parts, chains)])
         return HiddenChain(start, A, self.stationary, self.field, np.vstack([c.E for c in chains]))
 
     def symbol_chain(self) -> tuple[np.ndarray, np.ndarray] | None:
-        """(start, P) of the symbols as a Markov chain: with one hidden state
-        every row of P and the start are E[0], and with E exactly the
-        identity P = A.  None for any other chain and for a mixture."""
+        """(start, P) of the symbols as a Markov chain: with no emissions or E
+        exactly the identity P = A, and with one hidden state P is the one row
+        E[0:1], which stands for every row, started at E[0].  None for any
+        other chain and for a mixture."""
+        E = self.emissions
+        if E is not None and len(E) == 1:
+            return E[0], E[0:1]
+        identity = E is None or np.array_equal(E, np.eye(len(E)))
+        return (self.start, self.A) if identity and not self.parts else None
+
+    def draw(self, n: int, rngs: Sequence[np.random.Generator]) -> np.ndarray:
+        """(len(rngs), n) int64 paths, row i bit for bit the one rngs[i] draws alone: a
+        mixture's generator picks its part by one uniform, then its path (a part's rows
+        draw together); a one-row symbol chain draws each symbol from the row, any other
+        through _chain_path, and any other record its hidden, then its emission uniforms."""
         if self.parts:
-            return None
-        if len(self.E) == 1:
-            return self.E[0], np.tile(self.E[0], (self.E.shape[1], 1))
-        return (self.start, self.A) if np.array_equal(self.E, np.eye(len(self.E))) else None
+            cum = np.cumsum([w for w, _ in self.parts])
+            picks = np.asarray([_draw_from_cum(cum, rng.random()) for rng in rngs])
+            x = np.empty((len(rngs), n), dtype=np.int64)
+            for j, (_, part) in enumerate(self.parts):
+                rows = np.flatnonzero(picks == j)  # may be none: an empty draw
+                x[rows] = part.draw(n, [rngs[i] for i in rows])
+            return x
+        chain = self.symbol_chain()
+        if chain is not None and len(chain[1]) == 1:
+            cum, u = np.cumsum(chain[1][0]), _uniforms(n, rngs)
+            for row, x in zip(u, u.view(np.int64)):  # each row drawn over its own uniforms
+                x[:] = _draw_from_cum(cum, row)
+            return u.view(np.int64)
+        start, A = chain or (self.start, self.A)
+        u = _uniforms(n, rngs)  # the chain's symbols are drawn over its uniforms' buffer
+        z = _chain_path(np.cumsum(start), np.cumsum(A, axis=1), u, out=u.view(np.int64))
+        if chain is not None:
+            return z
+        u = _uniforms(n, rngs)
+        x = np.zeros(z.shape, dtype=np.int64)
+        for edge in np.cumsum(self.E, axis=1)[:, :-1].T:  # _draw_from_cum's bucket in row z of E
+            x += edge[z] <= u
+        return x
 
     @functools.cached_property
     def product(self) -> bool:
@@ -280,9 +313,9 @@ def _kernel_bound(chain: HiddenChain, tau: int) -> float:
         raise ConfigError("gap must be >= 0")
     if chain.parts:
         bounds = []
-        for i, (lw, part) in enumerate(chain.parts):
+        for i, (w, part) in enumerate(chain.parts):
             with pointed(f"/components/{i}", ValidationError):
-                bounds.append(_kernel_bound(part, tau) - lw)
+                bounds.append(_kernel_bound(part, tau) - safe_log(w))
         return float(max(bounds))
     if chain.product:
         return 0.0
@@ -302,7 +335,8 @@ class ShiftMeasure(abc.ABC):
     once and evaluate the checked array w through _prefixes, _increments and
     _windows, which run no check (a mixture calls its components' directly).
     Subclasses provide these, level states that enumerate every word of a
-    length, and forward sampling.  Log-marginals take values in [-inf, inf).
+    length, and _hidden(), which draws their paths.  Log-marginals take
+    values in [-inf, inf).
     """
 
     alphabet: Alphabet
@@ -365,7 +399,7 @@ class ShiftMeasure(abc.ABC):
     def _drive(self, A: np.ndarray, start, field: str, emissions=None) -> None:
         """Keep the hidden chain of kernel A at field from start, a law checked
         at /start or if None the unique stationary law of A, and its start
-        law as the plain attributes that labels and samplers read."""
+        law as the plain attributes that labels and the forward pass read."""
         if start is None:
             law, stationary = _stationary(A, field), True
         else:
@@ -375,7 +409,7 @@ class ShiftMeasure(abc.ABC):
             stationary = bool(np.abs(law @ A - law).max() <= 1e-12)
         self._hidden_chain = HiddenChain(law, A, stationary, field, emissions)
         self.start, self.stationary_start = law, stationary
-        self.log_start, self._cum_start = safe_log(law), np.cumsum(law)
+        self.log_start = safe_log(law)
 
     def kernel_bound(self, tau: int) -> float:
         """Decoupling constant at gap tau for all n and m: _kernel_bound of _hidden()."""
@@ -391,12 +425,12 @@ class ShiftMeasure(abc.ABC):
             return None
         if self.alphabet.size != Q.alphabet.size:
             raise ConfigError("measures must share one alphabet")
-        (pi, P), (_, K) = P, K
+        (pi, P), (_, K) = P, K  # a one-row P or K broadcasts: its row stands for every row
         if ((P > 0) & (K == 0)).any():
             return float("inf")
         with np.errstate(invalid="ignore"):  # 0 log 0 = 0 by continuity
             rows = np.where(P > 0, P * safe_log(K), 0.0).sum(axis=1)
-        return float(-(pi @ rows))
+        return float(-(pi @ np.broadcast_to(rows, pi.shape).copy()))
 
     def entropy_rate(self) -> float | None:
         """h = -sum_i pi_i sum_j P_ij log P_ij in nats: cross_entropy_rate(self)."""
@@ -409,9 +443,9 @@ class ShiftMeasure(abc.ABC):
             return cross
         return float(cross - self.entropy_rate())
 
-    @abc.abstractmethod
     def _sample_rows(self, n: int, rngs: Sequence[np.random.Generator]) -> np.ndarray:
-        """A (len(rngs), n) int64 array whose row i is bit for bit the path rngs[i] draws alone."""
+        """The paths of rngs, one row each: HiddenChain.draw of _hidden()."""
+        return self._hidden().draw(n, rngs)
 
     # A level state holds one row per word of a level, indexed base-k, most
     # significant symbol first, laid out as the family's step runs fastest
@@ -675,12 +709,6 @@ def _uniforms(n: int, rngs: Sequence[np.random.Generator]) -> np.ndarray:
     return u
 
 
-def _chain_rows(cum_start: np.ndarray, cum_rows: np.ndarray, n: int, rngs) -> np.ndarray:
-    """One chain path of n symbols per generator, drawn over its own uniforms' buffer."""
-    u = _uniforms(n, rngs)
-    return _chain_path(cum_start, cum_rows, u, out=u.view(np.int64))
-
-
 def _chain_path(
     cum_start: np.ndarray, cum_rows: np.ndarray, u: np.ndarray, out: np.ndarray | None = None
 ) -> np.ndarray:
@@ -800,9 +828,8 @@ class IIDMeasure(_TermMeasure):
 
     def __init__(self, p):
         self.p = _check_stochastic(p, "/p", 1)
-        self.alphabet = Alphabet(self.p.size)
+        self.alphabet = Alphabet(self.p.size, "/p")
         self.log_p = safe_log(self.p)
-        self._cum = np.cumsum(self.p)
 
     @property
     def label(self) -> str:
@@ -827,12 +854,6 @@ class IIDMeasure(_TermMeasure):
     def _hidden(self) -> HiddenChain:
         return HiddenChain(np.ones(1), np.ones((1, 1)), True, "/p", self.p[None, :])
 
-    def _sample_rows(self, n: int, rngs: Sequence[np.random.Generator]) -> np.ndarray:
-        x = np.empty((len(rngs), n), dtype=np.int64)
-        for row, rng in zip(x, rngs):
-            row[:] = _draw_from_cum(self._cum, rng.random(n))
-        return x
-
 
 class MarkovMeasure(_TermMeasure):
     """Stationary finite Markov chain, or one started off-equilibrium.
@@ -845,10 +866,9 @@ class MarkovMeasure(_TermMeasure):
 
     def __init__(self, P, start=None):
         self.P = _check_stochastic(P, "/P", 2, square=True)
-        self.alphabet = Alphabet(self.P.shape[0])
+        self.alphabet = Alphabet(self.P.shape[0], "/P")
         self._drive(self.P, start, "/P")
         self.log_P = safe_log(self.P)
-        self._cum_rows = np.cumsum(self.P, axis=1)
 
     @property
     def label(self) -> str:
@@ -891,9 +911,6 @@ class MarkovMeasure(_TermMeasure):
             _append_symbols(rows.T, self.log_P, out.transpose(1, 0, 2))
             lv = out.ravel()
         return lv
-
-    def _sample_rows(self, n: int, rngs: Sequence[np.random.Generator]) -> np.ndarray:
-        return _chain_rows(self._cum_start, self._cum_rows, n, rngs)
 
 
 # source of _row_kernel's step: the fields name h hidden states' locals and
@@ -979,13 +996,11 @@ class HiddenMarkovMeasure(ShiftMeasure):
         self.E = _check_stochastic(E, "/E", 2)
         if self.E.shape[0] != self.A.shape[0]:
             raise ValidationError("needs one row per hidden state", "/E")
-        self.alphabet = Alphabet(self.E.shape[1])
+        self.alphabet = Alphabet(self.E.shape[1], "/E")
         self.hidden_size = self.A.shape[0]
         self._drive(self.A, start, "/A", self.E)
         self.log_A = safe_log(self.A)
         self.log_E = safe_log(self.E)
-        self._cum_A = np.cumsum(self.A, axis=1)
-        self._cum_E = np.cumsum(self.E, axis=1)
 
     @property
     def label(self) -> str:
@@ -1137,15 +1152,6 @@ class HiddenMarkovMeasure(ShiftMeasure):
     def _level_totals(self, alpha: np.ndarray) -> np.ndarray:
         return log_sum_exp(alpha, axis=0)
 
-    def _sample_rows(self, n: int, rngs: Sequence[np.random.Generator]) -> np.ndarray:
-        """Each generator draws its hidden uniforms, then its emission uniforms."""
-        z = _chain_rows(self._cum_start, self._cum_A, n, rngs)
-        u = _uniforms(n, rngs)
-        x = np.zeros(z.shape, dtype=np.int64)
-        for edge in self._cum_E[:, :-1].T:  # _draw_from_cum's bucket in row z of E
-            x += edge[z] <= u
-        return x
-
 
 class MixtureMeasure(ShiftMeasure):
     """Finite convex mixture of shift measures on one alphabet.
@@ -1170,7 +1176,6 @@ class MixtureMeasure(ShiftMeasure):
             raise ValidationError("must be strictly positive", "/weights")
         self.alphabet = comps[0].alphabet
         self.log_weights = safe_log(self.weights)
-        self._cum_w = np.cumsum(self.weights)
 
     @property
     def label(self) -> str:
@@ -1206,22 +1211,9 @@ class MixtureMeasure(ShiftMeasure):
         return self._mix([c._level_totals(s) for c, s in zip(self.components, state)])
 
     def _hidden(self) -> HiddenChain:
-        parts = tuple(zip(self.log_weights, (c._hidden() for c in self.components)))
+        parts = tuple(zip(self.weights, (c._hidden() for c in self.components)))
         stationary = all(c.stationary for _, c in parts)
         return HiddenChain(None, None, stationary, "/components", parts=parts)
-
-    def _sample_rows(self, n: int, rngs: Sequence[np.random.Generator]) -> np.ndarray:
-        """Each generator draws its component, then the component's path.
-
-        The rows of one component draw together.
-        """
-        picks = np.asarray([_draw_from_cum(self._cum_w, rng.random()) for rng in rngs])
-        x = np.empty((len(rngs), n), dtype=np.int64)
-        for j, c in enumerate(self.components):
-            (rows,) = np.nonzero(picks == j)
-            if rows.size:
-                x[rows] = c._sample_rows(n, [rngs[i] for i in rows])
-        return x
 
 
 @dataclasses.dataclass(frozen=True)
@@ -1253,6 +1245,7 @@ def validate_measure(
     is the shift-invariance witness: it fails for a chain started off
     its stationary law.
     """
+    check_tol(tol)
     if n_max < 1:
         raise ConfigError("n_max must be >= 1")
     Q._guard_level(n_max, cap)  # the largest level, before any is built

@@ -26,6 +26,7 @@ from .errors import (
     ValidationError,
     known_keys,
     param,
+    pointed,
     schema_errors,
 )
 
@@ -84,12 +85,15 @@ class _Schedule:
     _range states, _field (the spec field that holds the rule) and _rules,
     its closed-form rules; every kind also takes "table".  from_function
     wraps a function of the index array instead, rule "function", with the
-    same range check; to_json refuses it.
+    same range check; to_json refuses it.  pointer is where from_json built
+    it in its document, and a value refused by values points there; it is
+    no part of ==, repr or to_json.
     """
 
     rule: str
     params: dict = dataclasses.field(default_factory=dict)
     fn: Callable[[np.ndarray], np.ndarray] | None = None
+    pointer: str = dataclasses.field(default="", compare=False, repr=False)
 
     _kind: ClassVar[type]
     _noun: ClassVar[str]
@@ -164,10 +168,12 @@ class _Schedule:
 
     def values(self, ns) -> np.ndarray:
         """The values at the 1-d index array ns >= 1, through evaluate: a value out
-        of range, or an n past a table's end, is refused naming the smallest such n."""
-        return evaluate(self._at, ns, self._names.format(self.rule),
-                        f"{self._noun} values must {self._range}", self._kind,
-                        self._least, self._most)
+        of range, or an n past a table's end, is refused naming the smallest such n,
+        at pointer."""
+        with pointed(self.pointer, ScheduleRangeError):
+            return evaluate(self._at, ns, self._names.format(self.rule),
+                            f"{self._noun} values must {self._range}", self._kind,
+                            self._least, self._most)
 
     def _at(self, ns: np.ndarray) -> np.ndarray:
         """The values at the index array ns, before the range check."""
@@ -192,7 +198,7 @@ class _Schedule:
             params = obj.get("params", {})
             if not isinstance(params, dict):
                 raise ConfigError("must be an object", "/params")
-            return cls(obj[cls._field], dict(params))
+            return cls(obj[cls._field], dict(params), pointer=pointer)
 
 
 class _NonnegativeSchedule(_Schedule):

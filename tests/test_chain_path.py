@@ -43,14 +43,22 @@ def _loop_path(cum_start: np.ndarray, cum_rows: np.ndarray, u: np.ndarray) -> np
     return x
 
 
+def _loop_iid(p: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
+    cum = np.cumsum(p)
+    return np.asarray([_bucket(cum, u) for u in rng.random(n)], dtype=np.int64)
+
+
 def _loop_markov(Q: MarkovMeasure, n: int, rng: np.random.Generator) -> np.ndarray:
-    return _loop_path(Q._cum_start, Q._cum_rows, rng.random(n))
+    return _loop_path(np.cumsum(Q.start), np.cumsum(Q.P, axis=1), rng.random(n))
 
 
 def _loop_hmm(Q: HiddenMarkovMeasure, n: int, rng: np.random.Generator) -> np.ndarray:
-    z = _loop_path(Q._cum_start, Q._cum_A, rng.random(n))
+    """One hidden state draws the iid law of its emission row."""
+    if Q.hidden_size == 1:
+        return _loop_iid(Q.E[0], n, rng)
+    z = _loop_path(np.cumsum(Q.start), np.cumsum(Q.A, axis=1), rng.random(n))
     u_emit = rng.random(n)
-    idx = (Q._cum_E[z] <= u_emit[:, None]).sum(axis=1)
+    idx = (np.cumsum(Q.E, axis=1)[z] <= u_emit[:, None]).sum(axis=1)
     return np.minimum(idx, Q.alphabet.size - 1).astype(np.int64)
 
 
@@ -151,7 +159,7 @@ def test_mixture_trajectory_matches_the_loop():
     for stream in range(8):
         got = sample_trajectory(Q, 2000, seed=31, stream=stream).symbols
         draws = make_rng(31, stream)
-        j = _bucket(Q._cum_w, draws.random())
+        j = _bucket(np.cumsum(Q.weights), draws.random())
         picked.add(j)
         assert np.array_equal(got, loops[j](Q.components[j], 2000, draws))
     assert picked == {0, 1}

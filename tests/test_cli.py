@@ -1399,7 +1399,7 @@ def test_validate_semantic_builds_the_measure_once(tmp_path, monkeypatch, capsys
 SIGMA_1E30 = {"rule": "ceil_power", "params": {"alpha": 0.5, "scale": 1e30}}
 GAP_1E30 = "gap rule 'ceil_power' gives 1e+30 at n = 1; gap values must lie in [0, 2**62]"
 RHO_INF = {"rule": "scaled_power", "params": {"alpha": 0.5, "scale": 1e308}}
-ERROR_INF = ("validation: error rule 'scaled_power' gives inf at n = 4; "
+ERROR_INF = ("validation: /rho: error rule 'scaled_power' gives inf at n = 4; "
              "error values must be finite and >= 0")
 # each closed form at a param that overflows to +inf, and the first n where it does
 OVERFLOWING_SEQUENCES = {
@@ -1416,12 +1416,12 @@ SUM_OVERFLOW = {"sequence": {"name": "linear", "params": {"slope": 1e306}},
                 "rho": {"rule": "constant", "params": {"value": 1.7e308}}, "N": 64}
 OUT_OF_RANGE_RUNS = {
     "limit-sigma-1e30": ("fekete.limit", {**FEKETE_SPEC, "sigma": SIGMA_1E30}, 3,
-                         f"validation: {GAP_1E30}"),
+                         f"validation: /sigma: {GAP_1E30}"),
     "check-sigma-1e30": ("fekete.check", {**FEKETE_SPEC, "sigma": SIGMA_1E30}, 3,
-                         f"validation: {GAP_1E30}"),
+                         f"validation: /sigma: {GAP_1E30}"),
     "audit-tau-1e30": ("decouple.audit",
                        {"measure": WORKED_SPEC, "n_max": 2, "m_max": 2, "tau": SIGMA_1E30}, 3,
-                       f"validation: {GAP_1E30}"),
+                       f"validation: /config/params/tau: {GAP_1E30}"),
     "limit-sigma-2-63": ("fekete.limit",
                          {**FEKETE_SPEC, "sigma": {"rule": "constant",
                                                    "params": {"value": 2**63 - 1}}},
@@ -1430,17 +1430,17 @@ OUT_OF_RANGE_RUNS = {
     "limit-rho-inf": ("fekete.limit", {**FEKETE_SPEC, "rho": RHO_INF}, 3, ERROR_INF),
     **{f"{sub}-{name}-overflow": (
         f"fekete.{sub}", {"sequence": {"name": name, "params": params}, "N": 200}, 3,
-        f"validation: sequence {name!r} gives inf at n = {n}; "
+        f"validation: /sequence: sequence {name!r} gives inf at n = {n}; "
         "sequence values must lie in [-inf, inf)")
        for name, (params, n) in OVERFLOWING_SEQUENCES.items() for sub in ("check", "limit")},
     **{f"{sub}-sum-overflow": (
         f"fekete.{sub}", SUM_OVERFLOW, 3,
-        "validation: F_n + rho_n of sequence 'linear' gives inf at n = 10; "
+        "validation: /rho: F_n + rho_n of sequence 'linear' gives inf at n = 10; "
         "F_n + rho_n must lie in [-inf, inf)") for sub in ("check", "limit")},
     **{f"{sub}-short-table": (
         f"fekete.{sub}", {"sequence": {"name": "table", "params": {"values": [1.0, 2.0]}},
                           "N": 5}, 3,
-        "validation: sequence table covers n <= 2, asked for n = 3")
+        "validation: /sequence: sequence table covers n <= 2, asked for n = 3")
        for sub in ("check", "limit")},
 }
 
@@ -1459,7 +1459,9 @@ def test_a_schedule_out_of_range_is_refused_before_any_report(tmp_path, capsys, 
     A sequence or a sum F_n + rho_n that overflows is refused at its first n
     with no RuntimeWarning (an error under pytest): the sum once made fekete
     limit write a wrong infimum with exit 0, and a short sequence table once
-    ended in exit 2 naming no n."""
+    ended in exit 2 naming no n.  Each refusal points at the param whose
+    schedule or sequence gave the value, and an overflowing F_n + rho_n at
+    /rho; they once named no param."""
     command = subcommand.split(".")
     if command[0] == "fekete":
         argv = [*command, "--spec", write_json(tmp_path, "s.json", params)]
@@ -1514,6 +1516,55 @@ def test_bad_measure_entry_exits_2_with_pointer(tmp_path, capsys, spec, path, po
     rc = main(["sample", "--measure", m, "--N", "5", "--seed", "1", "--outdir", str(out)])
     assert rc == 2
     assert f"schema: {pointer}:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "spec, pointer",
+    [
+        ({"family": "iid", "p": [1.0]}, "/p"),
+        ({"family": "markov", "P": [[1.0]]}, "/P"),
+        ({"family": "hmm", "A": [[0.5, 0.5], [0.5, 0.5]], "E": [[1.0], [1.0]]}, "/E"),
+        ({"family": "mixture", "components": [COIN_SPEC, {"family": "iid", "p": [1.0]}],
+          "weights": [0.5, 0.5]}, "/components/1/p"),
+    ],
+    ids=["iid", "markov", "hmm", "mixture"],
+)
+def test_a_one_symbol_alphabet_is_refused_at_its_field(tmp_path, capsys, spec, pointer):
+    """The refusal once named no field inside the file."""
+    m = write_json(tmp_path, "m.json", spec)
+    out = tmp_path / "o"
+    rc = main(["sample", "--measure", m, "--N", "5", "--seed", "1", "--outdir", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err == f"schema: {pointer}: alphabet needs at least two symbols (--measure {m})\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, pointer",
+    [
+        (["fekete", "check", "--spec", "{s}"], "/tol"),
+        (["decouple", "check", "--measure", "{m}", "--N", "20", "--seed", "1", "--tol", "-1"],
+         "/tol"),
+        (["rerun", "--manifest", "{v}"], "/config/params/tol"),
+    ],
+    ids=["fekete-check", "decouple-check", "validate-measure"],
+)
+def test_a_negative_tol_is_refused_at_its_param(tmp_path, capsys, argv, pointer):
+    """fekete check once took a tol of -1 on the additive linear sequence and
+    exited 0 with 45 violations.  validate --semantic has no --tol, so its
+    run takes one from a manifest."""
+    files = {
+        "{s}": write_json(tmp_path, "s.json", {"sequence": {"name": "linear"}, "N": 10,
+                                               "tol": -1}),
+        "{m}": write_json(tmp_path, "m.json", WORKED_SPEC),
+        "{v}": write_json(tmp_path, "v.json", {"config": {
+            "subcommand": "validate.measure", "params": {"measure": WORKED_SPEC, "tol": -1}}}),
+    }
+    out = tmp_path / "o"
+    assert main([files.get(a, a) for a in argv] + ["--outdir", str(out)]) == 2
+    assert capsys.readouterr().err == f"schema: {pointer}: must be nonnegative\n"
     assert not out.exists()
 
 

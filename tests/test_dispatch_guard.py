@@ -1,9 +1,12 @@
 """No library code decides by the class of a gapsub object.
 
 A family answers through its own methods and its hidden-chain record (a
-product, a symbol chain), and a path converts through np.asarray.  So no
-isinstance or issubclass in src/gapsub/*.py may test against a class that
-src/gapsub defines: a measure family, Trajectory or any other.
+product, a symbol chain, the draw of its paths), and a path converts
+through np.asarray.  So no isinstance or issubclass in src/gapsub/*.py may
+test against a class that src/gapsub defines: a measure family, Trajectory
+or any other.  And one class, ShiftMeasure, defines _sample_rows, which
+draws every family's paths from its record, so no family has a sampler of
+its own.
 """
 from __future__ import annotations
 
@@ -56,3 +59,24 @@ def test_no_isinstance_tests_against_a_gapsub_class():
     found = [f"{name}:{line}: {cls}" for name, tree in trees.items()
              for line, cls in _class_tests(tree, ours)]
     assert found == []
+
+
+def _owners(tree: ast.AST, name: str) -> list[str]:
+    """The class that holds each def of name in tree, "" for one outside a class."""
+    held = {id(node): cls.name for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+            for node in cls.body}
+    return [held.get(id(node), "") for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name == name]
+
+
+def test_the_guard_sees_a_family_sampler():
+    src = ("class ShiftMeasure:\n    def _sample_rows(self, n, rngs): ...\n"
+           "class IIDMeasure(ShiftMeasure):\n    def _sample_rows(self, n, rngs): ...\n"
+           "def _sample_rows(n, rngs): ...\n")
+    assert sorted(_owners(ast.parse(src), "_sample_rows")) == ["", "IIDMeasure", "ShiftMeasure"]
+
+
+def test_one_class_samples_every_family():
+    found = [f"{name}: {owner or 'module'}" for name, tree in _trees().items()
+             for owner in _owners(tree, "_sample_rows")]
+    assert found == ["measures.py: ShiftMeasure"]

@@ -21,15 +21,20 @@ from gapsub import (
     ScheduleRangeError,
     SchemaError,
     ValidationError,
+    IIDMeasure,
+    MarkovMeasure,
     check_gapped_subadditivity,
+    check_trajectory_subadditivity,
     fekete_infimum,
     fekete_limit_estimate,
     gap_lift,
+    sample_trajectory,
     schedules,
+    validate_measure,
 )
 from gapsub.fekete import split_scan
 
-from conftest import table_schedule
+from conftest import WORKED_P, table_schedule
 
 
 # ------------------------------------------------------------ RealSequence
@@ -255,6 +260,47 @@ def test_max_report_truncates_but_counts_all():
     assert chk.violation_count > 7
 
 
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1.0, -5e-324])
+def test_a_tol_that_is_not_finite_and_nonnegative_is_refused_first(tol):
+    """A nan tol once passed every check: square (N = 10) reported 45
+    violations at the default tol and ok at nan, so did a 50-symbol path of
+    the worked chain (1,193 violations), and the worked chain started at
+    (0.5, 0.5) validated.  Each front end now refuses the tol before it
+    evaluates any value or level."""
+    square = RealSequence.from_json({"name": "square"})
+    zero_gap, zero_rho = GapSchedule.zero(), ErrorSchedule.zero()
+    assert check_gapped_subadditivity(square, zero_gap, zero_rho, 10).violation_count == 45
+    chain = MarkovMeasure(WORKED_P)
+    x = sample_trajectory(chain, 50, seed=1)
+    assert check_trajectory_subadditivity(x, chain, zero_rho, zero_gap).violation_count == 1193
+    off = MarkovMeasure(WORKED_P, start=[0.5, 0.5])
+    assert not validate_measure(off).ok
+    evaluated = []
+
+    def spy(ns):
+        evaluated.append(ns)
+        return ns.astype(np.float64)
+
+    class Spy(IIDMeasure):
+        def windows(self, x):
+            evaluated.append(x)
+
+        def log_marginals_level(self, n, cap=10**7):
+            evaluated.append(n)
+
+    runs = [
+        lambda: check_gapped_subadditivity(RealSequence.from_function(spy), zero_gap,
+                                           zero_rho, 10, tol=tol),
+        lambda: check_trajectory_subadditivity(x, Spy([0.5, 0.5]), zero_rho,
+                                               GapSchedule.from_function(spy), tol=tol),
+        lambda: validate_measure(Spy([0.5, 0.5]), tol=tol),
+    ]
+    for run in runs:
+        with pytest.raises(ConfigError, match=r"^tol must be finite and >= 0$"):
+            run()
+    assert evaluated == []
+
+
 def _naive_check(Fv, sig, rh, tol):
     """Triple-loop reference with the same float expression order."""
     out = []
@@ -291,6 +337,20 @@ def test_checker_agrees_with_naive_reference(vals, gap, rho_val):
     ref = _naive_check(vals, [gap] * N, [rho_val] * N, chk.tol)
     got = [(v.n, v.m, v.excess) for v in chk.violations]
     assert got == ref
+
+
+def test_an_overflowing_sum_points_at_rho():
+    """F_n is in range, so an F_n + rho_n that overflows is refused at the pointer
+    of rho, the allowance that pushed it over; a rho built in code has none."""
+    F = RealSequence.from_json({"name": "linear", "params": {"slope": 1e306}}, "/sequence")
+    spec = {"rule": "constant", "params": {"value": 1.7e308}}
+    for rho, pointer in ((ErrorSchedule.from_json(spec, "/rho"), "/rho"),
+                         (ErrorSchedule.from_json(spec), "")):
+        for run in (check_gapped_subadditivity, fekete_infimum):
+            with pytest.raises(ScheduleRangeError) as exc:
+                run(F, GapSchedule.zero(), rho, 64)
+            assert exc.value.pointer == pointer
+            assert exc.value.message.startswith("F_n + rho_n of sequence 'linear' gives inf at n = 10;")
 
 
 # ------------------------------------------------------------------ infimum

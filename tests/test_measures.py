@@ -465,13 +465,17 @@ def test_mixture_validation():
 def test_the_hidden_chain_of_each_family():
     """iid is one state emitting p, a Markov chain A = P with E = I built only
     when read, an HMM its own (A, E), and a mixture its components' records
-    with its log weights, whose dense form is built only when read."""
+    with its weights, whose dense form is built only when read."""
     iid = IIDMeasure([0.2, 0.8])._hidden()
     assert (iid.start.tolist(), iid.A.tolist(), iid.E.tolist()) == ([1.0], [[1.0]], [[0.2, 0.8]])
     assert (iid.stationary, iid.field) == (True, "/p")
+    start, P = iid.symbol_chain()  # one row, which stands for every row
+    assert (start.tolist(), P.tolist()) == ([0.2, 0.8], [[0.2, 0.8]])
     chain = MarkovMeasure(WORKED_P)
     r = chain._hidden()
     assert r.A is chain.P and r.start is chain.start and (r.stationary, r.field) == (True, "/P")
+    start, P = r.symbol_chain()
+    assert start is chain.start and P is chain.P
     assert "E" not in vars(r) and np.array_equal(r.E, np.eye(2))
     off = MarkovMeasure(WORKED_P, start=[0.5, 0.5])._hidden()
     assert (off.stationary, off.field) == (False, "/start")
@@ -480,7 +484,7 @@ def test_the_hidden_chain_of_each_family():
     assert r.A is hmm.A and r.E is hmm.E and r.field == "/A"
     mix = MixtureMeasure([IIDMeasure([0.5, 0.5]), chain], [0.25, 0.75])
     r = mix._hidden()
-    assert [lw for lw, _ in r.parts] == mix.log_weights.tolist()
+    assert [w for w, _ in r.parts] == mix.weights.tolist()
     assert "dense" not in vars(r) and r.start is None and r.symbol_chain() is None
     d = r.dense
     assert d.A.tolist() == [[1.0, 0.0, 0.0], [0.0, 0.9, 0.1], [0.0, 0.2, 0.8]]
@@ -560,6 +564,59 @@ def test_identity_emissions_and_one_hidden_state_have_their_chains_rates():
     assert HiddenMarkovMeasure(WORKED_P, [[0.0, 1.0], [1.0, 0.0]]).entropy_rate() is None
     mix = MixtureMeasure([IIDMeasure([0.5, 0.5]), MarkovMeasure(WORKED_P)], [0.5, 0.5])
     assert mix.entropy_rate() is None and MarkovMeasure(WORKED_P).cross_entropy_rate(mix) is None
+
+
+def _tiled_cross_entropy(M, R) -> float:
+    """sum_i pi(i) sum_j P_ij (-log K_ij) over symbol chains read from the public
+    fields, a one-state measure's chain as the k x k tile of its row."""
+    def chain(Q):
+        if isinstance(Q, MarkovMeasure):
+            return Q.start, Q.P
+        row = Q.p if isinstance(Q, IIDMeasure) else Q.E[0]
+        return row, np.tile(row, (row.size, 1))
+
+    (pi, P), (_, K) = chain(M), chain(R)
+    if ((P > 0) & (K == 0)).any():
+        return math.inf
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rows = np.where(P > 0, P * np.log(K), 0.0).sum(axis=1)
+    return float(-(pi @ rows))
+
+
+def test_a_one_row_symbol_chain_keeps_the_tiled_rates():
+    """A one-state record's symbol chain is the one row E[0:1], which
+    cross_entropy_rate broadcasts; every rate keeps the bits of the k x k tile
+    of that row, over random iid, Markov and one-state HMM pairs with zeros."""
+    rng = np.random.default_rng(40)
+    pairs = 0
+    for k in (2, 3, 5, 8):
+        for zeros in (False, True):
+            ps = [random_rows(rng, 1, k, zeros)[0] for _ in range(2)]
+            measures_k = [IIDMeasure(ps[0]), HiddenMarkovMeasure([[1.0]], [ps[1]])]
+            for _ in range(4):
+                try:
+                    measures_k.append(MarkovMeasure(random_rows(rng, k, k, zeros)))
+                except ValidationError:
+                    pass  # reducible
+            for M, R in itertools.product(measures_k, repeat=2):
+                got = M.cross_entropy_rate(R)
+                assert np.float64(got).tobytes() == np.float64(_tiled_cross_entropy(M, R)).tobytes()
+                pairs += 1
+    assert pairs >= 100
+
+
+def test_a_wide_iid_entropy_rate_builds_no_square():
+    """The one-row symbol chain keeps the rate's value at k = 4000 with no k x k
+    array: a tile of the row peaked at 528 MB."""
+    Q = IIDMeasure(np.full(4000, 1 / 4000))
+    tracemalloc.start()
+    try:
+        h = Q.entropy_rate()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert h == 8.294049640102045
+    assert peak < 5 * 2**20
 
 
 # ------------------------------------------------------------- consistency

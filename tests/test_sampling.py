@@ -6,6 +6,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from hypothesis import assume, given, settings, strategies as st
+
 from gapsub import (
     ConfigError,
     HiddenMarkovMeasure,
@@ -17,11 +19,12 @@ from gapsub import (
     kingman_series,
     log_prefixes,
     make_rng,
+    sample_paths,
     sample_trajectory,
 )
 from gapsub.sampling import checked_grid
 
-from conftest import WORKED_P
+from conftest import WORKED_P, random_rows
 from lse_oracle import log_sum_exp
 
 
@@ -344,3 +347,44 @@ def test_window_offsets_of_a_non_integer_dtype_are_refused(family, js):
     wl = Q.windows(sample_trajectory(Q, 20, seed=3).symbols)
     with pytest.raises(ConfigError, match="offsets must be integers"):
         wl.many(js, 3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), k=st.integers(2, 4), zeros=st.booleans(),
+       started=st.booleans(), n=st.integers(1, 300))
+def test_equal_records_draw_equal_paths(seed, k, zeros, started, n):
+    """Measures with equal hidden-chain records draw equal paths on every
+    stream, bit for bit: iid(p), the one-state HMM emitting p and
+    MarkovMeasure([p] * k); MarkovMeasure(P[, start]) and
+    HiddenMarkovMeasure(P, I[, start]); and mixtures of such twins."""
+    rng = np.random.default_rng(seed)
+    p, P = random_rows(rng, 1, k, zeros)[0], random_rows(rng, k, k, zeros)
+    start = random_rows(rng, 1, k, zeros)[0] if started else None
+    try:
+        chain = MarkovMeasure(P, start)
+    except ValidationError:
+        assume(False)  # a reducible chain has no unique stationary law
+    iids = [IIDMeasure(p), HiddenMarkovMeasure([[1.0]], [p]), MarkovMeasure([p] * k)]
+    chains = [chain, HiddenMarkovMeasure(P, np.eye(k), start)]
+    weights = rng.dirichlet(np.ones(2)).tolist()
+    mixtures = [MixtureMeasure(pair, weights) for pair in zip(iids, [*chains, chains[1]])]
+    streams = [0, 1, 2, 7, 31]
+    for twins in (iids, chains, mixtures):
+        paths = [sample_paths(Q, n, seed, streams) for Q in twins]
+        for other in paths[1:]:
+            assert other.dtype == np.int64 and np.array_equal(other, paths[0])
+
+
+def test_iid_rows_draw_over_their_own_uniforms():
+    """A one-row symbol chain draws each row over its own uniforms' buffer, so
+    ten rows of 10^5 symbols peak near the paths' own 7.6 MB; drawing the whole
+    array at once held three arrays of that size."""
+    Q = IIDMeasure([0.2, 0.3, 0.5])
+    tracemalloc.start()
+    try:
+        x = sample_paths(Q, 10**5, 3, range(10))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * x.nbytes
+    assert np.array_equal(x[4], sample_trajectory(Q, 10**5, 3, stream=4).symbols)

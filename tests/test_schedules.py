@@ -438,3 +438,31 @@ def test_schedule_rejections_point_at_the_field(cls, spec, pointer):
     with pytest.raises(SchemaError) as exc:
         cls.from_json(spec, "/rho")
     assert exc.value.pointer == "/rho" + pointer
+
+
+@pytest.mark.parametrize(
+    "cls, spec, message",
+    [
+        (GapSchedule, {"rule": "table", "params": {"values": [1, 2]}},
+         "gap table covers n <= 2, asked for n = 3"),
+        (ErrorSchedule, {"rule": "scaled_power", "params": {"alpha": 0.5, "scale": 1e308}},
+         "error rule 'scaled_power' gives inf at n = 4; error values must be finite and >= 0"),
+        (RealSequence, {"name": "square", "params": {"scale": 1e308}},
+         "sequence 'square' gives inf at n = 2; sequence values must lie in [-inf, inf)"),
+    ],
+    ids=["gap-table", "error-overflow", "sequence-overflow"],
+)
+def test_a_schedule_refuses_its_values_at_the_pointer_it_was_built_at(cls, spec, message):
+    """from_json(obj, pointer) keeps the pointer for the refusals of values; one
+    built in code keeps the message with no pointer.  The pointer is no part of
+    ==, repr or to_json."""
+    built = cls.from_json(spec, "/config/params/sigma")
+    coded = cls.from_json(spec)
+    assert built == coded and repr(built) == repr(coded) and built.to_json() == coded.to_json()
+    ns = np.arange(1, 6, dtype=np.int64)
+    with pytest.raises(ScheduleRangeError) as exc:
+        built.values(ns)
+    assert (exc.value.pointer, exc.value.message) == ("/config/params/sigma", message)
+    with pytest.raises(ScheduleRangeError) as exc:
+        coded.values(ns)
+    assert (exc.value.pointer, exc.value.message) == ("", message)

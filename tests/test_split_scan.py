@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from gapsub import (
+    ConfigError,
     ErrorSchedule,
     GapSchedule,
     HiddenMarkovMeasure,
@@ -250,7 +251,8 @@ def test_suffix_rows_are_the_suffixes(name, table, monkeypatch):
 @pytest.mark.parametrize("tau", [0, 1])
 @pytest.mark.parametrize("tol", [1e-10, -1.0])
 def test_trajectory_scan_matches_the_earlier_body(name, tau, tol):
-    """At tol = -1 every path reports more violations than max_report."""
+    """At tol = -1 every path reports more violations than max_report in the
+    scan, and the front end refuses the negative tol before it reads the path."""
     Q, x = _paths()[name]
     wl = Q.windows(x)
     N = x.size
@@ -259,12 +261,16 @@ def test_trajectory_scan_matches_the_earlier_body(name, tau, tol):
     old = _reference_suffix(Q, x)
     want = _bits(oracle.split_scan(old(0, N), old, *args))
     assert _bits(split_scan(wl.suffix(0, N), wl.suffix_rows, *args)) == want
+    if tol < 0:
+        assert want[1] > 40  # the report is cut, the count is not
+        with pytest.raises(ConfigError, match="tol must be finite and >= 0"):
+            check_trajectory_subadditivity(x, Q, ErrorSchedule.zero(), GapSchedule.constant(tau),
+                                           tol=tol, max_report=40)
+        return
     chk = check_trajectory_subadditivity(
         x, Q, ErrorSchedule.zero(), GapSchedule.constant(tau), tol=tol, max_report=40
     )
     assert _bits((chk.violations, chk.violation_count, chk.max_excess)) == want
-    if tol < 0:
-        assert want[1] > 40  # the report is cut, the count is not
 
 
 @pytest.mark.parametrize("name", ["hmm", "mixture"])
